@@ -14,8 +14,11 @@ remaining 18 slots), and filters:
     -> 8 domain points per edge       (7)
     -> dual polynomials split into real linear factors (6)
 
-Everything is exact; ranks use fraction-free elimination and weights are
-exact rationals.
+Everything is exact.  Each spline's 39 functional values are read once and
+cached as an integer row with its scale; the rank filter, the weights and
+the dual polynomials all eliminate those integer rows fraction-free
+(``linalg``), so weights and dual-polynomial coefficients come out as exact
+rationals without Gauss-Jordan elimination over ``Fraction``.
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
 
 from .dual_functionals import build_lambda, direction_bary, lambda_vector, to_bary
 from .errors import SingularSystem
 from .geometry import S3_ELEMENTS, reference_frame, s3_apply_multiset
-from .linalg import bareiss, solve
+from .linalg import _integer_rows, bareiss, solve
 from .polynomial import TriPoly
 from .simplex_spline import active_indices, hull_area, knot_label, knots
 
@@ -194,23 +196,37 @@ def enumerate_candidates() -> tuple:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _int_lambda_row(K: tuple) -> tuple:
+def _int_lambda_row(K: tuple, variant: str) -> tuple:
     """lambda row of Q[K] scaled to integers, plus the scale factor."""
-    row = lambda_vector(K)
-    den = 1
-    for v in row:
-        den = den // gcd(den, v.denominator) * v.denominator
-    return tuple(int(v * den) for v in row), den
+    (row,), (den,) = _integer_rows([lambda_vector(K, variant)])
+    return tuple(row), den
 
 
 def candidate_has_full_rank(cand: CandidateBasis) -> bool:
-    rows = [list(_int_lambda_row(K)[0]) for K in cand.multisets]
+    rows = [list(_int_lambda_row(K, "canonical")[0]) for K in cand.multisets]
     return bareiss(rows)[1] != 0
 
 
-def _lambda_one_vector(variant: str = "canonical") -> list:
-    lams = build_lambda(reference_frame(), variant)
-    return [Fraction(1) if lam.order == 0 else Fraction(0) for lam in lams]
+@lru_cache(maxsize=None)
+def _lambda_one_vector(variant: str) -> tuple:
+    """Functional values of the constant 1, one single-column row each."""
+    return tuple((int(lam.order == 0),) for lam in build_lambda(reference_frame(), variant))
+
+
+def _solve_collocation(multisets, rhs, variant: str) -> list:
+    """Solve sum_i x_i lambda_j(Q_i) = rhs_j for the rows x_i.
+
+    The system is assembled from the integer lambda rows: column i holds
+    den_i * lambda(Q_i), so solution row i is scaled back by den_i.
+    """
+    scaled = [_int_lambda_row(K, variant) for K in multisets]
+    A = [list(col) for col in zip(*(row for row, _ in scaled))]
+    sol = solve(A, rhs)
+    return [[x * den for x in xi] for xi, (_, den) in zip(sol, scaled)]
+
+
+def _multisets(cand) -> tuple:
+    return cand.multisets if isinstance(cand, CandidateBasis) else tuple(knots(K) for K in cand)
 
 
 def compute_weights(cand, variant: str = "canonical") -> tuple:
@@ -221,20 +237,20 @@ def compute_weights(cand, variant: str = "canonical") -> tuple:
     depend on the functional direction choices; variant='alternate' exists
     so tests can confirm that.
     """
-    multisets = cand.multisets if isinstance(cand, CandidateBasis) else tuple(knots(K) for K in cand)
-    n = len(multisets)
-    rows = []
-    rhs = []
-    one = _lambda_one_vector(variant)
-    for j in range(n):
-        rows.append([lambda_vector(K, variant)[j] for K in multisets])
-        rhs.append([one[j]])
-    return tuple(x[0] for x in solve(rows, rhs))
+    sol = _solve_collocation(_multisets(cand), _lambda_one_vector(variant), variant)
+    return tuple(x[0] for x in sol)
+
+
+#: The 21 monomial exponents of a ternary quintic, one column each in the
+#: right-hand side of the dual-polynomial solve.
+QUINTIC_MONOMIALS = tuple((i, j, 5 - i - j) for i in range(5, -1, -1)
+                          for j in range(5 - i, -1, -1))
 
 
 @lru_cache(maxsize=None)
-def _marsden_rhs(variant: str = "canonical") -> tuple:
-    """Functional values of (b1 c1 + b2 c2 + b3 c3)^5 as polynomials in c."""
+def _marsden_rhs(variant: str) -> tuple:
+    """Functional values of (b1 c1 + b2 c2 + b3 c3)^5 as polynomials in c,
+    one row of QUINTIC_MONOMIALS coefficients per functional."""
     frame = reference_frame()
     out = []
     for lam in build_lambda(frame, variant):
@@ -248,7 +264,7 @@ def _marsden_rhs(variant: str = "canonical") -> tuple:
             poly = poly * TriPoly.linear(direction_bary(frame, u))
         for _ in range(5 - k):
             poly = poly * base
-        out.append(poly)
+        out.append(tuple(poly.coefficient(e) for e in QUINTIC_MONOMIALS))
     return tuple(out)
 
 
@@ -258,12 +274,8 @@ def compute_dual_polys(cand, weights=None, variant: str = "canonical") -> tuple:
     Solves the collocation system with the quintic power functional values on
     the right-hand side; setting c1 = c2 = c3 = 1 in entry i recovers w_i.
     """
-    multisets = cand.multisets if isinstance(cand, CandidateBasis) else tuple(knots(K) for K in cand)
-    n = len(multisets)
-    rhs = _marsden_rhs(variant)
-    rows = [[lambda_vector(K, variant)[j] for K in multisets] for j in range(n)]
-    sol = solve(rows, [[rhs[j]] for j in range(n)])
-    out = tuple(row[0] for row in sol)
+    sol = _solve_collocation(_multisets(cand), _marsden_rhs(variant), variant)
+    out = tuple(TriPoly(zip(QUINTIC_MONOMIALS, xi)) for xi in sol)
     if weights is not None:
         for w, poly in zip(weights, out):
             if poly.evaluate(1, 1, 1) != w:
@@ -447,16 +459,10 @@ def _identify_basis(labels: frozenset) -> str:
     return ""
 
 
-def _full_rank_worker(chunk):
-    return [candidate_has_full_rank(c) for c in chunk]
-
-
-def filter_pipeline(candidates=None, stage: str = "linear_factors", threads: int = 1) -> SearchReport:
+def filter_pipeline(candidates=None, stage: str = "linear_factors") -> SearchReport:
     """Run the filters in order, recording the count after each stage.
 
-    ``stage`` may name an earlier stage to stop at.  ``threads`` > 1 spreads
-    the rank filter over processes (the stages are pure maps, so the result
-    is identical).
+    ``stage`` may name an earlier stage to stop at.
     """
     if stage not in PIPELINE_STAGES:
         raise ValueError(f"unknown stage {stage!r}")
@@ -467,18 +473,7 @@ def filter_pipeline(candidates=None, stage: str = "linear_factors", threads: int
     if last < 1:
         return report
 
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        chunks = [cands[i::threads] for i in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            flags_chunks = list(pool.map(_full_rank_worker, chunks))
-        flags = {}
-        for chunk, fl in zip(chunks, flags_chunks):
-            for c, ok in zip(chunk, fl):
-                flags[c.multisets] = ok
-        cands = [c for c in cands if flags[c.multisets]]
-    else:
-        cands = [c for c in cands if candidate_has_full_rank(c)]
+    cands = [c for c in cands if candidate_has_full_rank(c)]
     report.counts["full_rank"] = len(cands)
     if last < 2:
         return report

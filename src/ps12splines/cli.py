@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ def _read_json(path):
 
 def cmd_search(args) -> int:
     from .basis_search import filter_pipeline
-    report = filter_pipeline(stage=args.stage, threads=args.threads)
+    report = filter_pipeline(stage=args.stage)
     _write(args.out, serialize.dumps(serialize.search_report_to_dict(report)))
     return 0
 
@@ -199,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", default="linear_factors",
                    choices=["candidates", "full_rank", "nonnegative", "positive",
                             "domain_inside", "boundary_counts", "linear_factors"])
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 
@@ -214,6 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a spline file at a point")
     p.add_argument("--spline", required=True)
     p.add_argument("--point", nargs=2, required=True, metavar=("X", "Y"))
+    # argparse reads "-1/2" as an option unless it counts as a negative number
+    p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
     p.add_argument("--layer", choices=["exact", "float"], default="exact")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)

@@ -147,9 +147,17 @@ def _face_direction(frame: PS12Frame, fi: int, u: Point2) -> tuple:
 # Collocation tables
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def lambda_vector(K: tuple, variant: str = "canonical") -> tuple:
-    """The 39 canonical functional values of Q[K] (frame independent)."""
+    """The 39 canonical functional values of Q[K] (frame independent).
+
+    Cached per (K, variant) however the variant is spelled, so every caller
+    shares one row per spline.
+    """
+    return _lambda_vector(K, variant)
+
+
+@lru_cache(maxsize=None)
+def _lambda_vector(K: tuple, variant: str) -> tuple:
     frame = reference_frame()
     f = spline_face_forms(frame, [(Fraction(1), knots(K))])
     lams = build_lambda(frame, variant)
@@ -196,10 +204,6 @@ def dim_split_space(r: int, d: int) -> int:
     total += sum(max(r - 2 * j + 1, 0) for j in range(1, d - r + 1))
     assert total.denominator == 1
     return int(total)
-
-
-# Backwards-friendly aliases used elsewhere in the package
-dim_Sr_d = dim_split_space
 
 
 def dim_global(n_vertices: int, n_edges: int) -> int:

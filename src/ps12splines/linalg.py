@@ -1,11 +1,12 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are lists of lists of ``Fraction``.  Rank and determinant use
-fraction-free (Bareiss) elimination on row-scaled integer matrices, so the
-results are exact; solving and inversion use ordinary Gauss-Jordan elimination
-over ``Fraction``.  Right-hand sides of :func:`solve` may hold any values that
-support addition and multiplication by ``Fraction`` (e.g. polynomials), since
-only the pivot column requires division.
+Matrices are lists of lists of ``int`` or ``Fraction``.  Every routine scales
+each row to integers by the lcm of its denominators and runs one fraction-free
+(Bareiss 1968) forward elimination, whose divisions are all exact, so no gcd
+is taken inside the elimination.  :func:`rank` reads the number of pivots;
+:func:`solve` back-substitutes in integers and divides once per entry by the
+final pivot (the determinant up to sign).  Right-hand sides of :func:`solve`
+are rational matrices; :func:`inverse` is ``solve(A, identity)``.
 """
 
 from __future__ import annotations
@@ -13,78 +14,81 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import SingularSystem
+from .errors import DimensionMismatch, SingularSystem
 
-Matrix = list  # list[list[Fraction]]
+Matrix = list  # list[list[int | Fraction]]
 
 
 def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_vec(A: Matrix, x: list) -> list:
     return [sum((a * xv for a, xv in zip(row, x)), start=Fraction(0)) for row in A]
 
 
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    cols = list(zip(*B))
-    return [[sum((a * b for a, b in zip(row, col)), start=Fraction(0)) for col in cols] for row in A]
-
-
 def inf_norm(A: Matrix) -> Fraction:
     return max(sum(abs(x) for x in row) for row in A)
 
 
-def solve(A: Matrix, B: Matrix) -> Matrix:
-    """Solve A X = B exactly for the n x m matrix X.
+def _integer_rows(A: Matrix) -> tuple[list, list]:
+    """Each row scaled by the lcm of its denominators: (integer rows, scales).
 
-    Raises SingularSystem when A is singular.  B entries only need +, - and
-    multiplication by Fraction.
+    Row scaling keeps the rank and the solutions of a system whose
+    right-hand side is scaled with it.
     """
-    n = len(A)
-    a = [row[:] for row in A]
-    x = [row[:] for row in B]
-    m = len(x[0]) if n else 0
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise SingularSystem(f"singular at column {col}")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            x[col], x[piv] = x[piv], x[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        x[col] = [v * inv for v in x[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                x[r] = [v - f * w for v, w in zip(x[r], x[col])]
-    return x
-
-
-def solve_vec(A: Matrix, b: list) -> list:
-    return [row[0] for row in solve(A, [[v] for v in b])]
-
-
-def inverse(A: Matrix) -> Matrix:
-    return solve(A, identity(len(A)))
-
-
-def _integer_rows(A: Matrix) -> list:
-    """Scale each row by the lcm of its denominators (rank/det-sign safe)."""
-    out = []
+    rows, scales = [], []
     for row in A:
         den = 1
         for v in row:
-            d = Fraction(v).denominator
-            den = den // gcd(den, d) * d
-        out.append([int(v * den) for v in row])
-    return out
+            d = v.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+        rows.append([v.numerator * (den // v.denominator) for v in row])
+        scales.append(den)
+    return rows, scales
+
+
+def _eliminate(rows: list, pivot_cols: int, strict: bool) -> tuple[int, int, int]:
+    """Fraction-free forward elimination of integer rows, in place.
+
+    Pivots are sought in the first ``pivot_cols`` columns; every column is
+    updated, so trailing columns carry an augmented right-hand side.  A
+    column without a pivot is skipped, or raises SingularSystem when
+    ``strict``.  Returns (rank, sign of the row permutation, last pivot);
+    the last pivot is the determinant of the row-permuted leading block when
+    that block is square and of full rank.
+    """
+    m = len(rows)
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(pivot_cols):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            if strict:
+                raise SingularSystem(f"singular at column {c}")
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        row_r = rows[r]
+        prc = row_r[c]
+        tail = row_r[c + 1:]
+        for i in range(r + 1, m):
+            row_i = rows[i]
+            ric = row_i[c]
+            if ric:
+                row_i[c + 1:] = [(a * prc - ric * b) // prev
+                                 for a, b in zip(row_i[c + 1:], tail)]
+                row_i[c] = 0
+            elif prc != prev:
+                row_i[c + 1:] = [a * prc // prev for a in row_i[c + 1:]]
+        prev = prc
+        r += 1
+    return r, sign, prev
 
 
 def bareiss(rows: list) -> tuple[int, int]:
@@ -95,57 +99,43 @@ def bareiss(rows: list) -> tuple[int, int]:
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    sign = 1
-    prev = 1
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
-        prc = rows[r][c]
-        for i in range(r + 1, m):
-            ric = rows[i][c]
-            row_i = rows[i]
-            row_r = rows[r]
-            for j in range(c + 1, n):
-                row_i[j] = (row_i[j] * prc - ric * row_r[j]) // prev
-            row_i[c] = 0
-        prev = prc
-        r += 1
-    det = sign * prev if (m == n and r == n) else 0
-    return r, det
+    r, sign, last = _eliminate(rows, n, strict=False)
+    return r, (sign * last if (m == n and r == n) else 0)
+
+
+def solve(A: Matrix, B: Matrix) -> Matrix:
+    """Solve A X = B exactly for the n x m matrix X of Fractions.
+
+    A and B hold ints or Fractions.  Raises SingularSystem when A is
+    singular.
+    """
+    n = len(A)
+    if len(B) != n or any(len(a) != n for a in A):
+        raise DimensionMismatch("solve needs a square A and one row of B per row of A")
+    if n == 0:
+        return []
+    rows, _ = _integer_rows([list(a) + list(b) for a, b in zip(A, B)])
+    d = _eliminate(rows, n, strict=True)[2]
+    # U X' = d Y has the integer solution X' = d X (Cramer), so each
+    # division by the pivot below is exact
+    xs = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = [d * y for y in row[n:]]
+        for j in range(i + 1, n):
+            u = row[j]
+            if u:
+                acc = [a - u * x for a, x in zip(acc, xs[j])]
+        piv = row[i]
+        xs[i] = [a // piv for a in acc]
+    return [[Fraction(x, d) for x in xi] for xi in xs]
+
+
+def inverse(A: Matrix) -> Matrix:
+    return solve(A, identity(len(A)))
 
 
 def rank(A: Matrix) -> int:
     if not A:
         return 0
-    return bareiss(_integer_rows(A))[0]
-
-
-def det_is_zero(A: Matrix) -> bool:
-    return bareiss(_integer_rows(A))[1] == 0
-
-
-def det(A: Matrix) -> Fraction:
-    """Exact determinant (via Bareiss on scaled integer rows)."""
-    if not A:
-        return Fraction(1)
-    scale = Fraction(1)
-    rows = []
-    for row in A:
-        den = 1
-        for v in row:
-            d = Fraction(v).denominator
-            den = den // gcd(den, d) * d
-        scale *= den
-        rows.append([int(v * den) for v in row])
-    return Fraction(bareiss(rows)[1], 1) / scale
+    return bareiss(_integer_rows(A)[0])[0]

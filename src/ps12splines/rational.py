@@ -11,18 +11,6 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-Rat = Fraction
-
-
-def rat(value) -> Fraction:
-    """Coerce ints, strings and floats to an exact Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return parse_rational(value)
-    return Fraction(value)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse a ``"p/q"`` or ``"p"`` string."""
     try:

@@ -166,14 +166,6 @@ def test_pipeline_monotone_and_prefixes(pipeline_report):
     assert pipeline_report.counts["nonnegative"] >= pipeline_report.counts["positive"]
 
 
-def test_pipeline_threads_agree_on_subset():
-    from ps12splines.basis_search import filter_pipeline
-    subset = enumerate_candidates()[::19]
-    serial = filter_pipeline(candidates=subset, stage="full_rank")
-    parallel = filter_pipeline(candidates=subset, stage="full_rank", threads=2)
-    assert serial.counts == parallel.counts
-
-
 def test_survivor_weights_positive_and_identified(pipeline_report):
     assert [s.basis_id for s in pipeline_report.survivors] == list("abcdef")
     for s in pipeline_report.survivors:

@@ -86,6 +86,21 @@ def test_eval_outside_is_validation_error(tmp_path):
     run_cli(["eval", "--spline", str(path), "--point", "3", "3"], expect=1)
 
 
+def test_eval_point_with_negative_rational_coordinates(tmp_path):
+    sp = {"frame": [["-1/1", "-1/1"], ["1/1", "0/1"], ["0/1", "1/1"]],
+          "basis": "c", "coeffs": ["1/1"] * 39}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(sp))
+    r = run_cli(["eval", "--spline", str(path), "--point", "-1/2", "-1/4"])
+    assert r.stdout.strip() == "1/1"
+    sp["coeffs"] = [f"{i}/7" for i in range(39)]
+    path.write_text(json.dumps(sp))
+    rational = run_cli(["eval", "--spline", str(path), "--point", "-1/2", "-1/4"])
+    decimal = run_cli(["eval", "--spline", str(path), "--point", "-0.5", "-0.25"])
+    assert rational.stdout == decimal.stdout
+    run_cli(["eval", "--spline", str(path), "--point", "-1/2", "-1/4", "--layer", "float"])
+
+
 def test_malformed_json_is_parse_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

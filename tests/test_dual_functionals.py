@@ -137,6 +137,13 @@ def test_two_triangle_dimension_cross_check():
     assert 78 - rank(rows) == dim_global(4, 5)
 
 
+def test_lambda_vector_cached_once_per_variant():
+    K = knots("220211")
+    assert lambda_vector(K) is lambda_vector(K, "canonical")
+    assert lambda_vector(K) is lambda_vector(K, variant="canonical")
+    assert lambda_vector(K, "alternate") is not lambda_vector(K)
+
+
 def test_lambda_vector_examples():
     # point evaluation of the unit at the first corner through the table
     row = lambda_vector(knots("600101"))
