@@ -25,14 +25,11 @@ from .errors import (
     DimensionMismatch,
     NonConformingMesh,
 )
-from .geometry import PS12Frame, Point2, locate_face_bary, make_frame, reference_frame
+from .dual_functionals import EDGE_SEQUENCE, JET_ORDERS
+from .geometry import PS12Frame, Point2, make_frame, reference_frame, signed_area2
 from .marsden_catalog import catalog
 from .polynomial import TriPoly
-from .simplex_spline import (
-    _combination_over_active,
-    knots,
-    restrict_to_edge,
-)
+from .simplex_spline import _derivative_terms, knots, restrict_to_edge
 
 #: Number of basis elements with nonzero derivative restrictions of orders
 #: 0..3 on the edge [v1, v2] (in the canonical element order).
@@ -59,21 +56,7 @@ def edge_restriction_tables() -> tuple:
     for el in spec.elements:
         per_k = []
         for k in range(4):
-            terms = [(TriPoly.const(1), el.multiset)]
-            for _ in range(k):
-                nxt = {}
-                for coef, m in terms:
-                    rep = _combination_over_active(m, alpha, affine=False)
-                    if rep is None:
-                        continue
-                    n = sum(m)
-                    for idx, a in rep.items():
-                        child = list(m)
-                        child[idx - 1] -= 1
-                        child = tuple(child)
-                        add = coef * (n - 3) * a
-                        nxt[child] = nxt[child] + add if child in nxt else add
-                terms = [(c, m) for m, c in nxt.items() if c]
+            terms = _derivative_terms(el.multiset, alpha, k)
             row = {}
             for coef, m in terms:
                 for c2, ref in restrict_to_edge(frame, m, "e3").terms:
@@ -285,7 +268,7 @@ class Triangulation:
             if len(set(tri)) != 3:
                 raise NonConformingMesh(f"triangle {t} repeats a vertex")
             a, b, c = (self.vertices[i] for i in tri)
-            if (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x) == 0:
+            if signed_area2(a, b, c) == 0:
                 raise DegenerateTriangle(f"triangle {t} is degenerate")
         for edge, tris in self.edge_adjacency().items():
             if len(tris) > 2:
@@ -356,23 +339,6 @@ def _edge_param_bary(tri_vertices: tuple, edge: tuple, t):
     return tuple(beta)
 
 
-def _directional_derivative(ff, frame, beta, u, order):
-    from .dual_functionals import _face_direction
-    from .simplex_spline import bernstein_row
-    fi = locate_face_bary(*beta)
-    ords = ff.ords[fi - 1]
-    deg = ff.deg
-    for _ in range(order):
-        delta = _face_direction(frame, fi, u)
-        ords = ff.face_directional_ordinates(fi, delta, ords, deg)
-        deg -= 1
-    from .geometry import face_bary_from_macro
-    g = face_bary_from_macro(fi, beta)
-    exps = tuple((i, j, deg - i - j) for i in range(deg + 1) for j in range(deg + 1 - i))
-    row = bernstein_row(g, exps, deg)
-    return sum(o * r for o, r in zip(ords, row))
-
-
 def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
                       tol=None) -> dict:
     """Maximum cross-edge jump of each derivative order up to ``order``.
@@ -395,16 +361,13 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
         tol = 1e-10
     u = Point2(-(vb.y - va.y), vb.x - va.x)
     ffa, ffb = _global_face_forms(gs, ta), _global_face_forms(gs, tb)
-    fra, frb = ffa.frame, ffb.frame
     jumps = {k: Fraction(0) if exact else 0.0 for k in range(order + 1)}
     for n in range(1, samples + 1):
         t = Fraction(n, samples + 1) if exact else n / (samples + 1)
         ba = _edge_param_bary(gs.tri.triangles[ta], edge, t)
         bb = _edge_param_bary(gs.tri.triangles[tb], edge, t)
         for k in range(order + 1):
-            da = _directional_derivative(ffa, fra, ba, u, k)
-            db = _directional_derivative(ffb, frb, bb, u, k)
-            gap = abs(da - db)
+            gap = abs(ffa.value_at_bary(ba, (u,) * k) - ffb.value_at_bary(bb, (u,) * k))
             if gap > jumps[k]:
                 jumps[k] = gap
     report = {"jumps": jumps, "max": max(jumps.values())}
@@ -458,7 +421,6 @@ NODAL_SEEDS = {
 #: Canonical jet directions per corner: x toward the first listed corner of
 #: the opposing edge, y toward the second.
 _JET_DIRS = {1: ((2, 1), (3, 1)), 2: ((3, 2), (1, 2)), 3: ((1, 3), (2, 3))}
-_EDGE_CORNERS = {"e3": (1, 2), "e1": (2, 3), "e2": (3, 1)}
 
 
 def _jet_descriptor(corner: int, i: int, j: int):
@@ -467,8 +429,7 @@ def _jet_descriptor(corner: int, i: int, j: int):
     return ("jet", corner, dirs)
 
 
-def _edge_descriptor(name: str, slot: str):
-    a, b = _EDGE_CORNERS[name]
+def _edge_descriptor(a: int, b: int, slot: str):
     if slot == "m":
         return ("edge1", frozenset((a, b)))
     near = a if slot == "q1" else b
@@ -495,7 +456,6 @@ def nodal_q_coefficients() -> tuple:
     triangle geometry.
     """
     from .geometry import S3_ELEMENTS, s3_apply_multiset
-    from .dual_functionals import JET_ORDERS, EDGE_SEQUENCE
     spec = catalog("c")
     col = {el.multiset: idx for idx, el in enumerate(spec.elements)}
 
@@ -504,16 +464,16 @@ def nodal_q_coefficients() -> tuple:
         if key[0] == "v":
             desc = _jet_descriptor(1, key[1], key[2])
         else:
-            desc = _edge_descriptor("e3", key[1])
+            desc = _edge_descriptor(1, 2, key[1])
         seeds.append((desc, {knots(lab): c for lab, c in combo.items()}))
 
     targets = []
     for corner in (1, 2, 3):
         for (i, j) in JET_ORDERS:
             targets.append(_jet_descriptor(corner, i, j))
-    for name, _, _, _ in EDGE_SEQUENCE:
+    for _, a, b, _ in EDGE_SEQUENCE:
         for slot in ("q1", "m", "q2"):
-            targets.append(_edge_descriptor(name, slot))
+            targets.append(_edge_descriptor(a, b, slot))
 
     rows = []
     for desc in targets:
@@ -560,11 +520,6 @@ def nodal_basis(frame: PS12Frame) -> NodalBasis:
 # ---------------------------------------------------------------------------
 # Global Hermite interpolation
 # ---------------------------------------------------------------------------
-
-#: Order of the ten Cartesian jet values stored per vertex.
-JET_KEYS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
-            (3, 0), (2, 1), (1, 2), (0, 3))
-
 
 def _jet_directional(jet: dict, dirs) -> object:
     """Apply directional derivatives to a Cartesian jet dict {(i, j): value}."""
@@ -620,7 +575,7 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
     """Global spline matching vertex jets and edge cross derivatives.
 
     vertex_jets maps each vertex index to its ten Cartesian derivative
-    values ordered like JET_KEYS.  edge_data maps each sorted edge pair
+    values ordered like JET_ORDERS.  edge_data maps each sorted edge pair
     (a, b) to three values taken in the direction u = rot90(v_b - v_a):
     the second derivative at (3 v_a + v_b)/4, the first derivative at the
     midpoint, and the second derivative at (v_a + 3 v_b)/4.  The result is
@@ -640,7 +595,7 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
         all(isinstance(v, Fraction) for js in vertex_jets.values() for v in js) and \
         all(isinstance(v, Fraction) for vs in edge_data.values() for v in vs)
 
-    jets = {i: {key: vertex_jets[i][n] for n, key in enumerate(JET_KEYS)}
+    jets = {i: {key: vertex_jets[i][n] for n, key in enumerate(JET_ORDERS)}
             for i in vertex_jets}
     nodal = nodal_q_coefficients()
     spec = catalog("c")
@@ -659,11 +614,10 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
                         frame.v[xa - 1].y - frame.v[xb - 1].y)
             yv = Point2(frame.v[ya - 1].x - frame.v[yb - 1].x,
                         frame.v[ya - 1].y - frame.v[yb - 1].y)
-            from .dual_functionals import JET_ORDERS
             for (i, j) in JET_ORDERS:
                 values.append(_jet_directional(jets[gv], (xv,) * i + (yv,) * j))
         # edge functionals
-        for name, a_loc, b_loc, opp_loc in (("e3", 1, 2, 3), ("e1", 2, 3, 1), ("e2", 3, 1, 2)):
+        for _, a_loc, b_loc, opp_loc in EDGE_SEQUENCE:
             ga, gb = tri_idx[a_loc - 1], tri_idx[b_loc - 1]
             key = tuple(sorted((ga, gb)))
             d2q1, d1m, d2q2 = edge_data[key]

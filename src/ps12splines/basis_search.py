@@ -28,9 +28,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from .dual_functionals import build_lambda, direction_bary, lambda_vector, to_bary
+from .dual_functionals import build_lambda, lambda_vector
 from .errors import SingularSystem
-from .geometry import S3_ELEMENTS, reference_frame, s3_apply_multiset
+from .geometry import (
+    S3_ELEMENTS,
+    VERTEX_BARY,
+    direction_coords,
+    reference_frame,
+    s3_apply_multiset,
+    to_bary,
+)
 from .linalg import _integer_rows, bareiss, solve
 from .polynomial import TriPoly
 from .simplex_spline import active_indices, hull_area, knot_label, knots
@@ -52,23 +59,6 @@ BASIS_CLASS_CONTENT = {
     "e": frozenset("abeloqrs"),
     "f": frozenset("abeglqrt"),
 }
-
-#: Barycentric coefficient triples of the ten shorthand linear forms
-#: (mirroring the split vertices: corners, edge midpoints, inner midpoints,
-#: centroid).
-SHORTHAND_FORMS = (
-    (Fraction(1), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(1)),
-    (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
-    (Fraction(0), Fraction(1, 2), Fraction(1, 2)),
-    (Fraction(1, 2), Fraction(0), Fraction(1, 2)),
-    (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
-    (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)),
-    (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
-    (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
-)
-
 
 @dataclass(frozen=True)
 class S3Class:
@@ -261,7 +251,7 @@ def _marsden_rhs(variant: str) -> tuple:
         for r in range(5, 5 - k, -1):
             poly = poly * r
         for u in lam.directions:
-            poly = poly * TriPoly.linear(direction_bary(frame, u))
+            poly = poly * TriPoly.linear(direction_coords(frame.v[:3], u))
         for _ in range(5 - k):
             poly = poly * base
         out.append(tuple(poly.coefficient(e) for e in QUINTIC_MONOMIALS))
@@ -327,7 +317,7 @@ def split_linear_factors(poly: TriPoly) -> LinearFactorization:
     progress = True
     while progress and rem.degree() > 0:
         progress = False
-        for triple in SHORTHAND_FORMS:
+        for triple in VERTEX_BARY:
             quo = rem.divide_by_linear(triple)
             if quo is not None:
                 forms.append(triple)

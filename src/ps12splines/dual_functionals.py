@@ -22,17 +22,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .geometry import (
-    PS12Frame,
-    Point2,
-    face_bary_from_macro,
-    locate_face_bary,
-    reference_frame,
-    signed_area2,
-    to_bary,
-)
+from .geometry import PS12Frame, Point2, reference_frame, to_bary
 from .linalg import rank as matrix_rank
-from .simplex_spline import FaceForms, bernstein_row, knots, spline_face_forms
+from .simplex_spline import FaceForms, knots, spline_face_forms
 
 #: Vertex jet orders in canonical sequence.
 JET_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
@@ -99,48 +91,16 @@ def build_lambda(frame: PS12Frame, variant: str = "canonical") -> list:
     return out
 
 
-def direction_bary(frame: PS12Frame, u: Point2) -> tuple:
-    """Directional coordinates of a vector (barycentric, summing to zero)."""
-    v1, v2, v3 = frame.v[0], frame.v[1], frame.v[2]
-    d = signed_area2(v1, v2, v3)
-    p = Point2(v1.x + u.x, v1.y + u.y)
-    b1 = signed_area2(p, v2, v3) / d - 1
-    b2 = signed_area2(v1, p, v3) / d
-    return (b1, b2, -b1 - b2)
-
-
 def apply(lam: Functional, f: FaceForms):
     """Exact value of the functional on a piecewise polynomial.
 
     Derivatives at boundary points are taken one-sided from inside the
     macrotriangle, on the face the half-open convention assigns to the point.
     For inputs smooth enough at the point (all quintics of class C^3 are) the
-    choice of adjacent face is immaterial.
+    choice of adjacent face is immaterial.  Raises OutsideDomain when the
+    functional's point lies outside the macrotriangle.
     """
-    frame = f.frame
-    beta = to_bary(frame, lam.point)
-    fi = locate_face_bary(*beta)
-    if fi is None:
-        raise DomainError("functional point outside the macrotriangle")
-    ords = f.ords[fi - 1]
-    deg = f.deg
-    for u in lam.directions:
-        delta = _face_direction(frame, fi, u)
-        ords = f.face_directional_ordinates(fi, delta, ords, deg)
-        deg -= 1
-    g = face_bary_from_macro(fi, beta)
-    row = bernstein_row(g, tuple((i, j, deg - i - j) for i in range(deg + 1)
-                                 for j in range(deg + 1 - i)), deg)
-    return sum(o * r for o, r in zip(ords, row))
-
-
-def _face_direction(frame: PS12Frame, fi: int, u: Point2) -> tuple:
-    """Directional coordinates of u with respect to a face of the split."""
-    a, b, c = frame.face_corners(fi)
-    det = signed_area2(a, b, c)
-    d1 = (u.x * (b.y - c.y) - u.y * (b.x - c.x)) / det
-    d2 = (u.y * (a.x - c.x) - u.x * (a.y - c.y)) / det
-    return (d1, d2, -d1 - d2)
+    return f.value_at_bary(to_bary(f.frame, lam.point), lam.directions)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +118,12 @@ def lambda_vector(K: tuple, variant: str = "canonical") -> tuple:
 
 @lru_cache(maxsize=None)
 def _lambda_vector(K: tuple, variant: str) -> tuple:
-    frame = reference_frame()
+    return _functional_values(reference_frame(), K, variant)
+
+
+def _functional_values(frame: PS12Frame, K: tuple, variant: str) -> tuple:
     f = spline_face_forms(frame, [(Fraction(1), knots(K))])
-    lams = build_lambda(frame, variant)
-    return tuple(apply(lam, f) for lam in lams)
+    return tuple(apply(lam, f) for lam in build_lambda(frame, variant))
 
 
 @dataclass(frozen=True)
@@ -182,11 +144,7 @@ def collocation(frame: PS12Frame, candidates) -> CollocationMatrix:
     if frame.v == reference_frame().v:
         rows = [list(lambda_vector(knots(K))) for K in candidates]
     else:
-        lams = build_lambda(frame)
-        rows = []
-        for K in candidates:
-            f = spline_face_forms(frame, [(Fraction(1), knots(K))])
-            rows.append([apply(lam, f) for lam in lams])
+        rows = [list(_functional_values(frame, K, "canonical")) for K in candidates]
     return CollocationMatrix(tuple(tuple(r) for r in rows), matrix_rank(rows))
 
 

@@ -46,6 +46,21 @@ FACES = (
 
 HALF = Fraction(1, 2)
 
+#: Barycentric coordinates of the ten split vertices, in vertex order; as
+#: coefficient triples they are also the ten shorthand linear forms.
+VERTEX_BARY = (
+    (Fraction(1), Fraction(0), Fraction(0)),
+    (Fraction(0), Fraction(1), Fraction(0)),
+    (Fraction(0), Fraction(0), Fraction(1)),
+    (HALF, HALF, Fraction(0)),
+    (Fraction(0), HALF, HALF),
+    (HALF, Fraction(0), HALF),
+    (HALF, Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(1, 4), HALF, Fraction(1, 4)),
+    (Fraction(1, 4), Fraction(1, 4), HALF),
+    (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+)
+
 
 def signed_area2(a: Point2, b: Point2, c: Point2):
     """Twice the signed area of triangle [a, b, c]."""
@@ -97,20 +112,35 @@ def reference_frame() -> PS12Frame:
     return make_frame(Point2(z, z), Point2(o, z), Point2(z, o))
 
 
+def bary_coords(corners, p: Point2) -> Bary3:
+    """Barycentric coordinates of p with respect to the triangle with the
+    given three corners."""
+    a, b, c = corners
+    d = signed_area2(a, b, c)
+    b1 = signed_area2(p, b, c) / d
+    b2 = signed_area2(a, p, c) / d
+    return (b1, b2, 1 - b1 - b2)
+
+
 def to_bary(frame: PS12Frame, p: Point2) -> Bary3:
     """Barycentric coordinates of p with respect to the macrotriangle."""
-    p = Point2(*p)
-    v1, v2, v3 = frame.v[0], frame.v[1], frame.v[2]
-    d = signed_area2(v1, v2, v3)
-    b1 = signed_area2(p, v2, v3) / d
-    b2 = signed_area2(v1, p, v3) / d
-    return (b1, b2, 1 - b1 - b2)
+    return bary_coords(frame.v[:3], Point2(*p))
 
 
 def from_bary(frame: PS12Frame, b: Bary3) -> Point2:
     v1, v2, v3 = frame.v[0], frame.v[1], frame.v[2]
     return Point2(b[0] * v1.x + b[1] * v2.x + b[2] * v3.x,
                   b[0] * v1.y + b[1] * v2.y + b[2] * v3.y)
+
+
+def direction_coords(corners, u: Point2) -> Bary3:
+    """Directional coordinates (summing to zero) of the vector u with
+    respect to the triangle with the given three corners."""
+    a, b, c = corners
+    det = signed_area2(a, b, c)
+    d1 = (u.x * (b.y - c.y) - u.y * (b.x - c.x)) / det
+    d2 = (u.y * (a.x - c.x) - u.x * (a.y - c.y)) / det
+    return (d1, d2, -d1 - d2)
 
 
 def locate_face_bary(b1, b2, b3) -> Optional[int]:
@@ -214,10 +244,6 @@ INTERIOR_LINES = (
     (4, 7, 6),       # medial line v4-v6
 )
 
-#: Boundary lines (macro edges), by the vertex indices on each affine hull.
-BOUNDARY_LINES = ((1, 4, 2), (2, 5, 3), (3, 6, 1))
-
-
 @lru_cache(maxsize=1)
 def face_bary_matrices() -> tuple:
     """For each face, the 3x3 matrix sending macro-barycentrics to
@@ -225,16 +251,10 @@ def face_bary_matrices() -> tuple:
     frame = reference_frame()
     mats = []
     for fi in range(1, 13):
-        a, b, c = frame.face_corners(fi)
-        d = signed_area2(a, b, c)
-        # rows: face barycentric of the three macro corners as affine maps
-        # gamma(p) depends linearly on macro bary since corners are fixed
-        cols = []
-        for corner in (frame.v[0], frame.v[1], frame.v[2]):
-            g1 = signed_area2(corner, b, c) / d
-            g2 = signed_area2(a, corner, c) / d
-            cols.append((g1, g2, 1 - g1 - g2))
-        mats.append(tuple(zip(*cols)))  # rows x cols: gamma = M . beta
+        # face barycentrics are affine, so their values at the three macro
+        # corners are the columns of the matrix (gamma = M . beta)
+        cols = [bary_coords(frame.face_corners(fi), corner) for corner in frame.v[:3]]
+        mats.append(tuple(zip(*cols)))
     return tuple(mats)
 
 

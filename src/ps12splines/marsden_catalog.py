@@ -27,29 +27,16 @@ from .geometry import (
     PS12Frame,
     Point2,
     S3_ELEMENTS,
+    VERTEX_BARY,
     reference_frame,
     s3_apply_multiset,
     s3_vertex_permutation,
     to_bary,
 )
 from .polynomial import TriPoly
-from .simplex_spline import eval_simplex, knots, spline_face_forms
+from .simplex_spline import eval_simplex, knots, locate_row, per_face_bernstein, spline_face_forms
 
 BASIS_IDS = ("a", "b", "c", "d", "e", "f")
-
-#: Barycentric coordinates of the ten split vertices.
-VERTEX_BARY = (
-    (Fraction(1), Fraction(0), Fraction(0)),
-    (Fraction(0), Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(0), Fraction(1)),
-    (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
-    (Fraction(0), Fraction(1, 2), Fraction(1, 2)),
-    (Fraction(1, 2), Fraction(0), Fraction(1, 2)),
-    (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
-    (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)),
-    (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
-    (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
-)
 
 #: Per basis: representative knot vector -> (weight, dual point vertex ids).
 CATALOG_ROWS = {
@@ -281,14 +268,9 @@ def all_values_at(spec: BasisSpec, beta) -> tuple:
     """Exact values (Q_1(x), ..., Q_39(x)) at macro-barycentric beta.
 
     Shares the Bernstein row across elements, so bulk identity checks stay
-    cheap.
+    cheap.  Raises OutsideDomain outside the macrotriangle.
     """
-    from .geometry import face_bary_from_macro, locate_face_bary
-    from .simplex_spline import bernstein_row, per_face_bernstein
-    fi = locate_face_bary(*beta)
-    if fi is None:
-        raise ValueError("point outside the macrotriangle")
-    row = bernstein_row(face_bary_from_macro(fi, beta))
+    fi, row = locate_row(beta)
     frame = reference_frame()
     out = []
     for el in spec.elements:

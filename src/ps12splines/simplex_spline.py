@@ -10,6 +10,10 @@ affinely independent active knots (the lowest-index valid triple, so results
 are reproducible), and the |K| = 3 base case an indicator of the half-open
 support scaled by area(T) / area([K]).
 
+The per-face Bernstein tables come from the same recursion run face by face
+on Bernstein forms, with the pointwise recursion as their reference; every
+evaluation of those tables goes through locate_row and FaceForms.
+
 Everything is computed exactly over Fractions on the reference frame; general
 frames enter only through barycentric coordinates (the spline is an affine
 invariant of those).
@@ -22,19 +26,19 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import InvalidDirection, InvalidWeights, TooFewKnots
+from .errors import DomainError, InvalidDirection, InvalidWeights, OutsideDomain, TooFewKnots
 from .geometry import (
     FACES,
     INTERIOR_LINES,
     PS12Frame,
     Point2,
-    S3_ELEMENTS,
+    VERTEX_BARY,
+    bary_coords,
+    direction_coords,
     face_bary_from_macro,
     from_bary,
     locate_face_bary,
     reference_frame,
-    s3_apply_multiset,
-    s3_vertex_permutation,
     signed_area2,
     to_bary,
 )
@@ -100,12 +104,7 @@ def _independent_triple(act: tuple):
 
 
 def _bary_wrt(tri: tuple, p: Point2) -> tuple:
-    pts = _ref_points()
-    a, b, c = (pts[i - 1] for i in tri)
-    d = signed_area2(a, b, c)
-    g1 = signed_area2(p, b, c) / d
-    g2 = signed_area2(a, p, c) / d
-    return (g1, g2, 1 - g1 - g2)
+    return bary_coords(tuple(_ref_points()[i - 1] for i in tri), p)
 
 
 @lru_cache(maxsize=None)
@@ -189,18 +188,11 @@ def eval_simplex(frame: PS12Frame, K: KnotMultiset, p: Point2):
     return float(val) if as_float else val
 
 
-@lru_cache(maxsize=None)
 def _independent_triple_high(act: tuple):
     """Highest-index valid triple; only used to test that evaluation does
     not depend on the representation choice."""
-    pts = _ref_points()
-    n = len(act)
-    for a in range(n - 1, -1, -1):
-        for b in range(a - 1, -1, -1):
-            for c in range(b - 1, -1, -1):
-                if signed_area2(pts[act[a] - 1], pts[act[b] - 1], pts[act[c] - 1]) != 0:
-                    return (act[c], act[b], act[a])
-    return None
+    tri = _independent_triple(act[::-1])
+    return tri and tri[::-1]
 
 
 def _eval_at_bary(K: KnotMultiset, beta: tuple, pick=None) -> Fraction:
@@ -241,15 +233,14 @@ def _eval_at_bary(K: KnotMultiset, beta: tuple, pick=None) -> Fraction:
 # Differentiation and knot insertion
 # ---------------------------------------------------------------------------
 
-def _combination_over_active(K: KnotMultiset, coeffs3: tuple, affine: bool):
+def _combination_over_active(K: KnotMultiset, coeffs3: tuple):
     """Represent a corner combination over K's active knots.
 
-    coeffs3 are coefficients over the corners (any ring with +, * Fraction);
-    returns a dict {vertex index: coefficient} supported on the lowest-index
-    independent triple.  With affine=True the input is a point (coefficients
-    sum to 1), else a direction (sum 0); either way the corner vertex vi is
-    rewritten through the exact barycentric coordinates of vi with respect to
-    the chosen triple.
+    coeffs3 are coefficients over the corners (any ring with +, * Fraction):
+    a point (summing to 1) or a direction (summing to 0).  Returns a dict
+    {vertex index: coefficient} supported on the lowest-index independent
+    triple, rewriting each corner vi through its exact barycentric
+    coordinates with respect to that triple; None when there is no triple.
     """
     act = active_indices(K)
     tri = _independent_triple(act)
@@ -289,28 +280,33 @@ def derivative_expansion(K: KnotMultiset, direction, order: int = 1) -> list:
     if order > degree(K):
         raise InvalidDirection(f"order {order} exceeds degree {degree(K)}")
     if len(direction) == 10:
-        first = _normalize_weights10(K, direction, 0)
-        corner_dir = None
-    else:
-        d = tuple(Fraction(x) for x in direction)
-        if sum(d) != 0:
-            raise InvalidDirection(f"directional coordinates sum to {sum(d)} != 0")
-        corner_dir = d
-        first = None
+        return _derivative_terms(K, None, order, _normalize_weights10(K, direction, 0))
+    d = tuple(Fraction(x) for x in direction)
+    if sum(d) != 0:
+        raise InvalidDirection(f"directional coordinates sum to {sum(d)} != 0")
+    return _derivative_terms(K, d, order)
+
+
+def _derivative_terms(K: KnotMultiset, corner_dir, order: int, first=None) -> list:
+    """The recursion behind derivative_expansion, unchecked.
+
+    corner_dir may hold coefficients of any ring with +, * Fraction (TriPoly
+    gives the expansion for a symbolic direction); first, when given, is the
+    knot representation used for the first differentiation.
+    """
     terms = [(Fraction(1), K)]
     for level in range(order):
         nxt = {}
         for coef, m in terms:
-            n = sum(m)
-            rep = first if (level == 0 and first is not None) else _combination_over_active(m, corner_dir, affine=False)
+            rep = first if (level == 0 and first is not None) else _combination_over_active(m, corner_dir)
             if rep is None:
                 continue
+            n = sum(m)
             for idx, a in rep.items():
-                child = list(m)
-                child[idx - 1] -= 1
-                child = tuple(child)
-                nxt[child] = nxt.get(child, Fraction(0)) + coef * (n - 3) * a
-        terms = [(c, m) for m, c in nxt.items() if c != 0]
+                child = m[:idx - 1] + (m[idx - 1] - 1,) + m[idx:]
+                add = coef * (n - 3) * a
+                nxt[child] = nxt[child] + add if child in nxt else add
+        terms = [(c, m) for m, c in nxt.items() if c]
     return terms
 
 
@@ -347,10 +343,7 @@ def insert_knot(K: KnotMultiset, y: int, weights=None) -> list:
     if weights is not None:
         rep = _normalize_weights10(K, weights, 1)
     else:
-        pts = _ref_points()
-        vy = pts[y - 1]
-        beta = to_bary(reference_frame(), vy)
-        rep = _combination_over_active(K, beta, affine=True)
+        rep = _combination_over_active(K, VERTEX_BARY[y - 1])
         if rep is None:
             raise InvalidWeights("knot set has no affinely independent triple")
     enlarged = list(K)
@@ -462,106 +455,134 @@ def line_has_crease(K: KnotMultiset, interior_line) -> bool:
 # Per-face Bernstein extraction
 # ---------------------------------------------------------------------------
 
-#: Quintic exponent order used for all 21-ordinate face tables.
-BERNSTEIN_EXPONENTS = tuple((i, j, 5 - i - j) for i in range(6) for j in range(6 - i))
+@lru_cache(maxsize=None)
+def bernstein_exponents(deg: int) -> tuple:
+    """Exponent order of the degree-deg ordinates in every face table."""
+    return tuple((i, j, deg - i - j) for i in range(deg + 1) for j in range(deg + 1 - i))
 
 
-def bernstein_row(g, exps=BERNSTEIN_EXPONENTS, deg: int = 5):
-    return [Fraction(factorial(deg), factorial(a) * factorial(b) * factorial(c))
-            * g[0] ** a * g[1] ** b * g[2] ** c for (a, b, c) in exps]
+@lru_cache(maxsize=None)
+def _multinomials(deg: int) -> tuple:
+    return tuple(factorial(deg) // (factorial(a) * factorial(b) * factorial(c))
+                 for a, b, c in bernstein_exponents(deg))
 
 
-@lru_cache(maxsize=1)
-def _interp_nodes_and_inverse():
-    """21 strictly interior face nodes (shrunken lattice) and the exact
-    inverse of their Bernstein collocation matrix."""
-    from .linalg import inverse
-    s = Fraction(1, 7)
-    nodes = []
-    for (a, b, c) in BERNSTEIN_EXPONENTS:
-        g = (Fraction(a, 5), Fraction(b, 5), Fraction(c, 5))
-        nodes.append(tuple((1 - s) * x + s * Fraction(1, 3) for x in g))
-    rows = [bernstein_row(g) for g in nodes]
-    return tuple(nodes), tuple(tuple(r) for r in inverse(rows))
-
-
-def _face_point(fi: int, g) -> Point2:
-    a, b, c = reference_frame().face_corners(fi)
-    return Point2(g[0] * a.x + g[1] * b.x + g[2] * c.x,
-                  g[0] * a.y + g[1] * b.y + g[2] * c.y)
-
-
-def _face_orbit_map(sigma: tuple):
-    """For each face fi, the image face and the corner re-indexing taking
-    ordinates of a polynomial on fi to ordinates of its push-forward."""
-    perm = s3_vertex_permutation(sigma)
-    out = []
-    for fi in range(1, 13):
-        img = tuple(perm[i - 1] for i in FACES[fi - 1])
-        gi = next(g for g, tri in enumerate(FACES) if set(tri) == set(img))
-        pos = tuple(FACES[gi].index(v) for v in img)  # corner r of fi -> slot pos[r] of gi
-        out.append((gi + 1, pos))
-    return out
-
-
-def _bernstein_direct(K: KnotMultiset) -> tuple:
-    nodes, minv = _interp_nodes_and_inverse()
-    act = active_indices(K)
-    sup = set(support_faces(act)) if act and hull_area(act) != 0 else set()
-    faces = []
-    for fi in range(1, 13):
-        if fi not in sup:
-            faces.append((Fraction(0),) * 21)
-            continue
-        vals = [_eval_at_bary(K, to_bary(reference_frame(), _face_point(fi, g))) for g in nodes]
-        faces.append(tuple(sum(minv[r][s] * vals[s] for s in range(21)) for r in range(21)))
-    return tuple(faces)
+@lru_cache(maxsize=None)
+def _degree_step(deg: int) -> tuple:
+    """For each exponent a of degree deg - 1, in table order and for r = 0,
+    1, 2: the index of a + e_r among the degree-deg exponents and the factor
+    (a_r + 1) / deg with which gamma_r B_a^(deg-1) = factor * B_(a+e_r)^deg."""
+    index = {e: i for i, e in enumerate(bernstein_exponents(deg))}
+    return tuple(tuple((index[a[:r] + (a[r] + 1,) + a[r + 1:]], Fraction(a[r] + 1, deg))
+                       for r in range(3))
+                 for a in bernstein_exponents(deg - 1))
 
 
 @lru_cache(maxsize=None)
 def _bernstein_ref(K: KnotMultiset) -> tuple:
     """12 x 21 exact Bernstein ordinates of Q[K] (reference frame).
 
-    Only one representative per symmetry orbit is computed directly; the rest
-    are obtained by permuting faces and ordinate indices.
+    Runs the defining recurrence Q[m] = sum_j b_j Q[m - e_j] face by face on
+    Bernstein forms: on a face, b_j is the linear form sum_r l_r gamma_r in
+    the face barycentrics gamma, with l_r its value at face corner r, and
+    multiplying degree-(d-1) ordinates c by it gives the degree-d ordinates
+    sum_r l_r (beta_r / d) c[beta - e_r].  Triples and the degree-0 base
+    are those of the pointwise recursion in _eval_at_bary.
     """
-    if knot_count(K) != sum(K[:6]) or knot_count(K) != 8:
-        return _bernstein_direct(K)
-    K0 = min(s3_apply_multiset(s, K) for s in S3_ELEMENTS)
-    if K0 == K:
-        return _bernstein_direct(K)
-    sigma = next(s for s in S3_ELEMENTS if s3_apply_multiset(s, K0) == K)
-    base = _bernstein_ref(K0)
-    fmap = _face_orbit_map(sigma)
-    out = [None] * 12
-    exp_index = {e: i for i, e in enumerate(BERNSTEIN_EXPONENTS)}
-    for fi in range(1, 13):
-        gi, pos = fmap[fi - 1]
-        ords = [Fraction(0)] * 21
-        for i, e in enumerate(BERNSTEIN_EXPONENTS):
-            img = [0, 0, 0]
-            for r in range(3):
-                img[pos[r]] = e[r]
-            ords[exp_index[tuple(img)]] = base[fi - 1][i]
-        out[gi - 1] = tuple(ords)
-    return tuple(out)
+    pts = _ref_points()
+    vertex_bary = {}   # triple -> barycentrics of the ten split vertices
+    memo = {}          # multiset -> per-face ordinates, None where zero
+
+    def rec(m):
+        if m in memo:
+            return memo[m]
+        act = active_indices(m)
+        tri = _independent_triple(act) if len(act) >= 3 else None
+        if tri is None:
+            faces = (None,) * 12
+        elif sum(m) == 3:
+            base = (Fraction(1, 2) / hull_area(act),)
+            faces = tuple(base if fi in support_faces(act) else None for fi in range(1, 13))
+        else:
+            deg = sum(m) - 3
+            if tri not in vertex_bary:
+                vertex_bary[tri] = tuple(_bary_wrt(tri, p) for p in pts)
+            vb = vertex_bary[tri]
+            children = [rec(m[:i - 1] + (m[i - 1] - 1,) + m[i:]) for i in tri]
+            faces = []
+            for fi, corners in enumerate(FACES):
+                acc = None
+                for j, child in enumerate(children):
+                    if child[fi] is None:
+                        continue
+                    if acc is None:
+                        acc = [Fraction(0)] * ((deg + 1) * (deg + 2) // 2)
+                    lform = tuple(vb[v - 1][j] for v in corners)
+                    for c, step in zip(child[fi], _degree_step(deg)):
+                        if c:
+                            for l, (i, f) in zip(lform, step):
+                                if l:
+                                    acc[i] += l * f * c
+                faces.append(None if acc is None else tuple(acc))
+            faces = tuple(faces)
+        memo[m] = faces
+        return faces
+
+    zero = (Fraction(0),) * 21
+    return tuple(zero if f is None else f for f in rec(K))
 
 
 def per_face_bernstein(frame: PS12Frame, K: KnotMultiset) -> tuple:
     """Exact quintic Bernstein ordinates of Q[K] on each of the 12 faces.
 
-    Ordinates are indexed by BERNSTEIN_EXPONENTS in each face's own
+    Ordinates are indexed by bernstein_exponents(5) in each face's own
     barycentric coordinates; they depend only on K, not on the frame.
+    Raises DomainError unless |K| = 8.
     """
     K = knots(K)
     if knot_count(K) != 8:
-        raise ValueError("per-face tables are kept for quintic knot vectors (|K| = 8)")
+        raise DomainError("per-face tables are kept for quintic knot vectors (|K| = 8)")
     return _bernstein_ref(K)
 
 
 # ---------------------------------------------------------------------------
 # Piecewise-polynomial view (shared by functionals and spline evaluation)
 # ---------------------------------------------------------------------------
+
+def bernstein_row(g, deg: int = 5) -> list:
+    """Degree-deg Bernstein polynomials at face barycentrics g, in the order
+    of bernstein_exponents(deg) (exact for Fractions, float for floats)."""
+    p0, p1, p2 = ([x ** k for k in range(deg + 1)] for x in g)
+    return [m * p0[a] * p1[b] * p2[c]
+            for m, (a, b, c) in zip(_multinomials(deg), bernstein_exponents(deg))]
+
+
+def locate_row(beta, deg: int = 5) -> tuple:
+    """(face, degree-deg Bernstein row) at macro-barycentrics beta.
+
+    The face follows the half-open convention of locate_face_bary.  Raises
+    OutsideDomain for points outside the closed macrotriangle.
+    """
+    fi = locate_face_bary(*beta)
+    if fi is None:
+        coords = ", ".join(str(b) for b in beta)
+        raise OutsideDomain(f"point with barycentric coordinates ({coords}) "
+                            "outside the macrotriangle")
+    return fi, bernstein_row(face_bary_from_macro(fi, beta), deg)
+
+
+def _derivative_step(ords, delta, deg: int) -> list:
+    """Degree-(deg-1) ordinates of the derivative in face-directional
+    coordinates delta of the form with degree-deg ordinates ords."""
+    out = []
+    for step in _degree_step(deg):
+        v = 0
+        for s in range(3):
+            if delta[s]:
+                v += delta[s] * ords[step[s][0]]
+        out.append(deg * v)
+    return out
+
 
 @dataclass(frozen=True)
 class FaceForms:
@@ -571,32 +592,22 @@ class FaceForms:
     deg: int
     ords: tuple  # 12 x tuple of ordinates
 
-    def exponents(self, deg=None):
-        d = self.deg if deg is None else deg
-        return tuple((i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i))
+    def value_at_bary(self, beta, directions=()):
+        """Value at macro-barycentrics beta after one derivative along each
+        Cartesian vector in directions (the plain value when there is none).
 
-    def value_at_bary(self, beta):
-        fi = locate_face_bary(*beta)
-        if fi is None:
-            return None
-        g = face_bary_from_macro(fi, beta)
-        row = bernstein_row(g, self.exponents(), self.deg)
-        return sum(o * r for o, r in zip(self.ords[fi - 1], row))
-
-    def face_directional_ordinates(self, fi: int, delta, ords=None, deg=None):
-        """One directional-derivative step in face-barycentric direction delta."""
-        d = self.deg if deg is None else deg
-        cur = self.ords[fi - 1] if ords is None else ords
-        idx = {e: i for i, e in enumerate(self.exponents(d))}
-        out = []
-        for e in self.exponents(d - 1):
-            v = 0
-            for s in range(3):
-                if delta[s]:
-                    ee = (e[0] + (s == 0), e[1] + (s == 1), e[2] + (s == 2))
-                    v += delta[s] * cur[idx[ee]]
-            out.append(d * v)
-        return out
+        Derivatives are taken on the face the half-open convention assigns
+        to the point, so one-sided there.  Raises OutsideDomain outside the
+        closed macrotriangle.
+        """
+        deg = self.deg
+        fi, row = locate_row(beta, deg - len(directions))
+        ords = self.ords[fi - 1]
+        corners = self.frame.face_corners(fi)
+        for u in directions:
+            ords = _derivative_step(ords, direction_coords(corners, u), deg)
+            deg -= 1
+        return sum(o * r for o, r in zip(ords, row))
 
 
 def spline_face_forms(frame: PS12Frame, combo) -> FaceForms:

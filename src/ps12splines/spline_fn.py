@@ -15,13 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BoundViolated, DimensionMismatch, OutsideDomain, UnsupportedBasis
+from .errors import BoundViolated, DimensionMismatch, UnsupportedBasis
 from .geometry import (
     PS12Frame,
     Point2,
-    face_bary_from_macro,
     from_bary,
-    locate_face_bary,
     reference_frame,
     s3_apply_bary,
     S3_ELEMENTS,
@@ -29,7 +27,7 @@ from .geometry import (
 )
 from .linalg import inf_norm, inverse, mat_vec
 from .marsden_catalog import BASIS_IDS, catalog
-from .simplex_spline import bernstein_row, per_face_bernstein
+from .simplex_spline import locate_row, per_face_bernstein
 
 
 @dataclass(frozen=True)
@@ -83,15 +81,11 @@ def eval_spline(s: Spline, p) -> object:
     exact = all(isinstance(b, Fraction) for b in beta) and \
         all(isinstance(c, Fraction) for c in s.coeffs)
     if not exact:
-        return _eval_float(s, tuple(float(b) for b in beta))
-    fi = locate_face_bary(*beta)
-    if fi is None:
-        raise OutsideDomain(f"point {p} outside the macrotriangle")
-    g = face_bary_from_macro(fi, beta)
-    row = bernstein_row(g)
+        return _eval_float(_scaled_basis_arrays(s.basis), _float_coeffs(s), beta)
+    fi, row = locate_row(beta)
     table = scaled_basis_tables(s.basis)[fi - 1]
-    return sum(row[j] * sum(t * c for t, c in zip(table[j], s.coeffs))
-               for j in range(21))
+    return sum(r * sum(t * c for t, c in zip(tj, s.coeffs))
+               for r, tj in zip(row, table))
 
 
 def _clamp_bary(beta, tol=1e-9):
@@ -106,31 +100,22 @@ def _clamp_bary(beta, tol=1e-9):
     return tuple(x / s for x in b)
 
 
-def _eval_float(s: Spline, beta) -> float:
-    beta = _clamp_bary(beta)
-    fi = locate_face_bary(*beta)
-    if fi is None:
-        raise OutsideDomain("point outside the macrotriangle")
-    g = face_bary_from_macro(fi, tuple(map(float, beta)))
-    row = np.array([float(r) for r in bernstein_row(g)])
-    coeffs = np.array([float(c) for c in s.coeffs])
-    return float(row @ _scaled_basis_arrays(s.basis)[fi - 1] @ coeffs)
+def _float_coeffs(s: Spline) -> np.ndarray:
+    return np.array([float(c) for c in s.coeffs])
+
+
+def _eval_float(tables: np.ndarray, coeffs: np.ndarray, beta) -> float:
+    """Float value at macro-barycentrics beta from the (12, 21, 39) scaled
+    tables and the coefficient vector."""
+    fi, row = locate_row(_clamp_bary(tuple(float(b) for b in beta)))
+    return float(np.array(row) @ tables[fi - 1] @ coeffs)
 
 
 def eval_many(s: Spline, barys: np.ndarray) -> np.ndarray:
-    """Float values at an array of barycentric points (n x 3)."""
-    coeffs = np.array([float(c) for c in s.coeffs])
-    tables = _scaled_basis_arrays(s.basis) @ coeffs  # (12, 21)
-    out = np.empty(len(barys))
-    for n, b in enumerate(barys):
-        b = _clamp_bary((float(b[0]), float(b[1]), float(b[2])))
-        fi = locate_face_bary(*b)
-        if fi is None:
-            raise OutsideDomain(f"barycentric point {b} outside")
-        g = face_bary_from_macro(fi, (float(b[0]), float(b[1]), float(b[2])))
-        row = np.array([float(r) for r in bernstein_row(g)])
-        out[n] = row @ tables[fi - 1]
-    return out
+    """Float values at an array of barycentric points (n x 3), each equal to
+    float eval_spline at the same barycentrics."""
+    tables, coeffs = _scaled_basis_arrays(s.basis), _float_coeffs(s)
+    return np.array([_eval_float(tables, coeffs, b) for b in barys], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +133,9 @@ def collocation_at_domain_points(basis_id: str):
     tables = scaled_basis_tables(basis_id)
     rows = []
     for el in spec.elements:
-        beta = el.domain_point
-        fi = locate_face_bary(*beta)
-        g = face_bary_from_macro(fi, beta)
-        brow = bernstein_row(g)
-        rows.append([sum(brow[j] * tables[fi - 1][j][i] for j in range(21))
-                     for i in range(39)])
+        fi, brow = locate_row(el.domain_point)
+        face = tables[fi - 1]
+        rows.append([sum(b * face[j][i] for j, b in enumerate(brow)) for i in range(39)])
     minv = inverse(rows)
     return tuple(tuple(r) for r in rows), tuple(tuple(r) for r in minv), inf_norm(minv)
 

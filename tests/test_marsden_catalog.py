@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import rational_points
-from ps12splines.errors import UnknownBasis
+from ps12splines.errors import OutsideDomain, UnknownBasis
 from ps12splines.geometry import Point2, from_bary, to_bary
 from ps12splines.marsden_catalog import (
     BASIS_IDS,
@@ -111,6 +111,11 @@ def test_bernstein_expansion_pointwise(ref):
             want = F(factorial(5), factorial(i1) * factorial(i2) * factorial(i3)) \
                 * beta[0] ** i1 * beta[1] ** i2 * beta[2] ** i3
             assert got == want
+
+
+def test_all_values_at_outside_raises():
+    with pytest.raises(OutsideDomain):
+        all_values_at(catalog("c"), (F(11, 10), F(-1, 20), F(-1, 20)))
 
 
 def test_quasi_interpolant_constants_and_linear(ref):

@@ -2,14 +2,23 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rational_points
-from ps12splines.errors import InvalidDirection, InvalidWeights, TooFewKnots
+from ps12splines.errors import (
+    DomainError,
+    InvalidDirection,
+    InvalidWeights,
+    OutsideDomain,
+    TooFewKnots,
+)
 from ps12splines.geometry import (
     INTERIOR_LINES,
     Point2,
     S3_ELEMENTS,
     from_bary,
+    locate_face,
     make_frame,
     reference_frame,
     s3_apply_bary,
@@ -18,10 +27,9 @@ from ps12splines.geometry import (
 )
 from ps12splines.marsden_catalog import catalog
 from ps12splines.simplex_spline import (
-    _bernstein_direct,
-    _bernstein_ref,
     _eval_at_bary,
     _independent_triple_high,
+    bernstein_row,
     derivative,
     derivative_expansion,
     eval_simplex,
@@ -221,9 +229,33 @@ def test_per_face_bernstein_examples(ref):
             assert ff.value_at_bary(to_bary(ref, p)) == eval_simplex(ref, knots(lab), p)
 
 
-def test_per_face_orbit_shortcut_matches_direct():
-    for lab in ("060110", "032120", "113012", "121121"):
-        assert _bernstein_ref(knots(lab)) == _bernstein_direct(knots(lab))
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(0, 98), fi=st.integers(1, 12),
+       weights=st.tuples(*[st.integers(1, 60)] * 3))
+def test_per_face_tables_match_pointwise_recursion(k, fi, weights):
+    """Any admissible spline, any face, a rational point strictly inside it:
+    the face table's value equals the pointwise recursion."""
+    from ps12splines.basis_search import enumerate_admissible
+    ref = reference_frame()
+    K = sorted(K for cls in enumerate_admissible() for K in cls.members)[k]
+    g = tuple(F(w, sum(weights)) for w in weights)
+    corners = ref.face_corners(fi)
+    p = Point2(sum(gr * c.x for gr, c in zip(g, corners)),
+               sum(gr * c.y for gr, c in zip(g, corners)))
+    assert locate_face(ref, p) == fi
+    table = per_face_bernstein(ref, K)[fi - 1]
+    assert sum(o * r for o, r in zip(table, bernstein_row(g))) == eval_simplex(ref, K, p)
+
+
+def test_per_face_bernstein_rejects_non_quintic(ref):
+    with pytest.raises(DomainError):
+        per_face_bernstein(ref, knots("600100"))
+
+
+def test_face_forms_outside_raises(ref):
+    ff = spline_face_forms(ref, [(F(1), knots("600101"))])
+    with pytest.raises(OutsideDomain):
+        ff.value_at_bary((F(-1, 10), F(1, 2), F(3, 5)))
 
 
 def test_partition_of_unity_ordinates(ref):

@@ -40,6 +40,29 @@ def test_eval_outside_raises(ref):
         eval_spline(ones, Point2(F(2), F(2)))
 
 
+def test_float_eval_spline_and_eval_many_agree_bitwise():
+    """Float eval_spline and eval_many run one per-point routine: equal bits
+    on a lattice whose points lie on face edges and macro edges (dyadic, so
+    the unit frame gives exactly those barycentrics), and both reject a point
+    just outside the triangle."""
+    import numpy as np
+    from ps12splines.serialize import barycentric_lattice
+    from ps12splines.spline_fn import eval_many
+    frame = make_frame(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0))
+    barys = [tuple(float(x) for x in b) for b in barycentric_lattice(16)]
+    assert any(b[0] == 0.5 for b in barys) and any(b[1] == b[2] for b in barys)
+    rng = random.Random(44)
+    for basis in "abcdef":
+        s = Spline(frame, basis, tuple(rng.uniform(-10, 10) for _ in range(39)))
+        many = eval_many(s, np.array(barys))
+        one = [eval_spline(s, from_bary(frame, b)) for b in barys]
+        assert [v.hex() for v in many.tolist()] == [v.hex() for v in one]
+        with pytest.raises(OutsideDomain):
+            eval_many(s, np.array([(0.5, 0.5 + 1e-6, -1e-6)]))
+        with pytest.raises(OutsideDomain):
+            eval_spline(s, Point2(0.5, -1e-6))
+
+
 def test_eval_linear_in_coefficients(ref):
     rng = random.Random(43)
     ca = tuple(F(rng.randint(-9, 9), 4) for _ in range(39))
