@@ -9,9 +9,9 @@ one relation among the coefficients of a single triangle, so full C^3 across
 an edge constrains the patch on its own.
 
 The module also carries the Hermite nodal basis dual to the 39 canonical
-functionals (geometry-independent coefficient data completed over the
-symmetry group), global interpolation of vertex jets plus edge cross
-derivatives on a triangulation, and an exact cross-edge smoothness checker.
+functionals (the inverse of the basis-c collocation matrix), global
+interpolation of vertex jets plus edge cross derivatives on a triangulation,
+and an exact cross-edge smoothness checker.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from .errors import (
     DimensionMismatch,
     NonConformingMesh,
 )
-from .dual_functionals import EDGE_SEQUENCE, JET_ORDERS
+from .dual_functionals import EDGE_SEQUENCE, JET_ORDERS, build_lambda, lambda_vector
 from .geometry import PS12Frame, Point2, make_frame, reference_frame, signed_area2
+from .linalg import inverse, solve
 from .marsden_catalog import catalog
 from .polynomial import TriPoly
-from .simplex_spline import _derivative_terms, knots, restrict_to_edge
+from .simplex_spline import _derivative_terms, restrict_to_edge
 
 #: Number of basis elements with nonzero derivative restrictions of orders
 #: 0..3 on the edge [v1, v2] (in the canonical element order).
@@ -380,122 +381,17 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
 # Hermite nodal basis
 # ---------------------------------------------------------------------------
 
-#: Nodal expansions (in raw simplex splines) for the functional group at the
-#: first corner and its edge: value and derivative jets with x toward v2 and
-#: y toward v3, then the edge [v1, v2] functionals with direction v3 - v4.
-#: The remaining functionals follow by symmetry; the completion is checked
-#: for consistency where symmetries overlap.
-_F = Fraction
-NODAL_SEEDS = {
-    ("v", 0, 0): {
-        "600101": _F(1, 4), "500201": _F(1, 4), "500102": _F(1, 4),
-        "410201": _F(1, 2), "401102": _F(1, 2), "411101": _F(1),
-        "311201": _F(1, 2), "311102": _F(1, 2), "320201": _F(1, 2),
-        "302102": _F(1, 2), "211211": _F(9, 16), "211112": _F(9, 16),
-        "220211": _F(3, 8), "202112": _F(3, 8), "112112": _F(3, 16),
-        "121211": _F(3, 16)},
-    ("v", 1, 0): {
-        "500201": _F(1, 40), "410201": _F(1, 10), "320201": _F(1, 5),
-        "411101": _F(1, 10), "311201": _F(3, 20), "220211": _F(13, 80),
-        "311102": _F(1, 20), "211211": _F(19, 80), "121211": _F(1, 10),
-        "211112": _F(-1, 40), "202112": _F(-1, 40), "112112": _F(-1, 20)},
-    ("v", 2, 0): {
-        "410201": _F(1, 160), "320201": _F(1, 32), "311201": _F(1, 80),
-        "220211": _F(17, 640), "211211": _F(121, 3840), "121211": _F(71, 3840),
-        "211112": _F(-1, 48), "112112": _F(1, 480)},
-    ("v", 1, 1): {
-        "411101": _F(1, 80), "311201": _F(3, 160), "311102": _F(3, 160),
-        "220211": _F(-1, 160), "202112": _F(-1, 160), "211112": _F(17, 960),
-        "211211": _F(17, 960), "112112": _F(-7, 480), "121211": _F(-7, 480)},
-    ("v", 3, 0): {
-        "320201": _F(1, 480), "220211": _F(7, 3840), "211211": _F(5, 3072),
-        "121211": _F(7, 5120)},
-    ("v", 2, 1): {
-        "311201": _F(1, 480), "220211": _F(-1, 1920), "121211": _F(-1, 768),
-        "211211": _F(11, 3840), "211112": _F(-11, 3840), "112112": _F(1, 3840)},
-    ("e", "q1"): {"211211": _F(7, 240), "121211": _F(-1, 240)},
-    ("e", "m"): {"220211": _F(1, 10), "211211": _F(1, 5), "121211": _F(1, 5)},
-    ("e", "q2"): {"121211": _F(7, 240), "211211": _F(-1, 240)},
-}
-
-#: Canonical jet directions per corner: x toward the first listed corner of
-#: the opposing edge, y toward the second.
-_JET_DIRS = {1: ((2, 1), (3, 1)), 2: ((3, 2), (1, 2)), 3: ((1, 3), (2, 3))}
-
-
-def _jet_descriptor(corner: int, i: int, j: int):
-    x, y = _JET_DIRS[corner]
-    dirs = tuple(sorted((x,) * i + (y,) * j))
-    return ("jet", corner, dirs)
-
-
-def _edge_descriptor(a: int, b: int, slot: str):
-    if slot == "m":
-        return ("edge1", frozenset((a, b)))
-    near = a if slot == "q1" else b
-    return ("edge2", frozenset((a, b)), near)
-
-
-def _apply_sigma_descriptor(sigma, desc):
-    def sv(i):
-        return sigma[i - 1]
-    if desc[0] == "jet":
-        _, corner, dirs = desc
-        return ("jet", sv(corner), tuple(sorted((sv(a), sv(b)) for a, b in dirs)))
-    if desc[0] == "edge1":
-        return ("edge1", frozenset(sv(i) for i in desc[1]))
-    return ("edge2", frozenset(sv(i) for i in desc[1]), sv(desc[2]))
-
-
 @lru_cache(maxsize=1)
 def nodal_q_coefficients() -> tuple:
     """39 x 39 exact matrix N with nodal function i = sum_j N[i][j] Q_j.
 
     Row order matches the canonical functional order; column order the
-    canonical basis-c element order.  Coefficients are independent of the
-    triangle geometry.
+    canonical basis-c element order.  N is the inverse of the collocation
+    matrix L[j][k] = lambda_k(Q_j) of the raw simplex splines, so its rows
+    are dual to the functionals; it is independent of the triangle geometry.
     """
-    from .geometry import S3_ELEMENTS, s3_apply_multiset
-    spec = catalog("c")
-    col = {el.multiset: idx for idx, el in enumerate(spec.elements)}
-
-    seeds = []
-    for key, combo in NODAL_SEEDS.items():
-        if key[0] == "v":
-            desc = _jet_descriptor(1, key[1], key[2])
-        else:
-            desc = _edge_descriptor(1, 2, key[1])
-        seeds.append((desc, {knots(lab): c for lab, c in combo.items()}))
-
-    targets = []
-    for corner in (1, 2, 3):
-        for (i, j) in JET_ORDERS:
-            targets.append(_jet_descriptor(corner, i, j))
-    for _, a, b, _ in EDGE_SEQUENCE:
-        for slot in ("q1", "m", "q2"):
-            targets.append(_edge_descriptor(a, b, slot))
-
-    rows = []
-    for desc in targets:
-        expansion = None
-        for sigma in S3_ELEMENTS:
-            for sdesc, combo in seeds:
-                if _apply_sigma_descriptor(sigma, sdesc) != desc:
-                    continue
-                moved = {}
-                for K, c in combo.items():
-                    moved[s3_apply_multiset(sigma, K)] = c
-                if expansion is None:
-                    expansion = moved
-                elif expansion != moved:
-                    raise AssertionError(f"inconsistent symmetry completion at {desc}")
-        if expansion is None:
-            raise AssertionError(f"no seed covers functional {desc}")
-        row = [Fraction(0)] * 39
-        for K, c in expansion.items():
-            row[col[K]] = c
-        rows.append(tuple(row))
-    return tuple(rows)
+    L = [list(lambda_vector(el.multiset)) for el in catalog("c").elements]
+    return tuple(tuple(row) for row in inverse(L))
 
 
 @dataclass(frozen=True)
@@ -537,7 +433,6 @@ def _jet_directional(jet: dict, dirs) -> object:
 
 def _edge_spline_coeffs(rows, rhs, exact: bool):
     if exact:
-        from .linalg import solve
         return [r[0] for r in solve(rows, [[v] for v in rhs])]
     import numpy as np
     sol = np.linalg.solve(np.array(rows, dtype=float),
@@ -563,12 +458,8 @@ def _univariate_collocation(degree: int, conditions, exact: bool):
 
 
 def _edge_restriction_value(coeffs, degree: int, t, order: int, exact: bool):
-    from .bspline1d import UnivariateBSplineRef, bspline_derivative
-    total = 0
-    for j, c in enumerate(coeffs):
-        v = bspline_derivative(UnivariateBSplineRef(degree, j + 1), Fraction(t), order)
-        total += c * (v if exact else float(v))
-    return total
+    (row,) = _univariate_rows(degree, ((Fraction(t), order),))
+    return sum(c * (v if exact else float(v)) for c, v in zip(coeffs, row))
 
 
 def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpline:
@@ -604,20 +495,12 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
 
     coeff_vectors = []
     for t, tri_idx in enumerate(tri.triangles):
-        frame = tri.frame(t)
-        values = []
+        lams = build_lambda(tri.frame(t))
         # vertex jets in the canonical local directions
-        for local in (1, 2, 3):
-            gv = tri_idx[local - 1]
-            (xa, xb), (ya, yb) = _JET_DIRS[local]
-            xv = Point2(frame.v[xa - 1].x - frame.v[xb - 1].x,
-                        frame.v[xa - 1].y - frame.v[xb - 1].y)
-            yv = Point2(frame.v[ya - 1].x - frame.v[yb - 1].x,
-                        frame.v[ya - 1].y - frame.v[yb - 1].y)
-            for (i, j) in JET_ORDERS:
-                values.append(_jet_directional(jets[gv], (xv,) * i + (yv,) * j))
+        values = [_jet_directional(jets[tri_idx[lam.site[1] - 1]], lam.directions)
+                  for lam in lams[:30]]
         # edge functionals
-        for _, a_loc, b_loc, opp_loc in EDGE_SEQUENCE:
+        for e, (_, a_loc, b_loc, _) in enumerate(EDGE_SEQUENCE):
             ga, gb = tri_idx[a_loc - 1], tri_idx[b_loc - 1]
             key = tuple(sorted((ga, gb)))
             d2q1, d1m, d2q2 = edge_data[key]
@@ -635,27 +518,24 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
             rhs4 = [_jet_directional(jets[key[0]], (ug,) + (tg,) * o) for o in range(3)] + \
                    [_jet_directional(jets[key[1]], (ug,) + (tg,) * o) for o in range(3)] + [d1m]
             g_edge = _edge_spline_coeffs(_univariate_collocation(4, cond4, exact), rhs4, exact)
-            # express the local direction over (global normal, tangent)
-            m = Point2((va.x + vb.x) / 2, (va.y + vb.y) / 2)
-            opp = frame.v[opp_loc - 1]
-            ul = Point2(opp.x - m.x, opp.y - m.y)
+            # express the local direction (the midpoint functional's) over
+            # (global normal, tangent)
+            (ul,) = lams[31 + 3 * e].directions
             det = ug.x * tg.y - ug.y * tg.x
             s = (ul.x * tg.y - ul.y * tg.x) / det
             w = (ug.x * ul.y - ug.y * ul.x) / det
-            flipped = ga != key[0]
-            for slot in ("q1", "m", "q2"):
-                if slot == "m":
-                    val = s * _edge_restriction_value(g_edge, 4, half, 0, exact) + \
-                        w * _edge_restriction_value(f_edge, 5, half, 1, exact)
-                    values.append(val)
-                    continue
-                near_first = (slot == "q1") != flipped
-                sq = quarter if near_first else 1 - quarter
-                d2 = d2q1 if near_first else d2q2
-                val = s * s * d2 \
+
+            # second derivative at the quarterpoint near key[0] (near_first)
+            # or near key[1]; the local q1 is the one near ga
+            def quarterpoint(near_first):
+                sq, d2 = (quarter, d2q1) if near_first else (1 - quarter, d2q2)
+                return s * s * d2 \
                     + 2 * s * w * _edge_restriction_value(g_edge, 4, sq, 1, exact) \
                     + w * w * _edge_restriction_value(f_edge, 5, sq, 2, exact)
-                values.append(val)
+            values += [quarterpoint(ga == key[0]),
+                       s * _edge_restriction_value(g_edge, 4, half, 0, exact)
+                       + w * _edge_restriction_value(f_edge, 5, half, 1, exact),
+                       quarterpoint(ga != key[0])]
         coeffs = [0] * 39
         for fi, val in enumerate(values):
             if val == 0:

@@ -192,6 +192,13 @@ def cmd_export_obj(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    n = int(text) if text.isdecimal() else 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ps12", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -222,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample a spline on a barycentric grid")
     p.add_argument("--spline", required=True)
-    p.add_argument("--grid", type=int, default=16)
+    p.add_argument("--grid", type=_positive_int, default=16)
     p.add_argument("--layer", choices=["exact", "float"], default="float")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
@@ -240,9 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nodal)
 
     p = sub.add_parser("export-obj", help="sampled surface as Wavefront OBJ")
-    p.add_argument("--spline", default=None)
-    p.add_argument("--global", dest="global_spline", default=None)
-    p.add_argument("--grid", type=int, default=16)
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--spline", default=None)
+    src.add_argument("--global", dest="global_spline", default=None)
+    p.add_argument("--grid", type=_positive_int, default=16)
     p.add_argument("--control-mesh", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_export_obj)

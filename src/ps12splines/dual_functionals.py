@@ -22,9 +22,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .geometry import PS12Frame, Point2, reference_frame, to_bary
+from .geometry import PS12Frame, Point2, direction_coords, reference_frame, to_bary
 from .linalg import rank as matrix_rank
-from .simplex_spline import FaceForms, knots, spline_face_forms
+from .simplex_spline import FaceForms, functional_row, knots, per_face_bernstein
 
 #: Vertex jet orders in canonical sequence.
 JET_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
@@ -118,12 +118,28 @@ def lambda_vector(K: tuple, variant: str = "canonical") -> tuple:
 
 @lru_cache(maxsize=None)
 def _lambda_vector(K: tuple, variant: str) -> tuple:
-    return _functional_values(reference_frame(), K, variant)
+    return _functional_values(_reference_rows(variant), K)
 
 
-def _functional_values(frame: PS12Frame, K: tuple, variant: str) -> tuple:
-    f = spline_face_forms(frame, [(Fraction(1), knots(K))])
-    return tuple(apply(lam, f) for lam in build_lambda(frame, variant))
+def _functional_rows(frame: PS12Frame, variant: str) -> tuple:
+    """(face, Bernstein row) of each functional on a frame, in canonical
+    order: its value on a quintic is the row's dot product with the quintic's
+    table on that face."""
+    corners = frame.v[:3]
+    return tuple(functional_row(to_bary(frame, lam.point),
+                                [direction_coords(corners, u) for u in lam.directions])
+                 for lam in build_lambda(frame, variant))
+
+
+@lru_cache(maxsize=None)
+def _reference_rows(variant: str) -> tuple:
+    return _functional_rows(reference_frame(), variant)
+
+
+def _functional_values(rows, K: tuple) -> tuple:
+    tables = per_face_bernstein(reference_frame(), knots(K))
+    return tuple(sum((r * o for r, o in zip(row, tables[fi - 1]) if r), Fraction(0))
+                 for fi, row in rows)
 
 
 @dataclass(frozen=True)
@@ -144,7 +160,8 @@ def collocation(frame: PS12Frame, candidates) -> CollocationMatrix:
     if frame.v == reference_frame().v:
         rows = [list(lambda_vector(knots(K))) for K in candidates]
     else:
-        rows = [list(_functional_values(frame, K, "canonical")) for K in candidates]
+        lam_rows = _functional_rows(frame, "canonical")
+        rows = [list(_functional_values(lam_rows, K)) for K in candidates]
     return CollocationMatrix(tuple(tuple(r) for r in rows), matrix_rank(rows))
 
 

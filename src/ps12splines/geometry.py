@@ -259,6 +259,7 @@ def face_bary_matrices() -> tuple:
 
 
 def face_bary_from_macro(fi: int, beta: Bary3) -> Bary3:
-    """Face-barycentric coordinates from macro-barycentric ones (any frame)."""
+    """Face-barycentric coordinates from macro-barycentric ones (any frame);
+    maps macro-directional triples to face-directional ones alike."""
     m = face_bary_matrices()[fi - 1]
     return tuple(m[r][0] * beta[0] + m[r][1] * beta[1] + m[r][2] * beta[2] for r in range(3))

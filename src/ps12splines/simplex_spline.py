@@ -12,7 +12,8 @@ support scaled by area(T) / area([K]).
 
 The per-face Bernstein tables come from the same recursion run face by face
 on Bernstein forms, with the pointwise recursion as their reference; every
-evaluation of those tables goes through locate_row and FaceForms.
+evaluation of those tables, derivatives included, goes through locate_row
+and functional_row.
 
 Everything is computed exactly over Fractions on the reference frame; general
 frames enter only through barycentric coordinates (the spline is an affine
@@ -105,6 +106,12 @@ def _independent_triple(act: tuple):
 
 def _bary_wrt(tri: tuple, p: Point2) -> tuple:
     return bary_coords(tuple(_ref_points()[i - 1] for i in tri), p)
+
+
+@lru_cache(maxsize=None)
+def _vertex_bary(tri: tuple) -> tuple:
+    """Barycentrics of the ten split vertices with respect to a triple."""
+    return tuple(_bary_wrt(tri, p) for p in _ref_points())
 
 
 @lru_cache(maxsize=None)
@@ -251,8 +258,7 @@ def _combination_over_active(K: KnotMultiset, coeffs3: tuple):
         coef = coeffs3[corner]
         if not coef:
             continue
-        g = _bary_wrt(tri, _ref_points()[corner])
-        for w, idx in zip(g, tri):
+        for w, idx in zip(_vertex_bary(tri)[corner], tri):
             if w != 0:
                 out[idx] = out.get(idx, 0) + coef * w
     return {i: c for i, c in out.items() if c}
@@ -273,14 +279,18 @@ def derivative_expansion(K: KnotMultiset, direction, order: int = 1) -> list:
     """Expand D^order in the given direction as [(coef, multiset)] terms.
 
     direction is a directional triple over the corners (sums to 0) or an
-    explicit 10-vector of coefficients over the knots.  The factor |K| - 3
-    per differentiation is included in the coefficients.
+    explicit 10-vector of coefficients over the knots, used as given for the
+    first differentiation and through its corner triple after that.  The
+    factor |K| - 3 per differentiation is included in the coefficients.
     """
     K = knots(K)
     if order > degree(K):
         raise InvalidDirection(f"order {order} exceeds degree {degree(K)}")
     if len(direction) == 10:
-        return _derivative_terms(K, None, order, _normalize_weights10(K, direction, 0))
+        rep = _normalize_weights10(K, direction, 0)
+        corner_dir = tuple(sum(a * VERTEX_BARY[i - 1][r] for i, a in rep.items())
+                           for r in range(3))
+        return _derivative_terms(K, corner_dir, order, rep)
     d = tuple(Fraction(x) for x in direction)
     if sum(d) != 0:
         raise InvalidDirection(f"directional coordinates sum to {sum(d)} != 0")
@@ -489,8 +499,6 @@ def _bernstein_ref(K: KnotMultiset) -> tuple:
     sum_r l_r (beta_r / d) c[beta - e_r].  Triples and the degree-0 base
     are those of the pointwise recursion in _eval_at_bary.
     """
-    pts = _ref_points()
-    vertex_bary = {}   # triple -> barycentrics of the ten split vertices
     memo = {}          # multiset -> per-face ordinates, None where zero
 
     def rec(m):
@@ -505,9 +513,7 @@ def _bernstein_ref(K: KnotMultiset) -> tuple:
             faces = tuple(base if fi in support_faces(act) else None for fi in range(1, 13))
         else:
             deg = sum(m) - 3
-            if tri not in vertex_bary:
-                vertex_bary[tri] = tuple(_bary_wrt(tri, p) for p in pts)
-            vb = vertex_bary[tri]
+            vb = _vertex_bary(tri)
             children = [rec(m[:i - 1] + (m[i - 1] - 1,) + m[i:]) for i in tri]
             faces = []
             for fi, corners in enumerate(FACES):
@@ -571,17 +577,29 @@ def locate_row(beta, deg: int = 5) -> tuple:
     return fi, bernstein_row(face_bary_from_macro(fi, beta), deg)
 
 
-def _derivative_step(ords, delta, deg: int) -> list:
-    """Degree-(deg-1) ordinates of the derivative in face-directional
-    coordinates delta of the form with degree-deg ordinates ords."""
-    out = []
-    for step in _degree_step(deg):
-        v = 0
-        for s in range(3):
-            if delta[s]:
-                v += delta[s] * ords[step[s][0]]
-        out.append(deg * v)
-    return out
+def functional_row(beta, deltas=(), deg: int = 5) -> tuple:
+    """(face, row) with sum(row[s] * ords[s]) the value at macro-barycentrics
+    beta, after one derivative along each macro-directional triple in deltas,
+    of any degree-deg form with ordinates ords on that face.
+
+    The located degree-(deg - k) row is carried up one degree per derivative
+    by the adjoint of the Bernstein derivative step, so a functional is one
+    dot product with each face table.  Face and OutsideDomain as in
+    locate_row; derivatives are one-sided on that face.
+    """
+    d = deg - len(deltas)
+    fi, row = locate_row(beta, d)
+    for delta in deltas:
+        d += 1
+        up = [0] * ((d + 1) * (d + 2) // 2)
+        g = face_bary_from_macro(fi, delta)
+        for r, step in zip(row, _degree_step(d)):
+            if r:
+                for gs, (i, _) in zip(g, step):
+                    if gs:
+                        up[i] += d * gs * r
+        row = up
+    return fi, row
 
 
 @dataclass(frozen=True)
@@ -600,14 +618,10 @@ class FaceForms:
         to the point, so one-sided there.  Raises OutsideDomain outside the
         closed macrotriangle.
         """
-        deg = self.deg
-        fi, row = locate_row(beta, deg - len(directions))
-        ords = self.ords[fi - 1]
-        corners = self.frame.face_corners(fi)
-        for u in directions:
-            ords = _derivative_step(ords, direction_coords(corners, u), deg)
-            deg -= 1
-        return sum(o * r for o, r in zip(ords, row))
+        corners = self.frame.v[:3]
+        fi, row = functional_row(beta, [direction_coords(corners, u) for u in directions],
+                                 self.deg)
+        return sum(o * r for o, r in zip(self.ords[fi - 1], row))
 
 
 def spline_face_forms(frame: PS12Frame, combo) -> FaceForms:

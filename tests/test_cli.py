@@ -101,6 +101,19 @@ def test_eval_point_with_negative_rational_coordinates(tmp_path):
     run_cli(["eval", "--spline", str(path), "--point", "-1/2", "-1/4", "--layer", "float"])
 
 
+def test_bad_arguments_are_usage_errors(tmp_path):
+    sp = {"frame": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]],
+          "basis": "c", "coeffs": ["1/1"] * 39}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(sp))
+    for args in (["sample", "--spline", str(path), "--grid", "0"],
+                 ["export-obj", "--spline", str(path), "--grid", "0"],
+                 ["export-obj"]):
+        r = run_cli(args, expect=2)
+        assert "usage: ps12" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
 def test_malformed_json_is_parse_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

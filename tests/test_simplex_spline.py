@@ -126,6 +126,28 @@ def test_derivative_order_k_equals_iterated(ref):
     assert acc == two_step
 
 
+def test_derivative_expansion_ten_vector_higher_order(ref):
+    """An explicit 10-vector direction expands like its corner triple, at
+    every order (the first step uses the 10-vector itself)."""
+    K = knots("141110")
+    ten = (F(1), F(-1)) + (F(0),) * 8
+    triple = (F(1), F(-1), F(0))
+    for order in (1, 2, 3):
+        from_ten = derivative_expansion(K, ten, order)
+        from_triple = derivative_expansion(K, triple, order)
+        for p in rational_points(5, seed=order):
+            assert sum(c * eval_simplex(ref, m, p) for c, m in from_ten) == \
+                sum(c * eval_simplex(ref, m, p) for c, m in from_triple)
+    # a 10-vector over non-corner knots: v4 - v2 is (1/2, -1/2, 0) at the corners
+    ten = (F(0), F(-1), F(0), F(1)) + (F(0),) * 6
+    triple = (F(1, 2), F(-1, 2), F(0))
+    from_ten = derivative_expansion(K, ten, 2)
+    from_triple = derivative_expansion(K, triple, 2)
+    for p in rational_points(5, seed=9):
+        assert sum(c * eval_simplex(ref, m, p) for c, m in from_ten) == \
+            sum(c * eval_simplex(ref, m, p) for c, m in from_triple)
+
+
 def test_derivative_validation(ref):
     with pytest.raises(InvalidDirection):
         derivative_expansion(knots("141110"), (F(1), F(0), F(0)), 1)
@@ -231,10 +253,12 @@ def test_per_face_bernstein_examples(ref):
 
 @settings(max_examples=150, deadline=None)
 @given(k=st.integers(0, 98), fi=st.integers(1, 12),
-       weights=st.tuples(*[st.integers(1, 60)] * 3))
-def test_per_face_tables_match_pointwise_recursion(k, fi, weights):
+       weights=st.tuples(*[st.integers(1, 60)] * 3), order=st.integers(0, 3),
+       direction=st.tuples(*[st.fractions(-3, 3, max_denominator=7)] * 2))
+def test_per_face_tables_match_pointwise_recursion(k, fi, weights, order, direction):
     """Any admissible spline, any face, a rational point strictly inside it:
-    the face table's value equals the pointwise recursion."""
+    the face table's value, and its derivatives along a rational direction
+    taken through functional_row, equal the pointwise recursion."""
     from ps12splines.basis_search import enumerate_admissible
     ref = reference_frame()
     K = sorted(K for cls in enumerate_admissible() for K in cls.members)[k]
@@ -245,6 +269,11 @@ def test_per_face_tables_match_pointwise_recursion(k, fi, weights):
     assert locate_face(ref, p) == fi
     table = per_face_bernstein(ref, K)[fi - 1]
     assert sum(o * r for o, r in zip(table, bernstein_row(g))) == eval_simplex(ref, K, p)
+    # Cartesian u on the reference frame has directional coordinates d
+    u = Point2(*direction)
+    d = (-u.x - u.y, u.x, u.y)
+    ff = spline_face_forms(ref, [(F(1), K)])
+    assert ff.value_at_bary(to_bary(ref, p), (u,) * order) == derivative(ref, K, d, order)(p)
 
 
 def test_per_face_bernstein_rejects_non_quintic(ref):
