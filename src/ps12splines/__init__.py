@@ -19,6 +19,7 @@ from .errors import (
     ParseError,
     PS12Error,
     SingularSystem,
+    SymmetryViolated,
     TooFewKnots,
     UnknownBasis,
     UnknownTable,

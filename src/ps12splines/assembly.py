@@ -23,6 +23,7 @@ from functools import lru_cache
 from .errors import (
     DegenerateTriangle,
     DimensionMismatch,
+    DomainError,
     NonConformingMesh,
 )
 from .dual_functionals import EDGE_SEQUENCE, JET_ORDERS, build_lambda, lambda_vector
@@ -204,13 +205,16 @@ def smoothness_system(order: int, beta) -> SmoothnessSystem:
 
     beta holds the barycentric coordinates of the neighbour's far vertex
     with respect to this triangle (its third coordinate is nonzero for a
-    genuine neighbour).
+    genuine neighbour).  b1 and b2 are converted exactly and b3 is taken as
+    1 - b1 - b2, since float coordinates need not sum to 1 exactly; exact
+    coordinates that do not sum to 1 raise DomainError.
     """
     if order not in (0, 1, 2, 3):
-        raise ValueError("order must be 0..3")
-    beta = tuple(Fraction(b) for b in beta)
-    if sum(beta) != 1:
-        raise ValueError("beta must sum to 1")
+        raise DomainError("order must be 0..3")
+    if not any(isinstance(b, float) for b in beta) and sum(beta) != 1:
+        raise DomainError("beta must sum to 1")
+    b1, b2 = Fraction(beta[0]), Fraction(beta[1])
+    beta = (b1, b2, 1 - b1 - b2)
     rels, cons = _smoothness_symbolic()
     numeric = []
     for i in range(N_BLOCKS[order]):

@@ -14,11 +14,17 @@ remaining 18 slots), and filters:
     -> 8 domain points per edge       (7)
     -> dual polynomials split into real linear factors (6)
 
-Everything is exact.  Each spline's 39 functional values are read once and
-cached as an integer row with its scale; the rank filter, the weights and
-the dual polynomials all eliminate those integer rows fraction-free
-(``linalg``), so weights and dual-polynomial coefficients come out as exact
-rationals without Gauss-Jordan elimination over ``Fraction``.
+Everything is exact, and every elimination is fraction-free (``linalg``).
+A candidate is a union of S3 orbits, so its 39x39 collocation matrix
+commutes with the symmetry and splits into isotypic blocks (Fassler-Stiefel):
+over the 99 splines the trivial, sign and standard blocks have dimensions 8,
+5 and 13, and 8 + 5 + 2*13 = 39.  The block tables are built once per
+functional variant, after an exact check that the lambda rows transform
+linearly under S3.  A candidate has full rank iff it gives exactly 8, 5 and
+13 block rows and the three square blocks are nonsingular; its weights are
+constant on classes, because 1 is invariant, and solve the 8x8 trivial
+block.  The dual polynomials, and the weights of any input that is not a
+union of classes, solve the 39x39 system of the cached integer lambda rows.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .dual_functionals import build_lambda, lambda_vector
-from .errors import SingularSystem
+from .errors import DomainError, SingularSystem, SymmetryViolated
 from .geometry import (
     S3_ELEMENTS,
     VERTEX_BARY,
@@ -38,7 +44,7 @@ from .geometry import (
     s3_apply_multiset,
     to_bary,
 )
-from .linalg import _integer_rows, bareiss, solve
+from .linalg import _integer_rows, bareiss, pivot_columns, solve
 from .polynomial import TriPoly
 from .simplex_spline import active_indices, hull_area, knot_label, knots
 
@@ -192,11 +198,6 @@ def _int_lambda_row(K: tuple, variant: str) -> tuple:
     return tuple(row), den
 
 
-def candidate_has_full_rank(cand: CandidateBasis) -> bool:
-    rows = [list(_int_lambda_row(K, "canonical")[0]) for K in cand.multisets]
-    return bareiss(rows)[1] != 0
-
-
 @lru_cache(maxsize=None)
 def _lambda_one_vector(variant: str) -> tuple:
     """Functional values of the constant 1, one single-column row each."""
@@ -215,6 +216,142 @@ def _solve_collocation(multisets, rhs, variant: str) -> list:
     return [[x * den for x in xi] for xi, (_, den) in zip(sol, scaled)]
 
 
+# ---------------------------------------------------------------------------
+# S3 isotypic blocks of the collocation table
+# ---------------------------------------------------------------------------
+
+#: The transpositions t = (12) and u = (13) that generate S3.
+_T, _U = (2, 1, 3), (3, 2, 1)
+
+
+@dataclass(frozen=True)
+class _IsotypicBlocks:
+    """The lambda rows of the 99 admissible splines split by S3 isotypic type.
+
+    ``rows[label]`` holds the class's (trivial, sign, standard) rows: its
+    class sum, its signed orbit sum (size-6 classes only) and an independent
+    subset of its Young-symmetrizer images (1 + t)(1 - u) Q_K.  Each block is
+    restricted to ``dims[k]`` pivot columns on which it is injective and each
+    row is scaled to integers; ``trivial_scales`` holds the trivial rows'
+    scales and ``one`` the values of the constant 1 on the trivial columns.
+    """
+
+    dims: tuple
+    rows: dict
+    trivial_scales: dict
+    one: tuple
+
+
+def _combine(rows, signs) -> list:
+    return [sum(s * x for s, x in zip(signs, col)) for col in zip(*rows)]
+
+
+def _check_linear_action(lam: dict, basis: tuple, one: list) -> None:
+    """The basis coordinates of every lambda row permute under t and u as
+    the basis does, and those of the constant 1 stay fixed; raises
+    SymmetryViolated if not.
+
+    This is the premise of the block decomposition: the lambda rows
+    transform linearly under S3 and the constant 1 is invariant.  One exact
+    solve gives all coordinates.
+    """
+    others = [K for K in lam if K not in basis]
+    rhs = [list(col) + [o] for col, o in zip(zip(*(lam[K] for K in others)), one)]
+    sol = solve([list(col) for col in zip(*(lam[K] for K in basis))], rhs)
+    # the basis rows have unit coordinates, which permute by construction
+    coords = {K: tuple(x[k] for x in sol) for k, K in enumerate(others)}
+    weights = tuple(x[-1] for x in sol)
+    index = {K: i for i, K in enumerate(basis)}
+    for sigma in (_T, _U):
+        # sigma is an involution, so the coordinates of sigma(Q) must be
+        # those of Q read at the images of the basis elements
+        image = [index[s3_apply_multiset(sigma, B)] for B in basis]
+
+        def moved(a):
+            return tuple(a[j] for j in image)
+
+        for K, a in coords.items():
+            if moved(a) != coords[s3_apply_multiset(sigma, K)]:
+                raise SymmetryViolated(f"basis coordinates of {knot_label(K)} do not "
+                                       f"permute under {sigma}")
+        if moved(weights) != weights:
+            raise SymmetryViolated(f"basis coordinates of the constant 1 do not "
+                                   f"permute under {sigma}")
+
+
+@lru_cache(maxsize=None)
+def _isotypic_blocks(variant: str) -> _IsotypicBlocks:
+    """The block tables of one functional variant, built on first use."""
+    classes = enumerate_admissible()
+    lam = {K: lambda_vector(K, variant) for cls in classes for K in cls.members}
+    one = [o for (o,) in _lambda_one_vector(variant)]
+    basis = tuple(K for cls in classes if cls.label in BASIS_CLASS_CONTENT["c"]
+                  for K in cls.members)
+    _check_linear_action(lam, basis, one)
+    per_class = {}
+    for cls in classes:
+        trivial = [_combine([lam[K] for K in cls.members], [1] * cls.size)]
+        # S3_ELEMENTS lists the even permutations first; a size-3 orbit is
+        # fixed by a transposition, so its signed sum is zero
+        sign = [] if cls.size == 3 else [_combine(
+            [lam[s3_apply_multiset(s, cls.representative)] for s in S3_ELEMENTS],
+            (1, 1, 1, -1, -1, -1))]
+        images = []
+        for K in cls.members:
+            uK = s3_apply_multiset(_U, K)
+            images.append(_combine([lam[K], lam[s3_apply_multiset(_T, K)], lam[uK],
+                                    lam[s3_apply_multiset(_T, uK)]], (1, 1, -1, -1)))
+        standard = [images[i] for i in pivot_columns([list(c) for c in zip(*images)])]
+        per_class[cls.label] = (trivial, sign, standard)
+    pivots = [pivot_columns([r for rows in per_class.values() for r in rows[k]])
+              for k in range(3)]
+    dims = tuple(len(p) for p in pivots)
+    if dims[0] + dims[1] + 2 * dims[2] != len(one):
+        raise SymmetryViolated(f"isotypic dimensions {dims} do not add up to {len(one)}")
+    rows, scales = {}, {}
+    for label, blocks in per_class.items():
+        scaled = [_integer_rows([[r[c] for c in p] for r in block])
+                  for p, block in zip(pivots, blocks)]
+        rows[label] = tuple(tuple(tuple(r) for r in ints) for ints, _ in scaled)
+        scales[label] = scaled[0][1][0]
+    return _IsotypicBlocks(dims, rows, scales, tuple((one[c],) for c in pivots[0]))
+
+
+@lru_cache(maxsize=1)
+def _class_of() -> dict:
+    return {K: cls.label for cls in enumerate_admissible() for K in cls.members}
+
+
+def _orbit_labels(multisets) -> tuple:
+    """Class labels of 39 distinct admissible splines forming whole S3
+    classes, or None for any other input."""
+    of = _class_of()
+    if len(multisets) != 39 or len(set(multisets)) != 39 or not all(K in of for K in multisets):
+        return None
+    labels = sorted({of[K] for K in multisets})
+    sizes = {cls.label: cls.size for cls in enumerate_admissible()}
+    return tuple(labels) if sum(sizes[lab] for lab in labels) == 39 else None
+
+
+def _blocks_full_rank(labels, variant: str) -> bool:
+    """Whether the classes' 39 lambda rows are independent: each isotypic
+    block must have exactly its dimension in rows and be nonsingular."""
+    tables = _isotypic_blocks(variant)
+    blocks = [[list(r) for lab in labels for r in tables.rows[lab][k]] for k in range(3)]
+    if tuple(len(b) for b in blocks) != tables.dims:
+        return False
+    return all(bareiss(b)[1] != 0 for b in blocks)
+
+
+def candidate_has_full_rank(cand: CandidateBasis) -> bool:
+    """Whether the candidate's 39 lambda rows are independent, decided on
+    its S3 isotypic blocks."""
+    labels = _orbit_labels(cand.multisets)
+    if labels is None:
+        raise DomainError("a candidate must consist of whole S3 classes of 39 splines")
+    return _blocks_full_rank(labels, "canonical")
+
+
 def _multisets(cand) -> tuple:
     return cand.multisets if isinstance(cand, CandidateBasis) else tuple(knots(K) for K in cand)
 
@@ -226,9 +363,24 @@ def compute_weights(cand, variant: str = "canonical") -> tuple:
     SingularSystem when the candidate is not a basis.  The result does not
     depend on the functional direction choices; variant='alternate' exists
     so tests can confirm that.
+
+    The constant 1 is S3-invariant and the weights are unique, so on a
+    candidate made of whole classes they are constant on each class: one
+    weight per class solves the trivial-block system.
     """
-    sol = _solve_collocation(_multisets(cand), _lambda_one_vector(variant), variant)
-    return tuple(x[0] for x in sol)
+    multisets = _multisets(cand)
+    labels = _orbit_labels(multisets)
+    if labels is None:
+        sol = _solve_collocation(multisets, _lambda_one_vector(variant), variant)
+        return tuple(x[0] for x in sol)
+    if not _blocks_full_rank(labels, variant):
+        raise SingularSystem("an S3 isotypic block of the candidate is singular")
+    tables = _isotypic_blocks(variant)
+    sol = solve([list(col) for col in zip(*(tables.rows[lab][0][0] for lab in labels))],
+                tables.one)
+    by_class = {lab: x * tables.trivial_scales[lab] for lab, (x,) in zip(labels, sol)}
+    of = _class_of()
+    return tuple(by_class[of[K]] for K in multisets)
 
 
 #: The 21 monomial exponents of a ternary quintic, one column each in the

@@ -41,6 +41,11 @@ class BoundViolated(PS12Error, RuntimeError):
     """A proven a-priori bound failed; signals an implementation bug."""
 
 
+class SymmetryViolated(PS12Error, RuntimeError):
+    """Functional values do not transform under S3 as the symmetry requires;
+    signals an implementation bug."""
+
+
 class DimensionMismatch(PS12Error, ValueError):
     """Input data length does not match the expected dimension."""
 

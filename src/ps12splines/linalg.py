@@ -3,10 +3,11 @@
 Matrices are lists of lists of ``int`` or ``Fraction``.  Every routine scales
 each row to integers by the lcm of its denominators and runs one fraction-free
 (Bareiss 1968) forward elimination, whose divisions are all exact, so no gcd
-is taken inside the elimination.  :func:`rank` reads the number of pivots;
-:func:`solve` back-substitutes in integers and divides once per entry by the
-final pivot (the determinant up to sign).  Right-hand sides of :func:`solve`
-are rational matrices; :func:`inverse` is ``solve(A, identity)``.
+is taken inside the elimination.  :func:`rank` reads the number of pivots
+and :func:`pivot_columns` their columns; :func:`solve` back-substitutes in
+integers and divides once per entry by the final pivot (the determinant up
+to sign).  Right-hand sides of :func:`solve` are rational matrices;
+:func:`inverse` is ``solve(A, identity)``.
 """
 
 from __future__ import annotations
@@ -49,20 +50,22 @@ def _integer_rows(A: Matrix) -> tuple[list, list]:
     return rows, scales
 
 
-def _eliminate(rows: list, pivot_cols: int, strict: bool) -> tuple[int, int, int]:
+def _eliminate(rows: list, pivot_cols: int, strict: bool) -> tuple[list, int, int]:
     """Fraction-free forward elimination of integer rows, in place.
 
     Pivots are sought in the first ``pivot_cols`` columns; every column is
     updated, so trailing columns carry an augmented right-hand side.  A
     column without a pivot is skipped, or raises SingularSystem when
-    ``strict``.  Returns (rank, sign of the row permutation, last pivot);
-    the last pivot is the determinant of the row-permuted leading block when
-    that block is square and of full rank.
+    ``strict``.  Returns (pivot columns, sign of the row permutation, last
+    pivot); the number of pivot columns is the rank, and the last pivot is
+    the determinant of the row-permuted leading block when that block is
+    square and of full rank.
     """
     m = len(rows)
     sign = 1
     prev = 1
     r = 0
+    cols = []
     for c in range(pivot_cols):
         if r == m:
             break
@@ -87,8 +90,9 @@ def _eliminate(rows: list, pivot_cols: int, strict: bool) -> tuple[int, int, int
             elif prc != prev:
                 row_i[c + 1:] = [a * prc // prev for a in row_i[c + 1:]]
         prev = prc
+        cols.append(c)
         r += 1
-    return r, sign, prev
+    return cols, sign, prev
 
 
 def bareiss(rows: list) -> tuple[int, int]:
@@ -99,7 +103,8 @@ def bareiss(rows: list) -> tuple[int, int]:
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    r, sign, last = _eliminate(rows, n, strict=False)
+    cols, sign, last = _eliminate(rows, n, strict=False)
+    r = len(cols)
     return r, (sign * last if (m == n and r == n) else 0)
 
 
@@ -139,3 +144,16 @@ def rank(A: Matrix) -> int:
     if not A:
         return 0
     return bareiss(_integer_rows(A)[0])[0]
+
+
+def pivot_columns(A: Matrix) -> tuple:
+    """Columns of the pivots of A's row echelon form, in order.
+
+    They are linearly independent and span A's column space, so the
+    restriction of A's rows to them is injective on A's row space.  Applied
+    to a transpose, they index a maximal independent subset of the rows,
+    the first one found in order.
+    """
+    if not A:
+        return ()
+    return tuple(_eliminate(_integer_rows(A)[0], len(A[0]), strict=False)[0])

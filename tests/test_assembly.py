@@ -15,11 +15,12 @@ from ps12splines.assembly import (
     nodal_q_coefficients,
     propagate,
     restrictions_equal,
+    smoothness_system,
     triangulation,
     verify_smoothness,
 )
 from ps12splines.dual_functionals import apply, build_lambda, lambda_vector
-from ps12splines.errors import DimensionMismatch, NonConformingMesh
+from ps12splines.errors import DimensionMismatch, DomainError, NonConformingMesh
 from ps12splines.geometry import Point2, from_bary, make_frame, reference_frame, to_bary
 from ps12splines.marsden_catalog import catalog, spec_face_forms
 from ps12splines.polynomial import TriPoly
@@ -347,6 +348,15 @@ def test_propagate_polynomial_and_flag(ref):
     cr = [F(rng.randint(-9, 9), 3) for _ in range(39)]
     _, feas = propagate(cr, beta, order=3)
     assert not feas
+
+
+def test_smoothness_system_beta_sum():
+    exact = smoothness_system(3, (F(1, 3), F(1, 2), F(1, 6)))
+    assert smoothness_system(3, (1 / 3, 1 / 2, 1 / 6 + 1e-12)).beta == \
+        (F(1 / 3), F(1 / 2), 1 - F(1 / 3) - F(1 / 2))
+    assert exact.beta == (F(1, 3), F(1, 2), F(1, 6))
+    with pytest.raises(DomainError):
+        smoothness_system(3, (F(1, 3), F(1, 2), F(1, 3)))
 
 
 def test_verify_smoothness_join_and_perturbation():

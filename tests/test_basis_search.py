@@ -2,11 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rational_points
+from ps12splines import basis_search
 from ps12splines.basis_search import (
     BASIS_CLASS_CONTENT,
     CLASS_REPRESENTATIVES,
+    candidate_has_full_rank,
     compute_dual_polys,
     compute_weights,
     domain_point,
@@ -14,8 +18,10 @@ from ps12splines.basis_search import (
     enumerate_candidates,
     split_linear_factors,
 )
-from ps12splines.errors import SingularSystem
+from ps12splines.dual_functionals import lambda_vector
+from ps12splines.errors import SingularSystem, SymmetryViolated
 from ps12splines.geometry import reference_frame
+from ps12splines.linalg import _integer_rows, bareiss
 from ps12splines.marsden_catalog import catalog
 from ps12splines.polynomial import TriPoly
 from ps12splines.simplex_spline import eval_simplex, hull_area, knots
@@ -62,6 +68,54 @@ def test_weights_singular_for_non_basis():
     dup[3] = dup[2]
     with pytest.raises(SingularSystem):
         compute_weights(dup)
+
+
+def _bareiss_full_rank(cand) -> bool:
+    """Reference: fraction-free elimination of the candidate's 39 lambda rows."""
+    rows, _ = _integer_rows([lambda_vector(K) for K in cand.multisets])
+    return bareiss(rows)[1] != 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 3647))
+def test_block_rank_agrees_with_bareiss(i):
+    cand = enumerate_candidates()[i]
+    assert candidate_has_full_rank(cand) == _bareiss_full_rank(cand)
+
+
+def test_weights_singular_for_symmetric_non_basis():
+    """A deficient candidate whose trivial block alone is nonsingular: only
+    the rank check of the other blocks tells that it is not a basis."""
+    cand = next(c for c in enumerate_candidates() if c.labels == frozenset("abdefghm"))
+    assert not _bareiss_full_rank(cand)
+    tables = basis_search._isotypic_blocks("canonical")
+    trivial = [list(tables.rows[lab][0][0]) for lab in sorted(cand.labels)]
+    assert bareiss(trivial)[1] != 0
+    with pytest.raises(SingularSystem):
+        compute_weights(cand)
+
+
+def test_symmetry_premise_check_raises_on_corrupted_row(monkeypatch):
+    bad = knots(CLASS_REPRESENTATIVES["d"])
+
+    def corrupted(K, variant="canonical"):
+        row = lambda_vector(K, variant)
+        return (row[0] + 1,) + row[1:] if K == bad else row
+
+    basis_search._isotypic_blocks.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(basis_search, "lambda_vector", corrupted)
+            with pytest.raises(SymmetryViolated, match="do not permute"):
+                basis_search._isotypic_blocks("canonical")
+        # the constant 1 must be invariant too: perturb one of its values
+        one = basis_search._lambda_one_vector("canonical")
+        monkeypatch.setattr(basis_search, "_lambda_one_vector",
+                            lambda variant: one[:12] + ((1,),) + one[13:])
+        with pytest.raises(SymmetryViolated, match="constant 1 do not"):
+            basis_search._isotypic_blocks("canonical")
+    finally:
+        basis_search._isotypic_blocks.cache_clear()
 
 
 def test_quadratic_s_basis_weights_are_area_ratios(ref):

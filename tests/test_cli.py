@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -179,6 +180,23 @@ def test_assemble_round_trip_and_warning(tmp_path):
     assert len(out["coeffs"]) == 2
     # generic data cannot meet full order-3 contact: a warning is emitted
     assert "order-3" in r.stderr
+
+
+def test_assemble_float_mesh(tmp_path):
+    """Float barycentrics of an opposite vertex need not sum to exactly 1."""
+    rng = random.Random(3)
+    tris = [[0, 1, 4], [1, 3, 4], [3, 2, 4], [2, 0, 4]]
+    edges = sorted({tuple(sorted(e)) for t in tris for e in ((t[0], t[1]), (t[1], t[2]),
+                                                              (t[0], t[2]))})
+    mesh = tmp_path / "mesh.json"
+    data = tmp_path / "data.json"
+    mesh.write_text(json.dumps({"vertices": [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0],
+                                             [1.0, 1.5]], "triangles": tris}))
+    data.write_text(json.dumps({
+        "vertex_jets": {str(i): [rng.uniform(-1, 1) for _ in range(10)] for i in range(5)},
+        "edge_data": {f"{a}-{b}": [rng.uniform(-1, 1) for _ in range(3)] for a, b in edges}}))
+    r = run_cli(["assemble", "--mesh", str(mesh), "--data", str(data)])
+    assert len(json.loads(r.stdout)["coeffs"]) == 4
 
 
 def test_search_prefix_stage_deterministic():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ps12splines.errors import DimensionMismatch, SingularSystem
-from ps12splines.linalg import identity, inverse, rank, solve
+from ps12splines.linalg import identity, inverse, pivot_columns, rank, solve
 
 
 def gauss_jordan(A, B):
@@ -82,6 +82,9 @@ def test_solve_and_rank_agree_with_gauss_jordan(system):
 def test_singular_input_raises(system):
     A, B = system
     assert rank(A) < len(A)
+    # the pivot columns are independent and keep the rank
+    cols = pivot_columns(A)
+    assert len(cols) == rank(A) == gauss_jordan([[a[c] for c in cols] for a in A], B)[0]
     with pytest.raises(SingularSystem):
         solve(A, B)
     with pytest.raises(SingularSystem):
