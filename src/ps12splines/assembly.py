@@ -3,10 +3,11 @@
 Splines on two triangles sharing an edge meet with C^r smoothness exactly
 when a block of linear relations ties the coefficients near the shared edge
 together.  The relations are derived symbolically here from the restriction
-tables of the basis (matching B-spline coefficients of cross-edge derivative
-restrictions order by order); the order-3 block is overdetermined and leaves
-one relation among the coefficients of a single triangle, so full C^3 across
-an edge constrains the patch on its own.
+tables of the basis, by one exact solve that matches the B-spline
+coefficients of the cross-edge derivative restrictions of all four orders;
+the order-3 block is overdetermined and leaves one relation among the
+coefficients of a single triangle, so full C^3 across an edge constrains the
+patch on its own.
 
 The module also carries the Hermite nodal basis dual to the 39 canonical
 functionals (the inverse of the basis-c collocation matrix), global
@@ -111,83 +112,56 @@ def _smoothness_symbolic():
     {source index: TriPoly in (b1, b2, b3), homogeneous of the block order}
     with ctilde_i = sum_src poly(beta) * c_src, and constraint is the same
     kind of dict R with the order-3 compatibility condition R(c, beta) = 0.
+
+    Equation (k, j) matches the j-th B-spline coefficient of the order-k
+    cross-edge restriction on the two sides: the unknowns ctilde on the left,
+    this patch's coefficients on the right as polynomials in b, one column
+    per (source index, monomial).  One ``solve`` of the block
+    lower-triangular system gives all 25 relations.  Of the 5 order-3
+    equations, each unknown keeps the one where its coefficient is largest
+    in absolute value (leaving out j = 3, the B-spline centred on the
+    midpoint knot); the left-out equation with the solution substituted is
+    the constraint, and the order-3 relations are unique only modulo it.
     """
     tables = edge_restriction_tables()
     weights = catalog("c").weights
     b2, b3 = TriPoly.variable(1), TriPoly.variable(2)
     alpha_here = (-(b2 + b3), b2, b3)      # direction toward the far vertex
     alpha_there = (Fraction(-1), Fraction(0), Fraction(1))
-    relations = [None] * N_BLOCKS[3]
-    constraint = None
-    for k in range(4):
-        lo = 0 if k == 0 else N_BLOCKS[k - 1]
-        hi = N_BLOCKS[k]
-        unknowns = list(range(lo, hi))
-        rows = []
+    orders, kept, left = [], [], []
+    for k, hi in enumerate(N_BLOCKS):
+        block = []
         for j in range(1, 9 - k):
-            acoef = {u: Fraction(0) for u in unknowns}
-            rhs = {}
+            lhs, rhs = [0] * N_BLOCKS[3], {}
             for i in range(hi):
                 poly = tables[i][k].get(j)
-                if not poly:
-                    continue
-                here = poly.evaluate(*alpha_here)
-                if here:
-                    cur = rhs.get(i, TriPoly.zero())
-                    rhs[i] = cur + weights[i] * here
-                there = poly.evaluate(*alpha_there)
-                if there == 0:
-                    continue
-                if i in acoef:
-                    acoef[i] += weights[i] * there
-                else:
-                    for src, expr in relations[i].items():
-                        cur = rhs.get(src, TriPoly.zero())
-                        rhs[src] = cur - weights[i] * there * expr
-            rows.append((acoef, rhs))
-        # Gauss-Jordan over the block unknowns; leftover rows are constraints.
-        # Each unknown pivots on the equation where it carries the largest
-        # coefficient (its dominant B-spline index); for the square blocks the
-        # result is pivot-independent, and in the overdetermined order-3
-        # block this pins the conventional representatives (relations are
-        # unique there only modulo the compatibility constraint).
-        pivots = {}
-        rows_left = rows
-        for u in unknowns:
-            piv = max((r for r in rows_left if r[0][u] != 0),
-                      key=lambda r: abs(r[0][u]), default=None)
-            if piv is None:
-                raise AssertionError(f"no pivot for coefficient {u} at order {k}")
-            rows_left = [r for r in rows_left if r is not piv]
-            inv = Fraction(1) / piv[0][u]
-            piv = ({v: inv * c for v, c in piv[0].items()},
-                   {src: inv * p for src, p in piv[1].items()})
-            for acoef, rhs in list(pivots.values()) + rows_left:
-                f = acoef.get(u, Fraction(0))
-                if f == 0:
-                    continue
-                for v, c in piv[0].items():
-                    acoef[v] = acoef.get(v, Fraction(0)) - f * c
-                for src, p in piv[1].items():
-                    cur = rhs.get(src, TriPoly.zero())
-                    rhs[src] = cur - f * p
-            pivots[u] = piv
-        for u in unknowns:
-            acoef, rhs = pivots[u]
-            if any(c != 0 for v, c in acoef.items() if v != u) or acoef[u] != 1:
-                raise AssertionError("elimination left a mixed pivot row")
-            relations[u] = {src: _homogenize(p, k) for src, p in rhs.items() if p}
-        for acoef, rhs in rows_left:
-            if any(acoef.values()):
-                raise AssertionError("unresolved unknown in a leftover row")
-            cons = {src: _homogenize(p, k) for src, p in rhs.items() if p}
-            if cons:
-                if constraint is not None:
-                    raise AssertionError("more than one compatibility constraint")
-                constraint = cons
-    if constraint is None:
+                if poly:
+                    lhs[i] = weights[i] * poly.evaluate(*alpha_there)
+                    for exp, c in poly.evaluate(*alpha_here).terms.items():
+                        rhs[i, exp] = weights[i] * c
+            block.append((lhs, rhs))
+        for u in range(len(orders), hi):
+            piv = max(block, key=lambda eq: abs(eq[0][u]))
+            block.remove(piv)
+            kept.append(piv)
+            orders.append(k)
+        left += block
+    cols = sorted({key for _, rhs in kept + left for key in rhs})
+    sol = solve([lhs for lhs, _ in kept], [[rhs.get(c, 0) for c in cols] for _, rhs in kept])
+
+    def by_source(row, k):
+        terms = {}
+        for (src, exp), v in zip(cols, row):
+            if v:
+                terms.setdefault(src, {})[exp] = v
+        return {src: _homogenize(TriPoly(t), k) for src, t in terms.items()}
+
+    (lhs, rhs), = left
+    constraint = by_source([rhs.get(c, 0) - sum(a * x[n] for a, x in zip(lhs, sol))
+                            for n, c in enumerate(cols)], 3)
+    if not constraint:
         raise AssertionError("the order-3 block produced no constraint")
-    return tuple(relations), constraint
+    return tuple(by_source(x, k) for x, k in zip(sol, orders)), constraint
 
 
 @dataclass(frozen=True)
@@ -269,9 +243,12 @@ class Triangulation:
     triangles: tuple
 
     def __post_init__(self):
+        n = len(self.vertices)
         for t, tri in enumerate(self.triangles):
-            if len(set(tri)) != 3:
-                raise NonConformingMesh(f"triangle {t} repeats a vertex")
+            if len(tri) != 3 or len(set(tri)) != 3:
+                raise NonConformingMesh(f"triangle {t} needs three distinct vertices")
+            if not all(0 <= i < n for i in tri):
+                raise NonConformingMesh(f"triangle {t} has a vertex index outside 0..{n - 1}")
             a, b, c = (self.vertices[i] for i in tri)
             if signed_area2(a, b, c) == 0:
                 raise DegenerateTriangle(f"triangle {t} is degenerate")
@@ -352,8 +329,11 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
     directional derivatives computed from the Bernstein forms on the two
     adjacent triangles (no numerical differentiation).  Exact data yields
     exact jumps (zero for a genuine join); float data gets a pass flag
-    against ``tol``, which defaults to 1e-10 in that layer.
+    against ``tol``, which defaults to 1e-10 in that layer.  Raises
+    DomainError for samples < 1 or order < 0, which would check nothing.
     """
+    if samples < 1 or order < 0:
+        raise DomainError("verify_smoothness needs samples >= 1 and order >= 0")
     edge = tuple(sorted(edge))
     adj = gs.tri.edge_adjacency().get(edge)
     if adj is None or len(adj) != 2:

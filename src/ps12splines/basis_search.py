@@ -44,7 +44,7 @@ from .geometry import (
     s3_apply_multiset,
     to_bary,
 )
-from .linalg import _integer_rows, bareiss, pivot_columns, solve
+from .linalg import _integer_rows, bareiss, pivot_columns, rank, solve
 from .polynomial import TriPoly
 from .simplex_spline import active_indices, hull_area, knot_label, knots
 
@@ -426,10 +426,14 @@ def compute_dual_polys(cand, weights=None, variant: str = "canonical") -> tuple:
 
 
 def domain_point(w_psi: TriPoly) -> tuple:
-    """Barycentric domain point of a dual product: grad at (1,1,1) / (5 w)."""
-    w = w_psi.evaluate(1, 1, 1)
-    g = w_psi.gradient_at_ones()
-    return tuple(x / (5 * w) for x in g)
+    """Barycentric domain point of a dual product: grad at (1,1,1) / (5 w).
+
+    At (1, 1, 1) the product is w = sum_e c_e and its r-th partial
+    derivative is sum_e e_r c_e, summed over the terms c_e c^e.
+    """
+    w = sum(w_psi.terms.values())
+    return tuple(sum(e[r] * c for e, c in w_psi.terms.items()) / (5 * w)
+                 for r in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -517,18 +521,9 @@ def _split_general(poly, forms, rem):
 def _quadratic_splits_real(fp, syms) -> bool:
     """A ternary quadratic is a product of two real linear forms iff its
     symmetric matrix is singular and its rank-2 part indefinite."""
-    import sympy
-
-    c1, c2, c3 = syms
-    a = [[None] * 3 for _ in range(3)]
-    mono = [c1, c2, c3]
-    for i in range(3):
-        for j in range(3):
-            coef = fp.coeff_monomial(mono[i] * mono[j]) if i != j else fp.coeff_monomial(mono[i] ** 2)
-            coef = sympy.Rational(coef)
-            a[i][j] = coef if i == j else coef / 2
-    det3 = sympy.Matrix(a).det()
-    if det3 != 0:
+    a = [[Fraction(str(fp.coeff_monomial(x * y))) / (1 if x == y else 2) for y in syms]
+         for x in syms]
+    if rank(a) == 3:
         return False
     e2 = sum(a[i][i] * a[j][j] - a[i][j] * a[j][i]
              for i in range(3) for j in range(i + 1, 3))

@@ -126,19 +126,6 @@ class TriPoly:
             total += c * x1**i * x2**j * x3**k
         return total
 
-    def partial(self, var: int) -> "TriPoly":
-        out = {}
-        for e, c in self.terms.items():
-            if e[var]:
-                ne = list(e)
-                ne[var] -= 1
-                out[tuple(ne)] = out.get(tuple(ne), Fraction(0)) + c * e[var]
-        return TriPoly(out)
-
-    def gradient_at_ones(self) -> tuple:
-        """(d/dx1, d/dx2, d/dx3) evaluated at (1, 1, 1)."""
-        return tuple(self.partial(v).evaluate(1, 1, 1) for v in range(3))
-
     # -- division ------------------------------------------------------
 
     def divide_by_linear(self, coeffs):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import rational_points
 from ps12splines.assembly import (
@@ -320,7 +322,8 @@ def test_propagate_c0_symmetry():
     assert back == coeffs[:8]
 
 
-def test_propagate_polynomial_and_flag(ref):
+def _poly_values(frame):
+    """Values of a fixed quintic at the basis-c domain points of a frame."""
     import sympy as sp
     x, y = sp.symbols("x y")
     poly = x ** 5 - 3 * x ** 2 * y ** 3 + sp.Rational(1, 4) * y ** 2 + 2 * x - 1
@@ -330,20 +333,33 @@ def test_propagate_polynomial_and_flag(ref):
                                    y: sp.Rational(p.y.numerator, p.y.denominator)}))
         return F(r.p, r.q)
 
-    spec = catalog("c")
+    return [val(from_bary(frame, el.domain_point)) for el in catalog("c").elements]
+
+
+@settings(max_examples=25, deadline=None)
+@given(x=st.fractions(-2, 3, max_denominator=12),
+       y=st.fractions(-2, 0, max_denominator=12).filter(lambda v: v < 0))
+@example(x=F(3, 7), y=F(-5, 6))
+def test_propagate_polynomial_and_flag(x, y):
+    """Any far vertex strictly below the edge [v1, v2] (b3 < 0): propagate
+    maps a quintic's basis-c coefficients on T to those on the neighbour."""
     T = reference_frame()
-    vt3 = Point2(F(3, 7), F(-5, 6))
+    vt3 = Point2(x, y)
     Tt = make_frame(T.v[0], T.v[1], vt3)
-    sT = lagrange_interpolate("c", T, [val(from_bary(T, el.domain_point)) for el in spec.elements])
-    sTt = lagrange_interpolate("c", Tt, [val(from_bary(Tt, el.domain_point)) for el in spec.elements])
+    sT = lagrange_interpolate("c", T, _poly_values(T))
+    sTt = lagrange_interpolate("c", Tt, _poly_values(Tt))
     beta = to_bary(T, vt3)
+    assert beta[2] < 0
     ctil, feasible = propagate(sT.coeffs, beta, order=3)
     assert feasible
     assert tuple(ctil) == sTt.coeffs[:25]
     # constant data propagates to constant data
     cons, feasible = propagate([F(4)] * 39, beta, order=3)
     assert feasible and all(v == 4 for v in cons)
-    # generic data is infeasible
+
+
+def test_propagate_generic_data_infeasible():
+    beta = to_bary(reference_frame(), Point2(F(3, 7), F(-5, 6)))
     rng = random.Random(52)
     cr = [F(rng.randint(-9, 9), 3) for _ in range(39)]
     _, feas = propagate(cr, beta, order=3)
@@ -384,6 +400,18 @@ def test_verify_smoothness_join_and_perturbation():
     assert rep2["jumps"][1] > F(1, 10)
 
 
+def test_verify_smoothness_rejects_vacuous_checks():
+    """samples=0 would compare nothing and report a jump of 1 as zero."""
+    verts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(-1))]
+    tri = triangulation(verts, [(0, 1, 2), (0, 1, 3)])
+    from ps12splines.assembly import GlobalSpline
+    gs = GlobalSpline(tri, ((F(0),) * 39, (F(1),) * 39))
+    assert verify_smoothness(gs, (0, 1), 0, samples=1)["jumps"][0] == 1
+    for samples, order in ((0, 0), (-1, 1), (3, -1)):
+        with pytest.raises(DomainError):
+            verify_smoothness(gs, (0, 1), order, samples=samples)
+
+
 def test_nodal_duality_and_geometry_independence(ref):
     rows = nodal_q_coefficients()
     spec = catalog("c")
@@ -422,8 +450,10 @@ def test_nodal_v1_value_row_frozen():
 
 
 def test_triangulation_validation():
-    with pytest.raises(NonConformingMesh):
-        triangulation([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))], [(0, 1, 1)])
+    verts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
+    for bad in ((0, 1, 1), (0, 1, 2, 2), (0, 1, -1), (0, 1, 3)):
+        with pytest.raises(NonConformingMesh):
+            triangulation(verts, [bad])
     tri = triangulation([(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))],
                         [(0, 1, 2), (1, 3, 2)])
     assert tri.interior_edges() == ((1, 2),)

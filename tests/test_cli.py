@@ -199,6 +199,16 @@ def test_assemble_float_mesh(tmp_path):
     assert len(json.loads(r.stdout)["coeffs"]) == 4
 
 
+def test_assemble_vertex_index_out_of_range(tmp_path):
+    mesh = tmp_path / "mesh.json"
+    data = tmp_path / "data.json"
+    mesh.write_text(json.dumps({"vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]],
+                                "triangles": [[0, 1, 5]]}))
+    data.write_text(json.dumps({"vertex_jets": {}, "edge_data": {}}))
+    r = run_cli(["assemble", "--mesh", str(mesh), "--data", str(data)], expect=1)
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+
 def test_search_prefix_stage_deterministic():
     r1 = run_cli(["search", "--stage", "candidates"])
     r2 = run_cli(["search", "--stage", "candidates"])
