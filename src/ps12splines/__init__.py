@@ -77,10 +77,12 @@ from .marsden_catalog import (
 from .spline_fn import (
     ControlMesh,
     Spline,
+    basis_values,
     collocation_at_domain_points,
     control_distance_bound_check,
     control_mesh,
     eval_spline,
+    face_forms,
     lagrange_interpolate,
 )
 from .assembly import (

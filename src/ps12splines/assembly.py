@@ -33,6 +33,7 @@ from .linalg import inverse, solve
 from .marsden_catalog import catalog
 from .polynomial import TriPoly
 from .simplex_spline import _derivative_terms, restrict_to_edge
+from .spline_fn import Spline, face_forms
 
 #: Number of basis elements with nonzero derivative restrictions of orders
 #: 0..3 on the edge [v1, v2] (in the canonical element order).
@@ -292,23 +293,7 @@ class GlobalSpline:
             raise DimensionMismatch("one coefficient vector per triangle required")
 
     def spline(self, t: int):
-        from .spline_fn import Spline
         return Spline(self.tri.frame(t), self.basis, tuple(self.coeffs[t]))
-
-
-@lru_cache(maxsize=64)
-def _global_face_forms(gs: GlobalSpline, t: int):
-    from .marsden_catalog import spec_face_forms
-    exact = all(isinstance(c, Fraction) for c in gs.coeffs[t]) and \
-        all(isinstance(v.x, Fraction) for v in gs.tri.vertices)
-    frame = gs.tri.frame(t)
-    if exact:
-        return spec_face_forms(catalog("c"), gs.coeffs[t], frame)
-    from .spline_fn import _scaled_basis_arrays
-    import numpy as np
-    arr = _scaled_basis_arrays("c") @ np.array([float(c) for c in gs.coeffs[t]])
-    from .simplex_spline import FaceForms
-    return FaceForms(frame, 5, tuple(tuple(row) for row in arr))
 
 
 def _edge_param_bary(tri_vertices: tuple, edge: tuple, t):
@@ -345,7 +330,7 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
     if tol is None and not exact:
         tol = 1e-10
     u = Point2(-(vb.y - va.y), vb.x - va.x)
-    ffa, ffb = _global_face_forms(gs, ta), _global_face_forms(gs, tb)
+    ffa, ffb = face_forms(gs.spline(ta)), face_forms(gs.spline(tb))
     jumps = {k: Fraction(0) if exact else 0.0 for k in range(order + 1)}
     for n in range(1, samples + 1):
         t = Fraction(n, samples + 1) if exact else n / (samples + 1)
@@ -388,7 +373,6 @@ class NodalBasis:
 
 def nodal_basis(frame: PS12Frame) -> NodalBasis:
     """Nodal basis functions as basis-c splines on a frame."""
-    from .spline_fn import Spline
     spec = catalog("c")
     rows = nodal_q_coefficients()
     splines = tuple(

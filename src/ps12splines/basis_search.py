@@ -18,13 +18,13 @@ Everything is exact, and every elimination is fraction-free (``linalg``).
 A candidate is a union of S3 orbits, so its 39x39 collocation matrix
 commutes with the symmetry and splits into isotypic blocks (Fassler-Stiefel):
 over the 99 splines the trivial, sign and standard blocks have dimensions 8,
-5 and 13, and 8 + 5 + 2*13 = 39.  The block tables are built once per
-functional variant, after an exact check that the lambda rows transform
-linearly under S3.  A candidate has full rank iff it gives exactly 8, 5 and
-13 block rows and the three square blocks are nonsingular; its weights are
-constant on classes, because 1 is invariant, and solve the 8x8 trivial
-block.  The dual polynomials, and the weights of any input that is not a
-union of classes, solve the 39x39 system of the cached integer lambda rows.
+5 and 13, and 8 + 5 + 2*13 = 39.  The block tables are built once, after
+an exact check that the lambda rows transform linearly under S3.  A
+candidate has full rank iff it gives exactly 8, 5 and 13 block rows and the
+three square blocks are nonsingular; its weights are constant on classes,
+because S3 fixes the constant 1, and solve the 8x8 trivial block.  The
+dual polynomials, and the weights of any input that is not a union of
+classes, solve the 39x39 system of the cached integer lambda rows.
 """
 
 from __future__ import annotations
@@ -192,25 +192,25 @@ def enumerate_candidates() -> tuple:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _int_lambda_row(K: tuple, variant: str) -> tuple:
+def _int_lambda_row(K: tuple) -> tuple:
     """lambda row of Q[K] scaled to integers, plus the scale factor."""
-    (row,), (den,) = _integer_rows([lambda_vector(K, variant)])
+    (row,), (den,) = _integer_rows([lambda_vector(K)])
     return tuple(row), den
 
 
-@lru_cache(maxsize=None)
-def _lambda_one_vector(variant: str) -> tuple:
+@lru_cache(maxsize=1)
+def _lambda_one_vector() -> tuple:
     """Functional values of the constant 1, one single-column row each."""
-    return tuple((int(lam.order == 0),) for lam in build_lambda(reference_frame(), variant))
+    return tuple((int(lam.order == 0),) for lam in build_lambda(reference_frame()))
 
 
-def _solve_collocation(multisets, rhs, variant: str) -> list:
+def _solve_collocation(multisets, rhs) -> list:
     """Solve sum_i x_i lambda_j(Q_i) = rhs_j for the rows x_i.
 
     The system is assembled from the integer lambda rows: column i holds
     den_i * lambda(Q_i), so solution row i is scaled back by den_i.
     """
-    scaled = [_int_lambda_row(K, variant) for K in multisets]
+    scaled = [_int_lambda_row(K) for K in multisets]
     A = [list(col) for col in zip(*(row for row, _ in scaled))]
     sol = solve(A, rhs)
     return [[x * den for x in xi] for xi, (_, den) in zip(sol, scaled)]
@@ -252,7 +252,7 @@ def _check_linear_action(lam: dict, basis: tuple, one: list) -> None:
     SymmetryViolated if not.
 
     This is the premise of the block decomposition: the lambda rows
-    transform linearly under S3 and the constant 1 is invariant.  One exact
+    transform linearly under S3 and S3 fixes the constant 1.  One exact
     solve gives all coordinates.
     """
     others = [K for K in lam if K not in basis]
@@ -279,12 +279,12 @@ def _check_linear_action(lam: dict, basis: tuple, one: list) -> None:
                                    f"permute under {sigma}")
 
 
-@lru_cache(maxsize=None)
-def _isotypic_blocks(variant: str) -> _IsotypicBlocks:
-    """The block tables of one functional variant, built on first use."""
+@lru_cache(maxsize=1)
+def _isotypic_blocks() -> _IsotypicBlocks:
+    """The block tables, built on first use."""
     classes = enumerate_admissible()
-    lam = {K: lambda_vector(K, variant) for cls in classes for K in cls.members}
-    one = [o for (o,) in _lambda_one_vector(variant)]
+    lam = {K: lambda_vector(K) for cls in classes for K in cls.members}
+    one = [o for (o,) in _lambda_one_vector()]
     basis = tuple(K for cls in classes if cls.label in BASIS_CLASS_CONTENT["c"]
                   for K in cls.members)
     _check_linear_action(lam, basis, one)
@@ -333,10 +333,10 @@ def _orbit_labels(multisets) -> tuple:
     return tuple(labels) if sum(sizes[lab] for lab in labels) == 39 else None
 
 
-def _blocks_full_rank(labels, variant: str) -> bool:
+def _blocks_full_rank(labels) -> bool:
     """Whether the classes' 39 lambda rows are independent: each isotypic
     block must have exactly its dimension in rows and be nonsingular."""
-    tables = _isotypic_blocks(variant)
+    tables = _isotypic_blocks()
     blocks = [[list(r) for lab in labels for r in tables.rows[lab][k]] for k in range(3)]
     if tuple(len(b) for b in blocks) != tables.dims:
         return False
@@ -349,33 +349,31 @@ def candidate_has_full_rank(cand: CandidateBasis) -> bool:
     labels = _orbit_labels(cand.multisets)
     if labels is None:
         raise DomainError("a candidate must consist of whole S3 classes of 39 splines")
-    return _blocks_full_rank(labels, "canonical")
+    return _blocks_full_rank(labels)
 
 
 def _multisets(cand) -> tuple:
     return cand.multisets if isinstance(cand, CandidateBasis) else tuple(knots(K) for K in cand)
 
 
-def compute_weights(cand, variant: str = "canonical") -> tuple:
+def compute_weights(cand) -> tuple:
     """Unique weights with sum_i w_i Q_i = 1, in the candidate's order.
 
     Accepts a CandidateBasis or a plain sequence of multisets.  Raises
-    SingularSystem when the candidate is not a basis.  The result does not
-    depend on the functional direction choices; variant='alternate' exists
-    so tests can confirm that.
+    SingularSystem when the candidate is not a basis.
 
-    The constant 1 is S3-invariant and the weights are unique, so on a
+    S3 fixes the constant 1 and the weights are unique, so on a
     candidate made of whole classes they are constant on each class: one
     weight per class solves the trivial-block system.
     """
     multisets = _multisets(cand)
     labels = _orbit_labels(multisets)
     if labels is None:
-        sol = _solve_collocation(multisets, _lambda_one_vector(variant), variant)
+        sol = _solve_collocation(multisets, _lambda_one_vector())
         return tuple(x[0] for x in sol)
-    if not _blocks_full_rank(labels, variant):
+    if not _blocks_full_rank(labels):
         raise SingularSystem("an S3 isotypic block of the candidate is singular")
-    tables = _isotypic_blocks(variant)
+    tables = _isotypic_blocks()
     sol = solve([list(col) for col in zip(*(tables.rows[lab][0][0] for lab in labels))],
                 tables.one)
     by_class = {lab: x * tables.trivial_scales[lab] for lab, (x,) in zip(labels, sol)}
@@ -389,13 +387,13 @@ QUINTIC_MONOMIALS = tuple((i, j, 5 - i - j) for i in range(5, -1, -1)
                           for j in range(5 - i, -1, -1))
 
 
-@lru_cache(maxsize=None)
-def _marsden_rhs(variant: str) -> tuple:
+@lru_cache(maxsize=1)
+def _marsden_rhs() -> tuple:
     """Functional values of (b1 c1 + b2 c2 + b3 c3)^5 as polynomials in c,
     one row of QUINTIC_MONOMIALS coefficients per functional."""
     frame = reference_frame()
     out = []
-    for lam in build_lambda(frame, variant):
+    for lam in build_lambda(frame):
         beta = to_bary(frame, lam.point)
         base = TriPoly.linear(beta)
         poly = TriPoly.const(1)
@@ -410,13 +408,13 @@ def _marsden_rhs(variant: str) -> tuple:
     return tuple(out)
 
 
-def compute_dual_polys(cand, weights=None, variant: str = "canonical") -> tuple:
+def compute_dual_polys(cand, weights=None) -> tuple:
     """The products w_i * Psi_i as exact homogeneous quintics in (c1, c2, c3).
 
     Solves the collocation system with the quintic power functional values on
     the right-hand side; setting c1 = c2 = c3 = 1 in entry i recovers w_i.
     """
-    sol = _solve_collocation(_multisets(cand), _marsden_rhs(variant), variant)
+    sol = _solve_collocation(_multisets(cand), _marsden_rhs())
     out = tuple(TriPoly(zip(QUINTIC_MONOMIALS, xi)) for xi in sol)
     if weights is not None:
         for w, poly in zip(weights, out):

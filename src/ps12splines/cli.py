@@ -146,14 +146,23 @@ def frame_normal(gs, t, edge):
 
 
 def _normal_form_coeffs(gs, t, edge):
-    """Coefficient vector of triangle t re-expressed on the normal-form frame."""
+    """Coefficient vector of triangle t re-expressed on the normal-form frame.
+
+    A basis is a union of S3 orbits with weights constant on each orbit, so
+    relabelling the corners by sigma sends S[K] to S[sigma(K)]: the
+    coefficients are only permuted.
+    """
+    from .geometry import s3_apply_multiset
     from .marsden_catalog import catalog
-    from .spline_fn import eval_spline, lagrange_interpolate
-    frame = frame_normal(gs, t, edge)
-    s = gs.spline(t)
+    a, b = edge
+    stored = gs.tri.triangles[t]
+    opp = next(i for i in stored if i not in edge)
+    sigma = tuple((a, b, opp).index(v) + 1 for v in stored)
     spec = catalog(gs.basis)
-    vals = [eval_spline(s, from_bary(frame, el.domain_point)) for el in spec.elements]
-    return lagrange_interpolate(gs.basis, frame, vals).coeffs
+    out = [None] * len(spec.elements)
+    for el, c in zip(spec.elements, gs.coeffs[t]):
+        out[spec.index_of(s3_apply_multiset(sigma, el.multiset))] = c
+    return tuple(out)
 
 
 def cmd_nodal(args) -> int:

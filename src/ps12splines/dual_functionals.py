@@ -10,9 +10,10 @@ quarterpoint).
 
 Direction choices are not canonical in the mathematics (any independent pair
 per corner, any non-tangent vector per edge); weights and dual polynomials do
-not depend on them.  The canonical choice takes x_v, y_v toward the other two
-corners and u_e from the edge midpoint toward the opposite corner; an
-"alternate" variant exists so invariance can be checked.
+not depend on them, since both are fixed by per-face identities alone (the
+partition of unity and the Marsden identity).  The choice made here takes
+x_v, y_v toward the other two corners and u_e from the edge midpoint toward
+the opposite corner.
 """
 
 from __future__ import annotations
@@ -52,15 +53,8 @@ def _vec(a: Point2, b: Point2) -> Point2:
     return Point2(a.x - b.x, a.y - b.y)
 
 
-def build_lambda(frame: PS12Frame, variant: str = "canonical") -> list:
-    """The 39 functionals on a frame, in canonical order.
-
-    variant='alternate' picks a different (still admissible) set of
-    derivative directions; results that are direction-independent must agree
-    between the two.
-    """
-    if variant not in ("canonical", "alternate"):
-        raise ValueError(f"unknown variant {variant!r}")
+def build_lambda(frame: PS12Frame) -> list:
+    """The 39 functionals on a frame, in canonical order."""
     v = frame.v
     out = []
     for corner in (1, 2, 3):
@@ -68,8 +62,6 @@ def build_lambda(frame: PS12Frame, variant: str = "canonical") -> list:
         prv = (corner + 1) % 3 + 1
         x = _vec(v[nxt - 1], v[corner - 1])
         y = _vec(v[prv - 1], v[corner - 1])
-        if variant == "alternate":
-            x, y = Point2(x.x + y.x, x.y + y.y), Point2(2 * y.x - x.x, 2 * y.y - x.y)
         for (i, j) in JET_ORDERS:
             out.append(Functional(
                 kind="vertex-jet",
@@ -82,9 +74,6 @@ def build_lambda(frame: PS12Frame, variant: str = "canonical") -> list:
         q1 = Point2((3 * pa.x + pb.x) / 4, (3 * pa.y + pb.y) / 4)
         q2 = Point2((pa.x + 3 * pb.x) / 4, (pa.y + 3 * pb.y) / 4)
         u = _vec(po, mid)
-        if variant == "alternate":
-            t = _vec(pb, pa)
-            u = Point2(2 * u.x + t.x, 2 * u.y + t.y)
         out.append(Functional("edge-quarterpoint-2nd", q1, (u, u), ("e", name, "q1")))
         out.append(Functional("edge-midpoint-1st", mid, (u,), ("e", name, "m")))
         out.append(Functional("edge-quarterpoint-2nd", q2, (u, u), ("e", name, "q2")))
@@ -107,33 +96,25 @@ def apply(lam: Functional, f: FaceForms):
 # Collocation tables
 # ---------------------------------------------------------------------------
 
-def lambda_vector(K: tuple, variant: str = "canonical") -> tuple:
-    """The 39 canonical functional values of Q[K] (frame independent).
-
-    Cached per (K, variant) however the variant is spelled, so every caller
-    shares one row per spline.
-    """
-    return _lambda_vector(K, variant)
-
-
 @lru_cache(maxsize=None)
-def _lambda_vector(K: tuple, variant: str) -> tuple:
-    return _functional_values(_reference_rows(variant), K)
+def lambda_vector(K: tuple) -> tuple:
+    """The 39 canonical functional values of Q[K] (frame independent)."""
+    return _functional_values(_reference_rows(), K)
 
 
-def _functional_rows(frame: PS12Frame, variant: str) -> tuple:
+def _functional_rows(frame: PS12Frame) -> tuple:
     """(face, Bernstein row) of each functional on a frame, in canonical
     order: its value on a quintic is the row's dot product with the quintic's
     table on that face."""
     corners = frame.v[:3]
     return tuple(functional_row(to_bary(frame, lam.point),
                                 [direction_coords(corners, u) for u in lam.directions])
-                 for lam in build_lambda(frame, variant))
+                 for lam in build_lambda(frame))
 
 
-@lru_cache(maxsize=None)
-def _reference_rows(variant: str) -> tuple:
-    return _functional_rows(reference_frame(), variant)
+@lru_cache(maxsize=1)
+def _reference_rows() -> tuple:
+    return _functional_rows(reference_frame())
 
 
 def _functional_values(rows, K: tuple) -> tuple:
@@ -160,7 +141,7 @@ def collocation(frame: PS12Frame, candidates) -> CollocationMatrix:
     if frame.v == reference_frame().v:
         rows = [list(lambda_vector(knots(K))) for K in candidates]
     else:
-        lam_rows = _functional_rows(frame, "canonical")
+        lam_rows = _functional_rows(frame)
         rows = [list(_functional_values(lam_rows, K)) for K in candidates]
     return CollocationMatrix(tuple(tuple(r) for r in rows), matrix_rank(rows))
 

@@ -34,7 +34,7 @@ from .geometry import (
     to_bary,
 )
 from .polynomial import TriPoly
-from .simplex_spline import eval_simplex, knots, locate_row, per_face_bernstein, spline_face_forms
+from .simplex_spline import eval_simplex, knots
 
 BASIS_IDS = ("a", "b", "c", "d", "e", "f")
 
@@ -256,24 +256,3 @@ def quasi_interpolant_bound() -> Fraction:
     from math import comb
     return sum(abs(_QI_COEF[k - 1]) * comb(5, k) for k in range(1, 6))
 
-
-def spec_face_forms(spec: BasisSpec, coeffs, frame: PS12Frame = None):
-    """FaceForms of sum_i coeffs[i] w_i Q_i (exact)."""
-    frame = frame or reference_frame()
-    combo = [(Fraction(c) * el.weight, el.multiset) for c, el in zip(coeffs, spec.elements)]
-    return spline_face_forms(frame, combo)
-
-
-def all_values_at(spec: BasisSpec, beta) -> tuple:
-    """Exact values (Q_1(x), ..., Q_39(x)) at macro-barycentric beta.
-
-    Shares the Bernstein row across elements, so bulk identity checks stay
-    cheap.  Raises OutsideDomain outside the macrotriangle.
-    """
-    fi, row = locate_row(beta)
-    frame = reference_frame()
-    out = []
-    for el in spec.elements:
-        tab = per_face_bernstein(frame, el.multiset)[fi - 1]
-        out.append(sum(r * o for r, o in zip(row, tab) if o))
-    return tuple(out)

@@ -92,9 +92,12 @@ def triangulation_from_dict(obj):
     from .assembly import triangulation
     try:
         verts = [decode_point(v) for v in obj["vertices"]]
-        tris = [tuple(int(i) for i in t) for t in obj["triangles"]]
+        tris = [tuple(t) for t in obj["triangles"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed triangulation: {exc}") from exc
+    for t in tris:
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in t):
+            raise ParseError(f"triangle vertex indices must be integers: {list(t)!r}")
     return triangulation(verts, tris)
 
 

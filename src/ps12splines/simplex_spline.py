@@ -16,8 +16,8 @@ evaluation of those tables, derivatives included, goes through locate_row
 and functional_row.
 
 Everything is computed exactly over Fractions on the reference frame; general
-frames enter only through barycentric coordinates (the spline is an affine
-invariant of those).
+frames enter only through barycentric coordinates (affine maps carry the
+spline along with them).
 """
 
 from __future__ import annotations
@@ -489,53 +489,50 @@ def _degree_step(deg: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _bernstein_ref(K: KnotMultiset) -> tuple:
-    """12 x 21 exact Bernstein ordinates of Q[K] (reference frame).
+def _face_ordinates(m: KnotMultiset) -> tuple:
+    """12 per-face Bernstein ordinate tuples of Q[m], None where Q[m] is zero.
 
     Runs the defining recurrence Q[m] = sum_j b_j Q[m - e_j] face by face on
     Bernstein forms: on a face, b_j is the linear form sum_r l_r gamma_r in
     the face barycentrics gamma, with l_r its value at face corner r, and
     multiplying degree-(d-1) ordinates c by it gives the degree-d ordinates
     sum_r l_r (beta_r / d) c[beta - e_r].  Triples and the degree-0 base
-    are those of the pointwise recursion in _eval_at_bary.
+    are those of the pointwise recursion in _eval_at_bary.  Cached per
+    multiset, so splines that share sub-multisets share their tables.
     """
-    memo = {}          # multiset -> per-face ordinates, None where zero
+    act = active_indices(m)
+    tri = _independent_triple(act) if len(act) >= 3 else None
+    if tri is None:
+        return (None,) * 12
+    if sum(m) == 3:
+        base = (Fraction(1, 2) / hull_area(act),)
+        return tuple(base if fi in support_faces(act) else None for fi in range(1, 13))
+    deg = sum(m) - 3
+    vb = _vertex_bary(tri)
+    children = [_face_ordinates(m[:i - 1] + (m[i - 1] - 1,) + m[i:]) for i in tri]
+    faces = []
+    for fi, corners in enumerate(FACES):
+        acc = None
+        for j, child in enumerate(children):
+            if child[fi] is None:
+                continue
+            if acc is None:
+                acc = [Fraction(0)] * ((deg + 1) * (deg + 2) // 2)
+            lform = tuple(vb[v - 1][j] for v in corners)
+            for c, step in zip(child[fi], _degree_step(deg)):
+                if c:
+                    for l, (i, f) in zip(lform, step):
+                        if l:
+                            acc[i] += l * f * c
+        faces.append(None if acc is None else tuple(acc))
+    return tuple(faces)
 
-    def rec(m):
-        if m in memo:
-            return memo[m]
-        act = active_indices(m)
-        tri = _independent_triple(act) if len(act) >= 3 else None
-        if tri is None:
-            faces = (None,) * 12
-        elif sum(m) == 3:
-            base = (Fraction(1, 2) / hull_area(act),)
-            faces = tuple(base if fi in support_faces(act) else None for fi in range(1, 13))
-        else:
-            deg = sum(m) - 3
-            vb = _vertex_bary(tri)
-            children = [rec(m[:i - 1] + (m[i - 1] - 1,) + m[i:]) for i in tri]
-            faces = []
-            for fi, corners in enumerate(FACES):
-                acc = None
-                for j, child in enumerate(children):
-                    if child[fi] is None:
-                        continue
-                    if acc is None:
-                        acc = [Fraction(0)] * ((deg + 1) * (deg + 2) // 2)
-                    lform = tuple(vb[v - 1][j] for v in corners)
-                    for c, step in zip(child[fi], _degree_step(deg)):
-                        if c:
-                            for l, (i, f) in zip(lform, step):
-                                if l:
-                                    acc[i] += l * f * c
-                faces.append(None if acc is None else tuple(acc))
-            faces = tuple(faces)
-        memo[m] = faces
-        return faces
 
+@lru_cache(maxsize=None)
+def _bernstein_ref(K: KnotMultiset) -> tuple:
+    """12 x 21 exact Bernstein ordinates of Q[K] (reference frame)."""
     zero = (Fraction(0),) * 21
-    return tuple(zero if f is None else f for f in rec(K))
+    return tuple(zero if f is None else f for f in _face_ordinates(K))
 
 
 def per_face_bernstein(frame: PS12Frame, K: KnotMultiset) -> tuple:
@@ -622,17 +619,3 @@ class FaceForms:
         fi, row = functional_row(beta, [direction_coords(corners, u) for u in directions],
                                  self.deg)
         return sum(o * r for o, r in zip(self.ords[fi - 1], row))
-
-
-def spline_face_forms(frame: PS12Frame, combo) -> FaceForms:
-    """FaceForms of an exact combination sum coef * Q[K] of quintics."""
-    acc = [[Fraction(0)] * 21 for _ in range(12)]
-    for coef, K in combo:
-        table = per_face_bernstein(frame, K)
-        for fi in range(12):
-            row = table[fi]
-            dst = acc[fi]
-            for s in range(21):
-                if row[s]:
-                    dst[s] += coef * row[s]
-    return FaceForms(frame, 5, tuple(tuple(r) for r in acc))

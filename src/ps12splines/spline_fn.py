@@ -1,9 +1,10 @@
 """Splines as coefficient vectors in one of the six bases.
 
 A spline is f = sum_i c_i S_i with S_i = w_i Q_i the scaled basis functions.
-Evaluation goes through cached per-face Bernstein tables; with Fraction
-coefficients and points everything is exact, otherwise a numpy fast path is
-used.  The domain-point collocation matrix has rows summing to one, and its
+Every value comes from the cached per-face tables of the S_i: basis_values
+multiplies them by a located Bernstein row, face_forms contracts them with
+the coefficients.  With Fraction coefficients and points everything is
+exact, otherwise a numpy fast path is used.  The domain-point collocation matrix has rows summing to one, and its
 exact inverse bounds the basis condition number in the max norm.
 """
 
@@ -27,7 +28,7 @@ from .geometry import (
 )
 from .linalg import inf_norm, inverse, mat_vec
 from .marsden_catalog import BASIS_IDS, catalog
-from .simplex_spline import locate_row, per_face_bernstein
+from .simplex_spline import FaceForms, locate_row, per_face_bernstein
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,34 @@ def _scaled_basis_arrays(basis_id: str) -> np.ndarray:
     return np.array(scaled_basis_tables(basis_id), dtype=float)  # (12, 21, 39)
 
 
+def _is_exact(values) -> bool:
+    # floats are turned away first: isinstance(float, Fraction) takes the
+    # slow ABC path, and float evaluation runs this twice per point
+    return not any(isinstance(v, float) for v in values) and \
+        all(isinstance(v, Fraction) for v in values)
+
+
+def basis_values(basis_id: str, beta):
+    """The 39 values S_i at macro-barycentrics beta: the located Bernstein
+    row times the scaled table of its face.
+
+    Exact (a tuple of Fractions) for Fraction beta; otherwise a float array,
+    with tiny negative roundoff in beta snapped onto the triangle.  Raises
+    OutsideDomain for points outside the closed macrotriangle.
+    """
+    if not _is_exact(beta):
+        fi, row = locate_row(_clamp_bary(tuple(float(b) for b in beta)))
+        return np.array(row) @ _scaled_basis_arrays(basis_id)[fi - 1]
+    fi, row = locate_row(beta)
+    vals = [Fraction(0)] * 39
+    for r, tj in zip(row, scaled_basis_tables(basis_id)[fi - 1]):
+        if r:
+            for i, t in enumerate(tj):
+                if t:
+                    vals[i] += r * t
+    return tuple(vals)
+
+
 def eval_spline(s: Spline, p) -> object:
     """Value of the spline at a point of its frame.
 
@@ -78,14 +107,10 @@ def eval_spline(s: Spline, p) -> object:
     outside the closed macrotriangle.
     """
     beta = to_bary(s.frame, Point2(*p))
-    exact = all(isinstance(b, Fraction) for b in beta) and \
-        all(isinstance(c, Fraction) for c in s.coeffs)
-    if not exact:
-        return _eval_float(_scaled_basis_arrays(s.basis), _float_coeffs(s), beta)
-    fi, row = locate_row(beta)
-    table = scaled_basis_tables(s.basis)[fi - 1]
-    return sum(r * sum(t * c for t, c in zip(tj, s.coeffs))
-               for r, tj in zip(row, table))
+    if _is_exact(beta) and _is_exact(s.coeffs):
+        return sum((v * c for v, c in zip(basis_values(s.basis, beta), s.coeffs) if v),
+                   Fraction(0))
+    return float(basis_values(s.basis, tuple(float(b) for b in beta)) @ _float_coeffs(s))
 
 
 def _clamp_bary(beta, tol=1e-9):
@@ -104,18 +129,27 @@ def _float_coeffs(s: Spline) -> np.ndarray:
     return np.array([float(c) for c in s.coeffs])
 
 
-def _eval_float(tables: np.ndarray, coeffs: np.ndarray, beta) -> float:
-    """Float value at macro-barycentrics beta from the (12, 21, 39) scaled
-    tables and the coefficient vector."""
-    fi, row = locate_row(_clamp_bary(tuple(float(b) for b in beta)))
-    return float(np.array(row) @ tables[fi - 1] @ coeffs)
-
-
 def eval_many(s: Spline, barys: np.ndarray) -> np.ndarray:
     """Float values at an array of barycentric points (n x 3), each equal to
     float eval_spline at the same barycentrics."""
-    tables, coeffs = _scaled_basis_arrays(s.basis), _float_coeffs(s)
-    return np.array([_eval_float(tables, coeffs, b) for b in barys], dtype=float)
+    coeffs = _float_coeffs(s)
+    return np.array([basis_values(s.basis, b) @ coeffs for b in barys], dtype=float)
+
+
+@lru_cache(maxsize=64)
+def face_forms(s: Spline) -> FaceForms:
+    """The spline as one quintic Bernstein form per face: the scaled tables
+    contracted with the coefficients.
+
+    Exact when the coefficients and the frame are; otherwise float ordinates.
+    """
+    if _is_exact(s.coeffs) and all(_is_exact(p) for p in s.frame.v[:3]):
+        ords = tuple(tuple(sum((t * c for t, c in zip(tj, s.coeffs) if t), Fraction(0))
+                           for tj in face)
+                     for face in scaled_basis_tables(s.basis))
+    else:
+        ords = tuple(tuple(row) for row in _scaled_basis_arrays(s.basis) @ _float_coeffs(s))
+    return FaceForms(s.frame, 5, ords)
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +164,7 @@ def collocation_at_domain_points(basis_id: str):
     Rows of M sum to one, so ||M||_inf = 1 and K is the condition number.
     """
     spec = catalog(basis_id)
-    tables = scaled_basis_tables(basis_id)
-    rows = []
-    for el in spec.elements:
-        fi, brow = locate_row(el.domain_point)
-        face = tables[fi - 1]
-        rows.append([sum(b * face[j][i] for j, b in enumerate(brow)) for i in range(39)])
+    rows = [basis_values(basis_id, el.domain_point) for el in spec.elements]
     minv = inverse(rows)
     return tuple(tuple(r) for r in rows), tuple(tuple(r) for r in minv), inf_norm(minv)
 

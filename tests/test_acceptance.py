@@ -24,16 +24,17 @@ from ps12splines.geometry import (
 )
 from ps12splines.marsden_catalog import (
     BASIS_IDS,
-    all_values_at,
     catalog,
     quasi_interpolant_coeffs,
 )
 from ps12splines.simplex_spline import eval_simplex, integral, knots, per_face_bernstein
 from ps12splines.spline_fn import (
     Spline,
+    basis_values,
     collocation_at_domain_points,
     eval_many,
     eval_spline,
+    face_forms,
     lagrange_interpolate,
 )
 
@@ -118,21 +119,21 @@ def test_criterion_6_marsden_identity_and_reproduction():
                 x, y = 1 - x, 1 - y
             beta = (1 - x - y, x, y)
             c = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
-            q = all_values_at(spec, beta)
+            s = basis_values(bid, beta)
             lhs = (beta[0] * c[0] + beta[1] * c[1] + beta[2] * c[2]) ** 5
             rhs = 0
             pou = 0
             ident = [0, 0, 0]
-            for el, qv in zip(spec.elements, q):
-                if qv == 0:
+            for el, sv in zip(spec.elements, s):
+                if sv == 0:
                     continue
-                psi = el.weight
+                psi = F(1)
                 for p in el.dual_points:
                     psi = psi * (p[0] * c[0] + p[1] * c[1] + p[2] * c[2])
-                rhs += qv * psi
-                pou += el.weight * qv
+                rhs += sv * psi
+                pou += sv
                 for t in range(3):
-                    ident[t] += el.domain_point[t] * el.weight * qv
+                    ident[t] += el.domain_point[t] * sv
             assert lhs == rhs
             assert pou == 1
             assert tuple(ident) == beta
@@ -158,8 +159,7 @@ def test_criterion_7_quasi_interpolation():
             L = quasi_interpolant_coeffs(spec, bern)
             for p in rational_points(2, seed=61):
                 beta = to_bary(ref, p)
-                qvals = all_values_at(spec, beta)
-                got = sum(l * el.weight * q for l, el, q in zip(L, spec.elements, qvals))
+                got = sum(l * s for l, s in zip(L, basis_values("c", beta)))
                 assert got == bern(p.x, p.y)
     # order-6 convergence on exp(x + y) under triangle scaling (float layer)
     errs = []
@@ -235,7 +235,6 @@ def test_criterion_9_nodal_and_hexagon():
     from ps12splines.assembly import hexagon_demo, nodal_q_coefficients, verify_smoothness
     from ps12splines.dual_functionals import apply, build_lambda, lambda_vector
     from ps12splines.linalg import inverse
-    from ps12splines.marsden_catalog import spec_face_forms
     spec = catalog("c")
     rows = nodal_q_coefficients()
     lam = [lambda_vector(el.multiset) for el in spec.elements]
@@ -249,7 +248,7 @@ def test_criterion_9_nodal_and_hexagon():
         lams = build_lambda(frame)
         A = []
         for el in spec.elements:
-            ff = spec_face_forms(spec, [F(1) if e is el else F(0) for e in spec.elements], frame)
+            ff = face_forms(Spline(frame, "c", tuple(F(e is el) for e in spec.elements)))
             A.append([apply(l, ff) / el.weight for l in lams])
         assert tuple(tuple(r) for r in inverse(A)) == rows
     hx = hexagon_demo()

@@ -24,10 +24,10 @@ from ps12splines.assembly import (
 from ps12splines.dual_functionals import apply, build_lambda, lambda_vector
 from ps12splines.errors import DimensionMismatch, DomainError, NonConformingMesh
 from ps12splines.geometry import Point2, from_bary, make_frame, reference_frame, to_bary
-from ps12splines.marsden_catalog import catalog, spec_face_forms
+from ps12splines.marsden_catalog import catalog
 from ps12splines.polynomial import TriPoly
 from ps12splines.simplex_spline import knots
-from ps12splines.spline_fn import Spline, eval_spline, lagrange_interpolate
+from ps12splines.spline_fn import Spline, eval_spline, face_forms, lagrange_interpolate
 
 a1, a2, a3 = (TriPoly.variable(i) for i in range(3))
 b1, b2, b3 = (TriPoly.variable(i) for i in range(3))
@@ -425,7 +425,7 @@ def test_nodal_duality_and_geometry_independence(ref):
     nb = nodal_basis(frame)
     lams = build_lambda(frame)
     for i in (0, 7, 31):
-        ff = spec_face_forms(spec, nb.splines[i].coeffs, frame)
+        ff = face_forms(nb.splines[i])
         for j in (0, 7, 13, 31, 38):
             assert apply(lams[j], ff) == (1 if i == j else 0)
 

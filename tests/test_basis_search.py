@@ -20,11 +20,17 @@ from ps12splines.basis_search import (
 )
 from ps12splines.dual_functionals import lambda_vector
 from ps12splines.errors import SingularSystem, SymmetryViolated
-from ps12splines.geometry import reference_frame
+from ps12splines.geometry import FACES, VERTEX_BARY, reference_frame
 from ps12splines.linalg import _integer_rows, bareiss
 from ps12splines.marsden_catalog import catalog
 from ps12splines.polynomial import TriPoly
-from ps12splines.simplex_spline import eval_simplex, hull_area, knots
+from ps12splines.simplex_spline import (
+    bernstein_exponents,
+    eval_simplex,
+    hull_area,
+    knots,
+    per_face_bernstein,
+)
 
 
 def test_twenty_classes_with_expected_sizes():
@@ -88,7 +94,7 @@ def test_weights_singular_for_symmetric_non_basis():
     the rank check of the other blocks tells that it is not a basis."""
     cand = next(c for c in enumerate_candidates() if c.labels == frozenset("abdefghm"))
     assert not _bareiss_full_rank(cand)
-    tables = basis_search._isotypic_blocks("canonical")
+    tables = basis_search._isotypic_blocks()
     trivial = [list(tables.rows[lab][0][0]) for lab in sorted(cand.labels)]
     assert bareiss(trivial)[1] != 0
     with pytest.raises(SingularSystem):
@@ -98,8 +104,8 @@ def test_weights_singular_for_symmetric_non_basis():
 def test_symmetry_premise_check_raises_on_corrupted_row(monkeypatch):
     bad = knots(CLASS_REPRESENTATIVES["d"])
 
-    def corrupted(K, variant="canonical"):
-        row = lambda_vector(K, variant)
+    def corrupted(K):
+        row = lambda_vector(K)
         return (row[0] + 1,) + row[1:] if K == bad else row
 
     basis_search._isotypic_blocks.cache_clear()
@@ -107,13 +113,13 @@ def test_symmetry_premise_check_raises_on_corrupted_row(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(basis_search, "lambda_vector", corrupted)
             with pytest.raises(SymmetryViolated, match="do not permute"):
-                basis_search._isotypic_blocks("canonical")
+                basis_search._isotypic_blocks()
         # the constant 1 must be invariant too: perturb one of its values
-        one = basis_search._lambda_one_vector("canonical")
+        one = basis_search._lambda_one_vector()
         monkeypatch.setattr(basis_search, "_lambda_one_vector",
-                            lambda variant: one[:12] + ((1,),) + one[13:])
+                            lambda: one[:12] + ((1,),) + one[13:])
         with pytest.raises(SymmetryViolated, match="constant 1 do not"):
-            basis_search._isotypic_blocks("canonical")
+            basis_search._isotypic_blocks()
     finally:
         basis_search._isotypic_blocks.cache_clear()
 
@@ -152,11 +158,31 @@ def test_dual_polys_reference_entries():
         assert poly.evaluate(1, 1, 1) == w
 
 
-def test_weights_and_duals_independent_of_direction_choice():
-    spec = catalog("c")
-    assert compute_weights(spec.multisets) == compute_weights(spec.multisets, variant="alternate")
-    assert compute_dual_polys(spec.multisets) == \
-        compute_dual_polys(spec.multisets, variant="alternate")
+def test_weights_and_duals_satisfy_per_face_identities():
+    """The solved weights and dual polynomials meet the two identities that
+    fix them, checked ordinate by ordinate on every face, with no functional
+    in sight: sum_i w_i Q_i = 1, and the Marsden identity (beta . c)^5 =
+    sum_i P_i(c) Q_i(beta).  On a face with corners of macro-barycentrics
+    p_0, p_1, p_2 the latter reads sum_i P_i(c) tab_i[alpha] =
+    prod_r (p_r . c)^alpha_r for every Bernstein exponent alpha."""
+    ref = reference_frame()
+    lin = [TriPoly.linear(b) for b in VERTEX_BARY]
+    for bid in "abcdef":
+        spec = catalog(bid)
+        weights = compute_weights(spec.multisets)
+        polys = compute_dual_polys(spec.multisets, weights=weights)
+        tabs = [per_face_bernstein(ref, K) for K in spec.multisets]
+        for fi, corners in enumerate(FACES):
+            for s, alpha in enumerate(bernstein_exponents(5)):
+                col = [(t[fi][s], i) for i, t in enumerate(tabs) if t[fi][s]]
+                assert sum(q * weights[i] for q, i in col) == 1, (bid, fi, alpha)
+                got = TriPoly.zero()
+                for q, i in col:
+                    got = got + polys[i] * q
+                want = TriPoly.const(1)
+                for v, a in zip(corners, alpha):
+                    want = want * lin[v - 1] ** a
+                assert got == want, (bid, fi, alpha)
 
 
 def test_domain_point_is_mean_of_dual_points():

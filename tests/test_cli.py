@@ -5,8 +5,11 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ps12splines.cli import main
+from ps12splines.geometry import Point2
 from ps12splines.serialize import (
     decode_number,
     dumps,
@@ -224,3 +227,67 @@ def test_search_report_serialization_deterministic(pipeline_report):
     assert t1 == t2
     data = json.loads(t1)
     assert [s["basis_id"] for s in data["survivors"]] == list("abcdef")
+
+
+#: sha256 of the exact CLI outputs: the ``ps12 search`` report and the
+#: derived tables.  A refactor must leave these bytes unchanged.
+PINNED_SHA256 = {
+    "search": "c69dd40e5c64631bcc7d84724ae66703c482b7cf81031162e0ae02071cb1d6f1",
+    "dual": "cc385ca4542dc9823f52b4abe8d30bbbfd46bf4d769b9258fe55c77cebdd9d63",
+    "restrict0": "3f1cea44fe35c174e559d886d2dcebd661d6ee7edbcce120be774ed6a47270ed",
+    "restrict1": "6a758040f8217fc29554ee5becac96e023e06ff36970714dda6ec26ed7611cdb",
+    "restrict2": "95e1ef595d9acf9e05857416421317f6ab57158786dc925ce0e89b3a3b5a1394",
+    "restrict3": "fb9728b583f850b97915ae2e3fa70d951cb6318914cc92f70bbdf41309ce3ead",
+}
+
+
+def test_exact_outputs_match_pinned_bytes(pipeline_report, tmp_path):
+    import hashlib
+    digests = {"search": hashlib.sha256(
+        dumps(search_report_to_dict(pipeline_report)).encode()).hexdigest()}
+    for name in ("dual", "restrict0", "restrict1", "restrict2", "restrict3"):
+        path = tmp_path / f"{name}.json"
+        assert main(["tables", name, "--out", str(path)]) == 0
+        digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == PINNED_SHA256
+
+
+@pytest.mark.parametrize("index", [2.7, True, "2"])
+def test_assemble_rejects_non_integer_vertex_index(tmp_path, index):
+    mesh = tmp_path / "mesh.json"
+    data = tmp_path / "data.json"
+    mesh.write_text(json.dumps({"vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]],
+                                "triangles": [[0, 1, index]]}))
+    data.write_text(json.dumps({"vertex_jets": {}, "edge_data": {}}))
+    r = run_cli(["assemble", "--mesh", str(mesh), "--data", str(data)], expect=2)
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+
+_small_rational = st.fractions(-4, 4, max_denominator=6)
+
+
+@settings(max_examples=8, deadline=None)
+@given(corners=st.tuples(*[st.tuples(_small_rational, _small_rational)] * 3),
+       basis=st.sampled_from("abcdef"), edge=st.integers(0, 2), seed=st.integers(0, 99))
+def test_normal_form_coeffs_permute_like_reinterpolation(corners, basis, edge, seed):
+    """Re-expressing a triangle's spline on the frame (a, b, opp) permutes its
+    coefficients; the reference evaluates the spline at the domain points of
+    the new frame and interpolates again.  All six stored corner orders."""
+    from itertools import permutations
+    from ps12splines.assembly import GlobalSpline, triangulation
+    from ps12splines.cli import _normal_form_coeffs, frame_normal
+    from ps12splines.geometry import from_bary, signed_area2
+    from ps12splines.marsden_catalog import catalog
+    from ps12splines.spline_fn import eval_spline, lagrange_interpolate
+    assume(signed_area2(*(Point2(*c) for c in corners)) != 0)
+    rng = random.Random(seed)
+    coeffs = tuple(F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(39))
+    a, b = [(0, 1), (1, 2), (0, 2)][edge]
+    spec = catalog(basis)
+    for order in permutations(range(3)):
+        gs = GlobalSpline(triangulation(corners, [order]), (coeffs,), basis)
+        frame = frame_normal(gs, 0, (a, b))
+        vals = [eval_spline(gs.spline(0), from_bary(frame, el.domain_point))
+                for el in spec.elements]
+        want = lagrange_interpolate(basis, frame, vals).coeffs
+        assert _normal_form_coeffs(gs, 0, (a, b)) == want, order

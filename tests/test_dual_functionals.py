@@ -14,8 +14,9 @@ from ps12splines.dual_functionals import (
 )
 from ps12splines.errors import DomainError
 from ps12splines.geometry import S3_ELEMENTS, s3_apply_multiset
-from ps12splines.marsden_catalog import catalog, spec_face_forms
+from ps12splines.marsden_catalog import catalog
 from ps12splines.simplex_spline import knots
+from ps12splines.spline_fn import Spline, face_forms
 
 # dimension table for degrees 0..9, smoothness -1..d
 DIM_TABLE = {
@@ -44,8 +45,7 @@ def test_build_lambda_counts_and_sites(ref):
 
 
 def test_apply_partition_of_unity_and_constants(ref):
-    spec = catalog("c")
-    one = spec_face_forms(spec, [F(1)] * 39)
+    one = face_forms(Spline(ref, "c", (F(1),) * 39))
     for lam in build_lambda(ref):
         expected = F(1) if lam.order == 0 else F(0)
         assert apply(lam, one) == expected
@@ -53,13 +53,12 @@ def test_apply_partition_of_unity_and_constants(ref):
 
 def test_apply_linearity(ref):
     rng = random.Random(12)
-    spec = catalog("c")
     ca = [F(rng.randint(-9, 9), 7) for _ in range(39)]
     cb = [F(rng.randint(-9, 9), 5) for _ in range(39)]
     a, b = F(3, 2), F(-2, 7)
-    fa = spec_face_forms(spec, ca)
-    fb = spec_face_forms(spec, cb)
-    fab = spec_face_forms(spec, [a * x + b * y for x, y in zip(ca, cb)])
+    fa = face_forms(Spline(ref, "c", tuple(ca)))
+    fb = face_forms(Spline(ref, "c", tuple(cb)))
+    fab = face_forms(Spline(ref, "c", tuple(a * x + b * y for x, y in zip(ca, cb))))
     for lam in build_lambda(ref)[::7]:
         assert apply(lam, fab) == a * apply(lam, fa) + b * apply(lam, fb)
 
@@ -135,13 +134,6 @@ def test_two_triangle_dimension_cross_check():
         rows.append(row)
     assert rank(rows) == 23
     assert 78 - rank(rows) == dim_global(4, 5)
-
-
-def test_lambda_vector_cached_once_per_variant():
-    K = knots("220211")
-    assert lambda_vector(K) is lambda_vector(K, "canonical")
-    assert lambda_vector(K) is lambda_vector(K, variant="canonical")
-    assert lambda_vector(K, "alternate") is not lambda_vector(K)
 
 
 def test_lambda_vector_examples():

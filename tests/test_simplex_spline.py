@@ -27,6 +27,7 @@ from ps12splines.geometry import (
 )
 from ps12splines.marsden_catalog import catalog
 from ps12splines.simplex_spline import (
+    FaceForms,
     _eval_at_bary,
     _independent_triple_high,
     bernstein_row,
@@ -40,7 +41,6 @@ from ps12splines.simplex_spline import (
     per_face_bernstein,
     restrict_to_edge,
     smoothness_order,
-    spline_face_forms,
 )
 
 
@@ -246,7 +246,7 @@ def test_per_face_bernstein_examples(ref):
     # oracle: recursive evaluation at interior points of every face
     rng = random.Random(10)
     for lab in ("220211", "141110"):
-        ff = spline_face_forms(ref, [(F(1), knots(lab))])
+        ff = FaceForms(ref, 5, per_face_bernstein(ref, knots(lab)))
         for p in rational_points(6, seed=11):
             assert ff.value_at_bary(to_bary(ref, p)) == eval_simplex(ref, knots(lab), p)
 
@@ -272,7 +272,7 @@ def test_per_face_tables_match_pointwise_recursion(k, fi, weights, order, direct
     # Cartesian u on the reference frame has directional coordinates d
     u = Point2(*direction)
     d = (-u.x - u.y, u.x, u.y)
-    ff = spline_face_forms(ref, [(F(1), K)])
+    ff = FaceForms(ref, 5, per_face_bernstein(ref, K))
     assert ff.value_at_bary(to_bary(ref, p), (u,) * order) == derivative(ref, K, d, order)(p)
 
 
@@ -282,18 +282,20 @@ def test_per_face_bernstein_rejects_non_quintic(ref):
 
 
 def test_face_forms_outside_raises(ref):
-    ff = spline_face_forms(ref, [(F(1), knots("600101"))])
+    ff = FaceForms(ref, 5, per_face_bernstein(ref, knots("600101")))
     with pytest.raises(OutsideDomain):
         ff.value_at_bary((F(-1, 10), F(1, 2), F(3, 5)))
 
 
 def test_partition_of_unity_ordinates(ref):
-    # reassembled sum w_i Q_i has every face ordinate equal to one
-    spec = catalog("c")
-    acc = [[F(0)] * 21 for _ in range(12)]
-    for el in spec.elements:
-        t = per_face_bernstein(ref, el.multiset)
-        for fi in range(12):
-            for s in range(21):
-                acc[fi][s] += el.weight * t[fi][s]
-    assert all(v == 1 for row in acc for v in row)
+    # reassembled sum w_i Q_i has every face ordinate equal to one, for the
+    # stored weights of every basis
+    for bid in "abcdef":
+        spec = catalog(bid)
+        acc = [[F(0)] * 21 for _ in range(12)]
+        for el in spec.elements:
+            t = per_face_bernstein(ref, el.multiset)
+            for fi in range(12):
+                for s in range(21):
+                    acc[fi][s] += el.weight * t[fi][s]
+        assert all(v == 1 for row in acc for v in row), bid
