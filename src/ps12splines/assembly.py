@@ -12,7 +12,9 @@ patch on its own.
 The module also carries the Hermite nodal basis dual to the 39 canonical
 functionals (the inverse of the basis-c collocation matrix), global
 interpolation of vertex jets plus edge cross derivatives on a triangulation,
-and an exact cross-edge smoothness checker.
+and a cross-edge smoothness checker.  Hermite interpolation reads each edge
+through fixed exact rows, one path for both layers: int and Fraction input
+gives Fractions (rational.is_exact), any other number double precision.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ from .errors import (
     DomainError,
     NonConformingMesh,
 )
+from .bspline1d import UnivariateBSplineRef, bspline_derivative
 from .dual_functionals import EDGE_SEQUENCE, JET_ORDERS, build_lambda, lambda_vector
 from .geometry import PS12Frame, Point2, make_frame, reference_frame, signed_area2
-from .linalg import inverse, solve
+from .linalg import inverse, mat_vec, solve
 from .marsden_catalog import catalog
 from .polynomial import TriPoly
+from .rational import is_exact
 from .simplex_spline import _derivative_terms, restrict_to_edge
 from .spline_fn import Spline, face_forms
 
@@ -186,7 +190,7 @@ def smoothness_system(order: int, beta) -> SmoothnessSystem:
     """
     if order not in (0, 1, 2, 3):
         raise DomainError("order must be 0..3")
-    if not any(isinstance(b, float) for b in beta) and sum(beta) != 1:
+    if is_exact(beta) and sum(beta) != 1:
         raise DomainError("beta must sum to 1")
     b1, b2 = Fraction(beta[0]), Fraction(beta[1])
     beta = (b1, b2, 1 - b1 - b2)
@@ -215,10 +219,9 @@ def propagate(coeffs, beta, order: int = 3):
     if len(coeffs) != 39:
         raise DimensionMismatch("need 39 coefficients")
     sysm = smoothness_system(order, beta)
-    out = []
-    for i, row in sysm.relations:
-        out.append(sum((v * coeffs[src] for src, v in row.items()),
-                       start=Fraction(0) if all(isinstance(c, Fraction) for c in coeffs) else 0.0))
+    zero = Fraction(0) if is_exact(coeffs) else 0.0
+    out = [sum((v * coeffs[src] for src, v in row.items()), start=zero)
+           for _, row in sysm.relations]
     feasible = True
     if order == 3:
         residual = sum(v * coeffs[src] for src, v in sysm.constraint)
@@ -324,13 +327,13 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
     if adj is None or len(adj) != 2:
         raise NonConformingMesh(f"edge {edge} is not an interior edge")
     ta, tb = adj
-    va, vb = (gs.tri.vertices[i] for i in edge)
-    exact = all(isinstance(v.x, Fraction) for v in (va, vb)) and \
-        all(isinstance(c, Fraction) for cs in gs.coeffs for c in cs)
+    sa, sb = gs.spline(ta), gs.spline(tb)
+    exact = sa.exact and sb.exact
     if tol is None and not exact:
         tol = 1e-10
+    va, vb = (gs.tri.vertices[i] for i in edge)
     u = Point2(-(vb.y - va.y), vb.x - va.x)
-    ffa, ffb = face_forms(gs.spline(ta)), face_forms(gs.spline(tb))
+    ffa, ffb = face_forms(sa), face_forms(sb)
     jumps = {k: Fraction(0) if exact else 0.0 for k in range(order + 1)}
     for n in range(1, samples + 1):
         t = Fraction(n, samples + 1) if exact else n / (samples + 1)
@@ -399,35 +402,31 @@ def _jet_directional(jet: dict, dirs) -> object:
     return cur[(0, 0)]
 
 
-def _edge_spline_coeffs(rows, rhs, exact: bool):
-    if exact:
-        return [r[0] for r in solve(rows, [[v] for v in rhs])]
-    import numpy as np
-    sol = np.linalg.solve(np.array(rows, dtype=float),
-                          np.array([float(v) for v in rhs]))
-    return list(sol)
+def _univariate_rows(degree: int, conditions) -> list:
+    """Rows of exact (t, derivative order) conditions on the consecutive
+    degree-d B-splines of an edge."""
+    return [[bspline_derivative(UnivariateBSplineRef(degree, j + 1), t, order)
+             for j in range(degree + 3)] for t, order in conditions]
 
 
-@lru_cache(maxsize=None)
-def _univariate_rows(degree: int, conditions: tuple) -> tuple:
-    """Rows of exact derivative / value conditions on the consecutive basis."""
-    from .bspline1d import UnivariateBSplineRef, bspline_derivative
+@lru_cache(maxsize=1)
+def _edge_rows() -> tuple:
+    """Exact rows taking an edge's data to the values its functionals read.
+
+    On an edge with parameter t, f is the tangential quintic spline, fixed
+    by its derivatives of orders 0..3 at t = 0 and 1, and g the quartic
+    spline of the cross derivative, fixed by its derivatives of orders 0..2
+    at t = 0 and 1 and by g(1/2).  The f rows map those 8 values to f''(1/4),
+    f'(1/2), f''(3/4); the g rows map the 7 values to g'(1/4), g'(3/4).
+    """
+    q, h, ends = Fraction(1, 4), Fraction(1, 2), (Fraction(0), Fraction(1))
+    f_read, f_fixed = ((q, 2), (h, 1), (3 * q, 2)), [(t, o) for t in ends for o in range(4)]
+    g_read, g_fixed = ((q, 1), (3 * q, 1)), [(t, o) for t in ends for o in range(3)] + [(h, 0)]
+    # a read row times the inverse of the fixing conditions
     return tuple(
-        tuple(bspline_derivative(UnivariateBSplineRef(degree, j + 1), t, order)
-              for j in range(degree + 3))
-        for (t, order) in conditions)
-
-
-def _univariate_collocation(degree: int, conditions, exact: bool):
-    rows = [list(r) for r in _univariate_rows(degree, tuple(conditions))]
-    if not exact:
-        rows = [[float(v) for v in row] for row in rows]
-    return rows
-
-
-def _edge_restriction_value(coeffs, degree: int, t, order: int, exact: bool):
-    (row,) = _univariate_rows(degree, ((Fraction(t), order),))
-    return sum(c * (v if exact else float(v)) for c, v in zip(coeffs, row))
+        tuple(mat_vec(list(zip(*inverse(_univariate_rows(d, fixed)))), row)
+              for row in _univariate_rows(d, read))
+        for d, read, fixed in ((5, f_read, f_fixed), (4, g_read, g_fixed)))
 
 
 def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpline:
@@ -439,7 +438,7 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
     the second derivative at (3 v_a + v_b)/4, the first derivative at the
     midpoint, and the second derivative at (v_a + 3 v_b)/4.  The result is
     continuous with two continuous derivatives across interior edges and
-    three at the vertices.
+    three at the vertices; it is exact when the vertices and data are.
     """
     vertex_jets = {k: tuple(v) for k, v in vertex_jets.items()}
     edge_data = {tuple(sorted(k)): tuple(v) for k, v in edge_data.items()}
@@ -450,17 +449,26 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
     if any(len(v) != 10 for v in vertex_jets.values()) or \
             any(len(v) != 3 for v in edge_data.values()):
         raise DimensionMismatch("jet length must be 10 and edge data length 3")
-    exact = all(isinstance(p.x, Fraction) for p in tri.vertices) and \
-        all(isinstance(v, Fraction) for js in vertex_jets.values() for v in js) and \
-        all(isinstance(v, Fraction) for vs in edge_data.values() for v in vs)
 
     jets = {i: {key: vertex_jets[i][n] for n, key in enumerate(JET_ORDERS)}
             for i in vertex_jets}
+    # per edge, over the global normal ug and tangent tg: the second normal,
+    # mixed and tangential derivatives at each quarterpoint, and the first
+    # normal and tangential derivatives at the midpoint
+    f_rows, g_rows = _edge_rows()
+    edge_values = {}
+    for (a, b), (d2q1, d1m, d2q2) in edge_data.items():
+        va, vb = tri.vertices[a], tri.vertices[b]
+        tg = Point2(vb.x - va.x, vb.y - va.y)
+        ug = Point2(-tg.y, tg.x)
+        f = [_jet_directional(jets[v], (tg,) * o) for v in (a, b) for o in range(4)]
+        g = [_jet_directional(jets[v], (ug,) + (tg,) * o) for v in (a, b) for o in range(3)]
+        f_q1, f_m, f_q2 = mat_vec(f_rows, f)
+        g_q1, g_q2 = mat_vec(g_rows, g + [d1m])
+        edge_values[a, b] = (tg, ug, (d2q1, g_q1, f_q1), (d1m, f_m), (d2q2, g_q2, f_q2))
+
     nodal = nodal_q_coefficients()
     spec = catalog("c")
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-
     coeff_vectors = []
     for t, tri_idx in enumerate(tri.triangles):
         lams = build_lambda(tri.frame(t))
@@ -471,21 +479,7 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
         for e, (_, a_loc, b_loc, _) in enumerate(EDGE_SEQUENCE):
             ga, gb = tri_idx[a_loc - 1], tri_idx[b_loc - 1]
             key = tuple(sorted((ga, gb)))
-            d2q1, d1m, d2q2 = edge_data[key]
-            va, vb = tri.vertices[key[0]], tri.vertices[key[1]]
-            tg = Point2(vb.x - va.x, vb.y - va.y)
-            ug = Point2(-tg.y, tg.x)
-            # tangential quintic on the edge from the endpoint jets
-            cond5 = [(Fraction(0), o) for o in range(4)] + [(Fraction(1), o) for o in range(4)]
-            rhs5 = [_jet_directional(jets[key[0]], (tg,) * o) for o in range(4)] + \
-                   [_jet_directional(jets[key[1]], (tg,) * o) for o in range(4)]
-            f_edge = _edge_spline_coeffs(_univariate_collocation(5, cond5, exact), rhs5, exact)
-            # cross-derivative quartic from jets plus the midpoint datum
-            cond4 = [(Fraction(0), o) for o in range(3)] + \
-                    [(Fraction(1), o) for o in range(3)] + [(Fraction(1, 2), 0)]
-            rhs4 = [_jet_directional(jets[key[0]], (ug,) + (tg,) * o) for o in range(3)] + \
-                   [_jet_directional(jets[key[1]], (ug,) + (tg,) * o) for o in range(3)] + [d1m]
-            g_edge = _edge_spline_coeffs(_univariate_collocation(4, cond4, exact), rhs4, exact)
+            tg, ug, q_first, (d1m, f_m), q_second = edge_values[key]
             # express the local direction (the midpoint functional's) over
             # (global normal, tangent)
             (ul,) = lams[31 + 3 * e].directions
@@ -493,17 +487,12 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
             s = (ul.x * tg.y - ul.y * tg.x) / det
             w = (ug.x * ul.y - ug.y * ul.x) / det
 
-            # second derivative at the quarterpoint near key[0] (near_first)
-            # or near key[1]; the local q1 is the one near ga
-            def quarterpoint(near_first):
-                sq, d2 = (quarter, d2q1) if near_first else (1 - quarter, d2q2)
-                return s * s * d2 \
-                    + 2 * s * w * _edge_restriction_value(g_edge, 4, sq, 1, exact) \
-                    + w * w * _edge_restriction_value(f_edge, 5, sq, 2, exact)
-            values += [quarterpoint(ga == key[0]),
-                       s * _edge_restriction_value(g_edge, 4, half, 0, exact)
-                       + w * _edge_restriction_value(f_edge, 5, half, 1, exact),
-                       quarterpoint(ga != key[0])]
+            def quarterpoint(d2, g1, f2):
+                return s * s * d2 + 2 * s * w * g1 + w * w * f2
+
+            # the local q1 is the quarterpoint near ga
+            near, far = (q_first, q_second) if ga == key[0] else (q_second, q_first)
+            values += [quarterpoint(*near), s * d1m + w * f_m, quarterpoint(*far)]
         coeffs = [0] * 39
         for fi, val in enumerate(values):
             if val == 0:

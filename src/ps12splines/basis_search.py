@@ -45,6 +45,7 @@ from .geometry import (
     to_bary,
 )
 from .linalg import _integer_rows, bareiss, pivot_columns, rank, solve
+from .marsden_catalog import CATALOG_ROWS
 from .polynomial import TriPoly
 from .simplex_spline import active_indices, hull_area, knot_label, knots
 
@@ -56,14 +57,11 @@ CLASS_REPRESENTATIVES = {
     "p": "411200", "q": "321200", "r": "131210", "s": "221210", "t": "121211",
 }
 
-#: Class content of the six surviving bases.
+#: Class content of the six surviving bases, read off the catalog rows,
+#: which are keyed by the class representatives.
 BASIS_CLASS_CONTENT = {
-    "a": frozenset("abeflnrs"),
-    "b": frozenset("abeflors"),
-    "c": frozenset("abefglrt"),
-    "d": frozenset("abelnqrs"),
-    "e": frozenset("abeloqrs"),
-    "f": frozenset("abeglqrt"),
+    bid: frozenset(label for label, rep in CLASS_REPRESENTATIVES.items() if rep in rows)
+    for bid, rows in CATALOG_ROWS.items()
 }
 
 @dataclass(frozen=True)
@@ -587,20 +585,13 @@ def _boundary_point_counts(points) -> tuple:
     return tuple(counts)
 
 
-def _identify_basis(labels: frozenset) -> str:
-    for bid, content in BASIS_CLASS_CONTENT.items():
-        if labels == content:
-            return bid
-    return ""
-
-
 def filter_pipeline(candidates=None, stage: str = "linear_factors") -> SearchReport:
     """Run the filters in order, recording the count after each stage.
 
     ``stage`` may name an earlier stage to stop at.
     """
     if stage not in PIPELINE_STAGES:
-        raise ValueError(f"unknown stage {stage!r}")
+        raise DomainError(f"unknown stage {stage!r}")
     last = PIPELINE_STAGES.index(stage)
     report = SearchReport(stage=stage)
     cands = list(enumerate_candidates() if candidates is None else candidates)
@@ -639,13 +630,14 @@ def filter_pipeline(candidates=None, stage: str = "linear_factors") -> SearchRep
     if last < 6:
         return report
 
+    basis_of = {content: bid for bid, content in BASIS_CLASS_CONTENT.items()}
     for c, w, polys, points in dualized:
         facts = [split_linear_factors(p) for p in polys]
         if not all(f.split for f in facts):
             continue
         dual_points = tuple(f.forms for f in facts)
         report.survivors.append(SurvivorBasis(
-            basis_id=_identify_basis(c.labels),
+            basis_id=basis_of.get(c.labels, ""),
             labels=tuple(sorted(c.labels)),
             multisets=c.multisets,
             weights=w,

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import DomainError
+from .rational import is_exact
+
 HALF = Fraction(1, 2)
 
 
@@ -25,9 +28,9 @@ class UnivariateBSplineRef:
 
     def __post_init__(self):
         if not 2 <= self.degree <= 5:
-            raise ValueError(f"degree {self.degree} outside 2..5")
+            raise DomainError(f"degree {self.degree} outside 2..5")
         if not 1 <= self.index <= self.degree + 3:
-            raise ValueError(f"index {self.index} outside 1..{self.degree + 3}")
+            raise DomainError(f"index {self.index} outside 1..{self.degree + 3}")
 
     @property
     def local_knots(self) -> tuple:
@@ -72,12 +75,9 @@ def _bspline_raw(knots: tuple, t):
     """Recursive B-spline value from its own knot window (right-continuous)."""
     if len(knots) == 2:
         t0, t1 = knots
-        if t0 <= t < t1:
-            return Fraction(1) if isinstance(t, Fraction) else 1.0
-        if t == t1 == 1 and t0 < t1:
-            # closed at the right end of the global interval
-            return Fraction(1) if isinstance(t, Fraction) else 1.0
-        return Fraction(0) if isinstance(t, Fraction) else 0.0
+        # closed at the right end of the global interval
+        inside = t0 <= t < t1 or (t == t1 == 1 and t0 < t1)
+        return Fraction(inside) if is_exact((t,)) else float(inside)
     total = 0
     left, right = knots[:-1], knots[1:]
     if knots[-2] != knots[0]:
@@ -107,13 +107,13 @@ def _derivative_terms(knots: tuple, order: int):
 
 
 def bspline_derivative(ref: UnivariateBSplineRef, t, order: int = 1):
-    """Exact order-th derivative at t (one-sided at knots, like the value)."""
+    """Order-th derivative at t, exact for exact t (one-sided at knots, like
+    the value)."""
     if order == 0:
         return bspline_value(ref, t)
-    total = Fraction(0) if isinstance(t, Fraction) else 0.0
-    for coef, kn in _derivative_terms(ref.local_knots, order):
-        total += coef * _bspline_raw(kn, t)
-    return total
+    terms = _derivative_terms(ref.local_knots, order)
+    return sum((coef * _bspline_raw(kn, t) for coef, kn in terms),
+               Fraction(0) if is_exact((t,)) else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +146,9 @@ def expand_window(degree: int, zeros: int, halves: int, ones: int) -> tuple:
     resolved by exact collocation at the Greville points.
     """
     if zeros + halves + ones != degree + 2:
-        raise ValueError("knot counts must total degree + 2")
+        raise DomainError("knot counts must total degree + 2")
     if halves > 2:
-        raise ValueError("more than two interior knots cannot be expanded here")
+        raise DomainError("more than two interior knots cannot be expanded here")
     if zeros == degree + 2 or halves == degree + 2 or ones == degree + 2:
         return ()
     direct = ref_from_counts(degree, zeros, halves, ones)

@@ -15,9 +15,9 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import serialize
+from .basis_search import PIPELINE_STAGES
 from .errors import ParseError, PS12Error, UnknownTable
 from .geometry import from_bary, Point2
 
@@ -94,8 +94,7 @@ def cmd_eval(args) -> int:
     if args.layer == "float":
         x, y = float(x), float(y)
     value = eval_spline(s, Point2(x, y))
-    _write(args.out, f"{serialize.encode_number(value)}\n"
-           if isinstance(value, Fraction) else f"{float(value)!r}\n")
+    _write(args.out, f"{serialize.encode_number(value)}\n")
     return 0
 
 
@@ -213,9 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("search", help="run the basis filter pipeline")
-    p.add_argument("--stage", default="linear_factors",
-                   choices=["candidates", "full_rank", "nonnegative", "positive",
-                            "domain_inside", "boundary_counts", "linear_factors"])
+    p.add_argument("--stage", default="linear_factors", choices=PIPELINE_STAGES)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 

@@ -28,7 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .errors import DegenerateTriangle
+from .errors import DegenerateTriangle, DomainError
+from .rational import is_exact
 
 
 class Point2(NamedTuple):
@@ -92,10 +93,12 @@ def _mid(a: Point2, b: Point2) -> Point2:
 def make_frame(v1: Point2, v2: Point2, v3: Point2) -> PS12Frame:
     """Build the 12-split frame over the macrotriangle [v1, v2, v3].
 
-    Raises DegenerateTriangle when the corners are collinear.  Coordinates may
-    be Fractions (exact layer) or floats (sampling layer).
+    Raises DegenerateTriangle when the corners are collinear.  Exact corners
+    are stored as Fractions, so every split vertex is exact.
     """
     v1, v2, v3 = Point2(*v1), Point2(*v2), Point2(*v3)
+    if is_exact(v1 + v2 + v3):
+        v1, v2, v3 = (Point2(Fraction(p.x), Fraction(p.y)) for p in (v1, v2, v3))
     area2 = signed_area2(v1, v2, v3)
     if area2 == 0:
         raise DegenerateTriangle("macrotriangle corners are collinear")
@@ -151,12 +154,12 @@ def locate_face_bary(b1, b2, b3) -> Optional[int]:
     """
     if b1 < 0 or b2 < 0 or b3 < 0:
         return None
-    half = HALF if isinstance(b1, Fraction) else 0.5
-    if b1 >= half:
+    # 2 b >= 1 rather than b >= 1/2: doubling is exact in both layers
+    if 2 * b1 >= 1:
         return 1 if b2 >= b3 else 6
-    if b2 >= half:
+    if 2 * b2 >= 1:
         return 2 if b1 >= b3 else 3
-    if b3 >= half:
+    if 2 * b3 >= 1:
         return 4 if b2 >= b1 else 5
     if b2 >= b1:
         if b1 >= b3:
@@ -193,7 +196,7 @@ def s3_vertex_permutation(sigma: tuple) -> tuple:
     the centroid is fixed.
     """
     if sorted(sigma) != [1, 2, 3]:
-        raise ValueError(f"not a permutation of (1,2,3): {sigma}")
+        raise DomainError(f"not a permutation of (1,2,3): {sigma}")
     img = [0] * 11
     img[1], img[2], img[3] = sigma
     img[4] = _MID_OF[frozenset((img[1], img[2]))]
@@ -258,8 +261,14 @@ def face_bary_matrices() -> tuple:
     return tuple(mats)
 
 
+@lru_cache(maxsize=1)
+def _float_face_bary_matrices() -> tuple:
+    # Fraction * float rounds the Fraction first, so the products keep their bits
+    return tuple(tuple(tuple(map(float, row)) for row in m) for m in face_bary_matrices())
+
+
 def face_bary_from_macro(fi: int, beta: Bary3) -> Bary3:
-    """Face-barycentric coordinates from macro-barycentric ones (any frame);
-    maps macro-directional triples to face-directional ones alike."""
-    m = face_bary_matrices()[fi - 1]
+    """Face-barycentric coordinates from macro-barycentric ones (any frame,
+    either layer); maps macro-directional triples to face-directional ones."""
+    m = (face_bary_matrices() if is_exact(beta) else _float_face_bary_matrices())[fi - 1]
     return tuple(m[r][0] * beta[0] + m[r][1] * beta[1] + m[r][2] * beta[2] for r in range(3))

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from .errors import UnknownBasis
+from .errors import DomainError, UnknownBasis
 from .geometry import (
     PS12Frame,
     Point2,
@@ -216,7 +216,7 @@ def bernstein_expansion(spec: BasisSpec, i1: int, i2: int, i3: int) -> tuple:
     """Coefficients a_i with sum_i a_i Q_i equal to the Bernstein polynomial
     (5! / (i1! i2! i3!)) b1^i1 b2^i2 b3^i3."""
     if i1 < 0 or i2 < 0 or i3 < 0 or i1 + i2 + i3 != 5:
-        raise ValueError(f"exponents must be nonnegative and sum to 5: {(i1, i2, i3)}")
+        raise DomainError(f"exponents must be nonnegative and sum to 5: {(i1, i2, i3)}")
     return tuple(el.dual_product().coefficient((i1, i2, i3)) for el in spec.elements)
 
 

@@ -1,8 +1,10 @@
-"""Exact rational scalars and their canonical string form.
+"""Exact rational scalars, the layer rule, and their canonical string form.
 
-All exact-layer computations use ``fractions.Fraction``.  Serialized rationals
-are ``"p/q"`` strings in lowest terms with positive denominator; plain integers
-round-trip as ``"p/1"``.
+A computation is exact iff every input is an ``int`` or a ``Fraction``
+(:func:`is_exact`, the one place this is decided); it then returns
+Fractions.  Any other number selects the float layer (double precision).
+Serialized rationals are ``"p/q"`` strings in lowest terms with positive
+denominator; plain integers round-trip as ``"p/1"``.
 """
 
 from __future__ import annotations
@@ -10,6 +12,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
+
+
+def is_exact(values) -> bool:
+    """True iff every value is an int or a Fraction (the exact layer)."""
+    # floats are turned away first: isinstance(float, Fraction) takes the
+    # slow ABC path, and float evaluation asks this per point
+    return not any(isinstance(v, float) for v in values) and \
+        all(isinstance(v, (int, Fraction)) for v in values)
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse a ``"p/q"`` or ``"p"`` string."""

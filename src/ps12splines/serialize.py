@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .geometry import Point2, make_frame
 from .rational import format_rational, parse_rational
 from .simplex_spline import knot_label
@@ -197,7 +197,7 @@ def search_report_to_dict(report) -> dict:
 def barycentric_lattice(resolution: int) -> list:
     """Lattice (i, j, k) / resolution over the triangle, lexicographic."""
     if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+        raise DomainError("resolution must be >= 1")
     out = []
     for i in range(resolution + 1):
         for j in range(resolution + 1 - i):

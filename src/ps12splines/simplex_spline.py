@@ -43,6 +43,7 @@ from .geometry import (
     signed_area2,
     to_bary,
 )
+from .rational import is_exact
 
 KnotMultiset = tuple  # 10 nonnegative ints
 
@@ -58,7 +59,7 @@ def knots(spec) -> KnotMultiset:
     else:
         m = tuple(int(x) for x in spec)
     if len(m) > 10 or any(x < 0 for x in m):
-        raise ValueError(f"bad multiplicity vector {spec!r}")
+        raise DomainError(f"bad multiplicity vector {spec!r}")
     return m + (0,) * (10 - len(m))
 
 
@@ -180,19 +181,16 @@ def support_faces(act: tuple) -> tuple:
 def eval_simplex(frame: PS12Frame, K: KnotMultiset, p: Point2):
     """Exact value of Q[K] at p.
 
-    Float inputs are converted to exact binary rationals, evaluated exactly
-    and returned as float, so the half-open convention is applied without
-    roundoff ambiguity.
+    Float barycentrics are converted to exact binary rationals, evaluated
+    exactly and returned as float, so the half-open convention is applied
+    without roundoff ambiguity.
     """
     K = knots(K)
     if knot_count(K) < 3:
         raise TooFewKnots(f"|K| = {knot_count(K)} < 3")
     beta = to_bary(frame, Point2(*p))
-    as_float = not all(isinstance(b, Fraction) for b in beta)
-    if as_float:
-        beta = tuple(Fraction(b) for b in beta)
-    val = _eval_at_bary(K, beta)
-    return float(val) if as_float else val
+    val = _eval_at_bary(K, tuple(Fraction(b) for b in beta))
+    return val if is_exact(beta) else float(val)
 
 
 def _independent_triple_high(act: tuple):
@@ -378,13 +376,13 @@ def edge_key(edge) -> str:
     """Normalize an edge spec: 'e3'/'e1'/'e2' or a corner pair like (1, 2)."""
     if isinstance(edge, str):
         if edge not in EDGES:
-            raise ValueError(f"unknown edge {edge!r}")
+            raise DomainError(f"unknown edge {edge!r}")
         return edge
     pair = tuple(edge)
     for name, (i, _, k) in EDGES.items():
         if pair in ((i, k), (k, i)):
             return name
-    raise ValueError(f"unknown edge {edge!r}")
+    raise DomainError(f"unknown edge {edge!r}")
 
 
 @dataclass(frozen=True)
@@ -395,10 +393,8 @@ class EdgeRestriction:
 
     def __call__(self, t):
         from .bspline1d import bspline_value
-        total = Fraction(0) if isinstance(t, Fraction) else 0.0
-        for coef, ref in self.terms:
-            total += coef * bspline_value(ref, t)
-        return total
+        return sum((coef * bspline_value(ref, t) for coef, ref in self.terms),
+                   Fraction(0) if is_exact((t,)) else 0.0)
 
     @property
     def is_zero(self) -> bool:

@@ -3,9 +3,10 @@
 A spline is f = sum_i c_i S_i with S_i = w_i Q_i the scaled basis functions.
 Every value comes from the cached per-face tables of the S_i: basis_values
 multiplies them by a located Bernstein row, face_forms contracts them with
-the coefficients.  With Fraction coefficients and points everything is
-exact, otherwise a numpy fast path is used.  The domain-point collocation matrix has rows summing to one, and its
-exact inverse bounds the basis condition number in the max norm.
+the coefficients.  Values are exact Fractions when coefficients, frame and
+points are exact (rational.is_exact), else a numpy path on float copies of
+the tables.  The domain-point collocation matrix has rows summing to one,
+and its exact inverse bounds the basis condition number in the max norm.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .geometry import (
 )
 from .linalg import inf_norm, inverse, mat_vec
 from .marsden_catalog import BASIS_IDS, catalog
+from .rational import is_exact
 from .simplex_spline import FaceForms, locate_row, per_face_bernstein
 
 
@@ -47,6 +49,11 @@ class Spline:
 
     def __call__(self, p):
         return eval_spline(self, p)
+
+    @property
+    def exact(self) -> bool:
+        """True when the coefficients and the frame corners are exact."""
+        return is_exact(self.coeffs) and is_exact([c for p in self.frame.v[:3] for c in p])
 
 
 @lru_cache(maxsize=None)
@@ -71,22 +78,15 @@ def _scaled_basis_arrays(basis_id: str) -> np.ndarray:
     return np.array(scaled_basis_tables(basis_id), dtype=float)  # (12, 21, 39)
 
 
-def _is_exact(values) -> bool:
-    # floats are turned away first: isinstance(float, Fraction) takes the
-    # slow ABC path, and float evaluation runs this twice per point
-    return not any(isinstance(v, float) for v in values) and \
-        all(isinstance(v, Fraction) for v in values)
-
-
 def basis_values(basis_id: str, beta):
     """The 39 values S_i at macro-barycentrics beta: the located Bernstein
     row times the scaled table of its face.
 
-    Exact (a tuple of Fractions) for Fraction beta; otherwise a float array,
+    Exact (a tuple of Fractions) for exact beta; otherwise a float array,
     with tiny negative roundoff in beta snapped onto the triangle.  Raises
     OutsideDomain for points outside the closed macrotriangle.
     """
-    if not _is_exact(beta):
+    if not is_exact(beta):
         fi, row = locate_row(_clamp_bary(tuple(float(b) for b in beta)))
         return np.array(row) @ _scaled_basis_arrays(basis_id)[fi - 1]
     fi, row = locate_row(beta)
@@ -107,7 +107,7 @@ def eval_spline(s: Spline, p) -> object:
     outside the closed macrotriangle.
     """
     beta = to_bary(s.frame, Point2(*p))
-    if _is_exact(beta) and _is_exact(s.coeffs):
+    if is_exact(beta) and is_exact(s.coeffs):
         return sum((v * c for v, c in zip(basis_values(s.basis, beta), s.coeffs) if v),
                    Fraction(0))
     return float(basis_values(s.basis, tuple(float(b) for b in beta)) @ _float_coeffs(s))
@@ -136,14 +136,19 @@ def eval_many(s: Spline, barys: np.ndarray) -> np.ndarray:
     return np.array([basis_values(s.basis, b) @ coeffs for b in barys], dtype=float)
 
 
-@lru_cache(maxsize=64)
 def face_forms(s: Spline) -> FaceForms:
     """The spline as one quintic Bernstein form per face: the scaled tables
     contracted with the coefficients.
 
     Exact when the coefficients and the frame are; otherwise float ordinates.
     """
-    if _is_exact(s.coeffs) and all(_is_exact(p) for p in s.frame.v[:3]):
+    # an exact and a float spline can compare equal: the layer joins the key
+    return _face_forms(s, s.exact)
+
+
+@lru_cache(maxsize=64)
+def _face_forms(s: Spline, exact: bool) -> FaceForms:
+    if exact:
         ords = tuple(tuple(sum((t * c for t, c in zip(tj, s.coeffs) if t), Fraction(0))
                            for tj in face)
                      for face in scaled_basis_tables(s.basis))

@@ -538,3 +538,33 @@ def test_hexagon_demo():
     for e in gs.tri.interior_edges():
         rep = verify_smoothness(gs, e, 2, samples=11, tol=1e-10)
         assert rep["pass"], (e, rep)
+
+
+def test_propagate_int_coefficients_exact():
+    beta = (F(1, 3), F(-1, 2), F(7, 6))
+    rng = random.Random(55)
+    ints = [rng.randint(-9, 9) for _ in range(39)]
+    got, feas = propagate(ints, beta, order=3)
+    want, want_feas = propagate([F(c) for c in ints], beta, order=3)
+    assert all(isinstance(c, F) for c in got)
+    assert got == want and feas == want_feas
+
+
+def test_hermite_int_data_is_exact():
+    """int vertices, jets and edge data are exact input: every coefficient
+    is a Fraction, equal to the result for the same data as Fractions."""
+    rng = random.Random(56)
+    verts = [(0, 0), (2, 0), (0, 2), (3, 2)]
+    tris = [(0, 1, 2), (1, 3, 2)]
+    jets = {i: tuple(rng.randint(-5, 5) for _ in range(10)) for i in range(4)}
+    tri = triangulation(verts, tris)
+    edges = {e: tuple(rng.randint(-5, 5) for _ in range(3)) for e in tri.edges()}
+    got = hermite_interpolate(tri, jets, edges)
+    assert all(isinstance(c, F) for cs in got.coeffs for c in cs)
+    frac = hermite_interpolate(
+        triangulation([(F(x), F(y)) for x, y in verts], tris),
+        {i: tuple(map(F, v)) for i, v in jets.items()},
+        {e: tuple(map(F, v)) for e, v in edges.items()})
+    assert got.coeffs == frac.coeffs
+    rep = verify_smoothness(got, (1, 2), 2, samples=5)
+    assert all(j == 0 for j in rep["jumps"].values())

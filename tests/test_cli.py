@@ -291,3 +291,15 @@ def test_normal_form_coeffs_permute_like_reinterpolation(corners, basis, edge, s
                 for el in spec.elements]
         want = lagrange_interpolate(basis, frame, vals).coeffs
         assert _normal_form_coeffs(gs, 0, (a, b)) == want, order
+
+
+def test_cold_cli_stays_free_of_sympy():
+    """sympy serves only the linear-factor split; importing the package and
+    running a table export must not load it."""
+    code = ("import os, sys\n"
+            "import ps12splines\n"
+            "from ps12splines import cli\n"
+            "assert cli.main(['tables', 'dims', '--out', os.devnull]) == 0\n"
+            "assert 'sympy' not in sys.modules, 'sympy loaded'\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr[-1500:]

@@ -1,0 +1,29 @@
+"""Bad input raises the library's typed errors, not bare ValueError."""
+
+import pytest
+
+from ps12splines import (basis_search, bspline1d, geometry, marsden_catalog, serialize,
+                         simplex_spline)
+from ps12splines.errors import DomainError, PS12Error
+
+BAD_CALLS = {
+    "knots": lambda: simplex_spline.knots((1, -1)),
+    "edge_key name": lambda: simplex_spline.edge_key("e4"),
+    "edge_key pair": lambda: simplex_spline.edge_key((1, 5)),
+    "bspline degree": lambda: bspline1d.UnivariateBSplineRef(6, 1),
+    "bspline index": lambda: bspline1d.UnivariateBSplineRef(5, 9),
+    "expand_window total": lambda: bspline1d.expand_window(5, 1, 1, 1),
+    "expand_window halves": lambda: bspline1d.expand_window(2, 0, 3, 1),
+    "bernstein_expansion": lambda: marsden_catalog.bernstein_expansion(
+        marsden_catalog.catalog("c"), 1, 1, 1),
+    "barycentric_lattice": lambda: serialize.barycentric_lattice(0),
+    "s3_vertex_permutation": lambda: geometry.s3_vertex_permutation((1, 1, 2)),
+    "filter_pipeline stage": lambda: basis_search.filter_pipeline([], stage="bogus"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CALLS))
+def test_bad_input_raises_typed_error(name):
+    with pytest.raises(PS12Error) as info:
+        BAD_CALLS[name]()
+    assert isinstance(info.value, DomainError) and isinstance(info.value, ValueError)

@@ -126,3 +126,18 @@ def test_s3_multiset_action_orbit():
     orbit = {s3_apply_multiset(s, K) for s in S3_ELEMENTS}
     labels = {"".join(map(str, m[:6])) for m in orbit}
     assert labels == {"600101", "060110", "006011"}
+
+
+def test_float_face_barycentrics_match_fraction_products():
+    """Float beta goes through a float copy of the face matrices; the bits
+    are those of the products with the Fraction matrices."""
+    import random
+    from ps12splines.geometry import face_bary_from_macro, face_bary_matrices
+    rng = random.Random(21)
+    for fi, m in enumerate(face_bary_matrices(), start=1):
+        for _ in range(50):
+            beta = tuple(rng.uniform(-1, 2) for _ in range(3))
+            want = tuple(m[r][0] * beta[0] + m[r][1] * beta[1] + m[r][2] * beta[2]
+                         for r in range(3))
+            got = face_bary_from_macro(fi, beta)
+            assert [g.hex() for g in got] == [w.hex() for w in want]

@@ -206,3 +206,47 @@ def test_bound_violated_signals(ref):
     s = lagrange_interpolate("c", ref, vals)
     with pytest.raises(BoundViolated):
         control_distance_bound_check(s, F(0))  # lying about the hessian
+
+
+def test_int_coefficients_evaluate_exactly(ref):
+    """ints are exact input: the value is the Fraction the same
+    coefficients give as Fractions."""
+    rng = random.Random(47)
+    ints = tuple(rng.randint(-9, 9) for _ in range(39))
+    s_int = Spline(ref, "c", ints)
+    s_frac = Spline(ref, "c", tuple(F(c) for c in ints))
+    for p in rational_points(4, seed=48):
+        got = eval_spline(s_int, p)
+        assert isinstance(got, F) and got == eval_spline(s_frac, p)
+
+
+def test_face_forms_cache_keeps_each_layer():
+    """An exact and a float spline that compare equal each get face forms of
+    their own layer, whichever is built first."""
+    from ps12splines.spline_fn import face_forms
+    for first_exact, k0 in ((True, 1), (False, 2)):
+        coeffs = [F(k0 + k, 4) for k in range(39)]
+        exact = Spline(make_frame((0, 0), (3, 0), (0, 3)), "c", tuple(coeffs))
+        flt = Spline(make_frame((0.0, 0.0), (3.0, 0.0), (0.0, 3.0)), "c",
+                     tuple(float(c) for c in coeffs))
+        assert exact == flt and hash(exact) == hash(flt)
+        order = (exact, flt) if first_exact else (flt, exact)
+        forms = {id(s): face_forms(s) for s in order}
+        assert all(isinstance(o, F) for face in forms[id(exact)].ords for o in face)
+        assert all(isinstance(o, float) for face in forms[id(flt)].ords for o in face)
+
+
+def test_int_frame_stays_exact():
+    """make_frame keeps int corners exact, so eval_spline and face_forms
+    both give Fractions, and the same ones."""
+    from ps12splines.geometry import to_bary
+    from ps12splines.spline_fn import face_forms
+    frame = make_frame((0, 0), (3, 0), (1, 2))
+    assert all(isinstance(c, F) for v in frame.v for c in v)
+    rng = random.Random(49)
+    s = Spline(frame, "c", tuple(F(rng.randint(-9, 9), 4) for _ in range(39)))
+    ff = face_forms(s)
+    assert all(isinstance(o, F) for face in ff.ords for o in face)
+    for p in (Point2(1, 1), Point2(F(3, 2), F(1, 3)), Point2(F(1, 2), F(1, 5))):
+        got = eval_spline(s, p)
+        assert isinstance(got, F) and got == ff.value_at_bary(to_bary(frame, p))
