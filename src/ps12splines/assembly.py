@@ -493,7 +493,7 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
             # the local q1 is the quarterpoint near ga
             near, far = (q_first, q_second) if ga == key[0] else (q_second, q_first)
             values += [quarterpoint(*near), s * d1m + w * f_m, quarterpoint(*far)]
-        coeffs = [0] * 39
+        coeffs = [Fraction(0) if is_exact(values) else 0.0] * 39
         for fi, val in enumerate(values):
             if val == 0:
                 continue

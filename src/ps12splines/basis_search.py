@@ -22,9 +22,18 @@ over the 99 splines the trivial, sign and standard blocks have dimensions 8,
 an exact check that the lambda rows transform linearly under S3.  A
 candidate has full rank iff it gives exactly 8, 5 and 13 block rows and the
 three square blocks are nonsingular; its weights are constant on classes,
-because S3 fixes the constant 1, and solve the 8x8 trivial block.  The
-dual polynomials, and the weights of any input that is not a union of
-classes, solve the 39x39 system of the cached integer lambda rows.
+because S3 fixes the constant 1, and solve the 8x8 trivial block.
+
+The domain points come from linear reproduction: differentiating the
+Marsden identity (b.c)^5 = sum_i w_i Psi_i(c) Q_i(b) in c_j at c = 1 gives
+5 b_j = sum_i 5 w_i xi_ij Q_i(b).  The unknowns x_i = 5 w_i xi_i are
+S3-equivariant, and their coordinate sum 5 w_i is known, so what is left is
+the zero-sum part of the first coordinate: 13 unknowns, 2 per class of six
+and 1 per class of three, solved from 13 of the 39 collocation equations and
+checked exactly on the other 26.  The dual polynomials, and the weights of
+any input that is not a union of classes, solve the 39x39 system of the
+cached integer lambda rows; the pipeline forms the dual polynomials only
+for the candidates that pass the boundary counts.
 """
 
 from __future__ import annotations
@@ -33,14 +42,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import lcm
 
 from .dual_functionals import build_lambda, lambda_vector
-from .errors import DomainError, SingularSystem, SymmetryViolated
+from .errors import DimensionMismatch, DomainError, SingularSystem, SymmetryViolated
 from .geometry import (
     S3_ELEMENTS,
     VERTEX_BARY,
     direction_coords,
     reference_frame,
+    s3_apply_bary,
     s3_apply_multiset,
     to_bary,
 )
@@ -421,15 +432,111 @@ def compute_dual_polys(cand, weights=None) -> tuple:
     return out
 
 
-def domain_point(w_psi: TriPoly) -> tuple:
-    """Barycentric domain point of a dual product: grad at (1,1,1) / (5 w).
+#: Two zero-sum barycentric displacements that span all of them.
+_ZERO_SUM = ((1, 0, -1), (0, 1, -1))
 
-    At (1, 1, 1) the product is w = sum_e c_e and its r-th partial
-    derivative is sum_e e_r c_e, summed over the terms c_e c^e.
+
+@lru_cache(maxsize=1)
+def _reproduction_rhs() -> tuple:
+    """Functional values of 5 b1 - 5/3, the zero-sum part of the first
+    coordinate in 5 b_j = sum_i x_ij Q_i, scaled to integers; plus the
+    scale."""
+    frame = reference_frame()
+    out = []
+    for lam, (one,) in zip(build_lambda(frame), _lambda_one_vector()):
+        if lam.order == 0:
+            b1 = to_bary(frame, lam.point)[0]
+        elif lam.order == 1:
+            b1 = direction_coords(frame.v[:3], lam.directions[0])[0]
+        else:
+            b1 = 0      # b1 is linear: no second derivatives
+        out.append(5 * b1 - Fraction(5, 3) * one)
+    (ints,), (scale,) = _integer_rows([out])
+    return tuple(ints), scale
+
+
+@lru_cache(maxsize=1)
+def _reproduction_columns() -> dict:
+    """Per class label: each member with an S3 element taking the
+    representative to it, and the class's columns of the first-coordinate
+    system, each with the displacement of the representative it stands for.
+
+    A zero-sum displacement y of the representative R that R's stabiliser
+    fixes extends equivariantly to the class, sigma(R) taking
+    s3_apply_bary(sigma, y); its column is the sum over the members of the
+    first coordinate times the member's lambda row.  The fixed displacements
+    span 2, 1 or 0 dimensions for a class of size 6, 3 or 1.  Each column is
+    scaled to integers and its displacement by the same factor.
     """
-    w = sum(w_psi.terms.values())
-    return tuple(sum(e[r] * c for e, c in w_psi.terms.items()) / (5 * w)
-                 for r in range(3))
+    out = {}
+    for cls in enumerate_admissible():
+        R = cls.representative
+        moves = {}
+        for s in S3_ELEMENTS:
+            moves.setdefault(s3_apply_multiset(s, R), s)
+        stab = [s for s in S3_ELEMENTS if s3_apply_multiset(s, R) == R]
+        # summing a displacement over the stabiliser makes it fixed
+        fixed = [tuple(sum(s3_apply_bary(s, e)[j] for s in stab) for j in range(3))
+                 for e in _ZERO_SUM]
+        cols = []
+        for k in pivot_columns([list(r) for r in zip(*fixed)]):
+            y = fixed[k]
+            col = _combine([lambda_vector(K) for K in cls.members],
+                           [s3_apply_bary(moves[K], y)[0] for K in cls.members])
+            (ints,), (scale,) = _integer_rows([col])
+            cols.append((tuple(ints), tuple(scale * x for x in y)))
+        out[cls.label] = (tuple(moves.items()), tuple(cols))
+    return out
+
+
+def domain_point(cand, weights) -> tuple:
+    """The 39 barycentric domain points of a whole-class candidate, in its
+    order, given its weights (aligned with it, as ``compute_weights``
+    returns them).
+
+    Solves the zero-sum part of the linear-reproduction identity on its 13
+    S3-reduced unknowns: the solution y is unique when the candidate is a
+    basis, and the domain point of a class representative R is
+    xi_R = y_R / (5 w_R) + (1/3, 1/3, 1/3).  The weights are constant on
+    classes, so xi_{sigma R} = s3_apply_bary(sigma, xi_R).  Raises
+    DomainError for input that is not a union of S3 classes and
+    SingularSystem when the 13 columns are dependent or the 26 equations
+    left out of the solve do not hold.
+    """
+    multisets = _multisets(cand)
+    labels = _orbit_labels(multisets)
+    if labels is None:
+        raise DomainError("a candidate must consist of whole S3 classes of 39 splines")
+    if len(weights) != len(multisets):
+        raise DimensionMismatch("need one weight per element of the candidate")
+    table = _reproduction_columns()
+    cols = [(lab, col, y) for lab in labels for col, y in table[lab][1]]
+    rows = pivot_columns([list(col) for _, col, _ in cols])
+    if len(rows) != len(cols):
+        raise SingularSystem("the reproduction columns of the candidate are dependent")
+    A = [list(r) for r in zip(*(col for _, col, _ in cols))]
+    rhs, scale = _reproduction_rhs()
+    sol = solve([A[i] for i in rows], [[rhs[i]] for i in rows])
+    # over a common denominator, so that the check runs in integers
+    den = lcm(*(a.denominator for (a,) in sol))
+    coeffs = [a.numerator * (den // a.denominator) for (a,) in sol]
+    if any(sum(x * a for x, a in zip(row, coeffs)) != den * r for row, r in zip(A, rhs)):
+        raise SingularSystem("the reproduction solve fails on the rows left out of it")
+    disp = {lab: [0, 0, 0] for lab in labels}
+    for (lab, _, y), a in zip(cols, coeffs):
+        disp[lab] = [d + a * v for d, v in zip(disp[lab], y)]
+    # the displacements carry the factor den * scale, so with w = p / q,
+    # y / (5 den scale w) + 1/3 = (3 y q + D p) / (3 D p), D = 5 den scale
+    D = 5 * den * scale
+    weight_of = dict(zip(multisets, weights))
+    points = {}
+    for lab in labels:
+        moves, _ = table[lab]
+        w = Fraction(weight_of[moves[0][0]])    # constant on the class
+        xi = tuple(Fraction(3 * y * w.denominator + D * w.numerator, 3 * D * w.numerator)
+                   for y in disp[lab])
+        points.update((K, s3_apply_bary(s, xi)) for K, s in moves)
+    return tuple(points[K] for K in multisets)
 
 
 # ---------------------------------------------------------------------------
@@ -615,27 +722,30 @@ def filter_pipeline(candidates=None, stage: str = "linear_factors") -> SearchRep
     if last < 4:
         return report
 
-    dualized = []
-    for c, w in weighted:
-        polys = compute_dual_polys(c, weights=w)
-        points = tuple(domain_point(p) for p in polys)
-        dualized.append((c, w, polys, points))
-    dualized = [t for t in dualized if _domain_points_inside(t[3])]
-    report.counts["domain_inside"] = len(dualized)
+    pointed = [(c, w, domain_point(c, w)) for c, w in weighted]
+    pointed = [t for t in pointed if _domain_points_inside(t[2])]
+    report.counts["domain_inside"] = len(pointed)
     if last < 5:
         return report
 
-    dualized = [t for t in dualized if _boundary_point_counts(t[3]) == (8, 8, 8)]
-    report.counts["boundary_counts"] = len(dualized)
+    pointed = [t for t in pointed if _boundary_point_counts(t[2]) == (8, 8, 8)]
+    report.counts["boundary_counts"] = len(pointed)
     if last < 6:
         return report
 
     basis_of = {content: bid for bid, content in BASIS_CLASS_CONTENT.items()}
-    for c, w, polys, points in dualized:
+    for c, w, points in pointed:
+        polys = compute_dual_polys(c, weights=w)
         facts = [split_linear_factors(p) for p in polys]
         if not all(f.split for f in facts):
             continue
         dual_points = tuple(f.forms for f in facts)
+        # the domain point is the mean of the dual points: a certificate for
+        # the reproduction solve, independent of it, wherever they are rational
+        for xi, forms in zip(points, dual_points):
+            if forms is not None and \
+                    tuple(sum(p[r] for p in forms) / 5 for r in range(3)) != xi:
+                raise SingularSystem("a domain point is not the mean of its dual points")
         report.survivors.append(SurvivorBasis(
             basis_id=basis_of.get(c.labels, ""),
             labels=tuple(sorted(c.labels)),

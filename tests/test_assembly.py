@@ -518,6 +518,8 @@ def test_rational_fan_exact_c2():
     jets[0] = (F(1),) + (F(0),) * 9
     edges = {e: (F(0),) * 3 for e in tri.edges()}
     gs = hermite_interpolate(tri, jets, edges)
+    # coefficients that no nonzero value reaches stay in the exact layer too
+    assert all(isinstance(c, F) for cs in gs.coeffs for c in cs)
     for t in range(5):
         s = gs.spline(t)
         assert eval_spline(s, centre) == 1
@@ -529,6 +531,8 @@ def test_rational_fan_exact_c2():
 def test_hexagon_demo():
     gs = hexagon_demo()
     assert len(gs.tri.triangles) == 6
+    # float data give float coefficients, also where no nonzero value reaches
+    assert all(isinstance(c, float) for cs in gs.coeffs for c in cs)
     s0 = gs.spline(0)
     assert abs(eval_spline(s0, gs.tri.vertices[0]) - 1.0) < 1e-12
     for i in range(1, 7):

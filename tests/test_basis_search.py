@@ -16,10 +16,11 @@ from ps12splines.basis_search import (
     domain_point,
     enumerate_admissible,
     enumerate_candidates,
+    filter_pipeline,
     split_linear_factors,
 )
 from ps12splines.dual_functionals import lambda_vector
-from ps12splines.errors import SingularSystem, SymmetryViolated
+from ps12splines.errors import DimensionMismatch, DomainError, SingularSystem, SymmetryViolated
 from ps12splines.geometry import FACES, VERTEX_BARY, reference_frame
 from ps12splines.linalg import _integer_rows, bareiss
 from ps12splines.marsden_catalog import catalog
@@ -186,12 +187,96 @@ def test_weights_and_duals_satisfy_per_face_identities():
 
 
 def test_domain_point_is_mean_of_dual_points():
-    spec = catalog("c")
-    polys = compute_dual_polys(spec.multisets)
-    for el, poly in zip(spec.elements, polys):
-        assert domain_point(poly) == el.domain_point
+    for bid in "abcdef":
+        spec = catalog(bid)
+        assert domain_point(spec.multisets, spec.weights) == spec.domain_points
+    for el in catalog("c").elements:
         mean = tuple(sum(p[i] for p in el.dual_points) / 5 for i in range(3))
         assert mean == el.domain_point
+
+
+def _gradient_domain_point(w_psi):
+    """Reference: the domain point read from a dual product, as the gradient
+    at (1, 1, 1) over 5 w, where w is the product's value there."""
+    w = sum(w_psi.terms.values())
+    return tuple(sum(e[r] * c for e, c in w_psi.terms.items()) / (5 * w)
+                 for r in range(3))
+
+
+def test_domain_point_equals_dual_gradient_on_positive_candidates():
+    """On each of the 47 candidates with positive weights, the reproduction
+    solve gives the domain points of the dual products' gradients."""
+    positive = [(c, w) for c in enumerate_candidates() if candidate_has_full_rank(c)
+                for w in (compute_weights(c),) if all(x > 0 for x in w)]
+    assert len(positive) == 47
+    for c, w in positive:
+        polys = compute_dual_polys(c, weights=w)
+        assert domain_point(c, w) == tuple(_gradient_domain_point(p) for p in polys)
+
+
+def test_domain_point_rejects_malformed_input():
+    spec = catalog("c")
+    with pytest.raises(DimensionMismatch):
+        domain_point(spec.multisets, spec.weights[:-1])
+    with pytest.raises(DomainError):
+        domain_point(spec.multisets[:-1], spec.weights[:-1])
+    other = next(K for cls in enumerate_admissible() for K in cls.members
+                 if K not in spec.multisets)
+    swapped = spec.multisets[:-1] + (other,)
+    with pytest.raises(DomainError):
+        domain_point(swapped, spec.weights)
+
+
+def test_domain_point_residual_check_raises_on_corrupted_row(monkeypatch):
+    """A lambda row that no longer fits the others makes the equations left
+    out of the 13x13 solve fail."""
+    spec = catalog("c")
+    bad = spec.multisets[0]
+
+    def corrupted(K):
+        row = lambda_vector(K)
+        return row[:-1] + (row[-1] + 1,) if K == bad else row
+
+    basis_search._reproduction_columns.cache_clear()
+    try:
+        monkeypatch.setattr(basis_search, "lambda_vector", corrupted)
+        with pytest.raises(SingularSystem, match="left out"):
+            domain_point(spec.multisets, spec.weights)
+    finally:
+        basis_search._reproduction_columns.cache_clear()
+
+
+def test_full_pipeline_forms_dual_polys_for_boundary_survivors_only(monkeypatch):
+    calls = []
+    orig = basis_search.compute_dual_polys
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(basis_search, "compute_dual_polys", counted)
+    report = filter_pipeline()
+    assert report.counts["boundary_counts"] == 7
+    assert len(calls) == 7
+
+
+def test_survivor_certificate_catches_a_wrong_domain_point(monkeypatch):
+    """A domain point that still passes the containment and boundary filters
+    but is not the mean of its dual points stops the pipeline."""
+    cand = next(c for c in enumerate_candidates()
+                if c.labels == BASIS_CLASS_CONTENT["c"])
+    orig = basis_search.domain_point
+
+    def shifted(c, w):
+        points = list(orig(c, w))
+        i = next(i for i, xi in enumerate(points) if min(xi) > F(1, 100))
+        x1, x2, x3 = points[i]
+        points[i] = (x1 + F(1, 1000), x2 - F(1, 1000), x3)
+        return tuple(points)
+
+    monkeypatch.setattr(basis_search, "domain_point", shifted)
+    with pytest.raises(SingularSystem, match="mean of its dual points"):
+        filter_pipeline(candidates=[cand])
 
 
 def test_split_linear_factors_reference():

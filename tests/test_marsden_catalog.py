@@ -47,7 +47,6 @@ def test_catalog_unknown_id():
 
 def test_catalog_matches_search_output(pipeline_report):
     """The embedded data equals the pipeline derivation for every basis."""
-    from ps12splines.basis_search import domain_point
     for survivor in pipeline_report.survivors:
         spec = catalog(survivor.basis_id)
         derived = dict(zip(survivor.multisets,
