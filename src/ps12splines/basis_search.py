@@ -382,6 +382,11 @@ def compute_weights(cand) -> tuple:
         return tuple(x[0] for x in sol)
     if not _blocks_full_rank(labels):
         raise SingularSystem("an S3 isotypic block of the candidate is singular")
+    return _class_weights(labels, multisets)
+
+
+def _class_weights(labels, multisets) -> tuple:
+    """compute_weights for whole classes whose blocks are proven full rank."""
     tables = _isotypic_blocks()
     sol = solve([list(col) for col in zip(*(tables.rows[lab][0][0] for lab in labels))],
                 tables.one)
@@ -711,7 +716,7 @@ def filter_pipeline(candidates=None, stage: str = "linear_factors") -> SearchRep
     if last < 2:
         return report
 
-    weighted = [(c, compute_weights(c)) for c in cands]
+    weighted = [(c, _class_weights(_orbit_labels(c.multisets), c.multisets)) for c in cands]
     weighted = [(c, w) for c, w in weighted if all(x >= 0 for x in w)]
     report.counts["nonnegative"] = len(weighted)
     if last < 3:

@@ -15,9 +15,9 @@ on Bernstein forms, with the pointwise recursion as their reference; every
 evaluation of those tables, derivatives included, goes through locate_row
 and functional_row.
 
-Everything is computed exactly over Fractions on the reference frame; general
-frames enter only through barycentric coordinates (affine maps carry the
-spline along with them).
+Everything is exact on the reference frame (the per-face recursion runs on
+integers, see _face_ordinates); general frames enter only through
+barycentric coordinates (affine maps carry the spline along with them).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .errors import DomainError, InvalidDirection, InvalidWeights, OutsideDomain, TooFewKnots
 from .geometry import (
@@ -52,12 +52,13 @@ def knots(spec) -> KnotMultiset:
     """Build a multiplicity vector from digits like '600101' or a sequence.
 
     Short digit strings address vertices 1..6 (the usual quintic case);
-    trailing zeros for vertices up to 10 are implied.
+    trailing zeros for vertices up to 10 are implied.  Raises DomainError
+    unless every entry is a digit or a nonnegative int (not a bool).
     """
     if isinstance(spec, str):
-        m = tuple(int(ch) for ch in spec)
+        m = tuple("0123456789".find(ch) for ch in spec)
     else:
-        m = tuple(int(x) for x in spec)
+        m = tuple(x if isinstance(x, int) and not isinstance(x, bool) else -1 for x in spec)
     if len(m) > 10 or any(x < 0 for x in m):
         raise DomainError(f"bad multiplicity vector {spec!r}")
     return m + (0,) * (10 - len(m))
@@ -111,8 +112,11 @@ def _bary_wrt(tri: tuple, p: Point2) -> tuple:
 
 @lru_cache(maxsize=None)
 def _vertex_bary(tri: tuple) -> tuple:
-    """Barycentrics of the ten split vertices with respect to a triple."""
-    return tuple(_bary_wrt(tri, p) for p in _ref_points())
+    """(L, rows): barycentrics of the ten split vertices with respect to a
+    triple, as integer numerators over their lcm L."""
+    vb = [_bary_wrt(tri, p) for p in _ref_points()]
+    den = lcm(*(w.denominator for row in vb for w in row))
+    return den, tuple(tuple(w.numerator * (den // w.denominator) for w in row) for row in vb)
 
 
 @lru_cache(maxsize=None)
@@ -251,14 +255,15 @@ def _combination_over_active(K: KnotMultiset, coeffs3: tuple):
     tri = _independent_triple(act)
     if tri is None:
         return None
+    den, vb = _vertex_bary(tri)
     out = {}
     for corner in range(3):
         coef = coeffs3[corner]
         if not coef:
             continue
-        for w, idx in zip(_vertex_bary(tri)[corner], tri):
+        for w, idx in zip(vb[corner], tri):
             if w != 0:
-                out[idx] = out.get(idx, 0) + coef * w
+                out[idx] = out.get(idx, 0) + coef * Fraction(w, den)
     return {i: c for i, c in out.items() if c}
 
 
@@ -476,59 +481,65 @@ def _multinomials(deg: int) -> tuple:
 @lru_cache(maxsize=None)
 def _degree_step(deg: int) -> tuple:
     """For each exponent a of degree deg - 1, in table order and for r = 0,
-    1, 2: the index of a + e_r among the degree-deg exponents and the factor
-    (a_r + 1) / deg with which gamma_r B_a^(deg-1) = factor * B_(a+e_r)^deg."""
+    1, 2: the index of a + e_r among the degree-deg exponents and the
+    integer a_r + 1, with gamma_r B_a^(deg-1) = (a_r + 1) / deg * B_(a+e_r)^deg."""
     index = {e: i for i, e in enumerate(bernstein_exponents(deg))}
-    return tuple(tuple((index[a[:r] + (a[r] + 1,) + a[r + 1:]], Fraction(a[r] + 1, deg))
-                       for r in range(3))
+    return tuple(tuple((index[a[:r] + (a[r] + 1,) + a[r + 1:]], a[r] + 1) for r in range(3))
                  for a in bernstein_exponents(deg - 1))
 
 
 @lru_cache(maxsize=None)
 def _face_ordinates(m: KnotMultiset) -> tuple:
-    """12 per-face Bernstein ordinate tuples of Q[m], None where Q[m] is zero.
+    """(den, faces): Q[m]'s Bernstein ordinates on the 12 faces as integers
+    over one gcd-reduced denominator den; a face is None where Q[m] is zero.
 
     Runs the defining recurrence Q[m] = sum_j b_j Q[m - e_j] face by face on
     Bernstein forms: on a face, b_j is the linear form sum_r l_r gamma_r in
     the face barycentrics gamma, with l_r its value at face corner r, and
     multiplying degree-(d-1) ordinates c by it gives the degree-d ordinates
-    sum_r l_r (beta_r / d) c[beta - e_r].  Triples and the degree-0 base
-    are those of the pointwise recursion in _eval_at_bary.  Cached per
-    multiset, so splines that share sub-multisets share their tables.
+    sum_r l_r (beta_r / d) c[beta - e_r].  Fraction-free, like Bareiss: the
+    l_r are integers over L, the children go over their common denominator
+    D, and the result over D * L * d.  Triples and the degree-0 base are
+    those of the pointwise recursion in _eval_at_bary.  Cached per multiset,
+    so splines that share sub-multisets share their tables.
     """
     act = active_indices(m)
     tri = _independent_triple(act) if len(act) >= 3 else None
     if tri is None:
-        return (None,) * 12
+        return 1, (None,) * 12
     if sum(m) == 3:
-        base = (Fraction(1, 2) / hull_area(act),)
-        return tuple(base if fi in support_faces(act) else None for fi in range(1, 13))
+        base = Fraction(1, 2) / hull_area(act)
+        return base.denominator, tuple((base.numerator,) if fi in support_faces(act) else None
+                                       for fi in range(1, 13))
     deg = sum(m) - 3
-    vb = _vertex_bary(tri)
+    lden, vb = _vertex_bary(tri)
     children = [_face_ordinates(m[:i - 1] + (m[i - 1] - 1,) + m[i:]) for i in tri]
+    den = lcm(*(d for d, _ in children))
     faces = []
     for fi, corners in enumerate(FACES):
         acc = None
-        for j, child in enumerate(children):
+        for j, (cden, child) in enumerate(children):
             if child[fi] is None:
                 continue
             if acc is None:
-                acc = [Fraction(0)] * ((deg + 1) * (deg + 2) // 2)
-            lform = tuple(vb[v - 1][j] for v in corners)
+                acc = [0] * ((deg + 1) * (deg + 2) // 2)
+            lform = tuple(vb[v - 1][j] * (den // cden) for v in corners)
             for c, step in zip(child[fi], _degree_step(deg)):
                 if c:
                     for l, (i, f) in zip(lform, step):
                         if l:
                             acc[i] += l * f * c
-        faces.append(None if acc is None else tuple(acc))
-    return tuple(faces)
+        faces.append(acc)
+    den *= lden * deg
+    g = gcd(den, *(c for f in faces if f for c in f))
+    return den // g, tuple(None if f is None else tuple(c // g for c in f) for f in faces)
 
 
 @lru_cache(maxsize=None)
 def _bernstein_ref(K: KnotMultiset) -> tuple:
     """12 x 21 exact Bernstein ordinates of Q[K] (reference frame)."""
-    zero = (Fraction(0),) * 21
-    return tuple(zero if f is None else f for f in _face_ordinates(K))
+    den, faces = _face_ordinates(K)
+    return tuple(tuple(Fraction(c, den) for c in f or (0,) * 21) for f in faces)
 
 
 def per_face_bernstein(frame: PS12Frame, K: KnotMultiset) -> tuple:

@@ -5,24 +5,27 @@ Every value comes from the cached per-face tables of the S_i: basis_values
 multiplies them by a located Bernstein row, face_forms contracts them with
 the coefficients.  Values are exact Fractions when coefficients, frame and
 points are exact (rational.is_exact), else a numpy path on float copies of
-the tables.  The domain-point collocation matrix has rows summing to one,
-and its exact inverse bounds the basis condition number in the max norm.
+the tables, the package's only numpy user: exact work never imports it.
+The domain-point collocation matrix has rows summing to one, and its exact
+inverse bounds the basis condition number in the max norm.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: the float path imports numpy when it runs
+    import numpy as np
 
 from .errors import BoundViolated, DimensionMismatch, UnsupportedBasis
 from .geometry import (
     PS12Frame,
     Point2,
     from_bary,
-    reference_frame,
     s3_apply_bary,
     S3_ELEMENTS,
     to_bary,
@@ -30,7 +33,7 @@ from .geometry import (
 from .linalg import inf_norm, inverse, mat_vec
 from .marsden_catalog import BASIS_IDS, catalog
 from .rational import is_exact
-from .simplex_spline import FaceForms, locate_row, per_face_bernstein
+from .simplex_spline import FaceForms, _face_ordinates, locate_row
 
 
 @dataclass(frozen=True)
@@ -56,26 +59,32 @@ class Spline:
         return is_exact(self.coeffs) and is_exact([c for p in self.frame.v[:3] for c in p])
 
 
+def _scaled(basis_id: str, div) -> tuple:
+    """12 x 21 x 39 nested tuples of div(p * n, q), where S_i's ordinates
+    are Q_i's integer ordinates n times p / q = w_i / den_i.  int/int true
+    division rounds correctly, so it gives the bits of float(Fraction)."""
+    parts = []
+    for el in catalog(basis_id).elements:
+        den, faces = _face_ordinates(el.multiset)
+        scale = el.weight / den
+        parts.append((scale.numerator, scale.denominator, [f or (0,) * 21 for f in faces]))
+    return tuple(tuple(tuple(div(p * t[fi][s], q) for p, q, t in parts) for s in range(21))
+                 for fi in range(12))
+
+
 @lru_cache(maxsize=None)
 def scaled_basis_tables(basis_id: str) -> tuple:
     """Per-face ordinate tables of the scaled functions S_i = w_i Q_i.
 
     Returns a 12 x 21 x 39 nested tuple of Fractions (frame independent).
     """
-    spec = catalog(basis_id)
-    tabs = [per_face_bernstein(reference_frame(), el.multiset) for el in spec.elements]
-    out = []
-    for fi in range(12):
-        face = []
-        for s in range(21):
-            face.append(tuple(el.weight * tabs[i][fi][s] for i, el in enumerate(spec.elements)))
-        out.append(tuple(face))
-    return tuple(out)
+    return _scaled(basis_id, Fraction)
 
 
 @lru_cache(maxsize=None)
 def _scaled_basis_arrays(basis_id: str) -> np.ndarray:
-    return np.array(scaled_basis_tables(basis_id), dtype=float)  # (12, 21, 39)
+    import numpy as np
+    return np.array(_scaled(basis_id, operator.truediv), dtype=float)  # (12, 21, 39)
 
 
 def basis_values(basis_id: str, beta):
@@ -88,7 +97,7 @@ def basis_values(basis_id: str, beta):
     """
     if not is_exact(beta):
         fi, row = locate_row(_clamp_bary(tuple(float(b) for b in beta)))
-        return np.array(row) @ _scaled_basis_arrays(basis_id)[fi - 1]
+        return row @ _scaled_basis_arrays(basis_id)[fi - 1]
     fi, row = locate_row(beta)
     vals = [Fraction(0)] * 39
     for r, tj in zip(row, scaled_basis_tables(basis_id)[fi - 1]):
@@ -126,12 +135,14 @@ def _clamp_bary(beta, tol=1e-9):
 
 
 def _float_coeffs(s: Spline) -> np.ndarray:
+    import numpy as np
     return np.array([float(c) for c in s.coeffs])
 
 
 def eval_many(s: Spline, barys: np.ndarray) -> np.ndarray:
     """Float values at an array of barycentric points (n x 3), each equal to
     float eval_spline at the same barycentrics."""
+    import numpy as np
     coeffs = _float_coeffs(s)
     return np.array([basis_values(s.basis, b) @ coeffs for b in barys], dtype=float)
 

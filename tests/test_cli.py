@@ -303,3 +303,37 @@ def test_cold_cli_stays_free_of_sympy():
             "assert 'sympy' not in sys.modules, 'sympy loaded'\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr[-1500:]
+
+
+def test_cold_exact_commands_leave_numpy_unloaded(tmp_path):
+    """Only the float layer imports numpy: in a fresh interpreter, table
+    export, exact eval, nodal and exact assembly leave it unloaded, and a
+    float eval loads it."""
+    from ps12splines.assembly import triangulation
+    from ps12splines.serialize import hermite_data_to_dict, triangulation_to_dict
+    spline, mesh, data = (str(tmp_path / n) for n in ("s.json", "mesh.json", "data.json"))
+    with open(spline, "w") as fh:
+        json.dump({"frame": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]],
+                   "basis": "c", "coeffs": [f"{i}/7" for i in range(39)]}, fh)
+    tri = triangulation([(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))],
+                        [(0, 1, 2), (1, 3, 2)])
+    jets = {i: (F(i),) + (F(0),) * 9 for i in range(4)}
+    with open(mesh, "w") as fh:
+        fh.write(dumps(triangulation_to_dict(tri)))
+    with open(data, "w") as fh:
+        fh.write(dumps(hermite_data_to_dict(jets, {e: (F(0),) * 3 for e in tri.edges()})))
+    exact = [["tables", "dims"],
+             ["eval", "--spline", spline, "--point", "1/3", "1/5"],
+             ["nodal"],
+             ["assemble", "--mesh", mesh, "--data", data]]
+    code = ("import os, sys\n"
+            "import ps12splines\n"
+            "from ps12splines import cli\n"
+            f"for args in {exact!r}:\n"
+            "    assert cli.main(args + ['--out', os.devnull]) == 0, args\n"
+            "    assert 'numpy' not in sys.modules, f'numpy loaded by {args}'\n"
+            f"args = {exact[1]!r} + ['--layer', 'float', '--out', os.devnull]\n"
+            "assert cli.main(args) == 0\n"
+            "assert 'numpy' in sys.modules, 'float eval ran without numpy'\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr[-1500:]

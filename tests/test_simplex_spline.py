@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from ps12splines.errors import (
     TooFewKnots,
 )
 from ps12splines.geometry import (
+    FACES,
     INTERIOR_LINES,
     Point2,
     S3_ELEMENTS,
@@ -28,8 +31,15 @@ from ps12splines.geometry import (
 from ps12splines.marsden_catalog import catalog
 from ps12splines.simplex_spline import (
     FaceForms,
+    _degree_step,
     _eval_at_bary,
+    _face_ordinates,
+    _independent_triple,
     _independent_triple_high,
+    _vertex_bary,
+    active_indices,
+    hull_area,
+    support_faces,
     bernstein_row,
     derivative,
     derivative_expansion,
@@ -274,6 +284,59 @@ def test_per_face_tables_match_pointwise_recursion(k, fi, weights, order, direct
     d = (-u.x - u.y, u.x, u.y)
     ff = FaceForms(ref, 5, per_face_bernstein(ref, K))
     assert ff.value_at_bary(to_bary(ref, p), (u,) * order) == derivative(ref, K, d, order)(p)
+
+
+def _fraction_face_ordinates(m, memo):
+    """The per-face recursion run over Fractions: the reference for the
+    fraction-free tables (12 ordinate tuples, None where Q[m] is zero)."""
+    if m in memo:
+        return memo[m]
+    act = active_indices(m)
+    tri = _independent_triple(act) if len(act) >= 3 else None
+    if tri is None:
+        out = (None,) * 12
+    elif sum(m) == 3:
+        base = (F(1, 2) / hull_area(act),)
+        out = tuple(base if fi in support_faces(act) else None for fi in range(1, 13))
+    else:
+        deg = sum(m) - 3
+        den, vb = _vertex_bary(tri)
+        children = [_fraction_face_ordinates(m[:i - 1] + (m[i - 1] - 1,) + m[i:], memo)
+                    for i in tri]
+        faces = []
+        for fi, corners in enumerate(FACES):
+            acc = None
+            for j, child in enumerate(children):
+                if child[fi] is None:
+                    continue
+                if acc is None:
+                    acc = [F(0)] * ((deg + 1) * (deg + 2) // 2)
+                lform = tuple(F(vb[v - 1][j], den) for v in corners)
+                for c, step in zip(child[fi], _degree_step(deg)):
+                    for l, (i, f) in zip(lform, step):
+                        acc[i] += l * F(f, deg) * c
+            faces.append(None if acc is None else tuple(acc))
+        out = tuple(faces)
+    memo[m] = out
+    return out
+
+
+def test_integer_face_tables_match_fraction_recursion():
+    """The fraction-free tables of the 99 admissible splines and of all
+    their sub-multisets of degree 0-4 equal the Fraction recursion, with the
+    numerators and the denominator reduced by their gcd."""
+    from ps12splines.basis_search import enumerate_admissible
+    quintics = {K for cls in enumerate_admissible() for K in cls.members}
+    subs = {m for K in quintics for m in product(*(range(k + 1) for k in K))
+            if 3 <= sum(m) <= 7}
+    memo = {}
+    for m in sorted(quintics | subs):
+        den, faces = _face_ordinates(m)
+        want = _fraction_face_ordinates(m, memo)
+        assert [None if f is None else [F(c, den) for c in f] for f in faces] == \
+            [None if f is None else list(f) for f in want], m
+        assert den > 0 and gcd(den, *(c for f in faces if f for c in f)) == 1, m
+    assert len(quintics) == 99 and any(sum(m) == 3 for m in subs)
 
 
 def test_per_face_bernstein_rejects_non_quintic(ref):

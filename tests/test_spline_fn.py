@@ -63,6 +63,18 @@ def test_float_eval_spline_and_eval_many_agree_bitwise():
             eval_spline(s, Point2(0.5, -1e-6))
 
 
+def test_float_tables_are_the_exact_tables_rounded():
+    """The float tables, divided from the integer tables, carry the bits of
+    float() of the exact Fraction tables."""
+    import numpy as np
+    from ps12splines.spline_fn import _scaled_basis_arrays, scaled_basis_tables
+    for basis in "abcdef":
+        want = np.array(scaled_basis_tables(basis), dtype=float)
+        got = _scaled_basis_arrays(basis)
+        assert got.shape == want.shape == (12, 21, 39)
+        assert got.tobytes() == want.tobytes(), basis
+
+
 def test_eval_linear_in_coefficients(ref):
     rng = random.Random(43)
     ca = tuple(F(rng.randint(-9, 9), 4) for _ in range(39))
