@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateTriangle, DomainError
-from .rational import is_exact
+from .rational import common_denominator, is_exact
 
 
 class Point2(NamedTuple):
@@ -265,6 +265,26 @@ def face_bary_matrices() -> tuple:
 def _float_face_bary_matrices() -> tuple:
     # Fraction * float rounds the Fraction first, so the products keep their bits
     return tuple(tuple(tuple(map(float, row)) for row in m) for m in face_bary_matrices())
+
+
+@lru_cache(maxsize=1)
+def _int_face_bary_matrices() -> tuple:
+    """(d, rows) per face: the matrix of face_bary_matrices as integer rows
+    over the lcm d of its denominators."""
+    out = []
+    for m in face_bary_matrices():
+        d, nums = common_denominator([x for row in m for x in row])
+        out.append((d, (nums[0:3], nums[3:6], nums[6:9])))
+    return tuple(out)
+
+
+def face_bary_numerators(fi: int, beta: Bary3) -> tuple:
+    """(D, g): the face-barycentrics of exact macro-barycentrics beta as
+    integers g over one denominator D = d E, with E the lcm of beta's
+    denominators and d that of the face's matrix."""
+    e, b = common_denominator(beta)
+    d, m = _int_face_bary_matrices()[fi - 1]
+    return d * e, tuple(r[0] * b[0] + r[1] * b[1] + r[2] * b[2] for r in m)
 
 
 def face_bary_from_macro(fi: int, beta: Bary3) -> Bary3:

@@ -7,18 +7,21 @@ Matrices are lists of lists of ``int`` or ``Fraction``.  Every routine scales
 each row to integers by the lcm of its denominators and runs one fraction-free
 (Bareiss 1968) forward elimination, whose divisions are all exact, so no gcd
 is taken inside the elimination.  :func:`rank` reads the number of pivots
-and :func:`pivot_columns` their columns; :func:`solve` back-substitutes in
-integers and divides once per entry by the final pivot (the determinant up
-to sign).  Right-hand sides of :func:`solve` are rational matrices;
-:func:`inverse` is ``solve(A, identity)``.
+and :func:`pivot_columns` their columns; :func:`_integer_solve`
+back-substitutes in integers and returns the integer solution with the final
+pivot d (the determinant up to sign), which :func:`solve` divides once per
+entry.  Callers that contract the solution further in integers (the Lagrange
+interpolation in ``spline_fn``) keep the pair and divide only at the end.
+Right-hand sides of :func:`solve` are rational matrices; :func:`inverse` is
+``solve(A, identity)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import DimensionMismatch, SingularSystem
+from .rational import common_denominator
 
 Matrix = list  # list[list[int | Fraction]]
 
@@ -43,12 +46,8 @@ def _integer_rows(A: Matrix) -> tuple[list, list]:
     """
     rows, scales = [], []
     for row in A:
-        den = 1
-        for v in row:
-            d = v.denominator
-            if den % d:
-                den = den // gcd(den, d) * d
-        rows.append([v.numerator * (den // v.denominator) for v in row])
+        den, nums = common_denominator(row)
+        rows.append(nums)
         scales.append(den)
     return rows, scales
 
@@ -111,17 +110,17 @@ def bareiss(rows: list) -> tuple[int, int]:
     return r, (sign * last if (m == n and r == n) else 0)
 
 
-def solve(A: Matrix, B: Matrix) -> Matrix:
-    """Solve A X = B exactly for the n x m matrix X of Fractions.
+def _integer_solve(A: Matrix, B: Matrix) -> tuple[int, list]:
+    """(d, X'): the solution of A X = B as integers X' = d X over one pivot d.
 
-    A and B hold ints or Fractions.  Raises SingularSystem when A is
-    singular.
+    d is the last Bareiss pivot, nonzero and possibly negative.  A and B hold
+    ints or Fractions.  Raises SingularSystem when A is singular.
     """
     n = len(A)
     if len(B) != n or any(len(a) != n for a in A):
         raise DimensionMismatch("solve needs a square A and one row of B per row of A")
     if n == 0:
-        return []
+        return 1, []
     rows, _ = _integer_rows([list(a) + list(b) for a, b in zip(A, B)])
     d = _eliminate(rows, n, strict=True)[2]
     # U X' = d Y has the integer solution X' = d X (Cramer), so each
@@ -136,6 +135,16 @@ def solve(A: Matrix, B: Matrix) -> Matrix:
                 acc = [a - u * x for a, x in zip(acc, xs[j])]
         piv = row[i]
         xs[i] = [a // piv for a in acc]
+    return d, xs
+
+
+def solve(A: Matrix, B: Matrix) -> Matrix:
+    """Solve A X = B exactly for the n x m matrix X of Fractions.
+
+    A and B hold ints or Fractions.  Raises SingularSystem when A is
+    singular.
+    """
+    d, xs = _integer_solve(A, B)
     return [[Fraction(x, d) for x in xi] for xi in xs]
 
 

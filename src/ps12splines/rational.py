@@ -3,6 +3,8 @@
 A computation is exact iff every input is an ``int`` or a ``Fraction``
 (:func:`is_exact`, the one place this is decided); it then returns
 Fractions.  Any other number selects the float layer (double precision).
+Exact kernels carry integers over one common denominator
+(:func:`common_denominator`) and make each result a Fraction once.
 Serialized rationals are ``"p/q"`` strings in lowest terms with positive
 denominator; plain integers round-trip as ``"p/1"``.
 """
@@ -10,6 +12,7 @@ denominator; plain integers round-trip as ``"p/1"``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import ParseError
 
@@ -20,6 +23,17 @@ def is_exact(values) -> bool:
     # slow ABC path, and float evaluation asks this per point
     return not any(isinstance(v, float) for v in values) and \
         all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def common_denominator(values) -> tuple[int, list]:
+    """(L, numerators): exact values as integers over the lcm L of their
+    denominators, so value k is numerators[k] / L."""
+    dens = [v.denominator for v in values]
+    den = lcm(*dens)
+    nums = [v.numerator for v in values]
+    if den == 1:
+        return 1, nums
+    return den, [p * (den // q) for p, q in zip(nums, dens)]
 
 
 def parse_rational(text: str) -> Fraction:

@@ -15,9 +15,11 @@ on Bernstein forms, with the pointwise recursion as their reference; every
 evaluation of those tables, derivatives included, goes through locate_row
 and functional_row.
 
-Everything is exact on the reference frame (the per-face recursion runs on
+Everything is exact on the reference frame, taken scaled by 12 so that the
+ten split vertices are integer points (the per-face recursion runs on
 integers, see _face_ordinates); general frames enter only through
 barycentric coordinates (affine maps carry the spline along with them).
+Exact Bernstein rows are integer products over one common denominator.
 """
 
 from __future__ import annotations
@@ -37,13 +39,13 @@ from .geometry import (
     bary_coords,
     direction_coords,
     face_bary_from_macro,
-    from_bary,
+    face_bary_numerators,
     locate_face_bary,
     reference_frame,
     signed_area2,
     to_bary,
 )
-from .rational import is_exact
+from .rational import common_denominator, is_exact
 
 KnotMultiset = tuple  # 10 nonnegative ints
 
@@ -53,12 +55,16 @@ def knots(spec) -> KnotMultiset:
 
     Short digit strings address vertices 1..6 (the usual quintic case);
     trailing zeros for vertices up to 10 are implied.  Raises DomainError
-    unless every entry is a digit or a nonnegative int (not a bool).
+    unless spec is a string or a sequence and every entry is a digit or a
+    nonnegative int (not a bool).
     """
     if isinstance(spec, str):
         m = tuple("0123456789".find(ch) for ch in spec)
     else:
-        m = tuple(x if isinstance(x, int) and not isinstance(x, bool) else -1 for x in spec)
+        try:
+            m = tuple(x if isinstance(x, int) and not isinstance(x, bool) else -1 for x in spec)
+        except TypeError:  # not iterable
+            raise DomainError(f"bad multiplicity vector {spec!r}") from None
     if len(m) > 10 or any(x < 0 for x in m):
         raise DomainError(f"bad multiplicity vector {spec!r}")
     return m + (0,) * (10 - len(m))
@@ -88,9 +94,16 @@ def active_indices(K: KnotMultiset) -> tuple:
 # Reference-frame point tables
 # ---------------------------------------------------------------------------
 
+#: The reference frame scaled by 12, which makes all ten split vertices
+#: integer points.  Sign tests and barycentric ratios do not change under
+#: the scaling; areas shrink back by 12^2.
+_REF_SCALE = 12
+
+
 @lru_cache(maxsize=1)
 def _ref_points() -> tuple:
-    return reference_frame().v
+    return tuple(Point2(int(_REF_SCALE * p.x), int(_REF_SCALE * p.y))
+                 for p in reference_frame().v)
 
 
 @lru_cache(maxsize=None)
@@ -106,22 +119,29 @@ def _independent_triple(act: tuple):
     return None
 
 
-def _bary_wrt(tri: tuple, p: Point2) -> tuple:
-    return bary_coords(tuple(_ref_points()[i - 1] for i in tri), p)
-
-
 @lru_cache(maxsize=None)
 def _vertex_bary(tri: tuple) -> tuple:
     """(L, rows): barycentrics of the ten split vertices with respect to a
     triple, as integer numerators over their lcm L."""
-    vb = [_bary_wrt(tri, p) for p in _ref_points()]
-    den = lcm(*(w.denominator for row in vb for w in row))
-    return den, tuple(tuple(w.numerator * (den // w.denominator) for w in row) for row in vb)
+    a, b, c = (_ref_points()[i - 1] for i in tri)
+    den = signed_area2(a, b, c)
+    rows = [(signed_area2(p, b, c), signed_area2(a, p, c), signed_area2(a, b, p))
+            for p in _ref_points()]
+    # dividing by the gcd of the denominator and all numerators leaves the
+    # lcm of the reduced denominators
+    g = gcd(den, *(w for row in rows for w in row))
+    if den < 0:
+        g = -g
+    return den // g, tuple(tuple(w // g for w in row) for row in rows)
 
 
 @lru_cache(maxsize=None)
 def hull_area(act: tuple) -> Fraction:
-    """Area of the convex hull of the given vertex indices (reference frame)."""
+    """Area of the convex hull of the given vertex indices (reference frame).
+
+    Computed on the integer points of _ref_points, where twice the area is
+    an integer, and divided back by 12^2.
+    """
     pts = sorted({_ref_points()[i - 1] for i in act})
     if len(pts) < 3:
         return Fraction(0)
@@ -138,15 +158,14 @@ def hull_area(act: tuple) -> Fraction:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         return Fraction(0)
-    s = Fraction(0)
+    s = 0
     for i in range(len(hull)):
         a, b = hull[i], hull[(i + 1) % len(hull)]
         s += a.x * b.y - b.x * a.y
-    return abs(s) / 2
+    return Fraction(abs(s), 2 * _REF_SCALE ** 2)
 
 
-def _point_in_hull(p: Point2, act: tuple) -> bool:
-    pts = [_ref_points()[i - 1] for i in act]
+def _point_in_hull(p: Point2, pts: list) -> bool:
     n = len(pts)
     for a in range(n):
         for b in range(a + 1, n):
@@ -168,12 +187,13 @@ def _point_in_hull(p: Point2, act: tuple) -> bool:
 @lru_cache(maxsize=None)
 def support_faces(act: tuple) -> tuple:
     """Face indices whose closed face lies inside the hull of the knots."""
-    frame = reference_frame()
+    ref = _ref_points()
+    # three times each face centroid against the knots scaled by 3: integers
+    knots3 = [Point2(3 * ref[i - 1].x, 3 * ref[i - 1].y) for i in act]
     out = []
-    for fi in range(1, 13):
-        a, b, c = frame.face_corners(fi)
-        cen = Point2((a.x + b.x + c.x) / 3, (a.y + b.y + c.y) / 3)
-        if _point_in_hull(cen, act):
+    for fi, corners in enumerate(FACES, 1):
+        a, b, c = (ref[i - 1] for i in corners)
+        if _point_in_hull(Point2(a.x + b.x + c.x, a.y + b.y + c.y), knots3):
             out.append(fi)
     return tuple(out)
 
@@ -205,7 +225,9 @@ def _independent_triple_high(act: tuple):
 
 
 def _eval_at_bary(K: KnotMultiset, beta: tuple, pick=None) -> Fraction:
-    pref = from_bary(reference_frame(), beta)
+    # the point in the coordinates of _ref_points, exact even for int beta
+    pref = Point2(*(sum((b * p[k] for b, p in zip(beta, _ref_points())), Fraction(0))
+                    for k in (0, 1)))
     choose = pick or _independent_triple
     memo = {}
 
@@ -225,7 +247,7 @@ def _eval_at_bary(K: KnotMultiset, beta: tuple, pick=None) -> Fraction:
                 val = Fraction(1, 2) / hull_area(act)
             memo[m] = val
             return val
-        g = _bary_wrt(tri, pref)
+        g = bary_coords(tuple(_ref_points()[i - 1] for i in tri), pref)
         total = Fraction(0)
         for w, idx in zip(g, tri):
             if w != 0:
@@ -561,10 +583,24 @@ def per_face_bernstein(frame: PS12Frame, K: KnotMultiset) -> tuple:
 
 def bernstein_row(g, deg: int = 5) -> list:
     """Degree-deg Bernstein polynomials at face barycentrics g, in the order
-    of bernstein_exponents(deg) (exact for Fractions, float for floats)."""
+    of bernstein_exponents(deg): floats for floats, integers for integers.
+
+    Fractions are put over one common denominator E, so the row is integer
+    products over E^deg, each made a Fraction once.
+    """
+    if type(g[0]) is Fraction:
+        den, nums = common_denominator(g)
+        scale = den ** deg
+        return [Fraction(x, scale) for x in bernstein_row(nums, deg)]
     p0, p1, p2 = ([x ** k for k in range(deg + 1)] for x in g)
     return [m * p0[a] * p1[b] * p2[c]
             for m, (a, b, c) in zip(_multinomials(deg), bernstein_exponents(deg))]
+
+
+def _outside(beta) -> OutsideDomain:
+    coords = ", ".join(str(b) for b in beta)
+    return OutsideDomain(f"point with barycentric coordinates ({coords}) "
+                         "outside the macrotriangle")
 
 
 def locate_row(beta, deg: int = 5) -> tuple:
@@ -575,10 +611,20 @@ def locate_row(beta, deg: int = 5) -> tuple:
     """
     fi = locate_face_bary(*beta)
     if fi is None:
-        coords = ", ".join(str(b) for b in beta)
-        raise OutsideDomain(f"point with barycentric coordinates ({coords}) "
-                            "outside the macrotriangle")
+        raise _outside(beta)
     return fi, bernstein_row(face_bary_from_macro(fi, beta), deg)
+
+
+def locate_int_row(beta, deg: int = 5) -> tuple:
+    """(face, D, row): locate_row for exact beta with the row as integers
+    over one denominator D = (d E)^deg (E and d as in
+    geometry.face_bary_numerators), for kernels that divide once at the end.
+    """
+    fi = locate_face_bary(*beta)
+    if fi is None:
+        raise _outside(beta)
+    den, g = face_bary_numerators(fi, beta)
+    return fi, den ** deg, bernstein_row(g, deg)
 
 
 def functional_row(beta, deltas=(), deg: int = 5) -> tuple:

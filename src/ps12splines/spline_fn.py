@@ -1,21 +1,27 @@
 """Splines as coefficient vectors in one of the six bases.
 
 A spline is f = sum_i c_i S_i with S_i = w_i Q_i the scaled basis functions.
-Every value comes from the cached per-face tables of the S_i: basis_values
-multiplies them by a located Bernstein row, face_forms contracts them with
-the coefficients.  Values are exact Fractions when coefficients, frame and
-points are exact (rational.is_exact), else a numpy path on float copies of
-the tables, the package's only numpy user: exact work never imports it.
+Every value comes from one cached table per basis, the per-face ordinates
+of the S_i as integers over one denominator: basis_values multiplies it by
+a located Bernstein row, face_forms contracts it with the coefficients.
+Values are exact Fractions when coefficients, frame and points are exact
+(rational.is_exact): the exact kernels run on integers (the located row,
+the table and the coefficients each over one denominator) and divide once
+per result.  Otherwise a numpy path runs on the table divided out to
+floats, the package's only numpy user: exact work never imports it.
 The domain-point collocation matrix has rows summing to one, and its exact
-inverse bounds the basis condition number in the max norm.
+inverse, kept as integers over one denominator, gives Lagrange
+interpolation as one integer mat-vec and bounds the basis condition number
+in the max norm.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # annotations only: the float path imports numpy when it runs
@@ -30,10 +36,10 @@ from .geometry import (
     S3_ELEMENTS,
     to_bary,
 )
-from .linalg import inf_norm, inverse, mat_vec
+from .linalg import _integer_solve, identity, inf_norm
 from .marsden_catalog import BASIS_IDS, catalog
-from .rational import is_exact
-from .simplex_spline import FaceForms, _face_ordinates, locate_row
+from .rational import common_denominator, is_exact
+from .simplex_spline import FaceForms, _face_ordinates, locate_int_row, locate_row
 
 
 @dataclass(frozen=True)
@@ -59,32 +65,34 @@ class Spline:
         return is_exact(self.coeffs) and is_exact([c for p in self.frame.v[:3] for c in p])
 
 
-def _scaled(basis_id: str, div) -> tuple:
-    """12 x 21 x 39 nested tuples of div(p * n, q), where S_i's ordinates
-    are Q_i's integer ordinates n times p / q = w_i / den_i.  int/int true
-    division rounds correctly, so it gives the bits of float(Fraction)."""
+@lru_cache(maxsize=None)
+def scaled_basis_tables(basis_id: str) -> tuple:
+    """Per-face ordinate tables of the scaled functions S_i = w_i Q_i.
+
+    Returns (Q, T): T is a 12 x 21 x 39 nested tuple of integers over the
+    one denominator Q (frame independent), T[f][s][i] / Q the s-th ordinate
+    of S_i on face f + 1.  With Q_i's integer ordinates n and w_i / den_i =
+    p_i / q_i in lowest terms, Q is the lcm of the q_i and T[f][s][i] is
+    (p_i Q / q_i) n.
+    """
     parts = []
     for el in catalog(basis_id).elements:
         den, faces = _face_ordinates(el.multiset)
         scale = el.weight / den
         parts.append((scale.numerator, scale.denominator, [f or (0,) * 21 for f in faces]))
-    return tuple(tuple(tuple(div(p * t[fi][s], q) for p, q, t in parts) for s in range(21))
-                 for fi in range(12))
-
-
-@lru_cache(maxsize=None)
-def scaled_basis_tables(basis_id: str) -> tuple:
-    """Per-face ordinate tables of the scaled functions S_i = w_i Q_i.
-
-    Returns a 12 x 21 x 39 nested tuple of Fractions (frame independent).
-    """
-    return _scaled(basis_id, Fraction)
+    q = lcm(*(qi for _, qi, _ in parts))
+    parts = [(p * (q // qi), faces) for p, qi, faces in parts]
+    return q, tuple(tuple(tuple(k * faces[fi][s] for k, faces in parts) for s in range(21))
+                    for fi in range(12))
 
 
 @lru_cache(maxsize=None)
 def _scaled_basis_arrays(basis_id: str) -> np.ndarray:
     import numpy as np
-    return np.array(_scaled(basis_id, operator.truediv), dtype=float)  # (12, 21, 39)
+    q, table = scaled_basis_tables(basis_id)
+    # int / int true division rounds correctly: the bits of float(Fraction(t, q))
+    return np.array([[[t / q for t in row] for row in face] for face in table],
+                    dtype=float)  # (12, 21, 39)
 
 
 def basis_values(basis_id: str, beta):
@@ -98,14 +106,16 @@ def basis_values(basis_id: str, beta):
     if not is_exact(beta):
         fi, row = locate_row(_clamp_bary(tuple(float(b) for b in beta)))
         return row @ _scaled_basis_arrays(basis_id)[fi - 1]
-    fi, row = locate_row(beta)
-    vals = [Fraction(0)] * 39
-    for r, tj in zip(row, scaled_basis_tables(basis_id)[fi - 1]):
-        if r:
-            for i, t in enumerate(tj):
-                if t:
-                    vals[i] += r * t
-    return tuple(vals)
+    den, vals = _int_basis_values(basis_id, beta)
+    return tuple(Fraction(v, den) for v in vals)
+
+
+def _int_basis_values(basis_id: str, beta) -> tuple:
+    """(D, vals): the 39 values S_i at exact beta as integers over one
+    denominator D, the located integer row times its face's table."""
+    fi, den, row = locate_int_row(beta)
+    q, table = scaled_basis_tables(basis_id)
+    return den * q, [sum(map(mul, row, col)) for col in zip(*table[fi - 1])]
 
 
 def eval_spline(s: Spline, p) -> object:
@@ -117,8 +127,9 @@ def eval_spline(s: Spline, p) -> object:
     """
     beta = to_bary(s.frame, Point2(*p))
     if is_exact(beta) and is_exact(s.coeffs):
-        return sum((v * c for v, c in zip(basis_values(s.basis, beta), s.coeffs) if v),
-                   Fraction(0))
+        den, vals = _int_basis_values(s.basis, beta)
+        cden, c = common_denominator(s.coeffs)
+        return Fraction(sum(map(mul, vals, c)), den * cden)
     return float(basis_values(s.basis, tuple(float(b) for b in beta)) @ _float_coeffs(s))
 
 
@@ -160,9 +171,10 @@ def face_forms(s: Spline) -> FaceForms:
 @lru_cache(maxsize=64)
 def _face_forms(s: Spline, exact: bool) -> FaceForms:
     if exact:
-        ords = tuple(tuple(sum((t * c for t, c in zip(tj, s.coeffs) if t), Fraction(0))
-                           for tj in face)
-                     for face in scaled_basis_tables(s.basis))
+        q, table = scaled_basis_tables(s.basis)
+        cden, c = common_denominator(s.coeffs)
+        den = q * cden
+        ords = tuple(tuple(Fraction(sum(map(mul, t, c)), den) for t in face) for face in table)
     else:
         ords = tuple(tuple(row) for row in _scaled_basis_arrays(s.basis) @ _float_coeffs(s))
     return FaceForms(s.frame, 5, ords)
@@ -173,26 +185,42 @@ def _face_forms(s: Spline, exact: bool) -> FaceForms:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _collocation(basis_id: str) -> tuple:
+    """(M, d, N): the exact collocation matrix M[i][j] = S_j(domain point i)
+    and its inverse as integers N over the one denominator d."""
+    rows = tuple(basis_values(basis_id, el.domain_point) for el in catalog(basis_id).elements)
+    d, n = _integer_solve(rows, identity(len(rows)))
+    return rows, d, tuple(tuple(r) for r in n)
+
+
 def collocation_at_domain_points(basis_id: str):
     """(M, M^-1, K): exact collocation matrix M[i][j] = S_j(domain point i),
     its exact inverse, and the max-norm condition bound K = ||M^-1||_inf.
 
     Rows of M sum to one, so ||M||_inf = 1 and K is the condition number.
     """
-    spec = catalog(basis_id)
-    rows = [basis_values(basis_id, el.domain_point) for el in spec.elements]
-    minv = inverse(rows)
-    return tuple(tuple(r) for r in rows), tuple(tuple(r) for r in minv), inf_norm(minv)
+    m, d, n = _collocation(basis_id)
+    minv = tuple(tuple(Fraction(x, d) for x in r) for r in n)
+    return m, minv, Fraction(inf_norm(n), abs(d))
 
 
 def lagrange_interpolate(basis_id: str, frame: PS12Frame, values) -> Spline:
-    """The unique spline matching the 39 values at the domain points."""
+    """The unique spline matching the 39 values at the domain points.
+
+    Exact values give Fraction coefficients from one integer mat-vec with
+    the cached inverse, float values give float coefficients.
+    """
     values = list(values)
     if len(values) != 39:
         raise DimensionMismatch(f"need 39 values, got {len(values)}")
-    _, minv, _ = collocation_at_domain_points(basis_id)
-    coeffs = mat_vec([list(r) for r in minv], values)
-    return Spline(frame, basis_id, tuple(coeffs))
+    _, d, n = _collocation(basis_id)
+    if is_exact(values):
+        den, v = common_denominator(values)
+        den *= d
+        coeffs = tuple(Fraction(sum(map(mul, r, v)), den) for r in n)
+    else:
+        coeffs = tuple(sum(x / d * y for x, y in zip(r, values)) for r in n)
+    return Spline(frame, basis_id, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ BAD_CALLS = {
     "knots float multiplicity": lambda: simplex_spline.knots([2.7, 1, 0, 1, 0, 1]),
     "knots bool multiplicity": lambda: simplex_spline.knots([True, 1, 0, 1, 0, 5]),
     "knots non-digit": lambda: simplex_spline.knots("6001a1"),
+    "knots int spec": lambda: simplex_spline.knots(6),
+    "knots None": lambda: simplex_spline.knots(None),
     "edge_key name": lambda: simplex_spline.edge_key("e4"),
     "edge_key pair": lambda: simplex_spline.edge_key((1, 5)),
     "bspline degree": lambda: bspline1d.UnivariateBSplineRef(6, 1),

@@ -1,21 +1,40 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rational_points
 from ps12splines.errors import BoundViolated, OutsideDomain, UnsupportedBasis
-from ps12splines.geometry import Point2, from_bary, make_frame
-from ps12splines.linalg import inf_norm
+from ps12splines.geometry import (
+    FACES,
+    VERTEX_BARY,
+    Point2,
+    face_bary_from_macro,
+    from_bary,
+    locate_face_bary,
+    make_frame,
+    to_bary,
+)
+from ps12splines.linalg import inf_norm, solve
 from ps12splines.marsden_catalog import catalog
+from ps12splines.simplex_spline import (
+    _face_ordinates,
+    bernstein_exponents,
+    locate_row,
+)
 from ps12splines.spline_fn import (
     Spline,
+    basis_values,
     collocation_at_domain_points,
     control_distance_bound_check,
     control_mesh,
     control_mesh_edges,
     eval_spline,
+    face_forms,
     lagrange_interpolate,
 )
 
@@ -65,14 +84,137 @@ def test_float_eval_spline_and_eval_many_agree_bitwise():
 
 def test_float_tables_are_the_exact_tables_rounded():
     """The float tables, divided from the integer tables, carry the bits of
-    float() of the exact Fraction tables."""
+    float() of the exact tables, and those equal the Fraction oracle's."""
     import numpy as np
     from ps12splines.spline_fn import _scaled_basis_arrays, scaled_basis_tables
     for basis in "abcdef":
-        want = np.array(scaled_basis_tables(basis), dtype=float)
+        q, table = scaled_basis_tables(basis)
+        exact = [[[F(t, q) for t in row] for row in face] for face in table]
+        assert exact == [[list(row) for row in face] for face in _fraction_tables(basis)]
+        want = np.array([[[float(x) for x in row] for row in face] for face in exact])
         got = _scaled_basis_arrays(basis)
         assert got.shape == want.shape == (12, 21, 39)
         assert got.tobytes() == want.tobytes(), basis
+
+
+# ---------------------------------------------------------------------------
+# The exact kernels against the Fraction row-times-table oracle
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _fraction_tables(basis):
+    """12 x 21 x 39 Fractions w_i / den_i * n: the scaled per-face tables as
+    the library kept them before its kernels went fraction-free."""
+    parts = []
+    for el in catalog(basis).elements:
+        den, faces = _face_ordinates(el.multiset)
+        parts.append((el.weight / den, [f or (0,) * 21 for f in faces]))
+    return tuple(tuple(tuple(sc * t[fi][s] for sc, t in parts) for s in range(21))
+                 for fi in range(12))
+
+
+def _fraction_row(g):
+    """The quintic Bernstein row at face barycentrics g, in Fractions."""
+    return [F(factorial(5), factorial(a) * factorial(b) * factorial(c))
+            * g[0] ** a * g[1] ** b * g[2] ** c for a, b, c in bernstein_exponents(5)]
+
+
+def _oracle_basis_values(basis, beta):
+    fi = locate_face_bary(*beta)
+    row = _fraction_row(face_bary_from_macro(fi, beta))
+    vals = [F(0)] * 39
+    for r, tj in zip(row, _fraction_tables(basis)[fi - 1]):
+        if r:
+            for i, t in enumerate(tj):
+                if t:
+                    vals[i] += r * t
+    return tuple(vals)
+
+
+def _oracle_face_forms(s):
+    return tuple(tuple(sum((t * c for t, c in zip(tj, s.coeffs) if t), F(0)) for tj in face)
+                 for face in _fraction_tables(s.basis))
+
+
+def _seeded_spline(basis, seed):
+    """A spline of the basis on a seeded rational frame with seeded rational
+    coefficients (and a few integer ones)."""
+    rng = random.Random(seed)
+    while True:
+        corners = [(F(rng.randint(-40, 40), rng.randint(1, 9)),
+                    F(rng.randint(-40, 40), rng.randint(1, 9))) for _ in range(3)]
+        (ax, ay), (bx, by), (cx, cy) = corners
+        if (bx - ax) * (cy - ay) != (by - ay) * (cx - ax):
+            break
+    coeffs = tuple(rng.randint(-9, 9) if k % 7 == 0 else F(rng.randint(-99, 99), rng.randint(1, 60))
+                   for k in range(39))
+    return Spline(make_frame(*corners), basis, coeffs)
+
+
+def _check_against_oracle(s, beta):
+    p = from_bary(s.frame, beta)
+    assert to_bary(s.frame, p) == beta
+    want = _oracle_basis_values(s.basis, beta)
+    assert basis_values(s.basis, beta) == want
+    got = eval_spline(s, p)
+    assert isinstance(got, F) and got == sum((v * c for v, c in zip(want, s.coeffs)), F(0))
+    fi = locate_face_bary(*beta)
+    assert locate_row(beta) == (fi, _fraction_row(face_bary_from_macro(fi, beta)))
+
+
+def _face_point(fi, weights):
+    """Macro-barycentrics of the combination of face fi's corners with the
+    given nonnegative weights: zeros give edge points and split vertices."""
+    tot = sum(weights)
+    return tuple(sum(F(w, tot) * VERTEX_BARY[v - 1][r] for w, v in zip(weights, FACES[fi - 1]))
+                 for r in range(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis=st.sampled_from("abcdef"), seed=st.integers(0, 2 ** 32),
+       fi=st.integers(1, 12), weights=st.tuples(*[st.integers(0, 40)] * 3)
+       .filter(lambda w: sum(w) > 0))
+def test_exact_kernels_match_fraction_oracle(basis, seed, fi, weights):
+    """Exact eval_spline, basis_values, locate_row and face_forms equal the
+    Fraction oracle at rational points of any face, its edges (macro edges
+    among them) and its corners, on a seeded rational frame."""
+    s = _seeded_spline(basis, seed)
+    _check_against_oracle(s, _face_point(fi, weights))
+    assert face_forms(s).ords == _oracle_face_forms(s)
+
+
+def test_exact_kernels_at_split_vertices_and_edge_points():
+    """The ten split vertices and the midpoint and a third-point of every
+    face edge, where the half-open convention picks the face: exact values
+    equal the oracle on every basis."""
+    betas = {VERTEX_BARY[v - 1] for v in range(1, 11)}
+    for fi in range(1, 13):
+        for k in range(3):
+            for w in ((1, 1), (1, 2)):
+                weights = [0, 0, 0]
+                weights[k], weights[(k + 1) % 3] = w
+                betas.add(_face_point(fi, weights))
+    assert len(betas) == 10 + 21 + 36  # vertices, edge midpoints, third-points
+    for basis in "abcdef":
+        s = _seeded_spline(basis, ord(basis))
+        for beta in sorted(betas):
+            _check_against_oracle(s, beta)
+
+
+@settings(max_examples=12, deadline=None)
+@given(basis=st.sampled_from("abcdef"), seed=st.integers(0, 2 ** 32))
+def test_lagrange_is_the_exact_solve(basis, seed):
+    """lagrange_interpolate equals linalg.solve on the collocation matrix for
+    random rational values; float values give the float coefficients."""
+    rng = random.Random(seed)
+    v = [F(rng.randint(-500, 500), rng.randint(1, 40)) for _ in range(39)]
+    M, _, _ = collocation_at_domain_points(basis)
+    s = _seeded_spline(basis, seed)
+    got = lagrange_interpolate(basis, s.frame, v).coeffs
+    assert got == tuple(x for (x,) in solve([list(r) for r in M], [[x] for x in v]))
+    approx = lagrange_interpolate(basis, s.frame, [float(x) for x in v]).coeffs
+    assert all(isinstance(a, float) and abs(a - float(x)) <= 1e-9 * (1 + abs(x))
+               for a, x in zip(approx, got))
 
 
 def test_eval_linear_in_coefficients(ref):
