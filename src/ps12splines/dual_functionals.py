@@ -14,6 +14,11 @@ not depend on them, since both are fixed by per-face identities alone (the
 partition of unity and the Marsden identity).  The choice made here takes
 x_v, y_v toward the other two corners and u_e from the edge midpoint toward
 the opposite corner.
+
+Each functional is one Bernstein row of simplex_spline.functional_row,
+built once per frame as integers over one denominator; its value on Q[K]
+is that row's integer dot product with Q[K]'s integer table on the located
+face, made a Fraction once.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import DomainError
 from .geometry import PS12Frame, Point2, direction_coords, reference_frame, to_bary
 from .linalg import rank as matrix_rank
-from .simplex_spline import FaceForms, functional_row, knots, per_face_bernstein
+from .simplex_spline import FaceForms, _quintic_ordinates, functional_row, knots
 
 #: Vertex jet orders in canonical sequence.
 JET_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
@@ -103,9 +109,9 @@ def lambda_vector(K: tuple) -> tuple:
 
 
 def _functional_rows(frame: PS12Frame) -> tuple:
-    """(face, Bernstein row) of each functional on a frame, in canonical
-    order: its value on a quintic is the row's dot product with the quintic's
-    table on that face."""
+    """(face, D, Bernstein row) of each functional on a frame, in canonical
+    order: its value on a quintic is the row's dot product with the
+    quintic's table on that face, over D."""
     corners = frame.v[:3]
     return tuple(functional_row(to_bary(frame, lam.point),
                                 [direction_coords(corners, u) for u in lam.directions])
@@ -118,9 +124,11 @@ def _reference_rows() -> tuple:
 
 
 def _functional_values(rows, K: tuple) -> tuple:
-    tables = per_face_bernstein(reference_frame(), knots(K))
-    return tuple(sum((r * o for r, o in zip(row, tables[fi - 1]) if r), Fraction(0))
-                 for fi, row in rows)
+    """The functional values of the quintic Q[K] from exact rows: each
+    integer row times Q[K]'s integer table on its face, one Fraction each."""
+    den, faces = _quintic_ordinates(K)
+    return tuple(Fraction(sum(map(mul, row, faces[fi - 1])), rden * den) if faces[fi - 1]
+                 else Fraction(0) for fi, rden, row in rows)
 
 
 @dataclass(frozen=True)

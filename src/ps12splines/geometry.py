@@ -12,13 +12,16 @@ the medial triangle, then the six inner triangles around the centroid:
 
 Half-open convention: each point of the closed macrotriangle belongs to
 exactly one face, chosen as the lowest-index face whose closed triangle
-contains it.  In barycentric terms this is a fixed cascade of sign tests
-(corner sectors split by the medians, the medial triangle split into six
-sectors by the coordinate orderings); ties on interior edges go to the
-lower-numbered face and the centroid lands in D7.  Any fixed convention
+contains it, except v6, which lies in D5, D6, D10 and D11 and goes to D6.
+In barycentric terms this is a fixed cascade of sign tests (corner sectors
+split by the medians, the medial triangle split into six sectors by the
+coordinate orderings); ties on interior edges go to the lower-numbered face
+and the centroid lands in D7.  Any fixed convention
 satisfying the partition property gives the same results for continuous
 splines; this one is documented so that low-degree (discontinuous) splines
-evaluate reproducibly.
+evaluate reproducibly.  face_bary turns macro-barycentrics into those of the
+located face: integers over one denominator for exact input, floats for
+float input, both from the matrices of face_bary_matrices.
 """
 
 from __future__ import annotations
@@ -262,33 +265,30 @@ def face_bary_matrices() -> tuple:
 
 
 @lru_cache(maxsize=1)
-def _float_face_bary_matrices() -> tuple:
-    # Fraction * float rounds the Fraction first, so the products keep their bits
-    return tuple(tuple(tuple(map(float, row)) for row in m) for m in face_bary_matrices())
-
-
-@lru_cache(maxsize=1)
-def _int_face_bary_matrices() -> tuple:
-    """(d, rows) per face: the matrix of face_bary_matrices as integer rows
-    over the lcm d of its denominators."""
+def _layer_face_bary_matrices() -> tuple:
+    """Per face, the matrix of face_bary_matrices as integer rows over the
+    lcm d of its denominators, (d, rows), and as float rows."""
     out = []
     for m in face_bary_matrices():
         d, nums = common_denominator([x for row in m for x in row])
-        out.append((d, (nums[0:3], nums[3:6], nums[6:9])))
+        # Fraction * float rounds the Fraction first, so float products keep their bits
+        out.append(((d, (nums[0:3], nums[3:6], nums[6:9])), tuple(tuple(map(float, r)) for r in m)))
     return tuple(out)
 
 
-def face_bary_numerators(fi: int, beta: Bary3) -> tuple:
-    """(D, g): the face-barycentrics of exact macro-barycentrics beta as
-    integers g over one denominator D = d E, with E the lcm of beta's
-    denominators and d that of the face's matrix."""
-    e, b = common_denominator(beta)
-    d, m = _int_face_bary_matrices()[fi - 1]
-    return d * e, tuple(r[0] * b[0] + r[1] * b[1] + r[2] * b[2] for r in m)
+def face_bary(fi: int, beta: Bary3) -> tuple:
+    """(D, g): the face-barycentric coordinates g / D on face fi of the
+    macro-barycentrics beta (any frame); macro-directional triples map to
+    face-directional ones.
 
-
-def face_bary_from_macro(fi: int, beta: Bary3) -> Bary3:
-    """Face-barycentric coordinates from macro-barycentric ones (any frame,
-    either layer); maps macro-directional triples to face-directional ones."""
-    m = (face_bary_matrices() if is_exact(beta) else _float_face_bary_matrices())[fi - 1]
-    return tuple(m[r][0] * beta[0] + m[r][1] * beta[1] + m[r][2] * beta[2] for r in range(3))
+    Exact beta gives integers g over D = d E, with E the lcm of beta's
+    denominators and d that of the face's matrix; float beta gives floats
+    over D = 1, with the bits of the products with the Fraction matrices.
+    """
+    (d, m), floats = _layer_face_bary_matrices()[fi - 1]
+    if is_exact(beta):
+        e, beta = common_denominator(beta)
+        d *= e
+    else:
+        d, m = 1, floats
+    return d, tuple(r[0] * beta[0] + r[1] * beta[1] + r[2] * beta[2] for r in m)

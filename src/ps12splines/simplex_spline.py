@@ -1,7 +1,7 @@
 """Area-normalized simplex splines on the 12-split.
 
 A spline Q[K] is identified by a multiplicity vector K = (m1, ..., m10) over
-the split vertices; its degree is |K| - 3.  Evaluation follows the recursion
+the split vertices; its degree is |K| - 3.  It is defined by the recursion
 
     Q[K](x) = sum_j b_j Q[K \\ vj](x),      |K| > 3,
 
@@ -10,16 +10,19 @@ affinely independent active knots (the lowest-index valid triple, so results
 are reproducible), and the |K| = 3 base case an indicator of the half-open
 support scaled by area(T) / area([K]).
 
-The per-face Bernstein tables come from the same recursion run face by face
-on Bernstein forms, with the pointwise recursion as their reference; every
-evaluation of those tables, derivatives included, goes through locate_row
-and functional_row.
+The recursion runs once per multiset, face by face on Bernstein forms
+(_face_ordinates), and every value and derivative is read from the
+resulting per-face tables: functional_row is the one place that locates a
+point and builds the Bernstein row whose dot product with a face table is a
+value or a derivative there.  eval_simplex, derivative, the dual
+functionals and the spline layer all go through it.
 
 Everything is exact on the reference frame, taken scaled by 12 so that the
 ten split vertices are integer points (the per-face recursion runs on
 integers, see _face_ordinates); general frames enter only through
 barycentric coordinates (affine maps carry the spline along with them).
-Exact Bernstein rows are integer products over one common denominator.
+Exact Bernstein rows and tables are integers over one common denominator,
+divided once per result.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial, gcd, lcm
+from operator import mul
 
 from .errors import DomainError, InvalidDirection, InvalidWeights, OutsideDomain, TooFewKnots
 from .geometry import (
@@ -36,16 +41,14 @@ from .geometry import (
     PS12Frame,
     Point2,
     VERTEX_BARY,
-    bary_coords,
     direction_coords,
-    face_bary_from_macro,
-    face_bary_numerators,
+    face_bary,
     locate_face_bary,
     reference_frame,
     signed_area2,
     to_bary,
 )
-from .rational import common_denominator, is_exact
+from .rational import is_exact
 
 KnotMultiset = tuple  # 10 nonnegative ints
 
@@ -110,12 +113,9 @@ def _ref_points() -> tuple:
 def _independent_triple(act: tuple):
     """Lowest-index affinely independent triple among active vertices."""
     pts = _ref_points()
-    n = len(act)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                if signed_area2(pts[act[a] - 1], pts[act[b] - 1], pts[act[c] - 1]) != 0:
-                    return (act[a], act[b], act[c])
+    for tri in combinations(act, 3):
+        if signed_area2(*(pts[i - 1] for i in tri)) != 0:
+            return tri
     return None
 
 
@@ -136,16 +136,12 @@ def _vertex_bary(tri: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def hull_area(act: tuple) -> Fraction:
-    """Area of the convex hull of the given vertex indices (reference frame).
-
-    Computed on the integer points of _ref_points, where twice the area is
-    an integer, and divided back by 12^2.
-    """
+def _hull_edges(act: tuple) -> list:
+    """Counterclockwise edges of the convex hull of the given vertex indices
+    on the integer points of _ref_points (Andrew monotone chain); none when
+    the points are collinear."""
     pts = sorted({_ref_points()[i - 1] for i in act})
-    if len(pts) < 3:
-        return Fraction(0)
-    # Andrew monotone chain
+
     def build(points):
         chain = []
         for p in points:
@@ -153,47 +149,33 @@ def hull_area(act: tuple) -> Fraction:
                 chain.pop()
             chain.append(p)
         return chain
-    lower = build(pts)
-    upper = build(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        return Fraction(0)
-    s = 0
-    for i in range(len(hull)):
-        a, b = hull[i], hull[(i + 1) % len(hull)]
-        s += a.x * b.y - b.x * a.y
+    hull = build(pts)[:-1] + build(pts[::-1])[:-1]
+    return list(zip(hull, hull[1:] + hull[:1])) if len(hull) >= 3 else []
+
+
+@lru_cache(maxsize=None)
+def hull_area(act: tuple) -> Fraction:
+    """Area of the convex hull of the given vertex indices (reference frame).
+
+    Computed on the integer points of _ref_points, where twice the area is
+    an integer, and divided back by 12^2.
+    """
+    s = sum(a.x * b.y - b.x * a.y for a, b in _hull_edges(act))
     return Fraction(abs(s), 2 * _REF_SCALE ** 2)
-
-
-def _point_in_hull(p: Point2, pts: list) -> bool:
-    n = len(pts)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                pa, pb, pc = pts[a], pts[b], pts[c]
-                d = signed_area2(pa, pb, pc)
-                if d == 0:
-                    continue
-                s1 = signed_area2(pa, pb, p)
-                s2 = signed_area2(pb, pc, p)
-                s3 = signed_area2(pc, pa, p)
-                if d < 0:
-                    s1, s2, s3 = -s1, -s2, -s3
-                if s1 >= 0 and s2 >= 0 and s3 >= 0:
-                    return True
-    return False
 
 
 @lru_cache(maxsize=None)
 def support_faces(act: tuple) -> tuple:
-    """Face indices whose closed face lies inside the hull of the knots."""
-    ref = _ref_points()
-    # three times each face centroid against the knots scaled by 3: integers
-    knots3 = [Point2(3 * ref[i - 1].x, 3 * ref[i - 1].y) for i in act]
+    """Face indices whose closed face lies inside the hull of the knots: the
+    faces whose centroid lies in the closed hull."""
+    ref, edges = _ref_points(), _hull_edges(act)
     out = []
     for fi, corners in enumerate(FACES, 1):
         a, b, c = (ref[i - 1] for i in corners)
-        if _point_in_hull(Point2(a.x + b.x + c.x, a.y + b.y + c.y), knots3):
+        # three times the centroid against the hull scaled by 3: integers
+        cen3 = Point2(a.x + b.x + c.x, a.y + b.y + c.y)
+        if edges and all(signed_area2(Point2(3 * p.x, 3 * p.y), Point2(3 * q.x, 3 * q.y), cen3) >= 0
+                         for p, q in edges):
             out.append(fi)
     return tuple(out)
 
@@ -203,61 +185,28 @@ def support_faces(act: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 def eval_simplex(frame: PS12Frame, K: KnotMultiset, p: Point2):
-    """Exact value of Q[K] at p.
+    """Exact value of Q[K] at p: the located Bernstein row times Q[K]'s
+    table on that face, zero outside the closed macrotriangle and on faces
+    outside the support.
 
-    Float barycentrics are converted to exact binary rationals, evaluated
-    exactly and returned as float, so the half-open convention is applied
-    without roundoff ambiguity.
+    Float barycentrics, which need not sum to 1, are converted to exact
+    binary rationals; the point (1 - b2 - b3, b2, b3) they give is located,
+    evaluated exactly and returned as float, so the half-open convention is
+    applied without roundoff ambiguity.
     """
     K = knots(K)
     if knot_count(K) < 3:
         raise TooFewKnots(f"|K| = {knot_count(K)} < 3")
     beta = to_bary(frame, Point2(*p))
-    val = _eval_at_bary(K, tuple(Fraction(b) for b in beta))
+    _, b2, b3 = map(Fraction, beta)
+    exact_beta = (1 - b2 - b3, b2, b3)
+    val = Fraction(0)
+    if min(exact_beta) >= 0:
+        fi, rden, row = functional_row(exact_beta, (), degree(K))
+        den, faces = _face_ordinates(K)
+        if faces[fi - 1]:
+            val = Fraction(sum(map(mul, row, faces[fi - 1])), rden * den)
     return val if is_exact(beta) else float(val)
-
-
-def _independent_triple_high(act: tuple):
-    """Highest-index valid triple; only used to test that evaluation does
-    not depend on the representation choice."""
-    tri = _independent_triple(act[::-1])
-    return tri and tri[::-1]
-
-
-def _eval_at_bary(K: KnotMultiset, beta: tuple, pick=None) -> Fraction:
-    # the point in the coordinates of _ref_points, exact even for int beta
-    pref = Point2(*(sum((b * p[k] for b, p in zip(beta, _ref_points())), Fraction(0))
-                    for k in (0, 1)))
-    choose = pick or _independent_triple
-    memo = {}
-
-    def rec(m):
-        cached = memo.get(m)
-        if cached is not None:
-            return cached
-        act = active_indices(m)
-        tri = choose(act) if len(act) >= 3 else None
-        if tri is None:
-            memo[m] = Fraction(0)
-            return memo[m]
-        if sum(m) == 3:
-            fi = locate_face_bary(*beta)
-            val = Fraction(0)
-            if fi is not None and fi in support_faces(act):
-                val = Fraction(1, 2) / hull_area(act)
-            memo[m] = val
-            return val
-        g = bary_coords(tuple(_ref_points()[i - 1] for i in tri), pref)
-        total = Fraction(0)
-        for w, idx in zip(g, tri):
-            if w != 0:
-                child = list(m)
-                child[idx - 1] -= 1
-                total += w * rec(tuple(child))
-        memo[m] = total
-        return total
-
-    return rec(K)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +256,12 @@ def derivative_expansion(K: KnotMultiset, direction, order: int = 1) -> list:
     explicit 10-vector of coefficients over the knots, used as given for the
     first differentiation and through its corner triple after that.  The
     factor |K| - 3 per differentiation is included in the coefficients.
+    Raises InvalidDirection for any other number of entries.
     """
     K = knots(K)
+    if len(direction) not in (3, 10):
+        raise InvalidDirection(f"a direction has 3 corner or 10 knot coefficients, "
+                               f"not {len(direction)}")
     if order > degree(K):
         raise InvalidDirection(f"order {order} exceeds degree {degree(K)}")
     if len(direction) == 10:
@@ -351,12 +304,7 @@ def derivative(frame: PS12Frame, K: KnotMultiset, direction, order: int = 1):
     The returned callable evaluates the exact expansion at points of the
     frame; its ``terms`` attribute holds the [(coef, multiset)] combination.
     """
-    if order == 0:
-        K = knots(K)
-        fn = lambda p: eval_simplex(frame, K, p)
-        fn.terms = [(Fraction(1), K)]
-        return fn
-    terms = derivative_expansion(K, direction, order)
+    terms = [(Fraction(1), knots(K))] if order == 0 else derivative_expansion(K, direction, order)
 
     def fn(p):
         return sum((c * eval_simplex(frame, m, p) for c, m in terms), start=Fraction(0))
@@ -372,9 +320,12 @@ def insert_knot(K: KnotMultiset, y: int, weights=None) -> list:
     summing pointwise to Q[K].  y is a 1-based vertex index; explicit
     weights (a 10-vector over the knots of K, summing to 1) may be supplied,
     otherwise the barycentric representation of v_y on the lowest-index
-    independent triple is used.
+    independent triple is used.  Raises DomainError unless y is an int in
+    1..10.
     """
     K = knots(K)
+    if isinstance(y, bool) or not isinstance(y, int) or not 1 <= y <= 10:
+        raise DomainError(f"knot to insert must be a vertex index 1..10, not {y!r}")
     if weights is not None:
         rep = _normalize_weights10(K, weights, 1)
     else:
@@ -470,18 +421,15 @@ def smoothness_order(K: KnotMultiset, interior_line) -> int:
     vertex indices on the line.  The value bounds how many continuous
     derivatives Q[K] has across the line; it is vacuous (the spline has no
     crease there) when fewer than two distinct knots lie on the hull.
+    Raises DomainError for an index outside 0..5.
     """
     K = knots(K)
-    line = INTERIOR_LINES[interior_line] if isinstance(interior_line, int) else tuple(interior_line)
-    count = sum(K[i - 1] for i in line)
+    if isinstance(interior_line, int):
+        if isinstance(interior_line, bool) or not 0 <= interior_line < len(INTERIOR_LINES):
+            raise DomainError(f"interior line index must be 0..5, not {interior_line!r}")
+        interior_line = INTERIOR_LINES[interior_line]
+    count = sum(K[i - 1] for i in interior_line)
     return knot_count(K) - count - 2
-
-
-def line_has_crease(K: KnotMultiset, interior_line) -> bool:
-    """True when at least two distinct knots of K lie on the line's hull."""
-    K = knots(K)
-    line = INTERIOR_LINES[interior_line] if isinstance(interior_line, int) else tuple(interior_line)
-    return sum(1 for i in line if K[i - 1] > 0) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -522,11 +470,11 @@ def _face_ordinates(m: KnotMultiset) -> tuple:
     sum_r l_r (beta_r / d) c[beta - e_r].  Fraction-free, like Bareiss: the
     l_r are integers over L, the children go over their common denominator
     D, and the result over D * L * d.  Triples and the degree-0 base are
-    those of the pointwise recursion in _eval_at_bary.  Cached per multiset,
+    those of the recursion in the module docstring.  Cached per multiset,
     so splines that share sub-multisets share their tables.
     """
     act = active_indices(m)
-    tri = _independent_triple(act) if len(act) >= 3 else None
+    tri = _independent_triple(act)
     if tri is None:
         return 1, (None,) * 12
     if sum(m) == 3:
@@ -557,11 +505,12 @@ def _face_ordinates(m: KnotMultiset) -> tuple:
     return den // g, tuple(None if f is None else tuple(c // g for c in f) for f in faces)
 
 
-@lru_cache(maxsize=None)
-def _bernstein_ref(K: KnotMultiset) -> tuple:
-    """12 x 21 exact Bernstein ordinates of Q[K] (reference frame)."""
-    den, faces = _face_ordinates(K)
-    return tuple(tuple(Fraction(c, den) for c in f or (0,) * 21) for f in faces)
+def _quintic_ordinates(K) -> tuple:
+    """_face_ordinates of a quintic K; DomainError unless |K| = 8."""
+    K = knots(K)
+    if knot_count(K) != 8:
+        raise DomainError("per-face tables are kept for quintic knot vectors (|K| = 8)")
+    return _face_ordinates(K)
 
 
 def per_face_bernstein(frame: PS12Frame, K: KnotMultiset) -> tuple:
@@ -571,10 +520,8 @@ def per_face_bernstein(frame: PS12Frame, K: KnotMultiset) -> tuple:
     barycentric coordinates; they depend only on K, not on the frame.
     Raises DomainError unless |K| = 8.
     """
-    K = knots(K)
-    if knot_count(K) != 8:
-        raise DomainError("per-face tables are kept for quintic knot vectors (|K| = 8)")
-    return _bernstein_ref(K)
+    den, faces = _quintic_ordinates(K)
+    return tuple(tuple(Fraction(c, den) for c in f or (0,) * 21) for f in faces)
 
 
 # ---------------------------------------------------------------------------
@@ -583,73 +530,56 @@ def per_face_bernstein(frame: PS12Frame, K: KnotMultiset) -> tuple:
 
 def bernstein_row(g, deg: int = 5) -> list:
     """Degree-deg Bernstein polynomials at face barycentrics g, in the order
-    of bernstein_exponents(deg): floats for floats, integers for integers.
-
-    Fractions are put over one common denominator E, so the row is integer
-    products over E^deg, each made a Fraction once.
-    """
-    if type(g[0]) is Fraction:
-        den, nums = common_denominator(g)
-        scale = den ** deg
-        return [Fraction(x, scale) for x in bernstein_row(nums, deg)]
+    of bernstein_exponents(deg): floats for floats, integers for integers
+    (integer g / D gives the row over D^deg)."""
     p0, p1, p2 = ([x ** k for k in range(deg + 1)] for x in g)
     return [m * p0[a] * p1[b] * p2[c]
             for m, (a, b, c) in zip(_multinomials(deg), bernstein_exponents(deg))]
 
 
-def _outside(beta) -> OutsideDomain:
-    coords = ", ".join(str(b) for b in beta)
-    return OutsideDomain(f"point with barycentric coordinates ({coords}) "
-                         "outside the macrotriangle")
-
-
-def locate_row(beta, deg: int = 5) -> tuple:
-    """(face, degree-deg Bernstein row) at macro-barycentrics beta.
-
-    The face follows the half-open convention of locate_face_bary.  Raises
-    OutsideDomain for points outside the closed macrotriangle.
-    """
-    fi = locate_face_bary(*beta)
-    if fi is None:
-        raise _outside(beta)
-    return fi, bernstein_row(face_bary_from_macro(fi, beta), deg)
-
-
-def locate_int_row(beta, deg: int = 5) -> tuple:
-    """(face, D, row): locate_row for exact beta with the row as integers
-    over one denominator D = (d E)^deg (E and d as in
-    geometry.face_bary_numerators), for kernels that divide once at the end.
-    """
-    fi = locate_face_bary(*beta)
-    if fi is None:
-        raise _outside(beta)
-    den, g = face_bary_numerators(fi, beta)
-    return fi, den ** deg, bernstein_row(g, deg)
-
-
 def functional_row(beta, deltas=(), deg: int = 5) -> tuple:
-    """(face, row) with sum(row[s] * ords[s]) the value at macro-barycentrics
-    beta, after one derivative along each macro-directional triple in deltas,
-    of any degree-deg form with ordinates ords on that face.
+    """(face, D, row) with sum(row[s] * ords[s]) / D the value at
+    macro-barycentrics beta, after one derivative along each
+    macro-directional triple in deltas, of any degree-deg form with
+    ordinates ords on that face; functional_row(beta) is the value row.
 
-    The located degree-(deg - k) row is carried up one degree per derivative
-    by the adjoint of the Bernstein derivative step, so a functional is one
-    dot product with each face table.  Face and OutsideDomain as in
-    locate_row; derivatives are one-sided on that face.
+    The one place that locates a point and builds a Bernstein row.  The face
+    follows the half-open convention of locate_face_bary, derivatives are
+    one-sided on it, and OutsideDomain is raised outside the closed
+    macrotriangle.  The located degree-(deg - k) row is carried up one
+    degree per derivative by the adjoint of the Bernstein derivative step,
+    so a functional is one dot product with each face table.  Exact beta
+    and deltas give integers over one denominator D; any float input gives
+    floats over D = 1, exact partial results rounded once, as mixed
+    Fraction and float arithmetic would round them.
     """
+    fi = locate_face_bary(*beta)
+    if fi is None:
+        raise OutsideDomain(f"point with barycentric coordinates "
+                            f"({', '.join(map(str, beta))}) outside the macrotriangle")
     d = deg - len(deltas)
-    fi, row = locate_row(beta, d)
+    den, g = face_bary(fi, beta)
+    exact = not isinstance(g[0], float)
+    row = bernstein_row(g, d)
+    den **= d
     for delta in deltas:
         d += 1
+        dden, g = face_bary(fi, delta)
+        if exact and isinstance(g[0], float):  # a float direction at an exact point
+            exact, row, den = False, [r / den for r in row], 1
+        if exact:
+            den *= dden
+            coef = [d * x for x in g]
+        else:
+            coef = [d * x / dden for x in g]
         up = [0] * ((d + 1) * (d + 2) // 2)
-        g = face_bary_from_macro(fi, delta)
         for r, step in zip(row, _degree_step(d)):
             if r:
-                for gs, (i, _) in zip(g, step):
-                    if gs:
-                        up[i] += d * gs * r
+                for c, (i, _) in zip(coef, step):
+                    if c:
+                        up[i] += c * r
         row = up
-    return fi, row
+    return fi, den, row
 
 
 @dataclass(frozen=True)
@@ -669,6 +599,11 @@ class FaceForms:
         closed macrotriangle.
         """
         corners = self.frame.v[:3]
-        fi, row = functional_row(beta, [direction_coords(corners, u) for u in directions],
-                                 self.deg)
-        return sum(o * r for o, r in zip(self.ords[fi - 1], row))
+        fi, den, row = functional_row(beta, [direction_coords(corners, u) for u in directions],
+                                      self.deg)
+        ords = self.ords[fi - 1]
+        if den != 1 and not is_exact(ords):
+            # float ordinates at an exact point take the row entries rounded
+            row, den = [r / den for r in row], 1
+        total = sum(map(mul, ords, row))
+        return total if isinstance(total, float) else Fraction(total, den)

@@ -3,12 +3,13 @@
 A spline is f = sum_i c_i S_i with S_i = w_i Q_i the scaled basis functions.
 Every value comes from one cached table per basis, the per-face ordinates
 of the S_i as integers over one denominator: basis_values multiplies it by
-a located Bernstein row, face_forms contracts it with the coefficients.
-Values are exact Fractions when coefficients, frame and points are exact
-(rational.is_exact): the exact kernels run on integers (the located row,
-the table and the coefficients each over one denominator) and divide once
-per result.  Otherwise a numpy path runs on the table divided out to
-floats, the package's only numpy user: exact work never imports it.
+the Bernstein row of simplex_spline.functional_row, face_forms contracts it
+with the coefficients.  Values are exact Fractions when coefficients, frame
+and points are exact (rational.is_exact): the exact kernels run on integers
+(the located row, the table and the coefficients each over one
+denominator, the coefficients scaled once per spline) and divide once per
+result.  Otherwise a numpy path runs on the table divided out to floats,
+the package's only numpy user: exact work never imports it.
 The domain-point collocation matrix has rows summing to one, and its exact
 inverse, kept as integers over one denominator, gives Lagrange
 interpolation as one integer mat-vec and bounds the basis condition number
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING
@@ -39,7 +40,7 @@ from .geometry import (
 from .linalg import _integer_solve, identity, inf_norm
 from .marsden_catalog import BASIS_IDS, catalog
 from .rational import common_denominator, is_exact
-from .simplex_spline import FaceForms, _face_ordinates, locate_int_row, locate_row
+from .simplex_spline import FaceForms, _face_ordinates, functional_row
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,16 @@ class Spline:
     def __call__(self, p):
         return eval_spline(self, p)
 
-    @property
+    @cached_property
+    def _int_coeffs(self):
+        """(L, numerators) of exact coefficients, None for float ones;
+        worked out once per spline."""
+        return common_denominator(self.coeffs) if is_exact(self.coeffs) else None
+
+    @cached_property
     def exact(self) -> bool:
         """True when the coefficients and the frame corners are exact."""
-        return is_exact(self.coeffs) and is_exact([c for p in self.frame.v[:3] for c in p])
+        return self._int_coeffs is not None and is_exact([c for p in self.frame.v[:3] for c in p])
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +111,7 @@ def basis_values(basis_id: str, beta):
     OutsideDomain for points outside the closed macrotriangle.
     """
     if not is_exact(beta):
-        fi, row = locate_row(_clamp_bary(tuple(float(b) for b in beta)))
+        fi, _, row = functional_row(_clamp_bary(tuple(float(b) for b in beta)))
         return row @ _scaled_basis_arrays(basis_id)[fi - 1]
     den, vals = _int_basis_values(basis_id, beta)
     return tuple(Fraction(v, den) for v in vals)
@@ -113,7 +120,7 @@ def basis_values(basis_id: str, beta):
 def _int_basis_values(basis_id: str, beta) -> tuple:
     """(D, vals): the 39 values S_i at exact beta as integers over one
     denominator D, the located integer row times its face's table."""
-    fi, den, row = locate_int_row(beta)
+    fi, den, row = functional_row(beta)
     q, table = scaled_basis_tables(basis_id)
     return den * q, [sum(map(mul, row, col)) for col in zip(*table[fi - 1])]
 
@@ -126,9 +133,9 @@ def eval_spline(s: Spline, p) -> object:
     outside the closed macrotriangle.
     """
     beta = to_bary(s.frame, Point2(*p))
-    if is_exact(beta) and is_exact(s.coeffs):
+    if is_exact(beta) and s._int_coeffs is not None:
         den, vals = _int_basis_values(s.basis, beta)
-        cden, c = common_denominator(s.coeffs)
+        cden, c = s._int_coeffs
         return Fraction(sum(map(mul, vals, c)), den * cden)
     return float(basis_values(s.basis, tuple(float(b) for b in beta)) @ _float_coeffs(s))
 
@@ -172,7 +179,7 @@ def face_forms(s: Spline) -> FaceForms:
 def _face_forms(s: Spline, exact: bool) -> FaceForms:
     if exact:
         q, table = scaled_basis_tables(s.basis)
-        cden, c = common_denominator(s.coeffs)
+        cden, c = s._int_coeffs
         den = q * cden
         ords = tuple(tuple(Fraction(sum(map(mul, t, c)), den) for t in face) for face in table)
     else:

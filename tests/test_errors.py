@@ -4,7 +4,9 @@ import pytest
 
 from ps12splines import (basis_search, bspline1d, geometry, marsden_catalog, serialize,
                          simplex_spline)
-from ps12splines.errors import DomainError, PS12Error
+from ps12splines.errors import DomainError, InvalidDirection, PS12Error
+
+K = simplex_spline.knots("141110")
 
 BAD_CALLS = {
     "knots": lambda: simplex_spline.knots((1, -1)),
@@ -13,6 +15,13 @@ BAD_CALLS = {
     "knots non-digit": lambda: simplex_spline.knots("6001a1"),
     "knots int spec": lambda: simplex_spline.knots(6),
     "knots None": lambda: simplex_spline.knots(None),
+    "insert_knot zero": lambda: simplex_spline.insert_knot(K, 0),
+    "insert_knot negative": lambda: simplex_spline.insert_knot(K, -1),
+    "insert_knot eleven": lambda: simplex_spline.insert_knot(K, 11),
+    "insert_knot float": lambda: simplex_spline.insert_knot(K, 2.0),
+    "insert_knot bool": lambda: simplex_spline.insert_knot(K, True),
+    "smoothness_order negative": lambda: simplex_spline.smoothness_order(K, -1),
+    "smoothness_order six": lambda: simplex_spline.smoothness_order(K, 6),
     "edge_key name": lambda: simplex_spline.edge_key("e4"),
     "edge_key pair": lambda: simplex_spline.edge_key((1, 5)),
     "bspline degree": lambda: bspline1d.UnivariateBSplineRef(6, 1),
@@ -32,3 +41,15 @@ def test_bad_input_raises_typed_error(name):
     with pytest.raises(PS12Error) as info:
         BAD_CALLS[name]()
     assert isinstance(info.value, DomainError) and isinstance(info.value, ValueError)
+
+
+BAD_DIRECTIONS = {
+    "four entries": (1, -1, 1, -1),
+    "two entries": (1, -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DIRECTIONS))
+def test_bad_direction_raises_invalid_direction(name):
+    with pytest.raises(InvalidDirection):
+        simplex_spline.derivative_expansion(K, BAD_DIRECTIONS[name])

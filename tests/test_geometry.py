@@ -128,16 +128,34 @@ def test_s3_multiset_action_orbit():
     assert labels == {"600101", "060110", "006011"}
 
 
+def test_face_bary_exact_is_the_fraction_matrix_product():
+    """Exact points and directional triples give integers over one
+    denominator equal to the products with the Fraction matrices."""
+    import random
+    from ps12splines.geometry import face_bary, face_bary_matrices
+    rng = random.Random(20)
+    for fi, m in enumerate(face_bary_matrices(), start=1):
+        for total in (1, 0, 1, 0):
+            b1, b2 = (F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(2))
+            beta = (b1, b2, total - b1 - b2)
+            want = tuple(m[r][0] * beta[0] + m[r][1] * beta[1] + m[r][2] * beta[2]
+                         for r in range(3))
+            den, got = face_bary(fi, beta)
+            assert all(type(g) is int for g in got) and tuple(F(g, den) for g in got) == want
+        den, got = face_bary(fi, (1, 0, 0))
+        assert tuple(F(g, den) for g in got) == tuple(row[0] for row in m)
+
+
 def test_float_face_barycentrics_match_fraction_products():
     """Float beta goes through a float copy of the face matrices; the bits
-    are those of the products with the Fraction matrices."""
+    are those of the products with the Fraction matrices, over D = 1."""
     import random
-    from ps12splines.geometry import face_bary_from_macro, face_bary_matrices
+    from ps12splines.geometry import face_bary, face_bary_matrices
     rng = random.Random(21)
     for fi, m in enumerate(face_bary_matrices(), start=1):
         for _ in range(50):
             beta = tuple(rng.uniform(-1, 2) for _ in range(3))
             want = tuple(m[r][0] * beta[0] + m[r][1] * beta[1] + m[r][2] * beta[2]
                          for r in range(3))
-            got = face_bary_from_macro(fi, beta)
-            assert [g.hex() for g in got] == [w.hex() for w in want]
+            den, got = face_bary(fi, beta)
+            assert den == 1 and [g.hex() for g in got] == [w.hex() for w in want]

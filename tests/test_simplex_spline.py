@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -20,6 +20,7 @@ from ps12splines.geometry import (
     INTERIOR_LINES,
     Point2,
     S3_ELEMENTS,
+    VERTEX_BARY,
     from_bary,
     locate_face,
     make_frame,
@@ -32,14 +33,7 @@ from ps12splines.marsden_catalog import catalog
 from ps12splines.simplex_spline import (
     FaceForms,
     _degree_step,
-    _eval_at_bary,
     _face_ordinates,
-    _independent_triple,
-    _independent_triple_high,
-    _vertex_bary,
-    active_indices,
-    hull_area,
-    support_faces,
     bernstein_row,
     derivative,
     derivative_expansion,
@@ -47,11 +41,164 @@ from ps12splines.simplex_spline import (
     insert_knot,
     integral,
     knots,
-    line_has_crease,
     per_face_bernstein,
     restrict_to_edge,
     smoothness_order,
 )
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle: the defining recursion, pointwise and face by face, on
+# geometry helpers of its own (none of the library's)
+# ---------------------------------------------------------------------------
+
+#: The ten split vertices of the reference frame [(0,0), (1,0), (0,1)].
+_H, _Q, _T = F(1, 2), F(1, 4), F(1, 3)
+REF_POINTS = ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (_H, F(0)), (_H, _H), (F(0), _H),
+              (_Q, _Q), (_H, _Q), (_Q, _H), (_T, _T))
+
+
+def _area2(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _bary(tri, x):
+    """Barycentric coordinates of the point x on the triangle of the vertex
+    indices tri."""
+    a, b, c = (REF_POINTS[i - 1] for i in tri)
+    d = _area2(a, b, c)
+    return _area2(x, b, c) / d, _area2(a, x, c) / d, _area2(a, b, x) / d
+
+
+def _triple(act, high=False):
+    """The lowest-index affinely independent triple of active vertices (the
+    highest-index one with high), or None."""
+    for tri in combinations(act[::-1] if high else act, 3):
+        if _area2(*(REF_POINTS[i - 1] for i in tri)):
+            return tri[::-1] if high else tri
+    return None
+
+
+def _hull(act):
+    """Convex hull of the knots, counterclockwise, by gift wrapping."""
+    pts = sorted({REF_POINTS[i - 1] for i in act})
+    hull = [pts[0]]
+    while len(pts) > 1:
+        cur = hull[-1]
+        nxt = pts[1] if cur == pts[0] else pts[0]
+        for p in pts:
+            turn = _area2(cur, nxt, p)
+            if p != cur and (turn < 0 or turn == 0 and
+                             abs(p[0] - cur[0]) + abs(p[1] - cur[1]) >
+                             abs(nxt[0] - cur[0]) + abs(nxt[1] - cur[1])):
+                nxt = p
+        if nxt == hull[0]:
+            break
+        hull.append(nxt)
+    return hull
+
+
+def _hull_area(act):
+    """Shoelace area of the knots' convex hull."""
+    h = _hull(act)
+    return abs(sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(h, h[1:] + h[:1]))) / 2
+
+
+def _support(act):
+    """Faces whose centroid lies in the closed convex hull of the knots."""
+    h = _hull(act)
+    if len(h) < 3:
+        return ()
+    out = []
+    for fi, corners in enumerate(FACES, 1):
+        cen = tuple(sum(REF_POINTS[v - 1][k] for v in corners) / 3 for k in (0, 1))
+        if all(_area2(a, b, cen) >= 0 for a, b in zip(h, h[1:] + h[:1])):
+            out.append(fi)
+    return tuple(out)
+
+
+def _face_of(x):
+    """The half-open convention: the lowest-index face whose closed
+    triangle contains x, D6 at v6, None outside the macrotriangle."""
+    if x == REF_POINTS[5]:
+        return 6
+    for fi, corners in enumerate(FACES, 1):
+        if min(_bary(corners, x)) >= 0:
+            return fi
+    return None
+
+
+def _oracle_eval(K, beta, high=False):
+    """Q[K] at reference macro-barycentrics beta by the pointwise recursion
+    Q[m](x) = sum_j b_j Q[m - e_j](x) over the lowest-index (or the
+    highest-index) independent triple, with the |m| = 3 base case
+    1 / (2 area) on the support faces, read at the face of x."""
+    x = tuple(sum(b * p[k] for b, p in zip(beta, REF_POINTS)) for k in (0, 1))
+    face = _face_of(x)
+    memo = {}
+
+    def rec(m):
+        if m not in memo:
+            act = tuple(i + 1 for i in range(10) if m[i])
+            tri = _triple(act, high)
+            if tri is None:
+                memo[m] = F(0)
+            elif sum(m) == 3:
+                memo[m] = 1 / (2 * _hull_area(act)) if face in _support(act) else F(0)
+            else:
+                memo[m] = sum((g * rec(m[:i - 1] + (m[i - 1] - 1,) + m[i:])
+                               for g, i in zip(_bary(tri, x), tri) if g), F(0))
+        return memo[m]
+
+    return rec(tuple(K))
+
+
+def _fraction_face_ordinates(m, memo):
+    """The per-face recursion run over Fractions: the reference for the
+    fraction-free tables (12 ordinate tuples, None where Q[m] is zero)."""
+    if m in memo:
+        return memo[m]
+    act = tuple(i + 1 for i in range(10) if m[i])
+    tri = _triple(act)
+    if tri is None:
+        out = (None,) * 12
+    elif sum(m) == 3:
+        base = (1 / (2 * _hull_area(act)),)
+        out = tuple(base if fi in _support(act) else None for fi in range(1, 13))
+    else:
+        deg = sum(m) - 3
+        vb = [_bary(tri, p) for p in REF_POINTS]
+        children = [_fraction_face_ordinates(m[:i - 1] + (m[i - 1] - 1,) + m[i:], memo)
+                    for i in tri]
+        faces = []
+        for fi, corners in enumerate(FACES):
+            acc = None
+            for j, child in enumerate(children):
+                if child[fi] is None:
+                    continue
+                if acc is None:
+                    acc = [F(0)] * ((deg + 1) * (deg + 2) // 2)
+                lform = tuple(vb[v - 1][j] for v in corners)
+                for c, step in zip(child[fi], _degree_step(deg)):
+                    for l, (i, f) in zip(lform, step):
+                        acc[i] += l * F(f, deg) * c
+            faces.append(None if acc is None else tuple(acc))
+        out = tuple(faces)
+    memo[m] = out
+    return out
+
+
+def line_has_crease(K, interior_line):
+    """True when at least two distinct knots of K lie on the line's hull."""
+    return sum(1 for i in INTERIOR_LINES[interior_line] if K[i - 1] > 0) >= 2
+
+
+def test_oracle_geometry_on_the_reference_frame(ref):
+    assert REF_POINTS == tuple(tuple(v) for v in ref.v)
+    assert _hull_area((1, 2, 3)) == F(1, 2) and _hull_area((1, 4, 2)) == 0
+    assert _support((1, 2, 3)) == tuple(range(1, 13)) and _support((1, 4, 7)) == (1,)
+    for beta in VERTEX_BARY:
+        assert _face_of(from_bary(ref, beta)) == locate_face(ref, from_bary(ref, beta))
 
 
 def test_eval_indicator_and_bernstein_cases(ref):
@@ -79,7 +226,53 @@ def test_representation_independence(ref):
         K = knots(lab)
         for p in rational_points(4, seed=2):
             beta = to_bary(ref, p)
-            assert _eval_at_bary(K, beta) == _eval_at_bary(K, beta, pick=_independent_triple_high)
+            assert eval_simplex(ref, K, p) == _oracle_eval(K, beta, high=True)
+
+
+_FRAMES = (reference_frame(),
+           make_frame(Point2(F(3), F(-1)), Point2(F(7), F(1)), Point2(F(2), F(6))))
+
+
+def _face_or_outside_point(fi, weights, outside):
+    """Macro-barycentrics of the combination of face fi's corners with the
+    given nonnegative weights (zeros give edge points and split vertices),
+    moved across a macro edge when outside."""
+    tot = sum(weights)
+    beta = [sum(F(w, tot) * VERTEX_BARY[v - 1][r] for w, v in zip(weights, FACES[fi - 1]))
+            for r in range(3)]
+    if outside:
+        k = fi % 3
+        beta = [b + (F(-8, 7) if r == k else F(4, 7)) for r, b in enumerate(beta)]
+    return tuple(beta)
+
+
+@settings(max_examples=120, deadline=None)
+@given(idx=st.lists(st.integers(0, 9), min_size=3, max_size=9),
+       frame=st.sampled_from(_FRAMES), fi=st.integers(1, 12),
+       weights=st.tuples(*[st.integers(0, 12)] * 3).filter(lambda w: sum(w) > 0),
+       outside=st.booleans(), order=st.integers(0, 2),
+       direction=st.tuples(*[st.fractions(-3, 3, max_denominator=7)] * 2))
+def test_eval_simplex_matches_recursion_oracle(idx, frame, fi, weights, outside, order,
+                                               direction):
+    """Any knot vector of 3 to 9 knots on the ten vertices, at rational
+    points inside a face, on its edges, at split vertices and outside the
+    macrotriangle: eval_simplex is the pointwise recursion, and derivative()
+    the recursion summed over its terms.  A float point gives the float of
+    the recursion at the binary rationals of its barycentrics."""
+    K = tuple(idx.count(i) for i in range(10))
+    beta = _face_or_outside_point(fi, weights, outside)
+    p = from_bary(frame, beta)
+    want = _oracle_eval(K, beta)
+    assert (min(beta) < 0) == outside and (want == 0 or not outside)
+    assert eval_simplex(frame, K, p) == want
+    pf = Point2(float(p.x), float(p.y))
+    _, b2, b3 = (F(b) for b in to_bary(frame, pf))
+    got = eval_simplex(frame, K, pf)
+    assert isinstance(got, float) and got.hex() == float(_oracle_eval(K, (1 - b2 - b3, b2, b3))).hex()
+    if order <= len(idx) - 3:
+        d = (-direction[0] - direction[1],) + direction
+        fn = derivative(frame, K, d, order)
+        assert fn(p) == sum((c * _oracle_eval(m, beta) for c, m in fn.terms), F(0))
 
 
 def test_s3_equivariance(ref):
@@ -284,41 +477,6 @@ def test_per_face_tables_match_pointwise_recursion(k, fi, weights, order, direct
     d = (-u.x - u.y, u.x, u.y)
     ff = FaceForms(ref, 5, per_face_bernstein(ref, K))
     assert ff.value_at_bary(to_bary(ref, p), (u,) * order) == derivative(ref, K, d, order)(p)
-
-
-def _fraction_face_ordinates(m, memo):
-    """The per-face recursion run over Fractions: the reference for the
-    fraction-free tables (12 ordinate tuples, None where Q[m] is zero)."""
-    if m in memo:
-        return memo[m]
-    act = active_indices(m)
-    tri = _independent_triple(act) if len(act) >= 3 else None
-    if tri is None:
-        out = (None,) * 12
-    elif sum(m) == 3:
-        base = (F(1, 2) / hull_area(act),)
-        out = tuple(base if fi in support_faces(act) else None for fi in range(1, 13))
-    else:
-        deg = sum(m) - 3
-        den, vb = _vertex_bary(tri)
-        children = [_fraction_face_ordinates(m[:i - 1] + (m[i - 1] - 1,) + m[i:], memo)
-                    for i in tri]
-        faces = []
-        for fi, corners in enumerate(FACES):
-            acc = None
-            for j, child in enumerate(children):
-                if child[fi] is None:
-                    continue
-                if acc is None:
-                    acc = [F(0)] * ((deg + 1) * (deg + 2) // 2)
-                lform = tuple(F(vb[v - 1][j], den) for v in corners)
-                for c, step in zip(child[fi], _degree_step(deg)):
-                    for l, (i, f) in zip(lform, step):
-                        acc[i] += l * F(f, deg) * c
-            faces.append(None if acc is None else tuple(acc))
-        out = tuple(faces)
-    memo[m] = out
-    return out
 
 
 def test_integer_face_tables_match_fraction_recursion():

@@ -13,7 +13,7 @@ from ps12splines.geometry import (
     FACES,
     VERTEX_BARY,
     Point2,
-    face_bary_from_macro,
+    face_bary_matrices,
     from_bary,
     locate_face_bary,
     make_frame,
@@ -24,7 +24,7 @@ from ps12splines.marsden_catalog import catalog
 from ps12splines.simplex_spline import (
     _face_ordinates,
     bernstein_exponents,
-    locate_row,
+    functional_row,
 )
 from ps12splines.spline_fn import (
     Spline,
@@ -51,6 +51,21 @@ def test_constant_and_identity_coefficients(ref):
     for p in rational_points(4, seed=42):
         assert eval_spline(sx, p) == p.x
         assert eval_spline(sy, p) == p.y
+
+
+def test_exact_spline_scales_its_coefficients_once(ref, monkeypatch):
+    """Exact eval_spline scales the coefficients on the first call only; the
+    cached scaling is no field, so equality, hash and repr are unchanged."""
+    from ps12splines import spline_fn
+    real, calls = spline_fn.common_denominator, []
+    monkeypatch.setattr(spline_fn, "common_denominator",
+                        lambda values: calls.append(len(values)) or real(values))
+    coeffs = tuple(F(k - 19, 7) for k in range(39))
+    s, t = Spline(ref, "c", coeffs), Spline(ref, "c", coeffs)
+    for p in rational_points(3, seed=5):
+        assert eval_spline(s, p) == eval_spline(Spline(ref, "c", coeffs), p)
+    assert calls == [39] * 4 and s.exact
+    assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
 
 
 def test_eval_outside_raises(ref):
@@ -119,9 +134,15 @@ def _fraction_row(g):
             * g[0] ** a * g[1] ** b * g[2] ** c for a, b, c in bernstein_exponents(5)]
 
 
+def _fraction_face_bary(fi, beta):
+    """Face barycentrics on face fi: the Fraction matrix product."""
+    m = face_bary_matrices()[fi - 1]
+    return tuple(m[r][0] * beta[0] + m[r][1] * beta[1] + m[r][2] * beta[2] for r in range(3))
+
+
 def _oracle_basis_values(basis, beta):
     fi = locate_face_bary(*beta)
-    row = _fraction_row(face_bary_from_macro(fi, beta))
+    row = _fraction_row(_fraction_face_bary(fi, beta))
     vals = [F(0)] * 39
     for r, tj in zip(row, _fraction_tables(basis)[fi - 1]):
         if r:
@@ -158,8 +179,9 @@ def _check_against_oracle(s, beta):
     assert basis_values(s.basis, beta) == want
     got = eval_spline(s, p)
     assert isinstance(got, F) and got == sum((v * c for v, c in zip(want, s.coeffs)), F(0))
-    fi = locate_face_bary(*beta)
-    assert locate_row(beta) == (fi, _fraction_row(face_bary_from_macro(fi, beta)))
+    fi, den, row = functional_row(beta)
+    assert fi == locate_face_bary(*beta) and all(type(r) is int for r in row)
+    assert [F(r, den) for r in row] == _fraction_row(_fraction_face_bary(fi, beta))
 
 
 def _face_point(fi, weights):
@@ -175,7 +197,7 @@ def _face_point(fi, weights):
        fi=st.integers(1, 12), weights=st.tuples(*[st.integers(0, 40)] * 3)
        .filter(lambda w: sum(w) > 0))
 def test_exact_kernels_match_fraction_oracle(basis, seed, fi, weights):
-    """Exact eval_spline, basis_values, locate_row and face_forms equal the
+    """Exact eval_spline, basis_values, functional_row and face_forms equal the
     Fraction oracle at rational points of any face, its edges (macro edges
     among them) and its corners, on a seeded rational frame."""
     s = _seeded_spline(basis, seed)
