@@ -98,15 +98,18 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _float_lattice(n: int) -> list:
+    return [tuple(map(float, b)) for b in serialize.barycentric_lattice(n)]
+
+
 def cmd_sample(args) -> int:
-    from .spline_fn import eval_spline
+    from .spline_fn import eval_many, eval_spline
     s = _to_layer(_load_spline(args.spline), args.layer)
-    rows = []
-    for b in serialize.barycentric_lattice(args.grid):
-        bb = b if args.layer == "exact" else tuple(float(x) for x in b)
-        p = from_bary(s.frame, bb)
-        rows.append((p.x, p.y, eval_spline(s, p)))
-    _write(args.out, serialize.grid_csv(rows))
+    exact = args.layer == "exact"
+    lattice = serialize.barycentric_lattice(args.grid) if exact else _float_lattice(args.grid)
+    pts = [from_bary(s.frame, b) for b in lattice]
+    values = [eval_spline(s, p) for p in pts] if exact else eval_many(s, lattice).tolist()
+    _write(args.out, serialize.grid_csv((p.x, p.y, v) for p, v in zip(pts, values)))
     return 0
 
 
@@ -172,25 +175,21 @@ def cmd_nodal(args) -> int:
 
 
 def cmd_export_obj(args) -> int:
-    from .spline_fn import control_mesh, eval_spline
+    from .spline_fn import control_mesh, eval_many
     n = args.grid
-    lattice = serialize.barycentric_lattice(n)
+    lattice = _float_lattice(n)
     faces = serialize.lattice_triangles(n)
     verts = []
     cells = []
     if args.spline:
         splines = [_to_layer(_load_spline(args.spline), "float")]
-        frames = [splines[0].frame]
     else:
         gs = serialize.global_spline_from_dict(_read_json(args.global_spline))
         splines = [_to_layer(gs.spline(t), "float") for t in range(len(gs.tri.triangles))]
-        frames = [s.frame for s in splines]
-    for s, frame in zip(splines, frames):
+    for s in splines:
         base = len(verts)
-        for b in lattice:
-            bb = tuple(float(x) for x in b)
-            p = from_bary(frame, bb)
-            verts.append((p.x, p.y, eval_spline(s, p)))
+        pts = [from_bary(s.frame, b) for b in lattice]
+        verts.extend((p.x, p.y, z) for p, z in zip(pts, eval_many(s, lattice).tolist()))
         cells.extend(tuple(base + i for i in tri) for tri in faces)
     control = None
     if args.control_mesh and args.spline:

@@ -31,6 +31,7 @@ from operator import mul
 from .errors import DomainError
 from .geometry import PS12Frame, Point2, direction_coords, reference_frame, to_bary
 from .linalg import rank as matrix_rank
+from .rational import is_exact
 from .simplex_spline import FaceForms, _quintic_ordinates, functional_row, knots
 
 #: Vertex jet orders in canonical sequence.
@@ -146,6 +147,8 @@ class CollocationMatrix:
 def collocation(frame: PS12Frame, candidates) -> CollocationMatrix:
     """Collocation matrix of candidate splines against the canonical
     functionals, with its exact rank (fraction-free elimination)."""
+    if not is_exact([c for p in frame.v[:3] for c in p]):
+        raise DomainError("the collocation matrix is exact: it needs an exact frame")
     if frame.v == reference_frame().v:
         rows = [list(lambda_vector(knots(K))) for K in candidates]
     else:

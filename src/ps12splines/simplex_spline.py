@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb, factorial, gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .errors import DomainError, InvalidDirection, InvalidWeights, OutsideDomain, TooFewKnots
 from .geometry import (
@@ -443,8 +443,9 @@ def bernstein_exponents(deg: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _multinomials(deg: int) -> tuple:
-    return tuple(factorial(deg) // (factorial(a) * factorial(b) * factorial(c))
+def _row_terms(deg: int) -> tuple:
+    """(multinomial, a, b, c) of the degree-deg Bernstein polynomials, in table order."""
+    return tuple((factorial(deg) // (factorial(a) * factorial(b) * factorial(c)), a, b, c)
                  for a, b, c in bernstein_exponents(deg))
 
 
@@ -531,10 +532,28 @@ def per_face_bernstein(frame: PS12Frame, K: KnotMultiset) -> tuple:
 def bernstein_row(g, deg: int = 5) -> list:
     """Degree-deg Bernstein polynomials at face barycentrics g, in the order
     of bernstein_exponents(deg): floats for floats, integers for integers
-    (integer g / D gives the row over D^deg)."""
-    p0, p1, p2 = ([x ** k for k in range(deg + 1)] for x in g)
-    return [m * p0[a] * p1[b] * p2[c]
-            for m, (a, b, c) in zip(_multinomials(deg), bernstein_exponents(deg))]
+    (integer g / D gives the row over D^deg).  Powers come by repeated
+    multiplication, the operations of the batch kernel spline_fn.eval_many."""
+    x, y, z = g
+    p0, p1, p2 = [1], [1], [1]
+    for _ in range(deg):
+        p0.append(p0[-1] * x)
+        p1.append(p1[-1] * y)
+        p2.append(p2[-1] * z)
+    return [m * p0[a] * p1[b] * p2[c] for m, a, b, c in _row_terms(deg)]
+
+
+SNAP_TOL = 1e-9  # float barycentrics down to -SNAP_TOL are boundary roundoff
+
+
+def snap_bary(beta: tuple) -> tuple:
+    """Float barycentrics with a negative part of at most SNAP_TOL set to
+    zero and renormalised; others (genuine outside points too) unchanged."""
+    if not -SNAP_TOL <= min(beta) < 0:
+        return beta
+    b1, b2, b3 = (max(x, 0.0) for x in beta)
+    s = b1 + b2 + b3
+    return b1 / s, b2 / s, b3 / s
 
 
 def functional_row(beta, deltas=(), deg: int = 5) -> tuple:
@@ -546,13 +565,16 @@ def functional_row(beta, deltas=(), deg: int = 5) -> tuple:
     The one place that locates a point and builds a Bernstein row.  The face
     follows the half-open convention of locate_face_bary, derivatives are
     one-sided on it, and OutsideDomain is raised outside the closed
-    macrotriangle.  The located degree-(deg - k) row is carried up one
-    degree per derivative by the adjoint of the Bernstein derivative step,
-    so a functional is one dot product with each face table.  Exact beta
-    and deltas give integers over one denominator D; any float input gives
-    floats over D = 1, exact partial results rounded once, as mixed
-    Fraction and float arithmetic would round them.
+    macrotriangle, onto which float beta is snapped first (snap_bary).  The
+    located degree-(deg - k) row is carried up one degree per derivative by
+    the adjoint of the Bernstein derivative step, so a functional is one dot
+    product with each face table.  Exact beta and deltas give integers over
+    one denominator D; any float input gives floats over D = 1, exact
+    partial results rounded once, as mixed Fraction and float arithmetic
+    would round them.
     """
+    if not is_exact(beta):
+        beta = snap_bary(tuple(map(float, beta)))
     fi = locate_face_bary(*beta)
     if fi is None:
         raise OutsideDomain(f"point with barycentric coordinates "
@@ -605,5 +627,6 @@ class FaceForms:
         if den != 1 and not is_exact(ords):
             # float ordinates at an exact point take the row entries rounded
             row, den = [r / den for r in row], 1
-        total = sum(map(mul, ords, row))
+        # left to right from 0, as eval_many adds (sum() compensates floats from Python 3.12)
+        total = reduce(add, map(mul, ords, row), 0)
         return total if isinstance(total, float) else Fraction(total, den)

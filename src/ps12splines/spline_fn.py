@@ -8,8 +8,11 @@ with the coefficients.  Values are exact Fractions when coefficients, frame
 and points are exact (rational.is_exact): the exact kernels run on integers
 (the located row, the table and the coefficients each over one
 denominator, the coefficients scaled once per spline) and divide once per
-result.  Otherwise a numpy path runs on the table divided out to floats,
-the package's only numpy user: exact work never imports it.
+result.  Otherwise the float layer, the only numpy user (exact work never
+imports it), contracts the float table with the float coefficients once
+per spline into 12 x 21 face ordinates, read by float eval_spline (one
+point) and eval_many (a numpy batch) with the same IEEE operations in the
+same order, so the two agree bit for bit.
 The domain-point collocation matrix has rows summing to one, and its exact
 inverse, kept as integers over one denominator, gives Lagrange
 interpolation as one integer mat-vec and bounds the basis condition number
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING
@@ -28,19 +32,13 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # annotations only: the float path imports numpy when it runs
     import numpy as np
 
-from .errors import BoundViolated, DimensionMismatch, UnsupportedBasis
-from .geometry import (
-    PS12Frame,
-    Point2,
-    from_bary,
-    s3_apply_bary,
-    S3_ELEMENTS,
-    to_bary,
-)
+from .errors import BoundViolated, DimensionMismatch, OutsideDomain, UnsupportedBasis
+from .geometry import (PS12Frame, Point2, S3_ELEMENTS, _layer_face_bary_matrices, from_bary,
+                       s3_apply_bary, to_bary)
 from .linalg import _integer_solve, identity, inf_norm
 from .marsden_catalog import BASIS_IDS, catalog
 from .rational import common_denominator, is_exact
-from .simplex_spline import FaceForms, _face_ordinates, functional_row
+from .simplex_spline import SNAP_TOL, FaceForms, _face_ordinates, _row_terms, functional_row
 
 
 @dataclass(frozen=True)
@@ -70,6 +68,13 @@ class Spline:
     def exact(self) -> bool:
         """True when the coefficients and the frame corners are exact."""
         return self._int_coeffs is not None and is_exact([c for p in self.frame.v[:3] for c in p])
+
+    @cached_property
+    def _float_forms(self) -> FaceForms:
+        """The 12 x 21 float face ordinates every float value reads, once per spline."""
+        import numpy as np
+        ords = _scaled_basis_arrays(self.basis) @ np.array([float(c) for c in self.coeffs])
+        return FaceForms(self.frame, 5, tuple(map(tuple, ords.tolist())))
 
 
 @lru_cache(maxsize=None)
@@ -106,12 +111,11 @@ def basis_values(basis_id: str, beta):
     """The 39 values S_i at macro-barycentrics beta: the located Bernstein
     row times the scaled table of its face.
 
-    Exact (a tuple of Fractions) for exact beta; otherwise a float array,
-    with tiny negative roundoff in beta snapped onto the triangle.  Raises
-    OutsideDomain for points outside the closed macrotriangle.
+    Exact (a tuple of Fractions) for exact beta; otherwise a float array.
+    Raises OutsideDomain for points outside the closed macrotriangle.
     """
     if not is_exact(beta):
-        fi, _, row = functional_row(_clamp_bary(tuple(float(b) for b in beta)))
+        fi, _, row = functional_row(beta)
         return row @ _scaled_basis_arrays(basis_id)[fi - 1]
     den, vals = _int_basis_values(basis_id, beta)
     return tuple(Fraction(v, den) for v in vals)
@@ -129,40 +133,55 @@ def eval_spline(s: Spline, p) -> object:
     """Value of the spline at a point of its frame.
 
     Exact (Fraction) when the coefficients and barycentric coordinates are
-    exact, double precision otherwise.  Raises OutsideDomain for points
+    exact, double precision otherwise: the located float row times the
+    spline's contracted face ordinates.  Raises OutsideDomain for points
     outside the closed macrotriangle.
     """
     beta = to_bary(s.frame, Point2(*p))
-    if is_exact(beta) and s._int_coeffs is not None:
-        den, vals = _int_basis_values(s.basis, beta)
-        cden, c = s._int_coeffs
-        return Fraction(sum(map(mul, vals, c)), den * cden)
-    return float(basis_values(s.basis, tuple(float(b) for b in beta)) @ _float_coeffs(s))
+    if is_exact(beta):
+        if s._int_coeffs is not None:
+            den, vals = _int_basis_values(s.basis, beta)
+            cden, c = s._int_coeffs
+            return Fraction(sum(map(mul, vals, c)), den * cden)
+        beta = tuple(map(float, beta))
+    return s._float_forms.value_at_bary(beta)
 
 
-def _clamp_bary(beta, tol=1e-9):
-    """Snap float barycentrics with tiny negative parts onto the closed
-    triangle; genuine outside points stay outside."""
-    if min(beta) >= 0:
-        return beta
-    if min(beta) < -tol:
-        return beta
-    b = [max(x, 0.0) for x in beta]
-    s = sum(b)
-    return tuple(x / s for x in b)
+def _locate_faces(b1, b2, b3):
+    """geometry.locate_face_bary's cascade on arrays of barycentrics that
+    are all inside the triangle: the same tests, so the same ties."""
+    from numpy import select, where
+    return select(
+        [2 * b1 >= 1, 2 * b2 >= 1, 2 * b3 >= 1, (b2 >= b1) & (b1 >= b3), b2 >= b1, b3 >= b1],
+        [where(b2 >= b3, 1, 6), where(b1 >= b3, 2, 3), where(b2 >= b1, 4, 5), 7,
+         where(b2 >= b3, 8, 9), 10],
+        where(b3 >= b2, 11, 12))
 
 
-def _float_coeffs(s: Spline) -> np.ndarray:
+def eval_many(s: Spline, barys) -> np.ndarray:
+    """Float values at an (n, 3) array of macro-barycentrics in one numpy
+    batch, each with the bits of float eval_spline there: the snap, face,
+    face barycentrics, row and left-to-right sum of functional_row and
+    FaceForms.value_at_bary, op for op.  Raises OutsideDomain if any point
+    is outside the closed macrotriangle, DimensionMismatch for another shape."""
     import numpy as np
-    return np.array([float(c) for c in s.coeffs])
-
-
-def eval_many(s: Spline, barys: np.ndarray) -> np.ndarray:
-    """Float values at an array of barycentric points (n x 3), each equal to
-    float eval_spline at the same barycentrics."""
-    import numpy as np
-    coeffs = _float_coeffs(s)
-    return np.array([basis_values(s.basis, b) @ coeffs for b in barys], dtype=float)
+    b = np.array(barys, dtype=float)
+    if b.ndim != 2 or b.shape[1] != 3:
+        raise DimensionMismatch(f"need an (n, 3) array of barycentrics, got shape {b.shape}")
+    snap = (b < 0).any(axis=1) & (b >= -SNAP_TOL).all(axis=1)
+    c = np.where(b[snap] < 0, 0.0, b[snap])  # max(x, 0.0), signed zeros included
+    b[snap] = c / (c[:, 0] + c[:, 1] + c[:, 2])[:, None]
+    if (b < 0).any():
+        raise OutsideDomain(f"{(b < 0).any(axis=1).sum()} points outside the macrotriangle")
+    face = _locate_faces(*b.T) - 1
+    m = np.array([f for _, f in _layer_face_bary_matrices()])[face]  # (n, 3, 3)
+    g = m[:, :, 0] * b[:, :1] + m[:, :, 1] * b[:, 1:2] + m[:, :, 2] * b[:, 2:]
+    pw = list(accumulate([g] * 5, mul, initial=np.ones_like(g)))  # powers, as bernstein_row
+    ords = np.array(s._float_forms.ords)[face]
+    total = np.zeros(len(b))
+    for k, (mult, e1, e2, e3) in enumerate(_row_terms(5)):
+        total = total + mult * pw[e1][:, 0] * pw[e2][:, 1] * pw[e3][:, 2] * ords[:, k]
+    return total
 
 
 def face_forms(s: Spline) -> FaceForms:
@@ -171,20 +190,16 @@ def face_forms(s: Spline) -> FaceForms:
 
     Exact when the coefficients and the frame are; otherwise float ordinates.
     """
-    # an exact and a float spline can compare equal: the layer joins the key
-    return _face_forms(s, s.exact)
+    return _exact_face_forms(s) if s.exact else s._float_forms
 
 
 @lru_cache(maxsize=64)
-def _face_forms(s: Spline, exact: bool) -> FaceForms:
-    if exact:
-        q, table = scaled_basis_tables(s.basis)
-        cden, c = s._int_coeffs
-        den = q * cden
-        ords = tuple(tuple(Fraction(sum(map(mul, t, c)), den) for t in face) for face in table)
-    else:
-        ords = tuple(tuple(row) for row in _scaled_basis_arrays(s.basis) @ _float_coeffs(s))
-    return FaceForms(s.frame, 5, ords)
+def _exact_face_forms(s: Spline) -> FaceForms:
+    q, table = scaled_basis_tables(s.basis)
+    cden, c = s._int_coeffs
+    den = q * cden
+    return FaceForms(s.frame, 5, tuple(tuple(Fraction(sum(map(mul, t, c)), den) for t in face)
+                                       for face in table))
 
 
 # ---------------------------------------------------------------------------

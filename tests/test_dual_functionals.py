@@ -13,7 +13,7 @@ from ps12splines.dual_functionals import (
     lambda_vector,
 )
 from ps12splines.errors import DomainError
-from ps12splines.geometry import S3_ELEMENTS, s3_apply_multiset
+from ps12splines.geometry import S3_ELEMENTS, make_frame, s3_apply_multiset, to_bary
 from ps12splines.marsden_catalog import catalog
 from ps12splines.simplex_spline import knots
 from ps12splines.spline_fn import Spline, face_forms
@@ -61,6 +61,24 @@ def test_apply_linearity(ref):
     fab = face_forms(Spline(ref, "c", tuple(a * x + b * y for x, y in zip(ca, cb))))
     for lam in build_lambda(ref)[::7]:
         assert apply(lam, fab) == a * apply(lam, fa) + b * apply(lam, fb)
+
+
+def test_apply_on_a_float_frame_matches_the_exact_layer():
+    """All 39 functionals apply to a float spline on a float frame whose
+    macro-edge functional points come out of to_bary with roundoff such as
+    -8.6e-17 (snapped onto the edge, as for every float point), and match
+    the exact layer on the same frame and coefficients as binary rationals
+    within the float layer's stated bound, 1e-9 * max(1, max |c_i|)."""
+    corners = ((0.3, -0.1), (2.7, 0.2), (0.1, 3.1))
+    rng = random.Random(1)
+    coeffs = [rng.uniform(-5, 5) for _ in range(39)]
+    fs = Spline(make_frame(*corners), "c", tuple(coeffs))
+    es = Spline(make_frame(*[(F(x), F(y)) for x, y in corners]), "c", tuple(map(F, coeffs)))
+    lams = build_lambda(fs.frame)
+    assert min(min(to_bary(fs.frame, lam.point)) for lam in lams) < 0
+    bound = 1e-9 * max(1.0, max(map(abs, coeffs)))
+    for lf, le in zip(lams, build_lambda(es.frame)):
+        assert abs(apply(lf, face_forms(fs)) - float(apply(le, face_forms(es)))) <= bound, lf.site
 
 
 def test_collocation_full_rank_and_duplicates(ref):

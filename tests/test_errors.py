@@ -2,8 +2,8 @@
 
 import pytest
 
-from ps12splines import (basis_search, bspline1d, geometry, marsden_catalog, serialize,
-                         simplex_spline)
+from ps12splines import (basis_search, bspline1d, dual_functionals, geometry, marsden_catalog,
+                         serialize, simplex_spline)
 from ps12splines.errors import DomainError, InvalidDirection, PS12Error
 
 K = simplex_spline.knots("141110")
@@ -33,6 +33,8 @@ BAD_CALLS = {
     "barycentric_lattice": lambda: serialize.barycentric_lattice(0),
     "s3_vertex_permutation": lambda: geometry.s3_vertex_permutation((1, 1, 2)),
     "filter_pipeline stage": lambda: basis_search.filter_pipeline([], stage="bogus"),
+    "collocation float frame": lambda: dual_functionals.collocation(
+        geometry.make_frame((0.3, -0.1), (2.7, 0.2), (0.1, 3.1)), [K]),
 }
 
 

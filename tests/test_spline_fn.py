@@ -75,7 +75,7 @@ def test_eval_outside_raises(ref):
 
 
 def test_float_eval_spline_and_eval_many_agree_bitwise():
-    """Float eval_spline and eval_many run one per-point routine: equal bits
+    """Float eval_spline and the batch eval_many do the same operations: equal bits
     on a lattice whose points lie on face edges and macro edges (dyadic, so
     the unit frame gives exactly those barycentrics), and both reject a point
     just outside the triangle."""
@@ -95,6 +95,145 @@ def test_float_eval_spline_and_eval_many_agree_bitwise():
             eval_many(s, np.array([(0.5, 0.5 + 1e-6, -1e-6)]))
         with pytest.raises(OutsideDomain):
             eval_spline(s, Point2(0.5, -1e-6))
+
+
+def test_eval_many_takes_n_by_3_arrays(ref):
+    """eval_many reads an (n, 3) array, n = 0 included, and rejects other
+    shapes rather than regrouping their entries into triples."""
+    import numpy as np
+    from ps12splines.errors import DimensionMismatch
+    from ps12splines.spline_fn import eval_many
+    s = Spline(ref, "c", (F(1),) * 39)
+    assert eval_many(s, np.empty((0, 3))).shape == (0,)
+    assert [round(v, 12) for v in eval_many(s, [(0.25, 0.25, 0.5)] * 2)] == [1.0, 1.0]
+    for shape in ((6,), (3, 2), (1, 3, 3)):
+        with pytest.raises(DimensionMismatch):
+            eval_many(s, np.full(shape, 1 / 3))
+
+
+@st.composite
+def _float_barys(draw, roundoff=True):
+    """Float macro-barycentrics of every kind the float kernels must agree
+    on, in any coordinate order: interior points, points on the macro edges
+    and on the split's interior lines (the medians b_j = b_k and the medial
+    lines 2 b_i = 1, dyadic ones exactly on them), the split vertices, and
+    with roundoff points just outside, down to -1e-9."""
+    kinds = ["interior", "macro edge", "median", "medial", "vertex"] + ["roundoff"] * roundoff
+    kind = draw(st.sampled_from(kinds))
+    t, u = (draw(st.one_of(st.integers(0, 4096).map(lambda k: k / 4096), st.floats(0, 1)))
+            for _ in range(2))
+    if kind == "interior":
+        beta = (t, u * (1 - t), 1 - t - u * (1 - t))
+    elif kind == "macro edge":
+        beta = (t, 1 - t, 0.0)
+    elif kind == "median":
+        beta = (t / 2, t / 2, 1 - t)
+    elif kind == "medial":
+        beta = (0.5, t / 2, 0.5 - t / 2)
+    elif kind == "vertex":
+        beta = tuple(map(float, draw(st.sampled_from(VERTEX_BARY))))
+    else:
+        e = draw(st.floats(0, 1e-9))
+        beta = (t + e, 1 - t, -e)
+    return tuple(beta[i] for i in draw(st.permutations(range(3))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis=st.sampled_from("abcdef"), seed=st.integers(0, 2 ** 32), unit=st.booleans(),
+       barys=st.lists(_float_barys(), min_size=1, max_size=30))
+def test_float_eval_spline_and_eval_many_agree_bitwise_at_random_points(basis, seed, unit,
+                                                                        barys):
+    """Float eval_spline at Cartesian points and one eval_many batch at their
+    barycentrics give equal bits, on the unit frame (where dyadic points stay
+    exactly on the split lines) and on a seeded float frame; so do the
+    scalar twin face_forms(s).value_at_bary and eval_many at the drawn
+    barycentrics themselves, ties and snapped roundoff included."""
+    import numpy as np
+    from ps12splines.simplex_spline import SNAP_TOL
+    from ps12splines.spline_fn import eval_many
+    rng = random.Random(seed)
+    corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    if not unit:
+        corners = [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3)]
+    frame = make_frame(*corners)
+    s = Spline(frame, basis, tuple(rng.uniform(-10, 10) for _ in range(39)))
+    pts = [p for p in (from_bary(frame, b) for b in barys)
+           if min(to_bary(frame, p)) >= -SNAP_TOL]
+    if pts:
+        many = eval_many(s, np.array([to_bary(frame, p) for p in pts]))
+        assert [v.hex() for v in many.tolist()] == [eval_spline(s, p).hex() for p in pts]
+    many = eval_many(s, np.array(barys))
+    assert [v.hex() for v in many.tolist()] == [face_forms(s).value_at_bary(b).hex() for b in barys]
+
+
+@settings(max_examples=60, deadline=None)
+@given(barys=st.lists(_float_barys(), min_size=1, max_size=30))
+def test_vectorised_face_cascade_matches_locate_face_bary(barys):
+    """The batch kernel's face cascade equals geometry.locate_face_bary on
+    snapped points, ties on the split lines and at the split vertices
+    included (the lattice of 12 puts points on every split line)."""
+    import numpy as np
+    from ps12splines.serialize import barycentric_lattice
+    from ps12splines.simplex_spline import snap_bary
+    from ps12splines.spline_fn import _locate_faces
+    barys = [snap_bary(b) for b in barys] + [tuple(map(float, b)) for b in barycentric_lattice(12)]
+    assert _locate_faces(*np.array(barys).T).tolist() == [locate_face_bary(*b) for b in barys]
+
+
+def _gamma(n):
+    """gamma_n = n u / (1 - n u) for the unit roundoff u = 2^-53, exactly."""
+    u = F(1, 2 ** 53)
+    return n * u / (1 - n * u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(basis=st.sampled_from("abcdef"),
+       coeffs=st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), min_size=39, max_size=39),
+       barys=st.lists(_float_barys(roundoff=False), min_size=1, max_size=8))
+def test_float_layer_within_stated_error_bound(basis, coeffs, barys):
+    """Float values against the exact layer at the same barycentrics beta
+    (the floats as binary rationals) and coefficients c:
+
+        |f~(beta) - f(beta)| <= gamma_n * sum_s B_s(g^) * sum_i |c_i T[f][s][i]| / Q
+
+    with f the located face, (Q, T) = scaled_basis_tables and
+    g^ = |M_f| beta the face barycentrics taken with the absolute values of
+    the face's matrix, which bound those of beta entrywise and carry their
+    rounding error (near a face edge a face barycentric is a difference of
+    two terms, so its error is relative to g^, not to itself).  The kernel's
+    operation count gives n = 40 + 22 + 21 = 83:
+
+    * the 39-term contraction of the coefficients with the tables: T / Q
+      rounded once, one product, 38 additions in any order (numpy may
+      reorder them): 40;
+    * the row: each face barycentric is one product and two additions with
+      the integer matrix entries (exact as floats), 3, times the five
+      factors of a quintic Bernstein polynomial, plus at most four
+      multiplications in the powers and three in the row product: 22;
+    * the 21-term sum from 0: one product and at most 20 additions: 21.
+
+    The count assumes no underflow, so inputs below 2^-100 in magnitude are
+    set to 0: every intermediate is then 0 or above 2^-950.
+    """
+    import numpy as np
+    from ps12splines.spline_fn import eval_many, scaled_basis_tables
+
+    def normal(xs):
+        return [x if abs(x) >= 2 ** -100 else 0.0 for x in xs]
+
+    coeffs, barys = normal(coeffs), [tuple(normal(b)) for b in barys]
+    q, table = scaled_basis_tables(basis)
+    assert all(x == int(x) for m in face_bary_matrices() for row in m for x in row)
+    s = Spline(make_frame((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), basis, tuple(coeffs))
+    exact_c = [F(c) for c in coeffs]
+    for got, beta in zip(eval_many(s, np.array(barys)).tolist(), barys):
+        beta = tuple(map(F, beta))
+        want = sum(v * c for v, c in zip(basis_values(basis, beta), exact_c))
+        fi = locate_face_bary(*beta)
+        ghat = [sum(abs(m) * b for m, b in zip(row, beta)) for row in face_bary_matrices()[fi - 1]]
+        bound = _gamma(83) * sum(r * sum(abs(c * t) for c, t in zip(exact_c, col)) / q
+                                 for r, col in zip(_fraction_row(ghat), table[fi - 1]))
+        assert abs(F(got) - want) <= bound
 
 
 def test_float_tables_are_the_exact_tables_rounded():
