@@ -30,10 +30,12 @@ Marsden identity (b.c)^5 = sum_i w_i Psi_i(c) Q_i(b) in c_j at c = 1 gives
 S3-equivariant, and their coordinate sum 5 w_i is known, so what is left is
 the zero-sum part of the first coordinate: 13 unknowns, 2 per class of six
 and 1 per class of three, solved from 13 of the 39 collocation equations and
-checked exactly on the other 26.  The dual polynomials, and the weights of
-any input that is not a union of classes, solve the 39x39 system of the
-cached integer lambda rows; the pipeline forms the dual polynomials only
-for the candidates that pass the boundary counts.
+checked exactly on the other 26.  The dual polynomials solve the 39x39
+system of the integer lambda rows; the pipeline forms them only for the
+candidates that pass the boundary counts.  One right-hand-side table serves
+every solve: the functional values of the Marsden polynomial (b.c)^5, whose
+value at c = (1, 1, 1) is the constant 1 and whose c1-derivative there is
+5 b1.
 """
 
 from __future__ import annotations
@@ -197,35 +199,6 @@ def enumerate_candidates() -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Exact rank / solve helpers on the collocation table
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _int_lambda_row(K: tuple) -> tuple:
-    """lambda row of Q[K] scaled to integers, plus the scale factor."""
-    (row,), (den,) = _integer_rows([lambda_vector(K)])
-    return tuple(row), den
-
-
-@lru_cache(maxsize=1)
-def _lambda_one_vector() -> tuple:
-    """Functional values of the constant 1, one single-column row each."""
-    return tuple((int(lam.order == 0),) for lam in build_lambda(reference_frame()))
-
-
-def _solve_collocation(multisets, rhs) -> list:
-    """Solve sum_i x_i lambda_j(Q_i) = rhs_j for the rows x_i.
-
-    The system is assembled from the integer lambda rows: column i holds
-    den_i * lambda(Q_i), so solution row i is scaled back by den_i.
-    """
-    scaled = [_int_lambda_row(K) for K in multisets]
-    A = [list(col) for col in zip(*(row for row, _ in scaled))]
-    sol = solve(A, rhs)
-    return [[x * den for x in xi] for xi, (_, den) in zip(sol, scaled)]
-
-
-# ---------------------------------------------------------------------------
 # S3 isotypic blocks of the collocation table
 # ---------------------------------------------------------------------------
 
@@ -368,18 +341,21 @@ def _multisets(cand) -> tuple:
 def compute_weights(cand) -> tuple:
     """Unique weights with sum_i w_i Q_i = 1, in the candidate's order.
 
-    Accepts a CandidateBasis or a plain sequence of multisets.  Raises
-    SingularSystem when the candidate is not a basis.
+    Accepts a CandidateBasis or a plain sequence of multisets making up
+    whole S3 classes.  Raises SingularSystem when the candidate is not a
+    basis, which a repeated multiset proves (two equal lambda rows), and
+    DomainError for any other input that is not a union of classes.
 
     S3 fixes the constant 1 and the weights are unique, so on a
     candidate made of whole classes they are constant on each class: one
     weight per class solves the trivial-block system.
     """
     multisets = _multisets(cand)
+    if len(set(multisets)) < len(multisets):
+        raise SingularSystem("a repeated spline gives two equal lambda rows")
     labels = _orbit_labels(multisets)
     if labels is None:
-        sol = _solve_collocation(multisets, _lambda_one_vector())
-        return tuple(x[0] for x in sol)
+        raise DomainError("a candidate must consist of whole S3 classes of 39 splines")
     if not _blocks_full_rank(labels):
         raise SingularSystem("an S3 isotypic block of the candidate is singular")
     return _class_weights(labels, multisets)
@@ -422,14 +398,25 @@ def _marsden_rhs() -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=1)
+def _lambda_one_vector() -> tuple:
+    """Functional values of the constant 1, one single-column row each: the
+    Marsden polynomial at c = (1, 1, 1), where (b.c)^5 = 1."""
+    return tuple((sum(row),) for row in _marsden_rhs())
+
+
 def compute_dual_polys(cand, weights=None) -> tuple:
     """The products w_i * Psi_i as exact homogeneous quintics in (c1, c2, c3).
 
     Solves the collocation system with the quintic power functional values on
     the right-hand side; setting c1 = c2 = c3 = 1 in entry i recovers w_i.
+    Column i of the system is the lambda row of Q_i scaled to integers by
+    den_i, so solution row i is scaled back by den_i.
     """
-    sol = _solve_collocation(_multisets(cand), _marsden_rhs())
-    out = tuple(TriPoly(zip(QUINTIC_MONOMIALS, xi)) for xi in sol)
+    rows, dens = _integer_rows([lambda_vector(K) for K in _multisets(cand)])
+    sol = solve([list(col) for col in zip(*rows)], _marsden_rhs())
+    out = tuple(TriPoly(zip(QUINTIC_MONOMIALS, [x * den for x in xi]))
+                for xi, den in zip(sol, dens))
     if weights is not None:
         for w, poly in zip(weights, out):
             if poly.evaluate(1, 1, 1) != w:
@@ -445,17 +432,11 @@ _ZERO_SUM = ((1, 0, -1), (0, 1, -1))
 def _reproduction_rhs() -> tuple:
     """Functional values of 5 b1 - 5/3, the zero-sum part of the first
     coordinate in 5 b_j = sum_i x_ij Q_i, scaled to integers; plus the
-    scale."""
-    frame = reference_frame()
-    out = []
-    for lam, (one,) in zip(build_lambda(frame), _lambda_one_vector()):
-        if lam.order == 0:
-            b1 = to_bary(frame, lam.point)[0]
-        elif lam.order == 1:
-            b1 = direction_coords(frame.v[:3], lam.directions[0])[0]
-        else:
-            b1 = 0      # b1 is linear: no second derivatives
-        out.append(5 * b1 - Fraction(5, 3) * one)
+    scale.  5 b1 is the c1-derivative of the Marsden polynomial (b.c)^5 at
+    c = (1, 1, 1) and 1 its value there, so the values come from the
+    coefficients of _marsden_rhs."""
+    out = [sum((e[0] - Fraction(5, 3)) * coef for e, coef in zip(QUINTIC_MONOMIALS, row))
+           for row in _marsden_rhs()]
     (ints,), (scale,) = _integer_rows([out])
     return tuple(ints), scale
 

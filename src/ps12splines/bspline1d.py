@@ -1,10 +1,18 @@
 """Univariate B-splines on the open knot multiset {0^(d+1), 1/2^2, 1^(d+1)}.
 
 The d+3 consecutive B-splines of degree d on this knot vector are referenced
-by their index 1..d+3.  Individual B-splines are evaluated by the two-term
-recurrence from their own d+2 local knots.  Evaluation is right-continuous on
-[0, 1) and left-continuous at t = 1, matching the inward-limit convention used
-for point location on the split.
+by their index 1..d+3.  Every B-spline here is the edge view of a simplex
+spline: put its window's knots on v1 (t = 0), v4 (t = 1/2) and v2 (t = 1)
+of the reference split and one more knot on v3, and Q[K] restricted to the
+edge [v1, v2] is the B-spline over 2 area([K]) (see
+simplex_spline.restrict_to_edge).  The B-spline's Bernstein pieces on
+[0, 1/2] and [1/2, 1] are therefore the gamma_3 = 0 rows of Q[K]'s tables
+on the faces D1 and D2, times 2 area([K]).  Values and derivatives
+evaluate a piece (derivatives by Bernstein differences); they are
+right-continuous on [0, 1) and left-continuous at t = 1, matching the
+inward-limit convention used for point location on the split, and zero
+outside [0, 1].  An off-window B-spline is expanded in the consecutive
+basis by the polar form of one of its pieces.
 """
 
 from __future__ import annotations
@@ -15,8 +23,13 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .rational import is_exact
+from .simplex_spline import _face_ordinates, active_indices, bernstein_exponents, hull_area
 
 HALF = Fraction(1, 2)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -27,6 +40,8 @@ class UnivariateBSplineRef:
     index: int
 
     def __post_init__(self):
+        if not (_is_int(self.degree) and _is_int(self.index)):
+            raise DomainError(f"degree and index must be ints, not {self.degree!r}, {self.index!r}")
         if not 2 <= self.degree <= 5:
             raise DomainError(f"degree {self.degree} outside 2..5")
         if not 1 <= self.index <= self.degree + 3:
@@ -71,49 +86,54 @@ def ref_from_counts(degree: int, zeros: int, halves: int, ones: int):
     return None
 
 
-def _bspline_raw(knots: tuple, t):
-    """Recursive B-spline value from its own knot window (right-continuous)."""
-    if len(knots) == 2:
-        t0, t1 = knots
-        # closed at the right end of the global interval
-        inside = t0 <= t < t1 or (t == t1 == 1 and t0 < t1)
-        return Fraction(inside) if is_exact((t,)) else float(inside)
-    total = 0
-    left, right = knots[:-1], knots[1:]
-    if knots[-2] != knots[0]:
-        total += (t - knots[0]) / (knots[-2] - knots[0]) * _bspline_raw(left, t)
-    if knots[-1] != knots[1]:
-        total += (knots[-1] - t) / (knots[-1] - knots[1]) * _bspline_raw(right, t)
-    return total
+@lru_cache(maxsize=None)
+def _pieces(degree: int, zeros: int, halves: int, ones: int) -> tuple:
+    """(left, right): the Bernstein coefficients of B[{0^zeros, 1/2^halves,
+    1^ones}] on [0, 1/2] and [1/2, 1], in the local parameters s = 2t and
+    s = 2t - 1; coefficient k multiplies C(d, k) (1 - s)^(d-k) s^k.
+
+    Read from Q[K] with K = {v1^zeros, v2^ones, v3, v4^halves}: on the
+    faces D1 = [v1, v4, v7] and D2 = [v4, v2, v8] the edge is gamma_3 = 0
+    and s = gamma_2.
+    """
+    K = (zeros, ones, 1, halves) + (0,) * 6
+    den, faces = _face_ordinates(K)
+    scale = 2 * hull_area(active_indices(K)) / den
+    exponents = bernstein_exponents(degree)
+    row = [exponents.index((degree - k, k, 0)) for k in range(degree + 1)]
+    return tuple(tuple(scale * face[i] if face else Fraction(0) for i in row)
+                 for face in faces[:2])
+
+
+def _blossom(coefs, args):
+    """Polar form of the Bernstein polynomial with these coefficients at
+    args, one de Casteljau step per argument; equal args s give its value
+    at s."""
+    for s in args:
+        coefs = [(1 - s) * a + s * b for a, b in zip(coefs, coefs[1:])]
+    return coefs[0]
 
 
 def bspline_value(ref: UnivariateBSplineRef, t):
-    return _bspline_raw(ref.local_knots, t)
-
-
-def _derivative_terms(knots: tuple, order: int):
-    """Expand d/dt^order of B[knots] as [(coef, knot window)] terms."""
-    terms = [(Fraction(1), knots)]
-    for _ in range(order):
-        nxt = []
-        for coef, kn in terms:
-            d = len(kn) - 2
-            if kn[-2] != kn[0]:
-                nxt.append((coef * d / (kn[-2] - kn[0]), kn[:-1]))
-            if kn[-1] != kn[1]:
-                nxt.append((coef * -d / (kn[-1] - kn[1]), kn[1:]))
-        terms = nxt
-    return terms
+    return bspline_derivative(ref, t, 0)
 
 
 def bspline_derivative(ref: UnivariateBSplineRef, t, order: int = 1):
     """Order-th derivative at t, exact for exact t (one-sided at knots, like
-    the value)."""
-    if order == 0:
-        return bspline_value(ref, t)
-    terms = _derivative_terms(ref.local_knots, order)
-    return sum((coef * _bspline_raw(kn, t) for coef, kn in terms),
-               Fraction(0) if is_exact((t,)) else 0.0)
+    the value).  Raises DomainError unless order is a nonnegative int."""
+    if not _is_int(order) or order < 0:
+        raise DomainError(f"derivative order must be a nonnegative int, not {order!r}")
+    zero = Fraction(0) if is_exact((t,)) else 0.0
+    if not 0 <= t <= 1 or order > ref.degree:
+        return zero
+    right = 2 * t >= 1
+    coefs = _pieces(ref.degree, *ref.counts())[right]
+    # each Bernstein difference on an interval of length 1/2 brings 2 (n - k)
+    n = ref.degree
+    for k in range(order):
+        coefs = [2 * (n - k) * (b - a) for a, b in zip(coefs, coefs[1:])]
+    s = 2 * t - 1 if right else 2 * t
+    return zero + _blossom(coefs, (s,) * (n - order))
 
 
 # ---------------------------------------------------------------------------
@@ -121,30 +141,19 @@ def bspline_derivative(ref: UnivariateBSplineRef, t, order: int = 1):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _greville_points(degree: int) -> tuple:
-    kn = global_knots(degree)
-    return tuple(sum(kn[i + 1: i + degree + 1], Fraction(0)) / degree
-                 for i in range(degree + 3))
-
-
-@lru_cache(maxsize=None)
-def _greville_collocation_inverse(degree: int) -> tuple:
-    from .linalg import inverse
-    pts = _greville_points(degree)
-    rows = [[bspline_value(UnivariateBSplineRef(degree, j + 1), t)
-             for j in range(degree + 3)] for t in pts]
-    return tuple(tuple(r) for r in inverse(rows))
-
-
-@lru_cache(maxsize=None)
 def expand_window(degree: int, zeros: int, halves: int, ones: int) -> tuple:
     """Expand B[{0^zeros, 1/2^halves, 1^ones}] in the consecutive basis.
 
     Returns ((coef, ref), ...).  The empty tuple encodes the zero spline
     (all knots coincident).  Windows of the open knot vector come back as a
-    single unit term; the others (a smoother-than-generic interior knot) are
-    resolved by exact collocation at the Greville points.
+    single unit term.  The others (a smoother-than-generic interior knot)
+    lie in the span too; the coefficient of each consecutive B-spline is
+    the polar form, at its interior knots, of a piece on which it is
+    supported (its left piece unless its window starts at 1/2).
     """
+    if not (_is_int(degree) and all(_is_int(x) and x >= 0 for x in (zeros, halves, ones))):
+        raise DomainError(f"need an int degree and nonnegative int knot counts, not "
+                          f"{degree!r}, {(zeros, halves, ones)!r}")
     if zeros + halves + ones != degree + 2:
         raise DomainError("knot counts must total degree + 2")
     if halves > 2:
@@ -154,10 +163,13 @@ def expand_window(degree: int, zeros: int, halves: int, ones: int) -> tuple:
     direct = ref_from_counts(degree, zeros, halves, ones)
     if direct is not None:
         return ((Fraction(1), direct),)
-    window = (Fraction(0),) * zeros + (HALF,) * halves + (Fraction(1),) * ones
-    vals = [_bspline_raw(window, t) for t in _greville_points(degree)]
-    minv = _greville_collocation_inverse(degree)
-    coefs = [sum(minv[i][j] * vals[j] for j in range(degree + 3))
-             for i in range(degree + 3)]
-    return tuple((c, UnivariateBSplineRef(degree, i + 1))
-                 for i, c in enumerate(coefs) if c != 0)
+    refs = [UnivariateBSplineRef(degree, i) for i in range(1, degree + 4)]
+    pieces = _pieces(degree, zeros, halves, ones)
+    terms = []
+    for ref in refs:
+        kn = ref.local_knots
+        right = kn[0] == HALF
+        coef = _blossom(pieces[right], [2 * u - 1 if right else 2 * u for u in kn[1:-1]])
+        if coef != 0:
+            terms.append((coef, ref))
+    return tuple(terms)

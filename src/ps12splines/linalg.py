@@ -1,7 +1,7 @@
 """Exact dense linear algebra over the rationals.
 
 This is the package's only exact elimination; ``basis_search``,
-``assembly``, ``dual_functionals``, ``spline_fn`` and ``bspline1d`` call it.
+``assembly``, ``dual_functionals`` and ``spline_fn`` call it.
 
 Matrices are lists of lists of ``int`` or ``Fraction``.  Every routine scales
 each row to integers by the lcm of its denominators and runs one fraction-free

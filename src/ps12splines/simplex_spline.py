@@ -256,14 +256,15 @@ def derivative_expansion(K: KnotMultiset, direction, order: int = 1) -> list:
     explicit 10-vector of coefficients over the knots, used as given for the
     first differentiation and through its corner triple after that.  The
     factor |K| - 3 per differentiation is included in the coefficients.
-    Raises InvalidDirection for any other number of entries.
+    Raises InvalidDirection for any other number of entries and for an
+    order outside 0..degree.
     """
     K = knots(K)
     if len(direction) not in (3, 10):
         raise InvalidDirection(f"a direction has 3 corner or 10 knot coefficients, "
                                f"not {len(direction)}")
-    if order > degree(K):
-        raise InvalidDirection(f"order {order} exceeds degree {degree(K)}")
+    if not 0 <= order <= degree(K):
+        raise InvalidDirection(f"order {order} outside 0..{degree(K)}")
     if len(direction) == 10:
         rep = _normalize_weights10(K, direction, 0)
         corner_dir = tuple(sum(a * VERTEX_BARY[i - 1][r] for i, a in rep.items())

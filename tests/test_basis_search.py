@@ -77,6 +77,17 @@ def test_weights_singular_for_non_basis():
         compute_weights(dup)
 
 
+def test_weights_reject_input_that_is_not_whole_classes():
+    spec = catalog("c")
+    outsider = knots(CLASS_REPRESENTATIVES["n"])     # class n is not in basis c
+    assert outsider not in spec.multisets
+    swapped = list(spec.multisets)
+    swapped[3] = outsider
+    for bad in (swapped, spec.multisets[:38], list(spec.multisets) + [outsider]):
+        with pytest.raises(DomainError):
+            compute_weights(bad)
+
+
 def _bareiss_full_rank(cand) -> bool:
     """Reference: fraction-free elimination of the candidate's 39 lambda rows."""
     rows, _ = _integer_rows([lambda_vector(K) for K in cand.multisets])

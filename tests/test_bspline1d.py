@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ps12splines.bspline1d import (
     UnivariateBSplineRef,
@@ -12,6 +14,52 @@ from ps12splines.bspline1d import (
 )
 
 HALF = F(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the Cox-de Boor recursion over a B-spline's own knot window
+# ---------------------------------------------------------------------------
+
+def _bspline_raw(knots: tuple, t):
+    """Recursive B-spline value from its own knot window (right-continuous,
+    closed at t = 1)."""
+    if len(knots) == 2:
+        t0, t1 = knots
+        return F(t0 <= t < t1 or (t == t1 == 1 and t0 < t1))
+    total = F(0)
+    left, right = knots[:-1], knots[1:]
+    if knots[-2] != knots[0]:
+        total += (t - knots[0]) / (knots[-2] - knots[0]) * _bspline_raw(left, t)
+    if knots[-1] != knots[1]:
+        total += (knots[-1] - t) / (knots[-1] - knots[1]) * _bspline_raw(right, t)
+    return total
+
+
+def _derivative_terms(knots: tuple, order: int):
+    """Expand d/dt^order of B[knots] as [(coef, knot window)] terms; a
+    degree-0 window differentiates to nothing."""
+    terms = [(F(1), knots)]
+    for _ in range(order):
+        nxt = []
+        for coef, kn in terms:
+            d = len(kn) - 2
+            if d == 0:
+                continue
+            if kn[-2] != kn[0]:
+                nxt.append((coef * d / (kn[-2] - kn[0]), kn[:-1]))
+            if kn[-1] != kn[1]:
+                nxt.append((coef * -d / (kn[-1] - kn[1]), kn[1:]))
+        terms = nxt
+    return terms
+
+
+def _oracle_derivative(knots: tuple, t, order: int):
+    return sum((c * _bspline_raw(kn, t) for c, kn in _derivative_terms(knots, order)), F(0))
+
+
+def _window(counts) -> tuple:
+    return (F(0),) * counts[0] + (HALF,) * counts[1] + (F(1),) * counts[2]
+
 
 # knot-count table of the shorthand B-splines, degree -> list of (zeros, halves, ones)
 SHORTHAND_COUNTS = {
@@ -60,7 +108,6 @@ def test_expand_window_degenerate_and_direct():
 def test_expand_window_interpolates_off_windows():
     # single interior knot between zeros and ones is not a window: expansion
     # must agree with the raw B-spline everywhere
-    from ps12splines.bspline1d import _bspline_raw
     for counts in [(2, 1, 2), (3, 0, 2), (2, 0, 3), (4, 1, 1)]:
         d = sum(counts) - 2
         terms = expand_window(d, *counts)
@@ -68,3 +115,30 @@ def test_expand_window_interpolates_off_windows():
         for t in [F(i, 17) for i in range(18)]:
             got = sum(c * bspline_value(ref, t) for c, ref in terms)
             assert got == _bspline_raw(window, t), (counts, t)
+
+
+#: Every knot window of degrees 2..5 that expand_window accepts: the
+#: consecutive B-splines, the off-windows and the all-coincident zero ones.
+WINDOWS = tuple((z, h, d + 2 - z - h) for d in range(2, 6) for h in range(3)
+                for z in range(d + 3 - h))
+
+
+#: Rational t in [-1/4, 5/4], or one of the knots 0, 1/2 and 1.
+PARAMETERS = st.one_of(st.sampled_from((F(0), HALF, F(1))),
+                       st.fractions(F(-1, 4), F(5, 4), max_denominator=10 ** 4))
+
+
+@pytest.mark.parametrize("counts", WINDOWS, ids=lambda c: "-".join(map(str, c)))
+@settings(max_examples=30, deadline=None)
+@given(PARAMETERS, st.data())
+def test_values_derivatives_and_expansions_match_cox_de_boor(counts, t, data):
+    d = sum(counts) - 2
+    order = data.draw(st.integers(0, d + 1), label="order")
+    want = _oracle_derivative(_window(counts), t, order)
+    terms = expand_window(d, *counts)
+    got = sum((c * bspline_derivative(ref, t, order) for c, ref in terms), F(0))
+    assert got == want, (counts, t, order)
+    direct = ref_from_counts(d, *counts)
+    if direct is not None:
+        assert terms == ((F(1), direct),)
+        assert bspline_derivative(direct, t, order) == want

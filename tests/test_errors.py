@@ -28,6 +28,12 @@ BAD_CALLS = {
     "bspline index": lambda: bspline1d.UnivariateBSplineRef(5, 9),
     "expand_window total": lambda: bspline1d.expand_window(5, 1, 1, 1),
     "expand_window halves": lambda: bspline1d.expand_window(2, 0, 3, 1),
+    "expand_window negative count": lambda: bspline1d.expand_window(5, -1, 2, 6),
+    "expand_window str degree": lambda: bspline1d.expand_window("5", 1, 2, 4),
+    "bspline bool index": lambda: bspline1d.UnivariateBSplineRef(5, True),
+    "bspline str degree": lambda: bspline1d.UnivariateBSplineRef("5", 1),
+    "bspline_derivative negative order": lambda: bspline1d.bspline_derivative(
+        bspline1d.UnivariateBSplineRef(5, 3), 0, -1),
     "bernstein_expansion": lambda: marsden_catalog.bernstein_expansion(
         marsden_catalog.catalog("c"), 1, 1, 1),
     "barycentric_lattice": lambda: serialize.barycentric_lattice(0),
@@ -55,3 +61,9 @@ BAD_DIRECTIONS = {
 def test_bad_direction_raises_invalid_direction(name):
     with pytest.raises(InvalidDirection):
         simplex_spline.derivative_expansion(K, BAD_DIRECTIONS[name])
+
+
+@pytest.mark.parametrize("order", [-1, 6])
+def test_derivative_order_outside_0_to_degree_raises_invalid_direction(order):
+    with pytest.raises(InvalidDirection):
+        simplex_spline.derivative_expansion(K, (1, -1, 0), order)
