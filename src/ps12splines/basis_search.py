@@ -14,7 +14,9 @@ remaining 18 slots), and filters:
     -> 8 domain points per edge       (7)
     -> dual polynomials split into real linear factors (6)
 
-Everything is exact, and every elimination is fraction-free (``linalg``).
+Everything is exact: every elimination is fraction-free (``linalg``), every
+polynomial is a ``TriPoly``, and the last filter accepts only an explicit
+split and rejects only on a certificate (``split_linear_factors``).
 A candidate is a union of S3 orbits, so its 39x39 collocation matrix
 commutes with the symmetry and splits into isotypic blocks (Fassler-Stiefel):
 over the 99 splines the trivial, sign and standard blocks have dimensions 8,
@@ -44,10 +46,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import isqrt, lcm
+from operator import add, ne
 
 from .dual_functionals import build_lambda, lambda_vector
-from .errors import DimensionMismatch, DomainError, SingularSystem, SymmetryViolated
+from .errors import (DimensionMismatch, DomainError, PS12Error, SingularSystem,
+                     SymmetryViolated)
 from .geometry import (
     S3_ELEMENTS,
     VERTEX_BARY,
@@ -57,7 +61,7 @@ from .geometry import (
     s3_apply_multiset,
     to_bary,
 )
-from .linalg import _integer_rows, bareiss, pivot_columns, rank, solve
+from .linalg import _integer_rows, bareiss, pivot_columns, solve
 from .marsden_catalog import CATALOG_ROWS
 from .polynomial import TriPoly
 from .simplex_spline import active_indices, hull_area, knot_label, knots
@@ -536,87 +540,114 @@ class LinearFactorization:
     When split is True and the factors are rational, ``forms`` holds the five
     barycentric triples normalized to sum 1 and ``scalar`` the leftover
     weight.  A real split through irrational quadratic roots sets split=True
-    with forms=None.  ``diagnostic`` names the obstruction otherwise.
+    with forms=None.  ``diagnostic`` names the obstruction otherwise, and
+    ``witness`` holds the two split vertices spanning a line on which it is
+    a non-real root.
     """
 
     split: bool
     scalar: Fraction = Fraction(0)
     forms: tuple = None
     diagnostic: str = ""
+    witness: tuple = None
+
+
+#: The unit exponents, the coefficients of a linear form.
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+#: Pairs of split vertices spanning the lines tried for a non-real root,
+#: the three macro edges first.
+_LINES = (*combinations(VERTEX_BARY[:3], 2), *combinations(VERTEX_BARY, 2))
 
 
 def split_linear_factors(poly: TriPoly) -> LinearFactorization:
     """Factor a homogeneous quintic into five real linear forms, if possible.
 
-    Strategy: repeated exact trial division by the ten shorthand forms (this
-    resolves every dual product of the surviving bases), then exact rational
-    factorization of whatever remains: rational linear factors are accepted,
-    quadratic factors are accepted exactly when their symmetric matrix is
-    singular with indefinite or rank-one nonzero part, and any irreducible
-    factor of higher degree rejects the split.
+    Repeated exact trial division by the ten shorthand forms resolves every
+    dual product of the surviving bases; exact certificates decide the
+    remainder.  A linear one is its own factor.  A quadratic one splits iff
+    its symmetric matrix is singular with indefinite or rank-one nonzero
+    part, into the lines through the conic's singular point and the two
+    roots on a coordinate line missing it.  A rational factor with
+    coefficient sum 0 (at infinity) rejects.  A remainder of higher degree
+    is rejected on a line through two split vertices, the macro edges
+    first, where an exact Sturm count shows a non-real root, which no
+    product of real linear forms has; without one PS12Error is raised.
     """
     if not poly.is_homogeneous() or poly.degree() != 5 or not poly:
         return LinearFactorization(False, diagnostic="not a nonzero homogeneous quintic")
-    forms = []
-    rem = poly
-    progress = True
-    while progress and rem.degree() > 0:
-        progress = False
-        for triple in VERTEX_BARY:
-            quo = rem.divide_by_linear(triple)
-            if quo is not None:
-                forms.append(triple)
-                rem = quo
-                progress = True
-                break
-    if rem.degree() == 0:
-        return LinearFactorization(True, scalar=rem.evaluate(1, 1, 1),
-                                   forms=tuple(sorted(forms, reverse=True)))
-    return _split_general(poly, forms, rem)
+    forms, rem = [], poly
+    for triple in VERTEX_BARY:
+        while (quo := rem.divide_by_linear(triple)) is not None:
+            forms.append(triple)
+            rem = quo
+    if rem.degree() >= 3:
+        witness = next((pq for pq in _LINES if _has_nonreal_root(rem, *pq)), None)
+        if witness is None:
+            raise PS12Error(f"no certificate decides whether {rem} splits over the reals")
+        ends = " and ".join(f"v{VERTEX_BARY.index(v) + 1}" for v in witness)
+        return LinearFactorization(False, witness=witness, diagnostic=(
+            f"a factor of degree {rem.degree()} has a non-real root on the line {ends}"))
+    found = [tuple(rem.coefficient(e) for e in _UNITS)] if rem.degree() == 1 else []
+    if rem.degree() == 2:
+        a = [[rem.coefficient(tuple(map(add, e, f))) / (1 if e == f else 2) for f in _UNITS]
+             for e in _UNITS]
+        piv = pivot_columns(a)
+        e2 = sum(a[i][i] * a[j][j] - a[i][j] ** 2 for i, j in combinations(range(3), 2))
+        if len(piv) == 3 or e2 > 0:
+            return LinearFactorization(False, diagnostic=f"quadratic factor without a real "
+                                                         f"split: {rem}")
+        # the singular point p, with p_k = 1 off the pivots, and the roots
+        # of the restriction alpha x^2 + 2 beta x y + gamma y^2 to c_k = 0
+        k = next(j for j in range(3) if j not in piv)
+        p = [1 if j == k else 0 for j in range(3)]
+        for col, (x,) in zip(piv, solve([[a[i][j] for j in piv] for i in piv],
+                                        [[-a[i][k]] for i in piv])):
+            p[col] = x
+        i, j = (n for n in range(3) if n != k)
+        al, be, ga = a[i][i], a[i][j], a[j][j]
+        d = be * be - al * ga
+        s = Fraction(isqrt(d.numerator), isqrt(d.denominator))
+        if s * s != d:
+            return LinearFactorization(True, scalar=poly.evaluate(1, 1, 1), forms=None,
+                                       diagnostic="real split with irrational factors")
+        for sg in (1, -1):  # the root (sg s - beta, alpha), or (gamma, -beta - sg s) if that is 0
+            r = [0, 0, 0]
+            r[i], r[j] = (sg * s - be, al) if (sg * s - be or al) else (ga, -be - sg * s)
+            found.append(tuple(p[(n + 1) % 3] * r[(n + 2) % 3] - p[(n + 2) % 3] * r[(n + 1) % 3]
+                               for n in range(3)))
+    for form in found:
+        total = sum(form)
+        if total == 0:
+            return LinearFactorization(False, diagnostic=f"linear factor at infinity: "
+                                                         f"({', '.join(map(str, form))})")
+        forms.append(tuple(x / total for x in form))
+    return LinearFactorization(True, scalar=poly.evaluate(1, 1, 1),
+                               forms=tuple(sorted(forms, reverse=True)))
 
 
-def _split_general(poly, forms, rem):
-    import sympy
-
-    c1, c2, c3 = sympy.symbols("c1 c2 c3")
-    expr = sympy.Integer(0)
-    for (i, j, k), coef in rem.terms.items():
-        expr += sympy.Rational(coef.numerator, coef.denominator) * c1**i * c2**j * c3**k
-    _, factors = sympy.factor_list(sympy.Poly(expr, c1, c2, c3))
-    rational_ok = True
-    for fac, mult in factors:
-        fp = sympy.Poly(fac, c1, c2, c3)
-        deg = fp.total_degree()
-        if deg == 1:
-            a = [Fraction(str(fp.coeff_monomial(v))) for v in (c1, c2, c3)]
-            s = sum(a)
-            if s == 0:
-                return LinearFactorization(False, diagnostic=f"linear factor at infinity: {fac}")
-            forms.extend([tuple(x / s for x in a)] * mult)
-            continue
-        rational_ok = False
-        if deg == 2:
-            if not _quadratic_splits_real(fp, (c1, c2, c3)):
-                return LinearFactorization(False, diagnostic=f"definite quadratic factor: {fac}")
-            continue
-        return LinearFactorization(False, diagnostic=f"irreducible factor of degree {deg}: {fac}")
-    if rational_ok:
-        scalar = poly.evaluate(1, 1, 1)
-        return LinearFactorization(True, scalar=scalar, forms=tuple(sorted(forms, reverse=True)))
-    return LinearFactorization(True, scalar=poly.evaluate(1, 1, 1), forms=None,
-                               diagnostic="real split with irrational factors")
-
-
-def _quadratic_splits_real(fp, syms) -> bool:
-    """A ternary quadratic is a product of two real linear forms iff its
-    symmetric matrix is singular and its rank-2 part indefinite."""
-    a = [[Fraction(str(fp.coeff_monomial(x * y))) / (1 if x == y else 2) for y in syms]
-         for x in syms]
-    if rank(a) == 3:
-        return False
-    e2 = sum(a[i][i] * a[j][j] - a[i][j] * a[j][i]
-             for i in range(3) for j in range(i + 1, 3))
-    return e2 <= 0
+def _has_nonreal_root(rem, p, q) -> bool:
+    """Whether rem on the line through p and q, g(x) = rem(x p + q), has a
+    non-real root: fewer distinct real roots (a Sturm count) than distinct
+    roots (deg g - deg gcd(g, g'), the last term of the Sturm sequence).
+    A zero g, a line on which rem vanishes, has none."""
+    x = TriPoly.variable(0)
+    g = rem.evaluate(*(x * pj + qj for pj, qj in zip(p, q)))
+    seq = [[g.coefficient((n, 0, 0)) for n in range(g.degree() + 1)]]
+    seq.append([n * c for n, c in enumerate(seq[0])][1:])
+    while seq[-1]:
+        r, d = seq[-2], seq[-1]
+        while len(r) >= len(d):  # cancel the leading term of r
+            f = r[-1] / d[-1]
+            r = [c - f * b for c, b in zip(r, [0] * (len(r) - len(d)) + d)][:-1]
+        while r and not r[-1]:
+            r.pop()
+        seq.append([-c for c in r])
+    seq.pop()
+    at_minus = [(c[-1] > 0) == (len(c) % 2 == 1) for c in seq]
+    at_plus = [c[-1] > 0 for c in seq]
+    real = sum(map(ne, at_minus, at_minus[1:])) - sum(map(ne, at_plus, at_plus[1:]))
+    return real < len(seq[0]) - len(seq[-1])
 
 
 # ---------------------------------------------------------------------------

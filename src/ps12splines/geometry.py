@@ -155,7 +155,7 @@ def locate_face_bary(b1, b2, b3) -> Optional[int]:
     Implements the documented sign-test cascade; every point of the closed
     macrotriangle maps to exactly one face.
     """
-    if b1 < 0 or b2 < 0 or b3 < 0:
+    if not (b1 >= 0 and b2 >= 0 and b3 >= 0):  # NaN too
         return None
     # 2 b >= 1 rather than b >= 1/2: doubling is exact in both layers
     if 2 * b1 >= 1:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, isfinite, lcm
 from operator import add, mul
 
 from .errors import DomainError, InvalidDirection, InvalidWeights, OutsideDomain, TooFewKnots
@@ -192,12 +192,15 @@ def eval_simplex(frame: PS12Frame, K: KnotMultiset, p: Point2):
     Float barycentrics, which need not sum to 1, are converted to exact
     binary rationals; the point (1 - b2 - b3, b2, b3) they give is located,
     evaluated exactly and returned as float, so the half-open convention is
-    applied without roundoff ambiguity.
+    applied without roundoff ambiguity.  A NaN or infinite coordinate raises
+    OutsideDomain.
     """
     K = knots(K)
     if knot_count(K) < 3:
         raise TooFewKnots(f"|K| = {knot_count(K)} < 3")
     beta = to_bary(frame, Point2(*p))
+    if not (is_exact(beta) or isfinite(sum(beta))):
+        raise OutsideDomain(f"point {tuple(p)} is not finite")
     _, b2, b3 = map(Fraction, beta)
     exact_beta = (1 - b2 - b3, b2, b3)
     val = Fraction(0)
@@ -574,15 +577,16 @@ def functional_row(beta, deltas=(), deg: int = 5) -> tuple:
     partial results rounded once, as mixed Fraction and float arithmetic
     would round them.
     """
-    if not is_exact(beta):
+    exact = is_exact(beta)
+    if not exact:
         beta = snap_bary(tuple(map(float, beta)))
-    fi = locate_face_bary(*beta)
+    # an infinite coordinate passes the sign tests of locate_face_bary
+    fi = locate_face_bary(*beta) if exact or isfinite(sum(beta)) else None
     if fi is None:
         raise OutsideDomain(f"point with barycentric coordinates "
                             f"({', '.join(map(str, beta))}) outside the macrotriangle")
     d = deg - len(deltas)
     den, g = face_bary(fi, beta)
-    exact = not isinstance(g[0], float)
     row = bernstein_row(g, d)
     den **= d
     for delta in deltas:

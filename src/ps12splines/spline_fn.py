@@ -171,8 +171,9 @@ def eval_many(s: Spline, barys) -> np.ndarray:
     snap = (b < 0).any(axis=1) & (b >= -SNAP_TOL).all(axis=1)
     c = np.where(b[snap] < 0, 0.0, b[snap])  # max(x, 0.0), signed zeros included
     b[snap] = c / (c[:, 0] + c[:, 1] + c[:, 2])[:, None]
-    if (b < 0).any():
-        raise OutsideDomain(f"{(b < 0).any(axis=1).sum()} points outside the macrotriangle")
+    out = ~(np.isfinite(b) & (b >= 0)).all(axis=1)  # NaN and inf too
+    if out.any():
+        raise OutsideDomain(f"{out.sum()} points outside the macrotriangle")
     face = _locate_faces(*b.T) - 1
     m = np.array([f for _, f in _layer_face_bary_matrices()])[face]  # (n, 3, 3)
     g = m[:, :, 0] * b[:, :1] + m[:, :, 1] * b[:, 1:2] + m[:, :, 2] * b[:, 2:]

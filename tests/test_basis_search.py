@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,8 @@ from ps12splines.basis_search import (
     split_linear_factors,
 )
 from ps12splines.dual_functionals import lambda_vector
-from ps12splines.errors import DimensionMismatch, DomainError, SingularSystem, SymmetryViolated
+from ps12splines.errors import (DimensionMismatch, DomainError, PS12Error, SingularSystem,
+                               SymmetryViolated)
 from ps12splines.geometry import FACES, VERTEX_BARY, reference_frame
 from ps12splines.linalg import _integer_rows, bareiss
 from ps12splines.marsden_catalog import catalog
@@ -315,13 +318,48 @@ def test_split_rejects_definite_quadratic():
     c1, c2, c3 = (TriPoly.variable(i) for i in range(3))
     quad = c1 * c1 + c2 * c2 + c3 * c3   # no real linear factors
     out = split_linear_factors(quad * c1 * c2 * c3)
-    assert not out.split and "quadratic" in out.diagnostic
+    assert not out.split and "quadratic" in out.diagnostic and out.witness is None
+
+
+@pytest.mark.parametrize("square", [False, True])
+def test_split_keeps_rational_forms_of_a_quadratic_remainder(square):
+    """c1 c2 c3 L1 L2 and c1 c2 c3 L1^2 leave a quadratic that none of the
+    ten shorthand forms divides; its rational factors come back normalized
+    to sum 1: L1 = c1 + 2 c2 + 3 c3 and L2 = 2 c1 - c2 + c3."""
+    c1, c2, c3 = (TriPoly.variable(i) for i in range(3))
+    L1, L2 = TriPoly.linear((1, 2, 3)), TriPoly.linear((2, -1, 1))
+    out = split_linear_factors(c1 * c2 * c3 * L1 * (L1 if square else L2))
+    l1, l2 = (F(1, 6), F(1, 3), F(1, 2)), (F(1), F(-1, 2), F(1, 2))
+    assert out.split and out.scalar == (36 if square else 12)
+    assert out.forms == tuple(sorted([(1, 0, 0), (0, 1, 0), (0, 0, 1), l1, l1 if square else l2],
+                                     reverse=True))
+
+
+def test_split_raises_without_a_certificate():
+    """c1^3 + c1^2 c2 - 2 c1 c2^2 - c2^3 is irreducible over Q but has the
+    three real roots 2 cos(2 pi k / 7): it is a product of real linear forms
+    that no rational factoring finds, and no line shows a non-real root."""
+    c1, c2, c3 = (TriPoly.variable(i) for i in range(3))
+    with pytest.raises(PS12Error):
+        split_linear_factors(c3 * c3 * (c1 ** 3 + c1 * c1 * c2 - 2 * c1 * c2 * c2 - c2 ** 3))
+
+
+def _shorthand_remainder(poly):
+    """poly divided by every shorthand form that divides it, as often as
+    it does."""
+    for triple in VERTEX_BARY:
+        while (quo := poly.divide_by_linear(triple)) is not None:
+            poly = quo
+    return poly
 
 
 def test_seventh_candidate_fails_factorization(pipeline_report):
     """The filter keeps 7 candidates before the factorization stage; the one
-    that is not among the six survivors must have a certified non-splitting
-    dual product."""
+    that is not among the six survivors, abefilrs, must have a certified
+    non-splitting dual product.  Of its 39 products the shorthand forms
+    split 24 and leave a linear factor of 3; 6 leave a quadratic without a
+    real split, and 6 a cubic with a non-real root on a macro edge, which
+    numpy.roots confirms."""
     assert pipeline_report.counts["boundary_counts"] == 7
     # the stage-6 survivor set identifies the failing candidate by content
     cands = [c for c in enumerate_candidates()
@@ -330,10 +368,22 @@ def test_seventh_candidate_fails_factorization(pipeline_report):
     c = cands[0]
     w = compute_weights(c)
     polys = compute_dual_polys(c, weights=w)
-    outcomes = [split_linear_factors(p) for p in polys]
-    assert not all(o.split for o in outcomes)
-    bad = next(o for o in outcomes if not o.split)
-    assert bad.diagnostic
+    verdicts = Counter()
+    for poly in polys:
+        out = split_linear_factors(poly)
+        rem = _shorthand_remainder(poly)
+        verdicts[rem.degree(), out.split] += 1
+        assert out.split == (out.forms is not None) == (rem.degree() < 2)
+        assert (out.witness is not None) == (rem.degree() == 3)
+        if out.witness is not None:
+            p, q = out.witness
+            assert p in VERTEX_BARY[:3] and q in VERTEX_BARY[:3]
+            # the cubic on the line through p and q, by interpolation at 4 points
+            xs = [0, 1, 2, 3]
+            ys = [float(rem.evaluate(*(x * pj + qj for pj, qj in zip(p, q)))) for x in xs]
+            roots = np.roots(np.polyfit(xs, ys, 3))
+            assert max(abs(roots.imag)) > 1e-3, roots
+    assert verdicts == {(0, True): 24, (1, True): 3, (2, False): 6, (3, False): 6}
 
 
 def test_pipeline_monotone_and_prefixes(pipeline_report):

@@ -294,12 +294,24 @@ def test_normal_form_coeffs_permute_like_reinterpolation(corners, basis, edge, s
 
 
 def test_cold_cli_stays_free_of_sympy():
-    """sympy serves only the linear-factor split; importing the package and
-    running a table export must not load it."""
+    """sympy is no runtime dependency; importing the package and running a
+    table export must not load it."""
     code = ("import os, sys\n"
             "import ps12splines\n"
             "from ps12splines import cli\n"
             "assert cli.main(['tables', 'dims', '--out', os.devnull]) == 0\n"
+            "assert 'sympy' not in sys.modules, 'sympy loaded'\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr[-1500:]
+
+
+def test_full_search_stays_free_of_sympy():
+    """The whole basis search, the linear-factor split included, runs in a
+    fresh interpreter without loading sympy."""
+    code = ("import sys\n"
+            "from ps12splines.basis_search import filter_pipeline\n"
+            "report = filter_pipeline()\n"
+            "assert [s.basis_id for s in report.survivors] == list('abcdef')\n"
             "assert 'sympy' not in sys.modules, 'sympy loaded'\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr[-1500:]

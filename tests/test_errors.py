@@ -1,10 +1,12 @@
 """Bad input raises the library's typed errors, not bare ValueError."""
 
+import math
+
 import pytest
 
 from ps12splines import (basis_search, bspline1d, dual_functionals, geometry, marsden_catalog,
-                         serialize, simplex_spline)
-from ps12splines.errors import DomainError, InvalidDirection, PS12Error
+                         serialize, simplex_spline, spline_fn)
+from ps12splines.errors import DomainError, InvalidDirection, OutsideDomain, PS12Error
 
 K = simplex_spline.knots("141110")
 
@@ -67,3 +69,29 @@ def test_bad_direction_raises_invalid_direction(name):
 def test_derivative_order_outside_0_to_degree_raises_invalid_direction(order):
     with pytest.raises(InvalidDirection):
         simplex_spline.derivative_expansion(K, (1, -1, 0), order)
+
+
+FLOAT_FRAME = geometry.make_frame((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+FLOAT_SPLINE = spline_fn.Spline(FLOAT_FRAME, "c", tuple(float(i) for i in range(39)))
+
+NON_FINITE_CALLS = {
+    "eval_spline x": lambda bad: spline_fn.eval_spline(FLOAT_SPLINE, (bad, 0.2)),
+    "eval_spline y": lambda bad: spline_fn.eval_spline(FLOAT_SPLINE, (0.2, bad)),
+    "basis_values": lambda bad: spline_fn.basis_values("c", (bad, 0.5, 0.5)),
+    "value_at_bary": lambda bad: spline_fn.face_forms(FLOAT_SPLINE).value_at_bary((0.5, bad, 0.5)),
+    "eval_many": lambda bad: spline_fn.eval_many(FLOAT_SPLINE, [(0.2, 0.3, 0.5), (0.5, 0.5, bad)]),
+    "eval_simplex": lambda bad: simplex_spline.eval_simplex(FLOAT_FRAME, K, (bad, 0.2)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_non_finite_point_raises_outside_domain(name, bad):
+    """A NaN or infinite coordinate is no point of the triangle: no silent
+    NaN value, no bare ValueError or OverflowError from Fraction."""
+    with pytest.raises(OutsideDomain):
+        NON_FINITE_CALLS[name](bad)
+
+
+def test_locate_face_bary_puts_nan_in_no_face():
+    assert geometry.locate_face_bary(math.nan, 0.5, 0.5) is None
