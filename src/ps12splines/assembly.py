@@ -88,11 +88,6 @@ def restriction_normal_form(p: TriPoly) -> TriPoly:
     return p.evaluate(-(a2 + a3), a2, a3)
 
 
-def restrictions_equal(p: TriPoly, q: TriPoly) -> bool:
-    """Equality of restriction coefficients as directional-derivative data."""
-    return restriction_normal_form(p) == restriction_normal_form(q)
-
-
 # ---------------------------------------------------------------------------
 # Smoothness relations
 # ---------------------------------------------------------------------------

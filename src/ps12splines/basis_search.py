@@ -22,9 +22,10 @@ commutes with the symmetry and splits into isotypic blocks (Fassler-Stiefel):
 over the 99 splines the trivial, sign and standard blocks have dimensions 8,
 5 and 13, and 8 + 5 + 2*13 = 39.  The block tables are built once, after
 an exact check that the lambda rows transform linearly under S3.  A
-candidate has full rank iff it gives exactly 8, 5 and 13 block rows and the
-three square blocks are nonsingular; its weights are constant on classes,
-because S3 fixes the constant 1, and solve the 8x8 trivial block.
+candidate has full rank iff it gives exactly 8, 5 and 13 independent block
+rows; one elimination over the trie of the candidates' class labels decides
+a whole batch, and gives each basis its weights, which are constant on
+classes because S3 fixes the constant 1.
 
 The domain points come from linear reproduction: differentiating the
 Marsden identity (b.c)^5 = sum_i w_i Psi_i(c) Q_i(b) in c_j at c = 1 gives
@@ -61,7 +62,8 @@ from .geometry import (
     s3_apply_multiset,
     to_bary,
 )
-from .linalg import _integer_rows, bareiss, pivot_columns, solve
+from .linalg import _integer_rows, append_row, pivot_columns, reduce_row, solve
+from .linalg import bareiss  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .marsden_catalog import CATALOG_ROWS
 from .polynomial import TriPoly
 from .simplex_spline import active_indices, hull_area, knot_label, knots
@@ -132,9 +134,8 @@ def enumerate_admissible() -> tuple:
     nondegenerate support.
     """
     found = []
-    for m6 in product(range(9), repeat=6):
-        if sum(m6) != 8:
-            continue
+    for bars in combinations(range(13), 5):     # six counts summing to 8: stars and bars
+        m6 = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (13,)))
         if not (_interior_pair_ok(m6) and _boundary_bspline_ok(m6)):
             continue
         K = m6 + (0, 0, 0, 0)
@@ -219,13 +220,15 @@ class _IsotypicBlocks:
     subset of its Young-symmetrizer images (1 + t)(1 - u) Q_K.  Each block is
     restricted to ``dims[k]`` pivot columns on which it is injective and each
     row is scaled to integers; ``trivial_scales`` holds the trivial rows'
-    scales and ``one`` the values of the constant 1 on the trivial columns.
+    scales, and ``one`` the values of the constant 1 on the trivial columns
+    as integers over ``one_scale``.
     """
 
     dims: tuple
     rows: dict
     trivial_scales: dict
     one: tuple
+    one_scale: int
 
 
 def _combine(rows, signs) -> list:
@@ -300,42 +303,78 @@ def _isotypic_blocks() -> _IsotypicBlocks:
                   for p, block in zip(pivots, blocks)]
         rows[label] = tuple(tuple(tuple(r) for r in ints) for ints, _ in scaled)
         scales[label] = scaled[0][1][0]
-    return _IsotypicBlocks(dims, rows, scales, tuple((one[c],) for c in pivots[0]))
+    (one_ints,), (one_scale,) = _integer_rows([[one[c] for c in pivots[0]]])
+    return _IsotypicBlocks(dims, rows, scales, tuple(one_ints), one_scale)
 
 
 @lru_cache(maxsize=1)
 def _class_of() -> dict:
-    return {K: cls.label for cls in enumerate_admissible() for K in cls.members}
+    """The class label and class size of every admissible spline."""
+    return {K: (cls.label, cls.size) for cls in enumerate_admissible() for K in cls.members}
 
 
 def _orbit_labels(multisets) -> tuple:
-    """Class labels of 39 distinct admissible splines forming whole S3
-    classes, or None for any other input."""
+    """Sorted class labels of 39 distinct admissible splines forming whole
+    S3 classes; DomainError for any other input."""
     of = _class_of()
-    if len(multisets) != 39 or len(set(multisets)) != 39 or not all(K in of for K in multisets):
-        return None
-    labels = sorted({of[K] for K in multisets})
-    sizes = {cls.label: cls.size for cls in enumerate_admissible()}
-    return tuple(labels) if sum(sizes[lab] for lab in labels) == 39 else None
+    sizes = dict(of.get(K, (None, 0)) for K in multisets)
+    if len(multisets) == 39 == len(set(multisets)) and None not in sizes \
+            and sum(sizes.values()) == 39:
+        return tuple(sorted(sizes))
+    raise DomainError("a candidate must consist of whole S3 classes of 39 splines")
 
 
-def _blocks_full_rank(labels) -> bool:
-    """Whether the classes' 39 lambda rows are independent: each isotypic
-    block must have exactly its dimension in rows and be nonsingular."""
+def _trie_class_weights(batch) -> list:
+    """Per candidate, given by its sorted class labels: its weights by
+    class, or None when its 39 lambda rows are dependent.
+
+    One depth-first pass over the trie of the label sequences keeps a
+    fraction-free echelon per isotypic block, and entering a node appends
+    its class's block rows.  A row that reduces to zero, or a block given
+    more rows than its dimension, proves every extension singular; a leaf
+    with full blocks is a basis.  The weights are constant on classes (S3
+    fixes the constant 1): each trivial row carries a unit tag at its depth,
+    where the reduced constant 1 holds its class coordinates times minus
+    the last pivot.
+    """
     tables = _isotypic_blocks()
-    blocks = [[list(r) for lab in labels for r in tables.rows[lab][k]] for k in range(3)]
-    if tuple(len(b) for b in blocks) != tables.dims:
-        return False
-    return all(bareiss(b)[1] != 0 for b in blocks)
+    dims, n = tables.dims, tables.dims[0]
+    trie = ({}, [])     # (children by label, indices of the candidates ending here)
+    for i, labels in enumerate(batch):
+        node = trie
+        for lab in labels:
+            node = node[0].setdefault(lab, ({}, []))
+        node[1].append(i)
+    tags = [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)]
+    echelons, out = ([], [], []), [None] * len(batch)
+
+    def visit(node, path):
+        children, ends = node
+        if ends and tuple(map(len, echelons)) == dims:
+            c, last = echelons[0][-1]
+            coords = reduce_row(echelons[0], tables.one + (0,) * n)[n:]
+            weights = {lab: Fraction(-x * tables.trivial_scales[lab], last[c] * tables.one_scale)
+                       for lab, x in zip(path, coords)}
+            for i in ends:
+                out[i] = weights
+        for lab, child in children.items():
+            blocks, marks = tables.rows[lab], tuple(map(len, echelons))
+            if any(m + len(b) > d for m, b, d in zip(marks, blocks, dims)):
+                continue
+            rows = ((blocks[0][0] + tags[marks[0]],), blocks[1], blocks[2])
+            if all(append_row(e, r, d) for e, rs, d in zip(echelons, rows, dims) for r in rs):
+                visit(child, path + (lab,))
+            for e, m in zip(echelons, marks):
+                del e[m:]
+
+    visit(trie, ())
+    return out
 
 
 def candidate_has_full_rank(cand: CandidateBasis) -> bool:
     """Whether the candidate's 39 lambda rows are independent, decided on
     its S3 isotypic blocks."""
-    labels = _orbit_labels(cand.multisets)
-    if labels is None:
-        raise DomainError("a candidate must consist of whole S3 classes of 39 splines")
-    return _blocks_full_rank(labels)
+    return _trie_class_weights([_orbit_labels(cand.multisets)])[0] is not None
 
 
 def _multisets(cand) -> tuple:
@@ -349,30 +388,15 @@ def compute_weights(cand) -> tuple:
     whole S3 classes.  Raises SingularSystem when the candidate is not a
     basis, which a repeated multiset proves (two equal lambda rows), and
     DomainError for any other input that is not a union of classes.
-
-    S3 fixes the constant 1 and the weights are unique, so on a
-    candidate made of whole classes they are constant on each class: one
-    weight per class solves the trivial-block system.
     """
     multisets = _multisets(cand)
     if len(set(multisets)) < len(multisets):
         raise SingularSystem("a repeated spline gives two equal lambda rows")
-    labels = _orbit_labels(multisets)
-    if labels is None:
-        raise DomainError("a candidate must consist of whole S3 classes of 39 splines")
-    if not _blocks_full_rank(labels):
+    by_class = _trie_class_weights([_orbit_labels(multisets)])[0]
+    if by_class is None:
         raise SingularSystem("an S3 isotypic block of the candidate is singular")
-    return _class_weights(labels, multisets)
-
-
-def _class_weights(labels, multisets) -> tuple:
-    """compute_weights for whole classes whose blocks are proven full rank."""
-    tables = _isotypic_blocks()
-    sol = solve([list(col) for col in zip(*(tables.rows[lab][0][0] for lab in labels))],
-                tables.one)
-    by_class = {lab: x * tables.trivial_scales[lab] for lab, (x,) in zip(labels, sol)}
     of = _class_of()
-    return tuple(by_class[of[K]] for K in multisets)
+    return tuple(by_class[of[K][0]] for K in multisets)
 
 
 #: The 21 monomial exponents of a ternary quintic, one column each in the
@@ -495,8 +519,6 @@ def domain_point(cand, weights) -> tuple:
     """
     multisets = _multisets(cand)
     labels = _orbit_labels(multisets)
-    if labels is None:
-        raise DomainError("a candidate must consist of whole S3 classes of 39 splines")
     if len(weights) != len(multisets):
         raise DimensionMismatch("need one weight per element of the candidate")
     table = _reproduction_columns()
@@ -572,7 +594,12 @@ def split_linear_factors(poly: TriPoly) -> LinearFactorization:
     coefficient sum 0 (at infinity) rejects.  A remainder of higher degree
     is rejected on a line through two split vertices, the macro edges
     first, where an exact Sturm count shows a non-real root, which no
-    product of real linear forms has; without one PS12Error is raised.
+    product of real linear forms has.  Without one, its rational linear
+    factors are divided off until the degree is at most 2, so every
+    product of rational forms splits.  PS12Error is raised only when a
+    factor of degree 3 or more with no rational linear factor and no such
+    witness is left, as for c3^2 (c1^3 + c1^2 c2 - 2 c1 c2^2 - c2^3): its
+    cubic is irreducible over Q with the real roots 2 cos(2 pi k / 7).
     """
     if not poly.is_homogeneous() or poly.degree() != 5 or not poly:
         return LinearFactorization(False, diagnostic="not a nonzero homogeneous quintic")
@@ -581,14 +608,18 @@ def split_linear_factors(poly: TriPoly) -> LinearFactorization:
         while (quo := rem.divide_by_linear(triple)) is not None:
             forms.append(triple)
             rem = quo
+    found = []
     if rem.degree() >= 3:
         witness = next((pq for pq in _LINES if _has_nonreal_root(rem, *pq)), None)
-        if witness is None:
+        if witness is not None:
+            ends = " and ".join(f"v{VERTEX_BARY.index(v) + 1}" for v in witness)
+            return LinearFactorization(False, witness=witness, diagnostic=(
+                f"a factor of degree {rem.degree()} has a non-real root on the line {ends}"))
+        found, rem = _rational_linear_factors(rem)
+        if rem.degree() >= 3:
             raise PS12Error(f"no certificate decides whether {rem} splits over the reals")
-        ends = " and ".join(f"v{VERTEX_BARY.index(v) + 1}" for v in witness)
-        return LinearFactorization(False, witness=witness, diagnostic=(
-            f"a factor of degree {rem.degree()} has a non-real root on the line {ends}"))
-    found = [tuple(rem.coefficient(e) for e in _UNITS)] if rem.degree() == 1 else []
+    if rem.degree() == 1:
+        found.append(tuple(rem.coefficient(e) for e in _UNITS))
     if rem.degree() == 2:
         a = [[rem.coefficient(tuple(map(add, e, f))) / (1 if e == f else 2) for f in _UNITS]
              for e in _UNITS]
@@ -621,25 +652,73 @@ def split_linear_factors(poly: TriPoly) -> LinearFactorization:
         if total == 0:
             return LinearFactorization(False, diagnostic=f"linear factor at infinity: "
                                                          f"({', '.join(map(str, form))})")
-        forms.append(tuple(x / total for x in form))
+        forms.append(tuple(Fraction(x) / total for x in form))
     return LinearFactorization(True, scalar=poly.evaluate(1, 1, 1),
                                forms=tuple(sorted(forms, reverse=True)))
+
+
+def _rational_linear_factors(rem) -> tuple:
+    """(forms, quotient): rem divided by rational linear forms until the
+    quotient has degree at most 2 or no rational linear factor.
+
+    Such a factor, not a coordinate form, meets each coordinate line in a
+    rational root of rem there (rational-root theorem).  Two of these three
+    points are distinct, so it is the cross product of two roots on
+    different lines; exact trial division confirms it.
+    """
+    points = []
+    for p, q in combinations(_UNITS, 2):
+        f = _on_line(rem, p, q)     # the root x / y is the point x p + y q
+        ends = [a for a in f if a]
+        for x, y in {(1, 0), (0, 1)} | {(s * u, v) for u in _divisors(ends[0])
+                                         for v in _divisors(ends[-1]) for s in (1, -1)}:
+            if not sum(a * x ** k * y ** (len(f) - 1 - k) for k, a in enumerate(f)):
+                points.append([x * a + y * b for a, b in zip(p, q)])
+    forms = []
+    for p, q in combinations(points, 2):
+        form = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+        while any(form) and rem.degree() > 2 and (quo := rem.divide_by_linear(form)) is not None:
+            forms.append(form)
+            rem = quo
+    return forms, rem
+
+
+def _divisors(n: int) -> set:
+    small = [k for k in range(1, isqrt(abs(n)) + 1) if n % k == 0]
+    return set(small) | {abs(n) // k for k in small}
+
+
+def _on_line(rem, p, q) -> list:
+    """Integer coefficients, constant term first, of a positive multiple of
+    rem(x a p + b q), where a, b > 0 scale p and q to integers: the roots
+    of rem(x p + q), scaled by b / a."""
+    (p, q, coefs), _ = _integer_rows([p, q, list(rem.terms.values())])
+    g = [0] * (rem.degree() + 1)
+    for e, coef in zip(rem.terms, coefs):
+        term = [coef]
+        for pr, qr, n in zip(p, q, e):
+            for _ in range(n):
+                term = [a * qr + b * pr for a, b in zip(term + [0], [0] + term)]
+        g = [a + b for a, b in zip(g, term)]
+    return g
 
 
 def _has_nonreal_root(rem, p, q) -> bool:
     """Whether rem on the line through p and q, g(x) = rem(x p + q), has a
     non-real root: fewer distinct real roots (a Sturm count) than distinct
     roots (deg g - deg gcd(g, g'), the last term of the Sturm sequence).
-    A zero g, a line on which rem vanishes, has none."""
-    x = TriPoly.variable(0)
-    g = rem.evaluate(*(x * pj + qj for pj, qj in zip(p, q)))
-    seq = [[g.coefficient((n, 0, 0)) for n in range(g.degree() + 1)]]
+    Positive scalings keep the sign counts, so the terms stay integers.  A
+    zero g, a line on which rem vanishes, has none."""
+    g = _on_line(rem, p, q)
+    while len(g) > 1 and not g[-1]:
+        g.pop()
+    seq = [g]
     seq.append([n * c for n, c in enumerate(seq[0])][1:])
     while seq[-1]:
         r, d = seq[-2], seq[-1]
-        while len(r) >= len(d):  # cancel the leading term of r
-            f = r[-1] / d[-1]
-            r = [c - f * b for c, b in zip(r, [0] * (len(r) - len(d)) + d)][:-1]
+        sd, ad = (1, d[-1]) if d[-1] > 0 else (-1, -d[-1])
+        while len(r) >= len(d):  # cancel the leading term of r, scaled by ad > 0
+            r = [ad * c - sd * r[-1] * b for c, b in zip(r, [0] * (len(r) - len(d)) + d)][:-1]
         while r and not r[-1]:
             r.pop()
         seq.append([-c for c in r])
@@ -723,13 +802,15 @@ def filter_pipeline(candidates=None, stage: str = "linear_factors") -> SearchRep
     if last < 1:
         return report
 
-    cands = [c for c in cands if candidate_has_full_rank(c)]
-    report.counts["full_rank"] = len(cands)
+    by_class = _trie_class_weights([_orbit_labels(c.multisets) for c in cands])
+    weighted = [(c, w) for c, w in zip(cands, by_class) if w is not None]
+    report.counts["full_rank"] = len(weighted)
     if last < 2:
         return report
 
-    weighted = [(c, _class_weights(_orbit_labels(c.multisets), c.multisets)) for c in cands]
-    weighted = [(c, w) for c, w in weighted if all(x >= 0 for x in w)]
+    of = _class_of()
+    weighted = [(c, tuple(w[of[K][0]] for K in c.multisets)) for c, w in weighted
+                if all(x >= 0 for x in w.values())]
     report.counts["nonnegative"] = len(weighted)
     if last < 3:
         return report

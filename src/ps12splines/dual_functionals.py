@@ -139,10 +139,6 @@ class CollocationMatrix:
     entries: tuple
     rank: int
 
-    @property
-    def is_basis(self) -> bool:
-        return self.rank == len(self.entries)
-
 
 def collocation(frame: PS12Frame, candidates) -> CollocationMatrix:
     """Collocation matrix of candidate splines against the canonical

@@ -212,11 +212,6 @@ def s3_vertex_permutation(sigma: tuple) -> tuple:
     return tuple(img[1:])
 
 
-def s3_compose(sigma: tuple, tau: tuple) -> tuple:
-    """Composition sigma after tau on corner indices."""
-    return tuple(sigma[tau[i] - 1] for i in range(3))
-
-
 def s3_apply_multiset(sigma: tuple, m: tuple) -> tuple:
     """Push a 10-entry multiplicity vector through a corner permutation."""
     perm = s3_vertex_permutation(sigma)

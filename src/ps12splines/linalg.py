@@ -4,10 +4,11 @@ This is the package's only exact elimination; ``basis_search``,
 ``assembly``, ``dual_functionals`` and ``spline_fn`` call it.
 
 Matrices are lists of lists of ``int`` or ``Fraction``.  Every routine scales
-each row to integers by the lcm of its denominators and runs one fraction-free
-(Bareiss 1968) forward elimination, whose divisions are all exact, so no gcd
-is taken inside the elimination.  :func:`rank` reads the number of pivots
-and :func:`pivot_columns` their columns; :func:`_integer_solve`
+each row to integers by the lcm of its denominators and builds one
+fraction-free (Bareiss 1968) echelon a row at a time (:func:`append_row`,
+which the candidate trie in ``basis_search`` also walks with); all its
+divisions are exact, so no gcd is taken.  :func:`rank` reads the number of
+pivots and :func:`pivot_columns` their columns; :func:`_integer_solve`
 back-substitutes in integers and returns the integer solution with the final
 pivot d (the determinant up to sign), which :func:`solve` divides once per
 entry.  Callers that contract the solution further in integers (the Lagrange
@@ -52,62 +53,62 @@ def _integer_rows(A: Matrix) -> tuple[list, list]:
     return rows, scales
 
 
-def _eliminate(rows: list, pivot_cols: int, strict: bool) -> tuple[list, int, int]:
-    """Fraction-free forward elimination of integer rows, in place.
+def reduce_row(echelon: list, row) -> list:
+    """An integer row reduced against an echelon of (pivot column, row)
+    pairs: zero in every pivot column and scaled by the last pivot.  Where
+    the row is already zero in the pivot column, the Bareiss step would only
+    scale it by the ratio of consecutive pivots; these telescope, so it is
+    skipped, the next step divides exactly by the last pivot used, and the
+    row is scaled once, at the end."""
+    base = 1
+    for c, e in echelon:
+        x = row[c]
+        if x:
+            p = e[c]
+            row = [(a * p - x * b) // base for a, b in zip(row, e)]
+            base = p
+    if echelon and (last := echelon[-1][1][echelon[-1][0]]) != base:
+        row = [a * last // base for a in row]
+    return row
 
-    Pivots are sought in the first ``pivot_cols`` columns; every column is
-    updated, so trailing columns carry an augmented right-hand side.  A
-    column without a pivot is skipped, or raises SingularSystem when
-    ``strict``.  Returns (pivot columns, sign of the row permutation, last
-    pivot); the number of pivot columns is the rank, and the last pivot is
-    the determinant of the row-permuted leading block when that block is
-    square and of full rank.
-    """
-    m = len(rows)
-    sign = 1
-    prev = 1
-    r = 0
-    cols = []
-    for c in range(pivot_cols):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            if strict:
-                raise SingularSystem(f"singular at column {c}")
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
-        row_r = rows[r]
-        prc = row_r[c]
-        tail = row_r[c + 1:]
-        for i in range(r + 1, m):
-            row_i = rows[i]
-            ric = row_i[c]
-            if ric:
-                row_i[c + 1:] = [(a * prc - ric * b) // prev
-                                 for a, b in zip(row_i[c + 1:], tail)]
-                row_i[c] = 0
-            elif prc != prev:
-                row_i[c + 1:] = [a * prc // prev for a in row_i[c + 1:]]
-        prev = prc
-        cols.append(c)
-        r += 1
-    return cols, sign, prev
+
+def append_row(echelon: list, row, width: int) -> bool:
+    """Reduce ``row`` and append it, pivoted on its first nonzero entry among
+    the first ``width``; trailing entries ride along.  False, with the
+    echelon unchanged, when those entries reduce to zero."""
+    row = reduce_row(echelon, row)
+    for c in range(width):
+        if row[c]:
+            echelon.append((c, row))
+            return True
+    return False
+
+
+def _eliminate(rows: list, width: int, strict: bool) -> list:
+    """The echelon of integer rows appended in order; a dependent row is
+    dropped, or raises SingularSystem when ``strict``."""
+    echelon = []
+    for i, row in enumerate(rows):
+        if not append_row(echelon, row, width) and strict:
+            raise SingularSystem(f"singular at row {i}")
+    return echelon
 
 
 def bareiss(rows: list) -> tuple[int, int]:
     """Fraction-free elimination on an integer matrix.
 
     Returns (rank, det) where det is the determinant when the matrix is
-    square and of full rank, else 0.  Input rows are consumed.
+    square and of full rank, else 0.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    cols, sign, last = _eliminate(rows, n, strict=False)
-    r = len(cols)
-    return r, (sign * last if (m == n and r == n) else 0)
+    echelon = _eliminate(rows, n, strict=False)
+    if not (m == n == len(echelon)):
+        return len(echelon), 0
+    # the last pivot, signed by the inversions of the pivot columns
+    cols = [c for c, _ in echelon]
+    sign = (-1) ** sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    return n, sign * (echelon[-1][1][cols[-1]] if n else 1)
 
 
 def _integer_solve(A: Matrix, B: Matrix) -> tuple[int, list]:
@@ -122,19 +123,21 @@ def _integer_solve(A: Matrix, B: Matrix) -> tuple[int, list]:
     if n == 0:
         return 1, []
     rows, _ = _integer_rows([list(a) + list(b) for a, b in zip(A, B)])
-    d = _eliminate(rows, n, strict=True)[2]
+    echelon = _eliminate(rows, n, strict=True)
+    c, last = echelon[-1]
+    d = last[c]
     # U X' = d Y has the integer solution X' = d X (Cramer), so each
-    # division by the pivot below is exact
+    # division by the pivot below is exact; row k of U is zero in the
+    # pivot columns of the rows before it
     xs = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
+    for k in range(n - 1, -1, -1):
+        c, row = echelon[k]
         acc = [d * y for y in row[n:]]
-        for j in range(i + 1, n):
+        for j, _ in echelon[k + 1:]:
             u = row[j]
             if u:
                 acc = [a - u * x for a, x in zip(acc, xs[j])]
-        piv = row[i]
-        xs[i] = [a // piv for a in acc]
+        xs[c] = [a // row[c] for a in acc]
     return d, xs
 
 
@@ -168,4 +171,4 @@ def pivot_columns(A: Matrix) -> tuple:
     """
     if not A:
         return ()
-    return tuple(_eliminate(_integer_rows(A)[0], len(A[0]), strict=False)[0])
+    return tuple(sorted(c for c, _ in _eliminate(_integer_rows(A)[0], len(A[0]), strict=False)))

@@ -118,15 +118,6 @@ def global_spline_from_dict(obj):
     return GlobalSpline(tri, coeffs, obj.get("basis", "c"))
 
 
-def hermite_data_to_dict(vertex_jets: dict, edge_data: dict) -> dict:
-    return {
-        "vertex_jets": {str(i): [encode_number(v) for v in js]
-                        for i, js in sorted(vertex_jets.items())},
-        "edge_data": {f"{a}-{b}": [encode_number(v) for v in vals]
-                      for (a, b), vals in sorted(edge_data.items())},
-    }
-
-
 def hermite_data_from_dict(obj):
     try:
         jets = {int(k): tuple(decode_number(v) for v in js)

@@ -378,10 +378,6 @@ class EdgeRestriction:
         return sum((coef * bspline_value(ref, t) for coef, ref in self.terms),
                    Fraction(0) if is_exact((t,)) else 0.0)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 def restrict_to_edge(frame: PS12Frame, K: KnotMultiset, edge) -> EdgeRestriction:
     """Restriction of Q[K] to a macro edge, as Table-4-style B-splines.

@@ -90,8 +90,8 @@ def test_criterion_4_condition_number():
 
 
 def test_criterion_5_restriction_tables():
-    from ps12splines.assembly import edge_restriction_tables, restrictions_equal
-    from test_assembly import REFERENCE_ROWS, SCALES
+    from ps12splines.assembly import edge_restriction_tables
+    from test_assembly import REFERENCE_ROWS, SCALES, restrictions_equal
     tables = edge_restriction_tables()
     checked = 0
     for i, per_k in REFERENCE_ROWS.items():

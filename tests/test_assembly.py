@@ -16,7 +16,7 @@ from ps12splines.assembly import (
     nodal_basis,
     nodal_q_coefficients,
     propagate,
-    restrictions_equal,
+    restriction_normal_form,
     smoothness_system,
     triangulation,
     verify_smoothness,
@@ -110,6 +110,11 @@ REFERENCE_ROWS = {
 }
 
 SCALES = (1, 5, 20, 60)
+
+
+def restrictions_equal(p: TriPoly, q: TriPoly) -> bool:
+    """Equality of restriction coefficients as directional-derivative data."""
+    return restriction_normal_form(p) == restriction_normal_form(q)
 
 
 def test_restriction_tables_equal_reference_rows():

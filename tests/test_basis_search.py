@@ -21,11 +21,11 @@ from ps12splines.basis_search import (
     filter_pipeline,
     split_linear_factors,
 )
-from ps12splines.dual_functionals import lambda_vector
+from ps12splines.dual_functionals import build_lambda, lambda_vector
 from ps12splines.errors import (DimensionMismatch, DomainError, PS12Error, SingularSystem,
                                SymmetryViolated)
 from ps12splines.geometry import FACES, VERTEX_BARY, reference_frame
-from ps12splines.linalg import _integer_rows, bareiss
+from ps12splines.linalg import _integer_rows, append_row, bareiss, solve
 from ps12splines.marsden_catalog import catalog
 from ps12splines.polynomial import TriPoly
 from ps12splines.simplex_spline import (
@@ -102,6 +102,78 @@ def _bareiss_full_rank(cand) -> bool:
 def test_block_rank_agrees_with_bareiss(i):
     cand = enumerate_candidates()[i]
     assert candidate_has_full_rank(cand) == _bareiss_full_rank(cand)
+
+
+def _weights_by_collocation(cand) -> tuple:
+    """Reference: the 39x39 solve sum_i w_i lambda(Q_i) = lambda(1), with
+    lambda(1) read off the functionals (1 for a value, 0 for a derivative);
+    no isotypic block in sight."""
+    one = [[int(lam.order == 0)] for lam in build_lambda(reference_frame())]
+    A = [list(col) for col in zip(*(lambda_vector(K) for K in cand.multisets))]
+    return tuple(x for (x,) in solve(A, one))
+
+
+def test_trie_weights_match_an_independent_collocation_solve():
+    full = [c for c in enumerate_candidates() if candidate_has_full_rank(c)]
+    assert len(full) == 1024
+    sample = random.Random(16).sample(full, 12)
+    sample += [c for c in full if c.labels == BASIS_CLASS_CONTENT["c"]]
+    labels = [basis_search._orbit_labels(c.multisets) for c in sample]
+    of = basis_search._class_of()
+    for c, by_class in zip(sample, basis_search._trie_class_weights(labels)):
+        want = _weights_by_collocation(c)
+        assert compute_weights(c) == want
+        assert tuple(by_class[of[K][0]] for K in c.multisets) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 3647), min_size=1, max_size=60), st.randoms(use_true_random=False))
+def test_trie_batch_matches_one_candidate_runs(indices, rnd):
+    """The verdicts and weights of a batch do not depend on its order or on
+    what else is in it: a shuffled batch with repeats gives those of the
+    one-candidate runs."""
+    cands = enumerate_candidates()
+    batch = [cands[i] for i in indices]
+    batch += rnd.sample(batch, rnd.randint(0, len(batch)))
+    rnd.shuffle(batch)
+    alone = [compute_weights(c) if candidate_has_full_rank(c) else None for c in batch]
+    of = basis_search._class_of()
+    together = basis_search._trie_class_weights(
+        [basis_search._orbit_labels(c.multisets) for c in batch])
+    assert [None if w is None else tuple(w[of[K][0]] for K in c.multisets)
+            for c, w in zip(batch, together)] == alone
+    weights = [w for w in alone if w is not None]
+    assert filter_pipeline(candidates=batch, stage="positive").counts == {
+        "candidates": len(batch), "full_rank": len(weights),
+        "nonnegative": sum(all(x >= 0 for x in w) for w in weights),
+        "positive": sum(all(x > 0 for x in w) for w in weights)}
+
+
+def test_trie_pruning_is_a_proof():
+    """The first class whose block row reduces to zero against the rows of
+    the classes before it cuts a subtree; every candidate holding those
+    classes is singular, by Bareiss on its 39 lambda rows."""
+    tables = basis_search._isotypic_blocks()
+
+    def dead_prefix(labels):
+        echelons = ([], [], [])
+        for k, lab in enumerate(labels):
+            rows = tables.rows[lab]
+            if any(len(e) + len(r) > d for e, r, d in zip(echelons, rows, tables.dims)):
+                return None
+            if not all(append_row(e, r, len(r)) for e, rs in zip(echelons, rows) for r in rs):
+                return labels[:k + 1]
+        return None
+
+    prefixes = {p for c in enumerate_candidates()
+                if (p := dead_prefix(basis_search._orbit_labels(c.multisets)))}
+    prefix = min(prefixes, key=lambda p: (len(p), p))
+    assert prefix == ("a", "b", "i", "k")
+    holding = [c for c in enumerate_candidates() if c.labels >= set(prefix)]
+    assert len(holding) >= 13
+    for c in holding:
+        assert not _bareiss_full_rank(c)
+        assert not candidate_has_full_rank(c)
 
 
 def test_weights_singular_for_symmetric_non_basis():
@@ -342,6 +414,29 @@ def test_split_raises_without_a_certificate():
     c1, c2, c3 = (TriPoly.variable(i) for i in range(3))
     with pytest.raises(PS12Error):
         split_linear_factors(c3 * c3 * (c1 ** 3 + c1 * c1 * c2 - 2 * c1 * c2 * c2 - c2 ** 3))
+
+
+def test_split_is_total_on_products_of_rational_forms():
+    """A seeded fuzz of 500 quintics c_i c_j L1 L2 L3 with small rational
+    forms L (coefficient sum nonzero): each splits into exactly its five
+    forms, normalized to sum 1, whatever the line witnesses and the
+    shorthand division leave."""
+    rng = random.Random(16)
+    c = [TriPoly.variable(k) for k in range(3)]
+    for _ in range(500):
+        forms = []
+        while len(forms) < 3:
+            L = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+            if sum(L):
+                forms.append(L)
+        i, j = rng.randrange(3), rng.randrange(3)
+        poly = c[i] * c[j] * TriPoly.linear(forms[0]) * TriPoly.linear(forms[1]) \
+            * TriPoly.linear(forms[2])
+        units = [tuple(F(int(k == n)) for k in range(3)) for n in (i, j)]
+        want = sorted(units + [tuple(x / sum(L) for x in L) for L in forms], reverse=True)
+        out = split_linear_factors(poly)
+        assert out.split and out.forms == tuple(want), (i, j, forms)
+        assert out.scalar == poly.evaluate(1, 1, 1)
 
 
 def _shorthand_remainder(poly):

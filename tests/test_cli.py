@@ -22,6 +22,15 @@ from ps12splines.serialize import (
 )
 
 
+def hermite_data_to_dict(vertex_jets: dict, edge_data: dict) -> dict:
+    return {
+        "vertex_jets": {str(i): [encode_number(v) for v in js]
+                        for i, js in sorted(vertex_jets.items())},
+        "edge_data": {f"{a}-{b}": [encode_number(v) for v in vals]
+                      for (a, b), vals in sorted(edge_data.items())},
+    }
+
+
 def run_cli(args, expect=0):
     r = subprocess.run([sys.executable, "-m", "ps12splines.cli", *args],
                        capture_output=True, text=True)
@@ -168,7 +177,7 @@ def test_global_spline_round_trip():
 
 def test_assemble_round_trip_and_warning(tmp_path):
     from ps12splines.assembly import triangulation
-    from ps12splines.serialize import hermite_data_to_dict, triangulation_to_dict
+    from ps12splines.serialize import triangulation_to_dict
     verts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
     tri = triangulation(verts, [(0, 1, 2), (1, 3, 2)])
     jets = {i: tuple(F(0) for _ in range(10)) for i in range(4)}
@@ -322,7 +331,7 @@ def test_cold_exact_commands_leave_numpy_unloaded(tmp_path):
     export, exact eval, nodal and exact assembly leave it unloaded, and a
     float eval loads it."""
     from ps12splines.assembly import triangulation
-    from ps12splines.serialize import hermite_data_to_dict, triangulation_to_dict
+    from ps12splines.serialize import triangulation_to_dict
     spline, mesh, data = (str(tmp_path / n) for n in ("s.json", "mesh.json", "data.json"))
     with open(spline, "w") as fh:
         json.dump({"frame": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]],

@@ -84,7 +84,7 @@ def test_apply_on_a_float_frame_matches_the_exact_layer():
 def test_collocation_full_rank_and_duplicates(ref):
     spec = catalog("c")
     cm = collocation(ref, spec.multisets)
-    assert cm.rank == 39 and cm.is_basis
+    assert cm.rank == len(cm.entries) == 39
     dup = list(spec.multisets)
     dup[1] = dup[0]
     cm2 = collocation(ref, dup)

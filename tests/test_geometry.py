@@ -10,7 +10,6 @@ from ps12splines.geometry import (
     make_frame,
     reference_frame,
     s3_apply_multiset,
-    s3_compose,
     s3_vertex_permutation,
     S3_ELEMENTS,
     to_bary,
@@ -110,6 +109,11 @@ def test_s3_rotation_and_reflection():
     assert rot == (2, 3, 1, 5, 6, 4, 8, 9, 7, 10)
     refl = s3_vertex_permutation((2, 1, 3))
     assert refl == (2, 1, 3, 4, 6, 5, 8, 7, 9, 10)
+
+
+def s3_compose(sigma: tuple, tau: tuple) -> tuple:
+    """Composition sigma after tau on corner indices."""
+    return tuple(sigma[tau[i] - 1] for i in range(3))
 
 
 def test_s3_homomorphism_all_pairs():

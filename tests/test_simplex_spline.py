@@ -392,7 +392,7 @@ def test_insert_knot_pointwise_random(ref):
 def test_restriction_reference_rows(ref):
     r = restrict_to_edge(ref, knots("600101"), "e3")
     assert [(c, str(b)) for c, b in r.terms] == [(F(4), "B1^5")]
-    assert restrict_to_edge(ref, knots("220211"), "e3").is_zero
+    assert not restrict_to_edge(ref, knots("220211"), "e3").terms
     r = restrict_to_edge(ref, knots("410201"), (1, 2))
     assert [(c, str(b)) for c, b in r.terms] == [(F(2), "B3^5")]
 
