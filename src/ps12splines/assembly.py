@@ -185,6 +185,8 @@ def smoothness_system(order: int, beta) -> SmoothnessSystem:
     """
     if order not in (0, 1, 2, 3):
         raise DomainError("order must be 0..3")
+    if len(beta) != 3:
+        raise DimensionMismatch("beta needs three barycentric coordinates")
     if is_exact(beta) and sum(beta) != 1:
         raise DomainError("beta must sum to 1")
     b1, b2 = Fraction(beta[0]), Fraction(beta[1])
@@ -226,6 +228,8 @@ def propagate(coeffs, beta, order: int = 3):
 
 def c3_residual(coeffs, beta):
     """Value of the single-triangle order-3 compatibility relation."""
+    if len(coeffs) != 39:
+        raise DimensionMismatch("need 39 coefficients")
     sysm = smoothness_system(3, beta)
     return sum(v * coeffs[src] for src, v in sysm.constraint)
 

@@ -17,10 +17,15 @@ remaining 18 slots), and filters:
 Everything is exact: every elimination is fraction-free (``linalg``), every
 polynomial is a ``TriPoly``, and the last filter accepts only an explicit
 split and rejects only on a certificate (``split_linear_factors``).
-A candidate is a union of S3 orbits, so its 39x39 collocation matrix
-commutes with the symmetry and splits into isotypic blocks (Fassler-Stiefel):
-over the 99 splines the trivial, sign and standard blocks have dimensions 8,
-5 and 13, and 8 + 5 + 2*13 = 39.  The block tables are built once, after
+A candidate is a union of S3 orbits, named by its class labels, so its
+39x39 collocation matrix commutes with the symmetry and splits into
+isotypic blocks (Fassler-Stiefel): over the 99 splines the trivial, sign
+and standard blocks have dimensions 8, 5 and 13, and 8 + 5 + 2*13 = 39.
+A class gives them its class sum, its signed orbit sum and its columns of
+the domain-point system below: one vector from each of its copies of the
+standard representation, which is enough, since by Schur's lemma an
+equivariant map from an irreducible representation vanishes iff it
+vanishes at one nonzero vector.  The block tables are built once, after
 an exact check that the lambda rows transform linearly under S3.  A
 candidate has full rank iff it gives exactly 8, 5 and 13 independent block
 rows; one elimination over the trie of the candidates' class labels decides
@@ -32,10 +37,10 @@ Marsden identity (b.c)^5 = sum_i w_i Psi_i(c) Q_i(b) in c_j at c = 1 gives
 5 b_j = sum_i 5 w_i xi_ij Q_i(b).  The unknowns x_i = 5 w_i xi_i are
 S3-equivariant, and their coordinate sum 5 w_i is known, so what is left is
 the zero-sum part of the first coordinate: 13 unknowns, 2 per class of six
-and 1 per class of three, solved from 13 of the 39 collocation equations and
-checked exactly on the other 26.  The dual polynomials solve the 39x39
-system of the integer lambda rows; the pipeline forms them only for the
-candidates that pass the boundary counts.  One right-hand-side table serves
+and 1 per class of three, solved from the 13 equations of the standard
+block and checked exactly on all 39.  The dual polynomials solve the
+39x39 system of the integer lambda rows; the pipeline forms them only for
+the candidates that pass the boundary counts.  One right-hand-side table serves
 every solve: the functional values of the Marsden polynomial (b.c)^5, whose
 value at c = (1, 1, 1) is the constant 1 and whose c1-derivative there is
 5 b1.
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import isqrt, lcm
 from operator import add, ne
@@ -98,15 +103,28 @@ class S3Class:
 
 @dataclass(frozen=True)
 class CandidateBasis:
-    """A symmetric 39-element candidate, tracked by its class labels."""
+    """A symmetric 39-element candidate: the labels of its S3 classes,
+    which must be known, disjoint and 39 splines in all (DomainError)."""
 
-    multisets: tuple          # 39 multiplicity vectors, sorted
     boundary_labels: tuple
     interior_labels: tuple
+
+    def __post_init__(self):
+        try:
+            sizes = [_classes()[lab].size for lab in self.labels]
+        except (KeyError, TypeError):     # an unknown or unhashable label
+            sizes = []
+        if sum(sizes) != 39 or len(sizes) != len(self.boundary_labels) + len(self.interior_labels):
+            raise DomainError(f"not whole S3 classes of 39 splines: {self!r}")
 
     @property
     def labels(self) -> frozenset:
         return frozenset(self.boundary_labels) | frozenset(self.interior_labels)
+
+    @cached_property
+    def multisets(self) -> tuple:
+        """The 39 multiplicity vectors of its classes, sorted."""
+        return tuple(sorted(K for lab in self.labels for K in _classes()[lab].members))
 
 
 def _interior_pair_ok(m) -> bool:
@@ -175,49 +193,39 @@ def _edge_bspline_indices(cls: S3Class) -> frozenset:
 
 
 @lru_cache(maxsize=1)
+def _classes() -> dict:
+    """The admissible classes by label."""
+    return {cls.label: cls for cls in enumerate_admissible()}
+
+
+@lru_cache(maxsize=1)
 def enumerate_candidates() -> tuple:
-    """All symmetric 39-element candidates built from whole classes."""
-    classes = enumerate_admissible()
-    boundary = [c for c in classes if _edge_bspline_indices(c)]
-    interior = [c for c in classes if not _edge_bspline_indices(c)]
-    groups = {}
-    for c in boundary:
-        groups.setdefault(_edge_bspline_indices(c), []).append(c)
-    combos = []
-    for choice in product(*groups.values()):
-        size = sum(c.size for c in choice)
-        combos.append((choice, size))
-    out = []
-    for choice, bsize in sorted(combos, key=lambda t: tuple(c.label for c in t[0])):
-        need = 39 - bsize
-        for k in range(len(interior) + 1):
-            for sel in combinations(interior, k):
-                if sum(c.size for c in sel) == need:
-                    multisets = []
-                    for c in choice + sel:
-                        multisets.extend(c.members)
-                    out.append(CandidateBasis(
-                        multisets=tuple(sorted(multisets)),
-                        boundary_labels=tuple(c.label for c in choice),
-                        interior_labels=tuple(c.label for c in sel)))
-    return tuple(out)
+    """All symmetric 39-element candidates built from whole classes: one
+    class per set of boundary B-splines, in label order, and each selection
+    of interior classes that fills the remaining slots."""
+    classes = _classes()
+    groups, by_size = {}, {}
+    for c in classes.values():
+        groups.setdefault(_edge_bspline_indices(c), []).append(c.label)
+    interior = groups.pop(frozenset())
+    for k in range(len(interior) + 1):
+        for sel in combinations(interior, k):
+            by_size.setdefault(sum(classes[lab].size for lab in sel), []).append(sel)
+    return tuple(CandidateBasis(choice, sel) for choice in sorted(product(*groups.values()))
+                 for sel in by_size.get(39 - sum(classes[lab].size for lab in choice), ()))
 
 
 # ---------------------------------------------------------------------------
 # S3 isotypic blocks of the collocation table
 # ---------------------------------------------------------------------------
 
-#: The transpositions t = (12) and u = (13) that generate S3.
-_T, _U = (2, 1, 3), (3, 2, 1)
-
-
 @dataclass(frozen=True)
 class _IsotypicBlocks:
     """The lambda rows of the 99 admissible splines split by S3 isotypic type.
 
     ``rows[label]`` holds the class's (trivial, sign, standard) rows: its
-    class sum, its signed orbit sum (size-6 classes only) and an independent
-    subset of its Young-symmetrizer images (1 + t)(1 - u) Q_K.  Each block is
+    class sum, its signed orbit sum (size-6 classes only) and its columns
+    of the domain-point system, ``_reproduction_columns``.  Each block is
     restricted to ``dims[k]`` pivot columns on which it is injective and each
     row is scaled to integers; ``trivial_scales`` holds the trivial rows'
     scales, and ``one`` the values of the constant 1 on the trivial columns
@@ -251,7 +259,7 @@ def _check_linear_action(lam: dict, basis: tuple, one: list) -> None:
     coords = {K: tuple(x[k] for x in sol) for k, K in enumerate(others)}
     weights = tuple(x[-1] for x in sol)
     index = {K: i for i, K in enumerate(basis)}
-    for sigma in (_T, _U):
+    for sigma in ((2, 1, 3), (3, 2, 1)):    # (12) and (13), which generate S3
         # sigma is an involution, so the coordinates of sigma(Q) must be
         # those of Q read at the images of the basis elements
         image = [index[s3_apply_multiset(sigma, B)] for B in basis]
@@ -277,6 +285,7 @@ def _isotypic_blocks() -> _IsotypicBlocks:
     basis = tuple(K for cls in classes if cls.label in BASIS_CLASS_CONTENT["c"]
                   for K in cls.members)
     _check_linear_action(lam, basis, one)
+    columns, standard = _reproduction_columns()
     per_class = {}
     for cls in classes:
         trivial = [_combine([lam[K] for K in cls.members], [1] * cls.size)]
@@ -285,15 +294,9 @@ def _isotypic_blocks() -> _IsotypicBlocks:
         sign = [] if cls.size == 3 else [_combine(
             [lam[s3_apply_multiset(s, cls.representative)] for s in S3_ELEMENTS],
             (1, 1, 1, -1, -1, -1))]
-        images = []
-        for K in cls.members:
-            uK = s3_apply_multiset(_U, K)
-            images.append(_combine([lam[K], lam[s3_apply_multiset(_T, K)], lam[uK],
-                                    lam[s3_apply_multiset(_T, uK)]], (1, 1, -1, -1)))
-        standard = [images[i] for i in pivot_columns([list(c) for c in zip(*images)])]
-        per_class[cls.label] = (trivial, sign, standard)
-    pivots = [pivot_columns([r for rows in per_class.values() for r in rows[k]])
-              for k in range(3)]
+        per_class[cls.label] = (trivial, sign, [col for col, _ in columns[cls.label][1]])
+    pivots = [*(pivot_columns([r for rows in per_class.values() for r in rows[k]])
+                for k in (0, 1)), standard]
     dims = tuple(len(p) for p in pivots)
     if dims[0] + dims[1] + 2 * dims[2] != len(one):
         raise SymmetryViolated(f"isotypic dimensions {dims} do not add up to {len(one)}")
@@ -371,28 +374,36 @@ def _trie_class_weights(batch) -> list:
     return out
 
 
-def candidate_has_full_rank(cand: CandidateBasis) -> bool:
+def _whole_classes(cand) -> tuple:
+    """(multisets, sorted class labels) of a CandidateBasis, or of a
+    sequence of multisets making up whole S3 classes (``_orbit_labels``),
+    in its order; SingularSystem for a repeated multiset (two equal lambda
+    rows), DomainError for anything else."""
+    if isinstance(cand, CandidateBasis):
+        return cand.multisets, tuple(sorted(cand.labels))
+    try:
+        multisets = tuple(map(knots, cand))
+    except TypeError:     # not iterable
+        raise DomainError(f"a candidate must be a sequence of multisets, not {cand!r}") from None
+    if len(set(multisets)) < len(multisets):
+        raise SingularSystem("a repeated spline gives two equal lambda rows")
+    return multisets, _orbit_labels(multisets)
+
+
+def candidate_has_full_rank(cand) -> bool:
     """Whether the candidate's 39 lambda rows are independent, decided on
-    its S3 isotypic blocks."""
-    return _trie_class_weights([_orbit_labels(cand.multisets)])[0] is not None
-
-
-def _multisets(cand) -> tuple:
-    return cand.multisets if isinstance(cand, CandidateBasis) else tuple(knots(K) for K in cand)
+    its S3 isotypic blocks; input as for ``_whole_classes``."""
+    return _trie_class_weights([_whole_classes(cand)[1]])[0] is not None
 
 
 def compute_weights(cand) -> tuple:
     """Unique weights with sum_i w_i Q_i = 1, in the candidate's order.
 
-    Accepts a CandidateBasis or a plain sequence of multisets making up
-    whole S3 classes.  Raises SingularSystem when the candidate is not a
-    basis, which a repeated multiset proves (two equal lambda rows), and
-    DomainError for any other input that is not a union of classes.
+    Input as for ``_whole_classes``.  Raises SingularSystem when the
+    candidate is not a basis.
     """
-    multisets = _multisets(cand)
-    if len(set(multisets)) < len(multisets):
-        raise SingularSystem("a repeated spline gives two equal lambda rows")
-    by_class = _trie_class_weights([_orbit_labels(multisets)])[0]
+    multisets, labels = _whole_classes(cand)
+    by_class = _trie_class_weights([labels])[0]
     if by_class is None:
         raise SingularSystem("an S3 isotypic block of the candidate is singular")
     of = _class_of()
@@ -439,9 +450,10 @@ def compute_dual_polys(cand, weights=None) -> tuple:
     Solves the collocation system with the quintic power functional values on
     the right-hand side; setting c1 = c2 = c3 = 1 in entry i recovers w_i.
     Column i of the system is the lambda row of Q_i scaled to integers by
-    den_i, so solution row i is scaled back by den_i.
+    den_i, so solution row i is scaled back by den_i.  Input as for
+    ``_whole_classes``.
     """
-    rows, dens = _integer_rows([lambda_vector(K) for K in _multisets(cand)])
+    rows, dens = _integer_rows([lambda_vector(K) for K in _whole_classes(cand)[0]])
     sol = solve([list(col) for col in zip(*rows)], _marsden_rhs())
     out = tuple(TriPoly(zip(QUINTIC_MONOMIALS, [x * den for x in xi]))
                 for xi, den in zip(sol, dens))
@@ -470,10 +482,13 @@ def _reproduction_rhs() -> tuple:
 
 
 @lru_cache(maxsize=1)
-def _reproduction_columns() -> dict:
-    """Per class label: each member with an S3 element taking the
-    representative to it, and the class's columns of the first-coordinate
-    system, each with the displacement of the representative it stands for.
+def _reproduction_columns() -> tuple:
+    """(table, rows).  ``table`` holds per class label each member with an
+    S3 element taking the representative to it, and the class's columns of
+    the first-coordinate system, each with the displacement of the
+    representative it stands for.  On the 13 pivot ``rows`` of all the
+    columns, as many as a candidate's unknowns (else SymmetryViolated), they
+    are injective and form the standard block of ``_isotypic_blocks``.
 
     A zero-sum displacement y of the representative R that R's stabiliser
     fixes extends equivariantly to the class, sigma(R) taking
@@ -500,7 +515,10 @@ def _reproduction_columns() -> dict:
             (ints,), (scale,) = _integer_rows([col])
             cols.append((tuple(ints), tuple(scale * x for x in y)))
         out[cls.label] = (tuple(moves.items()), tuple(cols))
-    return out
+    rows = pivot_columns([list(col) for _, cols in out.values() for col, _ in cols])
+    if len(rows) != 13:
+        raise SymmetryViolated(f"the reproduction columns span {len(rows)} dimensions, not 13")
+    return out, rows
 
 
 def domain_point(cand, weights) -> tuple:
@@ -512,20 +530,18 @@ def domain_point(cand, weights) -> tuple:
     S3-reduced unknowns: the solution y is unique when the candidate is a
     basis, and the domain point of a class representative R is
     xi_R = y_R / (5 w_R) + (1/3, 1/3, 1/3).  The weights are constant on
-    classes, so xi_{sigma R} = s3_apply_bary(sigma, xi_R).  Raises
-    DomainError for input that is not a union of S3 classes and
-    SingularSystem when the 13 columns are dependent or the 26 equations
-    left out of the solve do not hold.
+    classes, so xi_{sigma R} = s3_apply_bary(sigma, xi_R).  Input as for
+    ``_whole_classes``; a zero weight raises DomainError.  Raises
+    SingularSystem when the 13 columns are dependent on the 13 rows of the
+    solve or the 26 equations left out of it do not hold.
     """
-    multisets = _multisets(cand)
-    labels = _orbit_labels(multisets)
+    multisets, labels = _whole_classes(cand)
     if len(weights) != len(multisets):
         raise DimensionMismatch("need one weight per element of the candidate")
-    table = _reproduction_columns()
+    if not all(weights):
+        raise DomainError("a zero weight has no domain point")
+    table, rows = _reproduction_columns()
     cols = [(lab, col, y) for lab in labels for col, y in table[lab][1]]
-    rows = pivot_columns([list(col) for _, col, _ in cols])
-    if len(rows) != len(cols):
-        raise SingularSystem("the reproduction columns of the candidate are dependent")
     A = [list(r) for r in zip(*(col for _, col, _ in cols))]
     rhs, scale = _reproduction_rhs()
     sol = solve([A[i] for i in rows], [[rhs[i]] for i in rows])
@@ -601,6 +617,8 @@ def split_linear_factors(poly: TriPoly) -> LinearFactorization:
     witness is left, as for c3^2 (c1^3 + c1^2 c2 - 2 c1 c2^2 - c2^3): its
     cubic is irreducible over Q with the real roots 2 cos(2 pi k / 7).
     """
+    if not isinstance(poly, TriPoly):
+        raise DomainError(f"split_linear_factors needs a TriPoly, not {poly!r}")
     if not poly.is_homogeneous() or poly.degree() != 5 or not poly:
         return LinearFactorization(False, diagnostic="not a nonzero homogeneous quintic")
     forms, rem = [], poly
@@ -789,33 +807,35 @@ def _boundary_point_counts(points) -> tuple:
 
 
 def filter_pipeline(candidates=None, stage: str = "linear_factors") -> SearchReport:
-    """Run the filters in order, recording the count after each stage.
-
-    ``stage`` may name an earlier stage to stop at.
+    """Run the filters in order over CandidateBasis items (all 3648 by
+    default; DomainError for any other item), recording the count after
+    each stage.  ``stage`` may name an earlier stage to stop at.
     """
     if stage not in PIPELINE_STAGES:
         raise DomainError(f"unknown stage {stage!r}")
     last = PIPELINE_STAGES.index(stage)
     report = SearchReport(stage=stage)
     cands = list(enumerate_candidates() if candidates is None else candidates)
+    if not all(isinstance(c, CandidateBasis) for c in cands):
+        raise DomainError("filter_pipeline takes CandidateBasis items only")
     report.counts["candidates"] = len(cands)
     if last < 1:
         return report
 
-    by_class = _trie_class_weights([_orbit_labels(c.multisets) for c in cands])
+    by_class = _trie_class_weights([tuple(sorted(c.labels)) for c in cands])
     weighted = [(c, w) for c, w in zip(cands, by_class) if w is not None]
     report.counts["full_rank"] = len(weighted)
     if last < 2:
         return report
 
-    of = _class_of()
-    weighted = [(c, tuple(w[of[K][0]] for K in c.multisets)) for c, w in weighted
-                if all(x >= 0 for x in w.values())]
+    weighted = [(c, w) for c, w in weighted if all(x >= 0 for x in w.values())]
     report.counts["nonnegative"] = len(weighted)
     if last < 3:
         return report
 
-    weighted = [(c, w) for c, w in weighted if all(x > 0 for x in w)]
+    of = _class_of()
+    weighted = [(c, tuple(w[of[K][0]] for K in c.multisets)) for c, w in weighted
+                if all(x > 0 for x in w.values())]
     report.counts["positive"] = len(weighted)
     if last < 4:
         return report

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from .errors import DomainError, UnknownBasis
+from .errors import DimensionMismatch, DomainError, UnknownBasis
 from .geometry import (
     PS12Frame,
     Point2,
@@ -196,6 +196,8 @@ def marsden_eval(spec: BasisSpec, x: Point2, c, frame: PS12Frame = None):
     barycentric coordinates b of x, and rhs = sum_i w_i Q_i(x) Psi_i(c).
     They agree exactly for exact inputs.
     """
+    if len(x) != 2 or len(c) != 3:
+        raise DimensionMismatch("marsden_eval needs a point (x, y) and c = (c1, c2, c3)")
     frame = frame or reference_frame()
     beta = to_bary(frame, Point2(*x))
     c1, c2, c3 = c

@@ -32,7 +32,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # annotations only: the float path imports numpy when it runs
     import numpy as np
 
-from .errors import BoundViolated, DimensionMismatch, OutsideDomain, UnsupportedBasis
+from .errors import (BoundViolated, DimensionMismatch, DomainError, OutsideDomain,
+                     UnsupportedBasis)
 from .geometry import (PS12Frame, Point2, S3_ELEMENTS, _layer_face_bary_matrices, from_bary,
                        s3_apply_bary, to_bary)
 from .linalg import _integer_solve, identity, inf_norm
@@ -328,8 +329,11 @@ def control_distance_bound_check(s: Spline, hessian_bound) -> dict:
     hessian_bound must dominate the max-norm of the Hessian of the spline
     over the triangle (caller-supplied; exact for polynomial test data).
     Returns a report with the largest gap and the bound; raises
-    BoundViolated when the inequality fails, which would indicate a bug.
+    BoundViolated when the inequality fails, which would indicate a bug,
+    and DomainError for a negative hessian_bound.
     """
+    if hessian_bound < 0:
+        raise DomainError(f"a Hessian bound is nonnegative, not {hessian_bound}")
     _, _, cond = collocation_at_domain_points(s.basis)
     spec = catalog(s.basis)
     h2 = longest_edge_sq(s.frame)

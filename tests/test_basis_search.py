@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -62,6 +63,19 @@ def test_candidate_count_and_shape():
     c = cands[123]
     for sigma in S3_ELEMENTS:
         assert sorted(s3_apply_multiset(sigma, K) for K in c.multisets) == sorted(c.multisets)
+
+
+def test_candidate_order_and_multisets_are_pinned():
+    """The 3648 candidates come in one fixed order of their class labels,
+    and each one's multisets are the sorted members of its classes."""
+    cands = enumerate_candidates()
+    lines = "\n".join("".join(c.boundary_labels) + "|" + "".join(c.interior_labels)
+                      for c in cands)
+    assert hashlib.sha256(lines.encode()).hexdigest() == \
+        "c7daa508f353af87be651e9b519a52f2ac79784bf418d3bb055c02b3fdaa9d8b"
+    members = {cls.label: cls.members for cls in enumerate_admissible()}
+    for c in cands:
+        assert c.multisets == tuple(sorted(K for lab in c.labels for K in members[lab]))
 
 
 def test_weights_of_basis_c_match_catalog():
@@ -300,6 +314,17 @@ def test_domain_point_equals_dual_gradient_on_positive_candidates():
         assert domain_point(c, w) == tuple(_gradient_domain_point(p) for p in polys)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from("abcdef"), st.permutations(range(39)))
+def test_domain_point_follows_a_shuffled_input(bid, perm):
+    """The domain points come back in the order of the input multisets."""
+    spec = catalog(bid)
+    points = domain_point(spec.multisets, spec.weights)
+    shuffled = [spec.multisets[i] for i in perm]
+    assert domain_point(shuffled, [spec.weights[i] for i in perm]) == \
+        tuple(points[i] for i in perm)
+
+
 def test_domain_point_rejects_malformed_input():
     spec = catalog("c")
     with pytest.raises(DimensionMismatch):
@@ -330,6 +355,48 @@ def test_domain_point_residual_check_raises_on_corrupted_row(monkeypatch):
             domain_point(spec.multisets, spec.weights)
     finally:
         basis_search._reproduction_columns.cache_clear()
+
+
+def test_reproduction_cache_is_clean_after_corrupted_builds(monkeypatch):
+    """The 13 rows of the solve are cached with the columns, so clearing
+    that one cache after a corrupted build leaves no trace: a clean solve
+    in the same process gives the catalog's points.  A corrupted row that
+    moves the pivot rows breaks the 13-dimensional span and is not cached,
+    and the block tables read the columns only after the symmetry check."""
+    spec = catalog("c")
+    clean_rows = basis_search._reproduction_columns()[1]
+
+    def corrupt(bad, i):
+        def corrupted(K):
+            row = lambda_vector(K)
+            return row[:i] + (row[i] + 1,) + row[i + 1:] if K == bad else row
+        return corrupted
+
+    basis_search._reproduction_columns.cache_clear()
+    basis_search._isotypic_blocks.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(basis_search, "lambda_vector", corrupt(spec.multisets[0], 38))
+            with pytest.raises(SymmetryViolated, match="do not permute"):
+                basis_search._isotypic_blocks()
+        assert domain_point(spec.multisets, spec.weights) == spec.domain_points
+        basis_search._reproduction_columns.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(basis_search, "lambda_vector", corrupt(spec.multisets[0], 38))
+            with pytest.raises(SingularSystem, match="left out"):
+                domain_point(spec.multisets, spec.weights)
+        basis_search._reproduction_columns.cache_clear()
+        assert domain_point(spec.multisets, spec.weights) == spec.domain_points
+        basis_search._reproduction_columns.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(basis_search, "lambda_vector", corrupt(spec.multisets[5], 0))
+            with pytest.raises(SymmetryViolated, match="span 14 dimensions"):
+                domain_point(spec.multisets, spec.weights)
+        assert domain_point(spec.multisets, spec.weights) == spec.domain_points
+        assert basis_search._reproduction_columns()[1] == clean_rows
+    finally:
+        basis_search._reproduction_columns.cache_clear()
+        basis_search._isotypic_blocks.cache_clear()
 
 
 def test_full_pipeline_forms_dual_polys_for_boundary_survivors_only(monkeypatch):

@@ -1,14 +1,18 @@
 """Bad input raises the library's typed errors, not bare ValueError."""
 
 import math
+from fractions import Fraction as F
 
 import pytest
 
-from ps12splines import (basis_search, bspline1d, dual_functionals, geometry, marsden_catalog,
-                         serialize, simplex_spline, spline_fn)
-from ps12splines.errors import DomainError, InvalidDirection, OutsideDomain, PS12Error
+from ps12splines import (assembly, basis_search, bspline1d, dual_functionals, geometry,
+                         marsden_catalog, serialize, simplex_spline, spline_fn)
+from ps12splines.basis_search import CandidateBasis
+from ps12splines.errors import (DimensionMismatch, DomainError, InvalidDirection, OutsideDomain,
+                                PS12Error)
 
 K = simplex_spline.knots("141110")
+C_MULTISETS = marsden_catalog.catalog("c").multisets
 
 BAD_CALLS = {
     "knots": lambda: simplex_spline.knots((1, -1)),
@@ -41,6 +45,21 @@ BAD_CALLS = {
     "barycentric_lattice": lambda: serialize.barycentric_lattice(0),
     "s3_vertex_permutation": lambda: geometry.s3_vertex_permutation((1, 1, 2)),
     "filter_pipeline stage": lambda: basis_search.filter_pipeline([], stage="bogus"),
+    "filter_pipeline ints": lambda: basis_search.filter_pipeline(candidates=[1, 2]),
+    "filter_pipeline multisets": lambda: basis_search.filter_pipeline(candidates=[C_MULTISETS]),
+    "CandidateBasis unknown class": lambda: CandidateBasis(("a", "b", "e", "f"), ("z",)),
+    "CandidateBasis repeated class": lambda: CandidateBasis(("a", "b", "e", "f"),
+                                                            ("a", "g", "h", "i", "l")),
+    "CandidateBasis 30 splines": lambda: CandidateBasis(("a", "b", "e", "f"), ("g", "h", "i")),
+    "CandidateBasis unhashable label": lambda: CandidateBasis(("a", "b", "e", "f"), (["g"],)),
+    "candidate_has_full_rank 38 splines": lambda: basis_search.candidate_has_full_rank(
+        C_MULTISETS[1:]),
+    "compute_weights None": lambda: basis_search.compute_weights(None),
+    "compute_dual_polys 38 splines": lambda: basis_search.compute_dual_polys(C_MULTISETS[1:]),
+    "domain_point zero weights": lambda: basis_search.domain_point(C_MULTISETS, [0] * 39),
+    "split_linear_factors int": lambda: basis_search.split_linear_factors(5),
+    "control_distance_bound_check negative bound": lambda:
+        spline_fn.control_distance_bound_check(FLOAT_SPLINE, -1),
     "collocation float frame": lambda: dual_functionals.collocation(
         geometry.make_frame((0.3, -0.1), (2.7, 0.2), (0.1, 3.1)), [K]),
 }
@@ -51,6 +70,36 @@ def test_bad_input_raises_typed_error(name):
     with pytest.raises(PS12Error) as info:
         BAD_CALLS[name]()
     assert isinstance(info.value, DomainError) and isinstance(info.value, ValueError)
+
+
+BAD_LENGTHS = {
+    "smoothness_system beta": lambda: assembly.smoothness_system(2, (F(1),)),
+    "c3_residual coefficients": lambda: assembly.c3_residual([F(0)] * 10, (F(-1), F(1), F(1))),
+    "marsden_eval c": lambda: marsden_catalog.marsden_eval(
+        marsden_catalog.catalog("c"), (F(1, 3), F(1, 3)), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LENGTHS))
+def test_bad_length_raises_dimension_mismatch(name):
+    with pytest.raises(DimensionMismatch):
+        BAD_LENGTHS[name]()
+
+
+def test_search_functions_read_a_candidate_and_its_multisets_alike():
+    """One input rule: a CandidateBasis and the catalog's multisets of the
+    same classes, in either order, give the same rank verdict, weights,
+    domain points and dual polynomials, element by element."""
+    cand = next(c for c in basis_search.enumerate_candidates()
+                if c.labels == basis_search.BASIS_CLASS_CONTENT["c"])
+    assert basis_search.candidate_has_full_rank(C_MULTISETS)
+    assert basis_search.candidate_has_full_rank(cand)
+    by_element = []
+    for c, multisets in ((cand, cand.multisets), (C_MULTISETS, C_MULTISETS)):
+        w = basis_search.compute_weights(c)
+        by_element.append(dict(zip(multisets, zip(
+            w, basis_search.domain_point(c, w), basis_search.compute_dual_polys(c, w)))))
+    assert by_element[0] == by_element[1]
 
 
 BAD_DIRECTIONS = {
