@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 
 from .errors import (
     DegenerateTriangle,
@@ -30,8 +31,8 @@ from .errors import (
     NonConformingMesh,
 )
 from .bspline1d import UnivariateBSplineRef, bspline_derivative
-from .dual_functionals import EDGE_SEQUENCE, JET_ORDERS, build_lambda, lambda_vector
-from .geometry import PS12Frame, Point2, make_frame, reference_frame, signed_area2
+from .dual_functionals import JET_ORDERS, build_lambda, lambda_vector
+from .geometry import EDGES, PS12Frame, Point2, make_frame, reference_frame, signed_area2
 from .linalg import inverse, mat_vec, solve
 from .marsden_catalog import catalog
 from .polynomial import TriPoly
@@ -250,8 +251,10 @@ class Triangulation:
         for t, tri in enumerate(self.triangles):
             if len(tri) != 3 or len(set(tri)) != 3:
                 raise NonConformingMesh(f"triangle {t} needs three distinct vertices")
-            if not all(0 <= i < n for i in tri):
-                raise NonConformingMesh(f"triangle {t} has a vertex index outside 0..{n - 1}")
+            if not all(isinstance(i, Integral) and not isinstance(i, bool) and 0 <= i < n
+                       for i in tri):
+                raise NonConformingMesh(f"triangle {t} has a vertex index that is not an int "
+                                        f"in 0..{n - 1}")
             a, b, c = (self.vertices[i] for i in tri)
             if signed_area2(a, b, c) == 0:
                 raise DegenerateTriangle(f"triangle {t} is degenerate")
@@ -475,7 +478,7 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
         values = [_jet_directional(jets[tri_idx[lam.site[1] - 1]], lam.directions)
                   for lam in lams[:30]]
         # edge functionals
-        for e, (_, a_loc, b_loc, _) in enumerate(EDGE_SEQUENCE):
+        for e, (a_loc, _, b_loc) in enumerate(EDGES.values()):
             ga, gb = tri_idx[a_loc - 1], tri_idx[b_loc - 1]
             key = tuple(sorted((ga, gb)))
             tg, ug, q_first, (d1m, f_m), q_second = edge_values[key]

@@ -55,10 +55,13 @@ from itertools import combinations, product
 from math import isqrt, lcm
 from operator import add, ne
 
+from .bspline1d import ref_from_counts
 from .dual_functionals import build_lambda, lambda_vector
 from .errors import (DimensionMismatch, DomainError, PS12Error, SingularSystem,
                      SymmetryViolated)
 from .geometry import (
+    EDGES,
+    INTERIOR_LINES,
     S3_ELEMENTS,
     VERTEX_BARY,
     direction_coords,
@@ -71,7 +74,7 @@ from .linalg import _integer_rows, append_row, pivot_columns, reduce_row, solve
 from .linalg import bareiss  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .marsden_catalog import CATALOG_ROWS
 from .polynomial import TriPoly
-from .simplex_spline import active_indices, hull_area, knot_label, knots
+from .simplex_spline import active_indices, bernstein_exponents, hull_area, knot_label, knots
 
 #: Canonical names for the 20 admissible classes, keyed by a representative.
 CLASS_REPRESENTATIVES = {
@@ -127,69 +130,51 @@ class CandidateBasis:
         return tuple(sorted(K for lab in self.labels for K in _classes()[lab].members))
 
 
-def _interior_pair_ok(m) -> bool:
-    pairs = ((0, 4), (2, 3), (1, 5), (3, 5), (3, 4), (4, 5))
-    return all(not (m[i] and m[j] and m[i] + m[j] > 3) for i, j in pairs)
-
-
-def _boundary_bspline_ok(m) -> bool:
-    for i, j, k in ((0, 3, 1), (1, 4, 2), (0, 5, 2)):
-        if m[i] + m[j] + m[k] == 7:
-            if m[j] >= 3:
-                return False
-            if m[i] and m[k] and m[j] != 2:
-                return False
-    return True
+def _admissible(K) -> bool:
+    """Whether the quintic Q[K] is C^3 and reduces to a B-spline on the
+    boundary: smoothness_order(K, line) >= 3, that is at most three knots,
+    on every interior line that carries two distinct knots; a window of
+    the open knot vector (ref_from_counts) on every macro edge that
+    carries seven knots; and a nondegenerate support."""
+    for line in INTERIOR_LINES:
+        on = [K[i - 1] for i in line if K[i - 1]]
+        if len(on) >= 2 and sum(on) > 3:
+            return False
+    for counts in ([K[i - 1] for i in edge] for edge in EDGES.values()):
+        if sum(counts) == 7 and ref_from_counts(5, *counts) is None:
+            return False
+    return hull_area(active_indices(K)) != 0
 
 
 @lru_cache(maxsize=1)
 def enumerate_admissible() -> tuple:
     """The 20 symmetry classes of admissible quintic simplex splines.
 
-    Admissible: |K| = 8, no knots on the inner vertices, at most three knots
-    on every interior line carrying at least two distinct knots, boundary
-    restrictions equal to (scaled) B-splines of the open knot vector, and a
-    nondegenerate support.
+    Admissible (``_admissible``): |K| = 8, no knots on the inner vertices,
+    at most three knots on every interior line carrying at least two
+    distinct knots, boundary restrictions equal to (scaled) B-splines of
+    the open knot vector, and a nondegenerate support.
     """
     found = []
     for bars in combinations(range(13), 5):     # six counts summing to 8: stars and bars
-        m6 = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (13,)))
-        if not (_interior_pair_ok(m6) and _boundary_bspline_ok(m6)):
-            continue
-        K = m6 + (0, 0, 0, 0)
-        if hull_area(active_indices(K)) == 0:
-            continue
-        found.append(K)
-    by_rep = {}
-    for label, rep in CLASS_REPRESENTATIVES.items():
-        by_rep[knots(rep)] = label
+        K = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (13,))) + (0, 0, 0, 0)
+        if _admissible(K):
+            found.append(K)
     classes = []
-    seen = set()
-    for K in sorted(found):
-        if K in seen:
-            continue
-        orbit = tuple(sorted({s3_apply_multiset(s, K) for s in S3_ELEMENTS}))
-        seen.update(orbit)
-        label = next((by_rep[m] for m in orbit if m in by_rep), None)
-        if label is None:
-            raise AssertionError(f"enumerated class without a name: {knot_label(K)}")
-        rep = knots(CLASS_REPRESENTATIVES[label])
-        classes.append(S3Class(label=label, representative=rep, members=orbit))
-    if sorted(c.label for c in classes) != sorted(CLASS_REPRESENTATIVES):
-        raise AssertionError("admissible classes do not match the expected twenty")
-    return tuple(sorted(classes, key=lambda c: c.label))
+    for label, rep in CLASS_REPRESENTATIVES.items():
+        R = knots(rep)
+        orbit = tuple(sorted({s3_apply_multiset(s, R) for s in S3_ELEMENTS}))
+        classes.append(S3Class(label=label, representative=R, members=orbit))
+    if sorted(K for cls in classes for K in cls.members) != sorted(found):
+        raise AssertionError("admissible splines do not make up the twenty named classes")
+    return tuple(classes)
 
 
 def _edge_bspline_indices(cls: S3Class) -> frozenset:
-    """Which boundary B-spline indices the class members produce on one edge."""
-    out = set()
-    for m in cls.members:
-        if m[0] + m[3] + m[1] == 7:  # knots on [v1, v2]
-            from .bspline1d import ref_from_counts
-            ref = ref_from_counts(5, m[0], m[3], m[1])
-            if ref is not None:
-                out.add(ref.index)
-    return frozenset(out)
+    """Which boundary B-spline indices the class members produce on the
+    edge e3."""
+    refs = (ref_from_counts(5, *(m[i - 1] for i in EDGES["e3"])) for m in cls.members)
+    return frozenset(ref.index for ref in refs if ref is not None)
 
 
 @lru_cache(maxsize=1)
@@ -410,16 +395,11 @@ def compute_weights(cand) -> tuple:
     return tuple(by_class[of[K][0]] for K in multisets)
 
 
-#: The 21 monomial exponents of a ternary quintic, one column each in the
-#: right-hand side of the dual-polynomial solve.
-QUINTIC_MONOMIALS = tuple((i, j, 5 - i - j) for i in range(5, -1, -1)
-                          for j in range(5 - i, -1, -1))
-
-
 @lru_cache(maxsize=1)
 def _marsden_rhs() -> tuple:
     """Functional values of (b1 c1 + b2 c2 + b3 c3)^5 as polynomials in c,
-    one row of QUINTIC_MONOMIALS coefficients per functional."""
+    one row of coefficients per functional, on the 21 monomials of
+    bernstein_exponents(5)."""
     frame = reference_frame()
     out = []
     for lam in build_lambda(frame):
@@ -433,7 +413,7 @@ def _marsden_rhs() -> tuple:
             poly = poly * TriPoly.linear(direction_coords(frame.v[:3], u))
         for _ in range(5 - k):
             poly = poly * base
-        out.append(tuple(poly.coefficient(e) for e in QUINTIC_MONOMIALS))
+        out.append(tuple(poly.coefficient(e) for e in bernstein_exponents(5)))
     return tuple(out)
 
 
@@ -455,7 +435,7 @@ def compute_dual_polys(cand, weights=None) -> tuple:
     """
     rows, dens = _integer_rows([lambda_vector(K) for K in _whole_classes(cand)[0]])
     sol = solve([list(col) for col in zip(*rows)], _marsden_rhs())
-    out = tuple(TriPoly(zip(QUINTIC_MONOMIALS, [x * den for x in xi]))
+    out = tuple(TriPoly(zip(bernstein_exponents(5), [x * den for x in xi]))
                 for xi, den in zip(sol, dens))
     if weights is not None:
         for w, poly in zip(weights, out):
@@ -475,7 +455,7 @@ def _reproduction_rhs() -> tuple:
     scale.  5 b1 is the c1-derivative of the Marsden polynomial (b.c)^5 at
     c = (1, 1, 1) and 1 its value there, so the values come from the
     coefficients of _marsden_rhs."""
-    out = [sum((e[0] - Fraction(5, 3)) * coef for e, coef in zip(QUINTIC_MONOMIALS, row))
+    out = [sum((e[0] - Fraction(5, 3)) * coef for e, coef in zip(bernstein_exponents(5), row))
            for row in _marsden_rhs()]
     (ints,), (scale,) = _integer_rows([out])
     return tuple(ints), scale
@@ -531,7 +511,8 @@ def domain_point(cand, weights) -> tuple:
     basis, and the domain point of a class representative R is
     xi_R = y_R / (5 w_R) + (1/3, 1/3, 1/3).  The weights are constant on
     classes, so xi_{sigma R} = s3_apply_bary(sigma, xi_R).  Input as for
-    ``_whole_classes``; a zero weight raises DomainError.  Raises
+    ``_whole_classes``; a zero weight, or weights that differ within a
+    class, raise DomainError.  Raises
     SingularSystem when the 13 columns are dependent on the 13 rows of the
     solve or the 26 equations left out of it do not hold.
     """
@@ -560,7 +541,10 @@ def domain_point(cand, weights) -> tuple:
     points = {}
     for lab in labels:
         moves, _ = table[lab]
-        w = Fraction(weight_of[moves[0][0]])    # constant on the class
+        ws = {weight_of[K] for K, _ in moves}
+        if len(ws) != 1:
+            raise DomainError(f"the weights of class {lab} differ")
+        w = Fraction(ws.pop())
         xi = tuple(Fraction(3 * y * w.denominator + D * w.numerator, 3 * D * w.numerator)
                    for y in disp[lab])
         points.update((K, s3_apply_bary(s, xi)) for K, s in moves)
@@ -792,18 +776,11 @@ def _domain_points_inside(points) -> bool:
 
 
 def _boundary_point_counts(points) -> tuple:
-    """Number of domain points on each macro edge (closed)."""
-    counts = [0, 0, 0]
-    for xi in points:
-        if any(b < 0 for b in xi):
-            continue
-        if xi[2] == 0:
-            counts[0] += 1  # edge [v1, v2]
-        if xi[0] == 0:
-            counts[1] += 1  # edge [v2, v3]
-        if xi[1] == 0:
-            counts[2] += 1  # edge [v3, v1]
-    return tuple(counts)
+    """Number of domain points on each macro edge (closed), in the order of
+    EDGES: the points inside with a zero coordinate at the opposite corner."""
+    inside = [xi for xi in points if min(xi) >= 0]
+    # 6 - a - b is the corner not on the edge from a to b
+    return tuple(sum(1 for xi in inside if xi[6 - a - b - 1] == 0) for a, _, b in EDGES.values())
 
 
 def filter_pipeline(candidates=None, stage: str = "linear_factors") -> SearchReport:

@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isfinite
 
-from .errors import DomainError
+from .errors import DomainError, OutsideDomain
 from .rational import is_exact
 from .simplex_spline import _face_ordinates, active_indices, bernstein_exponents, hull_area
 
@@ -120,10 +121,14 @@ def bspline_value(ref: UnivariateBSplineRef, t):
 
 def bspline_derivative(ref: UnivariateBSplineRef, t, order: int = 1):
     """Order-th derivative at t, exact for exact t (one-sided at knots, like
-    the value).  Raises DomainError unless order is a nonnegative int."""
+    the value).  Raises DomainError unless order is a nonnegative int, and
+    OutsideDomain for a NaN or infinite t."""
     if not _is_int(order) or order < 0:
         raise DomainError(f"derivative order must be a nonnegative int, not {order!r}")
-    zero = Fraction(0) if is_exact((t,)) else 0.0
+    exact = is_exact((t,))
+    if not (exact or isfinite(t)):
+        raise OutsideDomain(f"parameter {t} is not finite")
+    zero = Fraction(0) if exact else 0.0
     if not 0 <= t <= 1 or order > ref.degree:
         return zero
     right = 2 * t >= 1

@@ -29,7 +29,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DomainError
-from .geometry import PS12Frame, Point2, direction_coords, reference_frame, to_bary
+from .geometry import EDGES, PS12Frame, Point2, direction_coords, reference_frame, to_bary
 from .linalg import rank as matrix_rank
 from .rational import is_exact
 from .simplex_spline import FaceForms, _quintic_ordinates, functional_row, knots
@@ -37,9 +37,6 @@ from .simplex_spline import FaceForms, _quintic_ordinates, functional_row, knots
 #: Vertex jet orders in canonical sequence.
 JET_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
               (3, 0), (2, 1), (1, 2), (0, 3))
-
-#: Edge order and their (first corner, opposite corner) pairs, 1-based.
-EDGE_SEQUENCE = (("e3", 1, 2, 3), ("e1", 2, 3, 1), ("e2", 3, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -75,9 +72,9 @@ def build_lambda(frame: PS12Frame) -> list:
                 point=v[corner - 1],
                 directions=(x,) * i + (y,) * j,
                 site=("v", corner, i, j)))
-    for name, a, b, opp in EDGE_SEQUENCE:
-        pa, pb, po = v[a - 1], v[b - 1], v[opp - 1]
-        mid = Point2((pa.x + pb.x) / 2, (pa.y + pb.y) / 2)
+    for name, (a, m, b) in EDGES.items():
+        (opp,) = {1, 2, 3} - {a, b}
+        pa, mid, pb, po = v[a - 1], v[m - 1], v[b - 1], v[opp - 1]
         q1 = Point2((3 * pa.x + pb.x) / 4, (3 * pa.y + pb.y) / 4)
         q2 = Point2((pa.x + 3 * pb.x) / 4, (pa.y + 3 * pb.y) / 4)
         u = _vec(po, mid)

@@ -22,6 +22,13 @@ splines; this one is documented so that low-degree (discontinuous) splines
 evaluate reproducibly.  face_bary turns macro-barycentrics into those of the
 located face: integers over one denominator for exact input, floats for
 float input, both from the matrices of face_bary_matrices.
+
+This module holds the one description of the split that every other
+module reads: VERTEX_BARY, FACES, the macro-edge table EDGES and
+INTERIOR_LINES.  Symmetries: S3 acts on the macrotriangle by permuting
+its corners, and an affine map permutes barycentric coordinates, so the
+image of a split vertex is the split vertex whose barycentrics are the
+permuted ones (s3_vertex_permutation reads it off VERTEX_BARY).
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isfinite
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateTriangle, DomainError
@@ -47,6 +55,10 @@ FACES = (
     (1, 4, 7), (4, 2, 8), (2, 5, 8), (5, 3, 9), (3, 6, 9), (6, 1, 7),
     (4, 8, 10), (8, 5, 10), (5, 9, 10), (9, 6, 10), (6, 7, 10), (7, 4, 10),
 )
+
+#: The macro edges by name, in the canonical order e3, e1, e2: (start
+#: corner, midpoint, end corner).  The corner not on an edge is opposite it.
+EDGES = {"e3": (1, 4, 2), "e1": (2, 5, 3), "e2": (3, 6, 1)}
 
 HALF = Fraction(1, 2)
 
@@ -76,7 +88,6 @@ class PS12Frame:
     """A macrotriangle with its ten split vertices and twelve faces."""
 
     v: tuple  # 10 Point2, 0-based storage for vertices v1..v10
-    faces: tuple = FACES
     area: object = None  # signed area of [v1, v2, v3]
 
     def vertex(self, i: int) -> Point2:
@@ -85,7 +96,7 @@ class PS12Frame:
 
     def face_corners(self, fi: int) -> tuple:
         """Corner points of face fi (1-based)."""
-        i, j, k = self.faces[fi - 1]
+        i, j, k = FACES[fi - 1]
         return (self.v[i - 1], self.v[j - 1], self.v[k - 1])
 
 
@@ -96,15 +107,18 @@ def _mid(a: Point2, b: Point2) -> Point2:
 def make_frame(v1: Point2, v2: Point2, v3: Point2) -> PS12Frame:
     """Build the 12-split frame over the macrotriangle [v1, v2, v3].
 
-    Raises DegenerateTriangle when the corners are collinear.  Exact corners
-    are stored as Fractions, so every split vertex is exact.
+    Raises DegenerateTriangle when the corners are collinear or a coordinate
+    is NaN or infinite.  Exact corners are stored as Fractions, so every
+    split vertex is exact.
     """
     v1, v2, v3 = Point2(*v1), Point2(*v2), Point2(*v3)
-    if is_exact(v1 + v2 + v3):
+    exact = is_exact(v1 + v2 + v3)
+    if exact:
         v1, v2, v3 = (Point2(Fraction(p.x), Fraction(p.y)) for p in (v1, v2, v3))
     area2 = signed_area2(v1, v2, v3)
-    if area2 == 0:
-        raise DegenerateTriangle("macrotriangle corners are collinear")
+    # a NaN or infinite coordinate makes the area NaN or infinite, never 0
+    if area2 == 0 or not (exact or isfinite(area2)):
+        raise DegenerateTriangle("macrotriangle corners are collinear or not finite")
     v4, v5, v6 = _mid(v1, v2), _mid(v2, v3), _mid(v1, v3)
     v7, v8, v9 = _mid(v4, v6), _mid(v4, v5), _mid(v5, v6)
     v10 = Point2((v1.x + v2.x + v3.x) / 3, (v1.y + v2.y + v3.y) / 3)
@@ -186,30 +200,36 @@ def locate_face(frame: PS12Frame, p: Point2) -> Optional[int]:
 #: of corners 1, 2, 3): identity, two rotations, three reflections.
 S3_ELEMENTS = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 3), (1, 3, 2), (3, 2, 1))
 
-_MID_OF = {frozenset((1, 2)): 4, frozenset((2, 3)): 5, frozenset((1, 3)): 6}
-_INNER_MID_OF = {frozenset((4, 6)): 7, frozenset((4, 5)): 8, frozenset((5, 6)): 9}
+
+def s3_apply_bary(sigma: tuple, b: Bary3) -> Bary3:
+    """Image of a barycentric triple: coordinates permuted so the affine
+    symmetry sends sum b_i v_i to sum b_i v_sigma(i)."""
+    out = [None] * 3
+    for i in range(3):
+        out[sigma[i] - 1] = b[i]
+    return tuple(out)
 
 
-@lru_cache(maxsize=None)
+#: Each symmetry's images of the ten split vertices, read off VERTEX_BARY:
+#: an affine map sends a split vertex to the split vertex with the permuted
+#: barycentrics.
+_VERTEX_PERMUTATIONS = {
+    sigma: tuple(VERTEX_BARY.index(s3_apply_bary(sigma, b)) + 1 for b in VERTEX_BARY)
+    for sigma in S3_ELEMENTS
+}
+
+
 def s3_vertex_permutation(sigma: tuple) -> tuple:
     """Extend a corner permutation to all ten split vertices.
 
-    Returns the tuple (p1, ..., p10) with pi the 1-based image of vertex i.
-    Midpoints map to midpoints of image pairs, inner midpoints likewise, and
-    the centroid is fixed.
+    Returns the tuple (p1, ..., p10) with pi the 1-based image of vertex i:
+    the index in VERTEX_BARY of s3_apply_bary(sigma, VERTEX_BARY[i - 1]).
+    Raises DomainError unless sigma is a permutation of (1, 2, 3).
     """
-    if sorted(sigma) != [1, 2, 3]:
-        raise DomainError(f"not a permutation of (1,2,3): {sigma}")
-    img = [0] * 11
-    img[1], img[2], img[3] = sigma
-    img[4] = _MID_OF[frozenset((img[1], img[2]))]
-    img[5] = _MID_OF[frozenset((img[2], img[3]))]
-    img[6] = _MID_OF[frozenset((img[1], img[3]))]
-    img[7] = _INNER_MID_OF[frozenset((img[4], img[6]))]
-    img[8] = _INNER_MID_OF[frozenset((img[4], img[5]))]
-    img[9] = _INNER_MID_OF[frozenset((img[5], img[6]))]
-    img[10] = 10
-    return tuple(img[1:])
+    try:
+        return _VERTEX_PERMUTATIONS[tuple(sigma)]
+    except (KeyError, TypeError):     # not a permutation, or not a sequence
+        raise DomainError(f"not a permutation of (1,2,3): {sigma!r}") from None
 
 
 def s3_apply_multiset(sigma: tuple, m: tuple) -> tuple:
@@ -218,15 +238,6 @@ def s3_apply_multiset(sigma: tuple, m: tuple) -> tuple:
     out = [0] * 10
     for i in range(10):
         out[perm[i] - 1] = m[i]
-    return tuple(out)
-
-
-def s3_apply_bary(sigma: tuple, b: Bary3) -> Bary3:
-    """Image of a barycentric triple: coordinates permuted so the affine
-    symmetry sends sum b_i v_i to sum b_i v_sigma(i)."""
-    out = [None] * 3
-    for i in range(3):
-        out[sigma[i] - 1] = b[i]
     return tuple(out)
 
 

@@ -133,7 +133,7 @@ class BasisSpec:
         for i, el in enumerate(self.elements):
             if el.multiset == K:
                 return i
-        raise KeyError(f"multiset {K} not in basis {self.id}")
+        raise DomainError(f"multiset {K} not in basis {self.id}")
 
     @property
     def multisets(self) -> tuple:
@@ -216,9 +216,12 @@ def marsden_eval(spec: BasisSpec, x: Point2, c, frame: PS12Frame = None):
 
 def bernstein_expansion(spec: BasisSpec, i1: int, i2: int, i3: int) -> tuple:
     """Coefficients a_i with sum_i a_i Q_i equal to the Bernstein polynomial
-    (5! / (i1! i2! i3!)) b1^i1 b2^i2 b3^i3."""
-    if i1 < 0 or i2 < 0 or i3 < 0 or i1 + i2 + i3 != 5:
-        raise DomainError(f"exponents must be nonnegative and sum to 5: {(i1, i2, i3)}")
+    (5! / (i1! i2! i3!)) b1^i1 b2^i2 b3^i3; DomainError unless the exponents
+    are nonnegative ints summing to 5."""
+    exps = (i1, i2, i3)
+    if not all(isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in exps) \
+            or sum(exps) != 5:
+        raise DomainError(f"exponents must be nonnegative ints summing to 5: {exps}")
     return tuple(el.dual_product().coefficient((i1, i2, i3)) for el in spec.elements)
 
 

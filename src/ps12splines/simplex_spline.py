@@ -36,6 +36,7 @@ from operator import add, mul
 
 from .errors import DomainError, InvalidDirection, InvalidWeights, OutsideDomain, TooFewKnots
 from .geometry import (
+    EDGES,
     FACES,
     INTERIOR_LINES,
     PS12Frame,
@@ -136,10 +137,13 @@ def _vertex_bary(tri: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _hull_edges(act: tuple) -> list:
-    """Counterclockwise edges of the convex hull of the given vertex indices
-    on the integer points of _ref_points (Andrew monotone chain); none when
-    the points are collinear."""
+def hull_area(act: tuple) -> Fraction:
+    """Area of the convex hull of the given vertex indices (reference frame).
+
+    The hull is Andrew's monotone chain on the integer points of
+    _ref_points, where twice the area is an integer, divided back by 12^2;
+    collinear points give 0.
+    """
     pts = sorted({_ref_points()[i - 1] for i in act})
 
     def build(points):
@@ -150,34 +154,8 @@ def _hull_edges(act: tuple) -> list:
             chain.append(p)
         return chain
     hull = build(pts)[:-1] + build(pts[::-1])[:-1]
-    return list(zip(hull, hull[1:] + hull[:1])) if len(hull) >= 3 else []
-
-
-@lru_cache(maxsize=None)
-def hull_area(act: tuple) -> Fraction:
-    """Area of the convex hull of the given vertex indices (reference frame).
-
-    Computed on the integer points of _ref_points, where twice the area is
-    an integer, and divided back by 12^2.
-    """
-    s = sum(a.x * b.y - b.x * a.y for a, b in _hull_edges(act))
+    s = sum(a.x * b.y - b.x * a.y for a, b in zip(hull, hull[1:] + hull[:1]))
     return Fraction(abs(s), 2 * _REF_SCALE ** 2)
-
-
-@lru_cache(maxsize=None)
-def support_faces(act: tuple) -> tuple:
-    """Face indices whose closed face lies inside the hull of the knots: the
-    faces whose centroid lies in the closed hull."""
-    ref, edges = _ref_points(), _hull_edges(act)
-    out = []
-    for fi, corners in enumerate(FACES, 1):
-        a, b, c = (ref[i - 1] for i in corners)
-        # three times the centroid against the hull scaled by 3: integers
-        cen3 = Point2(a.x + b.x + c.x, a.y + b.y + c.y)
-        if edges and all(signed_area2(Point2(3 * p.x, 3 * p.y), Point2(3 * q.x, 3 * q.y), cen3) >= 0
-                         for p, q in edges):
-            out.append(fi)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +328,20 @@ def insert_knot(K: KnotMultiset, y: int, weights=None) -> list:
 # Edge restriction, integral, smoothness
 # ---------------------------------------------------------------------------
 
-#: Canonical macro edges by name: (start corner, midpoint, end corner).
-EDGES = {"e3": (1, 4, 2), "e1": (2, 5, 3), "e2": (3, 6, 1)}
-
-
 def edge_key(edge) -> str:
-    """Normalize an edge spec: 'e3'/'e1'/'e2' or a corner pair like (1, 2)."""
+    """Normalize an edge spec: 'e3'/'e1'/'e2' or a corner pair like (1, 2),
+    naming an edge of geometry.EDGES; DomainError for anything else."""
     if isinstance(edge, str):
-        if edge not in EDGES:
-            raise DomainError(f"unknown edge {edge!r}")
-        return edge
-    pair = tuple(edge)
-    for name, (i, _, k) in EDGES.items():
-        if pair in ((i, k), (k, i)):
-            return name
+        if edge in EDGES:
+            return edge
+    else:
+        try:
+            pair = tuple(edge)
+        except TypeError:  # not iterable
+            pair = ()
+        for name, (i, _, k) in EDGES.items():
+            if pair in ((i, k), (k, i)):
+                return name
     raise DomainError(f"unknown edge {edge!r}")
 
 
@@ -421,13 +399,21 @@ def smoothness_order(K: KnotMultiset, interior_line) -> int:
     vertex indices on the line.  The value bounds how many continuous
     derivatives Q[K] has across the line; it is vacuous (the spline has no
     crease there) when fewer than two distinct knots lie on the hull.
-    Raises DomainError for an index outside 0..5.
+    Raises DomainError for an index outside 0..5 and for a tuple that is
+    not of vertex indices 1..10.
     """
     K = knots(K)
     if isinstance(interior_line, int):
         if isinstance(interior_line, bool) or not 0 <= interior_line < len(INTERIOR_LINES):
             raise DomainError(f"interior line index must be 0..5, not {interior_line!r}")
         interior_line = INTERIOR_LINES[interior_line]
+    try:
+        ok = all(isinstance(i, int) and 1 <= i <= 10 for i in interior_line)
+    except TypeError:  # not iterable
+        ok = False
+    if not ok:
+        raise DomainError(f"an interior line is a tuple of vertex indices 1..10, "
+                          f"not {interior_line!r}")
     count = sum(K[i - 1] for i in interior_line)
     return knot_count(K) - count - 2
 
@@ -470,20 +456,27 @@ def _face_ordinates(m: KnotMultiset) -> tuple:
     multiplying degree-(d-1) ordinates c by it gives the degree-d ordinates
     sum_r l_r (beta_r / d) c[beta - e_r].  Fraction-free, like Bareiss: the
     l_r are integers over L, the children go over their common denominator
-    D, and the result over D * L * d.  Triples and the degree-0 base are
-    those of the recursion in the module docstring.  Cached per multiset,
-    so splines that share sub-multisets share their tables.
+    D, and the result over D * L * d.  Triples are those of the recursion
+    in the module docstring.  The degree-0 base is area(T) / area([m]) on
+    the faces whose centroid has nonnegative barycentrics with respect to
+    the three knots, and zero elsewhere: on the faces of the knot triangle
+    whenever its sides run along lines of the split, as they do for any
+    three knots among v1..v6.  Cached per multiset, so splines that share
+    sub-multisets share their tables.
     """
     act = active_indices(m)
     tri = _independent_triple(act)
     if tri is None:
         return 1, (None,) * 12
-    if sum(m) == 3:
-        base = Fraction(1, 2) / hull_area(act)
-        return base.denominator, tuple((base.numerator,) if fi in support_faces(act) else None
-                                       for fi in range(1, 13))
-    deg = sum(m) - 3
     lden, vb = _vertex_bary(tri)
+    if sum(m) == 3:
+        # summing the face corners' rows gives 3 * lden times the centroid's
+        # barycentrics with respect to tri, and lden > 0
+        base = Fraction(1, 2) / hull_area(act)
+        return base.denominator, tuple(
+            (base.numerator,) if min(map(sum, zip(*(vb[v - 1] for v in corners)))) >= 0 else None
+            for corners in FACES)
+    deg = sum(m) - 3
     children = [_face_ordinates(m[:i - 1] + (m[i - 1] - 1,) + m[i:]) for i in tri]
     den = lcm(*(d for d, _ in children))
     faces = []

@@ -456,7 +456,7 @@ def test_nodal_v1_value_row_frozen():
 
 def test_triangulation_validation():
     verts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
-    for bad in ((0, 1, 1), (0, 1, 2, 2), (0, 1, -1), (0, 1, 3)):
+    for bad in ((0, 1, 1), (0, 1, 2, 2), (0, 1, -1), (0, 1, 3), (0, 1, 2.0)):
         with pytest.raises(NonConformingMesh):
             triangulation(verts, [bad])
     tri = triangulation([(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))],

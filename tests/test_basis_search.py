@@ -2,6 +2,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,16 +26,19 @@ from ps12splines.basis_search import (
 from ps12splines.dual_functionals import build_lambda, lambda_vector
 from ps12splines.errors import (DimensionMismatch, DomainError, PS12Error, SingularSystem,
                                SymmetryViolated)
-from ps12splines.geometry import FACES, VERTEX_BARY, reference_frame
+from ps12splines.geometry import EDGES, FACES, INTERIOR_LINES, VERTEX_BARY, reference_frame
 from ps12splines.linalg import _integer_rows, append_row, bareiss, solve
 from ps12splines.marsden_catalog import catalog
 from ps12splines.polynomial import TriPoly
 from ps12splines.simplex_spline import (
+    active_indices,
     bernstein_exponents,
     eval_simplex,
     hull_area,
     knots,
     per_face_bernstein,
+    restrict_to_edge,
+    smoothness_order,
 )
 
 
@@ -47,6 +51,33 @@ def test_twenty_classes_with_expected_sizes():
     assert sum(c.size for c in classes) == 99
     for c in classes:
         assert knots(CLASS_REPRESENTATIVES[c.label]) in c.members
+
+
+def test_admissible_splines_are_those_of_the_definitions():
+    """The 99 members of the 20 classes are exactly the quintic knot vectors
+    on v1..v6 with a nondegenerate support, smoothness order at least 3
+    across every interior line that carries two distinct knots, and at most
+    one B-spline term in the restriction to every macro edge, where a
+    restriction that raises DomainError rejects.  The restriction expands
+    through bspline1d.expand_window, not through the search's own rule."""
+    frame = reference_frame()
+
+    def admissible(K):
+        if hull_area(active_indices(K)) == 0:
+            return False
+        if any(smoothness_order(K, line) < 3 for line in INTERIOR_LINES
+               if sum(1 for i in line if K[i - 1]) >= 2):
+            return False
+        try:
+            return all(len(restrict_to_edge(frame, K, e).terms) <= 1 for e in EDGES)
+        except DomainError:
+            return False
+
+    vectors = [K + (0,) * 4 for K in product(range(9), repeat=6) if sum(K) == 8]
+    assert len(vectors) == 1287
+    members = {K for cls in enumerate_admissible() for K in cls.members}
+    assert len(members) == 99
+    assert {K for K in vectors if admissible(K)} == members
 
 
 def test_candidate_count_and_shape():

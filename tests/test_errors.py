@@ -8,11 +8,22 @@ import pytest
 from ps12splines import (assembly, basis_search, bspline1d, dual_functionals, geometry,
                          marsden_catalog, serialize, simplex_spline, spline_fn)
 from ps12splines.basis_search import CandidateBasis
-from ps12splines.errors import (DimensionMismatch, DomainError, InvalidDirection, OutsideDomain,
-                                PS12Error)
+from ps12splines.errors import (DegenerateTriangle, DimensionMismatch, DomainError,
+                                InvalidDirection, OutsideDomain, PS12Error)
 
 K = simplex_spline.knots("141110")
 C_MULTISETS = marsden_catalog.catalog("c").multisets
+
+
+def _c_weights_with_one_class_b_weight_changed():
+    """Basis c's weights, with a non-representative member of class b
+    given 7 times its weight."""
+    spec = marsden_catalog.catalog("c")
+    rep = basis_search.CLASS_REPRESENTATIVES["b"]
+    i = next(i for i, el in enumerate(spec.elements)
+             if el.class_label == rep and el.multiset != simplex_spline.knots(rep))
+    return spec.weights[:i] + (7 * spec.weights[i],) + spec.weights[i + 1:]
+
 
 BAD_CALLS = {
     "knots": lambda: simplex_spline.knots((1, -1)),
@@ -30,6 +41,10 @@ BAD_CALLS = {
     "smoothness_order six": lambda: simplex_spline.smoothness_order(K, 6),
     "edge_key name": lambda: simplex_spline.edge_key("e4"),
     "edge_key pair": lambda: simplex_spline.edge_key((1, 5)),
+    "edge_key int": lambda: simplex_spline.edge_key(5),
+    "restrict_to_edge None": lambda: simplex_spline.restrict_to_edge(
+        geometry.reference_frame(), K, None),
+    "smoothness_order vertices outside 1..10": lambda: simplex_spline.smoothness_order(K, (11, 12)),
     "bspline degree": lambda: bspline1d.UnivariateBSplineRef(6, 1),
     "bspline index": lambda: bspline1d.UnivariateBSplineRef(5, 9),
     "expand_window total": lambda: bspline1d.expand_window(5, 1, 1, 1),
@@ -42,8 +57,12 @@ BAD_CALLS = {
         bspline1d.UnivariateBSplineRef(5, 3), 0, -1),
     "bernstein_expansion": lambda: marsden_catalog.bernstein_expansion(
         marsden_catalog.catalog("c"), 1, 1, 1),
+    "bernstein_expansion float exponents": lambda: marsden_catalog.bernstein_expansion(
+        marsden_catalog.catalog("c"), 2.5, 2.5, 0),
+    "index_of multiset not in the basis": lambda: marsden_catalog.catalog("c").index_of("800000"),
     "barycentric_lattice": lambda: serialize.barycentric_lattice(0),
     "s3_vertex_permutation": lambda: geometry.s3_vertex_permutation((1, 1, 2)),
+    "s3_vertex_permutation None": lambda: geometry.s3_vertex_permutation(None),
     "filter_pipeline stage": lambda: basis_search.filter_pipeline([], stage="bogus"),
     "filter_pipeline ints": lambda: basis_search.filter_pipeline(candidates=[1, 2]),
     "filter_pipeline multisets": lambda: basis_search.filter_pipeline(candidates=[C_MULTISETS]),
@@ -57,6 +76,8 @@ BAD_CALLS = {
     "compute_weights None": lambda: basis_search.compute_weights(None),
     "compute_dual_polys 38 splines": lambda: basis_search.compute_dual_polys(C_MULTISETS[1:]),
     "domain_point zero weights": lambda: basis_search.domain_point(C_MULTISETS, [0] * 39),
+    "domain_point weights differ within a class": lambda: basis_search.domain_point(
+        C_MULTISETS, _c_weights_with_one_class_b_weight_changed()),
     "split_linear_factors int": lambda: basis_search.split_linear_factors(5),
     "control_distance_bound_check negative bound": lambda:
         spline_fn.control_distance_bound_check(FLOAT_SPLINE, -1),
@@ -130,6 +151,8 @@ NON_FINITE_CALLS = {
     "value_at_bary": lambda bad: spline_fn.face_forms(FLOAT_SPLINE).value_at_bary((0.5, bad, 0.5)),
     "eval_many": lambda bad: spline_fn.eval_many(FLOAT_SPLINE, [(0.2, 0.3, 0.5), (0.5, 0.5, bad)]),
     "eval_simplex": lambda bad: simplex_spline.eval_simplex(FLOAT_FRAME, K, (bad, 0.2)),
+    "bspline_derivative": lambda bad: bspline1d.bspline_derivative(
+        bspline1d.UnivariateBSplineRef(5, 3), bad),
 }
 
 
@@ -140,6 +163,17 @@ def test_non_finite_point_raises_outside_domain(name, bad):
     NaN value, no bare ValueError or OverflowError from Fraction."""
     with pytest.raises(OutsideDomain):
         NON_FINITE_CALLS[name](bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("corner", range(3))
+def test_non_finite_corner_raises_degenerate_triangle(corner, bad):
+    """NaN != 0, so a NaN area passed the collinearity test; an infinite
+    corner gives a NaN or infinite area."""
+    corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    corners[corner] = (corners[corner][0], bad)
+    with pytest.raises(DegenerateTriangle):
+        geometry.make_frame(*corners)
 
 
 def test_locate_face_bary_puts_nan_in_no_face():
