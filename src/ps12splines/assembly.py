@@ -12,17 +12,19 @@ patch on its own.
 The module also carries the Hermite nodal basis dual to the 39 canonical
 functionals (the inverse of the basis-c collocation matrix), global
 interpolation of vertex jets plus edge cross derivatives on a triangulation,
-and a cross-edge smoothness checker.  Hermite interpolation reads each edge
-through fixed exact rows, one path for both layers: int and Fraction input
-gives Fractions (rational.is_exact), any other number double precision.
+and a cross-edge smoothness checker.  Exact input (rational.is_exact) runs
+on integers over one denominator: a triangle's Hermite coefficients are one
+integer mat-vec, a checked derivative one integer row times a spline's
+integer face ordinates.  Float input keeps its own arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from numbers import Integral
+from operator import add
 
 from .errors import (
     DegenerateTriangle,
@@ -32,13 +34,14 @@ from .errors import (
 )
 from .bspline1d import UnivariateBSplineRef, bspline_derivative
 from .dual_functionals import JET_ORDERS, build_lambda, lambda_vector
-from .geometry import EDGES, PS12Frame, Point2, make_frame, reference_frame, signed_area2
-from .linalg import inverse, mat_vec, solve
+from .geometry import (EDGES, PS12Frame, Point2, direction_coords, make_frame, reference_frame,
+                       signed_area2)
+from .linalg import integer_matrix, integer_mat_vec, inverse, mat_vec, solve
 from .marsden_catalog import catalog
 from .polynomial import TriPoly
-from .rational import is_exact
+from .rational import common_denominator, is_exact
 from .simplex_spline import _derivative_terms, restrict_to_edge
-from .spline_fn import Spline, face_forms
+from .spline_fn import Spline, _exact_value, face_forms
 
 #: Number of basis elements with nonzero derivative restrictions of orders
 #: 0..3 on the edge [v1, v2] (in the canonical element order).
@@ -301,26 +304,23 @@ class GlobalSpline:
         return Spline(self.tri.frame(t), self.basis, tuple(self.coeffs[t]))
 
 
-def _edge_param_bary(tri_vertices: tuple, edge: tuple, t):
-    """Macro-barycentric coordinates, in a triangle's local order, of the
-    point at parameter t along a global edge (structurally exact)."""
-    ia, ib = edge
-    beta = [t * 0] * 3
-    beta[tri_vertices.index(ia)] = 1 - t
-    beta[tri_vertices.index(ib)] = t
-    return tuple(beta)
-
-
 def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
                       tol=None) -> dict:
     """Maximum cross-edge jump of each derivative order up to ``order``.
 
     Samples interior parameters of the shared edge and compares one-sided
-    directional derivatives computed from the Bernstein forms on the two
-    adjacent triangles (no numerical differentiation).  Exact data yields
-    exact jumps (zero for a genuine join); float data gets a pass flag
-    against ``tol``, which defaults to 1e-10 in that layer.  Raises
-    DomainError for samples < 1 or order < 0, which would check nothing.
+    derivatives along the edge normal from the Bernstein forms on the two
+    adjacent triangles.  Exact data yields exact jumps, each derivative one
+    integer row of simplex_spline.functional_row times the spline's integer
+    ordinates; float data gets a pass flag against ``tol``, which defaults
+    to 1e-10 in that layer.  Raises DomainError for samples < 1 or order <
+    0, which would check nothing.
+
+    What zero jumps show: the order-k cross derivative restricted to the
+    edge lies in an (8 - k)-dimensional space (degree 5 - k, C^(3 - k) at
+    the edge midpoint), so zero jumps prove a C^k join only when the
+    samples are unisolvent for that space; otherwise they are a sample
+    (ROADMAP item 4 would compare B-spline coefficients instead).
     """
     if samples < 1 or order < 0:
         raise DomainError("verify_smoothness needs samples >= 1 and order >= 0")
@@ -328,21 +328,24 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
     adj = gs.tri.edge_adjacency().get(edge)
     if adj is None or len(adj) != 2:
         raise NonConformingMesh(f"edge {edge} is not an interior edge")
-    ta, tb = adj
-    sa, sb = gs.spline(ta), gs.spline(tb)
-    exact = sa.exact and sb.exact
+    splines = [gs.spline(t) for t in adj]
+    exact = all(s.exact for s in splines)
     if tol is None and not exact:
         tol = 1e-10
     va, vb = (gs.tri.vertices[i] for i in edge)
     u = Point2(-(vb.y - va.y), vb.x - va.x)
-    ffa, ffb = face_forms(sa), face_forms(sb)
+    # per side, a reader of (beta, directions) and the direction it takes
+    (ra, da), (rb, db) = ([(partial(_exact_value, s), direction_coords(s.frame.v[:3], u))
+                           for s in splines] if exact else
+                          [(face_forms(s).value_at_bary, u) for s in splines])
     jumps = {k: Fraction(0) if exact else 0.0 for k in range(order + 1)}
     for n in range(1, samples + 1):
         t = Fraction(n, samples + 1) if exact else n / (samples + 1)
-        ba = _edge_param_bary(gs.tri.triangles[ta], edge, t)
-        bb = _edge_param_bary(gs.tri.triangles[tb], edge, t)
+        # the sample's macro-barycentrics in each triangle's corner order
+        ba, bb = (tuple((1 - t) * (v == edge[0]) + t * (v == edge[1])
+                        for v in gs.tri.triangles[i]) for i in adj)
         for k in range(order + 1):
-            gap = abs(ffa.value_at_bary(ba, (u,) * k) - ffb.value_at_bary(bb, (u,) * k))
+            gap = abs(ra(ba, (da,) * k) - rb(bb, (db,) * k))
             if gap > jumps[k]:
                 jumps[k] = gap
     report = {"jumps": jumps, "max": max(jumps.values())}
@@ -368,6 +371,14 @@ def nodal_q_coefficients() -> tuple:
     return tuple(tuple(row) for row in inverse(L))
 
 
+@lru_cache(maxsize=1)
+def _nodal_integer() -> tuple:
+    """integer_matrix of diag(1 / w_i) N^T, N = nodal_q_coefficients(): row j
+    takes a triangle's 39 functional values to its coefficient j."""
+    return integer_matrix([[n / el.weight for n in col]
+                           for el, col in zip(catalog("c").elements, zip(*nodal_q_coefficients()))])
+
+
 @dataclass(frozen=True)
 class NodalBasis:
     """The 39 splines dual to the canonical functionals, over one frame."""
@@ -377,31 +388,25 @@ class NodalBasis:
 
 
 def nodal_basis(frame: PS12Frame) -> NodalBasis:
-    """Nodal basis functions as basis-c splines on a frame."""
-    spec = catalog("c")
-    rows = nodal_q_coefficients()
-    splines = tuple(
-        Spline(frame, "c", tuple(v / el.weight for v, el in zip(row, spec.elements)))
-        for row in rows)
-    return NodalBasis(frame, splines)
+    """Nodal basis functions as basis-c splines on a frame; the coefficients
+    of nodal function i are column i of _nodal_integer()."""
+    d, rows = _nodal_integer()
+    return NodalBasis(frame, tuple(Spline(frame, "c", tuple(Fraction(x, d) for x in col))
+                                   for col in zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
 # Global Hermite interpolation
 # ---------------------------------------------------------------------------
 
-def _jet_directional(jet: dict, dirs) -> object:
-    """Apply directional derivatives to a Cartesian jet dict {(i, j): value}."""
-    cur = dict(jet)
-    for u in dirs:
-        nxt = {}
-        for (a, b) in cur:
-            up = cur.get((a + 1, b))
-            vp = cur.get((a, b + 1))
-            if up is not None and vp is not None:
-                nxt[(a, b)] = u.x * up + u.y * vp
-        cur = nxt
-    return cur[(0, 0)]
+def _jet_directional(jet, dirs) -> object:
+    """Apply directional derivatives, vectors (x, y), to a Cartesian jet in
+    JET_ORDERS order."""
+    cur = dict(zip(JET_ORDERS, jet))
+    for ux, uy in dirs:
+        cur = {(a, b): ux * cur[a + 1, b] + uy * cur[a, b + 1]
+               for a, b in cur if (a + 1, b) in cur and (a, b + 1) in cur}
+    return cur[0, 0]
 
 
 def _univariate_rows(degree: int, conditions) -> list:
@@ -420,15 +425,16 @@ def _edge_rows() -> tuple:
     spline of the cross derivative, fixed by its derivatives of orders 0..2
     at t = 0 and 1 and by g(1/2).  The f rows map those 8 values to f''(1/4),
     f'(1/2), f''(3/4); the g rows map the 7 values to g'(1/4), g'(3/4).
+    Each set of rows comes as (rows, integer_matrix(rows)).
     """
     q, h, ends = Fraction(1, 4), Fraction(1, 2), (Fraction(0), Fraction(1))
     f_read, f_fixed = ((q, 2), (h, 1), (3 * q, 2)), [(t, o) for t in ends for o in range(4)]
     g_read, g_fixed = ((q, 1), (3 * q, 1)), [(t, o) for t in ends for o in range(3)] + [(h, 0)]
     # a read row times the inverse of the fixing conditions
-    return tuple(
-        tuple(mat_vec(list(zip(*inverse(_univariate_rows(d, fixed)))), row)
-              for row in _univariate_rows(d, read))
-        for d, read, fixed in ((5, f_read, f_fixed), (4, g_read, g_fixed)))
+    rows = [[mat_vec(list(zip(*inverse(_univariate_rows(d, fixed)))), row)
+             for row in _univariate_rows(d, read)]
+            for d, read, fixed in ((5, f_read, f_fixed), (4, g_read, g_fixed))]
+    return tuple((tuple(map(tuple, r)), integer_matrix(r)) for r in rows)
 
 
 def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpline:
@@ -440,7 +446,9 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
     the second derivative at (3 v_a + v_b)/4, the first derivative at the
     midpoint, and the second derivative at (v_a + 3 v_b)/4.  The result is
     continuous with two continuous derivatives across interior edges and
-    three at the vertices; it is exact when the vertices and data are.
+    three at the vertices.  It is exact when the vertices and data are, and
+    then runs on integers over one denominator per jet, per set of
+    directions and per triangle's 39 functional values.
     """
     vertex_jets = {k: tuple(v) for k, v in vertex_jets.items()}
     edge_data = {tuple(sorted(k)): tuple(v) for k, v in edge_data.items()}
@@ -452,31 +460,45 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
             any(len(v) != 3 for v in edge_data.values()):
         raise DimensionMismatch("jet length must be 10 and edge data length 3")
 
-    jets = {i: {key: vertex_jets[i][n] for n, key in enumerate(JET_ORDERS)}
-            for i in vertex_jets}
+    exact = is_exact([x for p in tri.vertices for x in p] +
+                     [x for vals in (*vertex_jets.values(), *edge_data.values()) for x in vals])
+    over_one = common_denominator if exact else (lambda values: (1, list(values)))
+    jets = {i: over_one(jet) for i, jet in vertex_jets.items()}
+
+    def vectors(vs):
+        den, nums = over_one([x for v in vs for x in v])
+        return den, list(zip(nums[::2], nums[1::2]))
+
+    def directional(v, den, dirs):
+        """Vertex v's jet after one derivative along each of dirs, vectors over den."""
+        jden, jet = jets[v]
+        num = _jet_directional(jet, dirs)
+        return Fraction(num, jden * den ** len(dirs)) if exact else num
+
     # per edge, over the global normal ug and tangent tg: the second normal,
     # mixed and tangential derivatives at each quarterpoint, and the first
     # normal and tangential derivatives at the midpoint
-    f_rows, g_rows = _edge_rows()
+    (f_rows, f_int), (g_rows, g_int) = _edge_rows()
     edge_values = {}
     for (a, b), (d2q1, d1m, d2q2) in edge_data.items():
         va, vb = tri.vertices[a], tri.vertices[b]
         tg = Point2(vb.x - va.x, vb.y - va.y)
         ug = Point2(-tg.y, tg.x)
-        f = [_jet_directional(jets[v], (tg,) * o) for v in (a, b) for o in range(4)]
-        g = [_jet_directional(jets[v], (ug,) + (tg,) * o) for v in (a, b) for o in range(3)]
-        f_q1, f_m, f_q2 = mat_vec(f_rows, f)
-        g_q1, g_q2 = mat_vec(g_rows, g + [d1m])
+        den, (tang, norm) = vectors((tg, ug))
+        f = [directional(v, den, (tang,) * o) for v in (a, b) for o in range(4)]
+        g = [directional(v, den, (norm,) + (tang,) * o) for v in (a, b) for o in range(3)] + [d1m]
+        f_q1, f_m, f_q2 = integer_mat_vec(*f_int, f) if exact else mat_vec(f_rows, f)
+        g_q1, g_q2 = integer_mat_vec(*g_int, g) if exact else mat_vec(g_rows, g)
         edge_values[a, b] = (tg, ug, (d2q1, g_q1, f_q1), (d1m, f_m), (d2q2, g_q2, f_q2))
 
-    nodal = nodal_q_coefficients()
-    spec = catalog("c")
     coeff_vectors = []
     for t, tri_idx in enumerate(tri.triangles):
         lams = build_lambda(tri.frame(t))
-        # vertex jets in the canonical local directions
-        values = [_jet_directional(jets[tri_idx[lam.site[1] - 1]], lam.directions)
-                  for lam in lams[:30]]
+        # vertex jets in the canonical local directions: corner c's functional
+        # (i, j) differentiates i times along its x and j times along its y
+        den, xy = vectors([lams[10 * c + k].directions[0] for c in range(3) for k in (1, 2)])
+        values = [directional(tri_idx[c], den, (xy[2 * c],) * i + (xy[2 * c + 1],) * j)
+                  for c in range(3) for i, j in JET_ORDERS]
         # edge functionals
         for e, (a_loc, _, b_loc) in enumerate(EDGES.values()):
             ga, gb = tri_idx[a_loc - 1], tri_idx[b_loc - 1]
@@ -495,16 +517,10 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
             # the local q1 is the quarterpoint near ga
             near, far = (q_first, q_second) if ga == key[0] else (q_second, q_first)
             values += [quarterpoint(*near), s * d1m + w * f_m, quarterpoint(*far)]
-        coeffs = [Fraction(0) if is_exact(values) else 0.0] * 39
-        for fi, val in enumerate(values):
-            if val == 0:
-                continue
-            row = nodal[fi]
-            for j in range(39):
-                if row[j]:
-                    coeffs[j] += val * row[j]
-        coeffs = [c / el.weight for c, el in zip(coeffs, spec.elements)]
-        coeff_vectors.append(tuple(coeffs))
+        # float sums run left to right over the nonzero terms (sum() compensates from 3.12)
+        coeff_vectors.append(integer_mat_vec(*_nodal_integer(), values) if exact else tuple(
+            reduce(add, (v * n for v, n in zip(values, col) if v and n), 0.0) / el.weight
+            for el, col in zip(catalog("c").elements, zip(*nodal_q_coefficients()))))
     return GlobalSpline(tri, tuple(coeff_vectors))
 
 

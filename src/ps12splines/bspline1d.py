@@ -76,13 +76,12 @@ def ref_from_counts(degree: int, zeros: int, halves: int, ones: int):
     """Identify the shorthand reference whose local window has these knot counts.
 
     Returns None when the multiset is not a window of the open knot vector
-    (for instance more than two interior knots).
+    (for instance more than two interior knots).  Window i holds
+    max(0, d + 2 - i) zeros, max(0, i - 2) ones and the rest halves.
     """
-    if zeros + halves + ones != degree + 2:
-        return None
     for index in range(1, degree + 4):
-        kn = local_knots(degree, index)
-        if (kn.count(0), kn.count(HALF), kn.count(1)) == (zeros, halves, ones):
+        z, o = max(0, degree + 2 - index), max(0, index - 2)
+        if (z, degree + 2 - z - o, o) == (zeros, halves, ones):
             return UnivariateBSplineRef(degree, index)
     return None
 

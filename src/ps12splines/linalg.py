@@ -20,6 +20,7 @@ Right-hand sides of :func:`solve` are rational matrices; :func:`inverse` is
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionMismatch, SingularSystem
 from .rational import common_denominator
@@ -33,6 +34,19 @@ def identity(n: int) -> Matrix:
 
 def mat_vec(A: Matrix, x: list) -> list:
     return [sum((a * xv for a, xv in zip(row, x)), start=Fraction(0)) for row in A]
+
+
+def integer_matrix(A: Matrix) -> tuple[int, list]:
+    """(d, rows): the rational matrix A as integer rows over one denominator d."""
+    d, nums = common_denominator([x for row in A for x in row])
+    return d, [nums[k:k + len(A[0])] for k in range(0, len(nums), len(A[0]))]
+
+
+def integer_mat_vec(d: int, rows, x) -> tuple:
+    """(rows / d) x for an exact x: x over one denominator, one integer dot
+    product and one Fraction per entry."""
+    den, v = common_denominator(x)
+    return tuple(Fraction(sum(map(mul, r, v)), den * d) for r in rows)
 
 
 def inf_norm(A: Matrix) -> Fraction:

@@ -460,9 +460,10 @@ def _face_ordinates(m: KnotMultiset) -> tuple:
     in the module docstring.  The degree-0 base is area(T) / area([m]) on
     the faces whose centroid has nonnegative barycentrics with respect to
     the three knots, and zero elsewhere: on the faces of the knot triangle
-    whenever its sides run along lines of the split, as they do for any
-    three knots among v1..v6.  Cached per multiset, so splines that share
-    sub-multisets share their tables.
+    when its sides run along lines of the split, as they do for any three
+    knots among v1..v6.  A side on no such line crosses a face, so a
+    recursion that reaches such a triangle raises DomainError.  Cached per
+    multiset, so splines that share sub-multisets share their tables.
     """
     act = active_indices(m)
     tri = _independent_triple(act)
@@ -470,6 +471,9 @@ def _face_ordinates(m: KnotMultiset) -> tuple:
         return 1, (None,) * 12
     lden, vb = _vertex_bary(tri)
     if sum(m) == 3:
+        lines = (*EDGES.values(), *INTERIOR_LINES)
+        if not all(any({i, j} <= set(line) for line in lines) for i, j in combinations(tri, 2)):
+            raise DomainError(f"knot triangle {tri} has a side across a face of the split")
         # summing the face corners' rows gives 3 * lden times the centroid's
         # barycentrics with respect to tri, and lden > 0
         base = Fraction(1, 2) / hull_area(act)

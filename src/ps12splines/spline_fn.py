@@ -3,12 +3,13 @@
 A spline is f = sum_i c_i S_i with S_i = w_i Q_i the scaled basis functions.
 Every value comes from one cached table per basis, the per-face ordinates
 of the S_i as integers over one denominator: basis_values multiplies it by
-the Bernstein row of simplex_spline.functional_row, face_forms contracts it
-with the coefficients.  Values are exact Fractions when coefficients, frame
+the Bernstein row of simplex_spline.functional_row, a spline contracts it
+with its coefficients.  Values are exact Fractions when coefficients, frame
 and points are exact (rational.is_exact): the exact kernels run on integers
 (the located row, the table and the coefficients each over one
-denominator, the coefficients scaled once per spline) and divide once per
-result.  Otherwise the float layer, the only numpy user (exact work never
+denominator, the coefficients scaled once per spline and contracted once
+per face on the face's first read, which exact eval_spline and the
+assembly's join check share) and divide once per result.  Otherwise the float layer, the only numpy user (exact work never
 imports it), contracts the float table with the float coefficients once
 per spline into 12 x 21 face ordinates, read by float eval_spline (one
 point) and eval_many (a numpy batch) with the same IEEE operations in the
@@ -36,7 +37,7 @@ from .errors import (BoundViolated, DimensionMismatch, DomainError, OutsideDomai
                      UnsupportedBasis)
 from .geometry import (PS12Frame, Point2, S3_ELEMENTS, _layer_face_bary_matrices, from_bary,
                        s3_apply_bary, to_bary)
-from .linalg import _integer_solve, identity, inf_norm
+from .linalg import _integer_solve, identity, inf_norm, integer_mat_vec
 from .marsden_catalog import BASIS_IDS, catalog
 from .rational import common_denominator, is_exact
 from .simplex_spline import SNAP_TOL, FaceForms, _face_ordinates, _row_terms, functional_row
@@ -69,6 +70,20 @@ class Spline:
     def exact(self) -> bool:
         """True when the coefficients and the frame corners are exact."""
         return self._int_coeffs is not None and is_exact([c for p in self.frame.v[:3] for c in p])
+
+    @cached_property
+    def _int_ords(self) -> dict:
+        """Face index -> integer ordinates there, filled by _exact_ordinates."""
+        return {}
+
+    def _exact_ordinates(self, fi: int) -> tuple[int, list]:
+        """(D, ords): the exact spline's ordinates on face fi as integers over
+        D, the scaled table contracted with the coefficients once per face."""
+        q, table = scaled_basis_tables(self.basis)
+        cden, c = self._int_coeffs
+        if fi not in self._int_ords:
+            self._int_ords[fi] = [sum(map(mul, t, c)) for t in table[fi - 1]]
+        return q * cden, self._int_ords[fi]
 
     @cached_property
     def _float_forms(self) -> FaceForms:
@@ -115,19 +130,11 @@ def basis_values(basis_id: str, beta):
     Exact (a tuple of Fractions) for exact beta; otherwise a float array.
     Raises OutsideDomain for points outside the closed macrotriangle.
     """
-    if not is_exact(beta):
-        fi, _, row = functional_row(beta)
-        return row @ _scaled_basis_arrays(basis_id)[fi - 1]
-    den, vals = _int_basis_values(basis_id, beta)
-    return tuple(Fraction(v, den) for v in vals)
-
-
-def _int_basis_values(basis_id: str, beta) -> tuple:
-    """(D, vals): the 39 values S_i at exact beta as integers over one
-    denominator D, the located integer row times its face's table."""
     fi, den, row = functional_row(beta)
+    if not is_exact(beta):
+        return row @ _scaled_basis_arrays(basis_id)[fi - 1]
     q, table = scaled_basis_tables(basis_id)
-    return den * q, [sum(map(mul, row, col)) for col in zip(*table[fi - 1])]
+    return tuple(Fraction(sum(map(mul, row, col)), den * q) for col in zip(*table[fi - 1]))
 
 
 def eval_spline(s: Spline, p) -> object:
@@ -141,11 +148,19 @@ def eval_spline(s: Spline, p) -> object:
     beta = to_bary(s.frame, Point2(*p))
     if is_exact(beta):
         if s._int_coeffs is not None:
-            den, vals = _int_basis_values(s.basis, beta)
-            cden, c = s._int_coeffs
-            return Fraction(sum(map(mul, vals, c)), den * cden)
+            return _exact_value(s, beta)
         beta = tuple(map(float, beta))
     return s._float_forms.value_at_bary(beta)
+
+
+def _exact_value(s: Spline, beta, deltas=()) -> Fraction:
+    """Value of an exact spline at exact macro-barycentrics beta after one
+    derivative along each exact macro-directional triple in deltas: the
+    integer row of functional_row times the spline's integer ordinates on
+    the located face, one Fraction."""
+    fi, den, row = functional_row(beta, deltas)
+    d, ords = s._exact_ordinates(fi)
+    return Fraction(sum(map(mul, row, ords)), den * d)
 
 
 def _locate_faces(b1, b2, b3):
@@ -190,18 +205,13 @@ def face_forms(s: Spline) -> FaceForms:
     """The spline as one quintic Bernstein form per face: the scaled tables
     contracted with the coefficients.
 
-    Exact when the coefficients and the frame are; otherwise float ordinates.
+    Exact when the coefficients and the frame are, as Fractions of the
+    spline's integer ordinates; otherwise float ordinates.
     """
-    return _exact_face_forms(s) if s.exact else s._float_forms
-
-
-@lru_cache(maxsize=64)
-def _exact_face_forms(s: Spline) -> FaceForms:
-    q, table = scaled_basis_tables(s.basis)
-    cden, c = s._int_coeffs
-    den = q * cden
-    return FaceForms(s.frame, 5, tuple(tuple(Fraction(sum(map(mul, t, c)), den) for t in face)
-                                       for face in table))
+    if not s.exact:
+        return s._float_forms
+    faces = map(s._exact_ordinates, range(1, 13))
+    return FaceForms(s.frame, 5, tuple(tuple(Fraction(o, d) for o in ords) for d, ords in faces))
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +249,7 @@ def lagrange_interpolate(basis_id: str, frame: PS12Frame, values) -> Spline:
         raise DimensionMismatch(f"need 39 values, got {len(values)}")
     _, d, n = _collocation(basis_id)
     if is_exact(values):
-        den, v = common_denominator(values)
-        den *= d
-        coeffs = tuple(Fraction(sum(map(mul, r, v)), den) for r in n)
+        coeffs = integer_mat_vec(d, n, values)
     else:
         coeffs = tuple(sum(x / d * y for x, y in zip(r, values)) for r in n)
     return Spline(frame, basis_id, coeffs)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from conftest import rational_points
 from ps12splines.assembly import (
     N_BLOCKS,
+    GlobalSpline,
+    _edge_rows,
     _smoothness_symbolic,
     c3_residual,
     edge_restriction_tables,
@@ -21,13 +23,15 @@ from ps12splines.assembly import (
     triangulation,
     verify_smoothness,
 )
-from ps12splines.dual_functionals import apply, build_lambda, lambda_vector
+from ps12splines.dual_functionals import JET_ORDERS, apply, build_lambda, lambda_vector
 from ps12splines.errors import DimensionMismatch, DomainError, NonConformingMesh
-from ps12splines.geometry import Point2, from_bary, make_frame, reference_frame, to_bary
+from ps12splines.geometry import (EDGES, Point2, direction_coords, from_bary, make_frame,
+                                  reference_frame, to_bary)
+from ps12splines.linalg import mat_vec
 from ps12splines.marsden_catalog import catalog
 from ps12splines.polynomial import TriPoly
-from ps12splines.simplex_spline import knots
-from ps12splines.spline_fn import Spline, eval_spline, face_forms, lagrange_interpolate
+from ps12splines.simplex_spline import functional_row, knots
+from ps12splines.spline_fn import eval_spline, face_forms, lagrange_interpolate, scaled_basis_tables
 
 a1, a2, a3 = (TriPoly.variable(i) for i in range(3))
 b1, b2, b3 = (TriPoly.variable(i) for i in range(3))
@@ -392,7 +396,6 @@ def test_verify_smoothness_join_and_perturbation():
     full_t = list(ctil) + [F(0)] * (39 - len(ctil))
     verts = [T.v[0], T.v[1], T.v[2], vt3]
     tri = triangulation(verts, [(0, 1, 2), (0, 1, 3)])
-    from ps12splines.assembly import GlobalSpline
     gs = GlobalSpline(tri, (tuple(coeffs), tuple(full_t)))
     rep = verify_smoothness(gs, (0, 1), 2, samples=9)
     assert all(j == 0 for j in rep["jumps"].values())
@@ -409,7 +412,6 @@ def test_verify_smoothness_rejects_vacuous_checks():
     """samples=0 would compare nothing and report a jump of 1 as zero."""
     verts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(-1))]
     tri = triangulation(verts, [(0, 1, 2), (0, 1, 3)])
-    from ps12splines.assembly import GlobalSpline
     gs = GlobalSpline(tri, ((F(0),) * 39, (F(1),) * 39))
     assert verify_smoothness(gs, (0, 1), 0, samples=1)["jumps"][0] == 1
     for samples, order in ((0, 0), (-1, 1), (3, -1)):
@@ -577,3 +579,140 @@ def test_hermite_int_data_is_exact():
     assert got.coeffs == frac.coeffs
     rep = verify_smoothness(got, (1, 2), 2, samples=5)
     assert all(j == 0 for j in rep["jumps"].values())
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles: Hermite assembly and the sampled join check with every
+# step in Fraction arithmetic, the face ordinates contracted here
+# ---------------------------------------------------------------------------
+
+def _oracle_jet(jet: dict, dirs):
+    cur = dict(jet)
+    for u in dirs:
+        cur = {(a, b): u.x * cur[a + 1, b] + u.y * cur[a, b + 1]
+               for a, b in cur if (a + 1, b) in cur and (a, b + 1) in cur}
+    return cur[0, 0]
+
+
+def _oracle_hermite(tri, vertex_jets, edge_data):
+    jets = {i: dict(zip(JET_ORDERS, v)) for i, v in vertex_jets.items()}
+    (f_rows, _), (g_rows, _) = _edge_rows()
+    edge_values = {}
+    for (a, b), (d2q1, d1m, d2q2) in edge_data.items():
+        va, vb = tri.vertices[a], tri.vertices[b]
+        tg = Point2(vb.x - va.x, vb.y - va.y)
+        ug = Point2(-tg.y, tg.x)
+        f = [_oracle_jet(jets[v], (tg,) * o) for v in (a, b) for o in range(4)]
+        g = [_oracle_jet(jets[v], (ug,) + (tg,) * o) for v in (a, b) for o in range(3)]
+        f_q1, f_m, f_q2 = mat_vec(f_rows, f)
+        g_q1, g_q2 = mat_vec(g_rows, g + [d1m])
+        edge_values[a, b] = (tg, ug, (d2q1, g_q1, f_q1), (d1m, f_m), (d2q2, g_q2, f_q2))
+    nodal = nodal_q_coefficients()
+    weights = [el.weight for el in catalog("c").elements]
+    out = []
+    for t, idx in enumerate(tri.triangles):
+        lams = build_lambda(tri.frame(t))
+        values = [_oracle_jet(jets[idx[lam.site[1] - 1]], lam.directions) for lam in lams[:30]]
+        for e, (a_loc, _, b_loc) in enumerate(EDGES.values()):
+            ga, gb = idx[a_loc - 1], idx[b_loc - 1]
+            key = tuple(sorted((ga, gb)))
+            tg, ug, q_first, (d1m, f_m), q_second = edge_values[key]
+            # the local direction over (global normal, tangent)
+            (ul,) = lams[31 + 3 * e].directions
+            det = ug.x * tg.y - ug.y * tg.x
+            s = (ul.x * tg.y - ul.y * tg.x) / det
+            w = (ug.x * ul.y - ug.y * ul.x) / det
+            near, far = (q_first, q_second) if ga == key[0] else (q_second, q_first)
+            values += [s * s * near[0] + 2 * s * w * near[1] + w * w * near[2],
+                       s * d1m + w * f_m,
+                       s * s * far[0] + 2 * s * w * far[1] + w * w * far[2]]
+        out.append(tuple(sum((v * nodal[i][j] for i, v in enumerate(values)), F(0)) / weights[j]
+                         for j in range(39)))
+    return tuple(out)
+
+
+def _oracle_jumps(gs, edge, order, samples, ords):
+    """The sampled jumps of verify_smoothness; ords caches Fraction face
+    ordinates by (coefficients, face)."""
+    edge = tuple(sorted(edge))
+    adj = gs.tri.edge_adjacency()[edge]
+    va, vb = (gs.tri.vertices[i] for i in edge)
+    u = Point2(-(vb.y - va.y), vb.x - va.x)
+
+    def value(t, beta, k):
+        s = gs.spline(t)
+        fi, den, row = functional_row(beta, [direction_coords(s.frame.v[:3], u)] * k)
+        if (s.coeffs, fi) not in ords:
+            q, table = scaled_basis_tables("c")
+            ords[s.coeffs, fi] = [sum((F(x, q) * c for x, c in zip(tj, s.coeffs)), F(0))
+                                  for tj in table[fi - 1]]
+        return sum((F(r, den) * o for r, o in zip(row, ords[s.coeffs, fi])), F(0))
+
+    jumps = {k: F(0) for k in range(order + 1)}
+    for n in range(1, samples + 1):
+        betas = []
+        for t in adj:
+            beta = [F(0)] * 3
+            beta[gs.tri.triangles[t].index(edge[0])] = 1 - F(n, samples + 1)
+            beta[gs.tri.triangles[t].index(edge[1])] = F(n, samples + 1)
+            betas.append(tuple(beta))
+        for k in range(order + 1):
+            jumps[k] = max(jumps[k], abs(value(adj[0], betas[0], k) - value(adj[1], betas[1], k)))
+    return jumps
+
+
+_small_rational = st.fractions(-3, 3, max_denominator=9)
+
+
+@st.composite
+def _rational_grid(draw):
+    """A 1 x 1 or 2 x 2 grid of split squares, every vertex moved by a
+    rational offset of at most 1/5, with rational jets and edge data."""
+    n = draw(st.sampled_from((1, 2)))
+    offset = st.fractions(F(-1, 5), F(1, 5), max_denominator=12)
+    verts = [(i + draw(offset), j + draw(offset)) for j in range(n + 1) for i in range(n + 1)]
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            a = j * (n + 1) + i
+            b, c, d = a + 1, a + n + 1, a + n + 2
+            tris += [(a, b, d), (a, d, c)] if draw(st.booleans()) else [(a, b, c), (b, d, c)]
+    tri = triangulation(verts, tris)
+    jets = {v: tuple(draw(_small_rational) for _ in range(10)) for v in range(len(verts))}
+    edges = {e: tuple(draw(_small_rational) for _ in range(3)) for e in tri.edges()}
+    return tri, jets, edges
+
+
+@settings(max_examples=12, deadline=None)
+@given(mesh=_rational_grid(), slot=st.integers(0, 38), bump=_small_rational.filter(bool),
+       order=st.integers(0, 3), samples=st.integers(1, 4))
+def test_integer_assembly_matches_fraction_oracle(mesh, slot, bump, order, samples):
+    """Exact hermite_interpolate gives the Fraction oracle's coefficients,
+    and verify_smoothness its jumps, on the assembled spline and on one with
+    a perturbed coefficient in the last triangle."""
+    tri, jets, edges = mesh
+    gs = hermite_interpolate(tri, jets, edges)
+    assert gs.coeffs == _oracle_hermite(tri, jets, edges)
+    assert all(type(c) is F for cs in gs.coeffs for c in cs)
+    coeffs = [list(cs) for cs in gs.coeffs]
+    coeffs[-1][slot] += bump
+    bumped = GlobalSpline(tri, tuple(map(tuple, coeffs)))
+    last = set(tri.triangles[-1])
+    ords = {}
+    for g in (gs, bumped):
+        for e in tri.interior_edges():
+            if set(e) <= last:
+                assert verify_smoothness(g, e, order, samples)["jumps"] == \
+                    _oracle_jumps(g, e, order, samples, ords)
+
+
+def test_mixed_layer_mesh_gives_float_coefficients():
+    """One float vertex puts the whole assembly in the float layer, also the
+    triangles whose own corners and data are exact."""
+    rng = random.Random(57)
+    verts = [(F(0), F(0)), (2.0, 0.0), (F(0), F(2)), (F(2), F(2)), (F(1), F(3, 2))]
+    tri = triangulation(verts, [(0, 1, 4), (1, 3, 4), (3, 2, 4), (2, 0, 4)])
+    jets = {i: tuple(F(rng.randint(-9, 9), 7) for _ in range(10)) for i in range(5)}
+    edges = {e: tuple(F(rng.randint(-9, 9), 5) for _ in range(3)) for e in tri.edges()}
+    gs = hermite_interpolate(tri, jets, edges)
+    assert all(type(c) is float for cs in gs.coeffs for c in cs)

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,10 @@ from ps12splines.bspline1d import (
     bspline_value,
     expand_window,
     global_knots,
+    local_knots,
     ref_from_counts,
 )
+from ps12splines.errors import DomainError
 
 HALF = F(1, 2)
 
@@ -76,6 +79,27 @@ def test_shorthand_windows_match_table():
         for i, counts in enumerate(rows, start=1):
             assert UnivariateBSplineRef(d, i).counts() == counts
             assert ref_from_counts(d, *counts) == UnivariateBSplineRef(d, i)
+
+
+def test_ref_from_counts_matches_counted_windows():
+    """The closed-form window counts find the window that counting the knots
+    of local_knots finds, for every count triple at degrees 0..9, and None
+    for every triple that is no window; outside degrees 2..5 a matching
+    window raises DomainError, since a reference has degree 2..5."""
+    for d in range(10):
+        counted = {}
+        for i in range(1, d + 4):
+            kn = local_knots(d, i)
+            counted[kn.count(0), kn.count(HALF), kn.count(1)] = i
+        for triple in product(range(-1, d + 4), repeat=3):
+            i = counted.get(triple)
+            if i is not None and not 2 <= d <= 5:
+                with pytest.raises(DomainError):
+                    ref_from_counts(d, *triple)
+                continue
+            got = ref_from_counts(d, *triple)
+            assert got is None if i is None else got == UnivariateBSplineRef(d, i)
+            assert got is None or got.counts() == triple
 
 
 def test_partition_of_unity_quintic():

@@ -247,6 +247,7 @@ PINNED_SHA256 = {
     "restrict1": "6a758040f8217fc29554ee5becac96e023e06ff36970714dda6ec26ed7611cdb",
     "restrict2": "95e1ef595d9acf9e05857416421317f6ab57158786dc925ce0e89b3a3b5a1394",
     "restrict3": "fb9728b583f850b97915ae2e3fa70d951cb6318914cc92f70bbdf41309ce3ead",
+    "assemble": "1d46a824dba9d88084aefad75858d8038ab435b883092a00033ab4d2636ebd79",
 }
 
 
@@ -258,6 +259,15 @@ def test_exact_outputs_match_pinned_bytes(pipeline_report, tmp_path):
         path = tmp_path / f"{name}.json"
         assert main(["tables", name, "--out", str(path)]) == 0
         digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    # exact Hermite assembly on the CI's two rational triangles and data
+    mesh, data, path = (tmp_path / n for n in ("mesh.json", "data.json", "assemble.json"))
+    mesh.write_text(json.dumps({"vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"],
+                                             ["1/1", "1/1"]], "triangles": [[0, 1, 2], [1, 3, 2]]}))
+    data.write_text(json.dumps({
+        "vertex_jets": {str(v): [f"{v + k}/7" for k in range(10)] for v in range(4)},
+        "edge_data": {e: ["1/3", "-1/5", "2/9"] for e in ("0-1", "0-2", "1-2", "1-3", "2-3")}}))
+    assert main(["assemble", "--mesh", str(mesh), "--data", str(data), "--out", str(path)]) == 0
+    digests["assemble"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == PINNED_SHA256
 
 
