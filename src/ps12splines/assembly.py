@@ -12,10 +12,13 @@ patch on its own.
 The module also carries the Hermite nodal basis dual to the 39 canonical
 functionals (the inverse of the basis-c collocation matrix), global
 interpolation of vertex jets plus edge cross derivatives on a triangulation,
-and a cross-edge smoothness checker.  Exact input (rational.is_exact) runs
-on integers over one denominator: a triangle's Hermite coefficients are one
-integer mat-vec, a checked derivative one integer row times a spline's
-integer face ordinates.  Float input keeps its own arithmetic.
+and a cross-edge smoothness checker.  Hermite assembly builds no frame: it
+maps the nine named directions of dual_functionals' table onto each
+triangle's corners and takes every functional by its site.  Exact input
+(rational.is_exact) runs on integers over one denominator: a triangle's
+Hermite coefficients are one integer mat-vec, a checked derivative one
+integer row times a spline's integer face ordinates.  Float input keeps its
+own arithmetic.
 """
 
 from __future__ import annotations
@@ -33,9 +36,8 @@ from .errors import (
     NonConformingMesh,
 )
 from .bspline1d import UnivariateBSplineRef, bspline_derivative
-from .dual_functionals import JET_ORDERS, build_lambda, lambda_vector
-from .geometry import (EDGES, PS12Frame, Point2, direction_coords, make_frame, reference_frame,
-                       signed_area2)
+from .dual_functionals import FUNCTIONALS, JET_ORDERS, direction_vectors, lambda_vector
+from .geometry import EDGES, PS12Frame, Point2, direction_coords, make_frame, reference_frame
 from .linalg import integer_matrix, integer_mat_vec, inverse, mat_vec, solve
 from .marsden_catalog import catalog
 from .polynomial import TriPoly
@@ -223,10 +225,7 @@ def propagate(coeffs, beta, order: int = 3):
     zero = Fraction(0) if is_exact(coeffs) else 0.0
     out = [sum((v * coeffs[src] for src, v in row.items()), start=zero)
            for _, row in sysm.relations]
-    feasible = True
-    if order == 3:
-        residual = sum(v * coeffs[src] for src, v in sysm.constraint)
-        feasible = residual == 0
+    feasible = order < 3 or sum(v * coeffs[src] for src, v in sysm.constraint) == 0
     return out, feasible
 
 
@@ -258,9 +257,10 @@ class Triangulation:
                        for i in tri):
                 raise NonConformingMesh(f"triangle {t} has a vertex index that is not an int "
                                         f"in 0..{n - 1}")
-            a, b, c = (self.vertices[i] for i in tri)
-            if signed_area2(a, b, c) == 0:
-                raise DegenerateTriangle(f"triangle {t} is degenerate")
+            try:
+                make_frame(*(self.vertices[i] for i in tri))
+            except DegenerateTriangle as exc:
+                raise DegenerateTriangle(f"triangle {t}: {exc}") from None
         for edge, tris in self.edge_adjacency().items():
             if len(tris) > 2:
                 raise NonConformingMesh(f"edge {edge} shared by {len(tris)} triangles")
@@ -335,7 +335,7 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
     va, vb = (gs.tri.vertices[i] for i in edge)
     u = Point2(-(vb.y - va.y), vb.x - va.x)
     # per side, a reader of (beta, directions) and the direction it takes
-    (ra, da), (rb, db) = ([(partial(_exact_value, s), direction_coords(s.frame.v[:3], u))
+    (ra, da), (rb, db) = ([(partial(_exact_value, s), direction_coords(s.frame.corners, u))
                            for s in splines] if exact else
                           [(face_forms(s).value_at_bary, u) for s in splines])
     jumps = {k: Fraction(0) if exact else 0.0 for k in range(order + 1)}
@@ -491,32 +491,31 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
         g_q1, g_q2 = integer_mat_vec(*g_int, g) if exact else mat_vec(g_rows, g)
         edge_values[a, b] = (tg, ug, (d2q1, g_q1, f_q1), (d1m, f_m), (d2q2, g_q2, f_q2))
 
+    # exact corners as Fractions, as make_frame stores them
+    points = [Point2(*map(Fraction, p)) if is_exact(p) else p for p in tri.vertices]
     coeff_vectors = []
-    for t, tri_idx in enumerate(tri.triangles):
-        lams = build_lambda(tri.frame(t))
-        # vertex jets in the canonical local directions: corner c's functional
-        # (i, j) differentiates i times along its x and j times along its y
-        den, xy = vectors([lams[10 * c + k].directions[0] for c in range(3) for k in (1, 2)])
-        values = [directional(tri_idx[c], den, (xy[2 * c],) * i + (xy[2 * c + 1],) * j)
-                  for c in range(3) for i, j in JET_ORDERS]
-        # edge functionals
-        for e, (a_loc, _, b_loc) in enumerate(EDGES.values()):
+    for tri_idx in tri.triangles:
+        # the nine directions on this triangle; the jets take them over one denominator
+        vecs = direction_vectors([points[i] for i in tri_idx])
+        den, nums = vectors(vecs.values())
+        jet_dirs = dict(zip(vecs, nums))
+        edge_sites = {}
+        for name, (a_loc, _, b_loc) in EDGES.items():
             ga, gb = tri_idx[a_loc - 1], tri_idx[b_loc - 1]
-            key = tuple(sorted((ga, gb)))
-            tg, ug, q_first, (d1m, f_m), q_second = edge_values[key]
-            # express the local direction (the midpoint functional's) over
-            # (global normal, tangent)
-            (ul,) = lams[31 + 3 * e].directions
-            det = ug.x * tg.y - ug.y * tg.x
+            tg, ug, near, (d1m, f_m), far = edge_values[min(ga, gb), max(ga, gb)]
+            if ga > gb:     # the local q1 is the quarterpoint near ga
+                near, far = far, near
+            # the edge's direction u over (global normal, tangent)
+            ul, det = vecs["u", name], ug.x * tg.y - ug.y * tg.x
             s = (ul.x * tg.y - ul.y * tg.x) / det
             w = (ug.x * ul.y - ug.y * ul.x) / det
-
-            def quarterpoint(d2, g1, f2):
-                return s * s * d2 + 2 * s * w * g1 + w * w * f2
-
-            # the local q1 is the quarterpoint near ga
-            near, far = (q_first, q_second) if ga == key[0] else (q_second, q_first)
-            values += [quarterpoint(*near), s * d1m + w * f_m, quarterpoint(*far)]
+            for slot, (d2, g1, f2) in (("q1", near), ("q2", far)):
+                edge_sites["e", name, slot] = s * s * d2 + 2 * s * w * g1 + w * w * f2
+            edge_sites["e", name, "m"] = s * d1m + w * f_m
+        # corner c's jet (i, j) differentiates i times along x_c and j times along y_c
+        values = [edge_sites[lam.site] if lam.site[0] == "e" else
+                  directional(tri_idx[lam.site[1] - 1], den, [jet_dirs[n] for n in lam.directions])
+                  for lam in FUNCTIONALS]
         # float sums run left to right over the nonzero terms (sum() compensates from 3.12)
         coeff_vectors.append(integer_mat_vec(*_nodal_integer(), values) if exact else tuple(
             reduce(add, (v * n for v, n in zip(values, col) if v and n), 0.0) / el.weight

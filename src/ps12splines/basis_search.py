@@ -52,24 +52,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import isqrt, lcm
+from math import isqrt, lcm, perm
 from operator import add, ne
 
 from .bspline1d import ref_from_counts
-from .dual_functionals import build_lambda, lambda_vector
+from .dual_functionals import FUNCTIONALS, bary_direction, lambda_vector
 from .errors import (DimensionMismatch, DomainError, PS12Error, SingularSystem,
                      SymmetryViolated)
-from .geometry import (
-    EDGES,
-    INTERIOR_LINES,
-    S3_ELEMENTS,
-    VERTEX_BARY,
-    direction_coords,
-    reference_frame,
-    s3_apply_bary,
-    s3_apply_multiset,
-    to_bary,
-)
+from .geometry import (EDGES, INTERIOR_LINES, S3_ELEMENTS, VERTEX_BARY, s3_apply_bary,
+                       s3_apply_multiset)
 from .linalg import _integer_rows, append_row, pivot_columns, reduce_row, solve
 from .linalg import bareiss  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .marsden_catalog import CATALOG_ROWS
@@ -400,19 +391,14 @@ def _marsden_rhs() -> tuple:
     """Functional values of (b1 c1 + b2 c2 + b3 c3)^5 as polynomials in c,
     one row of coefficients per functional, on the 21 monomials of
     bernstein_exponents(5)."""
-    frame = reference_frame()
     out = []
-    for lam in build_lambda(frame):
-        beta = to_bary(frame, lam.point)
-        base = TriPoly.linear(beta)
-        poly = TriPoly.const(1)
-        k = lam.order
-        for r in range(5, 5 - k, -1):
-            poly = poly * r
-        for u in lam.directions:
-            poly = poly * TriPoly.linear(direction_coords(frame.v[:3], u))
-        for _ in range(5 - k):
-            poly = poly * base
+    for lam in FUNCTIONALS:
+        # D_deltas (beta . c)^5 = 5!/(5 - k)! prod (delta . c) (beta . c)^(5 - k)
+        poly = TriPoly.const(perm(5, lam.order))
+        for name in lam.directions:
+            poly = poly * TriPoly.linear(bary_direction(name))
+        for _ in range(5 - lam.order):
+            poly = poly * TriPoly.linear(lam.point)
         out.append(tuple(poly.coefficient(e) for e in bernstein_exponents(5)))
     return tuple(out)
 

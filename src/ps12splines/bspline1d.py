@@ -8,11 +8,16 @@ edge [v1, v2] is the B-spline over 2 area([K]) (see
 simplex_spline.restrict_to_edge).  The B-spline's Bernstein pieces on
 [0, 1/2] and [1/2, 1] are therefore the gamma_3 = 0 rows of Q[K]'s tables
 on the faces D1 and D2, times 2 area([K]).  Values and derivatives
-evaluate a piece (derivatives by Bernstein differences); they are
-right-continuous on [0, 1) and left-continuous at t = 1, matching the
-inward-limit convention used for point location on the split, and zero
-outside [0, 1].  An off-window B-spline is expanded in the consecutive
-basis by the polar form of one of its pieces.
+evaluate a piece (derivatives by Bernstein differences), the right one from
+t = 1/2 on: they are right-continuous on [0, 1) and left-continuous at
+t = 1, and zero outside [0, 1].  At t = 1/2 this is not the split's point
+location, which puts the edge midpoint v4 in D1, the left piece
+(geometry.locate_face_bary).  No caller sees the difference: with the knot
+1/2 doubled a degree-d B-spline is C^(d-2) there, so only derivatives of
+order d - 1 and d differ, and what is read at t = 1/2 is of lower order
+(edge restriction values, and in assembly._edge_rows g(1/2) and f'(1/2)).
+An off-window B-spline is expanded in the consecutive basis by the polar
+form of one of its pieces.
 """
 
 from __future__ import annotations

@@ -80,7 +80,7 @@ def _load_spline(path):
 def _to_layer(s, layer: str):
     from .spline_fn import Spline
     if layer == "float":
-        frame_pts = [Point2(float(s.frame.v[i].x), float(s.frame.v[i].y)) for i in range(3)]
+        frame_pts = [Point2(float(p.x), float(p.y)) for p in s.frame.corners]
         from .geometry import make_frame
         return Spline(make_frame(*frame_pts), s.basis, tuple(float(c) for c in s.coeffs))
     return s

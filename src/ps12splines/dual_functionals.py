@@ -8,17 +8,16 @@ midpoint.  Canonical ordering: corners v1, v2, v3 with jets sorted by
 e2 = [v3, v1], each as (quarterpoint near the first corner, midpoint, far
 quarterpoint).
 
-Direction choices are not canonical in the mathematics (any independent pair
-per corner, any non-tangent vector per edge); weights and dual polynomials do
-not depend on them, since both are fixed by per-face identities alone (the
-partition of unity and the Marsden identity).  The choice made here takes
-x_v, y_v toward the other two corners and u_e from the edge midpoint toward
-the opposite corner.
-
-Each functional is one Bernstein row of simplex_spline.functional_row,
-built once per frame as integers over one denominator; its value on Q[K]
-is that row's integer dot product with Q[K]'s integer table on the located
-face, made a Fraction once.
+The functionals are affine invariant, so FUNCTIONALS holds them once, frame
+free: points in macro-barycentrics, directions by name in DIRECTIONS, each
+a (head, tail) pair of macro-barycentric points.  Corner c takes x_c toward
+the next corner and y_c toward the previous one, edge e takes u_e from its
+midpoint toward the opposite corner.  Any independent pair per corner and
+any non-tangent vector per edge would do: weights and dual polynomials are
+fixed by per-face identities alone (the partition of unity and the Marsden
+identity).  The lambda-rows (each functional one integer Bernstein row of
+simplex_spline.functional_row), the search's Marsden right-hand side and
+Hermite assembly read the table; build_lambda is its Cartesian view.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DomainError
-from .geometry import EDGES, PS12Frame, Point2, direction_coords, reference_frame, to_bary
+from .geometry import EDGES, VERTEX_BARY, Bary3, PS12Frame, Point2, bary_image, to_bary
 from .linalg import rank as matrix_rank
 from .rational import is_exact
 from .simplex_spline import FaceForms, _quintic_ordinates, functional_row, knots
@@ -38,14 +37,42 @@ from .simplex_spline import FaceForms, _quintic_ordinates, functional_row, knots
 JET_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
               (3, 0), (2, 1), (1, 2), (0, 3))
 
+#: The nine directions by name, each as (head, tail): ("x", c) and ("y", c)
+#: from corner c toward the next and the previous corner, ("u", e) from
+#: macro edge e's midpoint toward the opposite corner, 6 - a - b.
+DIRECTIONS = {
+    **{(axis, c): (VERTEX_BARY[(c + step) % 3], VERTEX_BARY[c - 1])
+       for c in (1, 2, 3) for axis, step in (("x", 0), ("y", 1))},
+    **{("u", name): (VERTEX_BARY[5 - a - b], VERTEX_BARY[m - 1])
+       for name, (a, m, b) in EDGES.items()},
+}
+
+
+def bary_direction(name) -> Bary3:
+    """The macro-directional triple of a named direction: head minus tail."""
+    head, tail = DIRECTIONS[name]
+    return tuple(h - t for h, t in zip(head, tail))
+
+
+def direction_vectors(corners) -> dict:
+    """Each named direction as a Cartesian vector on the triangle with the
+    given corners: the image of its head minus that of its tail."""
+    out = {}
+    for name, (head, tail) in DIRECTIONS.items():
+        h, t = bary_image(corners, head), bary_image(corners, tail)
+        out[name] = Point2(h.x - t.x, h.y - t.y)
+    return out
+
 
 @dataclass(frozen=True)
 class Functional:
-    """One element of the dual set: a point and derivative directions."""
+    """One element of the dual set: a point and derivative directions, in
+    FUNCTIONALS a macro-barycentric point and direction names, from
+    build_lambda a Cartesian point and vectors."""
 
     kind: str                 # 'vertex-jet' | 'edge-quarterpoint-2nd' | 'edge-midpoint-1st'
-    point: Point2
-    directions: tuple         # direction vectors, one per derivative order
+    point: object
+    directions: tuple         # one per derivative order
     site: tuple               # ('v', corner, i, j) or ('e', name, slot)
 
     @property
@@ -53,35 +80,29 @@ class Functional:
         return len(self.directions)
 
 
-def _vec(a: Point2, b: Point2) -> Point2:
-    return Point2(a.x - b.x, a.y - b.y)
+def _table() -> tuple:
+    out = [Functional("vertex-jet", VERTEX_BARY[c - 1], (("x", c),) * i + (("y", c),) * j,
+                      ("v", c, i, j)) for c in (1, 2, 3) for i, j in JET_ORDERS]
+    for name, (a, m, b) in EDGES.items():
+        pa, pb, u = VERTEX_BARY[a - 1], VERTEX_BARY[b - 1], ("u", name)
+        q1, q2 = (tuple((3 * x + y) / 4 for x, y in zip(p, q)) for p, q in ((pa, pb), (pb, pa)))
+        out += [Functional("edge-quarterpoint-2nd", q1, (u, u), ("e", name, "q1")),
+                Functional("edge-midpoint-1st", VERTEX_BARY[m - 1], (u,), ("e", name, "m")),
+                Functional("edge-quarterpoint-2nd", q2, (u, u), ("e", name, "q2"))]
+    return tuple(out)
+
+
+#: The 39 functionals in canonical order, frame free.
+FUNCTIONALS = _table()
 
 
 def build_lambda(frame: PS12Frame) -> list:
-    """The 39 functionals on a frame, in canonical order."""
-    v = frame.v
-    out = []
-    for corner in (1, 2, 3):
-        nxt = corner % 3 + 1
-        prv = (corner + 1) % 3 + 1
-        x = _vec(v[nxt - 1], v[corner - 1])
-        y = _vec(v[prv - 1], v[corner - 1])
-        for (i, j) in JET_ORDERS:
-            out.append(Functional(
-                kind="vertex-jet",
-                point=v[corner - 1],
-                directions=(x,) * i + (y,) * j,
-                site=("v", corner, i, j)))
-    for name, (a, m, b) in EDGES.items():
-        (opp,) = {1, 2, 3} - {a, b}
-        pa, mid, pb, po = v[a - 1], v[m - 1], v[b - 1], v[opp - 1]
-        q1 = Point2((3 * pa.x + pb.x) / 4, (3 * pa.y + pb.y) / 4)
-        q2 = Point2((pa.x + 3 * pb.x) / 4, (pa.y + 3 * pb.y) / 4)
-        u = _vec(po, mid)
-        out.append(Functional("edge-quarterpoint-2nd", q1, (u, u), ("e", name, "q1")))
-        out.append(Functional("edge-midpoint-1st", mid, (u,), ("e", name, "m")))
-        out.append(Functional("edge-quarterpoint-2nd", q2, (u, u), ("e", name, "q2")))
-    return out
+    """The 39 functionals on a frame, in canonical order: FUNCTIONALS with
+    points and directions mapped onto the frame's corners."""
+    corners = frame.corners
+    vectors = direction_vectors(corners)
+    return [Functional(f.kind, bary_image(corners, f.point),
+                       tuple(vectors[n] for n in f.directions), f.site) for f in FUNCTIONALS]
 
 
 def apply(lam: Functional, f: FaceForms):
@@ -102,31 +123,21 @@ def apply(lam: Functional, f: FaceForms):
 
 @lru_cache(maxsize=None)
 def lambda_vector(K: tuple) -> tuple:
-    """The 39 canonical functional values of Q[K] (frame independent)."""
-    return _functional_values(_reference_rows(), K)
-
-
-def _functional_rows(frame: PS12Frame) -> tuple:
-    """(face, D, Bernstein row) of each functional on a frame, in canonical
-    order: its value on a quintic is the row's dot product with the
-    quintic's table on that face, over D."""
-    corners = frame.v[:3]
-    return tuple(functional_row(to_bary(frame, lam.point),
-                                [direction_coords(corners, u) for u in lam.directions])
-                 for lam in build_lambda(frame))
+    """The 39 canonical functional values of Q[K] (frame independent): each
+    integer row of _reference_rows times Q[K]'s integer table on its face,
+    one Fraction each."""
+    den, faces = _quintic_ordinates(K)
+    return tuple(Fraction(sum(map(mul, row, faces[fi - 1])), rden * den) if faces[fi - 1]
+                 else Fraction(0) for fi, rden, row in _reference_rows())
 
 
 @lru_cache(maxsize=1)
 def _reference_rows() -> tuple:
-    return _functional_rows(reference_frame())
-
-
-def _functional_values(rows, K: tuple) -> tuple:
-    """The functional values of the quintic Q[K] from exact rows: each
-    integer row times Q[K]'s integer table on its face, one Fraction each."""
-    den, faces = _quintic_ordinates(K)
-    return tuple(Fraction(sum(map(mul, row, faces[fi - 1])), rden * den) if faces[fi - 1]
-                 else Fraction(0) for fi, rden, row in rows)
+    """(face, D, Bernstein row) of each functional, in canonical order: its
+    value on a quintic is the row's dot product with the quintic's table on
+    that face, over D."""
+    return tuple(functional_row(f.point, [bary_direction(n) for n in f.directions])
+                 for f in FUNCTIONALS)
 
 
 @dataclass(frozen=True)
@@ -139,14 +150,12 @@ class CollocationMatrix:
 
 def collocation(frame: PS12Frame, candidates) -> CollocationMatrix:
     """Collocation matrix of candidate splines against the canonical
-    functionals, with its exact rank (fraction-free elimination)."""
-    if not is_exact([c for p in frame.v[:3] for c in p]):
+    functionals, with its exact rank (fraction-free elimination).  The
+    matrix is the same on every exact frame, the functionals and the
+    normalised simplex splines being affine invariant."""
+    if not is_exact([c for p in frame.corners for c in p]):
         raise DomainError("the collocation matrix is exact: it needs an exact frame")
-    if frame.v == reference_frame().v:
-        rows = [list(lambda_vector(knots(K))) for K in candidates]
-    else:
-        lam_rows = _functional_rows(frame)
-        rows = [list(_functional_values(lam_rows, K)) for K in candidates]
+    rows = [list(lambda_vector(knots(K))) for K in candidates]
     return CollocationMatrix(tuple(tuple(r) for r in rows), matrix_rank(rows))
 
 

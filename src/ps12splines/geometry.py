@@ -35,8 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import isfinite
+from operator import add
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateTriangle, DomainError
@@ -87,8 +88,13 @@ def signed_area2(a: Point2, b: Point2, c: Point2):
 class PS12Frame:
     """A macrotriangle with its ten split vertices and twelve faces."""
 
-    v: tuple  # 10 Point2, 0-based storage for vertices v1..v10
+    corners: tuple  # Point2 v1, v2, v3
     area: object = None  # signed area of [v1, v2, v3]
+
+    @cached_property
+    def v(self) -> tuple:
+        """v1..v10, 0-based, made on first read: the corners, then the images of VERTEX_BARY[3:]."""
+        return self.corners + tuple(bary_image(self.corners, b) for b in VERTEX_BARY[3:])
 
     def vertex(self, i: int) -> Point2:
         """Vertex by 1-based index."""
@@ -100,8 +106,15 @@ class PS12Frame:
         return (self.v[i - 1], self.v[j - 1], self.v[k - 1])
 
 
-def _mid(a: Point2, b: Point2) -> Point2:
-    return Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
+def bary_image(corners, b: Bary3) -> Point2:
+    """The point with exact barycentrics b = n / d (one denominator) over
+    the three corners, as the sum of n_i p_i over the nonzero n_i, over d,
+    where from_bary multiplies by the weights: a midpoint is (a + b) / 2 and
+    the centroid (a + b + c) / 3, bit for bit in the float layer too."""
+    d, nums = common_denominator(b)
+    terms = [(n, p) for n, p in zip(nums, corners) if n]
+    return Point2(*(reduce(add, (p[k] if n == 1 else n * p[k] for n, p in terms)) / d
+                    for k in (0, 1)))
 
 
 def make_frame(v1: Point2, v2: Point2, v3: Point2) -> PS12Frame:
@@ -119,10 +132,7 @@ def make_frame(v1: Point2, v2: Point2, v3: Point2) -> PS12Frame:
     # a NaN or infinite coordinate makes the area NaN or infinite, never 0
     if area2 == 0 or not (exact or isfinite(area2)):
         raise DegenerateTriangle("macrotriangle corners are collinear or not finite")
-    v4, v5, v6 = _mid(v1, v2), _mid(v2, v3), _mid(v1, v3)
-    v7, v8, v9 = _mid(v4, v6), _mid(v4, v5), _mid(v5, v6)
-    v10 = Point2((v1.x + v2.x + v3.x) / 3, (v1.y + v2.y + v3.y) / 3)
-    return PS12Frame(v=(v1, v2, v3, v4, v5, v6, v7, v8, v9, v10), area=area2 / 2)
+    return PS12Frame((v1, v2, v3), area2 / 2)
 
 
 @lru_cache(maxsize=1)
@@ -144,11 +154,11 @@ def bary_coords(corners, p: Point2) -> Bary3:
 
 def to_bary(frame: PS12Frame, p: Point2) -> Bary3:
     """Barycentric coordinates of p with respect to the macrotriangle."""
-    return bary_coords(frame.v[:3], Point2(*p))
+    return bary_coords(frame.corners, Point2(*p))
 
 
 def from_bary(frame: PS12Frame, b: Bary3) -> Point2:
-    v1, v2, v3 = frame.v[0], frame.v[1], frame.v[2]
+    v1, v2, v3 = frame.corners
     return Point2(b[0] * v1.x + b[1] * v2.x + b[2] * v3.x,
                   b[0] * v1.y + b[1] * v2.y + b[2] * v3.y)
 
@@ -261,13 +271,10 @@ def face_bary_matrices() -> tuple:
     """For each face, the 3x3 matrix sending macro-barycentrics to
     face-barycentrics on the reference frame (exact)."""
     frame = reference_frame()
-    mats = []
-    for fi in range(1, 13):
-        # face barycentrics are affine, so their values at the three macro
-        # corners are the columns of the matrix (gamma = M . beta)
-        cols = [bary_coords(frame.face_corners(fi), corner) for corner in frame.v[:3]]
-        mats.append(tuple(zip(*cols)))
-    return tuple(mats)
+    # face barycentrics are affine, so their values at the three macro
+    # corners are the columns of the matrix (gamma = M . beta)
+    cols = [[bary_coords(frame.face_corners(fi), c) for c in frame.corners] for fi in range(1, 13)]
+    return tuple(tuple(zip(*face)) for face in cols)
 
 
 @lru_cache(maxsize=1)

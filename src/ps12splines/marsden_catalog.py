@@ -28,6 +28,7 @@ from .geometry import (
     Point2,
     S3_ELEMENTS,
     VERTEX_BARY,
+    from_bary,
     reference_frame,
     s3_apply_multiset,
     s3_vertex_permutation,
@@ -238,12 +239,6 @@ def quasi_interpolant_coeffs(spec: BasisSpec, f, frame: PS12Frame = None) -> lis
     sum_i L_i(f) S_i reproduces every polynomial of degree at most 5.
     """
     frame = frame or reference_frame()
-    v1, v2, v3 = frame.v[0], frame.v[1], frame.v[2]
-
-    def at_bary(b):
-        return f(b[0] * v1.x + b[1] * v2.x + b[2] * v3.x,
-                 b[0] * v1.y + b[1] * v2.y + b[2] * v3.y)
-
     out = []
     for el in spec.elements:
         total = 0
@@ -251,7 +246,7 @@ def quasi_interpolant_coeffs(spec: BasisSpec, f, frame: PS12Frame = None) -> lis
             coef = _QI_COEF[k - 1]
             for sub in combinations(el.dual_points, k):
                 mean = tuple(sum(p[i] for p in sub) / k for i in range(3))
-                total += coef * at_bary(mean)
+                total += coef * f(*from_bary(frame, mean))
         out.append(total)
     return out
 

@@ -55,7 +55,7 @@ def dumps(obj) -> str:
 
 def spline_to_dict(s) -> dict:
     return {
-        "frame": [encode_point(s.frame.v[i]) for i in range(3)],
+        "frame": [encode_point(p) for p in s.frame.corners],
         "basis": s.basis,
         "coeffs": [encode_number(c) for c in s.coeffs],
     }
@@ -189,23 +189,15 @@ def barycentric_lattice(resolution: int) -> list:
     """Lattice (i, j, k) / resolution over the triangle, lexicographic."""
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
-    out = []
-    for i in range(resolution + 1):
-        for j in range(resolution + 1 - i):
-            k = resolution - i - j
-            out.append((Fraction(i, resolution), Fraction(j, resolution),
-                        Fraction(k, resolution)))
-    return out
+    n = resolution
+    return [(Fraction(i, n), Fraction(j, n), Fraction(n - i - j, n))
+            for i in range(n + 1) for j in range(n + 1 - i)]
 
 
 def lattice_triangles(resolution: int) -> list:
     """Triangles of the lattice triangulation, indices into the lattice."""
-    idx = {}
-    n = 0
-    for i in range(resolution + 1):
-        for j in range(resolution + 1 - i):
-            idx[(i, j)] = n
-            n += 1
+    idx = {ij: n for n, ij in enumerate((i, j) for i in range(resolution + 1)
+                                        for j in range(resolution + 1 - i))}
     tris = []
     for i in range(resolution):
         for j in range(resolution - i):
@@ -216,9 +208,7 @@ def lattice_triangles(resolution: int) -> list:
 
 
 def grid_csv(rows) -> str:
-    lines = ["x,y,value"]
-    for x, y, v in rows:
-        lines.append(f"{float(x)!r},{float(y)!r},{float(v)!r}")
+    lines = ["x,y,value"] + [f"{float(x)!r},{float(y)!r},{float(v)!r}" for x, y, v in rows]
     return "\n".join(lines) + "\n"
 
 

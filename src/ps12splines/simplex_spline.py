@@ -618,7 +618,7 @@ class FaceForms:
         to the point, so one-sided there.  Raises OutsideDomain outside the
         closed macrotriangle.
         """
-        corners = self.frame.v[:3]
+        corners = self.frame.corners
         fi, den, row = functional_row(beta, [direction_coords(corners, u) for u in directions],
                                       self.deg)
         ords = self.ords[fi - 1]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING
@@ -69,7 +69,7 @@ class Spline:
     @cached_property
     def exact(self) -> bool:
         """True when the coefficients and the frame corners are exact."""
-        return self._int_coeffs is not None and is_exact([c for p in self.frame.v[:3] for c in p])
+        return self._int_coeffs is not None and is_exact([c for p in self.frame.corners for c in p])
 
     @cached_property
     def _int_ords(self) -> dict:
@@ -323,12 +323,7 @@ def control_mesh(s: Spline) -> ControlMesh:
 # ---------------------------------------------------------------------------
 
 def longest_edge_sq(frame: PS12Frame):
-    out = None
-    for a, b in ((0, 1), (1, 2), (0, 2)):
-        pa, pb = frame.v[a], frame.v[b]
-        d = (pa.x - pb.x) ** 2 + (pa.y - pb.y) ** 2
-        out = d if out is None or d > out else out
-    return out
+    return max((p.x - q.x) ** 2 + (p.y - q.y) ** 2 for p, q in combinations(frame.corners, 2))
 
 
 def control_distance_bound_check(s: Spline, hessian_bound) -> dict:
@@ -346,10 +341,8 @@ def control_distance_bound_check(s: Spline, hessian_bound) -> dict:
     spec = catalog(s.basis)
     h2 = longest_edge_sq(s.frame)
     bound = 2 * cond * h2 * hessian_bound
-    gaps = []
-    for el, c in zip(spec.elements, s.coeffs):
-        val = eval_spline(s, from_bary(s.frame, el.domain_point))
-        gaps.append(abs(c - val))
+    gaps = [abs(c - eval_spline(s, from_bary(s.frame, el.domain_point)))
+            for el, c in zip(spec.elements, s.coeffs)]
     worst = max(gaps)
     if worst > bound:
         raise BoundViolated(f"max gap {worst} exceeds bound {bound}")

@@ -408,6 +408,31 @@ def test_verify_smoothness_join_and_perturbation():
     assert rep2["jumps"][1] > F(1, 10)
 
 
+def test_float_verify_smoothness_passes_against_its_default_tolerance():
+    """Without tol, a float join is judged against 1e-10: the exact C^2
+    interpolant on a perturbed 2 x 2 grid, in floats, passes on every
+    interior edge, and fails there once a near-edge coefficient is bumped."""
+    rng = random.Random(67)
+    verts = [(F(i), F(j)) for j in range(3) for i in range(3)]
+    verts[4] = (F(11, 10), F(4, 5))
+    tris = [(0, 1, 4), (0, 4, 3), (1, 2, 4), (2, 5, 4), (3, 4, 6), (4, 7, 6), (4, 5, 8), (4, 8, 7)]
+    tri = triangulation(verts, tris)
+    jets = {v: tuple(F(rng.randint(-9, 9), 7) for _ in range(10)) for v in range(9)}
+    edges = {e: tuple(F(rng.randint(-9, 9), 5) for _ in range(3)) for e in tri.edges()}
+    gs = hermite_interpolate(tri, jets, edges)
+    float_tri = triangulation([(float(x), float(y)) for x, y in verts], tris)
+    float_coeffs = [tuple(map(float, cs)) for cs in gs.coeffs]
+    fgs = GlobalSpline(float_tri, tuple(float_coeffs))
+    for e in tri.interior_edges():
+        assert verify_smoothness(gs, e, 2, samples=5)["max"] == 0
+        assert verify_smoothness(fgs, e, 2, samples=5)["pass"], e
+    edge = tri.interior_edges()[0]
+    t = float_tri.edge_adjacency()[edge][0]
+    float_coeffs[t] = (float_coeffs[t][0] + 1e-6,) + float_coeffs[t][1:]
+    report = verify_smoothness(GlobalSpline(float_tri, tuple(float_coeffs)), edge, 2, samples=5)
+    assert not report["pass"] and report["max"] > 1e-10
+
+
 def test_verify_smoothness_rejects_vacuous_checks():
     """samples=0 would compare nothing and report a jump of 1 as zero."""
     verts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(-1))]
@@ -612,20 +637,22 @@ def _oracle_hermite(tri, vertex_jets, edge_data):
     out = []
     for t, idx in enumerate(tri.triangles):
         lams = build_lambda(tri.frame(t))
-        values = [_oracle_jet(jets[idx[lam.site[1] - 1]], lam.directions) for lam in lams[:30]]
-        for e, (a_loc, _, b_loc) in enumerate(EDGES.values()):
+        by_site = {}
+        for name, (a_loc, _, b_loc) in EDGES.items():
             ga, gb = idx[a_loc - 1], idx[b_loc - 1]
             key = tuple(sorted((ga, gb)))
             tg, ug, q_first, (d1m, f_m), q_second = edge_values[key]
             # the local direction over (global normal, tangent)
-            (ul,) = lams[31 + 3 * e].directions
+            (ul,) = next(lam.directions for lam in lams if lam.site == ("e", name, "m"))
             det = ug.x * tg.y - ug.y * tg.x
             s = (ul.x * tg.y - ul.y * tg.x) / det
             w = (ug.x * ul.y - ug.y * ul.x) / det
             near, far = (q_first, q_second) if ga == key[0] else (q_second, q_first)
-            values += [s * s * near[0] + 2 * s * w * near[1] + w * w * near[2],
-                       s * d1m + w * f_m,
-                       s * s * far[0] + 2 * s * w * far[1] + w * w * far[2]]
+            by_site["e", name, "q1"] = s * s * near[0] + 2 * s * w * near[1] + w * w * near[2]
+            by_site["e", name, "m"] = s * d1m + w * f_m
+            by_site["e", name, "q2"] = s * s * far[0] + 2 * s * w * far[1] + w * w * far[2]
+        values = [by_site[lam.site] if lam.site[0] == "e" else
+                  _oracle_jet(jets[idx[lam.site[1] - 1]], lam.directions) for lam in lams]
         out.append(tuple(sum((v * nodal[i][j] for i, v in enumerate(values)), F(0)) / weights[j]
                          for j in range(39)))
     return tuple(out)

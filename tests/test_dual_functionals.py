@@ -2,10 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import rational_points
 from ps12splines.dual_functionals import (
+    DIRECTIONS,
+    FUNCTIONALS,
     apply,
+    bary_direction,
     build_lambda,
     collocation,
     dim_global,
@@ -13,9 +18,10 @@ from ps12splines.dual_functionals import (
     lambda_vector,
 )
 from ps12splines.errors import DomainError
-from ps12splines.geometry import S3_ELEMENTS, make_frame, s3_apply_multiset, to_bary
+from ps12splines.geometry import (EDGES, S3_ELEMENTS, VERTEX_BARY, Point2, direction_coords,
+                                  make_frame, s3_apply_multiset, signed_area2, to_bary)
 from ps12splines.marsden_catalog import catalog
-from ps12splines.simplex_spline import knots
+from ps12splines.simplex_spline import FaceForms, knots, per_face_bernstein
 from ps12splines.spline_fn import Spline, face_forms
 
 # dimension table for degrees 0..9, smoothness -1..d
@@ -42,6 +48,50 @@ def test_build_lambda_counts_and_sites(ref):
     assert [l.point for l in mids] == [ref.vertex(4), ref.vertex(5), ref.vertex(6)]
     q1_e3 = next(l for l in lams if l.site == ("e", "e3", "q1"))
     assert q1_e3.point == (F(1, 4), F(0)) and q1_e3.order == 2
+
+
+def test_table_points_and_directions_are_split_vertices():
+    """Every functional sits at a split vertex or a macro-edge quarterpoint,
+    and every direction runs between split vertices: from a corner to the
+    next and the previous corner, or from an edge midpoint to the opposite
+    corner."""
+    assert len(DIRECTIONS) == 9
+    for c in (1, 2, 3):
+        assert DIRECTIONS["x", c] == (VERTEX_BARY[c % 3], VERTEX_BARY[c - 1])
+        assert DIRECTIONS["y", c] == (VERTEX_BARY[(c + 1) % 3], VERTEX_BARY[c - 1])
+    for name, (a, m, b) in EDGES.items():
+        head, tail = DIRECTIONS["u", name]
+        assert tail == VERTEX_BARY[m - 1] and head[a - 1] == head[b - 1] == 0
+    for f in FUNCTIONALS:
+        if f.site[0] == "v":
+            assert f.point == VERTEX_BARY[f.site[1] - 1]
+        else:
+            assert f.point in VERTEX_BARY or sorted(f.point) == [0, F(1, 4), F(3, 4)]
+        assert all(sum(bary_direction(n)) == 0 for n in f.directions)
+
+
+_coordinate = st.fractions(-9, 9, max_denominator=12)
+
+
+@settings(max_examples=6, deadline=None)
+@given(corners=st.lists(st.tuples(_coordinate, _coordinate), min_size=3, max_size=3))
+def test_cartesian_view_maps_back_to_the_frame_free_table(corners):
+    """On a rational frame, each functional of build_lambda maps back
+    exactly to its table entry (point by to_bary, directions by
+    direction_coords), and applied to the face forms of a basis-c simplex
+    spline on that frame it gives the frame-free lambda_vector entry."""
+    corners = [Point2(*c) for c in corners]
+    assume(signed_area2(*corners) != 0)
+    frame = make_frame(*corners)
+    lams = build_lambda(frame)
+    assert [lam.site for lam in lams] == [f.site for f in FUNCTIONALS]
+    for lam, f in zip(lams, FUNCTIONALS):
+        assert to_bary(frame, lam.point) == f.point
+        assert [direction_coords(frame.v[:3], u) for u in lam.directions] == \
+            [bary_direction(n) for n in f.directions]
+    for K in catalog("c").multisets:
+        forms = FaceForms(frame, 5, per_face_bernstein(frame, K))
+        assert tuple(apply(lam, forms) for lam in lams) == lambda_vector(K)
 
 
 def test_apply_partition_of_unity_and_constants(ref):

@@ -9,10 +9,15 @@ from ps12splines import (assembly, basis_search, bspline1d, dual_functionals, ge
                          marsden_catalog, serialize, simplex_spline, spline_fn)
 from ps12splines.basis_search import CandidateBasis
 from ps12splines.errors import (DegenerateTriangle, DimensionMismatch, DomainError,
-                                InvalidDirection, OutsideDomain, PS12Error)
+                                InvalidDirection, InvalidWeights, NonConformingMesh,
+                                OutsideDomain, PS12Error, TooFewKnots, UnsupportedBasis)
 
 K = simplex_spline.knots("141110")
 C_MULTISETS = marsden_catalog.catalog("c").multisets
+#: Two exact triangles sharing the edge (1, 2), with Hermite data on them.
+MESH = assembly.triangulation([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2), (1, 3, 2)])
+JETS = {v: (F(v),) * 10 for v in range(4)}
+EDGE_DATA = {e: (F(1), F(2), F(3)) for e in MESH.edges()}
 
 
 def _c_weights_with_one_class_b_weight_changed():
@@ -83,6 +88,8 @@ BAD_CALLS = {
         spline_fn.control_distance_bound_check(FLOAT_SPLINE, -1),
     "collocation float frame": lambda: dual_functionals.collocation(
         geometry.make_frame((0.3, -0.1), (2.7, 0.2), (0.1, 3.1)), [K]),
+    "smoothness_system order four": lambda: assembly.smoothness_system(4, (F(1, 3),) * 3),
+    "smoothness_system order negative": lambda: assembly.smoothness_system(-1, (F(1, 3),) * 3),
 }
 
 
@@ -98,6 +105,17 @@ BAD_LENGTHS = {
     "c3_residual coefficients": lambda: assembly.c3_residual([F(0)] * 10, (F(-1), F(1), F(1))),
     "marsden_eval c": lambda: marsden_catalog.marsden_eval(
         marsden_catalog.catalog("c"), (F(1, 3), F(1, 3)), (1, 1)),
+    "propagate coefficients": lambda: assembly.propagate([F(0)] * 38, (F(-1), F(1), F(1))),
+    "GlobalSpline coefficient vectors": lambda: assembly.GlobalSpline(MESH, ((F(0),) * 39,)),
+    "hermite_interpolate missing edge data": lambda: assembly.hermite_interpolate(
+        MESH, JETS, {e: v for e, v in EDGE_DATA.items() if e != (1, 2)}),
+    "hermite_interpolate jet length": lambda: assembly.hermite_interpolate(
+        MESH, {**JETS, 3: (F(0),) * 9}, EDGE_DATA),
+    "hermite_interpolate edge data length": lambda: assembly.hermite_interpolate(
+        MESH, JETS, {**EDGE_DATA, (1, 2): (F(0),) * 4}),
+    "Spline coefficients": lambda: spline_fn.Spline(FLOAT_FRAME, "c", (0.0,) * 38),
+    "lagrange_interpolate values": lambda: spline_fn.lagrange_interpolate(
+        "c", geometry.reference_frame(), [F(0)] * 40),
 }
 
 
@@ -105,6 +123,34 @@ BAD_LENGTHS = {
 def test_bad_length_raises_dimension_mismatch(name):
     with pytest.raises(DimensionMismatch):
         BAD_LENGTHS[name]()
+
+
+#: Bad input with a typed error of its own, not a DomainError.
+TYPED_ERRORS = {
+    "Triangulation degenerate triangle": (DegenerateTriangle, lambda: assembly.triangulation(
+        [(0, 0), (1, 1), (2, 2)], [(0, 1, 2)])),
+    "Triangulation NaN vertex": (DegenerateTriangle, lambda: assembly.triangulation(
+        [(0.0, 0.0), (1.0, 0.0), (math.nan, 1.0)], [(0, 1, 2)])),
+    "Triangulation edge of three triangles": (NonConformingMesh, lambda: assembly.triangulation(
+        [(0, 0), (1, 0), (0, 1), (1, 1), (0, -1)], [(0, 1, 2), (0, 1, 3), (0, 1, 4)])),
+    "verify_smoothness boundary edge": (NonConformingMesh, lambda: assembly.verify_smoothness(
+        assembly.GlobalSpline(MESH, ((F(0),) * 39,) * 2), (0, 1), 1)),
+    "Spline unknown basis": (UnsupportedBasis, lambda: spline_fn.Spline(
+        FLOAT_FRAME, "g", (0.0,) * 39)),
+    "insert_knot collinear knots": (InvalidWeights, lambda: simplex_spline.insert_knot(
+        simplex_spline.knots("3102000000"), 3)),
+    "restrict_to_edge two knots": (TooFewKnots, lambda: simplex_spline.restrict_to_edge(
+        geometry.reference_frame(), simplex_spline.knots("11"), "e3")),
+    "integral two knots": (TooFewKnots, lambda: simplex_spline.integral(
+        geometry.reference_frame(), simplex_spline.knots("2"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPED_ERRORS))
+def test_bad_input_raises_its_typed_error(name):
+    error, call = TYPED_ERRORS[name]
+    with pytest.raises(error):
+        call()
 
 
 def test_search_functions_read_a_candidate_and_its_multisets_alike():

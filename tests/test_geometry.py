@@ -1,10 +1,15 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ps12splines.errors import DegenerateTriangle
 from ps12splines.geometry import (
     Point2,
+    VERTEX_BARY,
+    bary_image,
     locate_face,
     locate_face_bary,
     make_frame,
@@ -12,8 +17,10 @@ from ps12splines.geometry import (
     s3_apply_multiset,
     s3_vertex_permutation,
     S3_ELEMENTS,
+    signed_area2,
     to_bary,
 )
+from ps12splines.simplex_spline import _ref_points
 
 
 def test_make_frame_unit_triangle_vertices():
@@ -23,6 +30,58 @@ def test_make_frame_unit_triangle_vertices():
     assert fr.vertex(7) == (F(1, 4), F(1, 4))
     assert fr.vertex(10) == (F(1, 3), F(1, 3))
     assert fr.area == F(1, 2)
+
+
+def _spelled_out_split(v1, v2, v3) -> tuple:
+    """The ten split vertices by the midpoint and centroid formulas:
+    v4..v6 the edge midpoints, v7..v9 the midpoints of the medial
+    triangle's sides, v10 the centroid."""
+    def mid(a, b):
+        return Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
+    v4, v5, v6 = mid(v1, v2), mid(v2, v3), mid(v1, v3)
+    return (v1, v2, v3, v4, v5, v6, mid(v4, v6), mid(v4, v5), mid(v5, v6),
+            Point2((v1.x + v2.x + v3.x) / 3, (v1.y + v2.y + v3.y) / 3))
+
+
+_coordinate = st.fractions(-20, 20, max_denominator=30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(corners=st.lists(st.tuples(_coordinate, _coordinate), min_size=3, max_size=3))
+def test_exact_frame_is_the_spelled_out_split(corners):
+    """make_frame builds the split vertices as images of VERTEX_BARY; on
+    exact corners they are the formulas' vertices, all Fractions."""
+    v1, v2, v3 = (Point2(*c) for c in corners)
+    assume(signed_area2(v1, v2, v3) != 0)
+    frame = make_frame(v1, v2, v3)
+    assert frame.v == _spelled_out_split(v1, v2, v3)
+    assert all(type(c) is F for p in frame.v for c in p)
+    assert frame.v == tuple(bary_image(frame.v[:3], b) for b in VERTEX_BARY)
+
+
+def test_reference_frame_and_its_integer_points_are_the_spelled_out_split():
+    z, o = F(0), F(1)
+    ref = _spelled_out_split(Point2(z, z), Point2(o, z), Point2(z, o))
+    assert reference_frame().v == ref
+    assert _ref_points() == tuple(Point2(12 * p.x, 12 * p.y) for p in ref)
+    assert all(type(c) is int for p in _ref_points() for c in p)
+
+
+def test_float_frame_moves_only_the_medial_midpoints():
+    """On float corners v1..v6 and the centroid keep the formulas' bits;
+    v7..v9, now (2 a + b + c) / 4 and its rotations, may differ from the
+    midpoints of midpoints by rounding only."""
+    rng = random.Random(3)
+    moved = 0
+    for _ in range(200):
+        corners = [Point2(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3)]
+        got, want = make_frame(*corners).v, _spelled_out_split(*corners)
+        assert [p for i, p in enumerate(got) if i not in (6, 7, 8)] == \
+            [p for i, p in enumerate(want) if i not in (6, 7, 8)]
+        for p, q in zip(got[6:9], want[6:9]):
+            assert abs(p.x - q.x) <= 1e-14 and abs(p.y - q.y) <= 1e-14
+            moved += p != q
+    assert moved
 
 
 def test_make_frame_equilateral_centroid():

@@ -236,6 +236,40 @@ def test_float_layer_within_stated_error_bound(basis, coeffs, barys):
         assert abs(F(got) - want) <= bound
 
 
+@settings(max_examples=20, deadline=None)
+@given(basis=st.sampled_from("abcdef"), seed=st.integers(0, 2 ** 32))
+def test_mixed_layer_branches_agree_with_the_exact_layer(basis, seed):
+    """Where one operand is float and the other exact, the result is a
+    float within the float layer's stated bound 1e-9 * max(1, max |c_i|)
+    of the all-exact value, the floats taken as binary rationals: float
+    basis_values, exact eval_spline at an exact point of a float-coefficient
+    spline, functional_row with an exact point and a float direction, and
+    FaceForms.value_at_bary with float ordinates at an exact point."""
+    rng = random.Random(seed)
+    frame = make_frame((F(rng.randint(-9, 0), 7), F(rng.randint(-9, 0), 5)),
+                       (F(rng.randint(5, 20), 3), F(rng.randint(-3, 3), 11)),
+                       (F(rng.randint(-3, 3), 13), F(rng.randint(5, 20), 3)))
+    floats = tuple(rng.uniform(-10, 10) for _ in range(39))
+    fs, es = Spline(frame, basis, floats), Spline(frame, basis, tuple(map(F, floats)))
+    bound = 1e-9 * max(1.0, max(map(abs, floats)))
+    point = rational_points(1, seed=seed, interior=False)[0]
+    beta = (point.x, point.y, 1 - point.x - point.y)
+    u = Point2(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    ue = Point2(F(u.x), F(u.y))
+    got = basis_values(basis, tuple(map(float, beta)))
+    assert max(abs(g - w) for g, w in zip(got.tolist(), basis_values(basis, beta))) <= 1e-9
+    want = eval_spline(es, from_bary(frame, beta))
+    got = eval_spline(fs, from_bary(frame, beta))
+    assert type(got) is float and abs(got - want) <= bound
+    exact_forms, float_forms = face_forms(es), face_forms(fs)
+    for k in range(4):
+        want = exact_forms.value_at_bary(beta, (ue,) * k)
+        got = [float_forms.value_at_bary(beta, (ue,) * k)]
+        if k:
+            got.append(exact_forms.value_at_bary(beta, (u,) * k))
+        assert all(type(g) is float and abs(g - want) <= bound for g in got), k
+
+
 def test_float_tables_are_the_exact_tables_rounded():
     """The float tables, divided from the integer tables, carry the bits of
     float() of the exact tables, and those equal the Fraction oracle's."""
