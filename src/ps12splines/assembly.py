@@ -1,33 +1,34 @@
-"""Smooth joins of basis-c splines across triangles.
+"""Smooth joins of splines across triangles.
 
 Splines on two triangles sharing an edge meet with C^r smoothness exactly
-when a block of linear relations ties the coefficients near the shared edge
-together.  The relations are derived symbolically here from the restriction
-tables of the basis, by one exact solve that matches the B-spline
-coefficients of the cross-edge derivative restrictions of all four orders;
-the order-3 block is overdetermined and leaves one relation among the
-coefficients of a single triangle, so full C^3 across an edge constrains the
-patch on its own.
+when the Bernstein coefficients of their cross-edge derivatives of orders
+0..r agree on the edge.  For basis c, the paper's form of those conditions
+is derived symbolically here: linear relations between the coefficients
+near the edge, from one exact solve over the restriction tables.  The
+order-3 block is overdetermined and leaves one relation among the
+coefficients of a single triangle, so full C^3 across an edge constrains
+the patch on its own.  verify_smoothness checks a join in any basis from
+the coefficients themselves: the split has a vertex at each edge midpoint,
+so a cross derivative there is one polynomial per half-edge, read off the
+half-edge faces' ordinates by directional differences.
 
 The module also carries the Hermite nodal basis dual to the 39 canonical
-functionals (the inverse of the basis-c collocation matrix), global
-interpolation of vertex jets plus edge cross derivatives on a triangulation,
-and a cross-edge smoothness checker.  Hermite assembly builds no frame: it
-maps the nine named directions of dual_functionals' table onto each
-triangle's corners and takes every functional by its site.  Exact input
-(rational.is_exact) runs on integers over one denominator: a triangle's
-Hermite coefficients are one integer mat-vec, a checked derivative one
-integer row times a spline's integer face ordinates.  Float input keeps its
-own arithmetic.
+functionals (the inverse of the basis-c collocation matrix) and global
+interpolation of vertex jets plus edge cross derivatives on a
+triangulation.  Hermite assembly builds no frame: it maps the nine named
+directions of dual_functionals' table onto each triangle's corners and
+takes every functional by its site.  Exact input (rational.is_exact) runs
+on integers over one denominator; float input keeps its own arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
+from math import comb, isfinite, perm
 from numbers import Integral
-from operator import add
+from operator import add, truediv
 
 from .errors import (
     DegenerateTriangle,
@@ -37,13 +38,14 @@ from .errors import (
 )
 from .bspline1d import UnivariateBSplineRef, bspline_derivative
 from .dual_functionals import FUNCTIONALS, JET_ORDERS, direction_vectors, lambda_vector
-from .geometry import EDGES, PS12Frame, Point2, direction_coords, make_frame, reference_frame
+from .geometry import (EDGES, FACES, VERTEX_BARY, PS12Frame, Point2, direction_coords, face_bary,
+                       locate_face_bary, make_frame, reference_frame)
 from .linalg import integer_matrix, integer_mat_vec, inverse, mat_vec, solve
 from .marsden_catalog import catalog
 from .polynomial import TriPoly
 from .rational import common_denominator, is_exact
-from .simplex_spline import _derivative_terms, restrict_to_edge
-from .spline_fn import Spline, _exact_value, face_forms
+from .simplex_spline import _derivative_terms, bernstein_exponents, restrict_to_edge
+from .spline_fn import Spline
 
 #: Number of basis elements with nonzero derivative restrictions of orders
 #: 0..3 on the edge [v1, v2] (in the canonical element order).
@@ -304,51 +306,89 @@ class GlobalSpline:
         return Spline(self.tri.frame(t), self.basis, tuple(self.coeffs[t]))
 
 
+def _cross_edge_coefficients(s: Spline, la: int, lb: int, u: Point2, order: int) -> tuple:
+    """(out, mid) on the macro edge from corner la to corner lb (1-based),
+    split at its midpoint, la's half first: out[k][half] = (nums, den), the
+    Bernstein coefficients nums / den of D_u^k s on the half from its
+    la-ward end, k = 0..order; mid, the half located at the midpoint.  On a
+    half's face, with ordinates c over D and u's face-directional triple g
+    over E, D_u^k is 5! / (5 - k)! times the form of the k-fold differences
+    sum_r g_r c[alpha + e_r] over D E^k, only rows within order - k of the
+    edge differenced.  A float spline's ordinates and direction count exactly."""
+    m = next(m for a, m, b in EDGES.values() if {a, b} == {la, lb})
+    delta = tuple(map(Fraction, direction_coords(s.frame.corners, u)))
+    out, faces = [[] for _ in range(order + 1)], []
+    for ends in ((la, m), (m, lb)):
+        fi, face = next((fi, f) for fi, f in enumerate(FACES, 1) if set(ends) <= set(f))
+        faces.append(fi)
+        # exponents and directions in the order (la-ward end, lb-ward end, third vertex)
+        p = tuple(map(face.index, (*ends, *set(face) - set(ends))))
+        dden, g = face_bary(fi, delta)
+        g0, g1, g2 = (g[i] for i in p)
+        den, ords = (s._exact_ordinates(fi) if s.exact else
+                     common_denominator(list(map(Fraction, s._float_forms.ords[fi - 1]))))
+        c = {tuple(e[i] for i in p): x for e, x in zip(bernstein_exponents(5), ords)}
+        for k in range(order + 1):
+            if k:
+                c = {(i, j, l): g0 * c[i + 1, j, l] + g1 * c[i, j + 1, l] + g2 * c[i, j, l + 1]
+                     for i, j, l in bernstein_exponents(5 - k) if l <= order - k}
+            out[k].append(([perm(5, k) * c[5 - k - j, j, 0] for j in range(6 - k)], den * dden**k))
+    return out, faces.index(locate_face_bary(*VERTEX_BARY[m - 1]))
+
+
 def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
                       tol=None) -> dict:
-    """Maximum cross-edge jump of each derivative order up to ``order``.
+    """Cross-edge gaps and sampled jumps of the derivatives of orders 0..order.
 
-    Samples interior parameters of the shared edge and compares one-sided
-    derivatives along the edge normal from the Bernstein forms on the two
-    adjacent triangles.  Exact data yields exact jumps, each derivative one
-    integer row of simplex_spline.functional_row times the spline's integer
-    ordinates; float data gets a pass flag against ``tol``, which defaults
-    to 1e-10 in that layer.  Raises DomainError for samples < 1 or order <
-    0, which would check nothing.
-
-    What zero jumps show: the order-k cross derivative restricted to the
-    edge lies in an (8 - k)-dimensional space (degree 5 - k, C^(3 - k) at
-    the edge midpoint), so zero jumps prove a C^k join only when the
-    samples are unisolvent for that space; otherwise they are a sample
-    (ROADMAP item 4 would compare B-spline coefficients instead).
+    On each side the order-k derivative along u = rot90(v_b - v_a) is, on
+    the edge, one polynomial of degree 5 - k per half-edge.  ``gaps[k]``,
+    the largest difference of the two sides' Bernstein coefficients, bounds
+    the order-k jump on the whole edge, and on exact data the join is C^k
+    exactly when gaps[0..k] are 0, in any basis.  ``jumps[k]``, the largest
+    jump at ``samples`` equispaced interior points, proves nothing unless
+    they are unisolvent for the restriction space; at the midpoint each
+    side reads the face locate_face_bary picks, so for k = 4, 5 (a side's
+    restriction jumps there) jumps[k] may exceed gaps[k].  ``max`` is the
+    largest jump; given ``tol`` (1e-10 by default for float data), ``pass``
+    says whether every jump is within it.  Exact data gives Fractions, float
+    data the floats nearest the exact values for its float ordinates.
+    Raises DomainError for samples < 1, orders outside 0..5, NaN or inf.
     """
-    if samples < 1 or order < 0:
-        raise DomainError("verify_smoothness needs samples >= 1 and order >= 0")
+    if samples < 1 or not 0 <= order <= 5:
+        raise DomainError("verify_smoothness needs samples >= 1 and order in 0..5")
     edge = tuple(sorted(edge))
     adj = gs.tri.edge_adjacency().get(edge)
     if adj is None or len(adj) != 2:
         raise NonConformingMesh(f"edge {edge} is not an interior edge")
     splines = [gs.spline(t) for t in adj]
     exact = all(s.exact for s in splines)
-    if tol is None and not exact:
-        tol = 1e-10
+    if not all(isfinite(x) for s in splines if not s.exact for f in s._float_forms.ords for x in f):
+        raise DomainError("verify_smoothness needs finite float ordinates")
+    tol = 1e-10 if tol is None and not exact else tol
     va, vb = (gs.tri.vertices[i] for i in edge)
     u = Point2(-(vb.y - va.y), vb.x - va.x)
-    # per side, a reader of (beta, directions) and the direction it takes
-    (ra, da), (rb, db) = ([(partial(_exact_value, s), direction_coords(s.frame.corners, u))
-                           for s in splines] if exact else
-                          [(face_forms(s).value_at_bary, u) for s in splines])
-    jumps = {k: Fraction(0) if exact else 0.0 for k in range(order + 1)}
-    for n in range(1, samples + 1):
-        t = Fraction(n, samples + 1) if exact else n / (samples + 1)
-        # the sample's macro-barycentrics in each triangle's corner order
-        ba, bb = (tuple((1 - t) * (v == edge[0]) + t * (v == edge[1])
-                        for v in gs.tri.triangles[i]) for i in adj)
-        for k in range(order + 1):
-            gap = abs(ra(ba, (da,) * k) - rb(bb, (db,) * k))
-            if gap > jumps[k]:
-                jumps[k] = gap
-    report = {"jumps": jumps, "max": max(jumps.values())}
+    (a, a_mid), (b, b_mid) = (
+        _cross_edge_coefficients(s, *(gs.tri.triangles[t].index(v) + 1 for v in edge), u, order)
+        for t, s in zip(adj, splines))
+    div = Fraction if exact else truediv
+    m = samples + 1     # sample i, at i / m along the edge, is at w / m on half h
+    gaps, jumps = {}, {}
+    for k in range(order + 1):
+        n = 5 - k
+        # per half, the coefficients of a - b over ad * bd
+        diffs = [([x * bd - y * ad for x, y in zip(an, bn)], ad * bd)
+                 for (an, ad), (bn, bd) in zip(a[k], b[k])]
+        gaps[k] = max(div(max(map(abs, d)), den) for d, den in diffs)
+        best = [0, 0]
+        for i in (i for i in range(1, m) if 2 * i != m):
+            h, w = (0, 2 * i) if 2 * i < m else (1, 2 * i - m)
+            best[h] = max(best[h], abs(sum(comb(n, j) * (m - w) ** (n - j) * w ** j * x
+                                           for j, x in enumerate(diffs[h][0]))))
+        jumps[k] = max(div(x, den * m ** n) for x, (_, den) in zip(best, diffs))
+        if m % 2 == 0:  # the midpoint ends half 0 and starts half 1
+            (an, ad), (bn, bd) = a[k][a_mid], b[k][b_mid]
+            jumps[k] = max(jumps[k], div(abs(an[a_mid - 1] * bd - bn[b_mid - 1] * ad), ad * bd))
+    report = {"jumps": jumps, "max": max(jumps.values()), "gaps": gaps}
     if tol is not None:
         report["pass"] = all(float(j) <= tol for j in jumps.values())
     return report

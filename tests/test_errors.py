@@ -90,6 +90,10 @@ BAD_CALLS = {
         geometry.make_frame((0.3, -0.1), (2.7, 0.2), (0.1, 3.1)), [K]),
     "smoothness_system order four": lambda: assembly.smoothness_system(4, (F(1, 3),) * 3),
     "smoothness_system order negative": lambda: assembly.smoothness_system(-1, (F(1, 3),) * 3),
+    "verify_smoothness order six": lambda: assembly.verify_smoothness(
+        assembly.GlobalSpline(MESH, ((F(0),) * 39,) * 2), (1, 2), 6),
+    "verify_smoothness NaN coefficient": lambda: assembly.verify_smoothness(
+        assembly.GlobalSpline(MESH, ((0.5,) * 39, (math.nan,) + (0.5,) * 38)), (1, 2), 2),
 }
 
 
