@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import comb, isfinite, perm
 from numbers import Integral
 from operator import add, truediv
@@ -302,8 +302,16 @@ class GlobalSpline:
         if len(self.coeffs) != len(self.tri.triangles):
             raise DimensionMismatch("one coefficient vector per triangle required")
 
-    def spline(self, t: int):
-        return Spline(self.tri.frame(t), self.basis, tuple(self.coeffs[t]))
+    @cached_property
+    def _splines(self) -> dict:
+        """Triangle index -> its Spline, filled by spline."""
+        return {}
+
+    def spline(self, t: int) -> Spline:
+        """The spline on triangle t, built once, with its frame and contractions."""
+        if t not in self._splines:
+            self._splines[t] = Spline(self.tri.frame(t), self.basis, tuple(self.coeffs[t]))
+        return self._splines[t]
 
 
 def _cross_edge_coefficients(s: Spline, la: int, lb: int, u: Point2, order: int) -> tuple:

@@ -65,6 +65,7 @@ from .linalg import _integer_rows, append_row, pivot_columns, reduce_row, solve
 from .linalg import bareiss  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .marsden_catalog import CATALOG_ROWS
 from .polynomial import TriPoly
+from .serialize import PIPELINE_STAGES
 from .simplex_spline import active_indices, bernstein_exponents, hull_area, knot_label, knots
 
 #: Canonical names for the 20 admissible classes, keyed by a representative.
@@ -720,10 +721,6 @@ def _has_nonreal_root(rem, p, q) -> bool:
 # ---------------------------------------------------------------------------
 # The filter pipeline
 # ---------------------------------------------------------------------------
-
-PIPELINE_STAGES = ("candidates", "full_rank", "nonnegative", "positive",
-                   "domain_inside", "boundary_counts", "linear_factors")
-
 
 @dataclass
 class SurvivorBasis:

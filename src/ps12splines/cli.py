@@ -17,8 +17,7 @@ import re
 import sys
 
 from . import serialize
-from .basis_search import PIPELINE_STAGES
-from .errors import ParseError, PS12Error, UnknownTable
+from .errors import DomainError, ParseError, PS12Error, UnknownTable
 from .geometry import from_bary, Point2
 
 
@@ -77,12 +76,23 @@ def _load_spline(path):
     return serialize.spline_from_dict(_read_json(path))
 
 
+def _to_float(value, name: str) -> float:
+    """value in double precision; DomainError naming it when it is beyond
+    the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} {value} is beyond the float range") from None
+
+
 def _to_layer(s, layer: str):
     from .spline_fn import Spline
     if layer == "float":
-        frame_pts = [Point2(float(p.x), float(p.y)) for p in s.frame.corners]
+        frame_pts = [Point2(_to_float(p.x, "frame coordinate"), _to_float(p.y, "frame coordinate"))
+                     for p in s.frame.corners]
         from .geometry import make_frame
-        return Spline(make_frame(*frame_pts), s.basis, tuple(float(c) for c in s.coeffs))
+        return Spline(make_frame(*frame_pts), s.basis,
+                      tuple(_to_float(c, f"coefficient {i}") for i, c in enumerate(s.coeffs)))
     return s
 
 
@@ -92,7 +102,7 @@ def cmd_eval(args) -> int:
     x = serialize.decode_number(args.point[0])
     y = serialize.decode_number(args.point[1])
     if args.layer == "float":
-        x, y = float(x), float(y)
+        x, y = _to_float(x, "point coordinate"), _to_float(y, "point coordinate")
     value = eval_spline(s, Point2(x, y))
     _write(args.out, f"{serialize.encode_number(value)}\n")
     return 0
@@ -103,12 +113,14 @@ def _float_lattice(n: int) -> list:
 
 
 def cmd_sample(args) -> int:
-    from .spline_fn import eval_many, eval_spline
+    from .spline_fn import eval_spline, face_forms
     s = _to_layer(_load_spline(args.spline), args.layer)
     exact = args.layer == "exact"
     lattice = serialize.barycentric_lattice(args.grid) if exact else _float_lattice(args.grid)
     pts = [from_bary(s.frame, b) for b in lattice]
-    values = [eval_spline(s, p) for p in pts] if exact else eval_many(s, lattice).tolist()
+    # the float lattice is read at its barycentrics, with the bits of eval_many there
+    values = ([eval_spline(s, p) for p in pts] if exact else
+              list(map(face_forms(s).value_at_bary, lattice)))
     _write(args.out, serialize.grid_csv((p.x, p.y, v) for p, v in zip(pts, values)))
     return 0
 
@@ -135,7 +147,7 @@ def cmd_nodal(args) -> int:
 
 
 def cmd_export_obj(args) -> int:
-    from .spline_fn import control_mesh, eval_many
+    from .spline_fn import control_mesh, face_forms
     n = args.grid
     lattice = _float_lattice(n)
     faces = serialize.lattice_triangles(n)
@@ -149,7 +161,7 @@ def cmd_export_obj(args) -> int:
     for s in splines:
         base = len(verts)
         pts = [from_bary(s.frame, b) for b in lattice]
-        verts.extend((p.x, p.y, z) for p, z in zip(pts, eval_many(s, lattice).tolist()))
+        verts.extend((p.x, p.y, z) for p, z in zip(pts, map(face_forms(s).value_at_bary, lattice)))
         cells.extend(tuple(base + i for i in tri) for tri in faces)
     control = None
     if args.control_mesh and args.spline:
@@ -171,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("search", help="run the basis filter pipeline")
-    p.add_argument("--stage", default="linear_factors", choices=PIPELINE_STAGES)
+    p.add_argument("--stage", default="linear_factors", choices=serialize.PIPELINE_STAGES)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 

@@ -304,4 +304,5 @@ def face_bary(fi: int, beta: Bary3) -> tuple:
         d *= e
     else:
         d, m = 1, floats
-    return d, tuple(r[0] * beta[0] + r[1] * beta[1] + r[2] * beta[2] for r in m)
+    b1, b2, b3 = beta
+    return d, tuple([r1 * b1 + r2 * b2 + r3 * b3 for r1, r2, r3 in m])

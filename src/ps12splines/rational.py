@@ -18,11 +18,11 @@ from .errors import ParseError
 
 
 def is_exact(values) -> bool:
-    """True iff every value is an int or a Fraction (the exact layer)."""
-    # floats are turned away first: isinstance(float, Fraction) takes the
-    # slow ABC path, and float evaluation asks this per point
-    return not any(isinstance(v, float) for v in values) and \
-        all(isinstance(v, (int, Fraction)) for v in values)
+    """True iff every value of the sequence is an int or a Fraction (the
+    exact layer)."""
+    # floats are turned away first, in one C-level scan: isinstance(float,
+    # Fraction) takes the slow ABC path, and float evaluation asks this per point
+    return float not in map(type, values) and all(isinstance(v, (int, Fraction)) for v in values)
 
 
 def common_denominator(values) -> tuple[int, list]:

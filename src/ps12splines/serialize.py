@@ -156,6 +156,14 @@ def tri_poly_to_dict(poly) -> dict:
             for exp, c in sorted(poly.terms.items())}
 
 
+#: The filter stages of basis_search.filter_pipeline, in order: the values
+#: of a search report's stage and the keys of its counts.  Defined with the
+#: report format, so that the CLI parser can offer them without loading the
+#: search.
+PIPELINE_STAGES = ("candidates", "full_rank", "nonnegative", "positive",
+                   "domain_inside", "boundary_counts", "linear_factors")
+
+
 def search_report_to_dict(report) -> dict:
     return {
         "stage": report.stage,

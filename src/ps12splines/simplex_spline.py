@@ -618,9 +618,9 @@ class FaceForms:
         to the point, so one-sided there.  Raises OutsideDomain outside the
         closed macrotriangle.
         """
-        corners = self.frame.corners
-        fi, den, row = functional_row(beta, [direction_coords(corners, u) for u in directions],
-                                      self.deg)
+        if directions:
+            directions = [direction_coords(self.frame.corners, u) for u in directions]
+        fi, den, row = functional_row(beta, directions, self.deg)
         ords = self.ords[fi - 1]
         if den != 1 and not is_exact(ords):
             # float ordinates at an exact point take the row entries rounded

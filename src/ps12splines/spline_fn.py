@@ -9,11 +9,14 @@ and points are exact (rational.is_exact): the exact kernels run on integers
 (the located row, the table and the coefficients each over one
 denominator, the coefficients scaled once per spline and contracted once
 per face on the face's first read, which exact eval_spline and the
-assembly's join check share) and divide once per result.  Otherwise the float layer, the only numpy user (exact work never
-imports it), contracts the float table with the float coefficients once
-per spline into 12 x 21 face ordinates, read by float eval_spline (one
-point) and eval_many (a numpy batch) with the same IEEE operations in the
-same order, so the two agree bit for bit.
+assembly's join check share) and divide once per result.  Otherwise the
+float layer contracts the integer table with the float coefficients once
+per spline into 12 x 21 face ordinates, in plain Python (each a
+left-to-right sum of the nonzero products, divided once), so its bits
+depend on neither a BLAS build nor the Python version.  Float eval_spline
+(one point) and eval_many (a numpy batch) read those ordinates with the
+same IEEE operations in the same order, so the two agree bit for bit.
+Only eval_many and float basis_values import numpy.
 The domain-point collocation matrix has rows summing to one, and its exact
 inverse, kept as integers over one denominator, gives Lagrange
 interpolation as one integer mat-vec and bounds the basis condition number
@@ -24,13 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, combinations, islice
 from math import lcm
-from operator import mul
+from operator import add, itemgetter, mul
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # annotations only: the float path imports numpy when it runs
+if TYPE_CHECKING:  # annotations only: eval_many and float basis_values import numpy when they run
     import numpy as np
 
 from .errors import (BoundViolated, DimensionMismatch, DomainError, OutsideDomain,
@@ -87,10 +90,15 @@ class Spline:
 
     @cached_property
     def _float_forms(self) -> FaceForms:
-        """The 12 x 21 float face ordinates every float value reads, once per spline."""
-        import numpy as np
-        ords = _scaled_basis_arrays(self.basis) @ np.array([float(c) for c in self.coeffs])
-        return FaceForms(self.frame, 5, tuple(map(tuple, ords.tolist())))
+        """The 12 x 21 float face ordinates every float value reads, once per
+        spline: each the left-to-right sum, from 0, of the float coefficients
+        times its row's nonzero integer table entries (exact as floats), then
+        divided by Q."""
+        q, _ = scaled_basis_tables(self.basis)
+        gather, entries, counts = _nonzero_entries(self.basis)
+        products = map(mul, entries, gather([float(c) for c in self.coeffs]))
+        ords = [reduce(add, islice(products, n), 0) / q for n in counts]
+        return FaceForms(self.frame, 5, tuple(tuple(ords[k:k + 21]) for k in range(0, 252, 21)))
 
 
 @lru_cache(maxsize=None)
@@ -115,7 +123,24 @@ def scaled_basis_tables(basis_id: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _nonzero_entries(basis_id: str) -> tuple:
+    """(gather, entries, counts): the nonzero entries of scaled_basis_tables,
+    face by face and ordinate by ordinate, with a function that picks their
+    coefficients out of a sequence of 39 and the number of entries of each
+    of the 12 x 21 ordinates."""
+    _, table = scaled_basis_tables(basis_id)
+    rows = [row for face in table for row in face]
+    entries = [t for row in rows for t in row if t]
+    # as floats (exact: they have at most 17 bits) for fast float products,
+    # one object per distinct value (a few dozen per basis)
+    as_float = {t: float(t) for t in entries}
+    return (itemgetter(*(i for row in rows for i, t in enumerate(row) if t)),
+            tuple(map(as_float.__getitem__, entries)), tuple(len(row) - row.count(0) for row in rows))
+
+
+@lru_cache(maxsize=None)
 def _scaled_basis_arrays(basis_id: str) -> np.ndarray:
+    """The scaled tables as one float array, for float basis_values."""
     import numpy as np
     q, table = scaled_basis_tables(basis_id)
     # int / int true division rounds correctly: the bits of float(Fraction(t, q))
@@ -145,7 +170,7 @@ def eval_spline(s: Spline, p) -> object:
     spline's contracted face ordinates.  Raises OutsideDomain for points
     outside the closed macrotriangle.
     """
-    beta = to_bary(s.frame, Point2(*p))
+    beta = to_bary(s.frame, p)
     if is_exact(beta):
         if s._int_coeffs is not None:
             return _exact_value(s, beta)

@@ -433,6 +433,30 @@ def test_float_verify_smoothness_passes_against_its_default_tolerance():
     assert not report["pass"] and report["max"] > 1e-10
 
 
+def test_global_spline_builds_each_triangle_spline_once():
+    """GlobalSpline.spline(t) is built once per triangle and kept on the
+    frozen GlobalSpline without entering its equality or hash; join reports
+    read through the kept splines equal those of a fresh GlobalSpline, in
+    both layers."""
+    rng = random.Random(71)
+    verts = [(F(i), F(j)) for j in range(3) for i in range(3)]
+    verts[4] = (F(11, 10), F(4, 5))
+    tris = [(0, 1, 4), (0, 4, 3), (1, 2, 4), (2, 5, 4), (3, 4, 6), (4, 7, 6), (4, 5, 8), (4, 8, 7)]
+    tri = triangulation(verts, tris)
+    jets = {v: tuple(F(rng.randint(-9, 9), 7) for _ in range(10)) for v in range(9)}
+    edges = {e: tuple(F(rng.randint(-9, 9), 5) for _ in range(3)) for e in tri.edges()}
+    gs = hermite_interpolate(tri, jets, edges)
+    float_tri = triangulation([(float(x), float(y)) for x, y in verts], tris)
+    fgs = GlobalSpline(float_tri, tuple(tuple(map(float, cs)) for cs in gs.coeffs))
+    for g in (gs, fgs):
+        reports = [verify_smoothness(g, e, 2, samples=5) for e in tri.interior_edges()]
+        assert all(g.spline(t) is g.spline(t) for t in range(len(tris)))
+        fresh = GlobalSpline(g.tri, g.coeffs)
+        assert fresh == g and hash(fresh) == hash(g)
+        assert reports == [verify_smoothness(fresh, e, 2, samples=5) for e in tri.interior_edges()]
+        assert reports == [verify_smoothness(g, e, 2, samples=5) for e in tri.interior_edges()]
+
+
 def test_verify_smoothness_rejects_vacuous_checks():
     """samples=0 would compare nothing and report a jump of 1 as zero."""
     verts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(-1))]

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -364,12 +365,15 @@ def test_full_search_stays_free_of_sympy():
 
 
 def test_cold_exact_commands_leave_numpy_unloaded(tmp_path):
-    """Only the float layer imports numpy: in a fresh interpreter, table
-    export, exact eval, nodal and exact assembly leave it unloaded, and a
-    float eval loads it."""
+    """No command imports numpy, and only search imports basis_search: in a
+    fresh interpreter, table export and exact and float eval and sample
+    leave numpy, basis_search and assembly unloaded; nodal, exact assembly,
+    and export-obj of a spline with its control net and of the assembled
+    global spline leave numpy and basis_search unloaded."""
     from ps12splines.assembly import triangulation
     from ps12splines.serialize import triangulation_to_dict
-    spline, mesh, data = (str(tmp_path / n) for n in ("s.json", "mesh.json", "data.json"))
+    spline, mesh, data, glob = (str(tmp_path / n)
+                                for n in ("s.json", "mesh.json", "data.json", "g.json"))
     with open(spline, "w") as fh:
         json.dump({"frame": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]],
                    "basis": "c", "coeffs": [f"{i}/7" for i in range(39)]}, fh)
@@ -380,18 +384,89 @@ def test_cold_exact_commands_leave_numpy_unloaded(tmp_path):
         fh.write(dumps(triangulation_to_dict(tri)))
     with open(data, "w") as fh:
         fh.write(dumps(hermite_data_to_dict(jets, {e: (F(0),) * 3 for e in tri.edges()})))
-    exact = [["tables", "dims"],
+    light = [["tables", "dims"],
+             ["tables", "dual"],
              ["eval", "--spline", spline, "--point", "1/3", "1/5"],
-             ["nodal"],
-             ["assemble", "--mesh", mesh, "--data", data]]
-    code = ("import os, sys\n"
+             ["eval", "--spline", spline, "--point", "0.3", "0.2", "--layer", "float"],
+             ["sample", "--spline", spline, "--grid", "8"],
+             ["sample", "--spline", spline, "--grid", "2", "--layer", "exact"]]
+    rest = [["nodal"],
+            ["export-obj", "--spline", spline, "--grid", "8", "--control-mesh"]]
+    runs = ([(args + ["--out", os.devnull], ["numpy", "ps12splines.basis_search",
+                                              "ps12splines.assembly"]) for args in light] +
+            [(args + ["--out", os.devnull], ["numpy", "ps12splines.basis_search"])
+             for args in rest] +
+            [(["assemble", "--mesh", mesh, "--data", data, "--out", glob],
+              ["numpy", "ps12splines.basis_search"]),
+             (["export-obj", "--global", glob, "--grid", "8", "--out", os.devnull],
+              ["numpy", "ps12splines.basis_search"])])
+    code = ("import sys\n"
             "import ps12splines\n"
             "from ps12splines import cli\n"
-            f"for args in {exact!r}:\n"
-            "    assert cli.main(args + ['--out', os.devnull]) == 0, args\n"
-            "    assert 'numpy' not in sys.modules, f'numpy loaded by {args}'\n"
-            f"args = {exact[1]!r} + ['--layer', 'float', '--out', os.devnull]\n"
-            "assert cli.main(args) == 0\n"
-            "assert 'numpy' in sys.modules, 'float eval ran without numpy'\n")
+            f"for args, unloaded in {runs!r}:\n"
+            "    assert cli.main(args) == 0, args\n"
+            "    loaded = [m for m in unloaded if m in sys.modules]\n"
+            "    assert not loaded, f'{loaded} loaded by {args}'\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr[-1500:]
+
+
+def test_float_sample_and_export_obj_carry_the_bits_of_eval_many(tmp_path):
+    """The float layer of sample and export-obj reads each lattice point on
+    its own, with the bits of one eval_many batch on the same lattice: the
+    CSV values and the OBJ vertices of a spline and of a global spline."""
+    import numpy as np
+    from ps12splines.assembly import hexagon_demo
+    from ps12splines.cli import _float_lattice, _to_layer
+    from ps12splines.spline_fn import eval_many
+    rng = random.Random(8)
+    n = 7
+    barys = np.array(_float_lattice(n))
+    sp = {"frame": [["1/3", "-2/7"], ["13/5", "1/9"], ["2/11", "17/6"]], "basis": "e",
+          "coeffs": [rng.uniform(-10, 10) for _ in range(39)]}
+    spline, glob, out = (str(tmp_path / f) for f in ("s.json", "g.json", "out"))
+    with open(spline, "w") as fh:
+        json.dump(sp, fh)
+    want = [v.hex() for v in eval_many(_to_layer(spline_from_dict(sp), "float"), barys).tolist()]
+    assert main(["sample", "--spline", spline, "--grid", str(n), "--out", out]) == 0
+    with open(out) as fh:
+        assert [float(line.split(",")[2]).hex() for line in fh.read().splitlines()[1:]] == want
+    assert main(["export-obj", "--spline", spline, "--grid", str(n), "--out", out]) == 0
+    with open(out) as fh:
+        assert [float(line.split()[3]).hex() for line in fh if line.startswith("v ")] == want
+    gs = hexagon_demo()
+    with open(glob, "w") as fh:
+        fh.write(dumps(global_spline_to_dict(gs)))
+    want = [v.hex() for t in range(len(gs.tri.triangles))
+            for v in eval_many(_to_layer(gs.spline(t), "float"), barys).tolist()]
+    assert main(["export-obj", "--global", glob, "--grid", str(n), "--out", out]) == 0
+    with open(out) as fh:
+        assert [float(line.split()[3]).hex() for line in fh if line.startswith("v ")] == want
+
+
+@pytest.mark.parametrize("command", ["eval", "sample", "export-obj"])
+def test_numbers_beyond_the_float_range_are_domain_errors(tmp_path, command):
+    """A number that has no double, in the point, a coefficient or a frame
+    corner, is a DomainError naming it (exit 1) in the float layer, not an
+    OverflowError with a traceback."""
+    big = "1" + "0" * 400
+    sp = {"frame": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]],
+          "basis": "c", "coeffs": ["1/3"] * 39}
+    path = str(tmp_path / "s.json")
+    runs = {"eval": [(None, None, ["--point", "1e400", "0", "--layer", "float"],
+                      "point coordinate"),
+                     ("coeffs", 5, ["--point", "0.25", "0.25", "--layer", "float"],
+                      "coefficient 5")],
+            "sample": [("coeffs", 38, [], "coefficient 38"), ("frame", 2, [], "frame coordinate")],
+            "export-obj": [("frame", 1, [], "frame coordinate"),
+                           ("coeffs", 0, ["--control-mesh"], "coefficient 0")]}[command]
+    for field, index, args, name in runs:
+        data = json.loads(json.dumps(sp))
+        if field == "coeffs":
+            data["coeffs"][index] = "1e400"
+        elif field == "frame":
+            data["frame"][index][0] = "1e400"
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        r = run_cli([command, "--spline", path, *args], expect=1)
+        assert r.stderr == f"error: {name} {big} is beyond the float range\n"
