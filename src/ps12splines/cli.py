@@ -77,12 +77,14 @@ def _load_spline(path):
 
 
 def _to_float(value, name: str) -> float:
-    """value in double precision; DomainError naming it when it is beyond
-    the float range."""
+    """value in double precision; DomainError naming it, to six digits (its
+    integers may be too long for str), when it is beyond the float range."""
     try:
         return float(value)
     except OverflowError:
-        raise DomainError(f"{name} {value} is beyond the float range") from None
+        from decimal import Context
+        about = Context(prec=6).divide(value.numerator, value.denominator).normalize()
+        raise DomainError(f"{name} of about {about} is beyond the float range") from None
 
 
 def _to_layer(s, layer: str):
@@ -109,18 +111,35 @@ def cmd_eval(args) -> int:
 
 
 def _float_lattice(n: int) -> list:
-    return [tuple(map(float, b)) for b in serialize.barycentric_lattice(n)]
+    """serialize.barycentric_lattice(n) in floats, each correctly rounded,
+    without building its Fractions."""
+    return [(i / n, j / n, (n - i - j) / n) for i in range(n + 1) for j in range(n + 1 - i)]
+
+
+# A cold command reads up to this many float lattice points one by one,
+# about 13 us a point slower than eval_many; more go through eval_many,
+# whose cold numpy import (about 0.2 s) is then the smaller cost.  Both
+# give the same bits.
+BATCH_POINTS = 12_000
+
+
+def _lattice_values(splines, lattice) -> list:
+    """Per float spline, its values at the lattice barycentrics, with the
+    bits of eval_many there."""
+    if len(splines) * len(lattice) > BATCH_POINTS:
+        from .spline_fn import eval_many
+        return [eval_many(s, lattice).tolist() for s in splines]
+    from .spline_fn import face_forms
+    return [list(map(face_forms(s).value_at_bary, lattice)) for s in splines]
 
 
 def cmd_sample(args) -> int:
-    from .spline_fn import eval_spline, face_forms
+    from .spline_fn import eval_spline
     s = _to_layer(_load_spline(args.spline), args.layer)
     exact = args.layer == "exact"
     lattice = serialize.barycentric_lattice(args.grid) if exact else _float_lattice(args.grid)
     pts = [from_bary(s.frame, b) for b in lattice]
-    # the float lattice is read at its barycentrics, with the bits of eval_many there
-    values = ([eval_spline(s, p) for p in pts] if exact else
-              list(map(face_forms(s).value_at_bary, lattice)))
+    values = [eval_spline(s, p) for p in pts] if exact else _lattice_values([s], lattice)[0]
     _write(args.out, serialize.grid_csv((p.x, p.y, v) for p, v in zip(pts, values)))
     return 0
 
@@ -147,7 +166,7 @@ def cmd_nodal(args) -> int:
 
 
 def cmd_export_obj(args) -> int:
-    from .spline_fn import control_mesh, face_forms
+    from .spline_fn import control_mesh
     n = args.grid
     lattice = _float_lattice(n)
     faces = serialize.lattice_triangles(n)
@@ -158,10 +177,10 @@ def cmd_export_obj(args) -> int:
     else:
         gs = serialize.global_spline_from_dict(_read_json(args.global_spline))
         splines = [_to_layer(gs.spline(t), "float") for t in range(len(gs.tri.triangles))]
-    for s in splines:
+    for s, values in zip(splines, _lattice_values(splines, lattice)):
         base = len(verts)
         pts = [from_bary(s.frame, b) for b in lattice]
-        verts.extend((p.x, p.y, z) for p, z in zip(pts, map(face_forms(s).value_at_bary, lattice)))
+        verts.extend((p.x, p.y, z) for p, z in zip(pts, values))
         cells.extend(tuple(base + i for i in tri) for tri in faces)
     control = None
     if args.control_mesh and args.spline:

@@ -13,9 +13,10 @@ assembly's join check share) and divide once per result.  Otherwise the
 float layer contracts the integer table with the float coefficients once
 per spline into 12 x 21 face ordinates, in plain Python (each a
 left-to-right sum of the nonzero products, divided once), so its bits
-depend on neither a BLAS build nor the Python version.  Float eval_spline
-(one point) and eval_many (a numpy batch) read those ordinates with the
-same IEEE operations in the same order, so the two agree bit for bit.
+depend on neither a BLAS build nor the Python version (float coefficients
+are in range up to about 1e303).  Float eval_spline (one point) and
+eval_many (a numpy batch) read those ordinates with the same IEEE
+operations in the same order, so the two agree bit for bit.
 Only eval_many and float basis_values import numpy.
 The domain-point collocation matrix has rows summing to one, and its exact
 inverse, kept as integers over one denominator, gives Lagrange
@@ -93,7 +94,8 @@ class Spline:
         """The 12 x 21 float face ordinates every float value reads, once per
         spline: each the left-to-right sum, from 0, of the float coefficients
         times its row's nonzero integer table entries (exact as floats), then
-        divided by Q."""
+        divided by Q.  The products come before the division, so coefficients
+        beyond DBL_MAX / Q (about 1.4e303) can overflow to inf or nan."""
         q, _ = scaled_basis_tables(self.basis)
         gather, entries, counts = _nonzero_entries(self.basis)
         products = map(mul, entries, gather([float(c) for c in self.coeffs]))

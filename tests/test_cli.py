@@ -365,9 +365,10 @@ def test_full_search_stays_free_of_sympy():
 
 
 def test_cold_exact_commands_leave_numpy_unloaded(tmp_path):
-    """No command imports numpy, and only search imports basis_search: in a
-    fresh interpreter, table export and exact and float eval and sample
-    leave numpy, basis_search and assembly unloaded; nodal, exact assembly,
+    """No command imports numpy on lattices of up to cli.BATCH_POINTS
+    points, and only search imports basis_search: in a fresh interpreter,
+    table export and exact and float eval and sample leave numpy,
+    basis_search and assembly unloaded; nodal, exact assembly,
     and export-obj of a spline with its control net and of the assembled
     global spline leave numpy and basis_search unloaded."""
     from ps12splines.assembly import triangulation
@@ -411,16 +412,25 @@ def test_cold_exact_commands_leave_numpy_unloaded(tmp_path):
     assert r.returncode == 0, r.stderr[-1500:]
 
 
-def test_float_sample_and_export_obj_carry_the_bits_of_eval_many(tmp_path):
-    """The float layer of sample and export-obj reads each lattice point on
-    its own, with the bits of one eval_many batch on the same lattice: the
-    CSV values and the OBJ vertices of a spline and of a global spline."""
+@pytest.mark.parametrize("batch_points", [None, 0])
+def test_float_sample_and_export_obj_carry_the_bits_of_eval_many(tmp_path, monkeypatch,
+                                                                 batch_points):
+    """The float layer of sample and export-obj, reading each lattice point
+    on its own (small lattices) or in eval_many batches (above
+    cli.BATCH_POINTS, here 0), has the bits of one eval_many batch on the
+    same lattice: the CSV values and the OBJ vertices of a spline and of a
+    global spline."""
     import numpy as np
+    from ps12splines import cli
     from ps12splines.assembly import hexagon_demo
     from ps12splines.cli import _float_lattice, _to_layer
+    from ps12splines.serialize import barycentric_lattice
     from ps12splines.spline_fn import eval_many
+    if batch_points is not None:
+        monkeypatch.setattr(cli, "BATCH_POINTS", batch_points)
     rng = random.Random(8)
     n = 7
+    assert _float_lattice(n) == [tuple(map(float, b)) for b in barycentric_lattice(n)]
     barys = np.array(_float_lattice(n))
     sp = {"frame": [["1/3", "-2/7"], ["13/5", "1/9"], ["2/11", "17/6"]], "basis": "e",
           "coeffs": [rng.uniform(-10, 10) for _ in range(39)]}
@@ -447,26 +457,31 @@ def test_float_sample_and_export_obj_carry_the_bits_of_eval_many(tmp_path):
 @pytest.mark.parametrize("command", ["eval", "sample", "export-obj"])
 def test_numbers_beyond_the_float_range_are_domain_errors(tmp_path, command):
     """A number that has no double, in the point, a coefficient or a frame
-    corner, is a DomainError naming it (exit 1) in the float layer, not an
-    OverflowError with a traceback."""
-    big = "1" + "0" * 400
+    corner, is a DomainError naming it to six digits (exit 1) in the float
+    layer, not an OverflowError with a traceback; 1e5000 too, whose integer
+    is too long for str."""
     sp = {"frame": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]],
           "basis": "c", "coeffs": ["1/3"] * 39}
     path = str(tmp_path / "s.json")
-    runs = {"eval": [(None, None, ["--point", "1e400", "0", "--layer", "float"],
+    runs = {"eval": [("point", None, ["--point", "BIG", "0", "--layer", "float"],
                       "point coordinate"),
                      ("coeffs", 5, ["--point", "0.25", "0.25", "--layer", "float"],
                       "coefficient 5")],
             "sample": [("coeffs", 38, [], "coefficient 38"), ("frame", 2, [], "frame coordinate")],
             "export-obj": [("frame", 1, [], "frame coordinate"),
                            ("coeffs", 0, ["--control-mesh"], "coefficient 0")]}[command]
-    for field, index, args, name in runs:
-        data = json.loads(json.dumps(sp))
-        if field == "coeffs":
-            data["coeffs"][index] = "1e400"
-        elif field == "frame":
-            data["frame"][index][0] = "1e400"
-        with open(path, "w") as fh:
-            json.dump(data, fh)
-        r = run_cli([command, "--spline", path, *args], expect=1)
-        assert r.stderr == f"error: {name} {big} is beyond the float range\n"
+    for big, about in [("1e400", "1E+400"), ("-12345678e4993", "-1.23457E+5000")]:
+        for field, index, args, name in runs:
+            data = json.loads(json.dumps(sp))
+            value, text = big, about
+            if field == "coeffs":
+                data["coeffs"][index] = value
+            elif field == "frame":
+                data["frame"][index][0] = value
+            else:  # on the command line a leading "-" would read as an option
+                value, text = big.lstrip("-"), about.lstrip("-")
+            with open(path, "w") as fh:
+                json.dump(data, fh)
+            r = run_cli([command, "--spline", path, *(value if a == "BIG" else a for a in args)],
+                        expect=1)
+            assert r.stderr == f"error: {name} of about {text} is beyond the float range\n"

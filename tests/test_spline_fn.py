@@ -203,9 +203,9 @@ def test_float_layer_within_stated_error_bound(basis, coeffs, barys):
     two terms, so its error is relative to g^, not to itself).  The kernel's
     operation count gives n = 40 + 22 + 21 = 83:
 
-    * the 39-term contraction of the coefficients with the tables: T / Q
-      rounded once, one product, 38 additions in any order (numpy may
-      reorder them): 40;
+    * the 39-term contraction of the coefficients with the integer tables
+      (exact as floats): one product, at most 38 additions left to right
+      from 0 and one division by Q: 40;
     * the row: each face barycentric is one product and two additions with
       the integer matrix entries (exact as floats), 3, times the five
       factors of a quintic Bernstein polynomial, plus at most four
@@ -283,6 +283,27 @@ def test_float_tables_are_the_exact_tables_rounded():
         got = _scaled_basis_arrays(basis)
         assert got.shape == want.shape == (12, 21, 39)
         assert got.tobytes() == want.tobytes(), basis
+
+
+@pytest.mark.parametrize("basis", list("abcdef"))
+def test_float_coefficients_are_in_range_up_to_1e303(basis):
+    """The float contraction forms each product of a table entry (up to Q)
+    and a coefficient before it divides by Q, so coefficients of magnitude
+    1e303 give finite ordinates, within the contraction's share gamma_40 of
+    the stated error bound (rows of the table sum to Q), and positive ones
+    of 1e306 overflow to inf."""
+    from ps12splines.spline_fn import scaled_basis_tables
+    q, table = scaled_basis_tables(basis)
+    rng = random.Random(basis)
+    frame = make_frame((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    signs = [rng.choice((-1, 1)) for _ in range(39)]
+    c = [sign * 1e303 for sign in signs]
+    ords = [o for face in Spline(frame, basis, tuple(c))._float_forms.ords for o in face]
+    want = [sum(t * F(ci) for t, ci in zip(row, c)) / q for face in table for row in face]
+    assert all(sum(row) == q for face in table for row in face)
+    assert all(abs(F(o) - w) <= _gamma(40) * F(1e303) for o, w in zip(ords, want))
+    ords = Spline(frame, basis, (1e306,) * 39)._float_forms.ords
+    assert all(o == float("inf") for face in ords for o in face)
 
 
 # ---------------------------------------------------------------------------
