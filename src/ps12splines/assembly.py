@@ -10,7 +10,8 @@ coefficients of a single triangle, so full C^3 across an edge constrains
 the patch on its own.  verify_smoothness checks a join in any basis from
 the coefficients themselves: the split has a vertex at each edge midpoint,
 so a cross derivative there is one polynomial per half-edge, read off the
-half-edge faces' ordinates by directional differences.
+half-edge faces' ordinates by one formula (_cross_derivative), the one
+that gives the restriction tables with the direction kept symbolic.
 
 The module also carries the Hermite nodal basis dual to the 39 canonical
 functionals (the inverse of the basis-c collocation matrix) and global
@@ -23,10 +24,12 @@ on integers over one denominator; float input keeps its own arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import comb, isfinite, perm
+from itertools import product
+from math import comb, isfinite, lcm, perm, prod
 from numbers import Integral
 from operator import add, truediv
 
@@ -36,15 +39,15 @@ from .errors import (
     DomainError,
     NonConformingMesh,
 )
-from .bspline1d import UnivariateBSplineRef, bspline_derivative
+from .bspline1d import UnivariateBSplineRef, bspline_coefficients, bspline_derivative
 from .dual_functionals import FUNCTIONALS, JET_ORDERS, direction_vectors, lambda_vector
-from .geometry import (EDGES, FACES, VERTEX_BARY, PS12Frame, Point2, direction_coords, face_bary,
-                       locate_face_bary, make_frame, reference_frame)
+from .geometry import (EDGES, FACES, VERTEX_BARY, PS12Frame, Point2, _layer_face_bary_matrices,
+                       direction_coords, face_bary, locate_face_bary, make_frame)
 from .linalg import integer_matrix, integer_mat_vec, inverse, mat_vec, solve
 from .marsden_catalog import catalog
 from .polynomial import TriPoly
 from .rational import common_denominator, is_exact
-from .simplex_spline import _derivative_terms, bernstein_exponents, restrict_to_edge
+from .simplex_spline import _face_ordinates, _row_terms, bernstein_exponents
 from .spline_fn import Spline
 
 #: Number of basis elements with nonzero derivative restrictions of orders
@@ -53,8 +56,50 @@ N_BLOCKS = (8, 15, 21, 25)
 
 
 # ---------------------------------------------------------------------------
-# Symbolic restriction tables
+# Cross-edge derivatives and the symbolic restriction tables
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _half_edges(la: int, lb: int) -> tuple:
+    """(m, halves): the midpoint vertex of the macro edge from corner la to
+    corner lb (1-based) and, la's half first, each half's (face, p, near).
+    p orders the face's corners (la-ward end, lb-ward end, third vertex),
+    and near[l][i] is the position in the face's table of the ordinate
+    c[5 - l - i, i, l] in that order, l steps from the edge."""
+    m = next(m for a, m, b in EDGES.values() if {a, b} == {la, lb})
+    halves = []
+    for ends in ((la, m), (m, lb)):
+        fi, face = next((fi, f) for fi, f in enumerate(FACES, 1) if set(ends) <= set(f))
+        p = tuple(map(face.index, (*ends, *set(face) - set(ends))))
+        exps = [tuple(e[i] for i in p) for e in bernstein_exponents(5)]
+        halves.append((fi, p, [[exps.index((5 - l - i, i, l)) for i in range(6 - l)]
+                               for l in range(6)]))
+    return m, tuple(halves)
+
+
+def _cross_derivative(ords, near, weights, k: int) -> list:
+    """Bernstein coefficients j = 0..5-k, from the edge's first end, of an
+    order-k cross derivative on a half-edge face with quintic ordinates ords
+    (c, read through near): 5! / (5-k)! sum_{|beta|=k} w_beta c[(5-k-j, j, 0)
+    + beta].  D_g^k, g the direction's face-directional triple, has the
+    weights w_beta = (k! / beta!) g^beta."""
+    return [perm(5, k) * sum([w * ords[near[l][j + i]] for (_, i, l), w in weights])
+            for j in range(6 - k)]
+
+
+def _symbolic_weights(mat, k: int) -> dict:
+    """{e: weights}: the weights of _cross_derivative for g = mat . a, split
+    by monomial a^e.  (k! / beta!) g^beta sums prod_i mat[r_i][s_i] over the
+    index sequences r that beta counts and all s; a product goes to the
+    monomial e that counts its s."""
+    out = {}
+    for rs in product(range(3), repeat=k):
+        beta = tuple(map(rs.count, range(3)))
+        for ss in product(range(3), repeat=k):
+            e = tuple(map(ss.count, range(3)))
+            out.setdefault(e, Counter())[beta] += prod(mat[r][s] for r, s in zip(rs, ss))
+    return {e: list(ws.items()) for e, ws in out.items()}
+
 
 @lru_cache(maxsize=1)
 def edge_restriction_tables() -> tuple:
@@ -62,25 +107,30 @@ def edge_restriction_tables() -> tuple:
 
     Entry [i][k] is a dict {j: P} meaning D^k_u Q_i restricted to the edge
     equals sum_j P(a1, a2, a3) B_j^(5-k), with (a1, a2, a3) the directional
-    coordinates of u and P homogeneous of degree k.  Rows i >= N_BLOCKS[k]
-    are empty.
+    coordinates of u and P homogeneous of degree k, determined modulo
+    a1 + a2 + a3.  Rows i >= N_BLOCKS[k] are empty.  The halves on D1 and
+    D2 come from _cross_derivative with u's face-directional triple
+    g = M a / d kept symbolic (M / d the face's matrix of face_bary), in
+    integers over den d^k per monomial, and bspline_coefficients joins them.
     """
-    spec = catalog("c")
-    frame = reference_frame()
-    alpha = tuple(TriPoly.variable(v) for v in range(3))
+    _, halves = _half_edges(1, 2)
+    mats = [_layer_face_bary_matrices()[fi - 1][0] for fi, _, _ in halves]
+    d = lcm(*(dm for dm, _ in mats))
+    weights = [[_symbolic_weights([[x * (d // dm) for x in rows[i]] for i in p], k) for k in range(4)]
+               for (_, p, _), (dm, rows) in zip(halves, mats)]
     out = []
-    for el in spec.elements:
+    for el in catalog("c").elements:
+        den, faces = _face_ordinates(el.multiset)
         per_k = []
         for k in range(4):
-            terms = _derivative_terms(el.multiset, alpha, k)
             row = {}
-            for coef, m in terms:
-                for c2, ref in restrict_to_edge(frame, m, "e3").terms:
-                    if ref.degree != 5 - k:
-                        raise AssertionError("restriction degree mismatch")
-                    cur = row.get(ref.index, TriPoly.zero())
-                    row[ref.index] = cur + coef * c2
-            per_k.append({j: p for j, p in sorted(row.items()) if p})
+            for e in weights[0][k]:
+                pieces = [_cross_derivative(faces[fi - 1] or (0,) * 21, near, ws[k][e], k)
+                          for (fi, _, near), ws in zip(halves, weights)]
+                for j, x in enumerate(bspline_coefficients(5 - k, pieces), 1):
+                    if x:
+                        row.setdefault(j, {})[e] = Fraction(x, den * d ** k)
+            per_k.append({j: TriPoly(row[j]) for j in sorted(row)})
         out.append(tuple(per_k))
     return tuple(out)
 
@@ -318,30 +368,20 @@ def _cross_edge_coefficients(s: Spline, la: int, lb: int, u: Point2, order: int)
     """(out, mid) on the macro edge from corner la to corner lb (1-based),
     split at its midpoint, la's half first: out[k][half] = (nums, den), the
     Bernstein coefficients nums / den of D_u^k s on the half from its
-    la-ward end, k = 0..order; mid, the half located at the midpoint.  On a
-    half's face, with ordinates c over D and u's face-directional triple g
-    over E, D_u^k is 5! / (5 - k)! times the form of the k-fold differences
-    sum_r g_r c[alpha + e_r] over D E^k, only rows within order - k of the
-    edge differenced.  A float spline's ordinates and direction count exactly."""
-    m = next(m for a, m, b in EDGES.values() if {a, b} == {la, lb})
+    la-ward end (_cross_derivative), k = 0..order; mid, the half located at
+    the midpoint.  A float spline's ordinates and direction count exactly."""
+    m, halves = _half_edges(la, lb)
     delta = tuple(map(Fraction, direction_coords(s.frame.corners, u)))
-    out, faces = [[] for _ in range(order + 1)], []
-    for ends in ((la, m), (m, lb)):
-        fi, face = next((fi, f) for fi, f in enumerate(FACES, 1) if set(ends) <= set(f))
-        faces.append(fi)
-        # exponents and directions in the order (la-ward end, lb-ward end, third vertex)
-        p = tuple(map(face.index, (*ends, *set(face) - set(ends))))
+    out = [[] for _ in range(order + 1)]
+    for fi, p, near in halves:
         dden, g = face_bary(fi, delta)
         g0, g1, g2 = (g[i] for i in p)
         den, ords = (s._exact_ordinates(fi) if s.exact else
                      common_denominator(list(map(Fraction, s._float_forms.ords[fi - 1]))))
-        c = {tuple(e[i] for i in p): x for e, x in zip(bernstein_exponents(5), ords)}
         for k in range(order + 1):
-            if k:
-                c = {(i, j, l): g0 * c[i + 1, j, l] + g1 * c[i, j + 1, l] + g2 * c[i, j, l + 1]
-                     for i, j, l in bernstein_exponents(5 - k) if l <= order - k}
-            out[k].append(([perm(5, k) * c[5 - k - j, j, 0] for j in range(6 - k)], den * dden**k))
-    return out, faces.index(locate_face_bary(*VERTEX_BARY[m - 1]))
+            weights = [((i, j, l), w * g0 ** i * g1 ** j * g2 ** l) for w, i, j, l in _row_terms(k)]
+            out[k].append((_cross_derivative(ords, near, weights, k), den * dden ** k))
+    return out, [fi for fi, _, _ in halves].index(locate_face_bary(*VERTEX_BARY[m - 1]))
 
 
 def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,

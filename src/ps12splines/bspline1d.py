@@ -4,10 +4,11 @@ The d+3 consecutive B-splines of degree d on this knot vector are referenced
 by their index 1..d+3.  Every B-spline here is the edge view of a simplex
 spline: put its window's knots on v1 (t = 0), v4 (t = 1/2) and v2 (t = 1)
 of the reference split and one more knot on v3, and Q[K] restricted to the
-edge [v1, v2] is the B-spline over 2 area([K]) (see
-simplex_spline.restrict_to_edge).  The B-spline's Bernstein pieces on
-[0, 1/2] and [1/2, 1] are therefore the gamma_3 = 0 rows of Q[K]'s tables
-on the faces D1 and D2, times 2 area([K]).  Values and derivatives
+edge [v1, v2] is the B-spline over 2 area([K]).  Its Bernstein pieces on
+[0, 1/2] and [1/2, 1] are the gamma_3 = 0 rows of Q[K]'s tables on the
+faces D1 and D2, times 2 area([K]); bspline_coefficients takes any pair
+of pieces back to consecutive B-spline coefficients, for expand_window
+and assembly's edge restriction tables.  Values and derivatives
 evaluate a piece (derivatives by Bernstein differences), the right one from
 t = 1/2 on: they are right-continuous on [0, 1) and left-continuous at
 t = 1, and zero outside [0, 1].  At t = 1/2 this is not the split's point
@@ -16,8 +17,6 @@ location, which puts the edge midpoint v4 in D1, the left piece
 1/2 doubled a degree-d B-spline is C^(d-2) there, so only derivatives of
 order d - 1 and d differ, and what is read at t = 1/2 is of lower order
 (edge restriction values, and in assembly._edge_rows g(1/2) and f'(1/2)).
-An off-window B-spline is expanded in the consecutive basis by the polar
-form of one of its pieces.
 """
 
 from __future__ import annotations
@@ -153,12 +152,11 @@ def bspline_derivative(ref: UnivariateBSplineRef, t, order: int = 1):
 def expand_window(degree: int, zeros: int, halves: int, ones: int) -> tuple:
     """Expand B[{0^zeros, 1/2^halves, 1^ones}] in the consecutive basis.
 
-    Returns ((coef, ref), ...).  The empty tuple encodes the zero spline
-    (all knots coincident).  Windows of the open knot vector come back as a
-    single unit term.  The others (a smoother-than-generic interior knot)
-    lie in the span too; the coefficient of each consecutive B-spline is
-    the polar form, at its interior knots, of a piece on which it is
-    supported (its left piece unless its window starts at 1/2).
+    Returns ((coef, ref), ...), the coefficients bspline_coefficients reads
+    off its pieces.  The empty tuple encodes the zero spline (all knots
+    coincident), and windows of the open knot vector come back as a single
+    unit term.  The others (a smoother-than-generic interior knot) lie in
+    the span too.
     """
     if not (_is_int(degree) and all(_is_int(x) and x >= 0 for x in (zeros, halves, ones))):
         raise DomainError(f"need an int degree and nonnegative int knot counts, not "
@@ -167,18 +165,20 @@ def expand_window(degree: int, zeros: int, halves: int, ones: int) -> tuple:
         raise DomainError("knot counts must total degree + 2")
     if halves > 2:
         raise DomainError("more than two interior knots cannot be expanded here")
-    if zeros == degree + 2 or halves == degree + 2 or ones == degree + 2:
-        return ()
-    direct = ref_from_counts(degree, zeros, halves, ones)
-    if direct is not None:
-        return ((Fraction(1), direct),)
-    refs = [UnivariateBSplineRef(degree, i) for i in range(1, degree + 4)]
-    pieces = _pieces(degree, zeros, halves, ones)
-    terms = []
-    for ref in refs:
-        kn = ref.local_knots
-        right = kn[0] == HALF
-        coef = _blossom(pieces[right], [2 * u - 1 if right else 2 * u for u in kn[1:-1]])
-        if coef != 0:
-            terms.append((coef, ref))
-    return tuple(terms)
+    coefs = bspline_coefficients(degree, _pieces(degree, zeros, halves, ones))
+    return tuple((c, UnivariateBSplineRef(degree, i)) for i, c in enumerate(coefs, 1) if c != 0)
+
+
+def bspline_coefficients(degree: int, pieces) -> tuple:
+    """The d + 3 consecutive B-spline coefficients of the degree-d spline with
+    Bernstein pieces (left, right), as in _pieces: each is the polar form, at
+    its interior knots, of a piece it is supported on (the right one when its
+    window starts at 1/2).  The knots are integers in the pieces' parameters,
+    so integer pieces give integers."""
+    knots = (0,) * (degree + 1) + (1, 1) + (2,) * (degree + 1)     # 2t at the knots
+    out = []
+    for i in range(degree + 3):
+        window = knots[i:i + degree + 2]
+        right = window[0] == 1
+        out.append(_blossom(pieces[right], [u - right for u in window[1:-1]]))
+    return tuple(out)

@@ -82,9 +82,8 @@ def _to_float(value, name: str) -> float:
     try:
         return float(value)
     except OverflowError:
-        from decimal import Context
-        about = Context(prec=6).divide(value.numerator, value.denominator).normalize()
-        raise DomainError(f"{name} of about {about} is beyond the float range") from None
+        from .rational import short_form
+        raise DomainError(f"{name} of about {short_form(value)} is beyond the float range") from None
 
 
 def _to_layer(s, layer: str):
@@ -139,8 +138,12 @@ def cmd_sample(args) -> int:
     exact = args.layer == "exact"
     lattice = serialize.barycentric_lattice(args.grid) if exact else _float_lattice(args.grid)
     pts = [from_bary(s.frame, b) for b in lattice]
-    values = [eval_spline(s, p) for p in pts] if exact else _lattice_values([s], lattice)[0]
-    _write(args.out, serialize.grid_csv((p.x, p.y, v) for p, v in zip(pts, values)))
+    if exact:  # rounded here, where a number beyond the float range is a DomainError
+        rows = [(_to_float(p.x, "point coordinate"), _to_float(p.y, "point coordinate"),
+                 _to_float(eval_spline(s, p), "value")) for p in pts]
+    else:
+        rows = [(p.x, p.y, v) for p, v in zip(pts, _lattice_values([s], lattice)[0])]
+    _write(args.out, serialize.grid_csv(rows))
     return 0
 
 

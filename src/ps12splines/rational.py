@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 
 def is_exact(values) -> bool:
@@ -45,6 +45,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical ``"p/q"`` form (lowest terms, q > 0)."""
+    """Canonical ``"p/q"`` form (lowest terms, q > 0); DomainError when p or
+    q has more digits than Python writes."""
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # the int-to-str digit limit
+        raise DomainError(f"the exact value of about {short_form(value)} "
+                          f"has too many digits to write") from None
+
+
+def short_form(value: Fraction) -> str:
+    """value to six digits, for messages (its integers may be too long for str)."""
+    from decimal import Context
+    return str(Context(prec=6).divide(value.numerator, value.denominator).normalize())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import isfinite
 
 from .errors import DomainError, ParseError
 from .geometry import Point2, make_frame
@@ -26,12 +27,15 @@ def encode_number(v):
 
 
 def decode_number(v):
+    """A JSON string or int as a Fraction, a finite float as it is."""
     if isinstance(v, str):
         return parse_rational(v)
     if isinstance(v, bool) or v is None:
         raise ParseError(f"not a number: {v!r}")
     if isinstance(v, int):
         return Fraction(v)
+    if not isfinite(v):  # json reads NaN, Infinity and 1e400
+        raise ParseError(f"not a finite number: {v!r}")
     return float(v)
 
 

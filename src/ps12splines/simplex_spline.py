@@ -197,8 +197,8 @@ def eval_simplex(frame: PS12Frame, K: KnotMultiset, p: Point2):
 def _combination_over_active(K: KnotMultiset, coeffs3: tuple):
     """Represent a corner combination over K's active knots.
 
-    coeffs3 are coefficients over the corners (any ring with +, * Fraction):
-    a point (summing to 1) or a direction (summing to 0).  Returns a dict
+    coeffs3 are exact coefficients over the corners: a point (summing to 1)
+    or a direction (summing to 0).  Returns a dict
     {vertex index: coefficient} supported on the lowest-index independent
     triple, rewriting each corner vi through its exact barycentric
     coordinates with respect to that triple; None when there is no triple.
@@ -208,14 +208,8 @@ def _combination_over_active(K: KnotMultiset, coeffs3: tuple):
     if tri is None:
         return None
     den, vb = _vertex_bary(tri)
-    out = {}
-    for corner in range(3):
-        coef = coeffs3[corner]
-        if not coef:
-            continue
-        for w, idx in zip(vb[corner], tri):
-            if w != 0:
-                out[idx] = out.get(idx, 0) + coef * Fraction(w, den)
+    out = {idx: Fraction(sum(c * vb[corner][n] for corner, c in enumerate(coeffs3)), den)
+           for n, idx in enumerate(tri)}
     return {i: c for i, c in out.items() if c}
 
 
@@ -246,36 +240,26 @@ def derivative_expansion(K: KnotMultiset, direction, order: int = 1) -> list:
                                f"not {len(direction)}")
     if not 0 <= order <= degree(K):
         raise InvalidDirection(f"order {order} outside 0..{degree(K)}")
+    first = None
     if len(direction) == 10:
-        rep = _normalize_weights10(K, direction, 0)
-        corner_dir = tuple(sum(a * VERTEX_BARY[i - 1][r] for i, a in rep.items())
+        first = _normalize_weights10(K, direction, 0)
+        corner_dir = tuple(sum(a * VERTEX_BARY[i - 1][r] for i, a in first.items())
                            for r in range(3))
-        return _derivative_terms(K, corner_dir, order, rep)
-    d = tuple(Fraction(x) for x in direction)
-    if sum(d) != 0:
-        raise InvalidDirection(f"directional coordinates sum to {sum(d)} != 0")
-    return _derivative_terms(K, d, order)
-
-
-def _derivative_terms(K: KnotMultiset, corner_dir, order: int, first=None) -> list:
-    """The recursion behind derivative_expansion, unchecked.
-
-    corner_dir may hold coefficients of any ring with +, * Fraction (TriPoly
-    gives the expansion for a symbolic direction); first, when given, is the
-    knot representation used for the first differentiation.
-    """
+    else:
+        corner_dir = tuple(Fraction(x) for x in direction)
+        if sum(corner_dir) != 0:
+            raise InvalidDirection(f"directional coordinates sum to {sum(corner_dir)} != 0")
     terms = [(Fraction(1), K)]
     for level in range(order):
         nxt = {}
         for coef, m in terms:
-            rep = first if (level == 0 and first is not None) else _combination_over_active(m, corner_dir)
+            rep = first if level == 0 and first is not None else _combination_over_active(m, corner_dir)
             if rep is None:
                 continue
             n = sum(m)
             for idx, a in rep.items():
                 child = m[:idx - 1] + (m[idx - 1] - 1,) + m[idx:]
-                add = coef * (n - 3) * a
-                nxt[child] = nxt[child] + add if child in nxt else add
+                nxt[child] = nxt.get(child, 0) + coef * (n - 3) * a
         terms = [(c, m) for m, c in nxt.items() if c]
     return terms
 

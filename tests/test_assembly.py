@@ -30,7 +30,8 @@ from ps12splines.geometry import (EDGES, Point2, direction_coords, from_bary, ma
 from ps12splines.linalg import mat_vec
 from ps12splines.marsden_catalog import catalog
 from ps12splines.polynomial import TriPoly
-from ps12splines.simplex_spline import functional_row, knots
+from ps12splines.simplex_spline import (derivative_expansion, functional_row, knots,
+                                        restrict_to_edge)
 from ps12splines.spline_fn import eval_spline, face_forms, lagrange_interpolate, scaled_basis_tables
 
 a1, a2, a3 = (TriPoly.variable(i) for i in range(3))
@@ -132,6 +133,32 @@ def test_restriction_tables_equal_reference_rows():
                 assert restrictions_equal(derived[j] * F(1, SCALES[k]), poly), (i, k, j)
     for i in range(26, 40):
         assert all(not tables[i - 1][k] for k in range(4)), i
+
+
+def test_restriction_tables_equal_the_knot_multiset_path():
+    """The tables, read off the face ordinates, against the knot-multiset
+    path: for each of the 25 elements with nonzero tables, k <= 3 and five
+    seeded rational directional triples a, sum_j P_ij^k(a) B_j^(5-k) is the
+    restriction to [v1, v2] of derivative_expansion(K_i, a, k), term by
+    term with restrict_to_edge, grouped by B-spline index."""
+    tables = edge_restriction_tables()
+    frame = reference_frame()
+    rng = random.Random(23)
+    directions = []
+    for _ in range(5):
+        x, y = (F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+        directions.append((x, y, -x - y))
+    for i, el in enumerate(catalog("c").elements[:N_BLOCKS[3]]):
+        for k in range(4):
+            for a in directions:
+                want = {}
+                for coef, m in derivative_expansion(el.multiset, a, k):
+                    for c, ref in restrict_to_edge(frame, m, "e3").terms:
+                        assert ref.degree == 5 - k
+                        want[ref.index] = want.get(ref.index, 0) + coef * c
+                got = {j: p.evaluate(*a) for j, p in tables[i][k].items()}
+                assert {j: v for j, v in got.items() if v} == \
+                    {j: v for j, v in want.items() if v}, (i + 1, k, a)
 
 
 # ---------------------------------------------------------------------------

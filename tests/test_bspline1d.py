@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from ps12splines.bspline1d import (
     UnivariateBSplineRef,
+    _pieces,
+    bspline_coefficients,
     bspline_derivative,
     bspline_value,
     expand_window,
@@ -166,3 +169,17 @@ def test_values_derivatives_and_expansions_match_cox_de_boor(counts, t, data):
     if direct is not None:
         assert terms == ((F(1), direct),)
         assert bspline_derivative(direct, t, order) == want
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_bspline_coefficients_read_back_the_pieces(d):
+    """The Bernstein pieces of seeded rational combinations of the d + 3
+    consecutive B-splines, built from the B-splines' own pieces, give the
+    combinations' coefficients back exactly."""
+    rng = random.Random(d)
+    refs = [UnivariateBSplineRef(d, i) for i in range(1, d + 4)]
+    for _ in range(5):
+        coefs = tuple(F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in refs)
+        pieces = [[sum((x * _pieces(d, *ref.counts())[h][n] for x, ref in zip(coefs, refs)), F(0))
+                   for n in range(d + 1)] for h in (0, 1)]
+        assert bspline_coefficients(d, pieces) == coefs

@@ -485,3 +485,45 @@ def test_numbers_beyond_the_float_range_are_domain_errors(tmp_path, command):
             r = run_cli([command, "--spline", path, *(value if a == "BIG" else a for a in args)],
                         expect=1)
             assert r.stderr == f"error: {name} of about {text} is beyond the float range\n"
+
+
+UNIT_SPLINE = {"frame": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]],
+               "basis": "c", "coeffs": ["1/7"] * 39}
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_json_numbers_are_parse_errors(tmp_path, number):
+    """json reads NaN, Infinity and 1e400 as non-finite floats.  As a spline
+    coefficient or a Hermite data value they are a ParseError (exit 2), not
+    data that sample would write as nan and inf rows."""
+    spline = tmp_path / "s.json"
+    spline.write_text(json.dumps(UNIT_SPLINE).replace('"1/7"', number, 1))
+    r = run_cli(["sample", "--spline", str(spline), "--grid", "2"], expect=2)
+    assert r.stderr.startswith("error: not a finite number: ") and not r.stdout
+    mesh, data = tmp_path / "mesh.json", tmp_path / "data.json"
+    mesh.write_text(json.dumps({"vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]],
+                                "triangles": [[0, 1, 2]]}))
+    jets = {str(v): [0.5] * 10 for v in range(3)}
+    data.write_text(json.dumps({"vertex_jets": jets, "edge_data": {
+        e: [0.25] * 3 for e in ("0-1", "0-2", "1-2")}}).replace("0.25", number, 1))
+    r = run_cli(["assemble", "--mesh", str(mesh), "--data", str(data)], expect=2)
+    assert r.stderr.startswith("error: ") and "not a finite number: " in r.stderr
+    assert not r.stdout
+
+
+def test_exact_numbers_too_long_to_write_are_domain_errors(tmp_path):
+    """With every coefficient 1e5000 the exact value has more digits than
+    Python converts to a string: exact eval names it to six digits (exit 1)
+    instead of ending in a ValueError traceback, and exact sample, which
+    writes doubles, says it is beyond the float range, as it does for a
+    frame corner that large."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(UNIT_SPLINE, coeffs=["1e5000"] * 39)))
+    r = run_cli(["eval", "--spline", str(path), "--point", "1/5", "1/5"], expect=1)
+    assert r.stderr == "error: the exact value of about 1E+5000 has too many digits to write\n"
+    r = run_cli(["sample", "--spline", str(path), "--grid", "2", "--layer", "exact"], expect=1)
+    assert r.stderr == "error: value of about 1E+5000 is beyond the float range\n"
+    path.write_text(json.dumps(dict(UNIT_SPLINE, frame=[["0/1", "0/1"], ["1e5000", "0/1"],
+                                                        ["0/1", "1/1"]])))
+    r = run_cli(["sample", "--spline", str(path), "--grid", "2", "--layer", "exact"], expect=1)
+    assert r.stderr == "error: point coordinate of about 5E+4999 is beyond the float range\n"
