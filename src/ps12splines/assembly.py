@@ -4,10 +4,11 @@ Splines on two triangles sharing an edge meet with C^r smoothness exactly
 when the Bernstein coefficients of their cross-edge derivatives of orders
 0..r agree on the edge.  For basis c, the paper's form of those conditions
 is derived symbolically here: linear relations between the coefficients
-near the edge, from one exact solve over the restriction tables.  The
-order-3 block is overdetermined and leaves one relation among the
-coefficients of a single triangle, so full C^3 across an edge constrains
-the patch on its own.  verify_smoothness checks a join in any basis from
+near the edge, from one exact solve read off the coefficients of the
+restriction tables, which hold no a1 (a1 = -(a2 + a3)).  The order-3
+block is overdetermined and leaves one relation among the coefficients of
+a single triangle, so full C^3 across an edge constrains the patch on its
+own.  verify_smoothness checks a join in any basis from
 the coefficients themselves: the split has a vertex at each edge midpoint,
 so a cross derivative there is one polynomial per half-edge, read off the
 half-edge faces' ordinates by one formula (_cross_derivative), the one
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import comb, isfinite, lcm, perm, prod
-from numbers import Integral
+from numbers import Integral, Rational, Real
 from operator import add, truediv
 
 from .errors import (
@@ -89,15 +90,18 @@ def _cross_derivative(ords, near, weights, k: int) -> list:
 
 def _symbolic_weights(mat, k: int) -> dict:
     """{e: weights}: the weights of _cross_derivative for g = mat . a, split
-    by monomial a^e.  (k! / beta!) g^beta sums prod_i mat[r_i][s_i] over the
-    index sequences r that beta counts and all s; a product goes to the
-    monomial e that counts its s."""
+    by monomial a^e, with a1 = -(a2 + a3) substituted (a direction's
+    coordinates sum to 0): g_r = (M_r2 - M_r1) a2 + (M_r3 - M_r1) a3 for
+    M = mat.  (k! / beta!) g^beta sums the products of these coefficients
+    over the index sequences r that beta counts and all s in {2, 3}^k; a
+    product goes to the monomial e that counts its s."""
     out = {}
     for rs in product(range(3), repeat=k):
         beta = tuple(map(rs.count, range(3)))
-        for ss in product(range(3), repeat=k):
+        for ss in product((1, 2), repeat=k):
             e = tuple(map(ss.count, range(3)))
-            out.setdefault(e, Counter())[beta] += prod(mat[r][s] for r, s in zip(rs, ss))
+            out.setdefault(e, Counter())[beta] += prod(mat[r][s] - mat[r][0]
+                                                       for r, s in zip(rs, ss))
     return {e: list(ws.items()) for e, ws in out.items()}
 
 
@@ -107,9 +111,10 @@ def edge_restriction_tables() -> tuple:
 
     Entry [i][k] is a dict {j: P} meaning D^k_u Q_i restricted to the edge
     equals sum_j P(a1, a2, a3) B_j^(5-k), with (a1, a2, a3) the directional
-    coordinates of u and P homogeneous of degree k, determined modulo
-    a1 + a2 + a3.  Rows i >= N_BLOCKS[k] are empty.  The halves on D1 and
-    D2 come from _cross_derivative with u's face-directional triple
+    coordinates of u and P homogeneous of degree k, in the normal form that
+    a1 = -(a2 + a3) gives (directional coordinates sum to 0): a polynomial
+    in a2 and a3 alone.  Rows i >= N_BLOCKS[k] are empty.  The halves on D1
+    and D2 come from _cross_derivative with u's face-directional triple
     g = M a / d kept symbolic (M / d the face's matrix of face_bary), in
     integers over den d^k per monomial, and bspline_coefficients joins them.
     """
@@ -135,31 +140,22 @@ def edge_restriction_tables() -> tuple:
     return tuple(out)
 
 
-def restriction_normal_form(p: TriPoly) -> TriPoly:
-    """Canonical representative of a restriction coefficient.
-
-    Directional coordinates satisfy a1 + a2 + a3 = 0, so coefficients are
-    only determined modulo that relation; substituting a1 = -(a2 + a3)
-    picks a unique normal form for comparisons and serialization.
-    """
-    a2, a3 = TriPoly.variable(1), TriPoly.variable(2)
-    return p.evaluate(-(a2 + a3), a2, a3)
-
-
 # ---------------------------------------------------------------------------
 # Smoothness relations
 # ---------------------------------------------------------------------------
 
-def _homogenize(poly: TriPoly, deg: int) -> TriPoly:
-    """Unique homogeneous degree-deg form equal to poly when b1+b2+b3 = 1."""
-    ones = TriPoly.linear((Fraction(1), Fraction(1), Fraction(1)))
-    out = TriPoly.zero()
-    for exp, coef in poly.terms.items():
-        short = deg - sum(exp)
-        if short < 0:
+def _homogenize(terms: dict, deg: int) -> TriPoly:
+    """Unique homogeneous degree-deg form equal to sum_e terms[e] b^e when
+    b1 + b2 + b3 = 1: each term times (b1 + b2 + b3)^(deg - |e|), expanded
+    by the multinomial theorem."""
+    out = {}
+    for exp, coef in terms.items():
+        if sum(exp) > deg:
             raise AssertionError("coefficient degree exceeds the block order")
-        out = out + TriPoly({exp: coef}) * ones**short
-    return out
+        for mult, *f in _row_terms(deg - sum(exp)):
+            e = tuple(map(add, exp, f))
+            out[e] = out.get(e, 0) + mult * coef
+    return TriPoly(out)
 
 
 @lru_cache(maxsize=1)
@@ -174,8 +170,10 @@ def _smoothness_symbolic():
     Equation (k, j) matches the j-th B-spline coefficient of the order-k
     cross-edge restriction on the two sides: the unknowns ctilde on the left,
     this patch's coefficients on the right as polynomials in b, one column
-    per (source index, monomial).  One ``solve`` of the block
-    lower-triangular system gives all 25 relations.  Of the 5 order-3
+    per (source index, monomial).  The tables hold no a1, so the direction
+    (-1, 0, 1) there reads an entry's a3^k coefficient, and (-(b2 + b3), b2,
+    b3) here its own terms.  One ``solve`` of the block lower-triangular
+    system gives all 25 relations.  Of the 5 order-3
     equations, each unknown keeps the one where its coefficient is largest
     in absolute value (leaving out j = 3, the B-spline centred on the
     midpoint knot); the left-out equation with the solution substituted is
@@ -183,9 +181,6 @@ def _smoothness_symbolic():
     """
     tables = edge_restriction_tables()
     weights = catalog("c").weights
-    b2, b3 = TriPoly.variable(1), TriPoly.variable(2)
-    alpha_here = (-(b2 + b3), b2, b3)      # direction toward the far vertex
-    alpha_there = (Fraction(-1), Fraction(0), Fraction(1))
     orders, kept, left = [], [], []
     for k, hi in enumerate(N_BLOCKS):
         block = []
@@ -194,8 +189,8 @@ def _smoothness_symbolic():
             for i in range(hi):
                 poly = tables[i][k].get(j)
                 if poly:
-                    lhs[i] = weights[i] * poly.evaluate(*alpha_there)
-                    for exp, c in poly.evaluate(*alpha_here).terms.items():
+                    lhs[i] = weights[i] * poly.coefficient((0, 0, k))
+                    for exp, c in poly.terms.items():
                         rhs[i, exp] = weights[i] * c
             block.append((lhs, rhs))
         for u in range(len(orders), hi):
@@ -212,7 +207,7 @@ def _smoothness_symbolic():
         for (src, exp), v in zip(cols, row):
             if v:
                 terms.setdefault(src, {})[exp] = v
-        return {src: _homogenize(TriPoly(t), k) for src, t in terms.items()}
+        return {src: _homogenize(t, k) for src, t in terms.items()}
 
     (lhs, rhs), = left
     constraint = by_source([rhs.get(c, 0) - sum(a * x[n] for a, x in zip(lhs, sol))
@@ -238,28 +233,33 @@ def smoothness_system(order: int, beta) -> SmoothnessSystem:
     beta holds the barycentric coordinates of the neighbour's far vertex
     with respect to this triangle (its third coordinate is nonzero for a
     genuine neighbour).  b1 and b2 are converted exactly and b3 is taken as
-    1 - b1 - b2, since float coordinates need not sum to 1 exactly; exact
-    coordinates that do not sum to 1 raise DomainError.
+    1 - b1 - b2, since float coordinates need not sum to 1 exactly.  An
+    order that is not an int in 0..3, a coordinate that is not a finite
+    number, and exact coordinates that do not sum to 1 raise DomainError.
     """
-    if order not in (0, 1, 2, 3):
-        raise DomainError("order must be 0..3")
+    if isinstance(order, bool) or not isinstance(order, Integral) or not 0 <= order <= 3:
+        raise DomainError("order must be an int in 0..3")
     if len(beta) != 3:
         raise DimensionMismatch("beta needs three barycentric coordinates")
+    _finite_numbers(beta, "beta")
     if is_exact(beta) and sum(beta) != 1:
         raise DomainError("beta must sum to 1")
     b1, b2 = Fraction(beta[0]), Fraction(beta[1])
     beta = (b1, b2, 1 - b1 - b2)
     rels, cons = _smoothness_symbolic()
-    numeric = []
-    for i in range(N_BLOCKS[order]):
-        row = {src: poly.evaluate(*beta) for src, poly in rels[i].items()}
-        numeric.append((i, {src: v for src, v in row.items() if v}))
-    constraint = ()
-    if order == 3:
-        constraint = tuple(sorted((src, poly.evaluate(*beta))
-                                  for src, poly in cons.items()))
-        constraint = tuple((src, v) for src, v in constraint if v)
-    return SmoothnessSystem(order, beta, tuple(numeric), constraint)
+    numeric = tuple((i, {src: v for src, poly in rels[i].items() if (v := poly.evaluate(*beta))})
+                    for i in range(N_BLOCKS[order]))
+    constraint = tuple((src, v) for src, poly in sorted(cons.items())
+                       if (v := poly.evaluate(*beta))) if order == 3 else ()
+    return SmoothnessSystem(order, beta, numeric, constraint)
+
+
+def _finite_numbers(values, what: str) -> list:
+    """values as a list; DomainError unless each is exact or a finite real."""
+    values = list(values)
+    if not all(isinstance(x, Rational) or isinstance(x, Real) and isfinite(x) for x in values):
+        raise DomainError(f"{what} must be finite numbers")
+    return values
 
 
 def propagate(coeffs, beta, order: int = 3):
@@ -270,7 +270,7 @@ def propagate(coeffs, beta, order: int = 3):
     feasible reports the order-3 single-patch compatibility relation (always
     True below order 3).
     """
-    coeffs = list(coeffs)
+    coeffs = _finite_numbers(coeffs, "the coefficients")
     if len(coeffs) != 39:
         raise DimensionMismatch("need 39 coefficients")
     sysm = smoothness_system(order, beta)
@@ -283,6 +283,7 @@ def propagate(coeffs, beta, order: int = 3):
 
 def c3_residual(coeffs, beta):
     """Value of the single-triangle order-3 compatibility relation."""
+    coeffs = _finite_numbers(coeffs, "the coefficients")
     if len(coeffs) != 39:
         raise DimensionMismatch("need 39 coefficients")
     sysm = smoothness_system(3, beta)

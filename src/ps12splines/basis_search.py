@@ -14,9 +14,9 @@ remaining 18 slots), and filters:
     -> 8 domain points per edge       (7)
     -> dual polynomials split into real linear factors (6)
 
-Everything is exact: every elimination is fraction-free (``linalg``), every
-polynomial is a ``TriPoly``, and the last filter accepts only an explicit
-split and rejects only on a certificate (``split_linear_factors``).
+Everything is exact: every elimination is fraction-free (``linalg``), the
+split of a dual product runs on its integer coefficients, and the last
+filter accepts only an explicit split and rejects only on a certificate.
 A candidate is a union of S3 orbits, named by its class labels, so its
 39x39 collocation matrix commutes with the symmetry and splits into
 isotypic blocks (Fassler-Stiefel): over the 99 splines the trivial, sign
@@ -52,8 +52,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import isqrt, lcm, perm
-from operator import add, ne
+from math import gcd, isqrt, lcm, perm
+from operator import add, ne, sub
 
 from .bspline1d import ref_from_counts
 from .dual_functionals import FUNCTIONALS, bary_direction, lambda_vector
@@ -415,7 +415,8 @@ def compute_dual_polys(cand, weights=None) -> tuple:
     """The products w_i * Psi_i as exact homogeneous quintics in (c1, c2, c3).
 
     Solves the collocation system with the quintic power functional values on
-    the right-hand side; setting c1 = c2 = c3 = 1 in entry i recovers w_i.
+    the right-hand side; setting c1 = c2 = c3 = 1 in entry i recovers w_i,
+    to be checked against weights, one per element, when they are given.
     Column i of the system is the lambda row of Q_i scaled to integers by
     den_i, so solution row i is scaled back by den_i.  Input as for
     ``_whole_classes``.
@@ -425,9 +426,10 @@ def compute_dual_polys(cand, weights=None) -> tuple:
     out = tuple(TriPoly(zip(bernstein_exponents(5), [x * den for x in xi]))
                 for xi, den in zip(sol, dens))
     if weights is not None:
-        for w, poly in zip(weights, out):
-            if poly.evaluate(1, 1, 1) != w:
-                raise SingularSystem("dual polynomials inconsistent with weights")
+        if len(weights) != len(out):
+            raise DimensionMismatch("need one weight per element of the candidate")
+        if any(poly.evaluate(1, 1, 1) != w for w, poly in zip(weights, out)):
+            raise SingularSystem("dual polynomials inconsistent with weights")
     return out
 
 
@@ -564,6 +566,9 @@ class LinearFactorization:
 #: The unit exponents, the coefficients of a linear form.
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
+#: The split vertices' barycentrics as primitive integer linear forms.
+_SHORTHAND_FORMS = tuple(map(tuple, _integer_rows(VERTEX_BARY)[0]))
+
 #: Pairs of split vertices spanning the lines tried for a non-real root,
 #: the three macro edges first.
 _LINES = (*combinations(VERTEX_BARY[:3], 2), *combinations(VERTEX_BARY, 2))
@@ -572,7 +577,8 @@ _LINES = (*combinations(VERTEX_BARY[:3], 2), *combinations(VERTEX_BARY, 2))
 def split_linear_factors(poly: TriPoly) -> LinearFactorization:
     """Factor a homogeneous quintic into five real linear forms, if possible.
 
-    Repeated exact trial division by the ten shorthand forms resolves every
+    On the quintic scaled to integers, an {exponent: int} dict, repeated
+    exact trial division (_divide) by the ten shorthand forms resolves every
     dual product of the surviving bases; exact certificates decide the
     remainder.  A linear one is its own factor.  A quadratic one splits iff
     its symmetric matrix is singular with indefinite or rank-one nonzero
@@ -590,33 +596,35 @@ def split_linear_factors(poly: TriPoly) -> LinearFactorization:
     """
     if not isinstance(poly, TriPoly):
         raise DomainError(f"split_linear_factors needs a TriPoly, not {poly!r}")
-    if not poly.is_homogeneous() or poly.degree() != 5 or not poly:
+    if {sum(e) for e in poly.terms} != {5}:
         return LinearFactorization(False, diagnostic="not a nonzero homogeneous quintic")
-    forms, rem = [], poly
-    for triple in VERTEX_BARY:
-        while (quo := rem.divide_by_linear(triple)) is not None:
+    (coefs,), _ = _integer_rows([list(poly.terms.values())])
+    rem, forms = dict(zip(poly.terms, coefs)), []
+    for triple, form in zip(VERTEX_BARY, _SHORTHAND_FORMS):
+        while (quo := _divide(rem, form)) is not None:
             forms.append(triple)
             rem = quo
-    found = []
-    if rem.degree() >= 3:
+    found, deg = [], 5 - len(forms)
+    if deg >= 3:
         witness = next((pq for pq in _LINES if _has_nonreal_root(rem, *pq)), None)
         if witness is not None:
             ends = " and ".join(f"v{VERTEX_BARY.index(v) + 1}" for v in witness)
             return LinearFactorization(False, witness=witness, diagnostic=(
-                f"a factor of degree {rem.degree()} has a non-real root on the line {ends}"))
+                f"a factor of degree {deg} has a non-real root on the line {ends}"))
         found, rem = _rational_linear_factors(rem)
-        if rem.degree() >= 3:
-            raise PS12Error(f"no certificate decides whether {rem} splits over the reals")
-    if rem.degree() == 1:
-        found.append(tuple(rem.coefficient(e) for e in _UNITS))
-    if rem.degree() == 2:
-        a = [[rem.coefficient(tuple(map(add, e, f))) / (1 if e == f else 2) for f in _UNITS]
+        deg -= len(found)
+        if deg >= 3:
+            raise PS12Error(f"no certificate decides whether {TriPoly(rem)} splits over the reals")
+    if deg == 1:
+        found.append(tuple(rem.get(e, 0) for e in _UNITS))
+    if deg == 2:
+        a = [[Fraction(rem.get(tuple(map(add, e, f)), 0), 1 if e == f else 2) for f in _UNITS]
              for e in _UNITS]
         piv = pivot_columns(a)
         e2 = sum(a[i][i] * a[j][j] - a[i][j] ** 2 for i, j in combinations(range(3), 2))
         if len(piv) == 3 or e2 > 0:
             return LinearFactorization(False, diagnostic=f"quadratic factor without a real "
-                                                         f"split: {rem}")
+                                                         f"split: {TriPoly(rem)}")
         # the singular point p, with p_k = 1 off the pivots, and the roots
         # of the restriction alpha x^2 + 2 beta x y + gamma y^2 to c_k = 0
         k = next(j for j in range(3) if j not in piv)
@@ -646,7 +654,29 @@ def split_linear_factors(poly: TriPoly) -> LinearFactorization:
                                forms=tuple(sorted(forms, reverse=True)))
 
 
-def _rational_linear_factors(rem) -> tuple:
+def _divide(poly: dict, form) -> dict | None:
+    """poly / form for a nonzero homogeneous form poly, {exponent: int}, and
+    a primitive integer linear form, or None when form does not divide poly.
+    A quotient over Q is integral (Gauss's lemma), so its terms are cancelled
+    from the highest power of the form's first variable down, and an
+    inexact division or a term left over proves that form does not divide.
+    """
+    lead = next(v for v, c in enumerate(form) if c)
+    rem, quo = dict(poly), {}
+    for level in range(sum(next(iter(poly))), 0, -1):
+        for e in [e for e, c in rem.items() if c and e[lead] == level]:
+            q, r = divmod(rem.pop(e), form[lead])
+            if r:
+                return None
+            quo[e := tuple(map(sub, e, _UNITS[lead]))] = q
+            for v, c in enumerate(form):
+                if c and v != lead:
+                    t = tuple(map(add, e, _UNITS[v]))
+                    rem[t] = rem.get(t, 0) - q * c
+    return None if any(rem.values()) else quo
+
+
+def _rational_linear_factors(rem: dict) -> tuple:
     """(forms, quotient): rem divided by rational linear forms until the
     quotient has degree at most 2 or no rational linear factor.
 
@@ -663,10 +693,12 @@ def _rational_linear_factors(rem) -> tuple:
                                          for v in _divisors(ends[-1]) for s in (1, -1)}:
             if not sum(a * x ** k * y ** (len(f) - 1 - k) for k, a in enumerate(f)):
                 points.append([x * a + y * b for a, b in zip(p, q)])
-    forms = []
+    forms, deg = [], sum(next(iter(rem)))
     for p, q in combinations(points, 2):
         form = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
-        while any(form) and rem.degree() > 2 and (quo := rem.divide_by_linear(form)) is not None:
+        g = gcd(*form) or 1     # a zero form, from two equal points, divides nothing
+        form = tuple(x // g for x in form)
+        while any(form) and len(forms) < deg - 2 and (quo := _divide(rem, form)) is not None:
             forms.append(form)
             rem = quo
     return forms, rem
@@ -677,13 +709,13 @@ def _divisors(n: int) -> set:
     return set(small) | {abs(n) // k for k in small}
 
 
-def _on_line(rem, p, q) -> list:
-    """Integer coefficients, constant term first, of a positive multiple of
+def _on_line(rem: dict, p, q) -> list:
+    """Integer coefficients, constant term first, of a nonzero multiple of
     rem(x a p + b q), where a, b > 0 scale p and q to integers: the roots
     of rem(x p + q), scaled by b / a."""
-    (p, q, coefs), _ = _integer_rows([p, q, list(rem.terms.values())])
-    g = [0] * (rem.degree() + 1)
-    for e, coef in zip(rem.terms, coefs):
+    (p, q), _ = _integer_rows([p, q])
+    g = [0] * (sum(next(iter(rem))) + 1)
+    for e, coef in rem.items():
         term = [coef]
         for pr, qr, n in zip(p, q, e):
             for _ in range(n):

@@ -59,14 +59,11 @@ def cmd_tables(args) -> int:
         _write(args.out, serialize.dumps(out))
         return 0
     if name.startswith("restrict") and name[-1] in "0123":
-        from .assembly import edge_restriction_tables, restriction_normal_form
+        from .assembly import edge_restriction_tables
         k = int(name[-1])
-        tables = edge_restriction_tables()
-        out = {}
-        for i, per_k in enumerate(tables, start=1):
-            row = {f"B{j}^{5 - k}": serialize.tri_poly_to_dict(restriction_normal_form(p))
-                   for j, p in per_k[k].items()}
-            out[f"Q{i}"] = row
+        out = {f"Q{i}": {f"B{j}^{5 - k}": serialize.tri_poly_to_dict(p)
+                         for j, p in per_k[k].items()}
+               for i, per_k in enumerate(edge_restriction_tables(), start=1)}
         _write(args.out, serialize.dumps(out))
         return 0
     raise UnknownTable(name)

@@ -1,8 +1,10 @@
 """Sparse polynomials in three variables with exact rational coefficients.
 
-Used in two roles: dual polynomials in the barycentric variables
-(c1, c2, c3), and restriction polynomials in the directional coordinates
-(a1, a2, a3).  Exponent keys are (i, j, k) tuples; values are Fractions.
+The library's symbolic results: dual polynomials in (c1, c2, c3), edge
+restriction tables in the directional coordinates (a1, a2, a3), free of
+a1, and smoothness relations in (b1, b2, b3).  Exponent keys are (i, j, k)
+tuples; values are Fractions.  The split and the relations work on the
+terms dict; the ring operations serve the Marsden products and the tests.
 """
 
 from __future__ import annotations
@@ -113,10 +115,6 @@ class TriPoly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def coefficient(self, exp) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
 
@@ -125,35 +123,3 @@ class TriPoly:
         for (i, j, k), c in self.terms.items():
             total += c * x1**i * x2**j * x3**k
         return total
-
-    # -- division ------------------------------------------------------
-
-    def divide_by_linear(self, coeffs):
-        """Exact quotient by a*x1 + b*x2 + c*x3, or None if not divisible."""
-        lin = [Fraction(v) for v in coeffs]
-        lead = next((v for v, c in enumerate(lin) if c), None)
-        if lead is None:
-            raise ZeroDivisionError("zero linear form")
-        rem = dict(self.terms)
-        quo = {}
-        while rem:
-            # highest term in lex order on the lead variable first
-            e = max(rem, key=lambda t: (t[lead], t))
-            if e[lead] == 0:
-                return None
-            c = rem[e]
-            qe = list(e)
-            qe[lead] -= 1
-            qc = c / lin[lead]
-            quo[tuple(qe)] = quo.get(tuple(qe), Fraction(0)) + qc
-            for v, lv in enumerate(lin):
-                if lv:
-                    te = list(qe)
-                    te[v] += 1
-                    te = tuple(te)
-                    nc = rem.get(te, Fraction(0)) - qc * lv
-                    if nc:
-                        rem[te] = nc
-                    elif te in rem:
-                        del rem[te]
-        return TriPoly(quo)

@@ -18,7 +18,6 @@ from ps12splines.assembly import (
     nodal_basis,
     nodal_q_coefficients,
     propagate,
-    restriction_normal_form,
     smoothness_system,
     triangulation,
     verify_smoothness,
@@ -118,8 +117,10 @@ SCALES = (1, 5, 20, 60)
 
 
 def restrictions_equal(p: TriPoly, q: TriPoly) -> bool:
-    """Equality of restriction coefficients as directional-derivative data."""
-    return restriction_normal_form(p) == restriction_normal_form(q)
+    """Equality of restriction coefficients as directional-derivative data:
+    directional coordinates sum to 0, so both are compared after
+    substituting a1 = -(a2 + a3)."""
+    return p.evaluate(-(a2 + a3), a2, a3) == q.evaluate(-(a2 + a3), a2, a3)
 
 
 def test_restriction_tables_equal_reference_rows():

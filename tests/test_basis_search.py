@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from ps12splines import basis_search
 from ps12splines.basis_search import (
     BASIS_CLASS_CONTENT,
     CLASS_REPRESENTATIVES,
+    _SHORTHAND_FORMS,
+    _divide,
     candidate_has_full_rank,
     compute_dual_polys,
     compute_weights,
@@ -538,12 +541,44 @@ def test_split_is_total_on_products_of_rational_forms():
 
 
 def _shorthand_remainder(poly):
-    """poly divided by every shorthand form that divides it, as often as
-    it does."""
-    for triple in VERTEX_BARY:
-        while (quo := poly.divide_by_linear(triple)) is not None:
-            poly = quo
-    return poly
+    """A positive multiple of poly divided by every shorthand form that
+    divides it, as often as it does."""
+    (coefs,), _ = _integer_rows([list(poly.terms.values())])
+    rem = dict(zip(poly.terms, coefs))
+    for form in _SHORTHAND_FORMS:
+        while (quo := _divide(rem, form)) is not None:
+            rem = quo
+    return TriPoly(rem)
+
+
+_FORMS = st.tuples(*[st.integers(-9, 9)] * 3).filter(any).map(
+    lambda f: tuple(x // gcd(*f) for x in f))
+
+
+@st.composite
+def _integer_forms(draw):
+    """A nonzero homogeneous polynomial of degree 0..4 with integer
+    coefficients, as a TriPoly."""
+    exps = bernstein_exponents(draw(st.integers(0, 4)))
+    coefs = draw(st.lists(st.integers(-9, 9), min_size=len(exps), max_size=len(exps)).filter(any))
+    return TriPoly(dict(zip(exps, coefs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_forms(), _FORMS, st.integers(0, 2), st.integers(1, 9))
+def test_divide_is_exact_integer_division(q, form, w, c):
+    """_divide(q l, l) = q for a primitive integer linear form l, with q l
+    from TriPoly multiplication; adding c x_w^(deg + 1), which l divides
+    only if it is a multiple of x_w, makes it return None."""
+    def ints(p):
+        return {e: int(x) for e, x in p.terms.items()}
+
+    product_ = q * TriPoly.linear(form)
+    assert _divide(ints(product_), form) == ints(q)
+    if not any(x for v, x in enumerate(form) if v != w):
+        w = (w + 1) % 3
+    power = tuple(q.degree() + 1 if v == w else 0 for v in range(3))
+    assert _divide(ints(product_ + TriPoly({power: c})), form) is None
 
 
 def test_seventh_candidate_fails_factorization(pipeline_report):

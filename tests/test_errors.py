@@ -90,6 +90,19 @@ BAD_CALLS = {
         geometry.make_frame((0.3, -0.1), (2.7, 0.2), (0.1, 3.1)), [K]),
     "smoothness_system order four": lambda: assembly.smoothness_system(4, (F(1, 3),) * 3),
     "smoothness_system order negative": lambda: assembly.smoothness_system(-1, (F(1, 3),) * 3),
+    "smoothness_system float order": lambda: assembly.smoothness_system(2.0, (F(1, 3),) * 3),
+    "smoothness_system bool order": lambda: assembly.smoothness_system(True, (F(1, 3),) * 3),
+    "smoothness_system NaN beta": lambda: assembly.smoothness_system(2, (math.nan, 0.5, 0.5)),
+    "smoothness_system infinite beta": lambda: assembly.smoothness_system(
+        2, (-math.inf, 0.5, 0.5)),
+    "smoothness_system non-numeric beta": lambda: assembly.smoothness_system(
+        2, ("1/3", "1/3", "1/3")),
+    "propagate NaN coefficient": lambda: assembly.propagate(
+        [0.5] * 38 + [math.nan], (-1.0, 1.0, 1.0)),
+    "propagate infinite coefficient": lambda: assembly.propagate(
+        [math.inf] + [0.5] * 38, (-1.0, 1.0, 1.0), order=1),
+    "c3_residual NaN coefficients": lambda: assembly.c3_residual(
+        [math.nan] * 39, (F(-1), F(1), F(1))),
     "verify_smoothness order six": lambda: assembly.verify_smoothness(
         assembly.GlobalSpline(MESH, ((F(0),) * 39,) * 2), (1, 2), 6),
     "verify_smoothness NaN coefficient": lambda: assembly.verify_smoothness(
@@ -110,6 +123,10 @@ BAD_LENGTHS = {
     "marsden_eval c": lambda: marsden_catalog.marsden_eval(
         marsden_catalog.catalog("c"), (F(1, 3), F(1, 3)), (1, 1)),
     "propagate coefficients": lambda: assembly.propagate([F(0)] * 38, (F(-1), F(1), F(1))),
+    "compute_dual_polys one weight": lambda: basis_search.compute_dual_polys(
+        C_MULTISETS, weights=marsden_catalog.catalog("c").weights[:1]),
+    "compute_dual_polys 40 weights": lambda: basis_search.compute_dual_polys(
+        C_MULTISETS, weights=marsden_catalog.catalog("c").weights + (1,)),
     "GlobalSpline coefficient vectors": lambda: assembly.GlobalSpline(MESH, ((F(0),) * 39,)),
     "hermite_interpolate missing edge data": lambda: assembly.hermite_interpolate(
         MESH, JETS, {e: v for e, v in EDGE_DATA.items() if e != (1, 2)}),
