@@ -239,9 +239,8 @@ def smoothness_system(order: int, beta) -> SmoothnessSystem:
     """
     if isinstance(order, bool) or not isinstance(order, Integral) or not 0 <= order <= 3:
         raise DomainError("order must be an int in 0..3")
-    if len(beta) != 3:
+    if len(beta := _finite_numbers(beta, "beta")) != 3:
         raise DimensionMismatch("beta needs three barycentric coordinates")
-    _finite_numbers(beta, "beta")
     if is_exact(beta) and sum(beta) != 1:
         raise DomainError("beta must sum to 1")
     b1, b2 = Fraction(beta[0]), Fraction(beta[1])
@@ -255,7 +254,9 @@ def smoothness_system(order: int, beta) -> SmoothnessSystem:
 
 
 def _finite_numbers(values, what: str) -> list:
-    """values as a list; DomainError unless each is exact or a finite real."""
+    """values as a list; DomainError unless a sequence of exact or finite reals."""
+    if not hasattr(values, "__iter__"):
+        raise DomainError(f"{what} must be a sequence of finite numbers")
     values = list(values)
     if not all(isinstance(x, Rational) or isinstance(x, Real) and isfinite(x) for x in values):
         raise DomainError(f"{what} must be finite numbers")
@@ -314,22 +315,27 @@ class Triangulation:
                 make_frame(*(self.vertices[i] for i in tri))
             except DegenerateTriangle as exc:
                 raise DegenerateTriangle(f"triangle {t}: {exc}") from None
-        for edge, tris in self.edge_adjacency().items():
+        for edge, tris in self._adjacency.items():
             if len(tris) > 2:
                 raise NonConformingMesh(f"edge {edge} shared by {len(tris)} triangles")
 
     def edges(self) -> tuple:
-        return tuple(sorted(self.edge_adjacency()))
+        return tuple(sorted(self._adjacency))
 
     def interior_edges(self) -> tuple:
-        return tuple(e for e, ts in sorted(self.edge_adjacency().items()) if len(ts) == 2)
+        return tuple(e for e, ts in sorted(self._adjacency.items()) if len(ts) == 2)
 
-    def edge_adjacency(self) -> dict:
+    @cached_property
+    def _adjacency(self) -> dict:
         adj = {}
         for t, tri in enumerate(self.triangles):
             for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])):
                 adj.setdefault(tuple(sorted((a, b))), []).append(t)
-        return adj
+        return {e: tuple(ts) for e, ts in adj.items()}
+
+    def edge_adjacency(self) -> dict:
+        """Sorted vertex pair -> tuple of its triangles (a copy of _adjacency)."""
+        return dict(self._adjacency)
 
     def frame(self, t: int) -> PS12Frame:
         a, b, c = (self.vertices[i] for i in self.triangles[t])
@@ -406,7 +412,7 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
     if samples < 1 or not 0 <= order <= 5:
         raise DomainError("verify_smoothness needs samples >= 1 and order in 0..5")
     edge = tuple(sorted(edge))
-    adj = gs.tri.edge_adjacency().get(edge)
+    adj = gs.tri._adjacency.get(edge)
     if adj is None or len(adj) != 2:
         raise NonConformingMesh(f"edge {edge} is not an interior edge")
     splines = [gs.spline(t) for t in adj]
@@ -466,6 +472,13 @@ def _nodal_integer() -> tuple:
     takes a triangle's 39 functional values to its coefficient j."""
     return integer_matrix([[n / el.weight for n in col]
                            for el, col in zip(catalog("c").elements, zip(*nodal_q_coefficients()))])
+
+
+@lru_cache(maxsize=1)
+def _nodal_float() -> tuple:
+    """Per basis-c element: float weight, nodal_q_coefficients() column, as floats."""
+    return tuple((float(el.weight), col, tuple(map(float, col)))
+                 for el, col in zip(catalog("c").elements, zip(*nodal_q_coefficients())))
 
 
 @dataclass(frozen=True)
@@ -605,10 +618,12 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
         values = [edge_sites[lam.site] if lam.site[0] == "e" else
                   directional(tri_idx[lam.site[1] - 1], den, [jet_dirs[n] for n in lam.directions])
                   for lam in FUNCTIONALS]
-        # float sums run left to right over the nonzero terms (sum() compensates from 3.12)
+        # left to right over the nonzero terms (sum() compensates from 3.12); float * Fraction
+        # is float * float(Fraction), so floats take the float entries, exact values the exact
         coeff_vectors.append(integer_mat_vec(*_nodal_integer(), values) if exact else tuple(
-            reduce(add, (v * n for v, n in zip(values, col) if v and n), 0.0) / el.weight
-            for el, col in zip(catalog("c").elements, zip(*nodal_q_coefficients()))))
+            reduce(add, (v * (f if type(v) is float else n)
+                         for v, n, f in zip(values, col, fcol) if v and f), 0.0) / w
+            for w, col, fcol in _nodal_float()))
     return GlobalSpline(tri, tuple(coeff_vectors))
 
 

@@ -113,10 +113,10 @@ def _float_lattice(n: int) -> list:
 
 
 # A cold command reads up to this many float lattice points one by one,
-# about 13 us a point slower than eval_many; more go through eval_many,
-# whose cold numpy import (about 0.2 s) is then the smaller cost.  Both
-# give the same bits.
-BATCH_POINTS = 12_000
+# about 6 us a point slower than eval_many; more go through eval_many,
+# whose cold numpy import and first batch (about 0.13 s) is then the
+# smaller cost.  Both give the same bits.
+BATCH_POINTS = 20_000
 
 
 def _lattice_values(splines, lattice) -> list:

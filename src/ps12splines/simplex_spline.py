@@ -12,10 +12,10 @@ support scaled by area(T) / area([K]).
 
 The recursion runs once per multiset, face by face on Bernstein forms
 (_face_ordinates), and every value and derivative is read from the
-resulting per-face tables: functional_row is the one place that locates a
-point and builds the Bernstein row whose dot product with a face table is a
-value or a derivative there.  eval_simplex, derivative, the dual
-functionals and the spline layer all go through it.
+resulting per-face tables: functional_row locates a point (_locate) and
+builds the Bernstein row whose dot product with a face table is a value or
+a derivative there, for eval_simplex, derivative, the dual functionals and
+the exact spline layer; float_value does the same in one pass for a float value.
 
 Everything is exact on the reference frame, taken scaled by 12 so that the
 ten split vertices are integer points (the per-face recursion runs on
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial, gcd, isfinite, lcm
 from operator import add, mul
 
@@ -42,6 +42,7 @@ from .geometry import (
     PS12Frame,
     Point2,
     VERTEX_BARY,
+    _layer_face_bary_matrices,
     direction_coords,
     face_bary,
     locate_face_bary,
@@ -515,12 +516,7 @@ def bernstein_row(g, deg: int = 5) -> list:
     of bernstein_exponents(deg): floats for floats, integers for integers
     (integer g / D gives the row over D^deg).  Powers come by repeated
     multiplication, the operations of the batch kernel spline_fn.eval_many."""
-    x, y, z = g
-    p0, p1, p2 = [1], [1], [1]
-    for _ in range(deg):
-        p0.append(p0[-1] * x)
-        p1.append(p1[-1] * y)
-        p2.append(p2[-1] * z)
+    p0, p1, p2 = (list(accumulate([x] * deg, mul, initial=1)) for x in g)
     return [m * p0[a] * p1[b] * p2[c] for m, a, b, c in _row_terms(deg)]
 
 
@@ -537,24 +533,8 @@ def snap_bary(beta: tuple) -> tuple:
     return b1 / s, b2 / s, b3 / s
 
 
-def functional_row(beta, deltas=(), deg: int = 5) -> tuple:
-    """(face, D, row) with sum(row[s] * ords[s]) / D the value at
-    macro-barycentrics beta, after one derivative along each
-    macro-directional triple in deltas, of any degree-deg form with
-    ordinates ords on that face; functional_row(beta) is the value row.
-
-    The one place that locates a point and builds a Bernstein row.  The face
-    follows the half-open convention of locate_face_bary, derivatives are
-    one-sided on it, and OutsideDomain is raised outside the closed
-    macrotriangle, onto which float beta is snapped first (snap_bary).  The
-    located degree-(deg - k) row is carried up one degree per derivative by
-    the adjoint of the Bernstein derivative step, so a functional is one dot
-    product with each face table.  Exact beta and deltas give integers over
-    one denominator D; any float input gives floats over D = 1, exact
-    partial results rounded once, as mixed Fraction and float arithmetic
-    would round them.
-    """
-    exact = is_exact(beta)
+def _locate(beta, exact: bool) -> tuple:
+    """(face, beta) by locate_face_bary, float beta snapped first; OutsideDomain outside."""
     if not exact:
         beta = snap_bary(tuple(map(float, beta)))
     # an infinite coordinate passes the sign tests of locate_face_bary
@@ -562,6 +542,28 @@ def functional_row(beta, deltas=(), deg: int = 5) -> tuple:
     if fi is None:
         raise OutsideDomain(f"point with barycentric coordinates "
                             f"({', '.join(map(str, beta))}) outside the macrotriangle")
+    return fi, beta
+
+
+def functional_row(beta, deltas=(), deg: int = 5) -> tuple:
+    """(face, D, row) with sum(row[s] * ords[s]) / D the value at
+    macro-barycentrics beta, after one derivative along each
+    macro-directional triple in deltas, of any degree-deg form with
+    ordinates ords on that face; functional_row(beta) is the value row.
+
+    Exact values, derivatives and basis_values read it (float_value does its
+    operations for a plain float value).  The face follows the half-open
+    convention of locate_face_bary, derivatives are one-sided on it, and
+    OutsideDomain is raised outside the closed macrotriangle, onto which
+    float beta is snapped first (snap_bary).  The located degree-(deg - k)
+    row is carried up one degree per derivative by the adjoint of the
+    Bernstein derivative step, so a functional is one dot product with each
+    face table.  Exact beta and deltas give integers over one denominator
+    D; any float input gives floats over D = 1, exact partial results
+    rounded once, as mixed Fraction and float arithmetic would round them.
+    """
+    exact = is_exact(beta)
+    fi, beta = _locate(beta, exact)
     d = deg - len(deltas)
     den, g = face_bary(fi, beta)
     row = bernstein_row(g, d)
@@ -586,9 +588,26 @@ def functional_row(beta, deltas=(), deg: int = 5) -> tuple:
     return fi, den, row
 
 
+def float_value(ords, beta) -> float:
+    """Value at float macro-barycentrics beta of the quintic with face ordinates
+    ords (12 x 21): functional_row(beta) times the face's ordinates, op for op
+    in one pass (snap, face, float face barycentrics, repeated-product powers,
+    21 terms added left to right from 0), so with their bits; the one-point
+    twin of spline_fn.eval_many.  OutsideDomain outside the macrotriangle."""
+    fi, (b1, b2, b3) = _locate(beta, False)
+    p0, p1, p2 = [(1, g, g2 := g * g, g3 := g2 * g, g4 := g3 * g, g4 * g)
+                  for r1, r2, r3 in _layer_face_bary_matrices()[fi - 1][1]
+                  for g in [r1 * b1 + r2 * b2 + r3 * b3]]
+    total = 0
+    for o, (m, a, b, c) in zip(ords[fi - 1], _row_terms(5)):
+        total += o * (m * p0[a] * p1[b] * p2[c])
+    return total
+
+
 @dataclass(frozen=True)
 class FaceForms:
-    """A piecewise polynomial on the split: one Bernstein form per face."""
+    """A piecewise polynomial on the split: one Bernstein form per face; a
+    quintic's plain value at float barycentrics is float_value."""
 
     frame: PS12Frame
     deg: int
@@ -602,6 +621,8 @@ class FaceForms:
         to the point, so one-sided there.  Raises OutsideDomain outside the
         closed macrotriangle.
         """
+        if not directions and self.deg == 5 and not is_exact(beta):
+            return float_value(self.ords, beta)
         if directions:
             directions = [direction_coords(self.frame.corners, u) for u in directions]
         fi, den, row = functional_row(beta, directions, self.deg)

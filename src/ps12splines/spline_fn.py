@@ -14,9 +14,9 @@ float layer contracts the integer table with the float coefficients once
 per spline into 12 x 21 face ordinates, in plain Python (each a
 left-to-right sum of the nonzero products, divided once), so its bits
 depend on neither a BLAS build nor the Python version (float coefficients
-are in range up to about 1e303).  Float eval_spline (one point) and
-eval_many (a numpy batch) read those ordinates with the same IEEE
-operations in the same order, so the two agree bit for bit.
+are in range up to about 1e303).  Float eval_spline (one point, by
+simplex_spline.float_value) and eval_many (a numpy batch) read those ordinates
+with the same IEEE operations in the same order, so they agree bit for bit.
 Only eval_many and float basis_values import numpy.
 The domain-point collocation matrix has rows summing to one, and its exact
 inverse, kept as integers over one denominator, gives Lagrange
@@ -44,7 +44,8 @@ from .geometry import (PS12Frame, Point2, S3_ELEMENTS, _layer_face_bary_matrices
 from .linalg import _integer_solve, identity, inf_norm, integer_mat_vec
 from .marsden_catalog import BASIS_IDS, catalog
 from .rational import common_denominator, is_exact
-from .simplex_spline import SNAP_TOL, FaceForms, _face_ordinates, _row_terms, functional_row
+from .simplex_spline import (SNAP_TOL, FaceForms, _face_ordinates, _row_terms, float_value,
+                             functional_row)
 
 
 @dataclass(frozen=True)
@@ -168,21 +169,13 @@ def eval_spline(s: Spline, p) -> object:
     """Value of the spline at a point of its frame.
 
     Exact (Fraction) when the coefficients and barycentric coordinates are
-    exact, double precision otherwise: the located float row times the
+    exact, double precision otherwise: simplex_spline.float_value on the
     spline's contracted face ordinates.  Raises OutsideDomain for points
     outside the closed macrotriangle.
     """
     beta = to_bary(s.frame, p)
-    if is_exact(beta):
-        if s._int_coeffs is not None:
-            return _exact_value(s, beta)
-        beta = tuple(map(float, beta))
-    return s._float_forms.value_at_bary(beta)
-
-
-def _exact_value(s: Spline, beta) -> Fraction:
-    """Value of an exact spline at exact macro-barycentrics beta: functional_row's
-    integer row times the spline's integer ordinates on that face, one Fraction."""
+    if s._int_coeffs is None or not is_exact(beta):
+        return float_value(s._float_forms.ords, beta)
     fi, den, row = functional_row(beta)
     d, ords = s._exact_ordinates(fi)
     return Fraction(sum(map(mul, row, ords)), den * d)
@@ -201,10 +194,10 @@ def _locate_faces(b1, b2, b3):
 
 def eval_many(s: Spline, barys) -> np.ndarray:
     """Float values at an (n, 3) array of macro-barycentrics in one numpy
-    batch, each with the bits of float eval_spline there: the snap, face,
-    face barycentrics, row and left-to-right sum of functional_row and
-    FaceForms.value_at_bary, op for op.  Raises OutsideDomain if any point
-    is outside the closed macrotriangle, DimensionMismatch for another shape."""
+    batch, each with the bits of float eval_spline there: the batch twin of
+    simplex_spline.float_value (snap, face, face barycentrics, powers and
+    left-to-right sum), op for op.  Raises OutsideDomain if any point is
+    outside the closed macrotriangle, DimensionMismatch for another shape."""
     import numpy as np
     b = np.array(barys, dtype=float)
     if b.ndim != 2 or b.shape[1] != 3:

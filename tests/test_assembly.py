@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rational_points
+from ps12splines import assembly
 from ps12splines.assembly import (
     N_BLOCKS,
     GlobalSpline,
+    Triangulation,
     _edge_rows,
     _smoothness_symbolic,
     c3_residual,
@@ -783,6 +786,60 @@ def test_integer_assembly_matches_fraction_oracle(mesh, slot, bump, order, sampl
             if set(e) <= last:
                 assert verify_smoothness(g, e, order, samples)["jumps"] == \
                     _oracle_jumps(g, e, order, samples, ords)
+
+
+@settings(max_examples=12, deadline=None)
+@given(mesh=_rational_grid(),
+       kind=st.sampled_from(["all float", "one float vertex", "float jets", "float edge data"]))
+def test_float_assembly_matches_fraction_entry_oracle(mesh, kind):
+    """Float hermite_interpolate has the bits of its sums over the Fraction
+    entries of nodal_q_coefficients() divided by the Fraction weights: the
+    oracle runs the same assembly with those in place of the float entries.
+    Float values meet the entries, and on mixed input exact ones too (the
+    jets of a triangle with exact corners, next to one float vertex)."""
+    tri, jets, edges = mesh
+    verts = list(tri.vertices)
+    if kind == "all float":
+        verts = [tuple(map(float, v)) for v in verts]
+    if kind in ("all float", "float jets"):
+        jets = {v: tuple(map(float, jet)) for v, jet in jets.items()}
+    if kind in ("all float", "float edge data"):
+        edges = {e: tuple(map(float, d)) for e, d in edges.items()}
+    if kind == "one float vertex":
+        verts[0] = tuple(map(float, verts[0]))
+    tri = triangulation(verts, tri.triangles)
+    got = hermite_interpolate(tri, jets, edges)
+    entries = tuple((el.weight, col, col)
+                    for el, col in zip(catalog("c").elements, zip(*nodal_q_coefficients())))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "_nodal_float", lambda: entries)
+        want = hermite_interpolate(tri, jets, edges)
+    assert all(type(c) is float for cs in got.coeffs for c in cs)
+    assert [[c.hex() for c in cs] for cs in got.coeffs] == \
+        [[c.hex() for c in cs] for cs in want.coeffs]
+
+
+def test_edge_adjacency_is_built_once(monkeypatch):
+    """A triangulation builds its edge -> triangles map once, with tuples as
+    values: its own checks, edges, interior_edges, edge_adjacency (a copy)
+    and every verify_smoothness read that one map."""
+    builds, build = [], Triangulation._adjacency.func
+    counted = cached_property(lambda self: builds.append(self) or build(self))
+    counted.__set_name__(Triangulation, "_adjacency")
+    monkeypatch.setattr(Triangulation, "_adjacency", counted)
+    verts = [(F(i), F(j)) for j in range(3) for i in range(3)]
+    tri = triangulation(verts, [(0, 1, 4), (0, 4, 3), (1, 2, 4), (2, 5, 4),
+                                (3, 4, 6), (4, 7, 6), (4, 5, 8), (4, 8, 7)])
+    gs = hermite_interpolate(tri, {v: (F(v),) * 10 for v in range(9)},
+                             {e: (F(1), F(2), F(3)) for e in tri.edges()})
+    for e in tri.interior_edges():
+        verify_smoothness(gs, e, 1, samples=2)
+    adj = tri.edge_adjacency()
+    assert tri.edges() == tuple(sorted(adj)) and len(adj) == 16
+    assert all(type(ts) is tuple for ts in adj.values())
+    adj.clear()
+    assert len(tri.edge_adjacency()) == 16
+    assert len(builds) == 1
 
 
 def test_mixed_layer_mesh_gives_float_coefficients():

@@ -103,6 +103,10 @@ BAD_CALLS = {
         [math.inf] + [0.5] * 38, (-1.0, 1.0, 1.0), order=1),
     "c3_residual NaN coefficients": lambda: assembly.c3_residual(
         [math.nan] * 39, (F(-1), F(1), F(1))),
+    "smoothness_system None beta": lambda: assembly.smoothness_system(2, None),
+    "smoothness_system int beta": lambda: assembly.smoothness_system(2, 5),
+    "propagate None coefficients": lambda: assembly.propagate(None, (F(-1), F(1), F(1))),
+    "c3_residual None coefficients": lambda: assembly.c3_residual(None, (F(-1), F(1), F(1))),
     "verify_smoothness order six": lambda: assembly.verify_smoothness(
         assembly.GlobalSpline(MESH, ((F(0),) * 39,) * 2), (1, 2), 6),
     "verify_smoothness NaN coefficient": lambda: assembly.verify_smoothness(

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction as F
-from functools import lru_cache
-from math import factorial
+from functools import lru_cache, reduce
+from math import factorial, inf, nan
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from ps12splines.marsden_catalog import catalog
 from ps12splines.simplex_spline import (
     _face_ordinates,
     bernstein_exponents,
+    float_value,
     functional_row,
 )
 from ps12splines.spline_fn import (
@@ -164,6 +166,63 @@ def test_float_eval_spline_and_eval_many_agree_bitwise_at_random_points(basis, s
         assert [v.hex() for v in many.tolist()] == [eval_spline(s, p).hex() for p in pts]
     many = eval_many(s, np.array(barys))
     assert [v.hex() for v in many.tolist()] == [face_forms(s).value_at_bary(b).hex() for b in barys]
+
+
+def _composed_value(ords, beta):
+    """The float value as functional_row and a left-to-right sum from 0
+    composed it before float_value: the oracle of float_value's bits."""
+    fi, den, row = functional_row(beta)
+    assert den == 1
+    return reduce(add, map(mul, ords[fi - 1], row), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis=st.sampled_from("abcdef"), seed=st.integers(0, 2 ** 32), unit=st.booleans(),
+       barys=st.lists(_float_barys(), min_size=1, max_size=30))
+def test_float_value_has_the_bits_of_functional_row_and_a_sum(basis, seed, unit, barys):
+    """float_value, and float eval_spline and value_at_bary through it, give
+    the bits of functional_row's row times the face's ordinates summed left
+    to right from 0, on every basis, on the unit and a seeded float frame, at
+    split lines, split vertices and snapped roundoff down to -1e-9; and on
+    ordinates of -0.0, where the sum's start from int 0 shows in the sign."""
+    rng = random.Random(seed)
+    corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    if not unit:
+        corners = [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3)]
+    frame = make_frame(*corners)
+    s = Spline(frame, basis, tuple(rng.uniform(-10, 10) for _ in range(39)))
+    ords = s._float_forms.ords
+    zeros = ((-0.0,) * 21,) * 12
+    for b in barys:
+        assert float_value(zeros, b).hex() == _composed_value(zeros, b).hex() == "0x0.0p+0"
+        want = _composed_value(ords, b).hex()
+        assert float_value(ords, b).hex() == want
+        assert face_forms(s).value_at_bary(b).hex() == want
+        p = from_bary(frame, b)
+        beta = to_bary(frame, p)
+        if min(beta) >= -1e-9:
+            assert eval_spline(s, p).hex() == _composed_value(ords, beta).hex()
+
+
+OUTSIDE_BARYS = [(nan, 0.5, 0.5), (0.5, inf, -inf), (-inf, 1.0, 1.0),
+                 (-0.1, 0.6, 0.5), (-2e-9, 0.5, 0.5 + 2e-9), (1e300, 1e300, -2e300)]
+
+
+@pytest.mark.parametrize("beta", OUTSIDE_BARYS)
+def test_float_value_raises_outside_domain_with_functional_rows_message(beta):
+    """NaN, infinite and outside points raise OutsideDomain through
+    float_value, value_at_bary and eval_spline, with functional_row's message."""
+    s = Spline(make_frame((0.3, -0.1), (2.7, 0.2), (0.1, 3.1)), "d",
+               tuple(float(k - 19) for k in range(39)))
+    with pytest.raises(OutsideDomain) as want:
+        functional_row(beta)
+    for call in (lambda: float_value(s._float_forms.ords, beta),
+                 lambda: face_forms(s).value_at_bary(beta)):
+        with pytest.raises(OutsideDomain) as got:
+            call()
+        assert str(got.value) == str(want.value)
+    with pytest.raises(OutsideDomain):
+        eval_spline(s, from_bary(s.frame, beta))
 
 
 @settings(max_examples=60, deadline=None)
