@@ -46,7 +46,6 @@ from .geometry import (EDGES, FACES, VERTEX_BARY, PS12Frame, Point2, _layer_face
                        direction_coords, face_bary, locate_face_bary, make_frame)
 from .linalg import integer_matrix, integer_mat_vec, inverse, mat_vec, solve
 from .marsden_catalog import catalog
-from .polynomial import TriPoly
 from .rational import common_denominator, is_exact
 from .simplex_spline import _face_ordinates, _row_terms, bernstein_exponents
 from .spline_fn import Spline
@@ -111,7 +110,8 @@ def edge_restriction_tables() -> tuple:
 
     Entry [i][k] is a dict {j: P} meaning D^k_u Q_i restricted to the edge
     equals sum_j P(a1, a2, a3) B_j^(5-k), with (a1, a2, a3) the directional
-    coordinates of u and P homogeneous of degree k, in the normal form that
+    coordinates of u and P a form of degree k (as in
+    marsden_catalog.linear_product), in the normal form that
     a1 = -(a2 + a3) gives (directional coordinates sum to 0): a polynomial
     in a2 and a3 alone.  Rows i >= N_BLOCKS[k] are empty.  The halves on D1
     and D2 come from _cross_derivative with u's face-directional triple
@@ -135,7 +135,7 @@ def edge_restriction_tables() -> tuple:
                 for j, x in enumerate(bspline_coefficients(5 - k, pieces), 1):
                     if x:
                         row.setdefault(j, {})[e] = Fraction(x, den * d ** k)
-            per_k.append({j: TriPoly(row[j]) for j in sorted(row)})
+            per_k.append({j: row[j] for j in sorted(row)})
         out.append(tuple(per_k))
     return tuple(out)
 
@@ -144,8 +144,8 @@ def edge_restriction_tables() -> tuple:
 # Smoothness relations
 # ---------------------------------------------------------------------------
 
-def _homogenize(terms: dict, deg: int) -> TriPoly:
-    """Unique homogeneous degree-deg form equal to sum_e terms[e] b^e when
+def _homogenize(terms: dict, deg: int) -> dict:
+    """Unique degree-deg form equal to sum_e terms[e] b^e when
     b1 + b2 + b3 = 1: each term times (b1 + b2 + b3)^(deg - |e|), expanded
     by the multinomial theorem."""
     out = {}
@@ -155,7 +155,7 @@ def _homogenize(terms: dict, deg: int) -> TriPoly:
         for mult, *f in _row_terms(deg - sum(exp)):
             e = tuple(map(add, exp, f))
             out[e] = out.get(e, 0) + mult * coef
-    return TriPoly(out)
+    return {e: c for e, c in out.items() if c}
 
 
 @lru_cache(maxsize=1)
@@ -163,7 +163,7 @@ def _smoothness_symbolic():
     """Relations expressing the 25 near-edge coefficients of the neighbour.
 
     Returns (relations, constraint): relations[i] (i < 25) is a dict
-    {source index: TriPoly in (b1, b2, b3), homogeneous of the block order}
+    {source index: form in (b1, b2, b3) of the block order}
     with ctilde_i = sum_src poly(beta) * c_src, and constraint is the same
     kind of dict R with the order-3 compatibility condition R(c, beta) = 0.
 
@@ -189,8 +189,8 @@ def _smoothness_symbolic():
             for i in range(hi):
                 poly = tables[i][k].get(j)
                 if poly:
-                    lhs[i] = weights[i] * poly.coefficient((0, 0, k))
-                    for exp, c in poly.terms.items():
+                    lhs[i] = weights[i] * poly.get((0, 0, k), 0)
+                    for exp, c in poly.items():
                         rhs[i, exp] = weights[i] * c
             block.append((lhs, rhs))
         for u in range(len(orders), hi):
@@ -246,10 +246,15 @@ def smoothness_system(order: int, beta) -> SmoothnessSystem:
     b1, b2 = Fraction(beta[0]), Fraction(beta[1])
     beta = (b1, b2, 1 - b1 - b2)
     rels, cons = _smoothness_symbolic()
-    numeric = tuple((i, {src: v for src, poly in rels[i].items() if (v := poly.evaluate(*beta))})
+
+    def at_beta(form):
+        return sum(c * beta[0] ** i * beta[1] ** j * beta[2] ** k
+                   for (i, j, k), c in form.items())
+
+    numeric = tuple((i, {src: v for src, poly in rels[i].items() if (v := at_beta(poly))})
                     for i in range(N_BLOCKS[order]))
     constraint = tuple((src, v) for src, poly in sorted(cons.items())
-                       if (v := poly.evaluate(*beta))) if order == 3 else ()
+                       if (v := at_beta(poly))) if order == 3 else ()
     return SmoothnessSystem(order, beta, numeric, constraint)
 
 

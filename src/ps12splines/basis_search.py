@@ -63,8 +63,8 @@ from .geometry import (EDGES, INTERIOR_LINES, S3_ELEMENTS, VERTEX_BARY, s3_apply
                        s3_apply_multiset)
 from .linalg import _integer_rows, append_row, pivot_columns, reduce_row, solve
 from .linalg import bareiss  # noqa: F401  (perfbench/tracer.py wraps this name)
-from .marsden_catalog import CATALOG_ROWS
-from .polynomial import TriPoly
+from .marsden_catalog import CATALOG_ROWS, linear_product
+from .rational import is_exact
 from .serialize import PIPELINE_STAGES
 from .simplex_spline import active_indices, bernstein_exponents, hull_area, knot_label, knots
 
@@ -395,12 +395,9 @@ def _marsden_rhs() -> tuple:
     out = []
     for lam in FUNCTIONALS:
         # D_deltas (beta . c)^5 = 5!/(5 - k)! prod (delta . c) (beta . c)^(5 - k)
-        poly = TriPoly.const(perm(5, lam.order))
-        for name in lam.directions:
-            poly = poly * TriPoly.linear(bary_direction(name))
-        for _ in range(5 - lam.order):
-            poly = poly * TriPoly.linear(lam.point)
-        out.append(tuple(poly.coefficient(e) for e in bernstein_exponents(5)))
+        poly = linear_product(perm(5, lam.order), [*map(bary_direction, lam.directions),
+                                                    *[lam.point] * (5 - lam.order)])
+        out.append(tuple(poly.get(e, Fraction(0)) for e in bernstein_exponents(5)))
     return tuple(out)
 
 
@@ -423,12 +420,12 @@ def compute_dual_polys(cand, weights=None) -> tuple:
     """
     rows, dens = _integer_rows([lambda_vector(K) for K in _whole_classes(cand)[0]])
     sol = solve([list(col) for col in zip(*rows)], _marsden_rhs())
-    out = tuple(TriPoly(zip(bernstein_exponents(5), [x * den for x in xi]))
+    out = tuple({e: x * den for e, x in zip(bernstein_exponents(5), xi) if x}
                 for xi, den in zip(sol, dens))
     if weights is not None:
         if len(weights) != len(out):
             raise DimensionMismatch("need one weight per element of the candidate")
-        if any(poly.evaluate(1, 1, 1) != w for w, poly in zip(weights, out)):
+        if any(sum(poly.values()) != w for w, poly in zip(weights, out)):
             raise SingularSystem("dual polynomials inconsistent with weights")
     return out
 
@@ -574,8 +571,9 @@ _SHORTHAND_FORMS = tuple(map(tuple, _integer_rows(VERTEX_BARY)[0]))
 _LINES = (*combinations(VERTEX_BARY[:3], 2), *combinations(VERTEX_BARY, 2))
 
 
-def split_linear_factors(poly: TriPoly) -> LinearFactorization:
-    """Factor a homogeneous quintic into five real linear forms, if possible.
+def split_linear_factors(poly: dict) -> LinearFactorization:
+    """Factor a homogeneous quintic, a form as in linear_product, into five
+    real linear forms, if possible.
 
     On the quintic scaled to integers, an {exponent: int} dict, repeated
     exact trial division (_divide) by the ten shorthand forms resolves every
@@ -594,12 +592,16 @@ def split_linear_factors(poly: TriPoly) -> LinearFactorization:
     witness is left, as for c3^2 (c1^3 + c1^2 c2 - 2 c1 c2^2 - c2^3): its
     cubic is irreducible over Q with the real roots 2 cos(2 pi k / 7).
     """
-    if not isinstance(poly, TriPoly):
-        raise DomainError(f"split_linear_factors needs a TriPoly, not {poly!r}")
-    if {sum(e) for e in poly.terms} != {5}:
+    if not isinstance(poly, dict) or not is_exact(poly.values()) or not all(
+            type(e) is tuple and len(e) == 3 and all(type(i) is int and i >= 0 for i in e)
+            for e in poly):
+        raise DomainError("split_linear_factors needs a dict of exact coefficients "
+                          f"keyed by exponent triples, not {poly!r}")
+    poly = {e: c for e, c in poly.items() if c}
+    if {sum(e) for e in poly} != {5}:
         return LinearFactorization(False, diagnostic="not a nonzero homogeneous quintic")
-    (coefs,), _ = _integer_rows([list(poly.terms.values())])
-    rem, forms = dict(zip(poly.terms, coefs)), []
+    (coefs,), _ = _integer_rows([list(poly.values())])
+    rem, forms, scalar = dict(zip(poly, coefs)), [], Fraction(sum(poly.values()))
     for triple, form in zip(VERTEX_BARY, _SHORTHAND_FORMS):
         while (quo := _divide(rem, form)) is not None:
             forms.append(triple)
@@ -614,7 +616,7 @@ def split_linear_factors(poly: TriPoly) -> LinearFactorization:
         found, rem = _rational_linear_factors(rem)
         deg -= len(found)
         if deg >= 3:
-            raise PS12Error(f"no certificate decides whether {TriPoly(rem)} splits over the reals")
+            raise PS12Error(f"no certificate decides whether {rem} splits over the reals")
     if deg == 1:
         found.append(tuple(rem.get(e, 0) for e in _UNITS))
     if deg == 2:
@@ -624,7 +626,7 @@ def split_linear_factors(poly: TriPoly) -> LinearFactorization:
         e2 = sum(a[i][i] * a[j][j] - a[i][j] ** 2 for i, j in combinations(range(3), 2))
         if len(piv) == 3 or e2 > 0:
             return LinearFactorization(False, diagnostic=f"quadratic factor without a real "
-                                                         f"split: {TriPoly(rem)}")
+                                                         f"split: {rem}")
         # the singular point p, with p_k = 1 off the pivots, and the roots
         # of the restriction alpha x^2 + 2 beta x y + gamma y^2 to c_k = 0
         k = next(j for j in range(3) if j not in piv)
@@ -637,7 +639,7 @@ def split_linear_factors(poly: TriPoly) -> LinearFactorization:
         d = be * be - al * ga
         s = Fraction(isqrt(d.numerator), isqrt(d.denominator))
         if s * s != d:
-            return LinearFactorization(True, scalar=poly.evaluate(1, 1, 1), forms=None,
+            return LinearFactorization(True, scalar=scalar, forms=None,
                                        diagnostic="real split with irrational factors")
         for sg in (1, -1):  # the root (sg s - beta, alpha), or (gamma, -beta - sg s) if that is 0
             r = [0, 0, 0]
@@ -650,8 +652,7 @@ def split_linear_factors(poly: TriPoly) -> LinearFactorization:
             return LinearFactorization(False, diagnostic=f"linear factor at infinity: "
                                                          f"({', '.join(map(str, form))})")
         forms.append(tuple(Fraction(x) / total for x in form))
-    return LinearFactorization(True, scalar=poly.evaluate(1, 1, 1),
-                               forms=tuple(sorted(forms, reverse=True)))
+    return LinearFactorization(True, scalar=scalar, forms=tuple(sorted(forms, reverse=True)))
 
 
 def _divide(poly: dict, form) -> dict | None:
@@ -762,7 +763,7 @@ class SurvivorBasis:
     labels: tuple
     multisets: tuple
     weights: tuple
-    dual_products: tuple      # TriPoly, aligned with multisets
+    dual_products: tuple      # forms as in linear_product, aligned with multisets
     dual_points: tuple        # per element: 5 barycentric triples
     domain_points: tuple
 

@@ -96,6 +96,11 @@ class PS12Frame:
         """v1..v10, 0-based, made on first read: the corners, then the images of VERTEX_BARY[3:]."""
         return self.corners + tuple(bary_image(self.corners, b) for b in VERTEX_BARY[3:])
 
+    @cached_property
+    def area2(self):
+        """signed_area2 of the corners, the denominator of to_bary, made on first read."""
+        return signed_area2(*self.corners)
+
     def vertex(self, i: int) -> Point2:
         """Vertex by 1-based index."""
         return self.v[i - 1]
@@ -142,11 +147,11 @@ def reference_frame() -> PS12Frame:
     return make_frame(Point2(z, z), Point2(o, z), Point2(z, o))
 
 
-def bary_coords(corners, p: Point2) -> Bary3:
+def bary_coords(corners, p: Point2, d=None) -> Bary3:
     """Barycentric coordinates of p with respect to the triangle with the
-    given three corners."""
+    given three corners; d is their signed_area2, computed when None."""
     a, b, c = corners
-    d = signed_area2(a, b, c)
+    d = signed_area2(a, b, c) if d is None else d
     b1 = signed_area2(p, b, c) / d
     b2 = signed_area2(a, p, c) / d
     return (b1, b2, 1 - b1 - b2)
@@ -154,7 +159,7 @@ def bary_coords(corners, p: Point2) -> Bary3:
 
 def to_bary(frame: PS12Frame, p: Point2) -> Bary3:
     """Barycentric coordinates of p with respect to the macrotriangle."""
-    return bary_coords(frame.corners, Point2(*p))
+    return bary_coords(frame.corners, Point2(*p), frame.area2)
 
 
 def from_bary(frame: PS12Frame, b: Bary3) -> Point2:

@@ -34,7 +34,6 @@ from .geometry import (
     s3_vertex_permutation,
     to_bary,
 )
-from .polynomial import TriPoly
 from .simplex_spline import eval_simplex, knots
 
 BASIS_IDS = ("a", "b", "c", "d", "e", "f")
@@ -104,6 +103,26 @@ CATALOG_ROWS = {
 }
 
 
+def linear_product(scalar, forms) -> dict:
+    """scalar * prod_r (f_r . x) for coefficient triples f_r, as a form.
+
+    Every symbolic polynomial of the library is a homogeneous form in three
+    variables, an {(i, j, k): Fraction} dict of its nonzero terms: the dual
+    polynomials in (c1, c2, c3), the edge restriction tables in the
+    directional coordinates (a1, a2, a3), free of a1, and the smoothness
+    relations in (b1, b2, b3).  Its value at (1, 1, 1) is sum(form.values()).
+    """
+    out = {(0, 0, 0): Fraction(scalar)} if scalar else {}
+    for form in forms:
+        nxt = {}
+        for (i, j, k), c in out.items():
+            for e, a in zip(((i + 1, j, k), (i, j + 1, k), (i, j, k + 1)), form):
+                if a:
+                    nxt[e] = nxt.get(e, 0) + c * a
+        out = {e: c for e, c in nxt.items() if c}
+    return out
+
+
 @dataclass(frozen=True)
 class BasisElement:
     """One basis function S = w * Q[K] with its dual data."""
@@ -114,12 +133,9 @@ class BasisElement:
     domain_point: tuple       # barycentric triple
     class_label: str
 
-    def dual_product(self) -> TriPoly:
-        """The exact polynomial w * prod_r (dual point . c)."""
-        poly = TriPoly.const(self.weight)
-        for p in self.dual_points:
-            poly = poly * TriPoly.linear(p)
-        return poly
+    def dual_product(self) -> dict:
+        """The exact form w * prod_r (dual point . c)."""
+        return linear_product(self.weight, self.dual_points)
 
 
 @dataclass(frozen=True)
@@ -223,7 +239,7 @@ def bernstein_expansion(spec: BasisSpec, i1: int, i2: int, i3: int) -> tuple:
     if not all(isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in exps) \
             or sum(exps) != 5:
         raise DomainError(f"exponents must be nonnegative ints summing to 5: {exps}")
-    return tuple(el.dual_product().coefficient((i1, i2, i3)) for el in spec.elements)
+    return tuple(el.dual_product().get(exps, Fraction(0)) for el in spec.elements)
 
 
 #: Coefficients k^5/5! (-1)^(k-1) of the size-k subset sums in the

@@ -157,7 +157,7 @@ def basis_spec_to_dict(spec) -> dict:
 
 def tri_poly_to_dict(poly) -> dict:
     return {",".join(map(str, exp)): encode_number(c)
-            for exp, c in sorted(poly.terms.items())}
+            for exp, c in sorted(poly.items())}
 
 
 #: The filter stages of basis_search.filter_pipeline, in order: the values

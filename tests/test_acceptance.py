@@ -92,6 +92,7 @@ def test_criterion_4_condition_number():
 def test_criterion_5_restriction_tables():
     from ps12splines.assembly import edge_restriction_tables
     from test_assembly import REFERENCE_ROWS, SCALES, restrictions_equal
+    from tripoly import TriPoly
     tables = edge_restriction_tables()
     checked = 0
     for i, per_k in REFERENCE_ROWS.items():
@@ -99,7 +100,7 @@ def test_criterion_5_restriction_tables():
             derived = tables[i - 1][k]
             assert set(derived) == set(per_k[k]), (i, k)
             for j, poly in per_k[k].items():
-                assert restrictions_equal(derived[j] * F(1, SCALES[k]), poly), (i, k, j)
+                assert restrictions_equal(TriPoly(derived[j]) * F(1, SCALES[k]), poly), (i, k, j)
                 checked += 1
     for i in range(26, 40):
         assert all(not tables[i - 1][k] for k in range(4))

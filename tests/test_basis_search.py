@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rational_points
+from tripoly import TriPoly
 from ps12splines import basis_search
 from ps12splines.basis_search import (
     BASIS_CLASS_CONTENT,
@@ -32,7 +33,6 @@ from ps12splines.errors import (DimensionMismatch, DomainError, PS12Error, Singu
 from ps12splines.geometry import EDGES, FACES, INTERIOR_LINES, VERTEX_BARY, reference_frame
 from ps12splines.linalg import _integer_rows, append_row, bareiss, solve
 from ps12splines.marsden_catalog import catalog
-from ps12splines.polynomial import TriPoly
 from ps12splines.simplex_spline import (
     active_indices,
     bernstein_exponents,
@@ -282,15 +282,15 @@ def test_dual_polys_reference_entries():
     c5 = (c2 + c3) * F(1, 2)
     c10 = (c1 + c2 + c3) * F(1, 3)
     i = spec.index_of(knots("220211"))
-    assert polys[i] == F(3, 4) * c1 * c2 * c4 * c4 * c10
+    assert TriPoly(polys[i]) == F(3, 4) * c1 * c2 * c4 * c4 * c10
     spec_f = catalog("f")
     polys_f = compute_dual_polys(spec_f.multisets)
     c8 = (c4 + c5) * F(1, 2)
     i = spec_f.index_of(knots("121211"))
-    assert polys_f[i] == F(1, 2) * c1 * c2 * c3 * c4 * c8
+    assert TriPoly(polys_f[i]) == F(1, 2) * c1 * c2 * c3 * c4 * c8
     # setting c1 = c2 = c3 = 1 recovers the weights
     for poly, w in zip(polys, spec.weights):
-        assert poly.evaluate(1, 1, 1) == w
+        assert TriPoly(poly).evaluate(1, 1, 1) == w
 
 
 def test_weights_and_duals_satisfy_per_face_identities():
@@ -313,7 +313,7 @@ def test_weights_and_duals_satisfy_per_face_identities():
                 assert sum(q * weights[i] for q, i in col) == 1, (bid, fi, alpha)
                 got = TriPoly.zero()
                 for q, i in col:
-                    got = got + polys[i] * q
+                    got = got + TriPoly(polys[i]) * q
                 want = TriPoly.const(1)
                 for v, a in zip(corners, alpha):
                     want = want * lin[v - 1] ** a
@@ -332,8 +332,8 @@ def test_domain_point_is_mean_of_dual_points():
 def _gradient_domain_point(w_psi):
     """Reference: the domain point read from a dual product, as the gradient
     at (1, 1, 1) over 5 w, where w is the product's value there."""
-    w = sum(w_psi.terms.values())
-    return tuple(sum(e[r] * c for e, c in w_psi.terms.items()) / (5 * w)
+    w = sum(w_psi.values())
+    return tuple(sum(e[r] * c for e, c in w_psi.items()) / (5 * w)
                  for r in range(3))
 
 
@@ -470,19 +470,30 @@ def test_split_linear_factors_reference():
     c1, c2, c3 = (TriPoly.variable(i) for i in range(3))
     c4 = (c1 + c2) * F(1, 2)
     c5 = (c2 + c3) * F(1, 2)
-    out = split_linear_factors(c2 ** 3 * c4 * c5)
+    out = split_linear_factors((c2 ** 3 * c4 * c5).terms)
     assert out.split and out.scalar == 1
     assert sorted(out.forms) == sorted([(0, 1, 0)] * 3 + [(F(1, 2), F(1, 2), 0),
                                                           (0, F(1, 2), F(1, 2))])
-    out = split_linear_factors(c1 ** 5)
+    out = split_linear_factors((c1 ** 5).terms)
     assert out.split and out.forms == ((F(1), F(0), F(0)),) * 5
+
+
+def test_split_ignores_zero_terms():
+    """Terms with coefficient 0, of any degree, are not part of the form:
+    c1^5 with two of them splits as c1^5, and a form of zero terms only
+    is not a quintic."""
+    c1 = TriPoly.variable(0)
+    out = split_linear_factors({**(c1 ** 5).terms, (0, 5, 0): F(0), (0, 0, 0): F(0)})
+    assert out == split_linear_factors((c1 ** 5).terms)
+    out = split_linear_factors({(5, 0, 0): F(0)})
+    assert not out.split and out.diagnostic == "not a nonzero homogeneous quintic"
 
 
 def test_split_detects_general_rational_factors():
     # a linear factor outside the ten shorthands still splits
     c1, c2, c3 = (TriPoly.variable(i) for i in range(3))
     L = TriPoly.linear((F(1, 5), F(2, 5), F(2, 5)))
-    out = split_linear_factors(c1 ** 2 * c2 * c3 * L)
+    out = split_linear_factors((c1 ** 2 * c2 * c3 * L).terms)
     assert out.split
     assert (F(1, 5), F(2, 5), F(2, 5)) in out.forms
 
@@ -490,7 +501,7 @@ def test_split_detects_general_rational_factors():
 def test_split_rejects_definite_quadratic():
     c1, c2, c3 = (TriPoly.variable(i) for i in range(3))
     quad = c1 * c1 + c2 * c2 + c3 * c3   # no real linear factors
-    out = split_linear_factors(quad * c1 * c2 * c3)
+    out = split_linear_factors((quad * c1 * c2 * c3).terms)
     assert not out.split and "quadratic" in out.diagnostic and out.witness is None
 
 
@@ -501,7 +512,7 @@ def test_split_keeps_rational_forms_of_a_quadratic_remainder(square):
     to sum 1: L1 = c1 + 2 c2 + 3 c3 and L2 = 2 c1 - c2 + c3."""
     c1, c2, c3 = (TriPoly.variable(i) for i in range(3))
     L1, L2 = TriPoly.linear((1, 2, 3)), TriPoly.linear((2, -1, 1))
-    out = split_linear_factors(c1 * c2 * c3 * L1 * (L1 if square else L2))
+    out = split_linear_factors((c1 * c2 * c3 * L1 * (L1 if square else L2)).terms)
     l1, l2 = (F(1, 6), F(1, 3), F(1, 2)), (F(1), F(-1, 2), F(1, 2))
     assert out.split and out.scalar == (36 if square else 12)
     assert out.forms == tuple(sorted([(1, 0, 0), (0, 1, 0), (0, 0, 1), l1, l1 if square else l2],
@@ -514,7 +525,8 @@ def test_split_raises_without_a_certificate():
     that no rational factoring finds, and no line shows a non-real root."""
     c1, c2, c3 = (TriPoly.variable(i) for i in range(3))
     with pytest.raises(PS12Error):
-        split_linear_factors(c3 * c3 * (c1 ** 3 + c1 * c1 * c2 - 2 * c1 * c2 * c2 - c2 ** 3))
+        cubic = c1 ** 3 + c1 * c1 * c2 - 2 * c1 * c2 * c2 - c2 ** 3
+        split_linear_factors((c3 * c3 * cubic).terms)
 
 
 def test_split_is_total_on_products_of_rational_forms():
@@ -535,7 +547,7 @@ def test_split_is_total_on_products_of_rational_forms():
             * TriPoly.linear(forms[2])
         units = [tuple(F(int(k == n)) for k in range(3)) for n in (i, j)]
         want = sorted(units + [tuple(x / sum(L) for x in L) for L in forms], reverse=True)
-        out = split_linear_factors(poly)
+        out = split_linear_factors(poly.terms)
         assert out.split and out.forms == tuple(want), (i, j, forms)
         assert out.scalar == poly.evaluate(1, 1, 1)
 
@@ -543,8 +555,8 @@ def test_split_is_total_on_products_of_rational_forms():
 def _shorthand_remainder(poly):
     """A positive multiple of poly divided by every shorthand form that
     divides it, as often as it does."""
-    (coefs,), _ = _integer_rows([list(poly.terms.values())])
-    rem = dict(zip(poly.terms, coefs))
+    (coefs,), _ = _integer_rows([list(poly.values())])
+    rem = dict(zip(poly, coefs))
     for form in _SHORTHAND_FORMS:
         while (quo := _divide(rem, form)) is not None:
             rem = quo

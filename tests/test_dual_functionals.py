@@ -179,6 +179,7 @@ def test_two_triangle_dimension_cross_check():
     order-3 vertex condition at each shared corner)."""
     from ps12splines.assembly import _smoothness_symbolic, N_BLOCKS
     from ps12splines.linalg import rank
+    from tripoly import TriPoly
     rels, _ = _smoothness_symbolic()
     beta = (F(1, 3), F(1, 4), F(5, 12))     # generic opposite vertex
     rows = []
@@ -186,7 +187,7 @@ def test_two_triangle_dimension_cross_check():
         row = [F(0)] * 78
         row[39 + i] = F(1)
         for src, poly in rels[i].items():
-            row[src] -= poly.evaluate(*beta)
+            row[src] -= TriPoly(poly).evaluate(*beta)
         rows.append(row)
     # third-order agreement at the two shared corners: the order-3 jet of the
     # neighbour at v1/v2 is determined by continuity of D^3 in the direction
@@ -198,7 +199,7 @@ def test_two_triangle_dimension_cross_check():
         row = [F(0)] * 78
         row[39 + i] = F(1)
         for src, poly in rels[i].items():
-            row[src] -= poly.evaluate(*beta)
+            row[src] -= TriPoly(poly).evaluate(*beta)
         rows.append(row)
     assert rank(rows) == 23
     assert 78 - rank(rows) == dim_global(4, 5)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from tripoly import TriPoly
 from ps12splines import (assembly, basis_search, bspline1d, dual_functionals, geometry,
                          marsden_catalog, serialize, simplex_spline, spline_fn)
 from ps12splines.basis_search import CandidateBasis
@@ -84,6 +85,16 @@ BAD_CALLS = {
     "domain_point weights differ within a class": lambda: basis_search.domain_point(
         C_MULTISETS, _c_weights_with_one_class_b_weight_changed()),
     "split_linear_factors int": lambda: basis_search.split_linear_factors(5),
+    "split_linear_factors TriPoly": lambda: basis_search.split_linear_factors(
+        TriPoly.linear((1, 0, 0)) ** 5),
+    "split_linear_factors exponent pair": lambda: basis_search.split_linear_factors(
+        {(5, 0): F(1)}),
+    "split_linear_factors negative exponent": lambda: basis_search.split_linear_factors(
+        {(6, -1, 0): F(1)}),
+    "split_linear_factors float exponent": lambda: basis_search.split_linear_factors(
+        {(5.0, 0, 0): F(1)}),
+    "split_linear_factors float coefficient": lambda: basis_search.split_linear_factors(
+        {(5, 0, 0): 0.5, (0, 5, 0): F(1)}),
     "control_distance_bound_check negative bound": lambda:
         spline_fn.control_distance_bound_check(FLOAT_SPLINE, -1),
     "collocation float frame": lambda: dual_functionals.collocation(

@@ -9,6 +9,7 @@ from ps12splines.errors import DegenerateTriangle
 from ps12splines.geometry import (
     Point2,
     VERTEX_BARY,
+    bary_coords,
     bary_image,
     locate_face,
     locate_face_bary,
@@ -222,3 +223,19 @@ def test_float_face_barycentrics_match_fraction_products():
                          for r in range(3))
             den, got = face_bary(fi, beta)
             assert den == 1 and [g.hex() for g in got] == [w.hex() for w in want]
+
+
+def test_to_bary_equals_bary_coords_bit_for_bit():
+    """to_bary reads the frame's stored doubled area; its coordinates are
+    those of bary_coords on the corners, to the bit on float frames."""
+    rng = random.Random(68)
+    for exact in (False, True):
+        num = (lambda x: F(x).limit_denominator(60)) if exact else float
+        for _ in range(20):
+            # corners jittered about a fixed triangle, so never collinear
+            frame = make_frame(*[(num(x + rng.uniform(-0.3, 0.3)), num(y + rng.uniform(-0.3, 0.3)))
+                                 for x, y in ((0, 0), (3, 0.5), (1, 2.5))])
+            for _ in range(10):
+                p = Point2(num(rng.uniform(-1, 4)), num(rng.uniform(-1, 3)))
+                got, want = to_bary(frame, p), bary_coords(frame.corners, p)
+                assert list(map(repr, got)) == list(map(repr, want)), (frame.corners, p)

@@ -3,14 +3,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import rational_points
+from tripoly import TriPoly
 from ps12splines.errors import OutsideDomain, UnknownBasis
 from ps12splines.geometry import Point2, from_bary, to_bary
 from ps12splines.marsden_catalog import (
     BASIS_IDS,
     bernstein_expansion,
     catalog,
+    linear_product,
     marsden_eval,
     quasi_interpolant_bound,
     quasi_interpolant_coeffs,
@@ -78,6 +82,28 @@ def test_marsden_trivial_cases(ref):
     assert lhs == rhs == 1
     lhs, rhs = marsden_eval(spec, p, (F(2, 3), F(2, 3), F(2, 3)))
     assert lhs == rhs == F(2, 3) ** 5
+
+
+_COEFS = st.one_of(st.just(F(0)), st.fractions(-3, 3, max_denominator=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COEFS, st.lists(st.tuples(_COEFS, _COEFS, _COEFS), max_size=5))
+@example(F(0), [(F(1), F(2), F(0))])
+@example(F(3), [(F(1), F(-1), F(0)), (F(1), F(1), F(0))])
+def test_linear_product_matches_the_ring_product(scalar, forms):
+    """linear_product against TriPoly's product, zero entries and a zero
+    scalar included: the same nonzero Fraction terms, {} for a zero
+    scalar, and the value at (1, 1, 1) as the sum of the terms."""
+    want = TriPoly.const(scalar)
+    for form in forms:
+        want = want * TriPoly.linear(form)
+    got = linear_product(scalar, forms)
+    assert got == want.terms
+    assert all(type(c) is F and c for c in got.values())
+    assert sum(got.values()) == want.evaluate(1, 1, 1)
+    if not scalar:
+        assert got == {}
 
 
 def test_bernstein_expansion_500():

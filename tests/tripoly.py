@@ -1,10 +1,9 @@
 """Sparse polynomials in three variables with exact rational coefficients.
 
-The library's symbolic results: dual polynomials in (c1, c2, c3), edge
-restriction tables in the directional coordinates (a1, a2, a3), free of
-a1, and smoothness relations in (b1, b2, b3).  Exponent keys are (i, j, k)
-tuples; values are Fractions.  The split and the relations work on the
-terms dict; the ring operations serve the Marsden products and the tests.
+The tests' ring oracle, independent of the library: the library keeps each
+symbolic polynomial as a plain {exponent: Fraction} dict of its nonzero
+terms (marsden_catalog.linear_product), and the tests wrap such a dict in
+TriPoly(...) to compare it with products built here.
 """
 
 from __future__ import annotations
@@ -68,9 +67,6 @@ class TriPoly:
             out[e] = out.get(e, Fraction(0)) - c
         return TriPoly(out)
 
-    def __rsub__(self, other):
-        return TriPoly.const(other) - self
-
     def __neg__(self):
         return TriPoly({e: -c for e, c in self.terms.items()})
 
@@ -98,9 +94,6 @@ class TriPoly:
             return self.terms == other.terms
         return self.terms == TriPoly.const(other).terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -114,9 +107,6 @@ class TriPoly:
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def coefficient(self, exp) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
 
     def evaluate(self, x1, x2, x3):
         total = 0
