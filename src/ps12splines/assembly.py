@@ -410,7 +410,7 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
     side reads the face locate_face_bary picks, so for k = 4, 5 (a side's
     restriction jumps there) jumps[k] may exceed gaps[k].  ``max`` is the
     largest jump; given ``tol`` (1e-10 by default for float data), ``pass``
-    says whether every jump is within it.  Exact data gives Fractions, float
+    says whether every gap is within it.  Exact data gives Fractions, float
     data the floats nearest the exact values for its float ordinates.
     Raises DomainError for samples < 1, orders outside 0..5, NaN or inf.
     """
@@ -450,7 +450,7 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
             jumps[k] = max(jumps[k], div(abs(an[a_mid - 1] * bd - bn[b_mid - 1] * ad), ad * bd))
     report = {"jumps": jumps, "max": max(jumps.values()), "gaps": gaps}
     if tol is not None:
-        report["pass"] = all(float(j) <= tol for j in jumps.values())
+        report["pass"] = all(float(g) <= tol for g in gaps.values())
     return report
 
 

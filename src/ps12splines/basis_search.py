@@ -162,13 +162,6 @@ def enumerate_admissible() -> tuple:
     return tuple(classes)
 
 
-def _edge_bspline_indices(cls: S3Class) -> frozenset:
-    """Which boundary B-spline indices the class members produce on the
-    edge e3."""
-    refs = (ref_from_counts(5, *(m[i - 1] for i in EDGES["e3"])) for m in cls.members)
-    return frozenset(ref.index for ref in refs if ref is not None)
-
-
 @lru_cache(maxsize=1)
 def _classes() -> dict:
     """The admissible classes by label."""
@@ -183,7 +176,9 @@ def enumerate_candidates() -> tuple:
     classes = _classes()
     groups, by_size = {}, {}
     for c in classes.values():
-        groups.setdefault(_edge_bspline_indices(c), []).append(c.label)
+        # grouped by the boundary B-spline indices its members give on the edge e3
+        refs = (ref_from_counts(5, *(m[i - 1] for i in EDGES["e3"])) for m in c.members)
+        groups.setdefault(frozenset(r.index for r in refs if r is not None), []).append(c.label)
     interior = groups.pop(frozenset())
     for k in range(len(interior) + 1):
         for sel in combinations(interior, k):
@@ -800,71 +795,57 @@ def _boundary_point_counts(points) -> tuple:
 
 
 def filter_pipeline(candidates=None, stage: str = "linear_factors") -> SearchReport:
-    """Run the filters in order over CandidateBasis items (all 3648 by
-    default; DomainError for any other item), recording the count after
-    each stage.  ``stage`` may name an earlier stage to stop at.
+    """Run the stages of PIPELINE_STAGES in order over CandidateBasis items
+    (all 3648 by default; DomainError for any other item), recording the
+    count after each.  ``stage`` may name an earlier stage to stop at.
     """
     if stage not in PIPELINE_STAGES:
         raise DomainError(f"unknown stage {stage!r}")
-    last = PIPELINE_STAGES.index(stage)
     report = SearchReport(stage=stage)
-    cands = list(enumerate_candidates() if candidates is None else candidates)
-    if not all(isinstance(c, CandidateBasis) for c in cands):
+    items = list(enumerate_candidates() if candidates is None else candidates)
+    if not all(isinstance(c, CandidateBasis) for c in items):
         raise DomainError("filter_pipeline takes CandidateBasis items only")
-    report.counts["candidates"] = len(cands)
-    if last < 1:
-        return report
-
-    by_class = _trie_class_weights([tuple(sorted(c.labels)) for c in cands])
-    weighted = [(c, w) for c, w in zip(cands, by_class) if w is not None]
-    report.counts["full_rank"] = len(weighted)
-    if last < 2:
-        return report
-
-    weighted = [(c, w) for c, w in weighted if all(x >= 0 for x in w.values())]
-    report.counts["nonnegative"] = len(weighted)
-    if last < 3:
-        return report
-
-    of = _class_of()
-    weighted = [(c, tuple(w[of[K][0]] for K in c.multisets)) for c, w in weighted
-                if all(x > 0 for x in w.values())]
-    report.counts["positive"] = len(weighted)
-    if last < 4:
-        return report
-
-    pointed = [(c, w, domain_point(c, w)) for c, w in weighted]
-    pointed = [t for t in pointed if _domain_points_inside(t[2])]
-    report.counts["domain_inside"] = len(pointed)
-    if last < 5:
-        return report
-
-    pointed = [t for t in pointed if _boundary_point_counts(t[2]) == (8, 8, 8)]
-    report.counts["boundary_counts"] = len(pointed)
-    if last < 6:
-        return report
-
-    basis_of = {content: bid for bid, content in BASIS_CLASS_CONTENT.items()}
-    for c, w, points in pointed:
-        polys = compute_dual_polys(c, weights=w)
-        facts = [split_linear_factors(p) for p in polys]
-        if not all(f.split for f in facts):
-            continue
-        dual_points = tuple(f.forms for f in facts)
-        # the domain point is the mean of the dual points: a certificate for
-        # the reproduction solve, independent of it, wherever they are rational
-        for xi, forms in zip(points, dual_points):
-            if forms is not None and \
-                    tuple(sum(p[r] for p in forms) / 5 for r in range(3)) != xi:
-                raise SingularSystem("a domain point is not the mean of its dual points")
-        report.survivors.append(SurvivorBasis(
-            basis_id=basis_of.get(c.labels, ""),
-            labels=tuple(sorted(c.labels)),
-            multisets=c.multisets,
-            weights=w,
-            dual_products=polys,
-            dual_points=dual_points,
-            domain_points=points))
-    report.survivors.sort(key=lambda s: s.basis_id)
-    report.counts["linear_factors"] = len(report.survivors)
+    for name in PIPELINE_STAGES[:PIPELINE_STAGES.index(stage) + 1]:
+        if name == "full_rank":     # (candidate, weights by class)
+            by_class = _trie_class_weights([tuple(sorted(c.labels)) for c in items])
+            items = [(c, w) for c, w in zip(items, by_class) if w is not None]
+        elif name == "nonnegative":
+            items = [(c, w) for c, w in items if all(x >= 0 for x in w.values())]
+        elif name == "positive":    # (candidate, weights in its order)
+            of = _class_of()
+            items = [(c, tuple(w[of[K][0]] for K in c.multisets)) for c, w in items
+                     if all(x > 0 for x in w.values())]
+        elif name == "domain_inside":   # (candidate, weights, domain points)
+            items = [(c, w, domain_point(c, w)) for c, w in items]
+            items = [t for t in items if _domain_points_inside(t[2])]
+        elif name == "boundary_counts":
+            items = [t for t in items if _boundary_point_counts(t[2]) == (8, 8, 8)]
+        elif name == "linear_factors":
+            items = report.survivors = sorted(filter(None, (_survivor(*t) for t in items)),
+                                              key=lambda s: s.basis_id)
+        report.counts[name] = len(items)
     return report
+
+
+def _survivor(cand, weights, points) -> SurvivorBasis | None:
+    """The derived data of a candidate whose dual products all split into
+    real linear factors, or None; SingularSystem when a domain point is not
+    the mean of its rational dual points."""
+    polys = compute_dual_polys(cand, weights=weights)
+    facts = [split_linear_factors(p) for p in polys]
+    if not all(f.split for f in facts):
+        return None
+    dual_points = tuple(f.forms for f in facts)
+    # the domain point is the mean of the dual points: a certificate for
+    # the reproduction solve, independent of it, wherever they are rational
+    for xi, forms in zip(points, dual_points):
+        if forms is not None and tuple(sum(p[r] for p in forms) / 5 for r in range(3)) != xi:
+            raise SingularSystem("a domain point is not the mean of its dual points")
+    return SurvivorBasis(
+        basis_id=next((b for b, lab in BASIS_CLASS_CONTENT.items() if lab == cand.labels), ""),
+        labels=tuple(sorted(cand.labels)),
+        multisets=cand.multisets,
+        weights=weights,
+        dual_products=polys,
+        dual_points=dual_points,
+        domain_points=points)

@@ -71,7 +71,6 @@ class Functional:
     FUNCTIONALS a macro-barycentric point and direction names, from
     build_lambda a Cartesian point and vectors."""
 
-    kind: str                 # 'vertex-jet' | 'edge-quarterpoint-2nd' | 'edge-midpoint-1st'
     point: object
     directions: tuple         # one per derivative order
     site: tuple               # ('v', corner, i, j) or ('e', name, slot)
@@ -82,14 +81,14 @@ class Functional:
 
 
 def _table() -> tuple:
-    out = [Functional("vertex-jet", VERTEX_BARY[c - 1], (("x", c),) * i + (("y", c),) * j,
-                      ("v", c, i, j)) for c in (1, 2, 3) for i, j in JET_ORDERS]
+    out = [Functional(VERTEX_BARY[c - 1], (("x", c),) * i + (("y", c),) * j, ("v", c, i, j))
+           for c in (1, 2, 3) for i, j in JET_ORDERS]
     for name, (a, m, b) in EDGES.items():
         pa, pb, u = VERTEX_BARY[a - 1], VERTEX_BARY[b - 1], ("u", name)
         q1, q2 = (tuple((3 * x + y) / 4 for x, y in zip(p, q)) for p, q in ((pa, pb), (pb, pa)))
-        out += [Functional("edge-quarterpoint-2nd", q1, (u, u), ("e", name, "q1")),
-                Functional("edge-midpoint-1st", VERTEX_BARY[m - 1], (u,), ("e", name, "m")),
-                Functional("edge-quarterpoint-2nd", q2, (u, u), ("e", name, "q2"))]
+        out += [Functional(q1, (u, u), ("e", name, "q1")),
+                Functional(VERTEX_BARY[m - 1], (u,), ("e", name, "m")),
+                Functional(q2, (u, u), ("e", name, "q2"))]
     return tuple(out)
 
 
@@ -102,8 +101,8 @@ def build_lambda(frame: PS12Frame) -> list:
     points and directions mapped onto the frame's corners."""
     corners = frame.corners
     vectors = direction_vectors(corners)
-    return [Functional(f.kind, bary_image(corners, f.point),
-                       tuple(vectors[n] for n in f.directions), f.site) for f in FUNCTIONALS]
+    return [Functional(bary_image(corners, f.point), tuple(vectors[n] for n in f.directions),
+                       f.site) for f in FUNCTIONALS]
 
 
 def apply(lam: Functional, f: FaceForms):

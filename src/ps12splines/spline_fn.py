@@ -17,7 +17,7 @@ depend on neither a BLAS build nor the Python version (float coefficients
 are in range up to about 1e303).  Float eval_spline (one point, by
 simplex_spline.float_value) and eval_many (a numpy batch) read those ordinates
 with the same IEEE operations in the same order, so they agree bit for bit.
-Only eval_many and float basis_values import numpy.
+Only eval_many imports numpy.
 The domain-point collocation matrix has rows summing to one, and its exact
 inverse, kept as integers over one denominator, gives Lagrange
 interpolation as one integer mat-vec and bounds the basis condition number
@@ -31,10 +31,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, combinations, islice
 from math import lcm
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, truediv
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # annotations only: eval_many and float basis_values import numpy when they run
+if TYPE_CHECKING:  # annotations only: eval_many imports numpy when it runs
     import numpy as np
 
 from .errors import (BoundViolated, DimensionMismatch, DomainError, OutsideDomain,
@@ -141,28 +141,18 @@ def _nonzero_entries(basis_id: str) -> tuple:
             tuple(map(as_float.__getitem__, entries)), tuple(len(row) - row.count(0) for row in rows))
 
 
-@lru_cache(maxsize=None)
-def _scaled_basis_arrays(basis_id: str) -> np.ndarray:
-    """The scaled tables as one float array, for float basis_values."""
-    import numpy as np
-    q, table = scaled_basis_tables(basis_id)
-    # int / int true division rounds correctly: the bits of float(Fraction(t, q))
-    return np.array([[[t / q for t in row] for row in face] for face in table],
-                    dtype=float)  # (12, 21, 39)
-
-
-def basis_values(basis_id: str, beta):
+def basis_values(basis_id: str, beta) -> tuple:
     """The 39 values S_i at macro-barycentrics beta: the located Bernstein
-    row times the scaled table of its face.
+    row times each column of the scaled table of its face, summed left to
+    right from 0, then divided once by Q.
 
-    Exact (a tuple of Fractions) for exact beta; otherwise a float array.
-    Raises OutsideDomain for points outside the closed macrotriangle.
+    Fractions for exact beta, floats otherwise.  Raises OutsideDomain for
+    points outside the closed macrotriangle.
     """
     fi, den, row = functional_row(beta)
-    if not is_exact(beta):
-        return row @ _scaled_basis_arrays(basis_id)[fi - 1]
     q, table = scaled_basis_tables(basis_id)
-    return tuple(Fraction(sum(map(mul, row, col)), den * q) for col in zip(*table[fi - 1]))
+    div = Fraction if is_exact(beta) else truediv
+    return tuple(div(reduce(add, map(mul, row, col), 0), den * q) for col in zip(*table[fi - 1]))
 
 
 def eval_spline(s: Spline, p) -> object:

@@ -989,8 +989,9 @@ def test_orders_4_and_5_follow_the_midpoint_convention():
     at every order.  Along the edge its order-4 cross derivative steps from
     0 to 24 at the midpoint, and there the two triangles locate different
     halves (corner order (0, 1, 2) against (1, 0, 3)): the sampled one-sided
-    jump is 24 > gaps[4] = 0.  Orders 4 and 5 equal the Fraction oracle, on
-    this join and on random coefficients, with and without the midpoint."""
+    jump is 24 > gaps[4] = 0, and ``pass``, which reads the gaps, holds even
+    at tol 0.  Orders 4 and 5 equal the Fraction oracle, on this join and on
+    random coefficients, with and without the midpoint."""
     def f(p):
         return max(2 * p.x + p.y - 1, F(0)) ** 4
 
@@ -1006,6 +1007,7 @@ def test_orders_4_and_5_follow_the_midpoint_convention():
     rep = verify_smoothness(gs, (0, 1), 5, samples=1)
     assert rep["gaps"] == {k: 0 for k in range(6)}
     assert rep["jumps"] == {0: 0, 1: 0, 2: 0, 3: 0, 4: 24, 5: 0}
+    assert verify_smoothness(gs, (0, 1), 5, samples=1, tol=0)["pass"]
     assert verify_smoothness(gs, (0, 1), 5, samples=2)["max"] == 0
     rng = random.Random(29)
     noisy = GlobalSpline(tri, tuple(tuple(F(rng.randint(-20, 20), rng.randint(1, 6))

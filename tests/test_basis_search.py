@@ -33,6 +33,7 @@ from ps12splines.errors import (DimensionMismatch, DomainError, PS12Error, Singu
 from ps12splines.geometry import EDGES, FACES, INTERIOR_LINES, VERTEX_BARY, reference_frame
 from ps12splines.linalg import _integer_rows, append_row, bareiss, solve
 from ps12splines.marsden_catalog import catalog
+from ps12splines.serialize import PIPELINE_STAGES
 from ps12splines.simplex_spline import (
     active_indices,
     bernstein_exponents,
@@ -499,17 +500,24 @@ def test_split_detects_general_rational_factors():
 
 
 def test_split_rejects_definite_quadratic():
+    """Also a rational factor at infinity: c1^4 (c2 - c3), whose coefficient
+    sum is 0, is a product of real forms but has no form of sum 1."""
     c1, c2, c3 = (TriPoly.variable(i) for i in range(3))
     quad = c1 * c1 + c2 * c2 + c3 * c3   # no real linear factors
     out = split_linear_factors((quad * c1 * c2 * c3).terms)
     assert not out.split and "quadratic" in out.diagnostic and out.witness is None
+    out = split_linear_factors((c1 ** 4 * (c2 - c3)).terms)
+    assert (out.split, out.forms, out.witness) == (False, None, None)
+    assert out.diagnostic == "linear factor at infinity: (0, 1, -1)"
 
 
 @pytest.mark.parametrize("square", [False, True])
 def test_split_keeps_rational_forms_of_a_quadratic_remainder(square):
     """c1 c2 c3 L1 L2 and c1 c2 c3 L1^2 leave a quadratic that none of the
     ten shorthand forms divides; its rational factors come back normalized
-    to sum 1: L1 = c1 + 2 c2 + 3 c3 and L2 = 2 c1 - c2 + c3."""
+    to sum 1: L1 = c1 + 2 c2 + 3 c3 and L2 = 2 c1 - c2 + c3.  The quadratic
+    c2^2 - 2 c3^2 of c1^3 (c2^2 - 2 c3^2) splits too, but into irrational
+    forms, so none come back."""
     c1, c2, c3 = (TriPoly.variable(i) for i in range(3))
     L1, L2 = TriPoly.linear((1, 2, 3)), TriPoly.linear((2, -1, 1))
     out = split_linear_factors((c1 * c2 * c3 * L1 * (L1 if square else L2)).terms)
@@ -517,6 +525,9 @@ def test_split_keeps_rational_forms_of_a_quadratic_remainder(square):
     assert out.split and out.scalar == (36 if square else 12)
     assert out.forms == tuple(sorted([(1, 0, 0), (0, 1, 0), (0, 0, 1), l1, l1 if square else l2],
                                      reverse=True))
+    out = split_linear_factors((c1 ** 3 * (c2 * c2 - 2 * c3 * c3)).terms)
+    assert (out.split, out.scalar, out.forms) == (True, -1, None)
+    assert out.diagnostic == "real split with irrational factors"
 
 
 def test_split_raises_without_a_certificate():
@@ -630,6 +641,21 @@ def test_pipeline_monotone_and_prefixes(pipeline_report):
     counts = list(pipeline_report.counts.values())
     assert counts == sorted(counts, reverse=True)
     assert pipeline_report.counts["nonnegative"] >= pipeline_report.counts["positive"]
+
+
+@pytest.mark.parametrize("stage", PIPELINE_STAGES)
+def test_each_stage_stops_at_the_prefix_of_the_full_counts(stage, pipeline_report):
+    """A run stopped at any stage counts the paper's prefix 3648, 1024, 243,
+    47, 9, 7, 6 of the full run, and only the last stage has survivors."""
+    report = filter_pipeline(stage=stage)
+    prefix = PIPELINE_STAGES[:PIPELINE_STAGES.index(stage) + 1]
+    assert report.stage == stage
+    assert report.counts == dict(zip(prefix, (3648, 1024, 243, 47, 9, 7, 6)))
+    assert report.counts == {s: pipeline_report.counts[s] for s in prefix}
+    if stage == "linear_factors":
+        assert report.survivors == pipeline_report.survivors
+    else:
+        assert report.survivors == []
 
 
 def test_survivor_weights_positive_and_identified(pipeline_report):

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from functools import lru_cache, reduce
 from math import factorial, inf, nan
@@ -38,6 +40,7 @@ from ps12splines.spline_fn import (
     eval_spline,
     face_forms,
     lagrange_interpolate,
+    scaled_basis_tables,
 )
 
 K_EXACT = F(60866923187443943219194678615331, 836197581250152380489105335680)
@@ -316,7 +319,7 @@ def test_mixed_layer_branches_agree_with_the_exact_layer(basis, seed):
     u = Point2(rng.uniform(-1, 1), rng.uniform(-1, 1))
     ue = Point2(F(u.x), F(u.y))
     got = basis_values(basis, tuple(map(float, beta)))
-    assert max(abs(g - w) for g, w in zip(got.tolist(), basis_values(basis, beta))) <= 1e-9
+    assert max(abs(g - w) for g, w in zip(got, basis_values(basis, beta))) <= 1e-9
     want = eval_spline(es, from_bary(frame, beta))
     got = eval_spline(fs, from_bary(frame, beta))
     assert type(got) is float and abs(got - want) <= bound
@@ -329,19 +332,12 @@ def test_mixed_layer_branches_agree_with_the_exact_layer(basis, seed):
         assert all(type(g) is float and abs(g - want) <= bound for g in got), k
 
 
-def test_float_tables_are_the_exact_tables_rounded():
-    """The float tables, divided from the integer tables, carry the bits of
-    float() of the exact tables, and those equal the Fraction oracle's."""
-    import numpy as np
-    from ps12splines.spline_fn import _scaled_basis_arrays, scaled_basis_tables
+def test_scaled_tables_equal_the_fraction_tables():
+    """The integer tables over Q equal the Fraction oracle's tables."""
     for basis in "abcdef":
         q, table = scaled_basis_tables(basis)
         exact = [[[F(t, q) for t in row] for row in face] for face in table]
         assert exact == [[list(row) for row in face] for face in _fraction_tables(basis)]
-        want = np.array([[[float(x) for x in row] for row in face] for face in exact])
-        got = _scaled_basis_arrays(basis)
-        assert got.shape == want.shape == (12, 21, 39)
-        assert got.tobytes() == want.tobytes(), basis
 
 
 @pytest.mark.parametrize("basis", list("abcdef"))
@@ -385,6 +381,33 @@ def _fraction_row(g):
     """The quintic Bernstein row at face barycentrics g, in Fractions."""
     return [F(factorial(5), factorial(a) * factorial(b) * factorial(c))
             * g[0] ** a * g[1] ** b * g[2] ** c for a, b, c in bernstein_exponents(5)]
+
+
+def test_float_basis_values_sum_left_to_right_without_numpy():
+    """Float basis_values is a tuple with the bits of the left-to-right sum,
+    from 0, of the located float row times a column of the integer table,
+    divided once by Q; a fresh interpreter computes it without numpy."""
+    rng = random.Random(43)
+    for basis in "abcdef":
+        q, table = scaled_basis_tables(basis)
+        for _ in range(10):
+            a, b = sorted((rng.random(), rng.random()))
+            beta = (a, b - a, 1 - b)
+            fi, _, row = functional_row(beta)
+            want = []
+            for col in zip(*table[fi - 1]):
+                total = 0
+                for r, t in zip(row, col):
+                    total = total + r * t
+                want.append((total / q).hex())
+            got = basis_values(basis, beta)
+            assert type(got) is tuple and [g.hex() for g in got] == want
+    code = ("import sys\n"
+            "from ps12splines.spline_fn import basis_values\n"
+            "assert len(basis_values('c', (0.3, 0.2, 0.5))) == 39\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded'\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr[-1500:]
 
 
 def _fraction_face_bary(fi, beta):
