@@ -44,7 +44,7 @@ from .bspline1d import UnivariateBSplineRef, bspline_coefficients, bspline_deriv
 from .dual_functionals import FUNCTIONALS, JET_ORDERS, direction_vectors, lambda_vector
 from .geometry import (EDGES, FACES, VERTEX_BARY, PS12Frame, Point2, _layer_face_bary_matrices,
                        direction_coords, face_bary, locate_face_bary, make_frame)
-from .linalg import integer_matrix, integer_mat_vec, inverse, mat_vec, solve
+from .linalg import inverse, mat_vec, solve, sparse_integer_matrix
 from .marsden_catalog import catalog
 from .rational import common_denominator, is_exact
 from .simplex_spline import _face_ordinates, _row_terms, bernstein_exponents
@@ -412,10 +412,11 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
     largest jump; given ``tol`` (1e-10 by default for float data), ``pass``
     says whether every gap is within it.  Exact data gives Fractions, float
     data the floats nearest the exact values for its float ordinates.
-    Raises DomainError for samples < 1, orders outside 0..5, NaN or inf.
+    Raises DomainError for samples not an int >= 1, order not an int in 0..5, NaN or inf.
     """
-    if samples < 1 or not 0 <= order <= 5:
-        raise DomainError("verify_smoothness needs samples >= 1 and order in 0..5")
+    if any(isinstance(x, bool) or not isinstance(x, Integral) for x in (samples, order)) \
+            or samples < 1 or not 0 <= order <= 5:
+        raise DomainError("verify_smoothness needs an int samples >= 1 and an int order in 0..5")
     edge = tuple(sorted(edge))
     adj = gs.tri._adjacency.get(edge)
     if adj is None or len(adj) != 2:
@@ -473,10 +474,10 @@ def nodal_q_coefficients() -> tuple:
 
 @lru_cache(maxsize=1)
 def _nodal_integer() -> tuple:
-    """integer_matrix of diag(1 / w_i) N^T, N = nodal_q_coefficients(): row j
-    takes a triangle's 39 functional values to its coefficient j."""
-    return integer_matrix([[n / el.weight for n in col]
-                           for el, col in zip(catalog("c").elements, zip(*nodal_q_coefficients()))])
+    """sparse_integer_matrix of diag(1 / w_i) N^T, N = nodal_q_coefficients():
+    row j takes a triangle's 39 functional values to its coefficient j."""
+    return sparse_integer_matrix([[n / el.weight for n in col] for el, col in
+                                  zip(catalog("c").elements, zip(*nodal_q_coefficients()))])
 
 
 @lru_cache(maxsize=1)
@@ -498,22 +499,48 @@ def nodal_basis(frame: PS12Frame) -> NodalBasis:
     """Nodal basis functions as basis-c splines on a frame; the coefficients
     of nodal function i are column i of _nodal_integer()."""
     d, rows = _nodal_integer()
-    return NodalBasis(frame, tuple(Spline(frame, "c", tuple(Fraction(x, d) for x in col))
-                                   for col in zip(*rows)))
+    rows = [dict(row) for row in rows]
+    return NodalBasis(frame, tuple(Spline(frame, "c", tuple(Fraction(r.get(i, 0), d) for r in rows))
+                                   for i in range(len(rows))))
 
 
 # ---------------------------------------------------------------------------
 # Global Hermite interpolation
 # ---------------------------------------------------------------------------
 
-def _jet_directional(jet, dirs) -> object:
-    """Apply directional derivatives, vectors (x, y), to a Cartesian jet in
-    JET_ORDERS order."""
-    cur = dict(zip(JET_ORDERS, jet))
-    for ux, uy in dirs:
-        cur = {(a, b): ux * cur[a + 1, b] + uy * cur[a, b + 1]
-               for a, b in cur if (a + 1, b) in cur and (a, b + 1) in cur}
-    return cur[0, 0]
+#: Per jet length, the positions of (a + 1, b) and (a, b + 1) per entry (a, b) one order lower.
+_JET_STEPS = {(n + 1) * (n + 2) // 2: tuple((JET_ORDERS.index((a + 1, b)), JET_ORDERS.index((a, b + 1)))
+                                            for a, b in JET_ORDERS if a + b < n) for n in range(4)}
+
+#: The paths of direction names that jet functionals take, each after its
+#: prefix: per corner as in FUNCTIONALS, on an edge t^o then n t^o.
+_CORNER_PATHS = {c: [f.directions for f in FUNCTIONALS if f.site[:2] == ("v", c)] for c in (1, 2, 3)}
+_EDGE_PATHS = tuple(("t",) * o for o in range(4)) + tuple(("n",) + ("t",) * o for o in range(3))
+
+
+def _jet_values(jet, den, dirs, paths) -> list:
+    """(numerator, denominator) of jet = (jden, values in JET_ORDERS order)
+    after the derivatives along dirs[name] (vectors over den) for each of
+    paths, () first and each prefix before its extensions.  A derivative
+    along (ux, uy) lowers the order: (a, b) = ux J[a + 1, b] + uy J[a, b + 1]."""
+    jden, partial = jet[0], {(): jet[1]}
+    for path in paths[1:]:
+        (ux, uy), prev = dirs[path[-1]], partial[path[:-1]]
+        partial[path] = [ux * prev[i] + uy * prev[k] for i, k in _JET_STEPS[len(prev)]]
+    return [(partial[path][0], jden * den ** len(path)) for path in paths]
+
+
+def _over_lcm(pairs) -> tuple:
+    """(L, numerators): (numerator, denominator) pairs, a denominator < 0 too, over their lcm L."""
+    den = lcm(*(q for _, q in pairs))
+    return den, [p * (den // q) for p, q in pairs]
+
+
+def _apply_rows(d: int, rows, pairs) -> list:
+    """(numerator, denominator) of each of sparse_integer_matrix's rows / d
+    times the values of the (numerator, denominator) pairs."""
+    den, v = _over_lcm(pairs)
+    return [(sum([x * v[k] for k, x in row]), den * d) for row in rows]
 
 
 def _univariate_rows(degree: int, conditions) -> list:
@@ -532,7 +559,7 @@ def _edge_rows() -> tuple:
     spline of the cross derivative, fixed by its derivatives of orders 0..2
     at t = 0 and 1 and by g(1/2).  The f rows map those 8 values to f''(1/4),
     f'(1/2), f''(3/4); the g rows map the 7 values to g'(1/4), g'(3/4).
-    Each set of rows comes as (rows, integer_matrix(rows)).
+    Each set of rows comes as (rows, sparse_integer_matrix(rows)).
     """
     q, h, ends = Fraction(1, 4), Fraction(1, 2), (Fraction(0), Fraction(1))
     f_read, f_fixed = ((q, 2), (h, 1), (3 * q, 2)), [(t, o) for t in ends for o in range(4)]
@@ -541,7 +568,7 @@ def _edge_rows() -> tuple:
     rows = [[mat_vec(list(zip(*inverse(_univariate_rows(d, fixed)))), row)
              for row in _univariate_rows(d, read)]
             for d, read, fixed in ((5, f_read, f_fixed), (4, g_read, g_fixed))]
-    return tuple((tuple(map(tuple, r)), integer_matrix(r)) for r in rows)
+    return tuple((tuple(map(tuple, r)), sparse_integer_matrix(r)) for r in rows)
 
 
 def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpline:
@@ -553,82 +580,83 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
     the second derivative at (3 v_a + v_b)/4, the first derivative at the
     midpoint, and the second derivative at (v_a + 3 v_b)/4.  The result is
     continuous with two continuous derivatives across interior edges and
-    three at the vertices.  It is exact when the vertices and data are, and
-    then runs on integers over one denominator per jet, per set of
-    directions and per triangle's 39 functional values.
+    three at the vertices.  A jet is contracted once per prefix of
+    directions.  Exact vertices and data give an exact result: each value
+    an integer over a known denominator, a triangle's 39 over their lcm
+    through sparse integer rows, one Fraction per coefficient.  Missing
+    data raise DimensionMismatch, values not exact or finite DomainError.
     """
-    vertex_jets = {k: tuple(v) for k, v in vertex_jets.items()}
-    edge_data = {tuple(sorted(k)): tuple(v) for k, v in edge_data.items()}
-    if sorted(vertex_jets) != list(range(len(tri.vertices))):
-        raise DimensionMismatch("need a 10-jet for every vertex")
-    if sorted(edge_data) != list(tri.edges()):
-        raise DimensionMismatch("need 3 values for every edge")
-    if any(len(v) != 10 for v in vertex_jets.values()) or \
-            any(len(v) != 3 for v in edge_data.values()):
-        raise DimensionMismatch("jet length must be 10 and edge data length 3")
+    try:
+        vertex_jets = {k: tuple(v) for k, v in vertex_jets.items()}
+        edge_data = {tuple(sorted(k)): tuple(v) for k, v in edge_data.items()}
+    except TypeError:
+        raise DimensionMismatch("jets and edge data must be keyed sequences") from None
+    if set(vertex_jets) != set(range(len(tri.vertices))) or set(edge_data) != set(tri.edges()) \
+            or any(len(v) != 10 for v in vertex_jets.values()) \
+            or any(len(v) != 3 for v in edge_data.values()):
+        raise DimensionMismatch("need a 10-jet for every vertex and 3 values for every edge")
+    values = [x for vals in (*tri.vertices, *vertex_jets.values(), *edge_data.values()) for x in vals]
+    if not (exact := is_exact(values)):
+        _finite_numbers(values, "the vertices, jets and edge data")
 
-    exact = is_exact([x for p in tri.vertices for x in p] +
-                     [x for vals in (*vertex_jets.values(), *edge_data.values()) for x in vals])
-    over_one = common_denominator if exact else (lambda values: (1, list(values)))
-    jets = {i: over_one(jet) for i, jet in vertex_jets.items()}
+    # a value as (numerator, denominator), over 1 unless exact
+    pair, over_one = ((lambda x: (x.numerator, x.denominator)), _over_lcm) if exact else \
+        ((lambda x: (x, 1)), (lambda pairs: (1, [x for x, _ in pairs])))
+    jets = {i: over_one(list(map(pair, jet))) for i, jet in vertex_jets.items()}
 
-    def vectors(vs):
-        den, nums = over_one([x for v in vs for x in v])
-        return den, list(zip(nums[::2], nums[1::2]))
-
-    def directional(v, den, dirs):
-        """Vertex v's jet after one derivative along each of dirs, vectors over den."""
-        jden, jet = jets[v]
-        num = _jet_directional(jet, dirs)
-        return Fraction(num, jden * den ** len(dirs)) if exact else num
+    def vectors(vs: dict):
+        den, nums = over_one([pair(x) for v in vs.values() for x in v])
+        return den, dict(zip(vs, zip(nums[::2], nums[1::2])))
 
     # per edge, over the global normal ug and tangent tg: the second normal,
     # mixed and tangential derivatives at each quarterpoint, and the first
-    # normal and tangential derivatives at the midpoint
-    (f_rows, f_int), (g_rows, g_int) = _edge_rows()
+    # normal and tangential derivatives at the midpoint, over one denominator
     edge_values = {}
     for (a, b), (d2q1, d1m, d2q2) in edge_data.items():
         va, vb = tri.vertices[a], tri.vertices[b]
-        tg = Point2(vb.x - va.x, vb.y - va.y)
-        ug = Point2(-tg.y, tg.x)
-        den, (tang, norm) = vectors((tg, ug))
-        f = [directional(v, den, (tang,) * o) for v in (a, b) for o in range(4)]
-        g = [directional(v, den, (norm,) + (tang,) * o) for v in (a, b) for o in range(3)] + [d1m]
-        f_q1, f_m, f_q2 = integer_mat_vec(*f_int, f) if exact else mat_vec(f_rows, f)
-        g_q1, g_q2 = integer_mat_vec(*g_int, g) if exact else mat_vec(g_rows, g)
-        edge_values[a, b] = (tg, ug, (d2q1, g_q1, f_q1), (d1m, f_m), (d2q2, g_q2, f_q2))
+        tg = (vb.x - va.x, vb.y - va.y)
+        den, dirs = vectors({"t": tg, "n": (-tg[1], tg[0])})
+        ends = [_jet_values(jets[v], den, dirs, _EDGE_PATHS) for v in (a, b)]
+        f, g = ends[0][:4] + ends[1][:4], ends[0][4:] + ends[1][4:] + [pair(d1m)]
+        (f_q1, f_m, f_q2), (g_q1, g_q2) = (
+            _apply_rows(*sparse, xs) if exact else [(x, 1) for x in mat_vec(rows, [x for x, _ in xs])]
+            for (rows, sparse), xs in zip(_edge_rows(), (f, g)))
+        q, nums = over_one([pair(d2q1), g_q1, f_q1, pair(d1m), f_m, pair(d2q2), g_q2, f_q2])
+        edge_values[a, b] = (dirs["t"], dirs["n"], den, q, nums[:3], nums[3:5], nums[5:])
 
     # exact corners as Fractions, as make_frame stores them
     points = [Point2(*map(Fraction, p)) if is_exact(p) else p for p in tri.vertices]
+    nodal = _nodal_integer() if exact else [
+        (w, [(k, n, f) for k, (n, f) in enumerate(zip(col, fcol)) if f])
+        for w, col, fcol in _nodal_float()]
     coeff_vectors = []
     for tri_idx in tri.triangles:
         # the nine directions on this triangle; the jets take them over one denominator
-        vecs = direction_vectors([points[i] for i in tri_idx])
-        den, nums = vectors(vecs.values())
-        jet_dirs = dict(zip(vecs, nums))
-        edge_sites = {}
+        den, dirs = vectors(direction_vectors([points[i] for i in tri_idx]))
+        # the values in FUNCTIONALS order: each corner's jet functionals, then per edge q1, m, q2
+        values = [x for c, v in enumerate(tri_idx, 1)
+                  for x in _jet_values(jets[v], den, dirs, _CORNER_PATHS[c])]
         for name, (a_loc, _, b_loc) in EDGES.items():
             ga, gb = tri_idx[a_loc - 1], tri_idx[b_loc - 1]
-            tg, ug, near, (d1m, f_m), far = edge_values[min(ga, gb), max(ga, gb)]
+            tg, ug, eden, q, near, (d1m, f_m), far = edge_values[min(ga, gb), max(ga, gb)]
             if ga > gb:     # the local q1 is the quarterpoint near ga
                 near, far = far, near
-            # the edge's direction u over (global normal, tangent)
-            ul, det = vecs["u", name], ug.x * tg.y - ug.y * tg.x
-            s = (ul.x * tg.y - ul.y * tg.x) / det
-            w = (ug.x * ul.y - ug.y * ul.x) / det
-            for slot, (d2, g1, f2) in (("q1", near), ("q2", far)):
-                edge_sites["e", name, slot] = s * s * d2 + 2 * s * w * g1 + w * w * f2
-            edge_sites["e", name, "m"] = s * d1m + w * f_m
-        # corner c's jet (i, j) differentiates i times along x_c and j times along y_c
-        values = [edge_sites[lam.site] if lam.site[0] == "e" else
-                  directional(tri_idx[lam.site[1] - 1], den, [jet_dirs[n] for n in lam.directions])
-                  for lam in FUNCTIONALS]
+            # the edge's direction u = s ug + w tg; exact, s = S / p and w = W / p, p < 0
+            (ux, uy), det = dirs["u", name], ug[0] * tg[1] - ug[1] * tg[0]
+            S, W = ux * tg[1] - uy * tg[0], ug[0] * uy - ug[1] * ux
+            S, W, p = (S * eden, W * eden, den * det) if exact else (S / det, W / det, 1)
+            d2u = [(S * S * d2 + 2 * S * W * g1 + W * W * f2, p * p * q)
+                   for d2, g1, f2 in (near, far)]
+            values += [d2u[0], (S * d1m + W * f_m, p * q), d2u[1]]
+        if exact:
+            coeff_vectors.append(tuple(Fraction(*x) for x in _apply_rows(*nodal, values)))
+            continue
         # left to right over the nonzero terms (sum() compensates from 3.12); float * Fraction
         # is float * float(Fraction), so floats take the float entries, exact values the exact
-        coeff_vectors.append(integer_mat_vec(*_nodal_integer(), values) if exact else tuple(
-            reduce(add, (v * (f if type(v) is float else n)
-                         for v, n, f in zip(values, col, fcol) if v and f), 0.0) / w
-            for w, col, fcol in _nodal_float()))
+        values = [x for x, _ in values]
+        coeff_vectors.append(tuple(
+            reduce(add, (values[k] * (f if type(values[k]) is float else n)
+                         for k, n, f in nz if values[k]), 0.0) / w for w, nz in nodal))
     return GlobalSpline(tri, tuple(coeff_vectors))
 
 

@@ -36,10 +36,12 @@ def mat_vec(A: Matrix, x: list) -> list:
     return [sum((a * xv for a, xv in zip(row, x)), start=Fraction(0)) for row in A]
 
 
-def integer_matrix(A: Matrix) -> tuple[int, list]:
-    """(d, rows): the rational matrix A as integer rows over one denominator d."""
+def sparse_integer_matrix(A: Matrix) -> tuple[int, tuple]:
+    """(d, rows): the rational matrix A as integer rows over one denominator
+    d, each row as its nonzero (column, entry) pairs."""
     d, nums = common_denominator([x for row in A for x in row])
-    return d, [nums[k:k + len(A[0])] for k in range(0, len(nums), len(A[0]))]
+    return d, tuple(tuple((j, x) for j, x in enumerate(nums[k:k + len(A[0])]) if x)
+                    for k in range(0, len(nums), len(A[0])))
 
 
 def integer_mat_vec(d: int, rows, x) -> tuple:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +33,7 @@ from ps12splines.geometry import (EDGES, Point2, direction_coords, from_bary, ma
                                   reference_frame, to_bary)
 from ps12splines.linalg import mat_vec
 from ps12splines.marsden_catalog import catalog
+from ps12splines.rational import is_exact
 from ps12splines.simplex_spline import (derivative_expansion, functional_row, knots,
                                         restrict_to_edge)
 from ps12splines.spline_fn import eval_spline, face_forms, lagrange_interpolate, scaled_basis_tables
@@ -666,24 +668,32 @@ def test_hermite_int_data_is_exact():
 # step in Fraction arithmetic, the face ordinates contracted here
 # ---------------------------------------------------------------------------
 
-def _oracle_jet(jet: dict, dirs):
-    cur = dict(jet)
-    for u in dirs:
-        cur = {(a, b): u.x * cur[a + 1, b] + u.y * cur[a, b + 1]
+def _jet_directional(jet, dirs) -> object:
+    """Apply directional derivatives, vectors (x, y), to a Cartesian jet in
+    JET_ORDERS order, from the full jet for every functional."""
+    cur = dict(zip(JET_ORDERS, jet))
+    for ux, uy in dirs:
+        cur = {(a, b): ux * cur[a + 1, b] + uy * cur[a, b + 1]
                for a, b in cur if (a + 1, b) in cur and (a, b + 1) in cur}
     return cur[0, 0]
 
 
 def _oracle_hermite(tri, vertex_jets, edge_data):
-    jets = {i: dict(zip(JET_ORDERS, v)) for i, v in vertex_jets.items()}
+    """Hermite assembly one functional at a time, each from the full jet
+    (_jet_directional) on the frame's Cartesian functionals.  Exact input
+    sums over the Fraction entries of nodal_q_coefficients(); any other
+    input runs the float layer's sum over _nodal_float(), so each value
+    meets its entries as in hermite_interpolate."""
     (f_rows, _), (g_rows, _) = _edge_rows()
+    exact = is_exact([x for vals in (*tri.vertices, *vertex_jets.values(), *edge_data.values())
+                      for x in vals])
     edge_values = {}
     for (a, b), (d2q1, d1m, d2q2) in edge_data.items():
         va, vb = tri.vertices[a], tri.vertices[b]
         tg = Point2(vb.x - va.x, vb.y - va.y)
         ug = Point2(-tg.y, tg.x)
-        f = [_oracle_jet(jets[v], (tg,) * o) for v in (a, b) for o in range(4)]
-        g = [_oracle_jet(jets[v], (ug,) + (tg,) * o) for v in (a, b) for o in range(3)]
+        f = [_jet_directional(vertex_jets[v], (tg,) * o) for v in (a, b) for o in range(4)]
+        g = [_jet_directional(vertex_jets[v], (ug,) + (tg,) * o) for v in (a, b) for o in range(3)]
         f_q1, f_m, f_q2 = mat_vec(f_rows, f)
         g_q1, g_q2 = mat_vec(g_rows, g + [d1m])
         edge_values[a, b] = (tg, ug, (d2q1, g_q1, f_q1), (d1m, f_m), (d2q2, g_q2, f_q2))
@@ -707,9 +717,13 @@ def _oracle_hermite(tri, vertex_jets, edge_data):
             by_site["e", name, "m"] = s * d1m + w * f_m
             by_site["e", name, "q2"] = s * s * far[0] + 2 * s * w * far[1] + w * w * far[2]
         values = [by_site[lam.site] if lam.site[0] == "e" else
-                  _oracle_jet(jets[idx[lam.site[1] - 1]], lam.directions) for lam in lams]
+                  _jet_directional(vertex_jets[idx[lam.site[1] - 1]], lam.directions)
+                  for lam in lams]
         out.append(tuple(sum((v * nodal[i][j] for i, v in enumerate(values)), F(0)) / weights[j]
-                         for j in range(39)))
+                         for j in range(39)) if exact else tuple(
+            reduce(add, (v * (f if type(v) is float else n)
+                         for v, n, f in zip(values, col, fcol) if v and f), 0.0) / w
+            for w, col, fcol in assembly._nodal_float()))
     return tuple(out)
 
 
@@ -747,12 +761,15 @@ _small_rational = st.fractions(-3, 3, max_denominator=9)
 
 
 @st.composite
-def _rational_grid(draw):
+def _rational_grid(draw, fixed_boundary=False):
     """A 1 x 1 or 2 x 2 grid of split squares, every vertex moved by a
-    rational offset of at most 1/5, with rational jets and edge data."""
+    rational offset of at most 1/5, with rational jets and edge data.  With
+    fixed_boundary, the boundary vertices stay, so the boundary edges are
+    axis-parallel."""
     n = draw(st.sampled_from((1, 2)))
     offset = st.fractions(F(-1, 5), F(1, 5), max_denominator=12)
-    verts = [(i + draw(offset), j + draw(offset)) for j in range(n + 1) for i in range(n + 1)]
+    verts = [(i, j) if fixed_boundary and not (0 < i < n and 0 < j < n) else
+             (i + draw(offset), j + draw(offset)) for j in range(n + 1) for i in range(n + 1)]
     tris = []
     for j in range(n):
         for i in range(n):
@@ -788,15 +805,11 @@ def test_integer_assembly_matches_fraction_oracle(mesh, slot, bump, order, sampl
                     _oracle_jumps(g, e, order, samples, ords)
 
 
-@settings(max_examples=12, deadline=None)
-@given(mesh=_rational_grid(),
-       kind=st.sampled_from(["all float", "one float vertex", "float jets", "float edge data"]))
-def test_float_assembly_matches_fraction_entry_oracle(mesh, kind):
-    """Float hermite_interpolate has the bits of its sums over the Fraction
-    entries of nodal_q_coefficients() divided by the Fraction weights: the
-    oracle runs the same assembly with those in place of the float entries.
-    Float values meet the entries, and on mixed input exact ones too (the
-    jets of a triangle with exact corners, next to one float vertex)."""
+_FLOAT_KINDS = st.sampled_from(["all float", "one float vertex", "float jets", "float edge data"])
+
+
+def _floated(mesh, kind):
+    """The mesh with its vertices, jets or edge data (per kind) as floats."""
     tri, jets, edges = mesh
     verts = list(tri.vertices)
     if kind == "all float":
@@ -807,7 +820,18 @@ def test_float_assembly_matches_fraction_entry_oracle(mesh, kind):
         edges = {e: tuple(map(float, d)) for e, d in edges.items()}
     if kind == "one float vertex":
         verts[0] = tuple(map(float, verts[0]))
-    tri = triangulation(verts, tri.triangles)
+    return triangulation(verts, tri.triangles), jets, edges
+
+
+@settings(max_examples=12, deadline=None)
+@given(mesh=_rational_grid(), kind=_FLOAT_KINDS)
+def test_float_assembly_matches_fraction_entry_oracle(mesh, kind):
+    """Float hermite_interpolate has the bits of its sums over the Fraction
+    entries of nodal_q_coefficients() divided by the Fraction weights: the
+    oracle runs the same assembly with those in place of the float entries.
+    Float values meet the entries, and on mixed input exact ones too (the
+    jets of a triangle with exact corners, next to one float vertex)."""
+    tri, jets, edges = _floated(mesh, kind)
     got = hermite_interpolate(tri, jets, edges)
     entries = tuple((el.weight, col, col)
                     for el, col in zip(catalog("c").elements, zip(*nodal_q_coefficients())))
@@ -817,6 +841,95 @@ def test_float_assembly_matches_fraction_entry_oracle(mesh, kind):
     assert all(type(c) is float for cs in got.coeffs for c in cs)
     assert [[c.hex() for c in cs] for cs in got.coeffs] == \
         [[c.hex() for c in cs] for cs in want.coeffs]
+
+
+@settings(max_examples=15, deadline=None)
+@given(mesh=st.one_of(_rational_grid(fixed_boundary=True), _rational_grid()), kind=_FLOAT_KINDS)
+def test_float_assembly_has_the_per_functional_oracle_bits(mesh, kind):
+    """Float and mixed hermite_interpolate, which contracts each jet once per
+    prefix of directions, has the bits of the oracle that contracts the full
+    jet for every functional.  On a fixed boundary the float tangent of an
+    axis-parallel edge has a zero component, so its normal has a -0.0."""
+    tri, jets, edges = _floated(mesh, kind)
+    got = hermite_interpolate(tri, jets, edges)
+    assert all(type(c) is float for cs in got.coeffs for c in cs)
+    assert [[c.hex() for c in cs] for cs in got.coeffs] == \
+        [[c.hex() for c in cs] for cs in _oracle_hermite(tri, jets, edges)]
+
+
+def test_exact_assembly_with_large_denominators_matches_the_oracle():
+    """Jets and edge data over denominators of about 10^30 on a perturbed
+    2 x 2 grid: the per-triangle lcm of the integer values stays exact."""
+    rng = random.Random(58)
+    big = lambda: F(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 30))
+    verts = [(F(i), F(j)) for j in range(3) for i in range(3)]
+    verts[4] = (F(11, 10), F(4, 5))
+    tri = triangulation(verts, [(0, 1, 4), (0, 4, 3), (1, 2, 4), (2, 5, 4),
+                                (3, 4, 6), (4, 7, 6), (4, 5, 8), (4, 8, 7)])
+    jets = {v: tuple(big() for _ in range(10)) for v in range(9)}
+    edges = {e: tuple(big() for _ in range(3)) for e in tri.edges()}
+    assert max(x.denominator for jet in jets.values() for x in jet) > 10 ** 29
+    gs = hermite_interpolate(tri, jets, edges)
+    assert gs.coeffs == _oracle_hermite(tri, jets, edges)
+    assert all(type(c) is F for cs in gs.coeffs for c in cs)
+
+
+def test_sparse_nodal_rows_are_the_nodal_matrix():
+    """_nodal_integer() keeps the nonzero entries of diag(1 / w) N^T as
+    (column, integer) pairs over one denominator: 276 of the 1521."""
+    d, rows = assembly._nodal_integer()
+    nodal, elements = nodal_q_coefficients(), catalog("c").elements
+    assert sum(map(len, rows)) == 276
+    for j, (row, el) in enumerate(zip(rows, elements)):
+        dense = dict(row)
+        assert all(x != 0 for x in dense.values())
+        assert [F(dense.get(i, 0), d) for i in range(39)] == [nodal[i][j] / el.weight for i in range(39)]
+
+
+@pytest.mark.parametrize("bad", ["mixed keys", "jet not a sequence", "edge key not a pair",
+                                 "missing edge", "short jet"])
+def test_hermite_rejects_malformed_data_with_dimension_mismatch(bad):
+    tri = triangulation([(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))],
+                        [(0, 1, 2), (1, 3, 2)])
+    jets = {i: (F(i),) * 10 for i in range(4)}
+    edges = {e: (F(1), F(2), F(3)) for e in tri.edges()}
+    if bad == "mixed keys":
+        jets["a"] = jets.pop(3)
+    elif bad == "jet not a sequence":
+        jets[0] = 5
+    elif bad == "edge key not a pair":
+        edges[5] = edges.pop((0, 1))
+    elif bad == "missing edge":
+        del edges[1, 2]
+    else:
+        jets[2] = jets[2][:9]
+    with pytest.raises(DimensionMismatch):
+        hermite_interpolate(tri, jets, edges)
+
+
+@pytest.mark.parametrize("value", ["x", 1j, float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where", ["jet", "edge data"])
+def test_hermite_rejects_values_that_are_not_finite_reals(value, where):
+    """A str or complex value, NaN or inf raises DomainError instead of a
+    bare TypeError or NaN, complex or inf coefficients."""
+    tri = triangulation([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))], [(0, 1, 2)])
+    jets = {i: (F(i),) * 10 for i in range(3)}
+    edges = {e: (F(1), F(2), F(3)) for e in tri.edges()}
+    if where == "jet":
+        jets[1] = (F(0),) * 9 + (value,)
+    else:
+        edges[0, 2] = (F(0), value, F(0))
+    with pytest.raises(DomainError):
+        hermite_interpolate(tri, jets, edges)
+
+
+@pytest.mark.parametrize("order, samples", [(2.0, 5), (2, 2.5), (True, 5), (2, True), ("2", 5)])
+def test_verify_smoothness_needs_int_order_and_samples(order, samples):
+    tri = triangulation([(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(-1))],
+                        [(0, 1, 2), (0, 1, 3)])
+    gs = GlobalSpline(tri, ((F(0),) * 39, (F(1),) * 39))
+    with pytest.raises(DomainError):
+        verify_smoothness(gs, (0, 1), order, samples=samples)
 
 
 def test_edge_adjacency_is_built_once(monkeypatch):
