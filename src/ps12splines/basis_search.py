@@ -573,19 +573,19 @@ def split_linear_factors(poly: dict) -> LinearFactorization:
     On the quintic scaled to integers, an {exponent: int} dict, repeated
     exact trial division (_divide) by the ten shorthand forms resolves every
     dual product of the surviving bases; exact certificates decide the
-    remainder.  A linear one is its own factor.  A quadratic one splits iff
-    its symmetric matrix is singular with indefinite or rank-one nonzero
-    part, into the lines through the conic's singular point and the two
-    roots on a coordinate line missing it.  A rational factor with
-    coefficient sum 0 (at infinity) rejects.  A remainder of higher degree
-    is rejected on a line through two split vertices, the macro edges
-    first, where an exact Sturm count shows a non-real root, which no
-    product of real linear forms has.  Without one, its rational linear
-    factors are divided off until the degree is at most 2, so every
-    product of rational forms splits.  PS12Error is raised only when a
-    factor of degree 3 or more with no rational linear factor and no such
-    witness is left, as for c3^2 (c1^3 + c1^2 c2 - 2 c1 c2^2 - c2^3): its
-    cubic is irreducible over Q with the real roots 2 cos(2 pi k / 7).
+    remainder.  One of degree 3 or more is rejected on a line through two
+    split vertices, the macro edges first, where an exact Sturm count shows
+    a non-real root, which no product of real linear forms has.  Without
+    one, every rational linear factor of a remainder of degree 2 or more is
+    divided off (_rational_linear_factors), so every product of rational
+    forms splits.  A linear remainder is its own factor; a quadratic one,
+    left without rational factors, splits (into irrational forms) iff its
+    symmetric matrix is singular with indefinite nonzero part.  A rational
+    factor with coefficient sum 0 (at infinity) rejects.  PS12Error is
+    raised only when a factor of degree 3 or more with no rational linear
+    factor and no such witness is left, as for
+    c3^2 (c1^3 + c1^2 c2 - 2 c1 c2^2 - c2^3): its cubic is irreducible over
+    Q with the real roots 2 cos(2 pi k / 7).
     """
     if not isinstance(poly, dict) or not is_exact(poly.values()) or not all(
             type(e) is tuple and len(e) == 3 and all(type(i) is int and i >= 0 for i in e)
@@ -608,39 +608,22 @@ def split_linear_factors(poly: dict) -> LinearFactorization:
             ends = " and ".join(f"v{VERTEX_BARY.index(v) + 1}" for v in witness)
             return LinearFactorization(False, witness=witness, diagnostic=(
                 f"a factor of degree {deg} has a non-real root on the line {ends}"))
+    if deg >= 2:
         found, rem = _rational_linear_factors(rem)
         deg -= len(found)
-        if deg >= 3:
-            raise PS12Error(f"no certificate decides whether {rem} splits over the reals")
-    if deg == 1:
-        found.append(tuple(rem.get(e, 0) for e in _UNITS))
+    if deg >= 3:
+        raise PS12Error(f"no certificate decides whether {rem} splits over the reals")
     if deg == 2:
-        a = [[Fraction(rem.get(tuple(map(add, e, f)), 0), 1 if e == f else 2) for f in _UNITS]
-             for e in _UNITS]
-        piv = pivot_columns(a)
+        # twice the conic's symmetric matrix, in integers
+        a = [[rem.get(tuple(map(add, e, f)), 0) * (1 + (e == f)) for f in _UNITS] for e in _UNITS]
         e2 = sum(a[i][i] * a[j][j] - a[i][j] ** 2 for i, j in combinations(range(3), 2))
-        if len(piv) == 3 or e2 > 0:
+        if len(pivot_columns(a)) == 3 or e2 > 0:
             return LinearFactorization(False, diagnostic=f"quadratic factor without a real "
                                                          f"split: {rem}")
-        # the singular point p, with p_k = 1 off the pivots, and the roots
-        # of the restriction alpha x^2 + 2 beta x y + gamma y^2 to c_k = 0
-        k = next(j for j in range(3) if j not in piv)
-        p = [1 if j == k else 0 for j in range(3)]
-        for col, (x,) in zip(piv, solve([[a[i][j] for j in piv] for i in piv],
-                                        [[-a[i][k]] for i in piv])):
-            p[col] = x
-        i, j = (n for n in range(3) if n != k)
-        al, be, ga = a[i][i], a[i][j], a[j][j]
-        d = be * be - al * ga
-        s = Fraction(isqrt(d.numerator), isqrt(d.denominator))
-        if s * s != d:
-            return LinearFactorization(True, scalar=scalar, forms=None,
-                                       diagnostic="real split with irrational factors")
-        for sg in (1, -1):  # the root (sg s - beta, alpha), or (gamma, -beta - sg s) if that is 0
-            r = [0, 0, 0]
-            r[i], r[j] = (sg * s - be, al) if (sg * s - be or al) else (ga, -be - sg * s)
-            found.append(tuple(p[(n + 1) % 3] * r[(n + 2) % 3] - p[(n + 2) % 3] * r[(n + 1) % 3]
-                               for n in range(3)))
+        return LinearFactorization(True, scalar=scalar, forms=None,
+                                   diagnostic="real split with irrational factors")
+    if deg == 1:
+        found.append(tuple(rem.get(e, 0) for e in _UNITS))
     for form in found:
         total = sum(form)
         if total == 0:
@@ -673,8 +656,9 @@ def _divide(poly: dict, form) -> dict | None:
 
 
 def _rational_linear_factors(rem: dict) -> tuple:
-    """(forms, quotient): rem divided by rational linear forms until the
-    quotient has degree at most 2 or no rational linear factor.
+    """(forms, quotient): rem, which no coordinate form divides, divided by
+    each of its rational linear factors as often as it divides, so the
+    quotient has none (it is a constant when rem is a product of them).
 
     Such a factor, not a coordinate form, meets each coordinate line in a
     rational root of rem there (rational-root theorem).  Two of these three
@@ -689,12 +673,12 @@ def _rational_linear_factors(rem: dict) -> tuple:
                                          for v in _divisors(ends[-1]) for s in (1, -1)}:
             if not sum(a * x ** k * y ** (len(f) - 1 - k) for k, a in enumerate(f)):
                 points.append([x * a + y * b for a, b in zip(p, q)])
-    forms, deg = [], sum(next(iter(rem)))
+    forms = []
     for p, q in combinations(points, 2):
         form = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
         g = gcd(*form) or 1     # a zero form, from two equal points, divides nothing
         form = tuple(x // g for x in form)
-        while any(form) and len(forms) < deg - 2 and (quo := _divide(rem, form)) is not None:
+        while any(form) and (quo := _divide(rem, form)) is not None:
             forms.append(form)
             rem = quo
     return forms, rem

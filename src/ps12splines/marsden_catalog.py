@@ -34,7 +34,7 @@ from .geometry import (
     s3_vertex_permutation,
     to_bary,
 )
-from .simplex_spline import eval_simplex, knots
+from .simplex_spline import knots
 
 BASIS_IDS = ("a", "b", "c", "d", "e", "f")
 
@@ -210,24 +210,22 @@ def marsden_eval(spec: BasisSpec, x: Point2, c, frame: PS12Frame = None):
     """Both sides of the degree-5 reproduction identity at (x, c).
 
     Returns (lhs, rhs) with lhs = (b1 c1 + b2 c2 + b3 c3)^5 for the
-    barycentric coordinates b of x, and rhs = sum_i w_i Q_i(x) Psi_i(c).
-    They agree exactly for exact inputs.
+    barycentric coordinates b of x, and rhs = sum_i w_i Q_i(x) Psi_i(c),
+    the w_i Q_i read from spline_fn.basis_values.  They agree exactly for
+    exact inputs.  Raises OutsideDomain for x outside the macrotriangle.
     """
+    from .spline_fn import basis_values     # spline_fn imports this module
     if len(x) != 2 or len(c) != 3:
         raise DimensionMismatch("marsden_eval needs a point (x, y) and c = (c1, c2, c3)")
-    frame = frame or reference_frame()
-    beta = to_bary(frame, Point2(*x))
+    beta = to_bary(frame or reference_frame(), Point2(*x))
     c1, c2, c3 = c
     lhs = (beta[0] * c1 + beta[1] * c2 + beta[2] * c3) ** 5
     rhs = 0
-    for el in spec.elements:
-        q = eval_simplex(frame, el.multiset, Point2(*x))
-        if q == 0:
-            continue
-        psi = el.weight
-        for p in el.dual_points:
-            psi = psi * (p[0] * c1 + p[1] * c2 + p[2] * c3)
-        rhs += q * psi
+    for el, s in zip(spec.elements, basis_values(spec.id, beta)):
+        if s:
+            for p in el.dual_points:
+                s = s * (p[0] * c1 + p[1] * c2 + p[2] * c3)
+            rhs += s
     return lhs, rhs
 
 

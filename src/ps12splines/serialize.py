@@ -130,7 +130,7 @@ def hermite_data_from_dict(obj):
         for key, vals in obj["edge_data"].items():
             a, b = key.split("-")
             edges[(int(a), int(b))] = tuple(decode_number(v) for v in vals)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a list has no .items()
         raise ParseError(f"malformed interpolation data: {exc}") from exc
     return jets, edges
 

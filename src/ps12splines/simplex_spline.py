@@ -34,7 +34,8 @@ from itertools import accumulate, combinations
 from math import comb, factorial, gcd, isfinite, lcm
 from operator import add, mul
 
-from .errors import DomainError, InvalidDirection, InvalidWeights, OutsideDomain, TooFewKnots
+from .errors import (DimensionMismatch, DomainError, InvalidDirection, InvalidWeights,
+                     OutsideDomain, TooFewKnots)
 from .geometry import (
     EDGES,
     FACES,
@@ -217,6 +218,8 @@ def _combination_over_active(K: KnotMultiset, coeffs3: tuple):
 def _normalize_weights10(K, vec, want_sum):
     err = InvalidDirection if want_sum == 0 else InvalidWeights
     vec = tuple(Fraction(x) for x in vec)
+    if len(vec) != 10:
+        raise err(f"a knot vector has 10 coefficients, not {len(vec)}")
     if sum(vec) != want_sum:
         raise err(f"coefficients sum to {sum(vec)}, expected {want_sum}")
     for i in range(10):
@@ -288,7 +291,8 @@ def insert_knot(K: KnotMultiset, y: int, weights=None) -> list:
     weights (a 10-vector over the knots of K, summing to 1) may be supplied,
     otherwise the barycentric representation of v_y on the lowest-index
     independent triple is used.  Raises DomainError unless y is an int in
-    1..10.
+    1..10, and InvalidWeights for weights of another length or sum, or on
+    an inactive knot.
     """
     K = knots(K)
     if isinstance(y, bool) or not isinstance(y, int) or not 1 <= y <= 10:
@@ -534,7 +538,10 @@ def snap_bary(beta: tuple) -> tuple:
 
 
 def _locate(beta, exact: bool) -> tuple:
-    """(face, beta) by locate_face_bary, float beta snapped first; OutsideDomain outside."""
+    """(face, beta) by locate_face_bary, float beta snapped first; OutsideDomain outside,
+    DimensionMismatch unless beta has three coordinates."""
+    if len(beta) != 3:
+        raise DimensionMismatch(f"barycentric coordinates are a triple, not {len(beta)} numbers")
     if not exact:
         beta = snap_bary(tuple(map(float, beta)))
     # an infinite coordinate passes the sign tests of locate_face_bary

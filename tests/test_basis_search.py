@@ -31,7 +31,7 @@ from ps12splines.dual_functionals import build_lambda, lambda_vector
 from ps12splines.errors import (DimensionMismatch, DomainError, PS12Error, SingularSystem,
                                SymmetryViolated)
 from ps12splines.geometry import EDGES, FACES, INTERIOR_LINES, VERTEX_BARY, reference_frame
-from ps12splines.linalg import _integer_rows, append_row, bareiss, solve
+from ps12splines.linalg import _integer_rows, append_row, bareiss, pivot_columns, solve
 from ps12splines.marsden_catalog import catalog
 from ps12splines.serialize import PIPELINE_STAGES
 from ps12splines.simplex_spline import (
@@ -561,6 +561,48 @@ def test_split_is_total_on_products_of_rational_forms():
         out = split_linear_factors(poly.terms)
         assert out.split and out.forms == tuple(want), (i, j, forms)
         assert out.scalar == poly.evaluate(1, 1, 1)
+
+
+def test_split_decides_random_quadratic_remainders():
+    """A seeded fuzz of quintics c_i c_j c_k Q with a quadratic Q that the
+    shorthand forms mostly leave whole.  Q = L1 L2 and Q = L1^2 (small
+    rational forms, coefficient sum nonzero) split into exactly the five
+    forms, normalized to sum 1, and the scalar; the definite conics
+    L1^2 + L2^2 (+ L3^2) of independent forms reject on the quadratic test;
+    L1^2 - k L2^2 with k not a square splits into irrational forms."""
+    rng = random.Random(30)
+    c = [TriPoly.variable(k) for k in range(3)]
+
+    def forms(n):
+        """n linearly independent forms with nonzero coefficient sums."""
+        while True:
+            Ls = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+                  for _ in range(n)]
+            if all(map(sum, Ls)) and len(pivot_columns([list(L) for L in Ls])) == n:
+                return Ls
+
+    quadratic_remainders = 0
+    for _ in range(100):
+        ijk = [rng.randrange(3) for _ in range(3)]
+        cubic = c[ijk[0]] * c[ijk[1]] * c[ijk[2]]
+        units = [tuple(F(int(m == n)) for m in range(3)) for n in ijk]
+        L1, L2 = forms(2)
+        for pair in ((L1, L2), (L1, L1)):
+            poly = cubic * TriPoly.linear(pair[0]) * TriPoly.linear(pair[1])
+            quadratic_remainders += _shorthand_remainder(poly.terms).degree() == 2
+            want = sorted(units + [tuple(x / sum(L) for x in L) for L in pair], reverse=True)
+            out = split_linear_factors(poly.terms)
+            assert (out.split, out.forms, out.scalar) == (
+                True, tuple(want), poly.evaluate(1, 1, 1)), pair
+        squares = [TriPoly.linear(L) ** 2 for L in forms(rng.choice((2, 3)))]
+        out = split_linear_factors((sum(squares[1:], squares[0]) * c[0] * c[1] * c[2]).terms)
+        assert not out.split and "quadratic" in out.diagnostic and out.witness is None
+        k = rng.choice((2, 3, 5, 6, 7))
+        poly = cubic * (TriPoly.linear(L1) ** 2 - TriPoly.linear(L2) ** 2 * k)
+        out = split_linear_factors(poly.terms)
+        assert (out.split, out.forms, out.scalar) == (True, None, poly.evaluate(1, 1, 1))
+        assert out.diagnostic == "real split with irrational factors"
+    assert quadratic_remainders >= 150
 
 
 def _shorthand_remainder(poly):

@@ -283,6 +283,21 @@ def test_assemble_rejects_non_integer_vertex_index(tmp_path, index):
     assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("key", ["vertex_jets", "edge_data"])
+def test_assemble_rejects_hermite_data_given_as_a_list(tmp_path, key):
+    """Jets and edge data are objects keyed by vertex and edge; either one
+    given as a JSON list is a ParseError (exit 2), not a traceback."""
+    mesh, data = tmp_path / "mesh.json", tmp_path / "data.json"
+    mesh.write_text(json.dumps({"vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]],
+                                "triangles": [[0, 1, 2]]}))
+    obj = {"vertex_jets": {str(v): ["1/2"] * 10 for v in range(3)},
+           "edge_data": {e: ["1/4"] * 3 for e in ("0-1", "0-2", "1-2")}}
+    obj[key] = list(obj[key].values())
+    data.write_text(json.dumps(obj))
+    r = run_cli(["assemble", "--mesh", str(mesh), "--data", str(data)], expect=2)
+    assert r.stderr.startswith("error: malformed interpolation data: ") and not r.stdout
+
+
 _small_rational = st.fractions(-4, 4, max_denominator=6)
 
 

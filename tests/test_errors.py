@@ -152,6 +152,8 @@ BAD_LENGTHS = {
     "Spline coefficients": lambda: spline_fn.Spline(FLOAT_FRAME, "c", (0.0,) * 38),
     "lagrange_interpolate values": lambda: spline_fn.lagrange_interpolate(
         "c", geometry.reference_frame(), [F(0)] * 40),
+    "basis_values two coordinates": lambda: spline_fn.basis_values("c", (F(1, 2), F(1, 2))),
+    "basis_values two float coordinates": lambda: spline_fn.basis_values("c", (0.5, 0.5)),
 }
 
 
@@ -175,6 +177,8 @@ TYPED_ERRORS = {
         FLOAT_FRAME, "g", (0.0,) * 39)),
     "insert_knot collinear knots": (InvalidWeights, lambda: simplex_spline.insert_knot(
         simplex_spline.knots("3102000000"), 3)),
+    "insert_knot two weights": (InvalidWeights, lambda: simplex_spline.insert_knot(
+        K, 4, weights=(1, 0))),
     "restrict_to_edge two knots": (TooFewKnots, lambda: simplex_spline.restrict_to_edge(
         geometry.reference_frame(), simplex_spline.knots("11"), "e3")),
     "integral two knots": (TooFewKnots, lambda: simplex_spline.integral(

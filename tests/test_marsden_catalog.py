@@ -84,6 +84,14 @@ def test_marsden_trivial_cases(ref):
     assert lhs == rhs == F(2, 3) ** 5
 
 
+@pytest.mark.parametrize("x", [(F(2, 3), F(1, 2)), (F(-1, 7), F(1, 3)), (1.5, 0.25)])
+def test_marsden_eval_outside_the_triangle_raises_outside_domain(x):
+    """The right side reads basis_values, which is defined on the closed
+    macrotriangle only: outside it there is no (lhs, 0) to return."""
+    with pytest.raises(OutsideDomain):
+        marsden_eval(catalog("c"), x, (F(1), F(2), F(3)))
+
+
 _COEFS = st.one_of(st.just(F(0)), st.fractions(-3, 3, max_denominator=4))
 
 
