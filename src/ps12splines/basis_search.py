@@ -543,7 +543,8 @@ class LinearFactorization:
     When split is True and the factors are rational, ``forms`` holds the five
     barycentric triples normalized to sum 1 and ``scalar`` the leftover
     weight.  A real split through irrational quadratic roots sets split=True
-    with forms=None.  ``diagnostic`` names the obstruction otherwise, and
+    with forms=None.  Both need ``scalar`` = P(1, 1, 1) nonzero: at 0 some
+    factor is at infinity.  ``diagnostic`` names the obstruction otherwise, and
     ``witness`` holds the two split vertices spanning a line on which it is
     a non-real root.
     """
@@ -580,8 +581,11 @@ def split_linear_factors(poly: dict) -> LinearFactorization:
     divided off (_rational_linear_factors), so every product of rational
     forms splits.  A linear remainder is its own factor; a quadratic one,
     left without rational factors, splits (into irrational forms) iff its
-    symmetric matrix is singular with indefinite nonzero part.  A rational
-    factor with coefficient sum 0 (at infinity) rejects.  PS12Error is
+    symmetric matrix is singular with indefinite nonzero part.  Every split
+    that is left rejects when P(1, 1, 1), the coefficient sum, is 0: it is s
+    times the product of the factors' sums, so some factor, rational or
+    irrational, has sum 0 and its dual point at infinity (the diagnostic
+    quotes it when it is rational).  PS12Error is
     raised only when a factor of degree 3 or more with no rational linear
     factor and no such witness is left, as for
     c3^2 (c1^3 + c1^2 c2 - 2 c1 c2^2 - c2^3): its cubic is irreducible over
@@ -620,16 +624,17 @@ def split_linear_factors(poly: dict) -> LinearFactorization:
         if len(pivot_columns(a)) == 3 or e2 > 0:
             return LinearFactorization(False, diagnostic=f"quadratic factor without a real "
                                                          f"split: {rem}")
-        return LinearFactorization(True, scalar=scalar, forms=None,
-                                   diagnostic="real split with irrational factors")
     if deg == 1:
         found.append(tuple(rem.get(e, 0) for e in _UNITS))
-    for form in found:
-        total = sum(form)
-        if total == 0:
-            return LinearFactorization(False, diagnostic=f"linear factor at infinity: "
-                                                         f"({', '.join(map(str, form))})")
-        forms.append(tuple(Fraction(x) / total for x in form))
+    if scalar == 0:
+        # P(1, 1, 1) = s * prod L(1, 1, 1): some factor, rational or not, is at infinity
+        form = next((f for f in found if not sum(f)), None)
+        where = f"({', '.join(map(str, form))})" if form else f"a factor of the quadratic {rem}"
+        return LinearFactorization(False, diagnostic=f"linear factor at infinity: {where}")
+    if deg == 2:
+        return LinearFactorization(True, scalar=scalar, forms=None,
+                                   diagnostic="real split with irrational factors")
+    forms += [tuple(Fraction(x) / sum(form) for x in form) for form in found]
     return LinearFactorization(True, scalar=scalar, forms=tuple(sorted(forms, reverse=True)))
 
 

@@ -7,16 +7,16 @@ of the reference split and one more knot on v3, and Q[K] restricted to the
 edge [v1, v2] is the B-spline over 2 area([K]).  Its Bernstein pieces on
 [0, 1/2] and [1/2, 1] are the gamma_3 = 0 rows of Q[K]'s tables on the
 faces D1 and D2, times 2 area([K]); bspline_coefficients takes any pair
-of pieces back to consecutive B-spline coefficients, for expand_window
-and assembly's edge restriction tables.  Values and derivatives
-evaluate a piece (derivatives by Bernstein differences), the right one from
-t = 1/2 on: they are right-continuous on [0, 1) and left-continuous at
-t = 1, and zero outside [0, 1].  At t = 1/2 this is not the split's point
-location, which puts the edge midpoint v4 in D1, the left piece
-(geometry.locate_face_bary).  No caller sees the difference: with the knot
-1/2 doubled a degree-d B-spline is C^(d-2) there, so only derivatives of
-order d - 1 and d differ, and what is read at t = 1/2 is of lower order
-(edge restriction values, and in assembly._edge_rows g(1/2) and f'(1/2)).
+of pieces back to consecutive B-spline coefficients, for assembly's edge
+restriction tables.  Values and derivatives evaluate a piece (derivatives
+by Bernstein differences), the right one from t = 1/2 on: they are
+right-continuous on [0, 1) and left-continuous at t = 1, and zero outside
+[0, 1].  At t = 1/2 this is not the split's point location, which puts the
+edge midpoint v4 in D1, the left piece (geometry.locate_face_bary).  No
+caller sees the difference: with the knot 1/2 doubled a degree-d B-spline
+is C^(d-2) there, so only derivatives of order d - 1 and d differ, and what
+is read at t = 1/2 is of lower order (in assembly._edge_rows g(1/2) and
+f'(1/2)).
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from math import isfinite
 from .errors import DomainError, OutsideDomain
 from .rational import is_exact
 from .simplex_spline import _face_ordinates, active_indices, bernstein_exponents, hull_area
-
-HALF = Fraction(1, 2)
 
 
 def _is_int(x) -> bool:
@@ -52,40 +50,26 @@ class UnivariateBSplineRef:
         if not 1 <= self.index <= self.degree + 3:
             raise DomainError(f"index {self.index} outside 1..{self.degree + 3}")
 
-    @property
-    def local_knots(self) -> tuple:
-        return local_knots(self.degree, self.index)
-
     def counts(self) -> tuple:
         """(number of 0 knots, 1/2 knots, 1 knots) of the local window."""
-        kn = self.local_knots
-        return (kn.count(0), kn.count(HALF), kn.count(1))
-
-    def __str__(self):
-        return f"B{self.index}^{self.degree}"
+        return _window_counts(self.degree, self.index)
 
 
-@lru_cache(maxsize=None)
-def global_knots(degree: int) -> tuple:
-    return (Fraction(0),) * (degree + 1) + (HALF, HALF) + (Fraction(1),) * (degree + 1)
-
-
-@lru_cache(maxsize=None)
-def local_knots(degree: int, index: int) -> tuple:
-    kn = global_knots(degree)
-    return kn[index - 1 : index + degree + 1]
+def _window_counts(degree: int, index: int) -> tuple:
+    """Window i of degree d holds max(0, d + 2 - i) zeros, max(0, i - 2)
+    ones and the rest halves."""
+    zeros, ones = max(0, degree + 2 - index), max(0, index - 2)
+    return zeros, degree + 2 - zeros - ones, ones
 
 
 def ref_from_counts(degree: int, zeros: int, halves: int, ones: int):
     """Identify the shorthand reference whose local window has these knot counts.
 
     Returns None when the multiset is not a window of the open knot vector
-    (for instance more than two interior knots).  Window i holds
-    max(0, d + 2 - i) zeros, max(0, i - 2) ones and the rest halves.
+    (for instance more than two interior knots).
     """
     for index in range(1, degree + 4):
-        z, o = max(0, degree + 2 - index), max(0, index - 2)
-        if (z, degree + 2 - z - o, o) == (zeros, halves, ones):
+        if _window_counts(degree, index) == (zeros, halves, ones):
             return UnivariateBSplineRef(degree, index)
     return None
 
@@ -118,10 +102,6 @@ def _blossom(coefs, args):
     return coefs[0]
 
 
-def bspline_value(ref: UnivariateBSplineRef, t):
-    return bspline_derivative(ref, t, 0)
-
-
 def bspline_derivative(ref: UnivariateBSplineRef, t, order: int = 1):
     """Order-th derivative at t, exact for exact t (one-sided at knots, like
     the value).  Raises DomainError unless order is a nonnegative int, and
@@ -142,31 +122,6 @@ def bspline_derivative(ref: UnivariateBSplineRef, t, order: int = 1):
         coefs = [2 * (n - k) * (b - a) for a, b in zip(coefs, coefs[1:])]
     s = 2 * t - 1 if right else 2 * t
     return zero + _blossom(coefs, (s,) * (n - order))
-
-
-# ---------------------------------------------------------------------------
-# Expansion of off-window B-splines in the consecutive basis
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def expand_window(degree: int, zeros: int, halves: int, ones: int) -> tuple:
-    """Expand B[{0^zeros, 1/2^halves, 1^ones}] in the consecutive basis.
-
-    Returns ((coef, ref), ...), the coefficients bspline_coefficients reads
-    off its pieces.  The empty tuple encodes the zero spline (all knots
-    coincident), and windows of the open knot vector come back as a single
-    unit term.  The others (a smoother-than-generic interior knot) lie in
-    the span too.
-    """
-    if not (_is_int(degree) and all(_is_int(x) and x >= 0 for x in (zeros, halves, ones))):
-        raise DomainError(f"need an int degree and nonnegative int knot counts, not "
-                          f"{degree!r}, {(zeros, halves, ones)!r}")
-    if zeros + halves + ones != degree + 2:
-        raise DomainError("knot counts must total degree + 2")
-    if halves > 2:
-        raise DomainError("more than two interior knots cannot be expanded here")
-    coefs = bspline_coefficients(degree, _pieces(degree, zeros, halves, ones))
-    return tuple((c, UnivariateBSplineRef(degree, i)) for i, c in enumerate(coefs, 1) if c != 0)
 
 
 def bspline_coefficients(degree: int, pieces) -> tuple:

@@ -17,10 +17,6 @@ class InvalidDirection(PS12Error, ValueError):
     """Directional coordinates do not sum to zero or violate the knot support."""
 
 
-class InvalidWeights(PS12Error, ValueError):
-    """Knot-insertion weights do not sum to one or violate the knot support."""
-
-
 class SingularSystem(PS12Error, ValueError):
     """An exact linear system has no unique solution."""
 

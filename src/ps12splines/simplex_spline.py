@@ -34,15 +34,13 @@ from itertools import accumulate, combinations
 from math import comb, factorial, gcd, isfinite, lcm
 from operator import add, mul
 
-from .errors import (DimensionMismatch, DomainError, InvalidDirection, InvalidWeights,
-                     OutsideDomain, TooFewKnots)
+from .errors import DimensionMismatch, DomainError, InvalidDirection, OutsideDomain, TooFewKnots
 from .geometry import (
     EDGES,
     FACES,
     INTERIOR_LINES,
     PS12Frame,
     Point2,
-    VERTEX_BARY,
     _layer_face_bary_matrices,
     direction_coords,
     face_bary,
@@ -51,7 +49,7 @@ from .geometry import (
     signed_area2,
     to_bary,
 )
-from .rational import is_exact
+from .rational import is_exact, short_form
 
 KnotMultiset = tuple  # 10 nonnegative ints
 
@@ -193,7 +191,7 @@ def eval_simplex(frame: PS12Frame, K: KnotMultiset, p: Point2):
 
 
 # ---------------------------------------------------------------------------
-# Differentiation and knot insertion
+# Differentiation
 # ---------------------------------------------------------------------------
 
 def _combination_over_active(K: KnotMultiset, coeffs3: tuple):
@@ -215,49 +213,27 @@ def _combination_over_active(K: KnotMultiset, coeffs3: tuple):
     return {i: c for i, c in out.items() if c}
 
 
-def _normalize_weights10(K, vec, want_sum):
-    err = InvalidDirection if want_sum == 0 else InvalidWeights
-    vec = tuple(Fraction(x) for x in vec)
-    if len(vec) != 10:
-        raise err(f"a knot vector has 10 coefficients, not {len(vec)}")
-    if sum(vec) != want_sum:
-        raise err(f"coefficients sum to {sum(vec)}, expected {want_sum}")
-    for i in range(10):
-        if vec[i] != 0 and K[i] == 0:
-            raise err(f"nonzero coefficient on inactive knot v{i + 1}")
-    return {i + 1: vec[i] for i in range(10) if vec[i] != 0}
-
-
 def derivative_expansion(K: KnotMultiset, direction, order: int = 1) -> list:
     """Expand D^order in the given direction as [(coef, multiset)] terms.
 
-    direction is a directional triple over the corners (sums to 0) or an
-    explicit 10-vector of coefficients over the knots, used as given for the
-    first differentiation and through its corner triple after that.  The
+    direction is a directional triple over the corners (sums to 0).  The
     factor |K| - 3 per differentiation is included in the coefficients.
-    Raises InvalidDirection for any other number of entries and for an
-    order outside 0..degree.
+    Raises InvalidDirection for any other number of entries, a nonzero sum
+    and an order outside 0..degree.
     """
     K = knots(K)
-    if len(direction) not in (3, 10):
-        raise InvalidDirection(f"a direction has 3 corner or 10 knot coefficients, "
-                               f"not {len(direction)}")
+    if len(direction) != 3:
+        raise InvalidDirection(f"a direction has 3 corner coefficients, not {len(direction)}")
     if not 0 <= order <= degree(K):
         raise InvalidDirection(f"order {order} outside 0..{degree(K)}")
-    first = None
-    if len(direction) == 10:
-        first = _normalize_weights10(K, direction, 0)
-        corner_dir = tuple(sum(a * VERTEX_BARY[i - 1][r] for i, a in first.items())
-                           for r in range(3))
-    else:
-        corner_dir = tuple(Fraction(x) for x in direction)
-        if sum(corner_dir) != 0:
-            raise InvalidDirection(f"directional coordinates sum to {sum(corner_dir)} != 0")
+    corner_dir = tuple(Fraction(x) for x in direction)
+    if sum(corner_dir) != 0:
+        raise InvalidDirection(f"directional coordinates sum to {sum(corner_dir)} != 0")
     terms = [(Fraction(1), K)]
-    for level in range(order):
+    for _ in range(order):
         nxt = {}
         for coef, m in terms:
-            rep = first if level == 0 and first is not None else _combination_over_active(m, corner_dir)
+            rep = _combination_over_active(m, corner_dir)
             if rep is None:
                 continue
             n = sum(m)
@@ -283,92 +259,9 @@ def derivative(frame: PS12Frame, K: KnotMultiset, direction, order: int = 1):
     return fn
 
 
-def insert_knot(K: KnotMultiset, y: int, weights=None) -> list:
-    """Rewrite Q[K] over the multiset with vertex y inserted.
-
-    Returns [(coef, multiset)] with each multiset (K + y) minus one knot,
-    summing pointwise to Q[K].  y is a 1-based vertex index; explicit
-    weights (a 10-vector over the knots of K, summing to 1) may be supplied,
-    otherwise the barycentric representation of v_y on the lowest-index
-    independent triple is used.  Raises DomainError unless y is an int in
-    1..10, and InvalidWeights for weights of another length or sum, or on
-    an inactive knot.
-    """
-    K = knots(K)
-    if isinstance(y, bool) or not isinstance(y, int) or not 1 <= y <= 10:
-        raise DomainError(f"knot to insert must be a vertex index 1..10, not {y!r}")
-    if weights is not None:
-        rep = _normalize_weights10(K, weights, 1)
-    else:
-        rep = _combination_over_active(K, VERTEX_BARY[y - 1])
-        if rep is None:
-            raise InvalidWeights("knot set has no affinely independent triple")
-    enlarged = list(K)
-    enlarged[y - 1] += 1
-    out = []
-    for idx, w in rep.items():
-        child = list(enlarged)
-        child[idx - 1] -= 1
-        out.append((w, tuple(child)))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Edge restriction, integral, smoothness
+# Integral, smoothness
 # ---------------------------------------------------------------------------
-
-def edge_key(edge) -> str:
-    """Normalize an edge spec: 'e3'/'e1'/'e2' or a corner pair like (1, 2),
-    naming an edge of geometry.EDGES; DomainError for anything else."""
-    if isinstance(edge, str):
-        if edge in EDGES:
-            return edge
-    else:
-        try:
-            pair = tuple(edge)
-        except TypeError:  # not iterable
-            pair = ()
-        for name, (i, _, k) in EDGES.items():
-            if pair in ((i, k), (k, i)):
-                return name
-    raise DomainError(f"unknown edge {edge!r}")
-
-
-@dataclass(frozen=True)
-class EdgeRestriction:
-    """A combination sum coef * B of univariate B-splines on an edge."""
-
-    terms: tuple  # of (Fraction, UnivariateBSplineRef)
-
-    def __call__(self, t):
-        from .bspline1d import bspline_value
-        return sum((coef * bspline_value(ref, t) for coef, ref in self.terms),
-                   Fraction(0) if is_exact((t,)) else 0.0)
-
-
-def restrict_to_edge(frame: PS12Frame, K: KnotMultiset, edge) -> EdgeRestriction:
-    """Restriction of Q[K] to a macro edge, as Table-4-style B-splines.
-
-    The edge is parametrized from its first corner (t = 0) to its second
-    (t = 1).  The result is zero unless all but one knot lie on the edge, in
-    which case it is (area(T) / area([K])) times the B-spline on the knots
-    {0^(mi), 1/2^(mj), 1^(mk)} -- a single shorthand for the usual windows,
-    or a short exact combination when the midpoint knot is undersupplied.
-    """
-    K = knots(K)
-    if knot_count(K) < 3:
-        raise TooFewKnots(f"|K| = {knot_count(K)} < 3")
-    i, j, k = EDGES[edge_key(edge)]
-    on_edge = K[i - 1] + K[j - 1] + K[k - 1]
-    n = knot_count(K)
-    act = active_indices(K)
-    if hull_area(act) == 0 or on_edge < n - 1 or on_edge == n:
-        return EdgeRestriction(())
-    from .bspline1d import expand_window
-    ratio = Fraction(1, 2) / hull_area(act)
-    terms = expand_window(n - 3, K[i - 1], K[j - 1], K[k - 1])
-    return EdgeRestriction(tuple((ratio * c, ref) for c, ref in terms))
-
 
 def integral(frame: PS12Frame, K: KnotMultiset) -> Fraction:
     """Exact integral of Q[K] over the plane: area(T) / C(|K|-1, 2)."""
@@ -538,8 +431,9 @@ def snap_bary(beta: tuple) -> tuple:
 
 
 def _locate(beta, exact: bool) -> tuple:
-    """(face, beta) by locate_face_bary, float beta snapped first; OutsideDomain outside,
-    DimensionMismatch unless beta has three coordinates."""
+    """(face, beta) by locate_face_bary, float beta snapped first; OutsideDomain outside
+    (naming exact beta to six digits, as their integers may be too long to
+    write), DimensionMismatch unless beta has three coordinates."""
     if len(beta) != 3:
         raise DimensionMismatch(f"barycentric coordinates are a triple, not {len(beta)} numbers")
     if not exact:
@@ -547,8 +441,9 @@ def _locate(beta, exact: bool) -> tuple:
     # an infinite coordinate passes the sign tests of locate_face_bary
     fi = locate_face_bary(*beta) if exact or isfinite(sum(beta)) else None
     if fi is None:
-        raise OutsideDomain(f"point with barycentric coordinates "
-                            f"({', '.join(map(str, beta))}) outside the macrotriangle")
+        coords = ", ".join(map(short_form if exact else str, beta))
+        raise OutsideDomain(f"point with barycentric coordinates ({coords}) "
+                            "outside the macrotriangle")
     return fi, beta
 
 

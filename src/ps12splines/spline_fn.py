@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, combinations, islice
 from math import lcm
+from numbers import Real
 from operator import add, itemgetter, mul, truediv
 from typing import TYPE_CHECKING
 
@@ -341,10 +342,11 @@ def control_distance_bound_check(s: Spline, hessian_bound) -> dict:
     over the triangle (caller-supplied; exact for polynomial test data).
     Returns a report with the largest gap and the bound; raises
     BoundViolated when the inequality fails, which would indicate a bug,
-    and DomainError for a negative hessian_bound.
+    and DomainError unless hessian_bound is a nonnegative real number (NaN
+    is none).
     """
-    if hessian_bound < 0:
-        raise DomainError(f"a Hessian bound is nonnegative, not {hessian_bound}")
+    if not isinstance(hessian_bound, Real) or not hessian_bound >= 0:
+        raise DomainError(f"a Hessian bound is a nonnegative number, not {hessian_bound!r}")
     _, _, cond = collocation_at_domain_points(s.basis)
     spec = catalog(s.basis)
     h2 = longest_edge_sq(s.frame)

@@ -7,10 +7,11 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rational_points
+from knot_oracles import restrict_to_edge
 from tripoly import TriPoly
 from ps12splines import basis_search
 from ps12splines.basis_search import (
@@ -41,7 +42,6 @@ from ps12splines.simplex_spline import (
     hull_area,
     knots,
     per_face_bernstein,
-    restrict_to_edge,
     smoothness_order,
 )
 
@@ -63,7 +63,7 @@ def test_admissible_splines_are_those_of_the_definitions():
     across every interior line that carries two distinct knots, and at most
     one B-spline term in the restriction to every macro edge, where a
     restriction that raises DomainError rejects.  The restriction expands
-    through bspline1d.expand_window, not through the search's own rule."""
+    through knot_oracles.expand_window, not through the search's own rule."""
     frame = reference_frame()
 
     def admissible(K):
@@ -603,6 +603,32 @@ def test_split_decides_random_quadratic_remainders():
         assert (out.split, out.forms, out.scalar) == (True, None, poly.evaluate(1, 1, 1))
         assert out.diagnostic == "real split with irrational factors"
     assert quadratic_remainders >= 150
+
+
+
+_SMALL = st.integers(-4, 4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.tuples(_SMALL, _SMALL).filter(any), st.tuples(_SMALL, _SMALL, _SMALL),
+       st.tuples(_SMALL, _SMALL, _SMALL), st.sampled_from((2, 3, 5, 6, 7)),
+       st.tuples(st.integers(0, 9), st.integers(0, 9)))
+@example((0, 1), (1, 0, 0), (0, 1, 0), 2, (0, 0))   # (c2 - c3) c1^2 (c1^2 - 2 c2^2)
+def test_split_rejects_a_factor_at_infinity_beside_an_irrational_conic(ab, l1, l2, k, pair):
+    """Z (L1^2 - k L2^2) S1 S2, with Z = a c1 + b c2 - (a + b) c3 of
+    coefficient sum 0, independent L1 and L2, k not a square and two
+    shorthand forms S, is a product of real forms, one of them at infinity:
+    it always rejects, quoting Z, however the irrational conic splits."""
+    assume(len(pivot_columns([list(l1), list(l2)])) == 2)
+    z = (ab[0], ab[1], -ab[0] - ab[1])
+    conic = TriPoly.linear(l1) ** 2 - TriPoly.linear(l2) ** 2 * k
+    poly = TriPoly.linear(z) * conic * TriPoly.linear(VERTEX_BARY[pair[0]]) \
+        * TriPoly.linear(VERTEX_BARY[pair[1]])
+    out = split_linear_factors(poly.terms)
+    g = gcd(*z)
+    quoted = {f"linear factor at infinity: ({', '.join(str(s * x // g) for x in z)})"
+              for s in (1, -1)}
+    assert (out.split, out.forms) == (False, None) and out.diagnostic in quoted, out
 
 
 def _shorthand_remainder(poly):

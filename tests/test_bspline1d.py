@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knot_oracles import expand_window, global_knots, local_knots
 from ps12splines.bspline1d import (
     UnivariateBSplineRef,
     _pieces,
     bspline_coefficients,
     bspline_derivative,
-    bspline_value,
-    expand_window,
-    global_knots,
-    local_knots,
     ref_from_counts,
 )
 from ps12splines.errors import DomainError
@@ -107,14 +104,14 @@ def test_ref_from_counts_matches_counted_windows():
 
 def test_partition_of_unity_quintic():
     for t in [F(0), F(1, 10), F(1, 2), F(9, 13), F(1)]:
-        total = sum(bspline_value(UnivariateBSplineRef(5, i), t) for i in range(1, 9))
+        total = sum(bspline_derivative(UnivariateBSplineRef(5, i), t, 0) for i in range(1, 9))
         assert total == 1
 
 
 def test_endpoint_convention():
-    assert bspline_value(UnivariateBSplineRef(5, 1), F(0)) == 1
-    assert bspline_value(UnivariateBSplineRef(5, 8), F(1)) == 1
-    assert bspline_value(UnivariateBSplineRef(5, 7), F(1)) == 0
+    assert bspline_derivative(UnivariateBSplineRef(5, 1), F(0), 0) == 1
+    assert bspline_derivative(UnivariateBSplineRef(5, 8), F(1), 0) == 1
+    assert bspline_derivative(UnivariateBSplineRef(5, 7), F(1), 0) == 0
 
 
 def test_derivative_matches_difference_quotient():
@@ -122,7 +119,7 @@ def test_derivative_matches_difference_quotient():
     t = F(3, 10)
     h = F(1, 10 ** 6)
     exact = bspline_derivative(ref, t, 1)
-    approx = (bspline_value(ref, t + h) - bspline_value(ref, t - h)) / (2 * h)
+    approx = (bspline_derivative(ref, t + h, 0) - bspline_derivative(ref, t - h, 0)) / (2 * h)
     assert abs(float(exact - approx)) < 1e-9
 
 
@@ -140,7 +137,7 @@ def test_expand_window_interpolates_off_windows():
         terms = expand_window(d, *counts)
         window = (F(0),) * counts[0] + (HALF,) * counts[1] + (F(1),) * counts[2]
         for t in [F(i, 17) for i in range(18)]:
-            got = sum(c * bspline_value(ref, t) for c, ref in terms)
+            got = sum(c * bspline_derivative(ref, t, 0) for c, ref in terms)
             assert got == _bspline_raw(window, t), (counts, t)
 
 

@@ -542,3 +542,15 @@ def test_exact_numbers_too_long_to_write_are_domain_errors(tmp_path):
                                                         ["0/1", "1/1"]])))
     r = run_cli(["sample", "--spline", str(path), "--grid", "2", "--layer", "exact"], expect=1)
     assert r.stderr == "error: point coordinate of about 5E+4999 is beyond the float range\n"
+
+
+@pytest.mark.parametrize("exponent", [400, 5000])
+def test_exact_point_far_outside_names_its_barycentrics_to_six_digits(tmp_path, exponent):
+    """At x = 1e5000 the exact barycentrics have more digits than Python
+    converts to a string, and at 1e400 about 400 each: the error names them
+    to six digits (exit 1), not in a ValueError traceback or an 800-digit line."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(UNIT_SPLINE))
+    r = run_cli(["eval", "--spline", str(path), "--point", f"1e{exponent}", "0"], expect=1)
+    assert r.stderr == (f"error: point with barycentric coordinates (-1E+{exponent}, "
+                        f"1E+{exponent}, 0) outside the macrotriangle\n")

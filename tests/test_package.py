@@ -12,7 +12,7 @@ import ps12splines
 EXPORTS = {
     "errors": (
         "BoundViolated", "DegenerateTriangle", "DimensionMismatch", "DomainError",
-        "InvalidDirection", "InvalidWeights", "NonConformingMesh", "OutsideDomain",
+        "InvalidDirection", "NonConformingMesh", "OutsideDomain",
         "ParseError", "PS12Error", "SingularSystem", "SymmetryViolated", "TooFewKnots",
         "UnknownBasis", "UnknownTable", "UnsupportedBasis",
     ),
@@ -21,8 +21,8 @@ EXPORTS = {
         "reference_frame", "s3_vertex_permutation", "to_bary",
     ),
     "simplex_spline": (
-        "EdgeRestriction", "derivative", "eval_simplex", "insert_knot", "integral", "knots",
-        "per_face_bernstein", "restrict_to_edge", "smoothness_order",
+        "derivative", "eval_simplex", "integral", "knots", "per_face_bernstein",
+        "smoothness_order",
     ),
     "dual_functionals": (
         "Functional", "apply", "build_lambda", "collocation", "dim_global", "dim_split_space",
