@@ -25,13 +25,11 @@ on integers over one denominator; float input keeps its own arithmetic.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import product
-from math import comb, isfinite, lcm, perm, prod
-from numbers import Integral, Rational, Real
+from math import comb, isfinite, lcm, perm
+from numbers import Integral
 from operator import add, truediv
 
 from .errors import (
@@ -45,8 +43,8 @@ from .dual_functionals import FUNCTIONALS, JET_ORDERS, direction_vectors, lambda
 from .geometry import (EDGES, FACES, VERTEX_BARY, PS12Frame, Point2, _layer_face_bary_matrices,
                        direction_coords, face_bary, locate_face_bary, make_frame)
 from .linalg import inverse, mat_vec, solve, sparse_integer_matrix
-from .marsden_catalog import catalog
-from .rational import common_denominator, is_exact
+from .marsden_catalog import catalog, linear_product
+from .rational import common_denominator, finite_numbers, is_exact
 from .simplex_spline import _face_ordinates, _row_terms, bernstein_exponents
 from .spline_fn import Spline
 
@@ -90,18 +88,14 @@ def _cross_derivative(ords, near, weights, k: int) -> list:
 def _symbolic_weights(mat, k: int) -> dict:
     """{e: weights}: the weights of _cross_derivative for g = mat . a, split
     by monomial a^e, with a1 = -(a2 + a3) substituted (a direction's
-    coordinates sum to 0): g_r = (M_r2 - M_r1) a2 + (M_r3 - M_r1) a3 for
-    M = mat.  (k! / beta!) g^beta sums the products of these coefficients
-    over the index sequences r that beta counts and all s in {2, 3}^k; a
-    product goes to the monomial e that counts its s."""
+    coordinates sum to 0): g_r is the linear form (M_r2 - M_r1) a2 +
+    (M_r3 - M_r1) a3 for M = mat, and (k! / beta!) g^beta its linear_product."""
+    g = [(0, r[1] - r[0], r[2] - r[0]) for r in mat]
     out = {}
-    for rs in product(range(3), repeat=k):
-        beta = tuple(map(rs.count, range(3)))
-        for ss in product((1, 2), repeat=k):
-            e = tuple(map(ss.count, range(3)))
-            out.setdefault(e, Counter())[beta] += prod(mat[r][s] - mat[r][0]
-                                                       for r, s in zip(rs, ss))
-    return {e: list(ws.items()) for e, ws in out.items()}
+    for w, *beta in _row_terms(k):
+        for e, c in linear_product(w, [f for f, n in zip(g, beta) for _ in range(n)]).items():
+            out.setdefault(e, []).append((tuple(beta), c))
+    return dict(sorted(out.items(), reverse=True))     # a2^k first
 
 
 @lru_cache(maxsize=1)
@@ -239,7 +233,7 @@ def smoothness_system(order: int, beta) -> SmoothnessSystem:
     """
     if isinstance(order, bool) or not isinstance(order, Integral) or not 0 <= order <= 3:
         raise DomainError("order must be an int in 0..3")
-    if len(beta := _finite_numbers(beta, "beta")) != 3:
+    if len(beta := finite_numbers(beta, "beta")) != 3:
         raise DimensionMismatch("beta needs three barycentric coordinates")
     if is_exact(beta) and sum(beta) != 1:
         raise DomainError("beta must sum to 1")
@@ -258,16 +252,6 @@ def smoothness_system(order: int, beta) -> SmoothnessSystem:
     return SmoothnessSystem(order, beta, numeric, constraint)
 
 
-def _finite_numbers(values, what: str) -> list:
-    """values as a list; DomainError unless a sequence of exact or finite reals."""
-    if not hasattr(values, "__iter__"):
-        raise DomainError(f"{what} must be a sequence of finite numbers")
-    values = list(values)
-    if not all(isinstance(x, Rational) or isinstance(x, Real) and isfinite(x) for x in values):
-        raise DomainError(f"{what} must be finite numbers")
-    return values
-
-
 def propagate(coeffs, beta, order: int = 3):
     """Neighbour coefficients forced by a C^order join, plus feasibility.
 
@@ -276,7 +260,7 @@ def propagate(coeffs, beta, order: int = 3):
     feasible reports the order-3 single-patch compatibility relation (always
     True below order 3).
     """
-    coeffs = _finite_numbers(coeffs, "the coefficients")
+    coeffs = finite_numbers(coeffs, "the coefficients")
     if len(coeffs) != 39:
         raise DimensionMismatch("need 39 coefficients")
     sysm = smoothness_system(order, beta)
@@ -289,7 +273,7 @@ def propagate(coeffs, beta, order: int = 3):
 
 def c3_residual(coeffs, beta):
     """Value of the single-triangle order-3 compatibility relation."""
-    coeffs = _finite_numbers(coeffs, "the coefficients")
+    coeffs = finite_numbers(coeffs, "the coefficients")
     if len(coeffs) != 39:
         raise DimensionMismatch("need 39 coefficients")
     sysm = smoothness_system(3, beta)
@@ -596,8 +580,7 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
             or any(len(v) != 3 for v in edge_data.values()):
         raise DimensionMismatch("need a 10-jet for every vertex and 3 values for every edge")
     values = [x for vals in (*tri.vertices, *vertex_jets.values(), *edge_data.values()) for x in vals]
-    if not (exact := is_exact(values)):
-        _finite_numbers(values, "the vertices, jets and edge data")
+    exact = is_exact(finite_numbers(values, "the vertices, jets and edge data"))
 
     # a value as (numerator, denominator), over 1 unless exact
     pair, over_one = ((lambda x: (x.numerator, x.denominator)), _over_lcm) if exact else \

@@ -586,10 +586,11 @@ def split_linear_factors(poly: dict) -> LinearFactorization:
     times the product of the factors' sums, so some factor, rational or
     irrational, has sum 0 and its dual point at infinity (the diagnostic
     quotes it when it is rational).  PS12Error is
-    raised only when a factor of degree 3 or more with no rational linear
-    factor and no such witness is left, as for
-    c3^2 (c1^3 + c1^2 c2 - 2 c1 c2^2 - c2^3): its cubic is irreducible over
-    Q with the real roots 2 cos(2 pi k / 7).
+    raised only when a factor of degree 3 or more with no such witness is
+    left that has no rational linear factor, as for
+    c3^2 (c1^3 + c1^2 c2 - 2 c1 c2^2 - c2^3) (its cubic is irreducible over
+    Q with the real roots 2 cos(2 pi k / 7)), or whose rational roots on a
+    coordinate line would need the divisors of a coefficient above 10^10.
     """
     if not isinstance(poly, dict) or not is_exact(poly.values()) or not all(
             type(e) is tuple and len(e) == 3 and all(type(i) is int and i >= 0 for i in e)
@@ -666,16 +667,28 @@ def _rational_linear_factors(rem: dict) -> tuple:
     quotient has none (it is a constant when rem is a product of them).
 
     Such a factor, not a coordinate form, meets each coordinate line in a
-    rational root of rem there (rational-root theorem).  Two of these three
-    points are distinct, so it is the cross product of two roots on
-    different lines; exact trial division confirms it.
+    rational root of rem there: read off an isqrt of the discriminant when,
+    past its roots x = 0 and y = 0, rem is at most quadratic there, or else
+    from the divisors of the end coefficients (rational-root theorem;
+    PS12Error past 10^10).  Two of these three points are distinct, so it
+    is the cross product of two roots on different lines; exact trial
+    division confirms it.
     """
     points = []
     for p, q in combinations(_UNITS, 2):
         f = _on_line(rem, p, q)     # the root x / y is the point x p + y q
-        ends = [a for a in f if a]
-        for x, y in {(1, 0), (0, 1)} | {(s * u, v) for u in _divisors(ends[0])
-                                         for v in _divisors(ends[-1]) for s in (1, -1)}:
+        nonzero = [k for k, a in enumerate(f) if a]
+        g, roots = f[nonzero[0]:nonzero[-1] + 1], {(1, 0), (0, 1)}
+        if len(g) <= 3:
+            h0, h1, h2 = [0] * (3 - len(g)) + g
+            s = isqrt(max(disc := h1 * h1 - 4 * h0 * h2, 0))
+            roots |= {(-h1 + s, 2 * h2), (-h1 - s, 2 * h2)} if s * s == disc else set()
+        elif max(abs(g[0]), abs(g[-1])) > 10 ** 10:
+            raise PS12Error(f"no certificate decides whether {rem} splits over the reals")
+        else:
+            roots |= {(s * u, v) for u in _divisors(g[0]) for v in _divisors(g[-1])
+                      for s in (1, -1)}
+        for x, y in roots:
             if not sum(a * x ** k * y ** (len(f) - 1 - k) for k, a in enumerate(f)):
                 points.append([x * a + y * b for a, b in zip(p, q)])
     forms = []
@@ -701,11 +714,9 @@ def _on_line(rem: dict, p, q) -> list:
     (p, q), _ = _integer_rows([p, q])
     g = [0] * (sum(next(iter(rem))) + 1)
     for e, coef in rem.items():
-        term = [coef]
-        for pr, qr, n in zip(p, q, e):
-            for _ in range(n):
-                term = [a * qr + b * pr for a, b in zip(term + [0], [0] + term)]
-        g = [a + b for a, b in zip(g, term)]
+        line = [(pr, qr, 0) for pr, qr, n in zip(p, q, e) for _ in range(n)]
+        for (i, _, _), c in linear_product(coef, line).items():
+            g[i] += c
     return g
 
 

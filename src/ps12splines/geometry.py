@@ -41,7 +41,7 @@ from operator import add
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateTriangle, DomainError
-from .rational import common_denominator, is_exact
+from .rational import common_denominator, finite_numbers, is_exact
 
 
 class Point2(NamedTuple):
@@ -125,11 +125,15 @@ def bary_image(corners, b: Bary3) -> Point2:
 def make_frame(v1: Point2, v2: Point2, v3: Point2) -> PS12Frame:
     """Build the 12-split frame over the macrotriangle [v1, v2, v3].
 
-    Raises DegenerateTriangle when the corners are collinear or a coordinate
-    is NaN or infinite.  Exact corners are stored as Fractions, so every
-    split vertex is exact.
+    Raises DomainError unless each corner is a pair of numbers, and
+    DegenerateTriangle when the corners are collinear or a coordinate is
+    NaN or infinite.  Exact corners are stored as Fractions, so every split
+    vertex is exact.
     """
-    v1, v2, v3 = Point2(*v1), Point2(*v2), Point2(*v3)
+    corners = [finite_numbers(v, "a corner", DegenerateTriangle) for v in (v1, v2, v3)]
+    if any(len(v) != 2 for v in corners):
+        raise DomainError(f"a corner is a pair of numbers, not {v1!r}, {v2!r}, {v3!r}")
+    v1, v2, v3 = (Point2(*v) for v in corners)
     exact = is_exact(v1 + v2 + v3)
     if exact:
         v1, v2, v3 = (Point2(Fraction(p.x), Fraction(p.y)) for p in (v1, v2, v3))

@@ -111,8 +111,10 @@ def linear_product(scalar, forms) -> dict:
     polynomials in (c1, c2, c3), the edge restriction tables in the
     directional coordinates (a1, a2, a3), free of a1, and the smoothness
     relations in (b1, b2, b3).  Its value at (1, 1, 1) is sum(form.values()).
+    The coefficients are of the input's kind: ints for an int scalar and
+    int forms, Fractions when any input is one.
     """
-    out = {(0, 0, 0): Fraction(scalar)} if scalar else {}
+    out = {(0, 0, 0): scalar} if scalar else {}
     for form in forms:
         nxt = {}
         for (i, j, k), c in out.items():

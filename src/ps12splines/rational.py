@@ -3,6 +3,7 @@
 A computation is exact iff every input is an ``int`` or a ``Fraction``
 (:func:`is_exact`, the one place this is decided); it then returns
 Fractions.  Any other number selects the float layer (double precision).
+Numeric input is checked by one rule (:func:`finite_numbers`).
 Exact kernels carry integers over one common denominator
 (:func:`common_denominator`) and make each result a Fraction once.
 Serialized rationals are ``"p/q"`` strings in lowest terms with positive
@@ -12,7 +13,8 @@ denominator; plain integers round-trip as ``"p/1"``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
+from numbers import Rational, Real
 
 from .errors import DomainError, ParseError
 
@@ -23,6 +25,20 @@ def is_exact(values) -> bool:
     # floats are turned away first, in one C-level scan: isinstance(float,
     # Fraction) takes the slow ABC path, and float evaluation asks this per point
     return float not in map(type, values) and all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def finite_numbers(values, what: str, nonfinite=DomainError) -> list:
+    """values as a list; DomainError unless a sequence of real numbers, and
+    nonfinite unless each is exact or finite."""
+    if not hasattr(values, "__iter__"):
+        raise DomainError(f"{what} must be a sequence of finite numbers")
+    values = list(values)
+    if not is_exact(values):
+        if not all(isinstance(x, Real) for x in values):
+            raise DomainError(f"{what} must be numbers")
+        if not all(isinstance(x, Rational) or isfinite(x) for x in values):
+            raise nonfinite(f"{what} must be finite numbers")
+    return values
 
 
 def common_denominator(values) -> tuple[int, list]:

@@ -14,8 +14,10 @@ The recursion runs once per multiset, face by face on Bernstein forms
 (_face_ordinates), and every value and derivative is read from the
 resulting per-face tables: functional_row locates a point (_locate) and
 builds the Bernstein row whose dot product with a face table is a value or
-a derivative there, for eval_simplex, derivative, the dual functionals and
-the exact spline layer; float_value does the same in one pass for a float value.
+a derivative there, for derivative (eval_simplex is its order 0), the dual
+functionals and the exact spline layer; float_value does the same in one
+pass for a float value.  Expanding a derivative over sub-multisets by the
+knot-multiset recursion is left to the tests, as their oracle.
 
 Everything is exact on the reference frame, taken scaled by 12 so that the
 ten split vertices are integer points (the per-face recursion runs on
@@ -49,7 +51,7 @@ from .geometry import (
     signed_area2,
     to_bary,
 )
-from .rational import is_exact, short_form
+from .rational import finite_numbers, is_exact, short_form
 
 KnotMultiset = tuple  # 10 nonnegative ints
 
@@ -159,103 +161,56 @@ def hull_area(act: tuple) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation and differentiation
 # ---------------------------------------------------------------------------
 
 def eval_simplex(frame: PS12Frame, K: KnotMultiset, p: Point2):
-    """Exact value of Q[K] at p: the located Bernstein row times Q[K]'s
-    table on that face, zero outside the closed macrotriangle and on faces
-    outside the support.
+    """Value of Q[K] at p: derivative(frame, K, (0, 0, 0), 0)(p)."""
+    return derivative(frame, K, (0, 0, 0), 0)(p)
 
-    Float barycentrics, which need not sum to 1, are converted to exact
-    binary rationals; the point (1 - b2 - b3, b2, b3) they give is located,
-    evaluated exactly and returned as float, so the half-open convention is
-    applied without roundoff ambiguity.  A NaN or infinite coordinate raises
-    OutsideDomain.
+
+def derivative(frame: PS12Frame, K: KnotMultiset, direction, order: int = 1):
+    """Directional derivative D^order Q[K] along direction, three corner
+    coefficients a summing to 0 (the vector a1 v1 + a2 v2 + a3 v3), as a
+    function of points of the frame.
+
+    Its value at p is the row functional_row locates there, with one
+    derivative along a per order, dotted with Q[K]'s table on that face:
+    one-sided on the face the half-open convention picks, zero outside the
+    closed macrotriangle.  A float point is taken at the binary rationals
+    b2, b3 of its barycentrics, with b1 = 1 - b2 - b3, and the exact value
+    there is returned as float.  Raises TooFewKnots when |K| < 3,
+    InvalidDirection unless a is three exact or finite numbers summing to 0
+    and order an int in 0..degree(K), and OutsideDomain at a NaN or
+    infinite coordinate.
     """
     K = knots(K)
     if knot_count(K) < 3:
         raise TooFewKnots(f"|K| = {knot_count(K)} < 3")
-    beta = to_bary(frame, Point2(*p))
-    if not (is_exact(beta) or isfinite(sum(beta))):
-        raise OutsideDomain(f"point {tuple(p)} is not finite")
-    _, b2, b3 = map(Fraction, beta)
-    exact_beta = (1 - b2 - b3, b2, b3)
-    val = Fraction(0)
-    if min(exact_beta) >= 0:
-        fi, rden, row = functional_row(exact_beta, (), degree(K))
-        den, faces = _face_ordinates(K)
-        if faces[fi - 1]:
-            val = Fraction(sum(map(mul, row, faces[fi - 1])), rden * den)
-    return val if is_exact(beta) else float(val)
-
-
-# ---------------------------------------------------------------------------
-# Differentiation
-# ---------------------------------------------------------------------------
-
-def _combination_over_active(K: KnotMultiset, coeffs3: tuple):
-    """Represent a corner combination over K's active knots.
-
-    coeffs3 are exact coefficients over the corners: a point (summing to 1)
-    or a direction (summing to 0).  Returns a dict
-    {vertex index: coefficient} supported on the lowest-index independent
-    triple, rewriting each corner vi through its exact barycentric
-    coordinates with respect to that triple; None when there is no triple.
-    """
-    act = active_indices(K)
-    tri = _independent_triple(act)
-    if tri is None:
-        return None
-    den, vb = _vertex_bary(tri)
-    out = {idx: Fraction(sum(c * vb[corner][n] for corner, c in enumerate(coeffs3)), den)
-           for n, idx in enumerate(tri)}
-    return {i: c for i, c in out.items() if c}
-
-
-def derivative_expansion(K: KnotMultiset, direction, order: int = 1) -> list:
-    """Expand D^order in the given direction as [(coef, multiset)] terms.
-
-    direction is a directional triple over the corners (sums to 0).  The
-    factor |K| - 3 per differentiation is included in the coefficients.
-    Raises InvalidDirection for any other number of entries, a nonzero sum
-    and an order outside 0..degree.
-    """
-    K = knots(K)
-    if len(direction) != 3:
-        raise InvalidDirection(f"a direction has 3 corner coefficients, not {len(direction)}")
-    if not 0 <= order <= degree(K):
-        raise InvalidDirection(f"order {order} outside 0..{degree(K)}")
-    corner_dir = tuple(Fraction(x) for x in direction)
-    if sum(corner_dir) != 0:
-        raise InvalidDirection(f"directional coordinates sum to {sum(corner_dir)} != 0")
-    terms = [(Fraction(1), K)]
-    for _ in range(order):
-        nxt = {}
-        for coef, m in terms:
-            rep = _combination_over_active(m, corner_dir)
-            if rep is None:
-                continue
-            n = sum(m)
-            for idx, a in rep.items():
-                child = m[:idx - 1] + (m[idx - 1] - 1,) + m[idx:]
-                nxt[child] = nxt.get(child, 0) + coef * (n - 3) * a
-        terms = [(c, m) for m, c in nxt.items() if c]
-    return terms
-
-
-def derivative(frame: PS12Frame, K: KnotMultiset, direction, order: int = 1):
-    """Directional derivative D^order Q[K] as an evaluable function.
-
-    The returned callable evaluates the exact expansion at points of the
-    frame; its ``terms`` attribute holds the [(coef, multiset)] combination.
-    """
-    terms = [(Fraction(1), knots(K))] if order == 0 else derivative_expansion(K, direction, order)
+    try:
+        delta = tuple(map(Fraction, finite_numbers(direction, "a direction")))
+    except DomainError as exc:
+        raise InvalidDirection(str(exc)) from None
+    if len(delta) != 3 or sum(delta):
+        raise InvalidDirection(f"a direction is 3 corner coefficients summing to 0, "
+                               f"not {direction!r}")
+    if isinstance(order, bool) or not isinstance(order, int) or not 0 <= order <= degree(K):
+        raise InvalidDirection(f"order {order!r} is not an int in 0..{degree(K)}")
 
     def fn(p):
-        return sum((c * eval_simplex(frame, m, p) for c, m in terms), start=Fraction(0))
+        beta = to_bary(frame, Point2(*p))
+        if not (is_exact(beta) or isfinite(sum(beta))):
+            raise OutsideDomain(f"point {tuple(p)} is not finite")
+        _, b2, b3 = map(Fraction, beta)
+        exact_beta = (1 - b2 - b3, b2, b3)
+        val = Fraction(0)
+        if min(exact_beta) >= 0:
+            fi, rden, row = functional_row(exact_beta, (delta,) * order, degree(K))
+            den, faces = _face_ordinates(K)
+            if faces[fi - 1]:
+                val = Fraction(sum(map(mul, row, faces[fi - 1])), rden * den)
+        return val if is_exact(beta) else float(val)
 
-    fn.terms = terms
     return fn
 
 

@@ -44,7 +44,7 @@ from .geometry import (PS12Frame, Point2, S3_ELEMENTS, _layer_face_bary_matrices
                        s3_apply_bary, to_bary)
 from .linalg import _integer_solve, identity, inf_norm, integer_mat_vec
 from .marsden_catalog import BASIS_IDS, catalog
-from .rational import common_denominator, is_exact
+from .rational import common_denominator, finite_numbers, is_exact
 from .simplex_spline import (SNAP_TOL, FaceForms, _face_ordinates, _row_terms, float_value,
                              functional_row)
 
@@ -60,7 +60,7 @@ class Spline:
     def __post_init__(self):
         if self.basis not in BASIS_IDS:
             raise UnsupportedBasis(f"basis {self.basis!r} not in a..f")
-        if len(self.coeffs) != 39:
+        if len(finite_numbers(self.coeffs, "the coefficients")) != 39:
             raise DimensionMismatch(f"need 39 coefficients, got {len(self.coeffs)}")
 
     def __call__(self, p):
@@ -253,7 +253,7 @@ def lagrange_interpolate(basis_id: str, frame: PS12Frame, values) -> Spline:
     Exact values give Fraction coefficients from one integer mat-vec with
     the cached inverse, float values give float coefficients.
     """
-    values = list(values)
+    values = finite_numbers(values, "the values")
     if len(values) != 39:
         raise DimensionMismatch(f"need 39 values, got {len(values)}")
     _, d, n = _collocation(basis_id)

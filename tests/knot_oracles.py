@@ -1,6 +1,10 @@
-"""The knot-multiset route to edge restrictions, knot windows and knot insertion.
+"""The knot-multiset route to derivatives, edge restrictions, knot windows
+and knot insertion.
 
 The tests' oracles for what the library reads off its per-face tables:
+- derivative_expansion expands D^k Q[K] over sub-multisets of K by the
+  knot-multiset recursion, against which the library's derivative (one
+  functional_row per point) is checked;
 - restrict_to_edge restricts Q[K] to a macro edge through the knot counts
   on that edge (expand_window), the route that assembly's
   edge_restriction_tables and the search's boundary rule are checked against;
@@ -20,8 +24,8 @@ from ps12splines.bspline1d import (UnivariateBSplineRef, _is_int, _pieces, bspli
 from ps12splines.errors import DomainError, TooFewKnots
 from ps12splines.geometry import EDGES, VERTEX_BARY
 from ps12splines.rational import is_exact
-from ps12splines.simplex_spline import (KnotMultiset, _combination_over_active, active_indices,
-                                        hull_area, knot_count, knots)
+from ps12splines.simplex_spline import (KnotMultiset, _independent_triple, _vertex_bary,
+                                        active_indices, hull_area, knot_count, knots)
 
 HALF = Fraction(1, 2)
 
@@ -118,8 +122,48 @@ def restrict_to_edge(frame, K: KnotMultiset, edge) -> EdgeRestriction:
 
 
 # ---------------------------------------------------------------------------
-# Knot insertion
+# Derivatives and knot insertion
 # ---------------------------------------------------------------------------
+
+def _combination_over_active(K: KnotMultiset, coeffs3: tuple):
+    """Represent a corner combination over K's active knots.
+
+    coeffs3 are exact coefficients over the corners: a point (summing to 1)
+    or a direction (summing to 0).  Returns a dict
+    {vertex index: coefficient} supported on the lowest-index independent
+    triple, rewriting each corner vi through its exact barycentric
+    coordinates with respect to that triple; None when there is no triple.
+    """
+    act = active_indices(K)
+    tri = _independent_triple(act)
+    if tri is None:
+        return None
+    den, vb = _vertex_bary(tri)
+    out = {idx: Fraction(sum(c * vb[corner][n] for corner, c in enumerate(coeffs3)), den)
+           for n, idx in enumerate(tri)}
+    return {i: c for i, c in out.items() if c}
+
+
+def derivative_expansion(K: KnotMultiset, direction, order: int = 1) -> list:
+    """Expand D^order Q[K] along a corner triple direction (summing to 0)
+    as [(coef, multiset)] terms, by D Q[K] = (|K| - 3) sum_j a_j Q[K - e_j]
+    with direction = sum_j a_j v_j over K's lowest-index independent triple;
+    the factor |K| - 3 per differentiation is in the coefficients."""
+    corner_dir = tuple(map(Fraction, direction))
+    terms = [(Fraction(1), knots(K))]
+    for _ in range(order):
+        nxt = {}
+        for coef, m in terms:
+            rep = _combination_over_active(m, corner_dir)
+            if rep is None:
+                continue
+            n = sum(m)
+            for idx, a in rep.items():
+                child = m[:idx - 1] + (m[idx - 1] - 1,) + m[idx:]
+                nxt[child] = nxt.get(child, 0) + coef * (n - 3) * a
+        terms = [(c, m) for m, c in nxt.items() if c]
+    return terms
+
 
 def insert_knot(K: KnotMultiset, y: int) -> list:
     """Rewrite Q[K] over the multiset with vertex y inserted.

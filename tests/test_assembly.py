@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rational_points
-from knot_oracles import restrict_to_edge
+from knot_oracles import derivative_expansion, restrict_to_edge
 from tripoly import TriPoly
 from ps12splines import assembly
 from ps12splines.assembly import (
@@ -35,7 +35,7 @@ from ps12splines.geometry import (EDGES, Point2, direction_coords, from_bary, ma
 from ps12splines.linalg import mat_vec
 from ps12splines.marsden_catalog import catalog
 from ps12splines.rational import is_exact
-from ps12splines.simplex_spline import derivative_expansion, functional_row, knots
+from ps12splines.simplex_spline import functional_row, knots
 from ps12splines.spline_fn import eval_spline, face_forms, lagrange_interpolate, scaled_basis_tables
 
 a1, a2, a3 = (TriPoly.variable(i) for i in range(3))

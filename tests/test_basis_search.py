@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
@@ -538,6 +539,30 @@ def test_split_raises_without_a_certificate():
     with pytest.raises(PS12Error):
         cubic = c1 ** 3 + c1 * c1 * c2 - 2 * c1 * c2 * c2 - c2 ** 3
         split_linear_factors((c3 * c3 * cubic).terms)
+
+
+def test_split_with_a_large_coefficient_ends_at_once():
+    """N = 10^18 + 9 in c3^3 (c1^2 + c1 c2 + N c2^2): the quadratic's roots
+    on the coordinate lines come from an isqrt of its discriminant, not from
+    the divisors of N (trial division to sqrt(N) took minutes), and it is
+    rejected; with N (N + 1) it splits into (c1 - N c2)(c1 - (N + 1) c2).
+    The cubic analogue c3^2 (c1 + N c2)(c1^2 - 2 c2^2) has no non-real root
+    on any line and would need the divisors of 2N: PS12Error, at once,
+    while with N = 10^6 + 3 it splits."""
+    c1, c2, c3 = (TriPoly.variable(i) for i in range(3))
+    n = 10 ** 18 + 9
+    t0 = time.perf_counter()
+    out = split_linear_factors({(2, 0, 3): 1, (1, 1, 3): 1, (0, 2, 3): n})
+    assert not out.split and out.diagnostic.startswith("quadratic factor without a real split")
+    out = split_linear_factors((c3 ** 3 * (c1 - n * c2) * (c1 - (n + 1) * c2)).terms)
+    assert out.split and out.scalar == n * (n - 1)
+    assert sorted(out.forms) == sorted([(0, 0, 1)] * 3 + [(F(1, 1 - n), F(-n, 1 - n), 0),
+                                                          (F(-1, n), F(n + 1, n), 0)])
+    with pytest.raises(PS12Error, match="no certificate decides"):
+        split_linear_factors((c3 ** 2 * (c1 + n * c2) * (c1 * c1 - 2 * c2 * c2)).terms)
+    assert time.perf_counter() - t0 < 5
+    out = split_linear_factors((c3 ** 2 * (c1 + (10 ** 6 + 3) * c2) * (c1 * c1 - 2 * c2 * c2)).terms)
+    assert (out.split, out.forms) == (True, None)
 
 
 def test_split_is_total_on_products_of_rational_forms():

@@ -129,6 +129,23 @@ BAD_CALLS = {
         assembly.GlobalSpline(MESH, ((F(0),) * 39,) * 2), (1, 2), 6),
     "verify_smoothness NaN coefficient": lambda: assembly.verify_smoothness(
         assembly.GlobalSpline(MESH, ((0.5,) * 39, (math.nan,) + (0.5,) * 38)), (1, 2), 2),
+    "Spline str coefficients": lambda: spline_fn.eval_spline(spline_fn.Spline(
+        geometry.reference_frame(), "c", ("a",) * 39), (F(1, 3), F(1, 3))),
+    "Spline None coefficients": lambda: spline_fn.Spline(
+        geometry.reference_frame(), "c", (None,) * 39),
+    "Spline None": lambda: spline_fn.Spline(geometry.reference_frame(), "c", None),
+    "eval_spline NaN coefficient": lambda: spline_fn.eval_spline(spline_fn.Spline(
+        FLOAT_FRAME, "c", (math.nan,) + (0.5,) * 38), (0.2, 0.3)),
+    "eval_many infinite coefficient": lambda: spline_fn.eval_many(spline_fn.Spline(
+        FLOAT_FRAME, "c", (0.5,) * 38 + (math.inf,)), [(0.2, 0.3, 0.5)]),
+    "lagrange_interpolate None values": lambda: spline_fn.lagrange_interpolate(
+        "c", geometry.reference_frame(), [None] * 39),
+    "lagrange_interpolate NaN value": lambda: spline_fn.lagrange_interpolate(
+        "c", geometry.reference_frame(), [math.nan] + [0.5] * 38),
+    "make_frame three coordinates": lambda: geometry.make_frame((0, 0, 0), (1, 0), (0, 1)),
+    "make_frame int corner": lambda: geometry.make_frame(0, (1, 0), (0, 1)),
+    "triangulation str vertex": lambda: assembly.triangulation(
+        [("a", "b"), (1, 0), (0, 1)], [(0, 1, 2)]),
 }
 
 
@@ -215,19 +232,28 @@ def test_search_functions_read_a_candidate_and_its_multisets_alike():
 BAD_DIRECTIONS = {
     "four entries": (1, -1, 1, -1),
     "two entries": (1, -1),
+    "nonzero sum": (1, 0, 0),
+    "strings": ("1", "-1", "0"),
+    "one string": "1-1",
+    "None": None,
+    "None entry": (1, None, -1),
+    "NaN entry": (1.0, math.nan, -1.0),
+    "infinite entries": (math.inf, -math.inf, 0.0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_DIRECTIONS))
 def test_bad_direction_raises_invalid_direction(name):
-    with pytest.raises(InvalidDirection):
-        simplex_spline.derivative_expansion(K, BAD_DIRECTIONS[name])
+    """At every order, the plain value (order 0) included."""
+    for order in (0, 1):
+        with pytest.raises(InvalidDirection):
+            simplex_spline.derivative(geometry.reference_frame(), K, BAD_DIRECTIONS[name], order)
 
 
-@pytest.mark.parametrize("order", [-1, 6])
+@pytest.mark.parametrize("order", [-1, 6, 1.0, True, None])
 def test_derivative_order_outside_0_to_degree_raises_invalid_direction(order):
     with pytest.raises(InvalidDirection):
-        simplex_spline.derivative_expansion(K, (1, -1, 0), order)
+        simplex_spline.derivative(geometry.reference_frame(), K, (1, -1, 0), order)
 
 
 FLOAT_FRAME = geometry.make_frame((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rational_points
-from knot_oracles import insert_knot, restrict_to_edge
+from knot_oracles import derivative_expansion, insert_knot, restrict_to_edge
 from ps12splines.bspline1d import UnivariateBSplineRef
 from ps12splines.errors import (
     DomainError,
@@ -37,7 +38,6 @@ from ps12splines.simplex_spline import (
     _face_ordinates,
     bernstein_row,
     derivative,
-    derivative_expansion,
     eval_simplex,
     integral,
     knots,
@@ -97,12 +97,14 @@ def _hull(act):
     return hull
 
 
+@lru_cache(maxsize=None)
 def _hull_area(act):
     """Shoelace area of the knots' convex hull."""
     h = _hull(act)
     return abs(sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(h, h[1:] + h[:1]))) / 2
 
 
+@lru_cache(maxsize=None)
 def _support(act):
     """Faces whose centroid lies in the closed convex hull of the knots."""
     h = _hull(act)
@@ -135,13 +137,19 @@ def _on_split_line(i, j):
 
 
 def _oracle_eval(K, beta, high=False):
-    """Q[K] at reference macro-barycentrics beta by the pointwise recursion
-    Q[m](x) = sum_j b_j Q[m - e_j](x) over the lowest-index (or the
-    highest-index) independent triple, with the |m| = 3 base case
-    1 / (2 area) on the support faces, read at the face of x."""
+    """Q[K] at reference macro-barycentrics beta (_oracle)."""
+    return _oracle(beta, high)(tuple(K))
+
+
+def _oracle(beta, high=False):
+    """m -> Q[m] at reference macro-barycentrics beta, memoized, by the
+    pointwise recursion Q[m](x) = sum_j b_j Q[m - e_j](x) over the
+    lowest-index (or the highest-index) independent triple, with the
+    |m| = 3 base case 1 / (2 area) on the support faces, read at the face
+    of x."""
     x = tuple(sum(b * p[k] for b, p in zip(beta, REF_POINTS)) for k in (0, 1))
     face = _face_of(x)
-    memo = {}
+    memo, bary = {}, lru_cache(maxsize=None)(lambda tri: _bary(tri, x))
 
     def rec(m):
         if m not in memo:
@@ -153,10 +161,10 @@ def _oracle_eval(K, beta, high=False):
                 memo[m] = 1 / (2 * _hull_area(act)) if face in _support(act) else F(0)
             else:
                 memo[m] = sum((g * rec(m[:i - 1] + (m[i - 1] - 1,) + m[i:])
-                               for g, i in zip(_bary(tri, x), tri) if g), F(0))
+                               for g, i in zip(bary(tri), tri) if g), F(0))
         return memo[m]
 
-    return rec(tuple(K))
+    return rec
 
 
 def _fraction_face_ordinates(m, memo):
@@ -263,8 +271,9 @@ def test_eval_simplex_matches_recursion_oracle(idx, frame, fi, weights, outside,
     """Any knot vector of 3 to 9 knots on the ten vertices, at rational
     points inside a face, on its edges, at split vertices and outside the
     macrotriangle: eval_simplex is the pointwise recursion, and derivative()
-    the recursion summed over its terms.  A float point gives the float of
-    the recursion at the binary rationals of its barycentrics."""
+    the recursion summed over the terms of the knot-multiset expansion.  A
+    float point gives the float of the recursion at the binary rationals of
+    its barycentrics."""
     K = tuple(idx.count(i) for i in range(10))
     beta = _face_or_outside_point(fi, weights, outside)
     p = from_bary(frame, beta)
@@ -285,8 +294,46 @@ def test_eval_simplex_matches_recursion_oracle(idx, frame, fi, weights, outside,
     assert isinstance(got, float) and got.hex() == float(_oracle_eval(K, (1 - b2 - b3, b2, b3))).hex()
     if order <= len(idx) - 3:
         d = (-direction[0] - direction[1],) + direction
-        fn = derivative(frame, K, d, order)
-        assert fn(p) == sum((c * _oracle_eval(m, beta) for c, m in fn.terms), F(0))
+        want = sum((c * _oracle_eval(m, beta) for c, m in derivative_expansion(K, d, order)), F(0))
+        assert derivative(frame, K, d, order)(p) == want
+
+
+def test_derivative_of_every_admissible_spline_on_face_edges_matches_the_expansion():
+    """The 99 admissible splines at orders 0-5 on both frames, along seeded
+    rational directions, at seeded exact points on the edges of the faces
+    and at the midpoints of those edges: derivative() is the knot-multiset
+    expansion summed with the pointwise recursion, on the face the
+    half-open convention picks (orders 4 and 5 jump across some of those
+    edges, so there the choice shows).  At the point rounded to floats it
+    is the float of that sum at the binary rationals of its barycentrics."""
+    from ps12splines.basis_search import enumerate_admissible
+    rng = random.Random(32)
+    edges = sorted({e for f in FACES for e in combinations(sorted(f), 2)})
+    assert len(edges) == 21
+
+    def on_edge(e, t):
+        return tuple((1 - t) * a + t * b for a, b in zip(*(VERTEX_BARY[v - 1] for v in e)))
+
+    points = [on_edge(e, F(1, 2)) for e in edges] + \
+        [on_edge(rng.choice(edges), F(rng.randint(1, 12), 13)) for _ in range(21)]
+    oracles = [_oracle(beta) for beta in points]
+    quintics = sorted(K for cls in enumerate_admissible() for K in cls.members)
+    assert len(quintics) == 99
+    for K in quintics:
+        for order in range(6):
+            x, y = (F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(2))
+            d = (x, y, -x - y)
+            terms = derivative_expansion(K, d, order)
+            for frame in _FRAMES:
+                fn = derivative(frame, K, d, order)
+                for n in rng.sample(range(21), 3) + rng.sample(range(21, 42), 3):
+                    p = from_bary(frame, points[n])
+                    assert fn(p) == sum((c * oracles[n](m) for c, m in terms), F(0)), (K, n)
+                pf = Point2(float(p.x), float(p.y))
+                _, b2, b3 = (F(b) for b in to_bary(frame, pf))
+                rec = _oracle((1 - b2 - b3, b2, b3))
+                want = float(sum((c * rec(m) for c, m in terms), F(0)))
+                assert fn(pf).hex() == want.hex(), (K, order)
 
 
 def test_knot_triangle_across_a_face_raises(ref):
@@ -356,12 +403,12 @@ def test_derivative_order_k_equals_iterated(ref):
 
 def test_derivative_validation(ref):
     with pytest.raises(InvalidDirection):
-        derivative_expansion(knots("141110"), (F(1), F(0), F(0)), 1)
+        derivative(ref, knots("141110"), (F(1), F(0), F(0)), 1)
     bad10 = [F(0)] * 10
     bad10[5] = F(1)   # a 10-vector over the knots is not a corner triple
     bad10[0] = F(-1)
     with pytest.raises(InvalidDirection):
-        derivative_expansion(knots("141110"), bad10, 1)
+        derivative(ref, knots("141110"), bad10, 1)
 
 
 def test_insert_knot_midpoint_split(ref):
