@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import comb, isfinite, lcm, perm
+from math import comb, lcm, perm
 from numbers import Integral
-from operator import add, truediv
+from operator import add, mul, truediv
 
 from .errors import (
     DegenerateTriangle,
@@ -39,7 +39,8 @@ from .errors import (
     NonConformingMesh,
 )
 from .bspline1d import UnivariateBSplineRef, bspline_coefficients, bspline_derivative
-from .dual_functionals import FUNCTIONALS, JET_ORDERS, direction_vectors, lambda_vector
+from .dual_functionals import (DIRECTIONS, FUNCTIONALS, JET_ORDERS, bary_direction,
+                               direction_vectors, lambda_vector)
 from .geometry import (EDGES, FACES, VERTEX_BARY, PS12Frame, Point2, _layer_face_bary_matrices,
                        direction_coords, face_bary, locate_face_bary, make_frame)
 from .linalg import inverse, mat_vec, solve, sparse_integer_matrix
@@ -332,8 +333,12 @@ class Triangulation:
 
 
 def triangulation(vertices, triangles) -> Triangulation:
-    return Triangulation(tuple(Point2(*v) for v in vertices),
-                         tuple(tuple(t) for t in triangles))
+    """Raises DomainError for a vertex that is not a pair, as make_frame does."""
+    try:
+        points = tuple(Point2(*v) for v in vertices)
+    except TypeError:
+        raise DomainError("a vertex is a pair of numbers") from None
+    return Triangulation(points, tuple(tuple(t) for t in triangles))
 
 
 @dataclass(frozen=True)
@@ -407,8 +412,6 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
         raise NonConformingMesh(f"edge {edge} is not an interior edge")
     splines = [gs.spline(t) for t in adj]
     exact = all(s.exact for s in splines)
-    if not all(isfinite(x) for s in splines if not s.exact for f in s._float_forms.ords for x in f):
-        raise DomainError("verify_smoothness needs finite float ordinates")
     tol = 1e-10 if tol is None and not exact else tol
     va, vb = (gs.tri.vertices[i] for i in edge)
     u = Point2(-(vb.y - va.y), vb.x - va.x)
@@ -500,6 +503,9 @@ _JET_STEPS = {(n + 1) * (n + 2) // 2: tuple((JET_ORDERS.index((a + 1, b)), JET_O
 #: prefix: per corner as in FUNCTIONALS, on an edge t^o then n t^o.
 _CORNER_PATHS = {c: [f.directions for f in FUNCTIONALS if f.site[:2] == ("v", c)] for c in (1, 2, 3)}
 _EDGE_PATHS = tuple(("t",) * o for o in range(4)) + tuple(("n",) + ("t",) * o for o in range(3))
+
+#: Each named direction's corner weights (head minus tail), doubled to integers.
+_DOUBLED_DIRECTIONS = {name: tuple(int(2 * x) for x in bary_direction(name)) for name in DIRECTIONS}
 
 
 def _jet_values(jet, den, dirs, paths) -> list:
@@ -607,15 +613,21 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
         q, nums = over_one([pair(d2q1), g_q1, f_q1, pair(d1m), f_m, pair(d2q2), g_q2, f_q2])
         edge_values[a, b] = (dirs["t"], dirs["n"], den, q, nums[:3], nums[3:5], nums[5:])
 
-    # exact corners as Fractions, as make_frame stores them
-    points = [Point2(*map(Fraction, p)) if is_exact(p) else p for p in tri.vertices]
+    # float data: exact corners as Fractions, as make_frame stores them
+    points = None if exact else [Point2(*map(Fraction, p)) if is_exact(p) else p
+                                 for p in tri.vertices]
     nodal = _nodal_integer() if exact else [
         (w, [(k, n, f) for k, (n, f) in enumerate(zip(col, fcol)) if f])
         for w, col, fcol in _nodal_float()]
     coeff_vectors = []
     for tri_idx in tri.triangles:
-        # the nine directions on this triangle; the jets take them over one denominator
-        den, dirs = vectors(direction_vectors([points[i] for i in tri_idx]))
+        # the nine directions on this triangle over one denominator (exact: twice the corners')
+        if exact:
+            e, n = common_denominator([x for i in tri_idx for x in tri.vertices[i]])
+            den, dirs = 2 * e, {name: (sum(map(mul, t, n[0::2])), sum(map(mul, t, n[1::2])))
+                                for name, t in _DOUBLED_DIRECTIONS.items()}
+        else:
+            den, dirs = vectors(direction_vectors([points[i] for i in tri_idx]))
         # the values in FUNCTIONALS order: each corner's jet functionals, then per edge q1, m, q2
         values = [x for c, v in enumerate(tri_idx, 1)
                   for x in _jet_values(jets[v], den, dirs, _CORNER_PATHS[c])]

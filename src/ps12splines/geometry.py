@@ -86,7 +86,8 @@ def signed_area2(a: Point2, b: Point2, c: Point2):
 
 @dataclass(frozen=True)
 class PS12Frame:
-    """A macrotriangle with its ten split vertices and twelve faces."""
+    """A macrotriangle with its ten split vertices and twelve faces; an exact
+    one also holds its corners as integers over one denominator (_int_corners)."""
 
     corners: tuple  # Point2 v1, v2, v3
     area: object = None  # signed area of [v1, v2, v3]
@@ -100,6 +101,16 @@ class PS12Frame:
     def area2(self):
         """signed_area2 of the corners, the denominator of to_bary, made on first read."""
         return signed_area2(*self.corners)
+
+    @cached_property
+    def _int_corners(self):
+        """(e, (A, B, C), a2): exact corners as integer Point2s over their lcm
+        denominator e, with a2 = signed_area2(A, B, C) = e^2 area2; else None."""
+        if not is_exact(coords := [x for p in self.corners for x in p]):
+            return None
+        e, n = common_denominator(coords)
+        pts = (Point2(n[0], n[1]), Point2(n[2], n[3]), Point2(n[4], n[5]))
+        return e, pts, signed_area2(*pts)
 
     def vertex(self, i: int) -> Point2:
         """Vertex by 1-based index."""
@@ -162,8 +173,16 @@ def bary_coords(corners, p: Point2, d=None) -> Bary3:
 
 
 def to_bary(frame: PS12Frame, p: Point2) -> Bary3:
-    """Barycentric coordinates of p with respect to the macrotriangle."""
-    return bary_coords(frame.corners, Point2(*p), frame.area2)
+    """Barycentric coordinates of p with respect to the macrotriangle; an exact
+    point of an exact frame by bary_coords' cross products on integers."""
+    p = Point2(*p)
+    if frame._int_corners is None or not is_exact(p):
+        return bary_coords(frame.corners, p, frame.area2)
+    e, (a, b, c), a2 = frame._int_corners
+    f, (x, y) = common_denominator(p)
+    x, y, d = e * x - f * c.x, e * y - f * c.y, f * a2  # e f (p - c), and e^2 f area2
+    n1, n2 = x * (b.y - c.y) - y * (b.x - c.x), y * (a.x - c.x) - x * (a.y - c.y)
+    return Fraction(n1, d), Fraction(n2, d), Fraction(d - n1 - n2, d)
 
 
 def from_bary(frame: PS12Frame, b: Bary3) -> Point2:

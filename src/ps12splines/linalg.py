@@ -20,7 +20,6 @@ Right-hand sides of :func:`solve` are rational matrices; :func:`inverse` is
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
 from .errors import DimensionMismatch, SingularSystem
 from .rational import common_denominator
@@ -42,13 +41,6 @@ def sparse_integer_matrix(A: Matrix) -> tuple[int, tuple]:
     d, nums = common_denominator([x for row in A for x in row])
     return d, tuple(tuple((j, x) for j, x in enumerate(nums[k:k + len(A[0])]) if x)
                     for k in range(0, len(nums), len(A[0])))
-
-
-def integer_mat_vec(d: int, rows, x) -> tuple:
-    """(rows / d) x for an exact x: x over one denominator, one integer dot
-    product and one Fraction per entry."""
-    den, v = common_denominator(x)
-    return tuple(Fraction(sum(map(mul, r, v)), den * d) for r in rows)
 
 
 def inf_norm(A: Matrix) -> Fraction:

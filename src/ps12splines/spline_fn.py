@@ -8,20 +8,20 @@ with its coefficients.  Values are exact Fractions when coefficients, frame
 and points are exact (rational.is_exact): the exact kernels run on integers
 (the located row, the table and the coefficients each over one
 denominator, the coefficients scaled once per spline and contracted once
-per face on the face's first read, which exact eval_spline and the
-assembly's join check share) and divide once per result.  Otherwise the
-float layer contracts the integer table with the float coefficients once
-per spline into 12 x 21 face ordinates, in plain Python (each a
-left-to-right sum of the nonzero products, divided once), so its bits
-depend on neither a BLAS build nor the Python version (float coefficients
-are in range up to about 1e303).  Float eval_spline (one point, by
+per face, from its nonzero table entries, on the face's first read, which
+exact eval_spline and the assembly's join check share) and divide once per
+result.  Otherwise the float layer contracts the same nonzero entries with
+the float coefficients once per spline into 12 x 21 face ordinates, in
+plain Python (each a left-to-right sum of the products, divided once), so
+its bits depend on neither a BLAS build nor the Python version (float
+coefficients beyond about 1.4e303 raise DomainError).  Float eval_spline (one point, by
 simplex_spline.float_value) and eval_many (a numpy batch) read those ordinates
 with the same IEEE operations in the same order, so they agree bit for bit.
 Only eval_many imports numpy.
 The domain-point collocation matrix has rows summing to one, and its exact
-inverse, kept as integers over one denominator, gives Lagrange
-interpolation as one integer mat-vec and bounds the basis condition number
-in the max norm.
+inverse, kept as integers over one reduced denominator, gives Lagrange
+interpolation as one integer mat-vec (whose integers the exact spline
+keeps) and bounds the basis condition number in the max norm.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, combinations, islice
-from math import lcm
+from itertools import accumulate, chain, combinations, islice
+from math import gcd, isfinite, lcm
 from numbers import Real
 from operator import add, itemgetter, mul, truediv
 from typing import TYPE_CHECKING
@@ -42,7 +42,7 @@ from .errors import (BoundViolated, DimensionMismatch, DomainError, OutsideDomai
                      UnsupportedBasis)
 from .geometry import (PS12Frame, Point2, S3_ELEMENTS, _layer_face_bary_matrices, from_bary,
                        s3_apply_bary, to_bary)
-from .linalg import _integer_solve, identity, inf_norm, integer_mat_vec
+from .linalg import _integer_solve, identity, inf_norm
 from .marsden_catalog import BASIS_IDS, catalog
 from .rational import common_denominator, finite_numbers, is_exact
 from .simplex_spline import (SNAP_TOL, FaceForms, _face_ordinates, _row_terms, float_value,
@@ -75,7 +75,7 @@ class Spline:
     @cached_property
     def exact(self) -> bool:
         """True when the coefficients and the frame corners are exact."""
-        return self._int_coeffs is not None and is_exact([c for p in self.frame.corners for c in p])
+        return self._int_coeffs is not None and self.frame._int_corners is not None
 
     @cached_property
     def _int_ords(self) -> dict:
@@ -84,25 +84,30 @@ class Spline:
 
     def _exact_ordinates(self, fi: int) -> tuple[int, list]:
         """(D, ords): the exact spline's ordinates on face fi as integers over
-        D, the scaled table contracted with the coefficients once per face."""
-        q, table = scaled_basis_tables(self.basis)
+        D, the face's nonzero table entries times the coefficients, once."""
+        q, _ = scaled_basis_tables(self.basis)
         cden, c = self._int_coeffs
         if fi not in self._int_ords:
-            self._int_ords[fi] = [sum(map(mul, t, c)) for t in table[fi - 1]]
+            gather, entries, counts = _nonzero_entries(self.basis)[fi - 1]
+            products = map(mul, entries, gather(c))
+            self._int_ords[fi] = [sum(islice(products, n)) for n in counts]
         return q * cden, self._int_ords[fi]
 
     @cached_property
     def _float_forms(self) -> FaceForms:
         """The 12 x 21 float face ordinates every float value reads, once per
         spline: each the left-to-right sum, from 0, of the float coefficients
-        times its row's nonzero integer table entries (exact as floats), then
-        divided by Q.  The products come before the division, so coefficients
-        beyond DBL_MAX / Q (about 1.4e303) can overflow to inf or nan."""
+        times its row's nonzero integer table entries, then divided by Q.
+        The products come before the division, so DomainError is raised when
+        coefficients beyond DBL_MAX / Q (about 1.4e303) overflow an ordinate."""
         q, _ = scaled_basis_tables(self.basis)
-        gather, entries, counts = _nonzero_entries(self.basis)
-        products = map(mul, entries, gather([float(c) for c in self.coeffs]))
-        ords = [reduce(add, islice(products, n), 0) / q for n in counts]
-        return FaceForms(self.frame, 5, tuple(tuple(ords[k:k + 21]) for k in range(0, 252, 21)))
+        fc = [float(c) for c in self.coeffs]
+        ords = tuple(tuple(reduce(add, islice(products, n), 0) / q for n in counts)
+                     for gather, entries, counts in _nonzero_entries(self.basis)
+                     for products in [map(mul, gather(fc), entries)])
+        if not all(map(isfinite, chain.from_iterable(ords))):
+            raise DomainError("coefficients beyond about 1.4e303 overflow the float ordinates")
+        return FaceForms(self.frame, 5, ords)
 
 
 @lru_cache(maxsize=None)
@@ -128,18 +133,15 @@ def scaled_basis_tables(basis_id: str) -> tuple:
 
 @lru_cache(maxsize=None)
 def _nonzero_entries(basis_id: str) -> tuple:
-    """(gather, entries, counts): the nonzero entries of scaled_basis_tables,
-    face by face and ordinate by ordinate, with a function that picks their
-    coefficients out of a sequence of 39 and the number of entries of each
-    of the 12 x 21 ordinates."""
+    """Per face, (gather, entries, counts): the nonzero integer entries of
+    scaled_basis_tables ordinate by ordinate, a function that picks their
+    coefficients out of a sequence of 39, and the number of entries of each
+    of the 21 ordinates.  The exact and the float contraction read it (an
+    entry has at most 17 bits, so a float times it is a float product)."""
     _, table = scaled_basis_tables(basis_id)
-    rows = [row for face in table for row in face]
-    entries = [t for row in rows for t in row if t]
-    # as floats (exact: they have at most 17 bits) for fast float products,
-    # one object per distinct value (a few dozen per basis)
-    as_float = {t: float(t) for t in entries}
-    return (itemgetter(*(i for row in rows for i, t in enumerate(row) if t)),
-            tuple(map(as_float.__getitem__, entries)), tuple(len(row) - row.count(0) for row in rows))
+    return tuple((itemgetter(*(i for row in face for i, t in enumerate(row) if t)),
+                  tuple(t for row in face for t in row if t),
+                  tuple(len(row) - row.count(0) for row in face)) for face in table)
 
 
 def basis_values(basis_id: str, beta) -> tuple:
@@ -230,10 +232,12 @@ def face_forms(s: Spline) -> FaceForms:
 @lru_cache(maxsize=None)
 def _collocation(basis_id: str) -> tuple:
     """(M, d, N): the exact collocation matrix M[i][j] = S_j(domain point i)
-    and its inverse as integers N over the one denominator d."""
+    and its inverse as integers N over the one denominator d > 0, in lowest
+    terms (the gcd of d and N divided out of the Bareiss pivot d)."""
     rows = tuple(basis_values(basis_id, el.domain_point) for el in catalog(basis_id).elements)
     d, n = _integer_solve(rows, identity(len(rows)))
-    return rows, d, tuple(tuple(r) for r in n)
+    g = gcd(d, *(x for r in n for x in r)) * (1 if d > 0 else -1)
+    return rows, d // g, tuple(tuple(x // g for x in r) for r in n)
 
 
 def collocation_at_domain_points(basis_id: str):
@@ -257,11 +261,13 @@ def lagrange_interpolate(basis_id: str, frame: PS12Frame, values) -> Spline:
     if len(values) != 39:
         raise DimensionMismatch(f"need 39 values, got {len(values)}")
     _, d, n = _collocation(basis_id)
-    if is_exact(values):
-        coeffs = integer_mat_vec(d, n, values)
-    else:
-        coeffs = tuple(sum(x / d * y for x, y in zip(r, values)) for r in n)
-    return Spline(frame, basis_id, coeffs)
+    if not is_exact(values):
+        return Spline(frame, basis_id, tuple(sum(x / d * y for x, y in zip(r, values)) for r in n))
+    den, v = common_denominator(values)
+    nums = [sum(map(mul, r, v)) for r in n]
+    s = Spline(frame, basis_id, tuple(Fraction(x, den * d) for x in nums))
+    vars(s)["_int_coeffs"] = den * d, nums  # the cached property, from the mat-vec
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,17 @@ def test_assemble_rejects_non_integer_vertex_index(tmp_path, index):
     assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("vertex", [["0/1", "0/1", "0/1"], 5, None])
+def test_assemble_rejects_a_vertex_that_is_not_a_pair(tmp_path, vertex):
+    """A mesh vertex that is not a pair of numbers is a ParseError (exit 2)."""
+    mesh, data = tmp_path / "mesh.json", tmp_path / "data.json"
+    mesh.write_text(json.dumps({"vertices": [vertex, ["1/1", "0/1"], ["0/1", "1/1"]],
+                                "triangles": [[0, 1, 2]]}))
+    data.write_text(json.dumps({"vertex_jets": {}, "edge_data": {}}))
+    r = run_cli(["assemble", "--mesh", str(mesh), "--data", str(data)], expect=2)
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("key", ["vertex_jets", "edge_data"])
 def test_assemble_rejects_hermite_data_given_as_a_list(tmp_path, key):
     """Jets and edge data are objects keyed by vertex and edge; either one

@@ -146,6 +146,13 @@ BAD_CALLS = {
     "make_frame int corner": lambda: geometry.make_frame(0, (1, 0), (0, 1)),
     "triangulation str vertex": lambda: assembly.triangulation(
         [("a", "b"), (1, 0), (0, 1)], [(0, 1, 2)]),
+    "triangulation three-coordinate vertex": lambda: assembly.triangulation(
+        [(0, 0, 0), (1, 0), (0, 1)], [(0, 1, 2)]),
+    "triangulation int vertex": lambda: assembly.triangulation([5, (1, 0), (0, 1)], [(0, 1, 2)]),
+    "triangulation None vertex": lambda: assembly.triangulation(
+        [None, (1, 0), (0, 1)], [(0, 1, 2)]),
+    "verify_smoothness overflowing float coefficients": lambda: assembly.verify_smoothness(
+        assembly.GlobalSpline(MESH, ((1e306,) * 39, (0.5,) * 39)), (1, 2), 2),
 }
 
 

@@ -60,6 +60,25 @@ def test_exact_frame_is_the_spelled_out_split(corners):
     assert frame.v == tuple(bary_image(frame.v[:3], b) for b in VERTEX_BARY)
 
 
+@settings(max_examples=60, deadline=None)
+@given(corners=st.lists(st.tuples(_coordinate, _coordinate), min_size=3, max_size=3),
+       p=st.tuples(_coordinate, _coordinate | st.integers(-20, 20)),
+       scale=st.sampled_from([(1, 0), (F(1, 10 ** 6), 0), (10 ** 6, 0), (1, 10 ** 8)]))
+def test_exact_to_bary_is_bary_coords_in_fractions(corners, p, scale):
+    """Exact to_bary, two integer cross products over the frame's integer
+    corners, equals bary_coords in Fraction arithmetic, also on frames
+    scaled by 1e-6 or 1e6 or moved by 1e8, where the coordinates are those
+    of the unmoved frame (barycentrics are affine invariant)."""
+    k, off = scale
+    v = [Point2(k * x + off, k * y + off) for x, y in corners]
+    assume(signed_area2(*v) != 0)
+    frame, q = make_frame(*v), Point2(k * p[0] + off, k * p[1] + off)
+    got = to_bary(frame, q)
+    assert all(type(b) is F for b in got)
+    assert got == bary_coords(frame.corners, q) == bary_coords([Point2(*c) for c in corners],
+                                                               Point2(*p))
+
+
 def test_reference_frame_and_its_integer_points_are_the_spelled_out_split():
     z, o = F(0), F(1)
     ref = _spelled_out_split(Point2(z, z), Point2(o, z), Point2(z, o))

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rational_points
-from ps12splines.errors import BoundViolated, OutsideDomain, UnsupportedBasis
+from ps12splines.errors import BoundViolated, DomainError, OutsideDomain, UnsupportedBasis
 from ps12splines.geometry import (
+    EDGES,
     FACES,
+    INTERIOR_LINES,
     VERTEX_BARY,
     Point2,
     face_bary_matrices,
@@ -22,7 +24,7 @@ from ps12splines.geometry import (
     make_frame,
     to_bary,
 )
-from ps12splines.linalg import inf_norm, solve
+from ps12splines.linalg import _integer_solve, identity, inf_norm, inverse, solve
 from ps12splines.marsden_catalog import catalog
 from ps12splines.simplex_spline import (
     _face_ordinates,
@@ -37,6 +39,7 @@ from ps12splines.spline_fn import (
     control_distance_bound_check,
     control_mesh,
     control_mesh_edges,
+    eval_many,
     eval_spline,
     face_forms,
     lagrange_interpolate,
@@ -346,7 +349,8 @@ def test_float_coefficients_are_in_range_up_to_1e303(basis):
     and a coefficient before it divides by Q, so coefficients of magnitude
     1e303 give finite ordinates, within the contraction's share gamma_40 of
     the stated error bound (rows of the table sum to Q), and positive ones
-    of 1e306 overflow to inf."""
+    of 1e306, which overflow an ordinate, raise DomainError naming the
+    bound, in eval_spline and eval_many too (not inf, nor nan)."""
     from ps12splines.spline_fn import scaled_basis_tables
     q, table = scaled_basis_tables(basis)
     rng = random.Random(basis)
@@ -357,8 +361,11 @@ def test_float_coefficients_are_in_range_up_to_1e303(basis):
     want = [sum(t * F(ci) for t, ci in zip(row, c)) / q for face in table for row in face]
     assert all(sum(row) == q for face in table for row in face)
     assert all(abs(F(o) - w) <= _gamma(40) * F(1e303) for o, w in zip(ords, want))
-    ords = Spline(frame, basis, (1e306,) * 39)._float_forms.ords
-    assert all(o == float("inf") for face in ords for o in face)
+    big = Spline(frame, basis, (1e306,) * 39)
+    for read in (lambda: big._float_forms, lambda: eval_spline(big, (0.2, 0.3)),
+                 lambda: eval_many(big, [(0.2, 0.3, 0.5)])):
+        with pytest.raises(DomainError, match="1.4e303"):
+            read()
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +520,70 @@ def test_lagrange_is_the_exact_solve(basis, seed):
     approx = lagrange_interpolate(basis, s.frame, [float(x) for x in v]).coeffs
     assert all(isinstance(a, float) and abs(a - float(x)) <= 1e-9 * (1 + abs(x))
                for a, x in zip(approx, got))
+
+
+#: The split's lines where two faces meet or the macrotriangle ends, each
+#: as its vertices in order: the macro edges and the interior lines.
+_TIE_LINES = tuple(EDGES.values()) + tuple(
+    sorted(line, key=lambda v: VERTEX_BARY[v - 1]) for line in INTERIOR_LINES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis=st.sampled_from("abcdef"), seed=st.integers(0, 2 ** 32),
+       line=st.sampled_from(_TIE_LINES), k=st.integers(0, 2),
+       t=st.fractions(0, 1, max_denominator=50))
+def test_exact_eval_on_edges_and_interior_lines_is_basis_values_times_coefficients(
+        basis, seed, line, k, t):
+    """On a macro edge or an interior line of the split, where the face is
+    a tie broken by the half-open convention, exact eval_spline (the
+    sparse per-face contraction) equals basis_values (the full table
+    column) times the coefficients; a Lagrange interpolant, which carries
+    the integer coefficients of its mat-vec, evaluates like a fresh Spline
+    with its coefficients."""
+    i, j = line[min(k, len(line) - 2)], line[min(k, len(line) - 2) + 1]
+    beta = tuple((1 - t) * a + t * b for a, b in zip(VERTEX_BARY[i - 1], VERTEX_BARY[j - 1]))
+    s = _seeded_spline(basis, seed)
+    p = from_bary(s.frame, beta)
+    assert to_bary(s.frame, p) == beta
+    want = sum((v * c for v, c in zip(basis_values(basis, beta), s.coeffs)), F(0))
+    got = eval_spline(s, p)
+    assert type(got) is F and got == want
+    lag = lagrange_interpolate(basis, s.frame, s.coeffs)
+    assert eval_spline(lag, p) == eval_spline(Spline(s.frame, basis, lag.coeffs), p)
+
+
+@pytest.mark.parametrize("basis", list("abcdef"))
+def test_collocation_is_the_inverse_of_the_basis_value_rows(basis):
+    """(M, M^-1, K) of collocation_at_domain_points, whose inverse is kept
+    over its reduced denominator, equal the basis_values rows at the domain
+    points, linalg.inverse of them and its max-norm."""
+    rows = [list(basis_values(basis, el.domain_point)) for el in catalog(basis).elements]
+    m, minv, cond = collocation_at_domain_points(basis)
+    want = inverse(rows)
+    assert [list(r) for r in m] == rows
+    assert [list(r) for r in minv] == want
+    assert cond == inf_norm(want)
+
+
+@lru_cache(maxsize=None)
+def _unreduced_inverse(basis):
+    """(d, N): the inverse of the collocation matrix as _integer_solve gives
+    it, over the last Bareiss pivot d, before any gcd is divided out."""
+    rows = [basis_values(basis, el.domain_point) for el in catalog(basis).elements]
+    return _integer_solve(rows, identity(len(rows)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(basis=st.sampled_from("abcdef"),
+       values=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=39, max_size=39))
+def test_float_lagrange_has_the_bits_of_the_unreduced_inverse(basis, values):
+    """Float lagrange_interpolate reads each entry x / d of the reduced
+    inverse; int true division rounds correctly, so its coefficients have
+    the bits of the same sums over the unreduced pair of _integer_solve."""
+    d, n = _unreduced_inverse(basis)
+    want = [sum(x / d * y for x, y in zip(r, values)) for r in n]
+    got = lagrange_interpolate(basis, make_frame((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), values)
+    assert [g.hex() for g in got.coeffs] == [w.hex() for w in want]
 
 
 def test_eval_linear_in_coefficients(ref):
