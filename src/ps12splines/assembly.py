@@ -19,8 +19,11 @@ functionals (the inverse of the basis-c collocation matrix) and global
 interpolation of vertex jets plus edge cross derivatives on a
 triangulation.  Hermite assembly builds no frame: it maps the nine named
 directions of dual_functionals' table onto each triangle's corners and
-takes every functional by its site.  Exact input (rational.is_exact) runs
-on integers over one denominator; float input keeps its own arithmetic.
+takes every functional by its site; an edge's data reach the functionals
+on it through two constant matrices of its univariate spline spaces,
+built on their truncated powers (_edge_rows).  Exact input
+(rational.is_exact) runs on integers over one denominator; float input
+keeps its own arithmetic.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import (
     DomainError,
     NonConformingMesh,
 )
-from .bspline1d import UnivariateBSplineRef, bspline_coefficients, bspline_derivative
+from .bspline1d import bspline_coefficients
 from .dual_functionals import (DIRECTIONS, FUNCTIONALS, JET_ORDERS, bary_direction,
                                direction_vectors, lambda_vector)
 from .geometry import (EDGES, FACES, VERTEX_BARY, PS12Frame, Point2, _layer_face_bary_matrices,
@@ -534,10 +537,13 @@ def _apply_rows(d: int, rows, pairs) -> list:
 
 
 def _univariate_rows(degree: int, conditions) -> list:
-    """Rows of exact (t, derivative order) conditions on the consecutive
-    degree-d B-splines of an edge."""
-    return [[bspline_derivative(UnivariateBSplineRef(degree, j + 1), t, order)
-             for j in range(degree + 3)] for t, order in conditions]
+    """Rows of exact (t, derivative order o) conditions on the truncated
+    powers (t - s)_+^m of an edge's degree-d splines with the knot 1/2
+    doubled: s = 0 for m <= d and s = 1/2 for m = d - 1, d.  The o-th
+    derivative of a term is m! / (m - o)! (t - s)^(m - o) for t >= s."""
+    terms = [(0, m) for m in range(degree + 1)] + [(Fraction(1, 2), m) for m in (degree - 1, degree)]
+    return [[perm(m, o) * (t - s) ** (m - o) if t >= s and o <= m else 0 for s, m in terms]
+            for t, o in conditions]
 
 
 @lru_cache(maxsize=1)
@@ -549,7 +555,9 @@ def _edge_rows() -> tuple:
     spline of the cross derivative, fixed by its derivatives of orders 0..2
     at t = 0 and 1 and by g(1/2).  The f rows map those 8 values to f''(1/4),
     f'(1/2), f''(3/4); the g rows map the 7 values to g'(1/4), g'(3/4).
-    Each set of rows comes as (rows, sparse_integer_matrix(rows)).
+    Each set of rows comes as (rows, sparse_integer_matrix(rows)).  The
+    read rows times the inverse of the fixing rows do not depend on the
+    basis of the spline space, so both are taken on its truncated powers.
     """
     q, h, ends = Fraction(1, 4), Fraction(1, 2), (Fraction(0), Fraction(1))
     f_read, f_fixed = ((q, 2), (h, 1), (3 * q, 2)), [(t, o) for t in ends for o in range(4)]

@@ -66,7 +66,8 @@ from .linalg import bareiss  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .marsden_catalog import CATALOG_ROWS, linear_product
 from .rational import is_exact
 from .serialize import PIPELINE_STAGES
-from .simplex_spline import active_indices, bernstein_exponents, hull_area, knot_label, knots
+from .simplex_spline import (_independent_triple, active_indices, bernstein_exponents, knot_label,
+                             knots)
 
 #: Canonical names for the 20 admissible classes, keyed by a representative.
 CLASS_REPRESENTATIVES = {
@@ -135,7 +136,7 @@ def _admissible(K) -> bool:
     for counts in ([K[i - 1] for i in edge] for edge in EDGES.values()):
         if sum(counts) == 7 and ref_from_counts(5, *counts) is None:
             return False
-    return hull_area(active_indices(K)) != 0
+    return _independent_triple(active_indices(K)) is not None
 
 
 @lru_cache(maxsize=1)

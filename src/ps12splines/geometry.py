@@ -40,7 +40,7 @@ from math import isfinite
 from operator import add
 from typing import NamedTuple, Optional
 
-from .errors import DegenerateTriangle, DomainError
+from .errors import DegenerateTriangle, DimensionMismatch, DomainError
 from .rational import common_denominator, finite_numbers, is_exact
 
 
@@ -90,7 +90,6 @@ class PS12Frame:
     one also holds its corners as integers over one denominator (_int_corners)."""
 
     corners: tuple  # Point2 v1, v2, v3
-    area: object = None  # signed area of [v1, v2, v3]
 
     @cached_property
     def v(self) -> tuple:
@@ -101,6 +100,11 @@ class PS12Frame:
     def area2(self):
         """signed_area2 of the corners, the denominator of to_bary, made on first read."""
         return signed_area2(*self.corners)
+
+    @cached_property
+    def area(self):
+        """Signed area of [v1, v2, v3], made on first read."""
+        return self.area2 / 2
 
     @cached_property
     def _int_corners(self):
@@ -148,11 +152,11 @@ def make_frame(v1: Point2, v2: Point2, v3: Point2) -> PS12Frame:
     exact = is_exact(v1 + v2 + v3)
     if exact:
         v1, v2, v3 = (Point2(Fraction(p.x), Fraction(p.y)) for p in (v1, v2, v3))
-    area2 = signed_area2(v1, v2, v3)
+    frame = PS12Frame((v1, v2, v3))
     # a NaN or infinite coordinate makes the area NaN or infinite, never 0
-    if area2 == 0 or not (exact or isfinite(area2)):
+    if frame.area2 == 0 or not (exact or isfinite(frame.area2)):
         raise DegenerateTriangle("macrotriangle corners are collinear or not finite")
-    return PS12Frame((v1, v2, v3), area2 / 2)
+    return frame
 
 
 @lru_cache(maxsize=1)
@@ -174,10 +178,14 @@ def bary_coords(corners, p: Point2, d=None) -> Bary3:
 
 def to_bary(frame: PS12Frame, p: Point2) -> Bary3:
     """Barycentric coordinates of p with respect to the macrotriangle; an exact
-    point of an exact frame by bary_coords' cross products on integers."""
-    p = Point2(*p)
-    if frame._int_corners is None or not is_exact(p):
-        return bary_coords(frame.corners, p, frame.area2)
+    point of an exact frame by bary_coords' cross products on integers.
+    Raises DomainError unless p is a pair of numbers."""
+    try:
+        p = Point2(*p)
+        if frame._int_corners is None or not is_exact(p):
+            return bary_coords(frame.corners, p, frame.area2)
+    except TypeError:  # not a pair, or not of numbers
+        raise DomainError(f"a point is a pair of numbers, not {p!r}") from None
     e, (a, b, c), a2 = frame._int_corners
     f, (x, y) = common_denominator(p)
     x, y, d = e * x - f * c.x, e * y - f * c.y, f * a2  # e f (p - c), and e^2 f area2
@@ -186,9 +194,14 @@ def to_bary(frame: PS12Frame, p: Point2) -> Bary3:
 
 
 def from_bary(frame: PS12Frame, b: Bary3) -> Point2:
+    """The point with barycentrics b; DimensionMismatch unless b is a triple."""
+    try:
+        b1, b2, b3 = b
+    except (TypeError, ValueError):  # not a triple
+        raise DimensionMismatch(f"barycentric coordinates are a triple, not {b!r}") from None
     v1, v2, v3 = frame.corners
-    return Point2(b[0] * v1.x + b[1] * v2.x + b[2] * v3.x,
-                  b[0] * v1.y + b[1] * v2.y + b[2] * v3.y)
+    return Point2(b1 * v1.x + b2 * v2.x + b3 * v3.x,
+                  b1 * v1.y + b2 * v2.y + b3 * v3.y)
 
 
 def direction_coords(corners, u: Point2) -> Bary3:

@@ -138,28 +138,6 @@ def _vertex_bary(tri: tuple) -> tuple:
     return den // g, tuple(tuple(w // g for w in row) for row in rows)
 
 
-@lru_cache(maxsize=None)
-def hull_area(act: tuple) -> Fraction:
-    """Area of the convex hull of the given vertex indices (reference frame).
-
-    The hull is Andrew's monotone chain on the integer points of
-    _ref_points, where twice the area is an integer, divided back by 12^2;
-    collinear points give 0.
-    """
-    pts = sorted({_ref_points()[i - 1] for i in act})
-
-    def build(points):
-        chain = []
-        for p in points:
-            while len(chain) >= 2 and signed_area2(chain[-2], chain[-1], p) <= 0:
-                chain.pop()
-            chain.append(p)
-        return chain
-    hull = build(pts)[:-1] + build(pts[::-1])[:-1]
-    s = sum(a.x * b.y - b.x * a.y for a, b in zip(hull, hull[1:] + hull[:1]))
-    return Fraction(abs(s), 2 * _REF_SCALE ** 2)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation and differentiation
 # ---------------------------------------------------------------------------
@@ -181,8 +159,8 @@ def derivative(frame: PS12Frame, K: KnotMultiset, direction, order: int = 1):
     b2, b3 of its barycentrics, with b1 = 1 - b2 - b3, and the exact value
     there is returned as float.  Raises TooFewKnots when |K| < 3,
     InvalidDirection unless a is three exact or finite numbers summing to 0
-    and order an int in 0..degree(K), and OutsideDomain at a NaN or
-    infinite coordinate.
+    and order an int in 0..degree(K); at p, DomainError unless p is a pair
+    and OutsideDomain at a NaN or infinite coordinate.
     """
     K = knots(K)
     if knot_count(K) < 3:
@@ -198,7 +176,7 @@ def derivative(frame: PS12Frame, K: KnotMultiset, direction, order: int = 1):
         raise InvalidDirection(f"order {order!r} is not an int in 0..{degree(K)}")
 
     def fn(p):
-        beta = to_bary(frame, Point2(*p))
+        beta = to_bary(frame, p)
         if not (is_exact(beta) or isfinite(sum(beta))):
             raise OutsideDomain(f"point {tuple(p)} is not finite")
         _, b2, b3 = map(Fraction, beta)
@@ -224,7 +202,7 @@ def integral(frame: PS12Frame, K: KnotMultiset) -> Fraction:
     n = knot_count(K)
     if n < 3:
         raise TooFewKnots(f"|K| = {n} < 3")
-    if hull_area(active_indices(K)) == 0:
+    if _independent_triple(active_indices(K)) is None:
         return Fraction(0)
     return abs(Fraction(frame.area)) / comb(n - 1, 2)
 
@@ -312,8 +290,9 @@ def _face_ordinates(m: KnotMultiset) -> tuple:
         if not all(any({i, j} <= set(line) for line in lines) for i, j in combinations(tri, 2)):
             raise DomainError(f"knot triangle {tri} has a side across a face of the split")
         # summing the face corners' rows gives 3 * lden times the centroid's
-        # barycentrics with respect to tri, and lden > 0
-        base = Fraction(1, 2) / hull_area(act)
+        # barycentrics with respect to tri, and lden > 0; area(T) = 1/2, and
+        # on _ref_points twice the knot triangle's area is 2 * 12^2 area([m])
+        base = Fraction(_REF_SCALE ** 2, abs(signed_area2(*(_ref_points()[i - 1] for i in tri))))
         return base.denominator, tuple(
             (base.numerator,) if min(map(sum, zip(*(vb[v - 1] for v in corners)))) >= 0 else None
             for corners in FACES)

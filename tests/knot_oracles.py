@@ -1,7 +1,12 @@
 """The knot-multiset route to derivatives, edge restrictions, knot windows
-and knot insertion.
+and knot insertion, with the univariate B-splines and the convex hull.
 
 The tests' oracles for what the library reads off its per-face tables:
+- hull_area measures the convex hull of knots, against which the
+  library's collinearity test and per-face base case are checked;
+- bspline_derivative evaluates the univariate B-splines of bspline1d and
+  their derivatives from their Bernstein pieces (_pieces), against which
+  assembly's closed-form Hermite edge rows are checked;
 - derivative_expansion expands D^k Q[K] over sub-multisets of K by the
   knot-multiset recursion, against which the library's derivative (one
   functional_row per point) is checked;
@@ -18,16 +23,97 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isfinite
 
-from ps12splines.bspline1d import (UnivariateBSplineRef, _is_int, _pieces, bspline_coefficients,
-                                   bspline_derivative)
-from ps12splines.errors import DomainError, TooFewKnots
-from ps12splines.geometry import EDGES, VERTEX_BARY
+from ps12splines.bspline1d import UnivariateBSplineRef, _blossom, _is_int, bspline_coefficients
+from ps12splines.errors import DomainError, OutsideDomain, TooFewKnots
+from ps12splines.geometry import EDGES, VERTEX_BARY, signed_area2
 from ps12splines.rational import is_exact
-from ps12splines.simplex_spline import (KnotMultiset, _independent_triple, _vertex_bary,
-                                        active_indices, hull_area, knot_count, knots)
+from ps12splines.simplex_spline import (_REF_SCALE, KnotMultiset, _face_ordinates,
+                                        _independent_triple, _ref_points, _vertex_bary,
+                                        active_indices, bernstein_exponents, knot_count, knots)
 
 HALF = Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Convex hull of knots
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def hull_area(act: tuple) -> Fraction:
+    """Area of the convex hull of the given vertex indices (reference frame).
+
+    The hull is Andrew's monotone chain on the integer points of
+    _ref_points, where twice the area is an integer, divided back by 12^2;
+    collinear points give 0.
+    """
+    pts = sorted({_ref_points()[i - 1] for i in act})
+
+    def build(points):
+        chain = []
+        for p in points:
+            while len(chain) >= 2 and signed_area2(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+    hull = build(pts)[:-1] + build(pts[::-1])[:-1]
+    s = sum(a.x * b.y - b.x * a.y for a, b in zip(hull, hull[1:] + hull[:1]))
+    return Fraction(abs(s), 2 * _REF_SCALE ** 2)
+
+
+# ---------------------------------------------------------------------------
+# Values and derivatives of the univariate B-splines
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _pieces(degree: int, zeros: int, halves: int, ones: int) -> tuple:
+    """(left, right): the Bernstein coefficients of B[{0^zeros, 1/2^halves,
+    1^ones}] on [0, 1/2] and [1/2, 1], in the local parameters s = 2t and
+    s = 2t - 1; coefficient k multiplies C(d, k) (1 - s)^(d-k) s^k.
+
+    Read from Q[K] with K = {v1^zeros, v2^ones, v3, v4^halves}: on the
+    faces D1 = [v1, v4, v7] and D2 = [v4, v2, v8] the edge is gamma_3 = 0
+    and s = gamma_2.
+    """
+    K = (zeros, ones, 1, halves) + (0,) * 6
+    den, faces = _face_ordinates(K)
+    scale = 2 * hull_area(active_indices(K)) / den
+    exponents = bernstein_exponents(degree)
+    row = [exponents.index((degree - k, k, 0)) for k in range(degree + 1)]
+    return tuple(tuple(scale * face[i] if face else Fraction(0) for i in row)
+                 for face in faces[:2])
+
+
+def bspline_derivative(ref: UnivariateBSplineRef, t, order: int = 1):
+    """Order-th derivative at t, exact for exact t.  Raises DomainError
+    unless order is a nonnegative int, and OutsideDomain for a NaN or
+    infinite t.
+
+    A piece is evaluated (derivatives by Bernstein differences), the right
+    one from t = 1/2 on: values and derivatives are right-continuous on
+    [0, 1) and left-continuous at t = 1, and zero outside [0, 1].  At
+    t = 1/2 this is not the split's point location, which puts the edge
+    midpoint v4 in D1, the left piece (geometry.locate_face_bary).  With
+    the knot 1/2 doubled a degree-d B-spline is C^(d-2) there, so only
+    derivatives of order d - 1 and d differ.
+    """
+    if not _is_int(order) or order < 0:
+        raise DomainError(f"derivative order must be a nonnegative int, not {order!r}")
+    exact = is_exact((t,))
+    if not (exact or isfinite(t)):
+        raise OutsideDomain(f"parameter {t} is not finite")
+    zero = Fraction(0) if exact else 0.0
+    if not 0 <= t <= 1 or order > ref.degree:
+        return zero
+    right = 2 * t >= 1
+    coefs = _pieces(ref.degree, *ref.counts())[right]
+    # each Bernstein difference on an interval of length 1/2 brings 2 (n - k)
+    n = ref.degree
+    for k in range(order):
+        coefs = [2 * (n - k) * (b - a) for a, b in zip(coefs, coefs[1:])]
+    s = 2 * t - 1 if right else 2 * t
+    return zero + _blossom(coefs, (s,) * (n - order))
 
 
 # ---------------------------------------------------------------------------

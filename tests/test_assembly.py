@@ -8,13 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rational_points
-from knot_oracles import derivative_expansion, restrict_to_edge
+from knot_oracles import bspline_derivative, derivative_expansion, restrict_to_edge
 from tripoly import TriPoly
 from ps12splines import assembly
 from ps12splines.assembly import (
     N_BLOCKS,
     GlobalSpline,
     Triangulation,
+    _apply_rows,
     _edge_rows,
     _smoothness_symbolic,
     c3_residual,
@@ -28,6 +29,7 @@ from ps12splines.assembly import (
     triangulation,
     verify_smoothness,
 )
+from ps12splines.bspline1d import UnivariateBSplineRef
 from ps12splines.dual_functionals import JET_ORDERS, apply, build_lambda, lambda_vector
 from ps12splines.errors import DimensionMismatch, DomainError, NonConformingMesh
 from ps12splines.geometry import (EDGES, Point2, direction_coords, from_bary, make_frame,
@@ -661,6 +663,46 @@ def test_hermite_int_data_is_exact():
     assert got.coeffs == frac.coeffs
     rep = verify_smoothness(got, (1, 2), 2, samples=5)
     assert all(j == 0 for j in rep["jumps"].values())
+
+
+def _b_spline_rows(degree: int, conditions) -> list:
+    """The rows of exact (t, order) conditions on the consecutive B-splines,
+    by the oracle's evaluator."""
+    return [[bspline_derivative(UnivariateBSplineRef(degree, j), t, order)
+             for j in range(1, degree + 4)] for t, order in conditions]
+
+
+def test_edge_rows_equal_the_b_spline_rows(monkeypatch):
+    """The read rows times the inverse of the fixing rows do not depend on
+    the basis of the edge's spline space: the closed-form rows on the
+    truncated powers equal, by ==, those built on the B-splines."""
+    rows = _edge_rows()
+    monkeypatch.setattr(assembly, "_univariate_rows", _b_spline_rows)
+    assert assembly._edge_rows.__wrapped__() == rows
+
+
+#: Per degree, the (t, order) conditions that fix an edge spline and those the rows read.
+EDGE_CONDITIONS = {
+    5: ([(t, o) for t in (0, 1) for o in range(4)], [(F(1, 4), 2), (F(1, 2), 1), (F(3, 4), 2)]),
+    4: ([(t, o) for t in (0, 1) for o in range(3)] + [(F(1, 2), 0)], [(F(1, 4), 1), (F(3, 4), 1)]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((5, 4)), st.data())
+def test_edge_rows_map_fixing_values_to_read_values(degree, data):
+    """On a random exact combination of the oracle's B-splines, the rows and
+    their sparse integer form take the values that fix it to the values
+    they read, exactly."""
+    coefs = data.draw(st.lists(st.fractions(-50, 50, max_denominator=30),
+                               min_size=degree + 3, max_size=degree + 3), label="coefficients")
+    fixing, read = ([sum((c * b for c, b in zip(coefs, row)), F(0))
+                     for row in _b_spline_rows(degree, conditions)]
+                    for conditions in EDGE_CONDITIONS[degree])
+    rows, sparse = _edge_rows()[degree == 4]
+    assert mat_vec(rows, fixing) == read
+    pairs = _apply_rows(*sparse, [(v.numerator, v.denominator) for v in fixing])
+    assert [F(*p) for p in pairs] == read
 
 
 # ---------------------------------------------------------------------------

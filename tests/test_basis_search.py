@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rational_points
-from knot_oracles import restrict_to_edge
+from knot_oracles import hull_area, restrict_to_edge
 from tripoly import TriPoly
 from ps12splines import basis_search
 from ps12splines.basis_search import (
@@ -40,7 +40,6 @@ from ps12splines.simplex_spline import (
     active_indices,
     bernstein_exponents,
     eval_simplex,
-    hull_area,
     knots,
     per_face_bernstein,
     smoothness_order,

@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knot_oracles import expand_window, global_knots, local_knots
-from ps12splines.bspline1d import (
-    UnivariateBSplineRef,
-    _pieces,
-    bspline_coefficients,
-    bspline_derivative,
-    ref_from_counts,
-)
+from knot_oracles import _pieces, bspline_derivative, expand_window, global_knots, local_knots
+from ps12splines.bspline1d import UnivariateBSplineRef, bspline_coefficients, ref_from_counts
 from ps12splines.errors import DomainError
 
 HALF = F(1, 2)

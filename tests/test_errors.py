@@ -60,7 +60,7 @@ BAD_CALLS = {
     "expand_window str degree": lambda: knot_oracles.expand_window("5", 1, 2, 4),
     "bspline bool index": lambda: bspline1d.UnivariateBSplineRef(5, True),
     "bspline str degree": lambda: bspline1d.UnivariateBSplineRef("5", 1),
-    "bspline_derivative negative order": lambda: bspline1d.bspline_derivative(
+    "bspline_derivative negative order": lambda: knot_oracles.bspline_derivative(
         bspline1d.UnivariateBSplineRef(5, 3), 0, -1),
     "bernstein_expansion": lambda: marsden_catalog.bernstein_expansion(
         marsden_catalog.catalog("c"), 1, 1, 1),
@@ -153,6 +153,18 @@ BAD_CALLS = {
         [None, (1, 0), (0, 1)], [(0, 1, 2)]),
     "verify_smoothness overflowing float coefficients": lambda: assembly.verify_smoothness(
         assembly.GlobalSpline(MESH, ((1e306,) * 39, (0.5,) * 39)), (1, 2), 2),
+    "to_bary three coordinates": lambda: geometry.to_bary(geometry.reference_frame(), (1, 2, 3)),
+    "to_bary int point": lambda: geometry.to_bary(FLOAT_FRAME, 5),
+    "to_bary None point": lambda: geometry.to_bary(FLOAT_FRAME, None),
+    "to_bary str coordinates": lambda: geometry.to_bary(geometry.reference_frame(), ("0", "1")),
+    "eval_spline None coordinate": lambda: spline_fn.eval_spline(FLOAT_SPLINE, (None, 0.3)),
+    "locate_face three coordinates": lambda: geometry.locate_face(FLOAT_FRAME, (0.2, 0.3, 0.5)),
+    "eval_spline three coordinates": lambda: spline_fn.eval_spline(FLOAT_SPLINE, (0.2, 0.3, 0.5)),
+    "eval_spline one coordinate": lambda: spline_fn.eval_spline(FLOAT_SPLINE, (0.2,)),
+    "eval_simplex three coordinates": lambda: simplex_spline.eval_simplex(
+        geometry.reference_frame(), K, (F(1, 3),) * 3),
+    "derivative three coordinates": lambda: simplex_spline.derivative(
+        geometry.reference_frame(), K, (1, -1, 0))((1, 2, 3)),
 }
 
 
@@ -185,6 +197,9 @@ BAD_LENGTHS = {
         "c", geometry.reference_frame(), [F(0)] * 40),
     "basis_values two coordinates": lambda: spline_fn.basis_values("c", (F(1, 2), F(1, 2))),
     "basis_values two float coordinates": lambda: spline_fn.basis_values("c", (0.5, 0.5)),
+    "from_bary two coordinates": lambda: geometry.from_bary(geometry.reference_frame(), (1, 2)),
+    "from_bary four coordinates": lambda: geometry.from_bary(FLOAT_FRAME, (0.25,) * 4),
+    "from_bary int": lambda: geometry.from_bary(FLOAT_FRAME, 1),
 }
 
 
@@ -273,7 +288,7 @@ NON_FINITE_CALLS = {
     "value_at_bary": lambda bad: spline_fn.face_forms(FLOAT_SPLINE).value_at_bary((0.5, bad, 0.5)),
     "eval_many": lambda bad: spline_fn.eval_many(FLOAT_SPLINE, [(0.2, 0.3, 0.5), (0.5, 0.5, bad)]),
     "eval_simplex": lambda bad: simplex_spline.eval_simplex(FLOAT_FRAME, K, (bad, 0.2)),
-    "bspline_derivative": lambda bad: bspline1d.bspline_derivative(
+    "bspline_derivative": lambda bad: knot_oracles.bspline_derivative(
         bspline1d.UnivariateBSplineRef(5, 3), bad),
 }
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rational_points
-from knot_oracles import derivative_expansion, insert_knot, restrict_to_edge
+from knot_oracles import derivative_expansion, hull_area, insert_knot, restrict_to_edge
 from ps12splines.bspline1d import UnivariateBSplineRef
 from ps12splines.errors import (
     DomainError,
@@ -20,6 +20,7 @@ from ps12splines.errors import (
 from ps12splines.geometry import (
     FACES,
     INTERIOR_LINES,
+    PS12Frame,
     Point2,
     S3_ELEMENTS,
     VERTEX_BARY,
@@ -36,6 +37,7 @@ from ps12splines.simplex_spline import (
     FaceForms,
     _degree_step,
     _face_ordinates,
+    _independent_triple,
     bernstein_row,
     derivative,
     eval_simplex,
@@ -469,6 +471,40 @@ def test_integral_formula_and_quadrature(ref):
 def test_integral_scales_with_frame():
     big = make_frame(Point2(F(0), F(0)), Point2(F(4), F(0)), Point2(F(0), F(4)))
     assert integral(big, knots("600101")) == F(8) / 21
+
+
+@pytest.mark.parametrize("corners", [
+    ((F(0), F(0)), (F(4), F(0)), (F(0), F(4))),
+    ((F(1, 3), F(2)), (F(-5, 2), F(1, 7)), (F(3), F(-1))),
+    ((0.3, -0.1), (2.7, 0.2), (0.1, 3.1)),
+])
+def test_integral_on_a_frame_built_directly(corners):
+    """A PS12Frame built from its corners has the area make_frame's has."""
+    direct, made = PS12Frame(tuple(Point2(*p) for p in corners)), make_frame(*corners)
+    assert direct.area == made.area
+    for lab in ("600101", "141110", "111000", "030500"):
+        assert integral(direct, knots(lab)) == integral(made, knots(lab))
+
+
+def test_collinearity_and_base_case_match_the_convex_hull():
+    """Over every nonempty set of split vertices, the knots have no
+    independent triple exactly when their hull has area 0; for each
+    independent triple the per-face base value is area(T) / area(hull),
+    or the triple is refused for a side across a face."""
+    accepted = 0
+    for r in range(1, 11):
+        for act in combinations(range(1, 11), r):
+            assert (_independent_triple(act) is None) == (hull_area(act) == 0), act
+            if r != 3 or hull_area(act) == 0:
+                continue
+            m = tuple(int(i + 1 in act) for i in range(10))
+            try:
+                den, faces = _face_ordinates(m)
+            except DomainError:
+                continue
+            accepted += 1
+            assert {F(f[0], den) for f in faces if f} == {F(1, 2) / hull_area(act)}, act
+    assert accepted > 0
 
 
 def test_smoothness_order_values():
