@@ -17,18 +17,17 @@ that gives the restriction tables with the direction kept symbolic.
 The module also carries the Hermite nodal basis dual to the 39 canonical
 functionals (the inverse of the basis-c collocation matrix) and global
 interpolation of vertex jets plus edge cross derivatives on a
-triangulation.  Hermite assembly builds no frame: it maps the nine named
-directions of dual_functionals' table onto each triangle's corners and
-takes every functional by its site; an edge's data reach the functionals
-on it through two constant matrices of its univariate spline spaces,
-built on their truncated powers (_edge_rows).  Exact input
-(rational.is_exact) runs on integers over one denominator; float input
-keeps its own arithmetic.
+triangulation, which makes each triangle's frame once.  Hermite assembly
+maps the nine named directions of dual_functionals' table onto a frame's
+corners (an exact frame's integer corners) and takes every functional by
+its site; an edge's data reach the functionals on it through two
+constant matrices of its univariate spline spaces (_edge_rows).  Exact
+input runs on integers over one denominator, float input on floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import comb, lcm, perm
@@ -290,13 +289,14 @@ def c3_residual(coeffs, beta):
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Vertices and triangles (vertex index triples, 0-based)."""
+    """Vertices and triangles (vertex index triples, 0-based), each triangle's frame made once."""
 
     vertices: tuple
     triangles: tuple
+    _frames: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.vertices)
+        n, frames = len(self.vertices), []
         for t, tri in enumerate(self.triangles):
             if len(tri) != 3 or len(set(tri)) != 3:
                 raise NonConformingMesh(f"triangle {t} needs three distinct vertices")
@@ -305,9 +305,10 @@ class Triangulation:
                 raise NonConformingMesh(f"triangle {t} has a vertex index that is not an int "
                                         f"in 0..{n - 1}")
             try:
-                make_frame(*(self.vertices[i] for i in tri))
+                frames.append(make_frame(*(self.vertices[i] for i in tri)))
             except DegenerateTriangle as exc:
                 raise DegenerateTriangle(f"triangle {t}: {exc}") from None
+        object.__setattr__(self, "_frames", tuple(frames))
         for edge, tris in self._adjacency.items():
             if len(tris) > 2:
                 raise NonConformingMesh(f"edge {edge} shared by {len(tris)} triangles")
@@ -331,17 +332,23 @@ class Triangulation:
         return dict(self._adjacency)
 
     def frame(self, t: int) -> PS12Frame:
-        a, b, c = (self.vertices[i] for i in self.triangles[t])
-        return make_frame(a, b, c)
+        """Triangle t's frame; DomainError unless t is a triangle index."""
+        if isinstance(t, bool) or not isinstance(t, Integral) or not 0 <= t < len(self._frames):
+            raise DomainError(f"no triangle {t!r}: an index is an int in 0..{len(self._frames) - 1}")
+        return self._frames[t]
 
 
 def triangulation(vertices, triangles) -> Triangulation:
-    """Raises DomainError for a vertex that is not a pair, as make_frame does."""
+    """Raises DomainError for a vertex that is not a pair, as make_frame does,
+    and NonConformingMesh unless triangles is a sequence of index triples."""
     try:
         points = tuple(Point2(*v) for v in vertices)
     except TypeError:
         raise DomainError("a vertex is a pair of numbers") from None
-    return Triangulation(points, tuple(tuple(t) for t in triangles))
+    try:
+        return Triangulation(points, tuple(tuple(t) for t in triangles))
+    except TypeError:   # not a sequence of sequences of hashable indices
+        raise NonConformingMesh("the triangles are a sequence of vertex index triples") from None
 
 
 @dataclass(frozen=True)
@@ -368,14 +375,15 @@ class GlobalSpline:
         return self._splines[t]
 
 
-def _cross_edge_coefficients(s: Spline, la: int, lb: int, u: Point2, order: int) -> tuple:
+def _cross_edge_coefficients(s: Spline, la: int, lb: int, order: int) -> tuple:
     """(out, mid) on the macro edge from corner la to corner lb (1-based),
     split at its midpoint, la's half first: out[k][half] = (nums, den), the
-    Bernstein coefficients nums / den of D_u^k s on the half from its
-    la-ward end (_cross_derivative), k = 0..order; mid, the half located at
-    the midpoint.  A float spline's ordinates and direction count exactly."""
+    Bernstein coefficients nums / den of D_u^k s, u = rot90(v_lb - v_la), on
+    the half from its la-ward end (_cross_derivative), k = 0..order; mid,
+    the half located at the midpoint.  Float ordinates and u count exactly."""
     m, halves = _half_edges(la, lb)
-    delta = tuple(map(Fraction, direction_coords(s.frame.corners, u)))
+    a, b = s.frame.corners[la - 1], s.frame.corners[lb - 1]
+    delta = tuple(map(Fraction, direction_coords(s.frame, Point2(-(b.y - a.y), b.x - a.x))))
     out = [[] for _ in range(order + 1)]
     for fi, p, near in halves:
         dden, g = face_bary(fi, delta)
@@ -404,22 +412,25 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
     largest jump; given ``tol`` (1e-10 by default for float data), ``pass``
     says whether every gap is within it.  Exact data gives Fractions, float
     data the floats nearest the exact values for its float ordinates.
-    Raises DomainError for samples not an int >= 1, order not an int in 0..5, NaN or inf.
+    Raises DomainError for samples not an int >= 1, order not an int in 0..5, tol not
+    a finite number, NaN or inf; NonConformingMesh unless edge is an interior edge.
     """
     if any(isinstance(x, bool) or not isinstance(x, Integral) for x in (samples, order)) \
             or samples < 1 or not 0 <= order <= 5:
         raise DomainError("verify_smoothness needs an int samples >= 1 and an int order in 0..5")
-    edge = tuple(sorted(edge))
-    adj = gs.tri._adjacency.get(edge)
+    if tol is not None:
+        finite_numbers([tol], "tol")
+    try:
+        adj = gs.tri._adjacency.get(edge := tuple(sorted(edge)))
+    except TypeError:   # not a pair of comparable, hashable indices
+        adj = None
     if adj is None or len(adj) != 2:
-        raise NonConformingMesh(f"edge {edge} is not an interior edge")
+        raise NonConformingMesh(f"edge {edge!r} is not an interior edge")
     splines = [gs.spline(t) for t in adj]
     exact = all(s.exact for s in splines)
     tol = 1e-10 if tol is None and not exact else tol
-    va, vb = (gs.tri.vertices[i] for i in edge)
-    u = Point2(-(vb.y - va.y), vb.x - va.x)
     (a, a_mid), (b, b_mid) = (
-        _cross_edge_coefficients(s, *(gs.tri.triangles[t].index(v) + 1 for v in edge), u, order)
+        _cross_edge_coefficients(s, *(gs.tri.triangles[t].index(v) + 1 for v in edge), order)
         for t, s in zip(adj, splines))
     div = Fraction if exact else truediv
     m = samples + 1     # sample i, at i / m along the edge, is at w / m on half h
@@ -601,18 +612,14 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
         ((lambda x: (x, 1)), (lambda pairs: (1, [x for x, _ in pairs])))
     jets = {i: over_one(list(map(pair, jet))) for i, jet in vertex_jets.items()}
 
-    def vectors(vs: dict):
-        den, nums = over_one([pair(x) for v in vs.values() for x in v])
-        return den, dict(zip(vs, zip(nums[::2], nums[1::2])))
-
     # per edge, over the global normal ug and tangent tg: the second normal,
     # mixed and tangential derivatives at each quarterpoint, and the first
     # normal and tangential derivatives at the midpoint, over one denominator
     edge_values = {}
     for (a, b), (d2q1, d1m, d2q2) in edge_data.items():
         va, vb = tri.vertices[a], tri.vertices[b]
-        tg = (vb.x - va.x, vb.y - va.y)
-        den, dirs = vectors({"t": tg, "n": (-tg[1], tg[0])})
+        den, (tx, ty) = over_one([pair(vb.x - va.x), pair(vb.y - va.y)])
+        dirs = {"t": (tx, ty), "n": (-ty, tx)}
         ends = [_jet_values(jets[v], den, dirs, _EDGE_PATHS) for v in (a, b)]
         f, g = ends[0][:4] + ends[1][:4], ends[0][4:] + ends[1][4:] + [pair(d1m)]
         (f_q1, f_m, f_q2), (g_q1, g_q2) = (
@@ -621,21 +628,18 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
         q, nums = over_one([pair(d2q1), g_q1, f_q1, pair(d1m), f_m, pair(d2q2), g_q2, f_q2])
         edge_values[a, b] = (dirs["t"], dirs["n"], den, q, nums[:3], nums[3:5], nums[5:])
 
-    # float data: exact corners as Fractions, as make_frame stores them
-    points = None if exact else [Point2(*map(Fraction, p)) if is_exact(p) else p
-                                 for p in tri.vertices]
     nodal = _nodal_integer() if exact else [
         (w, [(k, n, f) for k, (n, f) in enumerate(zip(col, fcol)) if f])
         for w, col, fcol in _nodal_float()]
     coeff_vectors = []
-    for tri_idx in tri.triangles:
+    for tri_idx, frame in zip(tri.triangles, tri._frames):
         # the nine directions on this triangle over one denominator (exact: twice the corners')
         if exact:
-            e, n = common_denominator([x for i in tri_idx for x in tri.vertices[i]])
-            den, dirs = 2 * e, {name: (sum(map(mul, t, n[0::2])), sum(map(mul, t, n[1::2])))
+            e, corners, _ = frame._int_corners
+            den, dirs = 2 * e, {name: tuple(sum(map(mul, t, xy)) for xy in zip(*corners))
                                 for name, t in _DOUBLED_DIRECTIONS.items()}
         else:
-            den, dirs = vectors(direction_vectors([points[i] for i in tri_idx]))
+            den, dirs = 1, direction_vectors(frame.corners)
         # the values in FUNCTIONALS order: each corner's jet functionals, then per edge q1, m, q2
         values = [x for c, v in enumerate(tri_idx, 1)
                   for x in _jet_values(jets[v], den, dirs, _CORNER_PATHS[c])]

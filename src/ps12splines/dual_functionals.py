@@ -30,7 +30,6 @@ from operator import mul
 from .errors import DomainError
 from .geometry import EDGES, VERTEX_BARY, Bary3, PS12Frame, Point2, bary_image, to_bary
 from .linalg import rank as matrix_rank
-from .rational import is_exact
 from .simplex_spline import FaceForms, _quintic_ordinates, functional_row, knots
 
 #: Vertex jet orders in canonical sequence.
@@ -153,7 +152,7 @@ def collocation(frame: PS12Frame, candidates) -> CollocationMatrix:
     functionals, with its exact rank (fraction-free elimination).  The
     matrix is the same on every exact frame, the functionals and the
     normalised simplex splines being affine invariant."""
-    if not is_exact([c for p in frame.corners for c in p]):
+    if frame._int_corners is None:
         raise DomainError("the collocation matrix is exact: it needs an exact frame")
     rows = [list(lambda_vector(knots(K))) for K in candidates]
     return CollocationMatrix(tuple(tuple(r) for r in rows), matrix_rank(rows))

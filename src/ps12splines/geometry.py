@@ -86,10 +86,14 @@ def signed_area2(a: Point2, b: Point2, c: Point2):
 
 @dataclass(frozen=True)
 class PS12Frame:
-    """A macrotriangle with its ten split vertices and twelve faces; an exact
-    one also holds its corners as integers over one denominator (_int_corners)."""
+    """A macrotriangle with its ten split vertices and twelve faces; exact corners are
+    stored as Fractions, an exact frame's also as integers over one denominator (_int_corners)."""
 
     corners: tuple  # Point2 v1, v2, v3
+
+    def __post_init__(self):
+        corners = (Point2(*map(Fraction, p)) if is_exact(p) else Point2(*p) for p in self.corners)
+        object.__setattr__(self, "corners", tuple(corners))
 
     @cached_property
     def v(self) -> tuple:
@@ -98,8 +102,9 @@ class PS12Frame:
 
     @cached_property
     def area2(self):
-        """signed_area2 of the corners, the denominator of to_bary, made on first read."""
-        return signed_area2(*self.corners)
+        """signed_area2 of the corners, the denominator of to_bary (exact: from _int_corners)."""
+        ints = self._int_corners
+        return signed_area2(*self.corners) if ints is None else Fraction(ints[2], ints[0] ** 2)
 
     @cached_property
     def area(self):
@@ -138,23 +143,14 @@ def bary_image(corners, b: Bary3) -> Point2:
 
 
 def make_frame(v1: Point2, v2: Point2, v3: Point2) -> PS12Frame:
-    """Build the 12-split frame over the macrotriangle [v1, v2, v3].
-
-    Raises DomainError unless each corner is a pair of numbers, and
-    DegenerateTriangle when the corners are collinear or a coordinate is
-    NaN or infinite.  Exact corners are stored as Fractions, so every split
-    vertex is exact.
-    """
+    """PS12Frame((v1, v2, v3)) after the checks: DomainError unless each corner is a pair
+    of numbers, DegenerateTriangle when collinear or a coordinate is NaN or infinite."""
     corners = [finite_numbers(v, "a corner", DegenerateTriangle) for v in (v1, v2, v3)]
     if any(len(v) != 2 for v in corners):
         raise DomainError(f"a corner is a pair of numbers, not {v1!r}, {v2!r}, {v3!r}")
-    v1, v2, v3 = (Point2(*v) for v in corners)
-    exact = is_exact(v1 + v2 + v3)
-    if exact:
-        v1, v2, v3 = (Point2(Fraction(p.x), Fraction(p.y)) for p in (v1, v2, v3))
-    frame = PS12Frame((v1, v2, v3))
+    frame = PS12Frame(tuple(corners))
     # a NaN or infinite coordinate makes the area NaN or infinite, never 0
-    if frame.area2 == 0 or not (exact or isfinite(frame.area2)):
+    if frame.area2 == 0 or not (frame._int_corners or isfinite(frame.area2)):
         raise DegenerateTriangle("macrotriangle corners are collinear or not finite")
     return frame
 
@@ -162,8 +158,7 @@ def make_frame(v1: Point2, v2: Point2, v3: Point2) -> PS12Frame:
 @lru_cache(maxsize=1)
 def reference_frame() -> PS12Frame:
     """The exact unit frame [(0,0), (1,0), (0,1)] used for all cached data."""
-    z, o = Fraction(0), Fraction(1)
-    return make_frame(Point2(z, z), Point2(o, z), Point2(z, o))
+    return make_frame((0, 0), (1, 0), (0, 1))
 
 
 def bary_coords(corners, p: Point2, d=None) -> Bary3:
@@ -194,21 +189,23 @@ def to_bary(frame: PS12Frame, p: Point2) -> Bary3:
 
 
 def from_bary(frame: PS12Frame, b: Bary3) -> Point2:
-    """The point with barycentrics b; DimensionMismatch unless b is a triple."""
+    """The point with barycentrics b; DimensionMismatch unless b is a
+    triple, DomainError unless of numbers."""
     try:
         b1, b2, b3 = b
     except (TypeError, ValueError):  # not a triple
         raise DimensionMismatch(f"barycentric coordinates are a triple, not {b!r}") from None
-    v1, v2, v3 = frame.corners
-    return Point2(b1 * v1.x + b2 * v2.x + b3 * v3.x,
-                  b1 * v1.y + b2 * v2.y + b3 * v3.y)
+    (x1, y1), (x2, y2), (x3, y3) = frame.corners
+    try:
+        return Point2(b1 * x1 + b2 * x2 + b3 * x3, b1 * y1 + b2 * y2 + b3 * y3)
+    except TypeError:  # not of numbers
+        raise DomainError(f"barycentric coordinates are numbers, not {b!r}") from None
 
 
-def direction_coords(corners, u: Point2) -> Bary3:
+def direction_coords(frame: PS12Frame, u: Point2) -> Bary3:
     """Directional coordinates (summing to zero) of the vector u with
-    respect to the triangle with the given three corners."""
-    a, b, c = corners
-    det = signed_area2(a, b, c)
+    respect to the frame's macrotriangle, over its cached area2."""
+    (a, b, c), det = frame.corners, frame.area2
     d1 = (u.x * (b.y - c.y) - u.y * (b.x - c.x)) / det
     d2 = (u.y * (a.x - c.x) - u.x * (a.y - c.y)) / det
     return (d1, d2, -d1 - d2)

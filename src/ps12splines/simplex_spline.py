@@ -460,7 +460,7 @@ class FaceForms:
         if not directions and self.deg == 5 and not is_exact(beta):
             return float_value(self.ords, beta)
         if directions:
-            directions = [direction_coords(self.frame.corners, u) for u in directions]
+            directions = [direction_coords(self.frame, u) for u in directions]
         fi, den, row = functional_row(beta, directions, self.deg)
         ords = self.ords[fi - 1]
         if den != 1 and not is_exact(ords):

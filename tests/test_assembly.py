@@ -779,7 +779,7 @@ def _oracle_jumps(gs, edge, order, samples, ords):
 
     def value(t, beta, k):
         s = gs.spline(t)
-        fi, den, row = functional_row(beta, [direction_coords(s.frame.v[:3], u)] * k)
+        fi, den, row = functional_row(beta, [direction_coords(s.frame, u)] * k)
         if (s.coeffs, fi) not in ords:
             q, table = scaled_basis_tables("c")
             ords[s.coeffs, fi] = [sum((F(x, q) * c for x, c in zip(tj, s.coeffs)), F(0))
@@ -1173,3 +1173,97 @@ def test_orders_4_and_5_follow_the_midpoint_convention():
             for samples in (1, 2, 3, 5):
                 assert verify_smoothness(g, (0, 1), order, samples)["jumps"] == \
                     _oracle_jumps(g, (0, 1), order, samples, ords), (order, samples)
+
+
+# ---------------------------------------------------------------------------
+# One owner for a triangle's coordinates: the frames of a triangulation
+# ---------------------------------------------------------------------------
+
+def _perturbed_grid(rng, n):
+    """An n x n grid of split squares, its inner vertices moved by seeded
+    rational offsets of at most 1/5, with rational jets and edge data."""
+    verts = [(F(i) + F(rng.randint(-2, 2), 10) * (0 < i < n and 0 < j < n),
+              F(j) + F(rng.randint(-2, 2), 10) * (0 < i < n and 0 < j < n))
+             for j in range(n + 1) for i in range(n + 1)]
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            a = j * (n + 1) + i
+            b, c, d = a + 1, a + n + 1, a + n + 2
+            tris += [(a, b, d), (a, d, c)] if rng.random() < 0.5 else [(a, b, c), (b, d, c)]
+    jets = {v: tuple(F(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(10))
+            for v in range(len(verts))}
+    edges = {tuple(sorted(e)): tuple(F(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(3))
+             for t in tris for e in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))}
+    return verts, tris, jets, edges
+
+
+def test_each_triangle_frame_is_made_once(monkeypatch):
+    """make_frame runs once per triangle, when the triangulation is checked:
+    Hermite assembly and the join check of every interior edge read the
+    kept frames, and frame(t) returns the one it checked."""
+    calls, make = [], assembly.make_frame
+    monkeypatch.setattr(assembly, "make_frame", lambda *c: calls.append(c) or make(*c))
+    verts, tris, jets, edges = _perturbed_grid(random.Random(4), 4)
+    tri = triangulation(verts, tris)
+    gs = hermite_interpolate(tri, jets, edges)
+    for e in tri.interior_edges():
+        verify_smoothness(gs, e, 2, samples=1)
+    assert len(tris) == 32 and len(calls) == 32
+    assert all(gs.spline(t).frame is tri.frame(t) for t in range(len(tris)))
+
+
+def test_exact_assembly_reads_int_and_fraction_vertices_alike():
+    """A mesh given with int vertices assembles to the coefficients of the
+    same mesh given with Fraction vertices."""
+    rng = random.Random(35)
+    verts = [(i, j) for j in range(3) for i in range(3)]
+    tris = [(0, 1, 4), (0, 4, 3), (1, 2, 4), (2, 5, 4), (3, 4, 6), (4, 7, 6), (4, 5, 8), (4, 8, 7)]
+    ints, fracs = triangulation(verts, tris), triangulation([(F(x), F(y)) for x, y in verts], tris)
+    jets = {v: tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(10)) for v in range(9)}
+    edges = {e: tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)) for e in ints.edges()}
+    got = hermite_interpolate(ints, jets, edges)
+    assert all(type(x) is int for v in ints.vertices for x in v)
+    assert got.coeffs == hermite_interpolate(fracs, jets, edges).coeffs
+    assert all(type(c) is F for cs in got.coeffs for c in cs)
+
+
+#: float.hex of each coefficient of float Hermite on two triangles with
+#: int corners, one beyond 2**53, and a corner of an int and a float.
+MIXED_FLOAT_HEX = (
+    "0x0.0p+0 0x1.d41d41d41d41dp+46 0x1.5f15f15f15f1ap+98 0x1.d41d41d41d424p+150 "
+    "-0x1.111111111110cp+151 0x1.d41d41d41d416p+98 -0x1.d41d41d41d418p+47 0x1.2492492492492p-3 "
+    "0x1.5f15f15f15f15p-4 0x1.3333333333334p+48 0x1.94b94b94b94bdp+100 0x1.041041041041cp+149 "
+    "-0x1.111111111110ap+151 0x1.d41d41d41d413p+98 -0x1.d41d41d41d415p+47 0x1.12be2be2be2bep-2 "
+    "0x1.1ad1ad1ad1ad4p+50 0x1.381381381381bp+150 0x1.0410410410415p+149 "
+    "-0x1.1111111111109p+151 0x1.d41d41d41d410p+98 0x1.08f8af8af8af8p+0 "
+    "-0x1.bc0ca0d3cae0bp+100 0x1.d41d41d41d433p+149 -0x1.1111111111107p+151 "
+    "-0x1.8ef70117cadd0p+48 0x1.1501e719e0b88p+99 0x1.a01a01a01a017p+150 "
+    "0x1.d41d41d41d429p+149 -0x1.a5ca5ca5ca5e0p-7 0x1.2492492492490p+45 -0x1.38138138137c0p+94 "
+    "0x1.d41d41d41d428p+45 0x1.3813813813813p+151 0x1.c1d41d41d41d0p-5 0x1.2492492492494p+99 "
+    "0x1.9999999999998p-4 0x1.5f15f15f15f19p+48 0x1.2492492492492p-2",
+    "0x1.2492492492492p-3 0x1.6db6db6db6db7p-2 0x1.adb6db6db6db6p-1 0x1.8aaaaaaaaaaabp+1 "
+    "-0x1.b6db6db6db6f0p-4 0x1.2492492492488p-4 0x1.249249249248cp-4 0x1.b6db6db6db6dbp-2 "
+    "-0x1.d41d41d41d415p+47 -0x1.2be2be2be2bdep+49 -0x1.2f8af8af8af86p+51 "
+    "0x1.e844eab511b90p+48 -0x1.1111111111118p+48 0x1.5f15f15f15f18p+45 -0x1.d41d41d41d419p+48 "
+    "0x1.d41d41d41d410p+98 0x1.381381381380cp+101 -0x1.302d4044a8217p+101 "
+    "0x1.f94da95576a00p+98 -0x1.1111111111110p+99 0x1.5f15f15f15f14p+99 "
+    "-0x1.1111111111107p+151 -0x1.6c16c16c16c05p+150 -0x1.d41d41d41d424p+150 "
+    "-0x1.5f15f15f15f16p+151 -0x1.3813813813801p+149 -0x1.3813813813811p+149 "
+    "-0x1.04104104103fep+150 -0x1.0410410410405p+150 0x1.3813813813813p+151 "
+    "0x1.3813813813817p+151 0x1.381381381381bp+151 0x1.2492492492498p+99 "
+    "0x1.3813813813820p+151 0x1.2492492492494p+99 0x1.249249249249bp+99 0x1.5f15f15f15f19p+48 "
+    "0x1.5f15f15f15f1dp+48 0x1.2492492492492p-2",
+)
+
+
+def test_float_assembly_with_exact_and_large_corners_keeps_its_bits():
+    """Every exact corner is read as Fractions, also on a triangle with a
+    float coordinate, so the midpoint of two exact corners is not rounded
+    before the direction from it to the opposite corner is taken."""
+    big = 2 ** 53 + 1
+    tri = triangulation([(0, 0), (big, 0), (1, 2.5), (big, 5)], [(0, 1, 2), (1, 3, 2)])
+    jets = {v: tuple((v + k) / 7 for k in range(10)) for v in range(4)}
+    edges = {e: (0.5, -0.25, 0.125 * (e[0] + e[1])) for e in tri.edges()}
+    gs = hermite_interpolate(tri, jets, edges)
+    assert [[c.hex() for c in cs] for cs in gs.coeffs] == [row.split() for row in MIXED_FLOAT_HEX]

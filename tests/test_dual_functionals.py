@@ -87,7 +87,7 @@ def test_cartesian_view_maps_back_to_the_frame_free_table(corners):
     assert [lam.site for lam in lams] == [f.site for f in FUNCTIONALS]
     for lam, f in zip(lams, FUNCTIONALS):
         assert to_bary(frame, lam.point) == f.point
-        assert [direction_coords(frame.v[:3], u) for u in lam.directions] == \
+        assert [direction_coords(frame, u) for u in lam.directions] == \
             [bary_direction(n) for n in f.directions]
     for K in catalog("c").multisets:
         forms = FaceForms(frame, 5, per_face_bernstein(frame, K))

@@ -165,6 +165,14 @@ BAD_CALLS = {
         geometry.reference_frame(), K, (F(1, 3),) * 3),
     "derivative three coordinates": lambda: simplex_spline.derivative(
         geometry.reference_frame(), K, (1, -1, 0))((1, 2, 3)),
+    "from_bary str coordinates": lambda: geometry.from_bary(geometry.reference_frame(), ("a", "b", "c")),
+    "from_bary None coordinate": lambda: geometry.from_bary(geometry.reference_frame(), (None, 1, 0)),
+    "verify_smoothness str tol": lambda: assembly.verify_smoothness(
+        assembly.GlobalSpline(MESH, ((F(0),) * 39,) * 2), (1, 2), 2, tol="x"),
+    "Triangulation.frame index past the triangles": lambda: MESH.frame(9),
+    "Triangulation.frame negative index": lambda: MESH.frame(-1),
+    "GlobalSpline.spline index past the triangles": lambda: assembly.GlobalSpline(
+        MESH, ((F(0),) * 39,) * 2).spline(5),
 }
 
 
@@ -219,6 +227,12 @@ TYPED_ERRORS = {
         [(0, 0), (1, 0), (0, 1), (1, 1), (0, -1)], [(0, 1, 2), (0, 1, 3), (0, 1, 4)])),
     "verify_smoothness boundary edge": (NonConformingMesh, lambda: assembly.verify_smoothness(
         assembly.GlobalSpline(MESH, ((F(0),) * 39,) * 2), (0, 1), 1)),
+    "verify_smoothness int edge": (NonConformingMesh, lambda: assembly.verify_smoothness(
+        assembly.GlobalSpline(MESH, ((F(0),) * 39,) * 2), 5, 2)),
+    "verify_smoothness edge with a str": (NonConformingMesh, lambda: assembly.verify_smoothness(
+        assembly.GlobalSpline(MESH, ((F(0),) * 39,) * 2), (0, "a"), 2)),
+    "triangulation int triangles": (NonConformingMesh, lambda: assembly.triangulation(
+        [(0, 0), (1, 0), (0, 1)], 5)),
     "Spline unknown basis": (UnsupportedBasis, lambda: spline_fn.Spline(
         FLOAT_FRAME, "g", (0.0,) * 39)),
     "restrict_to_edge two knots": (TooFewKnots, lambda: knot_oracles.restrict_to_edge(

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ps12splines.dual_functionals import build_lambda
 from ps12splines.errors import DegenerateTriangle
 from ps12splines.geometry import (
+    PS12Frame,
     Point2,
     VERTEX_BARY,
     bary_coords,
@@ -31,6 +33,35 @@ def test_make_frame_unit_triangle_vertices():
     assert fr.vertex(7) == (F(1, 4), F(1, 4))
     assert fr.vertex(10) == (F(1, 3), F(1, 3))
     assert fr.area == F(1, 2)
+
+
+@pytest.mark.parametrize("corners", [
+    ((0, 0), (1, 0), (0, 1)),
+    ((F(0), F(0)), (F(1), F(0)), (F(0), F(1))),
+    ((3, -1), (F(13, 5), 7), (-2, F(1, 9))),
+])
+def test_a_frame_built_directly_keeps_exact_corners_exact(corners):
+    """PS12Frame converts exact corners to Fractions itself, so a frame
+    built from int or Fraction corners is make_frame's frame, with exact
+    split vertices, area and functional points."""
+    direct, made = PS12Frame(tuple(Point2(*c) for c in corners)), make_frame(*corners)
+    assert direct == made and direct.corners == made.corners
+    assert direct.v == made.v and direct.area == made.area
+    assert all(type(c) is F for p in direct.v for c in p) and type(direct.area) is F
+    assert [lam.point for lam in build_lambda(direct)] == [lam.point for lam in build_lambda(made)]
+    assert all(type(c) is F for lam in build_lambda(direct) for c in lam.point)
+
+
+def test_a_mixed_frame_stores_its_exact_corners_as_fractions():
+    """On a frame with a float coordinate, each corner whose coordinates
+    are both exact is stored as Fractions and every other coordinate as
+    given, directly and through make_frame alike."""
+    corners = ((0, 0), (2 ** 53 + 1, 0), (1, 2.5))
+    direct, made = PS12Frame(tuple(Point2(*c) for c in corners)), make_frame(*corners)
+    assert direct.corners == made.corners == corners
+    assert [tuple(map(type, p)) for p in direct.corners] == [(F, F), (F, F), (int, float)]
+    assert direct._int_corners is None and type(direct.area2) is float
+    assert direct.v[3] == (F(2 ** 53 + 1, 2), 0)
 
 
 def _spelled_out_split(v1, v2, v3) -> tuple:
