@@ -298,12 +298,12 @@ class Triangulation:
     def __post_init__(self):
         n, frames = len(self.vertices), []
         for t, tri in enumerate(self.triangles):
-            if len(tri) != 3 or len(set(tri)) != 3:
-                raise NonConformingMesh(f"triangle {t} needs three distinct vertices")
             if not all(isinstance(i, Integral) and not isinstance(i, bool) and 0 <= i < n
-                       for i in tri):
+                       for i in tri):  # before set(tri), which would hash a list
                 raise NonConformingMesh(f"triangle {t} has a vertex index that is not an int "
                                         f"in 0..{n - 1}")
+            if len(tri) != 3 or len(set(tri)) != 3:
+                raise NonConformingMesh(f"triangle {t} needs three distinct vertices")
             try:
                 frames.append(make_frame(*(self.vertices[i] for i in tri)))
             except DegenerateTriangle as exc:
@@ -370,8 +370,9 @@ class GlobalSpline:
 
     def spline(self, t: int) -> Spline:
         """The spline on triangle t, built once, with its frame and contractions."""
+        frame = self.tri.frame(t)  # DomainError before t is hashed
         if t not in self._splines:
-            self._splines[t] = Spline(self.tri.frame(t), self.basis, tuple(self.coeffs[t]))
+            self._splines[t] = Spline(frame, self.basis, tuple(self.coeffs[t]))
         return self._splines[t]
 
 
@@ -604,8 +605,10 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
             or any(len(v) != 10 for v in vertex_jets.values()) \
             or any(len(v) != 3 for v in edge_data.values()):
         raise DimensionMismatch("need a 10-jet for every vertex and 3 values for every edge")
-    values = [x for vals in (*tri.vertices, *vertex_jets.values(), *edge_data.values()) for x in vals]
-    exact = is_exact(finite_numbers(values, "the vertices, jets and edge data"))
+    unused = [tri.vertices[i] for i in set(range(len(tri.vertices))).difference(*tri.triangles)]
+    values = [x for vals in (*unused, *vertex_jets.values(), *edge_data.values()) for x in vals]
+    exact = is_exact(finite_numbers(values, "the vertices, jets and edge data")) \
+        and all(frame._int_corners for frame in tri._frames)  # make_frame checked the others
 
     # a value as (numerator, denominator), over 1 unless exact
     pair, over_one = ((lambda x: (x.numerator, x.denominator)), _over_lcm) if exact else \

@@ -113,9 +113,9 @@ def _float_lattice(n: int) -> list:
 
 
 # A cold command reads up to this many float lattice points one by one,
-# about 6 us a point slower than eval_many; more go through eval_many,
-# whose cold numpy import and first batch (about 0.13 s) is then the
-# smaller cost.  Both give the same bits.
+# 5.5-6 us a point slower than eval_many (warm, 2 vCPUs: 6.4-6.6 against
+# 0.7-0.8 us); more go through eval_many, whose cold numpy import and first
+# batch (about 0.13 s) is then the smaller cost.  Both give the same bits.
 BATCH_POINTS = 20_000
 
 

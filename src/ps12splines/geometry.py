@@ -166,8 +166,8 @@ def bary_coords(corners, p: Point2, d=None) -> Bary3:
     given three corners; d is their signed_area2, computed when None."""
     a, b, c = corners
     d = signed_area2(a, b, c) if d is None else d
-    b1 = signed_area2(p, b, c) / d
-    b2 = signed_area2(a, p, c) / d
+    b1 = ((b.x - p.x) * (c.y - p.y) - (b.y - p.y) * (c.x - p.x)) / d  # signed_area2(p, b, c) / d
+    b2 = ((p.x - a.x) * (c.y - a.y) - (p.y - a.y) * (c.x - a.x)) / d  # signed_area2(a, p, c) / d
     return (b1, b2, 1 - b1 - b2)
 
 

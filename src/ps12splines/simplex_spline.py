@@ -15,9 +15,10 @@ The recursion runs once per multiset, face by face on Bernstein forms
 resulting per-face tables: functional_row locates a point (_locate) and
 builds the Bernstein row whose dot product with a face table is a value or
 a derivative there, for derivative (eval_simplex is its order 0), the dual
-functionals and the exact spline layer; float_value does the same in one
-pass for a float value.  Expanding a derivative over sub-multisets by the
-knot-multiset recursion is left to the tests, as their oracle.
+functionals and basis_values; quintic_form writes out the value row's dot
+product for eval_spline (float_value locates a float point for it).
+Expanding a derivative over sub-multisets by the knot-multiset recursion is
+left to the tests, as their oracle.
 
 Everything is exact on the reference frame, taken scaled by 12 so that the
 ten split vertices are integer points (the per-face recursion runs on
@@ -346,7 +347,7 @@ def bernstein_row(g, deg: int = 5) -> list:
     """Degree-deg Bernstein polynomials at face barycentrics g, in the order
     of bernstein_exponents(deg): floats for floats, integers for integers
     (integer g / D gives the row over D^deg).  Powers come by repeated
-    multiplication, the operations of the batch kernel spline_fn.eval_many."""
+    multiplication, as in quintic_form."""
     p0, p1, p2 = (list(accumulate([x] * deg, mul, initial=1)) for x in g)
     return [m * p0[a] * p1[b] * p2[c] for m, a, b, c in _row_terms(deg)]
 
@@ -387,8 +388,8 @@ def functional_row(beta, deltas=(), deg: int = 5) -> tuple:
     macro-directional triple in deltas, of any degree-deg form with
     ordinates ords on that face; functional_row(beta) is the value row.
 
-    Exact values, derivatives and basis_values read it (float_value does its
-    operations for a plain float value).  The face follows the half-open
+    Exact values, derivatives and basis_values read it (eval_spline's
+    quintic_form does the value row's operations).  The face follows the half-open
     convention of locate_face_bary, derivatives are one-sided on it, and
     OutsideDomain is raised outside the closed macrotriangle, onto which
     float beta is snapped first (snap_bary).  The located degree-(deg - k)
@@ -424,20 +425,30 @@ def functional_row(beta, deltas=(), deg: int = 5) -> tuple:
     return fi, den, row
 
 
+def quintic_form(o, x, y, z):
+    """Ordinates o times the quintic Bernstein row at face barycentrics (x, y, z), written
+    out: o[k] * (m * x**a * y**b * z**c) over _row_terms(5), powers by repeated products,
+    factors of 1 left out (exact in IEEE), terms added left to right from int 0 (0 + -0.0
+    is 0.0); the bits of bernstein_row and that sum, on ints, floats or numpy columns."""
+    x2, y2, z2 = x * x, y * y, z * z
+    x3, y3, z3 = x2 * x, y2 * y, z2 * z
+    x4, y4, z4 = x3 * x, y3 * y, z3 * z
+    return (0 + o[0] * (z4 * z) + o[1] * (5 * y * z4) + o[2] * (10 * y2 * z3)
+            + o[3] * (10 * y3 * z2) + o[4] * (5 * y4 * z) + o[5] * (y4 * y) + o[6] * (5 * x * z4)
+            + o[7] * (20 * x * y * z3) + o[8] * (30 * x * y2 * z2) + o[9] * (20 * x * y3 * z)
+            + o[10] * (5 * x * y4) + o[11] * (10 * x2 * z3) + o[12] * (30 * x2 * y * z2)
+            + o[13] * (30 * x2 * y2 * z) + o[14] * (10 * x2 * y3) + o[15] * (10 * x3 * z2)
+            + o[16] * (20 * x3 * y * z) + o[17] * (10 * x3 * y2) + o[18] * (5 * x4 * z)
+            + o[19] * (5 * x4 * y) + o[20] * (x4 * x))
+
+
 def float_value(ords, beta) -> float:
-    """Value at float macro-barycentrics beta of the quintic with face ordinates
-    ords (12 x 21): functional_row(beta) times the face's ordinates, op for op
-    in one pass (snap, face, float face barycentrics, repeated-product powers,
-    21 terms added left to right from 0), so with their bits; the one-point
-    twin of spline_fn.eval_many.  OutsideDomain outside the macrotriangle."""
+    """Value at float macro-barycentrics beta of the quintic with face ordinates ords
+    (12 x 21): functional_row(beta)'s snap and face, face_bary's float face barycentrics,
+    then quintic_form, as eval_many does on columns; OutsideDomain outside the triangle."""
     fi, (b1, b2, b3) = _locate(beta, False)
-    p0, p1, p2 = [(1, g, g2 := g * g, g3 := g2 * g, g4 := g3 * g, g4 * g)
-                  for r1, r2, r3 in _layer_face_bary_matrices()[fi - 1][1]
-                  for g in [r1 * b1 + r2 * b2 + r3 * b3]]
-    total = 0
-    for o, (m, a, b, c) in zip(ords[fi - 1], _row_terms(5)):
-        total += o * (m * p0[a] * p1[b] * p2[c])
-    return total
+    return quintic_form(ords[fi - 1], *[r1 * b1 + r2 * b2 + r3 * b3
+                                        for r1, r2, r3 in _layer_face_bary_matrices()[fi - 1][1]])
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ result.  Otherwise the float layer contracts the same nonzero entries with
 the float coefficients once per spline into 12 x 21 face ordinates, in
 plain Python (each a left-to-right sum of the products, divided once), so
 its bits depend on neither a BLAS build nor the Python version (float
-coefficients beyond about 1.4e303 raise DomainError).  Float eval_spline (one point, by
-simplex_spline.float_value) and eval_many (a numpy batch) read those ordinates
-with the same IEEE operations in the same order, so they agree bit for bit.
-Only eval_many imports numpy.
+coefficients beyond about 1.4e303 raise DomainError).  eval_spline, exact
+and float, and the numpy batch eval_many run one function on ints, floats
+and columns, simplex_spline.quintic_form, so a point and a batch agree bit
+for bit.  Only eval_many imports numpy.
 The domain-point collocation matrix has rows summing to one, and its exact
 inverse, kept as integers over one reduced denominator, gives Lagrange
 interpolation as one integer mat-vec (whose integers the exact spline
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, chain, combinations, islice
+from itertools import chain, combinations, islice
 from math import gcd, isfinite, lcm
 from numbers import Real
 from operator import add, itemgetter, mul, truediv
@@ -40,13 +40,13 @@ if TYPE_CHECKING:  # annotations only: eval_many imports numpy when it runs
 
 from .errors import (BoundViolated, DimensionMismatch, DomainError, OutsideDomain,
                      UnsupportedBasis)
-from .geometry import (PS12Frame, Point2, S3_ELEMENTS, _layer_face_bary_matrices, from_bary,
-                       s3_apply_bary, to_bary)
+from .geometry import (PS12Frame, Point2, S3_ELEMENTS, _layer_face_bary_matrices, face_bary,
+                       from_bary, s3_apply_bary, to_bary)
 from .linalg import _integer_solve, identity, inf_norm
 from .marsden_catalog import BASIS_IDS, catalog
 from .rational import common_denominator, finite_numbers, is_exact
-from .simplex_spline import (SNAP_TOL, FaceForms, _face_ordinates, _row_terms, float_value,
-                             functional_row)
+from .simplex_spline import (SNAP_TOL, FaceForms, _face_ordinates, _locate, float_value,
+                             functional_row, quintic_form)
 
 
 @dataclass(frozen=True)
@@ -162,16 +162,17 @@ def eval_spline(s: Spline, p) -> object:
     """Value of the spline at a point of its frame.
 
     Exact (Fraction) when the coefficients and barycentric coordinates are
-    exact, double precision otherwise: simplex_spline.float_value on the
-    spline's contracted face ordinates.  Raises OutsideDomain for points
-    outside the closed macrotriangle.
+    exact, double precision otherwise (simplex_spline.float_value on the
+    contracted face ordinates); both layers end in quintic_form.  Raises
+    OutsideDomain for points outside the closed macrotriangle.
     """
     beta = to_bary(s.frame, p)
     if s._int_coeffs is None or not is_exact(beta):
         return float_value(s._float_forms.ords, beta)
-    fi, den, row = functional_row(beta)
+    fi, beta = _locate(beta, True)
+    den, g = face_bary(fi, beta)
     d, ords = s._exact_ordinates(fi)
-    return Fraction(sum(map(mul, row, ords)), den * d)
+    return Fraction(quintic_form(ords, *g), den ** 5 * d)
 
 
 def _locate_faces(b1, b2, b3):
@@ -187,9 +188,9 @@ def _locate_faces(b1, b2, b3):
 
 def eval_many(s: Spline, barys) -> np.ndarray:
     """Float values at an (n, 3) array of macro-barycentrics in one numpy
-    batch, each with the bits of float eval_spline there: the batch twin of
-    simplex_spline.float_value (snap, face, face barycentrics, powers and
-    left-to-right sum), op for op.  Raises OutsideDomain if any point is
+    batch, each with the bits of float eval_spline there: the snap, face and
+    face barycentrics of simplex_spline.float_value on arrays, then the same
+    quintic_form on columns.  Raises OutsideDomain if any point is
     outside the closed macrotriangle, DimensionMismatch for another shape."""
     import numpy as np
     b = np.array(barys, dtype=float)
@@ -204,12 +205,7 @@ def eval_many(s: Spline, barys) -> np.ndarray:
     face = _locate_faces(*b.T) - 1
     m = np.array([f for _, f in _layer_face_bary_matrices()])[face]  # (n, 3, 3)
     g = m[:, :, 0] * b[:, :1] + m[:, :, 1] * b[:, 1:2] + m[:, :, 2] * b[:, 2:]
-    pw = list(accumulate([g] * 5, mul, initial=np.ones_like(g)))  # powers, as bernstein_row
-    ords = np.array(s._float_forms.ords)[face]
-    total = np.zeros(len(b))
-    for k, (mult, e1, e2, e3) in enumerate(_row_terms(5)):
-        total = total + mult * pw[e1][:, 0] * pw[e2][:, 1] * pw[e3][:, 2] * ords[:, k]
-    return total
+    return quintic_form(np.array(s._float_forms.ords)[face].T, *g.T)
 
 
 def face_forms(s: Spline) -> FaceForms:

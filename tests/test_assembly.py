@@ -645,6 +645,19 @@ def test_propagate_int_coefficients_exact():
     assert got == want and feas == want_feas
 
 
+def test_hermite_is_exact_only_when_every_vertex_is():
+    """Exact jets and edge data on exact triangles give Fractions, unless a
+    vertex that no triangle uses has a float coordinate: then floats, as
+    for a float vertex of a triangle."""
+    jets = {i: (F(i, 3),) * 10 for i in range(5)}
+    for last, unused, kind in (((3, 2), (5, 5), F), ((3, 2), (5, 5.0), float),
+                               ((3.0, 2), (5, 5), float)):
+        tri = triangulation([(0, 0), (2, 0), (0, 2), last, unused], [(0, 1, 2), (1, 3, 2)])
+        edges = {e: (F(1), F(-2), F(3, 7)) for e in tri.edges()}
+        coeffs = hermite_interpolate(tri, jets, edges).coeffs
+        assert {type(c) for cs in coeffs for c in cs} == {kind}
+
+
 def test_hermite_int_data_is_exact():
     """int vertices, jets and edge data are exact input: every coefficient
     is a Fraction, equal to the result for the same data as Fractions."""
@@ -950,12 +963,15 @@ def test_hermite_rejects_malformed_data_with_dimension_mismatch(bad):
 
 
 @pytest.mark.parametrize("value", ["x", 1j, float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("where", ["jet", "edge data"])
+@pytest.mark.parametrize("where", ["jet", "edge data", "unused vertex"])
 def test_hermite_rejects_values_that_are_not_finite_reals(value, where):
     """A str or complex value, NaN or inf raises DomainError instead of a
-    bare TypeError or NaN, complex or inf coefficients."""
-    tri = triangulation([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))], [(0, 1, 2)])
-    jets = {i: (F(i),) * 10 for i in range(3)}
+    bare TypeError or NaN, complex or inf coefficients, also as a
+    coordinate of a vertex that no triangle uses (make_frame checks the
+    others)."""
+    verts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
+    tri = triangulation(verts + [(F(2), value)] * (where == "unused vertex"), [(0, 1, 2)])
+    jets = {i: (F(i),) * 10 for i in range(len(tri.vertices))}
     edges = {e: (F(1), F(2), F(3)) for e in tri.edges()}
     if where == "jet":
         jets[1] = (F(0),) * 9 + (value,)

@@ -233,6 +233,10 @@ TYPED_ERRORS = {
         assembly.GlobalSpline(MESH, ((F(0),) * 39,) * 2), (0, "a"), 2)),
     "triangulation int triangles": (NonConformingMesh, lambda: assembly.triangulation(
         [(0, 0), (1, 0), (0, 1)], 5)),
+    "GlobalSpline.spline list index": (DomainError, lambda: assembly.GlobalSpline(
+        MESH, ((F(0),) * 39,) * 2).spline([0])),
+    "Triangulation list vertex index": (NonConformingMesh, lambda: assembly.Triangulation(
+        MESH.vertices, (([0], 1, 2),))),
     "Spline unknown basis": (UnsupportedBasis, lambda: spline_fn.Spline(
         FLOAT_FRAME, "g", (0.0,) * 39)),
     "restrict_to_edge two knots": (TooFewKnots, lambda: knot_oracles.restrict_to_edge(

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
+from operator import add, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rational_points
@@ -38,12 +39,14 @@ from ps12splines.simplex_spline import (
     _degree_step,
     _face_ordinates,
     _independent_triple,
+    _row_terms,
     bernstein_row,
     derivative,
     eval_simplex,
     integral,
     knots,
     per_face_bernstein,
+    quintic_form,
     smoothness_order,
 )
 
@@ -597,3 +600,60 @@ def test_partition_of_unity_ordinates(ref):
                 for s in range(21):
                     acc[fi][s] += el.weight * t[fi][s]
         assert all(v == 1 for row in acc for v in row), bid
+
+
+# ---------------------------------------------------------------------------
+# quintic_form: the one straight-line kernel of the float and exact values
+# ---------------------------------------------------------------------------
+
+def test_quintic_form_terms_follow_row_terms():
+    """Ordinate k multiplies the k-th term of _row_terms(5): on a unit
+    vector and the primes 7, 11, 13 (none divides a multinomial), the
+    value m 7^a 11^b 13^c names (m, a, b, c)."""
+    for k, (m, a, b, c) in enumerate(_row_terms(5)):
+        unit = [0] * 21
+        unit[k] = 1
+        assert quintic_form(unit, 7, 11, 13) == m * 7 ** a * 11 ** b * 13 ** c
+
+
+_BIG = st.integers(-2 ** 200, 2 ** 200)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ords=st.lists(_BIG, min_size=21, max_size=21), g=st.tuples(_BIG, _BIG, _BIG))
+def test_quintic_form_on_integers_is_the_row_times_the_ordinates(ords, g):
+    assert quintic_form(ords, *g) == sum(o * r for o, r in zip(ords, bernstein_row(g)))
+
+
+_FLOATS = st.floats(allow_nan=False)  # huge, subnormal, signed zeros and infinities too
+# whole vectors of any floats, or of the ordinates and barycentrics evaluation meets
+_ORDS = st.one_of(*(st.lists(x, min_size=21, max_size=21) for x in (_FLOATS, st.floats(-10, 10))))
+_G = st.one_of(*(st.tuples(x, x, x) for x in (_FLOATS, st.floats(0, 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ords=_ORDS, g=_G)
+@example(ords=[-0.0] * 21, g=(0.25, 0.25, 0.5))
+@example(ords=[-0.0] * 21, g=(-0.0, 5e-324, 1.0))
+@example(ords=[1.0] * 21, g=(1e300, 1e-300, 5e-324))
+def test_quintic_form_on_floats_has_the_bits_of_the_row_sum(ords, g):
+    """The bits of bernstein_row's products summed left to right from int 0
+    (so an all -0.0 sum is +0.0), overflow and underflow included; also
+    with one ordinate nonzero, where the sum has that one term's bits."""
+    for o in [ords] + [[0.0] * k + [ords[k]] + [0.0] * (20 - k) for k in range(21)]:
+        want = reduce(add, map(mul, o, bernstein_row(g)), 0)
+        assert quintic_form(o, *g).hex() == want.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cols=st.lists(st.tuples(st.lists(_FLOATS, min_size=21, max_size=21),
+                               _FLOATS, _FLOATS, _FLOATS), min_size=1, max_size=8))
+def test_quintic_form_on_numpy_columns_has_the_scalar_bits(cols):
+    """Run on columns, as spline_fn.eval_many runs it, each element has the
+    bits of the same call on Python floats."""
+    import numpy as np
+    o = np.array([c[0] for c in cols]).T
+    x, y, z = (np.array([c[i] for c in cols]) for i in (1, 2, 3))
+    with np.errstate(all="ignore"):
+        got = quintic_form(o, x, y, z).tolist()
+    assert [v.hex() for v in got] == [quintic_form(*c).hex() for c in cols]
