@@ -45,9 +45,9 @@ from .dual_functionals import (DIRECTIONS, FUNCTIONALS, JET_ORDERS, bary_directi
                                direction_vectors, lambda_vector)
 from .geometry import (EDGES, FACES, VERTEX_BARY, PS12Frame, Point2, _layer_face_bary_matrices,
                        direction_coords, face_bary, locate_face_bary, make_frame)
-from .linalg import inverse, mat_vec, solve, sparse_integer_matrix
+from .linalg import _apply_rows, inverse, mat_vec, solve, sparse_integer_matrix
 from .marsden_catalog import catalog, linear_product
-from .rational import common_denominator, finite_numbers, is_exact
+from .rational import _over_lcm, common_denominator, finite_numbers, is_exact
 from .simplex_spline import _face_ordinates, _row_terms, bernstein_exponents
 from .spline_fn import Spline
 
@@ -501,7 +501,7 @@ def nodal_basis(frame: PS12Frame) -> NodalBasis:
     """Nodal basis functions as basis-c splines on a frame; the coefficients
     of nodal function i are column i of _nodal_integer()."""
     d, rows = _nodal_integer()
-    rows = [dict(row) for row in rows]
+    rows = [dict(zip(*row)) for row in rows]
     return NodalBasis(frame, tuple(Spline(frame, "c", tuple(Fraction(r.get(i, 0), d) for r in rows))
                                    for i in range(len(rows))))
 
@@ -533,19 +533,6 @@ def _jet_values(jet, den, dirs, paths) -> list:
         (ux, uy), prev = dirs[path[-1]], partial[path[:-1]]
         partial[path] = [ux * prev[i] + uy * prev[k] for i, k in _JET_STEPS[len(prev)]]
     return [(partial[path][0], jden * den ** len(path)) for path in paths]
-
-
-def _over_lcm(pairs) -> tuple:
-    """(L, numerators): (numerator, denominator) pairs, a denominator < 0 too, over their lcm L."""
-    den = lcm(*(q for _, q in pairs))
-    return den, [p * (den // q) for p, q in pairs]
-
-
-def _apply_rows(d: int, rows, pairs) -> list:
-    """(numerator, denominator) of each of sparse_integer_matrix's rows / d
-    times the values of the (numerator, denominator) pairs."""
-    den, v = _over_lcm(pairs)
-    return [(sum([x * v[k] for k, x in row]), den * d) for row in rows]
 
 
 def _univariate_rows(degree: int, conditions) -> list:

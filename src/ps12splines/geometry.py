@@ -16,12 +16,12 @@ contains it, except v6, which lies in D5, D6, D10 and D11 and goes to D6.
 In barycentric terms this is a fixed cascade of sign tests (corner sectors
 split by the medians, the medial triangle split into six sectors by the
 coordinate orderings); ties on interior edges go to the lower-numbered face
-and the centroid lands in D7.  Any fixed convention
-satisfying the partition property gives the same results for continuous
-splines; this one is documented so that low-degree (discontinuous) splines
-evaluate reproducibly.  face_bary turns macro-barycentrics into those of the
-located face: integers over one denominator for exact input, floats for
-float input, both from the matrices of face_bary_matrices.
+and the centroid lands in D7.  Any fixed convention satisfying the partition
+property gives the same results for continuous splines; this one is
+documented so that low-degree (discontinuous) splines evaluate reproducibly.
+An exact point of an exact frame stays on integers: its barycentrics over
+one positive denominator d (_bary) are located against d and mapped to the
+face's integers by face_bary; float input gives floats, by the same matrices.
 
 This module holds the one description of the split that every other
 module reads: VERTEX_BARY, FACES, the macro-edge table EDGES and
@@ -171,21 +171,27 @@ def bary_coords(corners, p: Point2, d=None) -> Bary3:
     return (b1, b2, 1 - b1 - b2)
 
 
-def to_bary(frame: PS12Frame, p: Point2) -> Bary3:
-    """Barycentric coordinates of p with respect to the macrotriangle; an exact
-    point of an exact frame by bary_coords' cross products on integers.
-    Raises DomainError unless p is a pair of numbers."""
+def _bary(frame: PS12Frame, p: Point2) -> tuple:
+    """(d, (n1, n2, n3)): an exact point's barycentrics n / d, d > 0, by bary_coords' cross products
+    on an exact frame's integers; (None, bary_coords) otherwise; DomainError unless a pair."""
     try:
         p = Point2(*p)
         if frame._int_corners is None or not is_exact(p):
-            return bary_coords(frame.corners, p, frame.area2)
+            return None, bary_coords(frame.corners, p, frame.area2)
     except TypeError:  # not a pair, or not of numbers
         raise DomainError(f"a point is a pair of numbers, not {p!r}") from None
     e, (a, b, c), a2 = frame._int_corners
     f, (x, y) = common_denominator(p)
-    x, y, d = e * x - f * c.x, e * y - f * c.y, f * a2  # e f (p - c), and e^2 f area2
+    s = -1 if a2 < 0 else 1  # a clockwise frame's signs flipped, so that d > 0
+    x, y, d = s * (e * x - f * c.x), s * (e * y - f * c.y), s * f * a2  # e f (p - c), e^2 f |area2|
     n1, n2 = x * (b.y - c.y) - y * (b.x - c.x), y * (a.x - c.x) - x * (a.y - c.y)
-    return Fraction(n1, d), Fraction(n2, d), Fraction(d - n1 - n2, d)
+    return d, (n1, n2, d - n1 - n2)
+
+
+def to_bary(frame: PS12Frame, p: Point2) -> Bary3:
+    """Barycentrics of p (exact: _bary's, as Fractions); DomainError unless a pair of numbers."""
+    d, beta = _bary(frame, p)
+    return beta if d is None else tuple([Fraction(n, d) for n in beta])
 
 
 def from_bary(frame: PS12Frame, b: Bary3) -> Point2:
@@ -211,20 +217,20 @@ def direction_coords(frame: PS12Frame, u: Point2) -> Bary3:
     return (d1, d2, -d1 - d2)
 
 
-def locate_face_bary(b1, b2, b3) -> Optional[int]:
-    """Face index for macro-barycentric coordinates, or None outside.
+def locate_face_bary(b1, b2, b3, d=1) -> Optional[int]:
+    """Face index for macro-barycentric coordinates b / d (d > 0), or None outside.
 
     Implements the documented sign-test cascade; every point of the closed
     macrotriangle maps to exactly one face.
     """
     if not (b1 >= 0 and b2 >= 0 and b3 >= 0):  # NaN too
         return None
-    # 2 b >= 1 rather than b >= 1/2: doubling is exact in both layers
-    if 2 * b1 >= 1:
+    # 2 b >= d rather than b >= d/2: doubling is exact in both layers
+    if 2 * b1 >= d:
         return 1 if b2 >= b3 else 6
-    if 2 * b2 >= 1:
+    if 2 * b2 >= d:
         return 2 if b1 >= b3 else 3
-    if 2 * b3 >= 1:
+    if 2 * b3 >= d:
         return 4 if b2 >= b1 else 5
     if b2 >= b1:
         if b1 >= b3:
@@ -327,20 +333,17 @@ def _layer_face_bary_matrices() -> tuple:
     return tuple(out)
 
 
-def face_bary(fi: int, beta: Bary3) -> tuple:
+def face_bary(fi: int, beta: Bary3, e=None) -> tuple:
     """(D, g): the face-barycentric coordinates g / D on face fi of the
-    macro-barycentrics beta (any frame); macro-directional triples map to
-    face-directional ones.
-
-    Exact beta gives integers g over D = d E, with E the lcm of beta's
-    denominators and d that of the face's matrix; float beta gives floats
-    over D = 1, with the bits of the products with the Fraction matrices.
-    """
+    macro-barycentrics beta / e (any frame); macro-directional triples map to
+    face-directional ones.  Integers beta over e > 0, or exact beta over the
+    lcm e of their denominators, give integers g over D = d e, d the lcm of
+    the face's matrix; float beta gives floats over D = 1, with the bits of
+    the products with the Fraction matrices."""
     (d, m), floats = _layer_face_bary_matrices()[fi - 1]
-    if is_exact(beta):
+    if e is None and not is_exact(beta):
+        d, m, e = 1, floats, 1
+    elif e is None:
         e, beta = common_denominator(beta)
-        d *= e
-    else:
-        d, m = 1, floats
     b1, b2, b3 = beta
-    return d, tuple([r1 * b1 + r2 * b2 + r3 * b3 for r1, r2, r3 in m])
+    return d * e, tuple([r1 * b1 + r2 * b2 + r3 * b3 for r1, r2, r3 in m])

@@ -20,9 +20,10 @@ Right-hand sides of :func:`solve` are rational matrices; :func:`inverse` is
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionMismatch, SingularSystem
-from .rational import common_denominator
+from .rational import _over_lcm, common_denominator
 
 Matrix = list  # list[list[int | Fraction]]
 
@@ -37,10 +38,21 @@ def mat_vec(A: Matrix, x: list) -> list:
 
 def sparse_integer_matrix(A: Matrix) -> tuple[int, tuple]:
     """(d, rows): the rational matrix A as integer rows over one denominator
-    d, each row as its nonzero (column, entry) pairs."""
+    d, each row as (columns, entries) of its nonzero entries."""
     d, nums = common_denominator([x for row in A for x in row])
-    return d, tuple(tuple((j, x) for j, x in enumerate(nums[k:k + len(A[0])]) if x)
-                    for k in range(0, len(nums), len(A[0])))
+    rows = (nums[k:k + len(A[0])] for k in range(0, len(nums), len(A[0])))
+    return d, tuple((tuple(j for j, x in enumerate(r) if x), tuple(filter(None, r))) for r in rows)
+
+
+def sparse_mat_vec(rows, v) -> list:
+    """sparse_integer_matrix's integer rows times the integer vector v."""
+    return [sum(map(mul, entries, map(v.__getitem__, columns))) for columns, entries in rows]
+
+
+def _apply_rows(d: int, rows, pairs) -> list:
+    """(numerator, denominator) of each of sparse_integer_matrix's rows / d times the pairs."""
+    den, v = _over_lcm(pairs)
+    return [(x, den * d) for x in sparse_mat_vec(rows, v)]
 
 
 def inf_norm(A: Matrix) -> Fraction:

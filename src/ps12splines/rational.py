@@ -52,6 +52,12 @@ def common_denominator(values) -> tuple[int, list]:
     return den, [p * (den // q) for p, q in zip(nums, dens)]
 
 
+def _over_lcm(pairs) -> tuple[int, list]:
+    """common_denominator of (numerator, denominator) pairs, a denominator < 0 too."""
+    den = lcm(*(q for _, q in pairs))
+    return den, [p * (den // q) for p, q in pairs]
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a ``"p/q"`` or ``"p"`` string."""
     try:

@@ -365,18 +365,18 @@ def snap_bary(beta: tuple) -> tuple:
     return b1 / s, b2 / s, b3 / s
 
 
-def _locate(beta, exact: bool) -> tuple:
-    """(face, beta) by locate_face_bary, float beta snapped first; OutsideDomain outside
-    (naming exact beta to six digits, as their integers may be too long to
-    write), DimensionMismatch unless beta has three coordinates."""
+def _locate(beta, d=None) -> tuple:
+    """(face, beta) by locate_face_bary on exact beta / d, d > 0, or float beta (no d) snapped
+    first; OutsideDomain outside (naming exact beta to six digits, as their integers
+    may be too long to write), DimensionMismatch unless beta has three coordinates."""
     if len(beta) != 3:
         raise DimensionMismatch(f"barycentric coordinates are a triple, not {len(beta)} numbers")
-    if not exact:
+    if d is None:
         beta = snap_bary(tuple(map(float, beta)))
     # an infinite coordinate passes the sign tests of locate_face_bary
-    fi = locate_face_bary(*beta) if exact or isfinite(sum(beta)) else None
+    fi = locate_face_bary(*beta, d or 1) if d or isfinite(sum(beta)) else None
     if fi is None:
-        coords = ", ".join(map(short_form if exact else str, beta))
+        coords = ", ".join(str(b) if d is None else short_form(Fraction(b, d)) for b in beta)
         raise OutsideDomain(f"point with barycentric coordinates ({coords}) "
                             "outside the macrotriangle")
     return fi, beta
@@ -400,7 +400,7 @@ def functional_row(beta, deltas=(), deg: int = 5) -> tuple:
     rounded once, as mixed Fraction and float arithmetic would round them.
     """
     exact = is_exact(beta)
-    fi, beta = _locate(beta, exact)
+    fi, beta = _locate(beta, 1 if exact else None)
     d = deg - len(deltas)
     den, g = face_bary(fi, beta)
     row = bernstein_row(g, d)
@@ -446,7 +446,7 @@ def float_value(ords, beta) -> float:
     """Value at float macro-barycentrics beta of the quintic with face ordinates ords
     (12 x 21): functional_row(beta)'s snap and face, face_bary's float face barycentrics,
     then quintic_form, as eval_many does on columns; OutsideDomain outside the triangle."""
-    fi, (b1, b2, b3) = _locate(beta, False)
+    fi, (b1, b2, b3) = _locate(beta)
     return quintic_form(ords[fi - 1], *[r1 * b1 + r2 * b2 + r3 * b3
                                         for r1, r2, r3 in _layer_face_bary_matrices()[fi - 1][1]])
 

@@ -3,25 +3,20 @@
 A spline is f = sum_i c_i S_i with S_i = w_i Q_i the scaled basis functions.
 Every value comes from one cached table per basis, the per-face ordinates
 of the S_i as integers over one denominator: basis_values multiplies it by
-the Bernstein row of simplex_spline.functional_row, a spline contracts it
-with its coefficients.  Values are exact Fractions when coefficients, frame
-and points are exact (rational.is_exact): the exact kernels run on integers
-(the located row, the table and the coefficients each over one
-denominator, the coefficients scaled once per spline and contracted once
-per face, from its nonzero table entries, on the face's first read, which
-exact eval_spline and the assembly's join check share) and divide once per
-result.  Otherwise the float layer contracts the same nonzero entries with
-the float coefficients once per spline into 12 x 21 face ordinates, in
-plain Python (each a left-to-right sum of the products, divided once), so
-its bits depend on neither a BLAS build nor the Python version (float
-coefficients beyond about 1.4e303 raise DomainError).  eval_spline, exact
-and float, and the numpy batch eval_many run one function on ints, floats
-and columns, simplex_spline.quintic_form, so a point and a batch agree bit
-for bit.  Only eval_many imports numpy.
-The domain-point collocation matrix has rows summing to one, and its exact
-inverse, kept as integers over one reduced denominator, gives Lagrange
-interpolation as one integer mat-vec (whose integers the exact spline
-keeps) and bounds the basis condition number in the max norm.
+the Bernstein row of simplex_spline.functional_row, a spline contracts a
+face's nonzero entries with its coefficients on the face's first read.
+Values are exact Fractions when coefficients, frame and points are exact
+(rational.is_exact); exact eval_spline stays on integers from the point to
+the value and divides once.  The float layer contracts the float
+coefficients once per spline into 12 x 21 face ordinates in plain Python,
+so its bits depend on neither a BLAS build nor the Python version.  Both
+layers of eval_spline and eval_many (numpy is imported only when it runs)
+end in simplex_spline.quintic_form, so a point and a batch agree bit for
+bit.  The exact inverse of the domain-point collocation matrix (unit row
+sums), as integers over one reduced denominator, bounds the condition
+number in the max norm; its nonzero entries give exact Lagrange
+interpolation as one sparse integer mat-vec, whose integers the spline
+keeps (its coefficient Fractions are made on first read).
 """
 
 from __future__ import annotations
@@ -40,9 +35,9 @@ if TYPE_CHECKING:  # annotations only: eval_many imports numpy when it runs
 
 from .errors import (BoundViolated, DimensionMismatch, DomainError, OutsideDomain,
                      UnsupportedBasis)
-from .geometry import (PS12Frame, Point2, S3_ELEMENTS, _layer_face_bary_matrices, face_bary,
-                       from_bary, s3_apply_bary, to_bary)
-from .linalg import _integer_solve, identity, inf_norm
+from .geometry import (PS12Frame, Point2, S3_ELEMENTS, _bary, _layer_face_bary_matrices,
+                       face_bary, from_bary, s3_apply_bary)
+from .linalg import _integer_solve, identity, inf_norm, sparse_integer_matrix, sparse_mat_vec
 from .marsden_catalog import BASIS_IDS, catalog
 from .rational import common_denominator, finite_numbers, is_exact
 from .simplex_spline import (SNAP_TOL, FaceForms, _face_ordinates, _locate, float_value,
@@ -66,10 +61,15 @@ class Spline:
     def __call__(self, p):
         return eval_spline(self, p)
 
+    def __getattr__(self, name: str):  # coeffs of lagrange_interpolate's exact splines
+        if name != "coeffs" or "_int_coeffs" not in vars(self):
+            raise AttributeError(name)
+        vars(self)["coeffs"] = tuple(Fraction(x, self._int_coeffs[0]) for x in self._int_coeffs[1])
+        return self.coeffs
+
     @cached_property
     def _int_coeffs(self):
-        """(L, numerators) of exact coefficients, None for float ones;
-        worked out once per spline."""
+        """(L, numerators) of exact coefficients, None for float ones; worked out once."""
         return common_denominator(self.coeffs) if is_exact(self.coeffs) else None
 
     @cached_property
@@ -159,20 +159,16 @@ def basis_values(basis_id: str, beta) -> tuple:
 
 
 def eval_spline(s: Spline, p) -> object:
-    """Value of the spline at a point of its frame.
-
-    Exact (Fraction) when the coefficients and barycentric coordinates are
-    exact, double precision otherwise (simplex_spline.float_value on the
-    contracted face ordinates); both layers end in quintic_form.  Raises
-    OutsideDomain for points outside the closed macrotriangle.
-    """
-    beta = to_bary(s.frame, p)
-    if s._int_coeffs is None or not is_exact(beta):
-        return float_value(s._float_forms.ords, beta)
-    fi, beta = _locate(beta, True)
-    den, g = face_bary(fi, beta)
-    d, ords = s._exact_ordinates(fi)
-    return Fraction(quintic_form(ords, *g), den ** 5 * d)
+    """Value of the spline at a point of its frame: exact (on integers to one Fraction) when the
+    coefficients, frame and point are exact, else simplex_spline.float_value on the float face
+    ordinates; both end in quintic_form.  OutsideDomain outside the closed macrotriangle."""
+    d, beta = _bary(s.frame, p)
+    if d is None or s._int_coeffs is None:
+        return float_value(s._float_forms.ords, beta if d is None else [n / d for n in beta])
+    fi, _ = _locate(beta, d)
+    den, g = face_bary(fi, beta, d)
+    q, ords = s._exact_ordinates(fi)
+    return Fraction(quintic_form(ords, *g), den ** 5 * q)
 
 
 def _locate_faces(b1, b2, b3):
@@ -184,6 +180,13 @@ def _locate_faces(b1, b2, b3):
         [where(b2 >= b3, 1, 6), where(b1 >= b3, 2, 3), where(b2 >= b1, 4, 5), 7,
          where(b2 >= b3, 8, 9), 10],
         where(b3 >= b2, 11, 12))
+
+
+@lru_cache(maxsize=1)
+def _float_face_matrices() -> np.ndarray:
+    """face_bary's twelve float matrices as one (12, 3, 3) array, made once."""
+    import numpy as np
+    return np.array([f for _, f in _layer_face_bary_matrices()])
 
 
 def eval_many(s: Spline, barys) -> np.ndarray:
@@ -203,7 +206,7 @@ def eval_many(s: Spline, barys) -> np.ndarray:
     if out.any():
         raise OutsideDomain(f"{out.sum()} points outside the macrotriangle")
     face = _locate_faces(*b.T) - 1
-    m = np.array([f for _, f in _layer_face_bary_matrices()])[face]  # (n, 3, 3)
+    m = _float_face_matrices()[face]  # (n, 3, 3)
     g = m[:, :, 0] * b[:, :1] + m[:, :, 1] * b[:, 1:2] + m[:, :, 2] * b[:, 2:]
     return quintic_form(np.array(s._float_forms.ords)[face].T, *g.T)
 
@@ -227,13 +230,13 @@ def face_forms(s: Spline) -> FaceForms:
 
 @lru_cache(maxsize=None)
 def _collocation(basis_id: str) -> tuple:
-    """(M, d, N): the exact collocation matrix M[i][j] = S_j(domain point i)
-    and its inverse as integers N over the one denominator d > 0, in lowest
-    terms (the gcd of d and N divided out of the Bareiss pivot d)."""
+    """(M, d, N, rows): the exact collocation matrix M[i][j] = S_j(domain point i), its inverse
+    as integers N over one denominator d > 0 in lowest terms, and N's sparse rows."""
     rows = tuple(basis_values(basis_id, el.domain_point) for el in catalog(basis_id).elements)
     d, n = _integer_solve(rows, identity(len(rows)))
     g = gcd(d, *(x for r in n for x in r)) * (1 if d > 0 else -1)
-    return rows, d // g, tuple(tuple(x // g for x in r) for r in n)
+    n = tuple(tuple(x // g for x in r) for r in n)
+    return rows, d // g, n, sparse_integer_matrix(n)[1]
 
 
 def collocation_at_domain_points(basis_id: str):
@@ -242,7 +245,7 @@ def collocation_at_domain_points(basis_id: str):
 
     Rows of M sum to one, so ||M||_inf = 1 and K is the condition number.
     """
-    m, d, n = _collocation(basis_id)
+    m, d, n, _ = _collocation(basis_id)
     minv = tuple(tuple(Fraction(x, d) for x in r) for r in n)
     return m, minv, Fraction(inf_norm(n), abs(d))
 
@@ -250,19 +253,18 @@ def collocation_at_domain_points(basis_id: str):
 def lagrange_interpolate(basis_id: str, frame: PS12Frame, values) -> Spline:
     """The unique spline matching the 39 values at the domain points.
 
-    Exact values give Fraction coefficients from one integer mat-vec with
-    the cached inverse, float values give float coefficients.
+    Exact values give Fraction coefficients from one sparse integer mat-vec
+    with the cached inverse, float values give float coefficients.
     """
     values = finite_numbers(values, "the values")
     if len(values) != 39:
         raise DimensionMismatch(f"need 39 values, got {len(values)}")
-    _, d, n = _collocation(basis_id)
+    _, d, n, rows = _collocation(basis_id)
     if not is_exact(values):
         return Spline(frame, basis_id, tuple(sum(x / d * y for x, y in zip(r, values)) for r in n))
     den, v = common_denominator(values)
-    nums = [sum(map(mul, r, v)) for r in n]
-    s = Spline(frame, basis_id, tuple(Fraction(x, den * d) for x in nums))
-    vars(s)["_int_coeffs"] = den * d, nums  # the cached property, from the mat-vec
+    s = object.__new__(Spline)  # of checked values: no __post_init__, coeffs made on first read
+    vars(s).update(frame=frame, basis=basis_id, _int_coeffs=(den * d, sparse_mat_vec(rows, v)))
     return s
 
 

@@ -217,6 +217,9 @@ def test_bad_length_raises_dimension_mismatch(name):
         BAD_LENGTHS[name]()
 
 
+#: An exact spline on a clockwise frame (a negative doubled area).
+CLOCKWISE_SPLINE = spline_fn.Spline(geometry.make_frame((0, 0), (0, 3), (3, 0)), "c", (F(1, 7),) * 39)
+
 #: Bad input with a typed error of its own, not a DomainError.
 TYPED_ERRORS = {
     "Triangulation degenerate triangle": (DegenerateTriangle, lambda: assembly.triangulation(
@@ -237,6 +240,8 @@ TYPED_ERRORS = {
         MESH, ((F(0),) * 39,) * 2).spline([0])),
     "Triangulation list vertex index": (NonConformingMesh, lambda: assembly.Triangulation(
         MESH.vertices, (([0], 1, 2),))),
+    "eval_spline exact point outside a clockwise frame": (OutsideDomain, lambda: spline_fn.eval_spline(
+        CLOCKWISE_SPLINE, (F(5, 2), 2))),
     "Spline unknown basis": (UnsupportedBasis, lambda: spline_fn.Spline(
         FLOAT_FRAME, "g", (0.0,) * 39)),
     "restrict_to_edge two knots": (TooFewKnots, lambda: knot_oracles.restrict_to_edge(
@@ -251,6 +256,14 @@ def test_bad_input_raises_its_typed_error(name):
     error, call = TYPED_ERRORS[name]
     with pytest.raises(error):
         call()
+
+
+def test_exact_point_outside_a_clockwise_frame_names_its_barycentrics():
+    """The integer barycentrics over a positive denominator are named as
+    their values to six digits, signs as on a counterclockwise frame."""
+    with pytest.raises(OutsideDomain, match=r"^point with barycentric coordinates "
+                       r"\(-0\.5, 0\.666667, 0\.833333\) outside the macrotriangle$"):
+        spline_fn.eval_spline(CLOCKWISE_SPLINE, (F(5, 2), 2))
 
 
 def test_search_functions_read_a_candidate_and_its_multisets_alike():

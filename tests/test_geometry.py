@@ -8,11 +8,16 @@ from hypothesis import strategies as st
 from ps12splines.dual_functionals import build_lambda
 from ps12splines.errors import DegenerateTriangle
 from ps12splines.geometry import (
+    EDGES,
+    INTERIOR_LINES,
     PS12Frame,
     Point2,
     VERTEX_BARY,
+    _bary,
     bary_coords,
     bary_image,
+    face_bary,
+    from_bary,
     locate_face,
     locate_face_bary,
     make_frame,
@@ -289,3 +294,49 @@ def test_to_bary_equals_bary_coords_bit_for_bit():
                 p = Point2(num(rng.uniform(-1, 4)), num(rng.uniform(-1, 3)))
                 got, want = to_bary(frame, p), bary_coords(frame.corners, p)
                 assert list(map(repr, got)) == list(map(repr, want)), (frame.corners, p)
+
+
+#: The split's lines, each by its two end vertices: the macro edges, where
+#: the triangle ends, and the interior lines, where faces meet (the ties).
+_SPLIT_LINES = tuple((e[0], e[-1]) for e in EDGES.values()) + tuple(
+    (min(line, key=lambda v: VERTEX_BARY[v - 1]), max(line, key=lambda v: VERTEX_BARY[v - 1]))
+    for line in INTERIOR_LINES)
+
+
+@st.composite
+def _exact_barys(draw):
+    """A split vertex, a point of a macro edge or an interior line, or a
+    random rational point, inside the triangle or not."""
+    kind = draw(st.sampled_from(("vertex", "line", "random")))
+    if kind == "vertex":
+        return draw(st.sampled_from(VERTEX_BARY))
+    if kind == "line":
+        i, j = draw(st.sampled_from(_SPLIT_LINES))
+        t = draw(st.fractions(0, 1, max_denominator=60))
+        return tuple((1 - t) * a + t * b for a, b in zip(VERTEX_BARY[i - 1], VERTEX_BARY[j - 1]))
+    b1, b2 = (draw(st.fractions(F(-1, 4), F(5, 4), max_denominator=97)) for _ in range(2))
+    return b1, b2, 1 - b1 - b2
+
+
+@settings(max_examples=200, deadline=None)
+@given(corners=st.lists(st.tuples(_coordinate, _coordinate), min_size=3, max_size=3),
+       beta=_exact_barys())
+def test_integer_locate_picks_the_face_of_the_fraction_barycentrics(corners, beta):
+    """On a frame and on its mirror image, which has the other orientation
+    (a negative integer doubled area), an exact point's integer
+    barycentrics n over d > 0 are its Fraction barycentrics; locate_face_bary
+    on them picks the face (or None) that it picks on the Fractions, and
+    face_bary on them gives the face barycentrics of the Fractions."""
+    v = [Point2(*c) for c in corners]
+    assume(signed_area2(*v) != 0)
+    frames = [make_frame(*v), make_frame(*(Point2(-x, y) for x, y in v))]
+    assert sorted(f._int_corners[2] < 0 for f in frames) == [False, True]
+    for frame in frames:
+        d, n = _bary(frame, from_bary(frame, beta))
+        assert d > 0 and all(type(x) is int for x in n) and tuple(F(x, d) for x in n) == beta
+        fi = locate_face_bary(*n, d)
+        assert fi == locate_face_bary(*beta)
+        if fi is not None:
+            den, g = face_bary(fi, n, d)
+            fden, fg = face_bary(fi, beta)
+            assert [F(x, den) for x in g] == [F(x, fden) for x in fg]

@@ -7,10 +7,11 @@ from math import factorial, inf, nan
 from operator import add, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rational_points
+from ps12splines import spline_fn
 from ps12splines.errors import BoundViolated, DomainError, OutsideDomain, UnsupportedBasis
 from ps12splines.geometry import (
     EDGES,
@@ -26,6 +27,7 @@ from ps12splines.geometry import (
 )
 from ps12splines.linalg import _integer_solve, identity, inf_norm, inverse, solve
 from ps12splines.marsden_catalog import catalog
+from ps12splines.rational import common_denominator
 from ps12splines.simplex_spline import (
     _face_ordinates,
     bernstein_exponents,
@@ -550,6 +552,70 @@ def test_exact_eval_on_edges_and_interior_lines_is_basis_values_times_coefficien
     assert type(got) is F and got == want
     lag = lagrange_interpolate(basis, s.frame, s.coeffs)
     assert eval_spline(lag, p) == eval_spline(Spline(s.frame, basis, lag.coeffs), p)
+
+
+_exact_coordinate = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(basis=st.sampled_from("abcdef"), seed=st.integers(0, 2 ** 32),
+       corners=st.lists(st.tuples(st.integers(-9, 9), _exact_coordinate), min_size=3, max_size=3),
+       clockwise=st.booleans(), xy=st.tuples(_exact_coordinate, _exact_coordinate),
+       form=st.sampled_from(("Point2", "tuple", "list")))
+def test_exact_eval_spline_is_the_functional_row_times_the_face_forms(basis, seed, corners,
+                                                                      clockwise, xy, form):
+    """Exact eval_spline at a Point2, tuple or list of int and Fraction
+    coordinates, on a frame of either orientation, equals the Fraction
+    oracle: functional_row at the point's Fraction barycentrics dotted with
+    the face's ordinates of face_forms.  Outside the triangle both raise
+    OutsideDomain with the same message."""
+    (ax, ay), (bx, by), (cx, cy) = corners
+    area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    assume(area2 != 0)
+    if (area2 < 0) != clockwise:
+        corners = corners[::-1]
+    s = Spline(make_frame(*corners), basis, _seeded_spline(basis, seed).coeffs)
+    assert (s.frame._int_corners[2] < 0) == clockwise
+    p = {"Point2": Point2(*xy), "tuple": tuple(xy), "list": list(xy)}[form]
+    try:
+        fi, den, row = functional_row(to_bary(s.frame, Point2(*xy)))
+    except OutsideDomain as exc:
+        with pytest.raises(OutsideDomain) as info:
+            eval_spline(s, p)
+        assert str(info.value) == str(exc)
+        return
+    got = eval_spline(s, p)
+    assert type(got) is F and got == sum(map(mul, row, face_forms(s).ords[fi - 1])) / den
+
+
+@settings(max_examples=30, deadline=None)
+@given(basis=st.sampled_from("abcdef"),
+       values=st.lists(st.fractions(-10 ** 6, 10 ** 6, max_denominator=60) | st.integers(-99, 99),
+                       min_size=39, max_size=39))
+def test_exact_lagrange_is_the_dense_integer_mat_vec(basis, values):
+    """Exact lagrange_interpolate, a sparse mat-vec, equals the dense oracle
+    Fraction(sum_j N[i][j] v_j, den d) on the reduced inverse N / d and the
+    values v / den; the spline it returns, whose coefficients are made on
+    first read, is equal to, hashes, prints and serializes like the Spline
+    built from those coefficients, whichever of these reads them first."""
+    from ps12splines.serialize import dumps, spline_to_dict
+    _, d, n, _ = spline_fn._collocation(basis)
+    den, v = common_denominator(values)
+    frame = _seeded_spline(basis, 0).frame
+    fresh = Spline(frame, basis, tuple(F(sum(map(mul, r, v)), den * d) for r in n))
+    for same in (lambda t: t == fresh, lambda t: hash(t) == hash(fresh),
+                 lambda t: repr(t) == repr(fresh), lambda t: t.coeffs == fresh.coeffs,
+                 lambda t: dumps(spline_to_dict(t)) == dumps(spline_to_dict(fresh))):
+        assert same(lagrange_interpolate(basis, frame, values))
+
+
+@pytest.mark.parametrize("bad", [nan, inf, "1", None, 1j])
+def test_lagrange_rejects_values_that_are_not_finite_reals(ref, bad):
+    """A non-finite or non-numeric value raises DomainError, in either
+    layer's company."""
+    for other in (F(1, 3), 0.5):
+        with pytest.raises(DomainError):
+            lagrange_interpolate("c", ref, [other] * 38 + [bad])
 
 
 @pytest.mark.parametrize("basis", list("abcdef"))
