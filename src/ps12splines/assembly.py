@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import comb, lcm, perm
+from math import comb, perm
 from numbers import Integral
 from operator import add, mul, truediv
 
@@ -43,7 +43,7 @@ from .errors import (
 from .bspline1d import bspline_coefficients
 from .dual_functionals import (DIRECTIONS, FUNCTIONALS, JET_ORDERS, bary_direction,
                                direction_vectors, lambda_vector)
-from .geometry import (EDGES, FACES, VERTEX_BARY, PS12Frame, Point2, _layer_face_bary_matrices,
+from .geometry import (EDGES, FACE_MATRICES, FACES, VERTEX_BARY, PS12Frame, Point2,
                        direction_coords, face_bary, locate_face_bary, make_frame)
 from .linalg import _apply_rows, inverse, mat_vec, solve, sparse_integer_matrix
 from .marsden_catalog import catalog, linear_product
@@ -112,14 +112,12 @@ def edge_restriction_tables() -> tuple:
     a1 = -(a2 + a3) gives (directional coordinates sum to 0): a polynomial
     in a2 and a3 alone.  Rows i >= N_BLOCKS[k] are empty.  The halves on D1
     and D2 come from _cross_derivative with u's face-directional triple
-    g = M a / d kept symbolic (M / d the face's matrix of face_bary), in
-    integers over den d^k per monomial, and bspline_coefficients joins them.
+    g = M a kept symbolic (M the face's integer matrix, FACE_MATRICES), in
+    integers over den per monomial, and bspline_coefficients joins them.
     """
     _, halves = _half_edges(1, 2)
-    mats = [_layer_face_bary_matrices()[fi - 1][0] for fi, _, _ in halves]
-    d = lcm(*(dm for dm, _ in mats))
-    weights = [[_symbolic_weights([[x * (d // dm) for x in rows[i]] for i in p], k) for k in range(4)]
-               for (_, p, _), (dm, rows) in zip(halves, mats)]
+    weights = [[_symbolic_weights([FACE_MATRICES[fi - 1][i] for i in p], k) for k in range(4)]
+               for fi, p, _ in halves]
     out = []
     for el in catalog("c").elements:
         den, faces = _face_ordinates(el.multiset)
@@ -131,7 +129,7 @@ def edge_restriction_tables() -> tuple:
                           for (fi, _, near), ws in zip(halves, weights)]
                 for j, x in enumerate(bspline_coefficients(5 - k, pieces), 1):
                     if x:
-                        row.setdefault(j, {})[e] = Fraction(x, den * d ** k)
+                        row.setdefault(j, {})[e] = Fraction(x, den)
             per_k.append({j: row[j] for j in sorted(row)})
         out.append(tuple(per_k))
     return tuple(out)
@@ -501,7 +499,7 @@ def nodal_basis(frame: PS12Frame) -> NodalBasis:
     """Nodal basis functions as basis-c splines on a frame; the coefficients
     of nodal function i are column i of _nodal_integer()."""
     d, rows = _nodal_integer()
-    rows = [dict(zip(*row)) for row in rows]
+    rows = list(map(dict, rows))
     return NodalBasis(frame, tuple(Spline(frame, "c", tuple(Fraction(r.get(i, 0), d) for r in rows))
                                    for i in range(len(rows))))
 

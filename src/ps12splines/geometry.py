@@ -19,9 +19,10 @@ coordinate orderings); ties on interior edges go to the lower-numbered face
 and the centroid lands in D7.  Any fixed convention satisfying the partition
 property gives the same results for continuous splines; this one is
 documented so that low-degree (discontinuous) splines evaluate reproducibly.
-An exact point of an exact frame stays on integers: its barycentrics over
-one positive denominator d (_bary) are located against d and mapped to the
-face's integers by face_bary; float input gives floats, by the same matrices.
+_bary gives an exact point of an exact frame integer barycentrics over one
+d > 0, located against d and mapped to the face's integers by face_bary, and
+any other point bary_coords' floats, read straight off the pair (the float
+route then multiplies by FLOAT_FACE_MATRICES).
 
 This module holds the one description of the split that every other
 module reads: VERTEX_BARY, FACES, the macro-edge table EDGES and
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import isfinite
-from operator import add
+from operator import add, mul
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateTriangle, DimensionMismatch, DomainError
@@ -161,27 +162,29 @@ def reference_frame() -> PS12Frame:
     return make_frame((0, 0), (1, 0), (0, 1))
 
 
-def bary_coords(corners, p: Point2, d=None) -> Bary3:
-    """Barycentric coordinates of p with respect to the triangle with the
-    given three corners; d is their signed_area2, computed when None."""
-    a, b, c = corners
-    d = signed_area2(a, b, c) if d is None else d
-    b1 = ((b.x - p.x) * (c.y - p.y) - (b.y - p.y) * (c.x - p.x)) / d  # signed_area2(p, b, c) / d
-    b2 = ((p.x - a.x) * (c.y - a.y) - (p.y - a.y) * (c.x - a.x)) / d  # signed_area2(a, p, c) / d
+def bary_coords(corners, p, d=None) -> Bary3:
+    """Barycentric coordinates of the pair p with respect to the triangle with
+    the given three corners; d is their signed_area2, computed when None."""
+    (ax, ay), (bx, by), (cx, cy) = corners
+    x, y = p
+    d = signed_area2(*corners) if d is None else d
+    b1 = ((bx - x) * (cy - y) - (by - y) * (cx - x)) / d  # signed_area2(p, b, c) / d
+    b2 = ((x - ax) * (cy - ay) - (y - ay) * (cx - ax)) / d  # signed_area2(a, p, c) / d
     return (b1, b2, 1 - b1 - b2)
 
 
-def _bary(frame: PS12Frame, p: Point2) -> tuple:
+def _bary(frame: PS12Frame, p) -> tuple:
     """(d, (n1, n2, n3)): an exact point's barycentrics n / d, d > 0, by bary_coords' cross products
-    on an exact frame's integers; (None, bary_coords) otherwise; DomainError unless a pair."""
+    on an exact frame's integers; (None, bary_coords) otherwise, of the pair as given (a float
+    frame reads no types); DomainError unless p is a pair of numbers."""
+    ints = frame._int_corners
     try:
-        p = Point2(*p)
-        if frame._int_corners is None or not is_exact(p):
+        if ints is None or not is_exact(p):
             return None, bary_coords(frame.corners, p, frame.area2)
-    except TypeError:  # not a pair, or not of numbers
+        f, (x, y) = common_denominator(p)
+    except (TypeError, ValueError):  # not a pair, or not of numbers
         raise DomainError(f"a point is a pair of numbers, not {p!r}") from None
-    e, (a, b, c), a2 = frame._int_corners
-    f, (x, y) = common_denominator(p)
+    e, (a, b, c), a2 = ints
     s = -1 if a2 < 0 else 1  # a clockwise frame's signs flipped, so that d > 0
     x, y, d = s * (e * x - f * c.x), s * (e * y - f * c.y), s * f * a2  # e f (p - c), e^2 f |area2|
     n1, n2 = x * (b.y - c.y) - y * (b.x - c.x), y * (a.x - c.x) - x * (a.y - c.y)
@@ -310,40 +313,33 @@ INTERIOR_LINES = (
     (4, 7, 6),       # medial line v4-v6
 )
 
-@lru_cache(maxsize=1)
-def face_bary_matrices() -> tuple:
-    """For each face, the 3x3 matrix sending macro-barycentrics to
-    face-barycentrics on the reference frame (exact)."""
-    frame = reference_frame()
-    # face barycentrics are affine, so their values at the three macro
-    # corners are the columns of the matrix (gamma = M . beta)
-    cols = [[bary_coords(frame.face_corners(fi), c) for c in frame.corners] for fi in range(1, 13)]
-    return tuple(tuple(zip(*face)) for face in cols)
+def _face_matrix(corners) -> tuple:
+    """M with M beta the face barycentrics of macro-barycentrics beta on the face with these
+    corners: 12 W^-1 for W = 12 V, V's columns their VERTEX_BARY; W^-1's rows are the cross
+    products of W's columns over det W, and 12 W^-1 has integer entries (checked in the tests)."""
+    a, b, c = ([12 * x.numerator // x.denominator for x in VERTEX_BARY[v - 1]] for v in corners)
+    rows = [[u[i - 2] * w[i - 1] - u[i - 1] * w[i - 2] for i in range(3)]
+            for u, w in ((b, c), (c, a), (a, b))]
+    det = sum(map(mul, a, rows[0]))
+    return tuple(tuple(12 * x // det for x in r) for r in rows)
 
 
-@lru_cache(maxsize=1)
-def _layer_face_bary_matrices() -> tuple:
-    """Per face, the matrix of face_bary_matrices as integer rows over the
-    lcm d of its denominators, (d, rows), and as float rows."""
-    out = []
-    for m in face_bary_matrices():
-        d, nums = common_denominator([x for row in m for x in row])
-        # Fraction * float rounds the Fraction first, so float products keep their bits
-        out.append(((d, (nums[0:3], nums[3:6], nums[6:9])), tuple(tuple(map(float, r)) for r in m)))
-    return tuple(out)
+#: Per face, its integer face_bary matrix (rows), and the same as floats.
+FACE_MATRICES = tuple(map(_face_matrix, FACES))
+FLOAT_FACE_MATRICES = tuple(tuple(tuple(map(float, r)) for r in m) for m in FACE_MATRICES)
 
 
 def face_bary(fi: int, beta: Bary3, e=None) -> tuple:
-    """(D, g): the face-barycentric coordinates g / D on face fi of the
+    """(e, g): the face-barycentric coordinates g / e on face fi of the
     macro-barycentrics beta / e (any frame); macro-directional triples map to
     face-directional ones.  Integers beta over e > 0, or exact beta over the
-    lcm e of their denominators, give integers g over D = d e, d the lcm of
-    the face's matrix; float beta gives floats over D = 1, with the bits of
-    the products with the Fraction matrices."""
-    (d, m), floats = _layer_face_bary_matrices()[fi - 1]
+    lcm e of their denominators, give integers g over e (the matrices are
+    integers); float beta gives floats over e = 1, by FLOAT_FACE_MATRICES."""
     if e is None and not is_exact(beta):
-        d, m, e = 1, floats, 1
-    elif e is None:
-        e, beta = common_denominator(beta)
+        m, e = FLOAT_FACE_MATRICES[fi - 1], 1
+    else:
+        m = FACE_MATRICES[fi - 1]
+        if e is None:
+            e, beta = common_denominator(beta)
     b1, b2, b3 = beta
-    return d * e, tuple([r1 * b1 + r2 * b2 + r3 * b3 for r1, r2, r3 in m])
+    return e, tuple([r1 * b1 + r2 * b2 + r3 * b3 for r1, r2, r3 in m])

@@ -20,7 +20,6 @@ Right-hand sides of :func:`solve` are rational matrices; :func:`inverse` is
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
 from .errors import DimensionMismatch, SingularSystem
 from .rational import _over_lcm, common_denominator
@@ -38,15 +37,15 @@ def mat_vec(A: Matrix, x: list) -> list:
 
 def sparse_integer_matrix(A: Matrix) -> tuple[int, tuple]:
     """(d, rows): the rational matrix A as integer rows over one denominator
-    d, each row as (columns, entries) of its nonzero entries."""
+    d, each row as the (column, entry) pairs of its nonzero entries."""
     d, nums = common_denominator([x for row in A for x in row])
-    rows = (nums[k:k + len(A[0])] for k in range(0, len(nums), len(A[0])))
-    return d, tuple((tuple(j for j, x in enumerate(r) if x), tuple(filter(None, r))) for r in rows)
+    return d, tuple(tuple((j, x) for j, x in enumerate(nums[k:k + len(A[0])]) if x)
+                    for k in range(0, len(nums), len(A[0])))
 
 
 def sparse_mat_vec(rows, v) -> list:
     """sparse_integer_matrix's integer rows times the integer vector v."""
-    return [sum(map(mul, entries, map(v.__getitem__, columns))) for columns, entries in rows]
+    return [sum([x * v[j] for j, x in row]) for row in rows]
 
 
 def _apply_rows(d: int, rows, pairs) -> list:

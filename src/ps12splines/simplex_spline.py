@@ -16,7 +16,10 @@ resulting per-face tables: functional_row locates a point (_locate) and
 builds the Bernstein row whose dot product with a face table is a value or
 a derivative there, for derivative (eval_simplex is its order 0), the dual
 functionals and basis_values; quintic_form writes out the value row's dot
-product for eval_spline (float_value locates a float point for it).
+product.  float_value is the one float route to it: _locate takes float
+barycentrics that are inside and finite as they are (only the others are
+made floats and snapped), locate_face_bary picks the face, and the face's
+three FLOAT_FACE_MATRICES rows give the face barycentrics.
 Expanding a derivative over sub-multisets by the knot-multiset recursion is
 left to the tests, as their oracle.
 
@@ -34,24 +37,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
-from math import comb, factorial, gcd, isfinite, lcm
+from math import comb, factorial, gcd, inf, isfinite, lcm
 from operator import add, mul
 
 from .errors import DimensionMismatch, DomainError, InvalidDirection, OutsideDomain, TooFewKnots
-from .geometry import (
-    EDGES,
-    FACES,
-    INTERIOR_LINES,
-    PS12Frame,
-    Point2,
-    _layer_face_bary_matrices,
-    direction_coords,
-    face_bary,
-    locate_face_bary,
-    reference_frame,
-    signed_area2,
-    to_bary,
-)
+from .geometry import (EDGES, FACES, FLOAT_FACE_MATRICES, INTERIOR_LINES, PS12Frame, Point2,
+                       direction_coords, face_bary, locate_face_bary, reference_frame,
+                       signed_area2, to_bary)
 from .rational import finite_numbers, is_exact, short_form
 
 KnotMultiset = tuple  # 10 nonnegative ints
@@ -356,25 +348,33 @@ SNAP_TOL = 1e-9  # float barycentrics down to -SNAP_TOL are boundary roundoff
 
 
 def snap_bary(beta: tuple) -> tuple:
-    """Float barycentrics with a negative part of at most SNAP_TOL set to
-    zero and renormalised; others (genuine outside points too) unchanged."""
+    """Float barycentrics with a negative part of at most SNAP_TOL set to zero and renormalised;
+    others unchanged (outside points, and those whose clamped sum is 0 or not finite)."""
     if not -SNAP_TOL <= min(beta) < 0:
         return beta
     b1, b2, b3 = (max(x, 0.0) for x in beta)
     s = b1 + b2 + b3
-    return b1 / s, b2 / s, b3 / s
+    return (b1 / s, b2 / s, b3 / s) if 0 < s < inf else beta
 
 
 def _locate(beta, d=None) -> tuple:
-    """(face, beta) by locate_face_bary on exact beta / d, d > 0, or float beta (no d) snapped
-    first; OutsideDomain outside (naming exact beta to six digits, as their integers
-    may be too long to write), DimensionMismatch unless beta has three coordinates."""
-    if len(beta) != 3:
-        raise DimensionMismatch(f"barycentric coordinates are a triple, not {len(beta)} numbers")
-    if d is None:
-        beta = snap_bary(tuple(map(float, beta)))
-    # an infinite coordinate passes the sign tests of locate_face_bary
-    fi = locate_face_bary(*beta, d or 1) if d or isfinite(sum(beta)) else None
+    """(face, beta) by locate_face_bary on exact beta / d, d > 0, or on float beta (no d).
+    Float beta inside (b >= 0, finite) is taken as it is; only the others are made floats
+    and snapped first.  OutsideDomain outside (naming exact beta to six digits, as their
+    integers may be too long to write), DimensionMismatch unless beta has three coordinates."""
+    try:
+        b1, b2, b3 = beta
+    except ValueError:
+        raise DimensionMismatch(f"barycentric coordinates are a triple, "
+                                f"not {len(beta)} numbers") from None
+    if d is not None:
+        fi = locate_face_bary(b1, b2, b3, d)
+    elif b1 >= 0 and b2 >= 0 and b3 >= 0 and b1 + b2 + b3 < inf:  # NaN fails too
+        fi = locate_face_bary(b1, b2, b3)
+    else:  # outside, roundoff or not finite: as floats, snapped
+        b1, b2, b3 = beta = snap_bary(tuple(map(float, beta)))
+        # an infinite coordinate passes the sign tests of locate_face_bary
+        fi = locate_face_bary(b1, b2, b3) if isfinite(b1 + b2 + b3) else None
     if fi is None:
         coords = ", ".join(str(b) if d is None else short_form(Fraction(b, d)) for b in beta)
         raise OutsideDomain(f"point with barycentric coordinates ({coords}) "
@@ -444,17 +444,19 @@ def quintic_form(o, x, y, z):
 
 def float_value(ords, beta) -> float:
     """Value at float macro-barycentrics beta of the quintic with face ordinates ords
-    (12 x 21): functional_row(beta)'s snap and face, face_bary's float face barycentrics,
-    then quintic_form, as eval_many does on columns; OutsideDomain outside the triangle."""
+    (12 x 21): functional_row(beta)'s face (_locate), the face barycentrics by the face's
+    three FLOAT_FACE_MATRICES rows, then quintic_form, as eval_many does on columns;
+    OutsideDomain outside the triangle."""
     fi, (b1, b2, b3) = _locate(beta)
-    return quintic_form(ords[fi - 1], *[r1 * b1 + r2 * b2 + r3 * b3
-                                        for r1, r2, r3 in _layer_face_bary_matrices()[fi - 1][1]])
+    (r1, r2, r3), (s1, s2, s3), (t1, t2, t3) = FLOAT_FACE_MATRICES[fi - 1]
+    return quintic_form(ords[fi - 1], r1 * b1 + r2 * b2 + r3 * b3,
+                        s1 * b1 + s2 * b2 + s3 * b3, t1 * b1 + t2 * b2 + t3 * b3)
 
 
 @dataclass(frozen=True)
 class FaceForms:
     """A piecewise polynomial on the split: one Bernstein form per face; a
-    quintic's plain value at float barycentrics is float_value."""
+    quintic's plain value at float barycentrics is float_value, as in eval_spline."""
 
     frame: PS12Frame
     deg: int

@@ -12,11 +12,14 @@ coefficients once per spline into 12 x 21 face ordinates in plain Python,
 so its bits depend on neither a BLAS build nor the Python version.  Both
 layers of eval_spline and eval_many (numpy is imported only when it runs)
 end in simplex_spline.quintic_form, so a point and a batch agree bit for
-bit.  The exact inverse of the domain-point collocation matrix (unit row
-sums), as integers over one reduced denominator, bounds the condition
-number in the max norm; its nonzero entries give exact Lagrange
-interpolation as one sparse integer mat-vec, whose integers the spline
-keeps (its coefficient Fractions are made on first read).
+bit.  A float point goes one straight route there, geometry._bary's cross
+products of the pair as given into simplex_spline.float_value: warm, about
+6 us a point on 2 vCPUs (10-11 us with a Point2, a float copy and a lookup).
+The exact inverse of the domain-point collocation matrix (unit row sums),
+as integers over one reduced denominator, bounds the condition number in
+the max norm; its nonzero entries give exact Lagrange interpolation as one
+sparse integer mat-vec, whose integers the spline keeps (its coefficient
+Fractions are made on first read).
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ if TYPE_CHECKING:  # annotations only: eval_many imports numpy when it runs
 
 from .errors import (BoundViolated, DimensionMismatch, DomainError, OutsideDomain,
                      UnsupportedBasis)
-from .geometry import (PS12Frame, Point2, S3_ELEMENTS, _bary, _layer_face_bary_matrices,
-                       face_bary, from_bary, s3_apply_bary)
+from .geometry import (FLOAT_FACE_MATRICES, PS12Frame, Point2, S3_ELEMENTS, _bary, face_bary,
+                       from_bary, s3_apply_bary)
 from .linalg import _integer_solve, identity, inf_norm, sparse_integer_matrix, sparse_mat_vec
 from .marsden_catalog import BASIS_IDS, catalog
 from .rational import common_denominator, finite_numbers, is_exact
@@ -160,8 +163,9 @@ def basis_values(basis_id: str, beta) -> tuple:
 
 def eval_spline(s: Spline, p) -> object:
     """Value of the spline at a point of its frame: exact (on integers to one Fraction) when the
-    coefficients, frame and point are exact, else simplex_spline.float_value on the float face
-    ordinates; both end in quintic_form.  OutsideDomain outside the closed macrotriangle."""
+    coefficients, frame and point are exact, else _bary's floats (n / d at an exact point) into
+    float_value, the one float route; both end in quintic_form.  OutsideDomain outside the
+    closed macrotriangle, DomainError unless p is a pair of numbers."""
     d, beta = _bary(s.frame, p)
     if d is None or s._int_coeffs is None:
         return float_value(s._float_forms.ords, beta if d is None else [n / d for n in beta])
@@ -184,9 +188,9 @@ def _locate_faces(b1, b2, b3):
 
 @lru_cache(maxsize=1)
 def _float_face_matrices() -> np.ndarray:
-    """face_bary's twelve float matrices as one (12, 3, 3) array, made once."""
+    """geometry.FLOAT_FACE_MATRICES as one (12, 3, 3) array, made once."""
     import numpy as np
-    return np.array([f for _, f in _layer_face_bary_matrices()])
+    return np.array(FLOAT_FACE_MATRICES)
 
 
 def eval_many(s: Spline, barys) -> np.ndarray:
@@ -199,9 +203,10 @@ def eval_many(s: Spline, barys) -> np.ndarray:
     b = np.array(barys, dtype=float)
     if b.ndim != 2 or b.shape[1] != 3:
         raise DimensionMismatch(f"need an (n, 3) array of barycentrics, got shape {b.shape}")
-    snap = (b < 0).any(axis=1) & (b >= -SNAP_TOL).all(axis=1)
-    c = np.where(b[snap] < 0, 0.0, b[snap])  # max(x, 0.0), signed zeros included
-    b[snap] = c / (c[:, 0] + c[:, 1] + c[:, 2])[:, None]
+    c = np.where(b < 0, 0.0, b)  # max(x, 0.0), signed zeros included
+    t = c[:, 0] + c[:, 1] + c[:, 2]  # a sum of 0 or inf: no point to snap to, as in snap_bary
+    snap = (b < 0).any(axis=1) & (b >= -SNAP_TOL).all(axis=1) & (t > 0) & (t < np.inf)
+    b[snap] = c[snap] / t[snap, None]
     out = ~(np.isfinite(b) & (b >= 0)).all(axis=1)  # NaN and inf too
     if out.any():
         raise OutsideDomain(f"{out.sum()} points outside the macrotriangle")

@@ -1,6 +1,7 @@
 """Bad input raises the library's typed errors, not bare ValueError."""
 
 import math
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -248,6 +249,16 @@ TYPED_ERRORS = {
         geometry.reference_frame(), simplex_spline.knots("11"), "e3")),
     "integral two knots": (TooFewKnots, lambda: simplex_spline.integral(
         geometry.reference_frame(), simplex_spline.knots("2"))),
+    "functional_row roundoff with nothing to snap to": (OutsideDomain, lambda:
+        simplex_spline.functional_row((0.0, 0.0, -1e-10))),
+    "basis_values roundoff with nothing to snap to": (OutsideDomain, lambda:
+        spline_fn.basis_values("c", (-1e-10, -1e-10, -1e-10))),
+    "float_value roundoff with nothing to snap to": (OutsideDomain, lambda:
+        simplex_spline.float_value(FLOAT_SPLINE._float_forms.ords, (0.0, -1e-10, 0.0))),
+    "value_at_bary roundoff with nothing to snap to": (OutsideDomain, lambda:
+        spline_fn.face_forms(FLOAT_SPLINE).value_at_bary((-1e-10, -1e-10, -1e-10))),
+    "eval_many roundoff with nothing to snap to": (OutsideDomain, lambda: spline_fn.eval_many(
+        FLOAT_SPLINE, [(0.2, 0.3, 0.5), (0.0, 0.0, -1e-10)])),
 }
 
 
@@ -264,6 +275,28 @@ def test_exact_point_outside_a_clockwise_frame_names_its_barycentrics():
     with pytest.raises(OutsideDomain, match=r"^point with barycentric coordinates "
                        r"\(-0\.5, 0\.666667, 0\.833333\) outside the macrotriangle$"):
         spline_fn.eval_spline(CLOCKWISE_SPLINE, (F(5, 2), 2))
+
+
+@pytest.mark.parametrize("beta", [(0.0, 0.0, -1e-10), (-1e-10, -1e-10, -1e-10)])
+def test_roundoff_with_nothing_to_snap_to_is_outside_without_a_warning(beta):
+    """Coordinates within SNAP_TOL of 0 but none positive leave no point to
+    snap to (their clamped sum is 0): every route names the point as given,
+    with no ZeroDivisionError and no numpy warning on the way."""
+    message = (f"point with barycentric coordinates ({', '.join(map(str, beta))}) "
+               "outside the macrotriangle")
+    forms = spline_fn.face_forms(FLOAT_SPLINE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: simplex_spline.functional_row(beta),
+                     lambda: spline_fn.basis_values("c", beta),
+                     lambda: simplex_spline.float_value(forms.ords, beta),
+                     lambda: forms.value_at_bary(beta),
+                     lambda: forms.value_at_bary(beta, [geometry.Point2(1.0, 0.0)])):
+            with pytest.raises(OutsideDomain) as info:
+                call()
+            assert str(info.value) == message
+        with pytest.raises(OutsideDomain, match="^1 points outside the macrotriangle$"):
+            spline_fn.eval_many(FLOAT_SPLINE, [(0.2, 0.3, 0.5), beta])
 
 
 def test_search_functions_read_a_candidate_and_its_multisets_alike():

@@ -247,13 +247,26 @@ def test_s3_multiset_action_orbit():
     assert labels == {"600101", "060110", "006011"}
 
 
+def test_face_matrices_are_the_face_barycentrics_of_the_corners():
+    """Column c of a face's integer matrix is the face barycentrics of macro
+    corner c, by bary_coords on the reference frame's face corners, and the
+    float copy holds the same numbers."""
+    from ps12splines.geometry import FACE_MATRICES, FLOAT_FACE_MATRICES, reference_frame
+    ref = reference_frame()
+    for fi, (m, fm) in enumerate(zip(FACE_MATRICES, FLOAT_FACE_MATRICES), start=1):
+        cols = [bary_coords(ref.face_corners(fi), c) for c in ref.corners]
+        assert m == tuple(zip(*cols)) == fm
+        assert all(type(x) is int for row in m for x in row)
+        assert all(type(x) is float for row in fm for x in row)
+
+
 def test_face_bary_exact_is_the_fraction_matrix_product():
     """Exact points and directional triples give integers over one
-    denominator equal to the products with the Fraction matrices."""
+    denominator equal to the products with the integer matrices."""
     import random
-    from ps12splines.geometry import face_bary, face_bary_matrices
+    from ps12splines.geometry import FACE_MATRICES, face_bary
     rng = random.Random(20)
-    for fi, m in enumerate(face_bary_matrices(), start=1):
+    for fi, m in enumerate(FACE_MATRICES, start=1):
         for total in (1, 0, 1, 0):
             b1, b2 = (F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(2))
             beta = (b1, b2, total - b1 - b2)
@@ -267,11 +280,11 @@ def test_face_bary_exact_is_the_fraction_matrix_product():
 
 def test_float_face_barycentrics_match_fraction_products():
     """Float beta goes through a float copy of the face matrices; the bits
-    are those of the products with the Fraction matrices, over D = 1."""
+    are those of the products with the integer matrices, over D = 1."""
     import random
-    from ps12splines.geometry import face_bary, face_bary_matrices
+    from ps12splines.geometry import FACE_MATRICES, face_bary
     rng = random.Random(21)
-    for fi, m in enumerate(face_bary_matrices(), start=1):
+    for fi, m in enumerate(FACE_MATRICES, start=1):
         for _ in range(50):
             beta = tuple(rng.uniform(-1, 2) for _ in range(3))
             want = tuple(m[r][0] * beta[0] + m[r][1] * beta[1] + m[r][2] * beta[2]

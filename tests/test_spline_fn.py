@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -12,14 +13,15 @@ from hypothesis import strategies as st
 
 from conftest import rational_points
 from ps12splines import spline_fn
-from ps12splines.errors import BoundViolated, DomainError, OutsideDomain, UnsupportedBasis
+from ps12splines.errors import (BoundViolated, DomainError, OutsideDomain, PS12Error,
+                                UnsupportedBasis)
 from ps12splines.geometry import (
     EDGES,
+    FACE_MATRICES,
     FACES,
     INTERIOR_LINES,
     VERTEX_BARY,
     Point2,
-    face_bary_matrices,
     from_bary,
     locate_face_bary,
     make_frame,
@@ -212,6 +214,67 @@ def test_float_value_has_the_bits_of_functional_row_and_a_sum(basis, seed, unit,
             assert eval_spline(s, p).hex() == _composed_value(ords, beta).hex()
 
 
+#: Frames for every input kind: the unit triangle, where dyadic points stay
+#: exactly on the split lines, and a general one; each float and exact.
+_KIND_FRAMES = (((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), ((0.3, -0.1), (2.7, 0.2), (0.1, 3.1)))
+_COORDINATE_KINDS = {"float": float, "int": round, "Fraction": lambda x: F(x).limit_denominator(97),
+                     "nan": lambda x: nan, "inf": lambda x: inf, "-inf": lambda x: -inf}
+_NON_PAIRS = (None, 5, "ab", (0.25,), (0.25, 0.25, 0.5), [F(1, 4), 0.25, 0.5])
+
+
+def _outcome(fn):
+    """fn()'s value, bits for a float, or its error's type and message."""
+    try:
+        v = fn()
+    except PS12Error as exc:
+        return type(exc), str(exc)
+    return v.hex() if isinstance(v, float) else v
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_at=st.sampled_from(_KIND_FRAMES), exact_frame=st.booleans(),
+       clockwise=st.booleans(), exact_coeffs=st.booleans(), basis=st.sampled_from("abcdef"),
+       beta=_float_barys(), kinds=st.tuples(*[st.sampled_from(
+           ["float"] * 4 + ["int", "Fraction"] * 2 + ["nan", "inf", "-inf"])] * 2),
+       container=st.sampled_from((Point2._make, tuple, list)), non_pair=st.sampled_from(
+           [-1] * 12 + list(range(len(_NON_PAIRS)))), seed=st.integers(0, 2 ** 32))
+def test_float_eval_spline_reads_every_input_kind(frame_at, exact_frame, clockwise, exact_coeffs,
+                                                  basis, beta, kinds, container, non_pair, seed):
+    """Float eval_spline has the bits of functional_row's row summed left to
+    right at to_bary's barycentrics, or raises the error, message and all,
+    that they raise: on float and exact frames of either orientation, at
+    Point2, tuple and list points of int, Fraction, float and mixed
+    coordinates, with float and exact coefficients, on split lines, macro
+    edges and roundoff down to -1e-9, and at NaN and infinite coordinates
+    (OutsideDomain) and non-pairs (DomainError).  to_bary's barycentrics are
+    those of the exact point within 1e-9, and a point is outside exactly
+    when they are not finite or one is below -SNAP_TOL."""
+    from ps12splines.simplex_spline import SNAP_TOL
+    corners = frame_at[::-1] if clockwise else frame_at
+    if exact_frame:
+        corners = [(F(x).limit_denominator(97), F(y).limit_denominator(97)) for x, y in corners]
+    frame = make_frame(*corners)
+    rng = random.Random(seed)
+    coeffs = [rng.uniform(-10, 10) for _ in range(39)]
+    s = Spline(frame, basis, tuple(map(F, coeffs)) if exact_coeffs else tuple(coeffs))
+    q = from_bary(make_frame(*[tuple(map(float, c)) for c in corners]), beta)
+    p = _NON_PAIRS[non_pair] if non_pair >= 0 else container(
+        [_COORDINATE_KINDS[k](x) for k, x in zip(kinds, q)])
+    exact_point = non_pair < 0 and all(k in ("int", "Fraction") for k in kinds)
+    assume(not (exact_point and s.exact))  # the exact layer
+    got = _outcome(lambda: eval_spline(s, p))
+    if non_pair >= 0:
+        assert got[0] is DomainError and got == _outcome(lambda: to_bary(frame, p))
+        return
+    b = tuple(map(float, to_bary(frame, p)))
+    assert got == _outcome(lambda: _composed_value(s._float_forms.ords, b))
+    finite = all(map(math.isfinite, b))
+    assert (got[0] is OutsideDomain) == (not finite or min(b) < -SNAP_TOL)
+    if finite:
+        exact = to_bary(make_frame(*[tuple(map(F, c)) for c in frame.corners]), tuple(map(F, p)))
+        assert all(abs(x - y) <= 1e-9 for x, y in zip(b, exact))
+
+
 OUTSIDE_BARYS = [(nan, 0.5, 0.5), (0.5, inf, -inf), (-inf, 1.0, 1.0),
                  (-0.1, 0.6, 0.5), (-2e-9, 0.5, 0.5 + 2e-9), (1e300, 1e300, -2e300)]
 
@@ -290,14 +353,14 @@ def test_float_layer_within_stated_error_bound(basis, coeffs, barys):
 
     coeffs, barys = normal(coeffs), [tuple(normal(b)) for b in barys]
     q, table = scaled_basis_tables(basis)
-    assert all(x == int(x) for m in face_bary_matrices() for row in m for x in row)
+    assert all(type(x) is int for m in FACE_MATRICES for row in m for x in row)
     s = Spline(make_frame((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), basis, tuple(coeffs))
     exact_c = [F(c) for c in coeffs]
     for got, beta in zip(eval_many(s, np.array(barys)).tolist(), barys):
         beta = tuple(map(F, beta))
         want = sum(v * c for v, c in zip(basis_values(basis, beta), exact_c))
         fi = locate_face_bary(*beta)
-        ghat = [sum(abs(m) * b for m, b in zip(row, beta)) for row in face_bary_matrices()[fi - 1]]
+        ghat = [sum(abs(m) * b for m, b in zip(row, beta)) for row in FACE_MATRICES[fi - 1]]
         bound = _gamma(83) * sum(r * sum(abs(c * t) for c, t in zip(exact_c, col)) / q
                                  for r, col in zip(_fraction_row(ghat), table[fi - 1]))
         assert abs(F(got) - want) <= bound
@@ -420,8 +483,8 @@ def test_float_basis_values_sum_left_to_right_without_numpy():
 
 
 def _fraction_face_bary(fi, beta):
-    """Face barycentrics on face fi: the Fraction matrix product."""
-    m = face_bary_matrices()[fi - 1]
+    """Face barycentrics on face fi: the product with the integer matrix."""
+    m = FACE_MATRICES[fi - 1]
     return tuple(m[r][0] * beta[0] + m[r][1] * beta[1] + m[r][2] * beta[2] for r in range(3))
 
 
