@@ -8,16 +8,17 @@ face's nonzero entries with its coefficients on the face's first read.
 Values are exact Fractions when coefficients, frame and points are exact
 (rational.is_exact); exact eval_spline stays on integers from the point to
 the value and divides once.  The float layer contracts the float
-coefficients once per spline into 12 x 21 face ordinates in plain Python,
-so its bits depend on neither a BLAS build nor the Python version.  Both
-layers of eval_spline and eval_many (numpy is imported only when it runs)
-end in simplex_spline.quintic_form, so a point and a batch agree bit for
-bit.  A float point goes one straight route there, geometry._bary's cross
-products of the pair as given into simplex_spline.float_value: warm, about
-6 us a point on 2 vCPUs (10-11 us with a Point2, a float copy and a lookup).
-The exact inverse of the domain-point collocation matrix (unit row sums),
-as integers over one reduced denominator, bounds the condition number in
-the max norm; its nonzero entries give exact Lagrange interpolation as one
+coefficients once per spline in plain Python, each of the 166 distinct
+ordinate rows (one per domain point of the split) once, laid out as the
+12 x 21 face ordinates; its bits depend on neither a BLAS build nor the
+Python version.  Both layers of eval_spline and eval_many (numpy is
+imported only when it runs) end in simplex_spline.quintic_form, so a point
+and a batch agree bit for bit.  A float point goes one straight route
+there, geometry._bary's cross products of the pair as given into
+simplex_spline.float_value (warm, about 6 us a point on 2 vCPUs).  The
+exact inverse of the domain-point collocation matrix (unit row sums), as
+integers over one reduced denominator, bounds the condition number in the
+max norm; its nonzero entries give exact Lagrange interpolation as one
 sparse integer mat-vec, whose integers the spline keeps (its coefficient
 Fractions are made on first read).
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, compress, islice
 from math import gcd, isfinite, lcm
 from numbers import Real
 from operator import add, itemgetter, mul, truediv
@@ -91,7 +92,7 @@ class Spline:
         q, _ = scaled_basis_tables(self.basis)
         cden, c = self._int_coeffs
         if fi not in self._int_ords:
-            gather, entries, counts = _nonzero_entries(self.basis)[fi - 1]
+            gather, entries, counts = _nonzero_entries(self.basis)[0][fi - 1]
             products = map(mul, entries, gather(c))
             self._int_ords[fi] = [sum(islice(products, n)) for n in counts]
         return q * cden, self._int_ords[fi]
@@ -99,18 +100,20 @@ class Spline:
     @cached_property
     def _float_forms(self) -> FaceForms:
         """The 12 x 21 float face ordinates every float value reads, once per
-        spline: each the left-to-right sum, from 0, of the float coefficients
-        times its row's nonzero integer table entries, then divided by Q.
-        The products come before the division, so DomainError is raised when
+        spline: each of the 166 distinct rows of _nonzero_entries the
+        left-to-right sum, from 0, of the float coefficients (x / L of exact
+        ones) times its entries, divided by Q, laid out face by face.  The
+        products come before the division, so DomainError is raised when
         coefficients beyond DBL_MAX / Q (about 1.4e303) overflow an ordinate."""
         q, _ = scaled_basis_tables(self.basis)
-        fc = [float(c) for c in self.coeffs]
-        ords = tuple(tuple(reduce(add, islice(products, n), 0) / q for n in counts)
-                     for gather, entries, counts in _nonzero_entries(self.basis)
-                     for products in [map(mul, gather(fc), entries)])
-        if not all(map(isfinite, chain.from_iterable(ords))):
+        _, (gather, entries, counts), maps = _nonzero_entries(self.basis)
+        ic = self._int_coeffs
+        fc = [x / ic[0] for x in ic[1]] if ic else [float(c) for c in self.coeffs]
+        products = map(mul, gather(fc), entries)
+        values = [reduce(add, islice(products, n), 0.0) / q for n in counts]
+        if not all(map(isfinite, values)):
             raise DomainError("coefficients beyond about 1.4e303 overflow the float ordinates")
-        return FaceForms(self.frame, 5, ords)
+        return FaceForms(self.frame, 5, tuple(m(values) for m in maps))
 
 
 @lru_cache(maxsize=None)
@@ -136,15 +139,24 @@ def scaled_basis_tables(basis_id: str) -> tuple:
 
 @lru_cache(maxsize=None)
 def _nonzero_entries(basis_id: str) -> tuple:
-    """Per face, (gather, entries, counts): the nonzero integer entries of
-    scaled_basis_tables ordinate by ordinate, a function that picks their
-    coefficients out of a sequence of 39, and the number of entries of each
-    of the 21 ordinates.  The exact and the float contraction read it (an
-    entry has at most 17 bits, so a float times it is a float product)."""
+    """(faces, rows, maps) of the nonzero entries of scaled_basis_tables.  Faces that share a
+    domain point share its row (the bases are C3 across the split lines): 166 distinct rows of
+    the 252.  rows is (gather, entries, counts) over these: a function that picks their
+    coefficients out of 39, their entries as floats (at most 17 bits, so exact) and each row's
+    count; maps[f] picks face f + 1's 21 ordinates from the 166 row values; faces[f] is (gather,
+    entries, counts) in ints over face f + 1's own rows, read by the exact contraction."""
     _, table = scaled_basis_tables(basis_id)
-    return tuple((itemgetter(*(i for row in face for i, t in enumerate(row) if t)),
-                  tuple(t for row in face for t in row if t),
-                  tuple(len(row) - row.count(0) for row in face)) for face in table)
+    index = {}
+    maps = [[index.setdefault(tuple(compress(enumerate(row), row)), len(index)) for row in face]
+            for face in table]
+    rows = list(index)
+
+    def packed(rows, kind):
+        columns, entries = zip(*chain.from_iterable(rows))
+        return itemgetter(*columns), tuple(map(kind, entries)), tuple(map(len, rows))
+    floats = {t: float(t) for row in rows for _, t in row}  # one float per distinct entry
+    return (tuple(packed([rows[k] for k in m], int) for m in maps), packed(rows, floats.get),
+            tuple(itemgetter(*m) for m in maps))
 
 
 def basis_values(basis_id: str, beta) -> tuple:
@@ -217,12 +229,9 @@ def eval_many(s: Spline, barys) -> np.ndarray:
 
 
 def face_forms(s: Spline) -> FaceForms:
-    """The spline as one quintic Bernstein form per face: the scaled tables
-    contracted with the coefficients.
-
-    Exact when the coefficients and the frame are, as Fractions of the
-    spline's integer ordinates; otherwise float ordinates.
-    """
+    """The spline as one quintic Bernstein form per face, the scaled tables
+    contracted with the coefficients: Fractions of the integer ordinates when
+    the coefficients and the frame are exact, else the float ordinates."""
     if not s.exact:
         return s._float_forms
     faces = map(s._exact_ordinates, range(1, 13))

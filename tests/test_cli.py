@@ -272,6 +272,50 @@ def test_exact_outputs_match_pinned_bytes(pipeline_report, tmp_path):
     assert digests == PINNED_SHA256
 
 
+FLOAT_PINNED_SHA256 = {
+    "eval": "29c36eeaee8fd5ecf5499c405cf8fc07a6f6ea889ae21fd9f19144c669b7e2e6",
+    "sample32": "94e1e9ede0b94a886fb213f9d78a246c00efbc6bdc22c8eb5f4ce91b76bc92e2",
+    "sample200": "41c692b68bfc5ffd4a3ab30108c20520cb50a7d71a93954f6a4593492a70c93f",
+    "assemble": "658e9af22f874262f63dcde4e34dc8634e2f6826cf5215fd6d930f09cfbeabcf",
+}
+
+
+def _float_output_digests(tmp_path, capsys) -> dict:
+    """sha256 of float eval at five points, float sample at grids 32 (point by point) and 200
+    (eval_many, above cli.BATCH_POINTS), and float assemble on the exact pin's two triangles,
+    its output and its order-3 warnings, which read the float ordinates."""
+    import hashlib
+    spline, out = tmp_path / "s.json", tmp_path / "out"
+    spline.write_text(json.dumps({"frame": [["1/3", "-2/7"], ["13/5", "1/9"], ["2/11", "17/6"]],
+                                  "basis": "e", "coeffs": [f"{(-3) ** (i % 5) * (i + 1)}/{7 + i}"
+                                                           for i in range(39)]}))
+    text = ""
+    for x, y in (("1", "0.9"), ("0.6", "0.3"), ("1.5", "0.5"), ("0.4", "2.0"), ("13/5", "1/9")):
+        assert main(["eval", "--spline", str(spline), "--point", x, y, "--layer", "float",
+                     "--out", str(out)]) == 0
+        text += out.read_text()
+    digests = {"eval": hashlib.sha256(text.encode()).hexdigest()}
+    for grid in (32, 200):
+        assert main(["sample", "--spline", str(spline), "--grid", str(grid), "--out", str(out)]) == 0
+        digests[f"sample{grid}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    mesh, data = tmp_path / "mesh.json", tmp_path / "data.json"
+    mesh.write_text(json.dumps({"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                                "triangles": [[0, 1, 2], [1, 3, 2]]}))
+    data.write_text(json.dumps({
+        "vertex_jets": {str(v): [(v + k) / 7 for k in range(10)] for v in range(4)},
+        "edge_data": {e: [1 / 3, -1 / 5, 2 / 9] for e in ("0-1", "0-2", "1-2", "1-3", "2-3")}}))
+    capsys.readouterr()
+    assert main(["assemble", "--mesh", str(mesh), "--data", str(data), "--out", str(out)]) == 0
+    digests["assemble"] = hashlib.sha256(out.read_bytes() +
+                                         capsys.readouterr().err.encode()).hexdigest()
+    return digests
+
+
+def test_float_outputs_match_pinned_bytes(tmp_path, capsys):
+    """The float layer's CLI bytes: its ordinates, values and join gaps keep their bits."""
+    assert _float_output_digests(tmp_path, capsys) == FLOAT_PINNED_SHA256
+
+
 @pytest.mark.parametrize("index", [2.7, True, "2"])
 def test_assemble_rejects_non_integer_vertex_index(tmp_path, index):
     mesh = tmp_path / "mesh.json"

@@ -433,6 +433,100 @@ def test_float_coefficients_are_in_range_up_to_1e303(basis):
             read()
 
 
+@pytest.mark.parametrize("basis", list("abcdef"))
+def test_distinct_float_rows_are_the_domain_points_of_the_split(basis):
+    """The float contraction's distinct rows are the split's 166 Bernstein
+    domain points: two face ordinates share a row exactly when their domain
+    points coincide (the face matrices map the point to the ordinate's face
+    barycentrics), and each face's index map rebuilds its 21 table rows,
+    columns and entries, as do the per-face integer entries."""
+    faces, (gather, entries, counts), maps = spline_fn._nonzero_entries(basis)
+    _, table = scaled_basis_tables(basis)
+    assert len(counts) == 166 and len(entries) == sum(counts)
+    assert all(type(t) is float and t == int(t) and abs(t) < 2 ** 17 for t in entries)
+    columns, values = iter(gather(range(39))), iter(entries)
+    rows = [[(next(columns), int(next(values))) for _ in range(n)] for n in counts]
+    point_rows, row_points = {}, {}
+    for fi, (corners, m, (fgather, fentries, fcounts)) in enumerate(zip(FACES, maps, faces)):
+        assert fcounts == tuple(len(row) - row.count(0) for row in table[fi])
+        assert fgather(range(39)) == tuple(i for row in table[fi] for i, t in enumerate(row) if t)
+        assert fentries == tuple(t for row in table[fi] for t in row if t)
+        for exponents, k, row in zip(bernstein_exponents(5), m(range(166)), table[fi]):
+            assert rows[k] == [(i, t) for i, t in enumerate(row) if t]
+            point = tuple(sum(F(e, 5) * VERTEX_BARY[v - 1][j] for e, v in zip(exponents, corners))
+                          for j in range(3))
+            face_bary = [sum(map(mul, r, point)) for r in FACE_MATRICES[fi]]
+            assert face_bary == [F(e, 5) for e in exponents]
+            point_rows.setdefault(point, set()).add(k)
+            row_points.setdefault(k, set()).add(point)
+    assert len(point_rows) == len(row_points) == 166
+    assert all(len(v) == 1 for v in point_rows.values())
+    assert all(len(v) == 1 for v in row_points.values())
+
+
+def _float_ordinates_by_definition(s):
+    """Each face ordinate the left-to-right sum from 0 of float(c_i) * T[f][s][i] over the
+    nonzero entries of its row, divided by Q, as .hex(); or the DomainError of an overflow."""
+    q, table = scaled_basis_tables(s.basis)
+    fc = [float(c) for c in s.coeffs]
+    ords = [reduce(add, (c * t for c, t in zip(fc, row) if t), 0) / q
+            for face in table for row in face]
+    return [o.hex() for o in ords] if all(map(math.isfinite, ords)) else DomainError
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                                1e303, -1e303, 1e306, -1e306, 1.0, -2.5])
+_FLOAT_COEFFS = st.lists(st.one_of(_EDGE_FLOATS, st.floats(-1e303, 1e303)), min_size=39,
+                         max_size=39)
+_EXACT = st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                   st.fractions(-10 ** 20, 10 ** 20, max_denominator=10 ** 9))
+
+
+@settings(max_examples=120, deadline=None)
+@given(basis=st.sampled_from("abcdef"),
+       kind=st.sampled_from(["float", "exact", "lagrange", "float lagrange", "1e306"]),
+       floats=_FLOAT_COEFFS, exact=st.lists(_EXACT, min_size=39, max_size=39),
+       frame=st.sampled_from([((F(1, 3), F(-2, 7)), (F(13, 5), F(1, 9)), (F(2, 11), F(17, 6))),
+                              ((0.5, 0.25), (0.0, 1.0), (-1.5, 0.0))]))
+def test_float_ordinates_have_the_bits_of_their_definition(basis, kind, floats, exact, frame):
+    """_float_forms.ords, read through the 166 distinct rows, carry the bits of the per-face
+    definition on all six bases: float coefficients (signed zeros, subnormals, mixed 1e303),
+    exact ones from the constructor and from lagrange_interpolate (x / L, without making the
+    coefficient Fractions), float lagrange_interpolate splines; and DomainError exactly where
+    the definition overflows (1e306)."""
+    frame = make_frame(*frame)
+    if kind == "1e306":
+        floats = [x * 1e3 if abs(x) <= 1e303 else x for x in floats]
+    if kind.endswith("lagrange"):
+        s = lagrange_interpolate(basis, frame, exact if kind == "lagrange" else
+                                 [x * 1e-10 for x in floats])
+    else:
+        s = Spline(frame, basis, tuple(exact if kind == "exact" else floats))
+    try:
+        got = [o.hex() for face in s._float_forms.ords for o in face]
+    except DomainError as e:
+        assert "1.4e303" in str(e)
+        got = DomainError
+    assert kind != "lagrange" or "coeffs" not in vars(s)
+    assert got == _float_ordinates_by_definition(s)
+
+
+@pytest.mark.parametrize("basis", list("abcdef"))
+def test_eval_many_of_an_exact_interpolant_makes_no_coefficient_fractions(basis):
+    """eval_many on lagrange_interpolate's exact spline takes its float coefficients as x / L
+    from the kept integers: no coefficient Fractions are made, and the values have the bits of
+    the float spline with coefficients float(c)."""
+    rng = random.Random(basis)
+    frame = make_frame((F(1, 3), F(-2, 7)), (F(13, 5), F(1, 9)), (F(2, 11), F(17, 6)))
+    s = lagrange_interpolate(basis, frame, [F(rng.randint(-999, 999), rng.randint(1, 99))
+                                            for _ in range(39)])
+    barys = [(0.2, 0.3, 0.5), (1.0, 0.0, 0.0), (0.1, 0.45, 0.45), (1 / 3, 1 / 3, 1 / 3)]
+    got = eval_many(s, barys).tolist()
+    assert "coeffs" not in vars(s)
+    want = eval_many(Spline(frame, basis, tuple(map(float, s.coeffs))), barys).tolist()
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 # ---------------------------------------------------------------------------
 # The exact kernels against the Fraction row-times-table oracle
 # ---------------------------------------------------------------------------
