@@ -34,22 +34,17 @@ from math import comb, perm
 from numbers import Integral
 from operator import add, mul, truediv
 
-from .errors import (
-    DegenerateTriangle,
-    DimensionMismatch,
-    DomainError,
-    NonConformingMesh,
-)
+from .errors import DegenerateTriangle, DimensionMismatch, DomainError, NonConformingMesh
 from .bspline1d import bspline_coefficients
 from .dual_functionals import (DIRECTIONS, FUNCTIONALS, JET_ORDERS, bary_direction,
                                direction_vectors, lambda_vector)
 from .geometry import (EDGES, FACE_MATRICES, FACES, VERTEX_BARY, PS12Frame, Point2,
                        direction_coords, face_bary, locate_face_bary, make_frame)
-from .linalg import _apply_rows, inverse, mat_vec, solve, sparse_integer_matrix
+from .linalg import _apply_rows, inverse, mat_vec, solve, sparse_integer_matrix, sparse_mat_vec
 from .marsden_catalog import catalog, linear_product
-from .rational import _over_lcm, common_denominator, finite_numbers, is_exact
+from .rational import _dyadic, _over_lcm, finite_numbers, is_exact
 from .simplex_spline import _face_ordinates, _row_terms, bernstein_exponents
-from .spline_fn import Spline
+from .spline_fn import Spline, _unchecked
 
 #: Number of basis elements with nonzero derivative restrictions of orders
 #: 0..3 on the edge [v1, v2] (in the canonical element order).
@@ -62,11 +57,11 @@ N_BLOCKS = (8, 15, 21, 25)
 
 @lru_cache(maxsize=None)
 def _half_edges(la: int, lb: int) -> tuple:
-    """(m, halves): the midpoint vertex of the macro edge from corner la to
-    corner lb (1-based) and, la's half first, each half's (face, p, near).
-    p orders the face's corners (la-ward end, lb-ward end, third vertex),
-    and near[l][i] is the position in the face's table of the ordinate
-    c[5 - l - i, i, l] in that order, l steps from the edge."""
+    """(mid, halves): the macro edge from corner la to corner lb (1-based) as
+    each half's (face, p, near), la's half first, and mid, the half that
+    locate_face_bary puts its midpoint in.  p orders the face's corners (la-
+    and lb-ward ends, third vertex), and near[l][i] is the position in the
+    face's table of the ordinate c[5 - l - i, i, l] in that order, l from the edge."""
     m = next(m for a, m, b in EDGES.values() if {a, b} == {la, lb})
     halves = []
     for ends in ((la, m), (m, lb)):
@@ -75,7 +70,7 @@ def _half_edges(la: int, lb: int) -> tuple:
         exps = [tuple(e[i] for i in p) for e in bernstein_exponents(5)]
         halves.append((fi, p, [[exps.index((5 - l - i, i, l)) for i in range(6 - l)]
                                for l in range(6)]))
-    return m, tuple(halves)
+    return [fi for fi, _, _ in halves].index(locate_face_bary(*VERTEX_BARY[m - 1])), tuple(halves)
 
 
 def _cross_derivative(ords, near, weights, k: int) -> list:
@@ -351,20 +346,24 @@ def triangulation(vertices, triangles) -> Triangulation:
 
 @dataclass(frozen=True)
 class GlobalSpline:
-    """One basis-c coefficient vector per triangle of a triangulation."""
+    """One basis-c coefficient vector per triangle; hermite_interpolate's exact ones stay
+    integers in the triangles' splines until coeffs is first read."""
 
     tri: Triangulation
     coeffs: tuple    # per triangle, 39 values
     basis: str = "c"
+    _splines: dict = field(init=False, repr=False, compare=False)  # triangle index -> its Spline
 
     def __post_init__(self):
         if len(self.coeffs) != len(self.tri.triangles):
             raise DimensionMismatch("one coefficient vector per triangle required")
+        object.__setattr__(self, "_splines", {})
 
-    @cached_property
-    def _splines(self) -> dict:
-        """Triangle index -> its Spline, filled by spline."""
-        return {}
+    def __getattr__(self, name: str):  # coeffs of an _unchecked global spline, from its splines'
+        if name != "coeffs":
+            raise AttributeError(name)
+        vars(self)["coeffs"] = tuple(s.coeffs for s in self._splines.values())
+        return self.coeffs
 
     def spline(self, t: int) -> Spline:
         """The spline on triangle t, built once, with its frame and contractions."""
@@ -379,20 +378,28 @@ def _cross_edge_coefficients(s: Spline, la: int, lb: int, order: int) -> tuple:
     split at its midpoint, la's half first: out[k][half] = (nums, den), the
     Bernstein coefficients nums / den of D_u^k s, u = rot90(v_lb - v_la), on
     the half from its la-ward end (_cross_derivative), k = 0..order; mid,
-    the half located at the midpoint.  Float ordinates and u count exactly."""
-    m, halves = _half_edges(la, lb)
-    a, b = s.frame.corners[la - 1], s.frame.corners[lb - 1]
-    delta = tuple(map(Fraction, direction_coords(s.frame, Point2(-(b.y - a.y), b.x - a.x))))
+    the half located at the midpoint.  No Fractions: on an exact frame, u's
+    coordinates are w . (v_k - v_j) for (i, j, k) cyclic, w = v_lb - v_la
+    (negated on a clockwise frame), over |area2| of _int_corners; float
+    ordinates and a float frame's direction_coords go over a power of 2."""
+    mid, halves = _half_edges(la, lb)
+    if (ints := s.frame._int_corners) is None:
+        a, b = s.frame.corners[la - 1], s.frame.corners[lb - 1]
+        dden, delta = _dyadic(direction_coords(s.frame, Point2(-(b.y - a.y), b.x - a.x)))
+    else:
+        _, (c1, c2, c3), a2 = ints
+        (ax, ay), (bx, by) = ints[1][la - 1], ints[1][lb - 1]
+        wx, wy, dden = (bx - ax, by - ay, a2) if a2 > 0 else (ax - bx, ay - by, -a2)
+        delta = [wx * (k.x - j.x) + wy * (k.y - j.y) for j, k in ((c2, c3), (c3, c1), (c1, c2))]
     out = [[] for _ in range(order + 1)]
     for fi, p, near in halves:
-        dden, g = face_bary(fi, delta)
+        _, g = face_bary(fi, delta, dden)
         g0, g1, g2 = (g[i] for i in p)
-        den, ords = (s._exact_ordinates(fi) if s.exact else
-                     common_denominator(list(map(Fraction, s._float_forms.ords[fi - 1]))))
+        den, ords = s._exact_ordinates(fi) if s.exact else _dyadic(s._float_forms.ords[fi - 1])
         for k in range(order + 1):
             weights = [((i, j, l), w * g0 ** i * g1 ** j * g2 ** l) for w, i, j, l in _row_terms(k)]
             out[k].append((_cross_derivative(ords, near, weights, k), den * dden ** k))
-    return out, [fi for fi, _, _ in halves].index(locate_face_bary(*VERTEX_BARY[m - 1]))
+    return out, mid
 
 
 def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
@@ -578,8 +585,8 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
     three at the vertices.  A jet is contracted once per prefix of
     directions.  Exact vertices and data give an exact result: each value
     an integer over a known denominator, a triangle's 39 over their lcm
-    through sparse integer rows, one Fraction per coefficient.  Missing
-    data raise DimensionMismatch, values not exact or finite DomainError.
+    through sparse integer rows, integers until coeffs is first read.
+    Missing data raise DimensionMismatch, values not exact or finite DomainError.
     """
     try:
         vertex_jets = {k: tuple(v) for k, v in vertex_jets.items()}
@@ -644,7 +651,9 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
                    for d2, g1, f2 in (near, far)]
             values += [d2u[0], (S * d1m + W * f_m, p * q), d2u[1]]
         if exact:
-            coeff_vectors.append(tuple(Fraction(*x) for x in _apply_rows(*nodal, values)))
+            den, v = _over_lcm(values)
+            ints = (den * nodal[0], sparse_mat_vec(nodal[1], v))
+            coeff_vectors.append(_unchecked(Spline, frame=frame, basis="c", _int_coeffs=ints))
             continue
         # left to right over the nonzero terms (sum() compensates from 3.12); float * Fraction
         # is float * float(Fraction), so floats take the float entries, exact values the exact
@@ -652,7 +661,8 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
         coeff_vectors.append(tuple(
             reduce(add, (values[k] * (f if type(values[k]) is float else n)
                          for k, n, f in nz if values[k]), 0.0) / w for w, nz in nodal))
-    return GlobalSpline(tri, tuple(coeff_vectors))
+    return (_unchecked(GlobalSpline, tri=tri, basis="c", _splines=dict(enumerate(coeff_vectors)))
+            if exact else GlobalSpline(tri, tuple(coeff_vectors)))
 
 
 def hexagon_demo() -> GlobalSpline:

@@ -23,17 +23,8 @@ from itertools import combinations
 from math import factorial
 
 from .errors import DimensionMismatch, DomainError, UnknownBasis
-from .geometry import (
-    PS12Frame,
-    Point2,
-    S3_ELEMENTS,
-    VERTEX_BARY,
-    from_bary,
-    reference_frame,
-    s3_apply_multiset,
-    s3_vertex_permutation,
-    to_bary,
-)
+from .geometry import (PS12Frame, Point2, S3_ELEMENTS, VERTEX_BARY, from_bary, reference_frame,
+                       s3_apply_multiset, s3_vertex_permutation, to_bary)
 from .simplex_spline import knots
 
 BASIS_IDS = ("a", "b", "c", "d", "e", "f")

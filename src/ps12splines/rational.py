@@ -58,6 +58,13 @@ def _over_lcm(pairs) -> tuple[int, list]:
     return den, [p * (den // q) for p, q in pairs]
 
 
+def _dyadic(floats) -> tuple[int, list]:
+    """(2^k, numerators): floats as integers over one power of two, exactly."""
+    pairs = [x.as_integer_ratio() for x in floats]
+    k = max(q.bit_length() for _, q in pairs)
+    return 1 << k - 1, [p << k - q.bit_length() for p, q in pairs]
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a ``"p/q"`` or ``"p"`` string."""
     try:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, compress, islice
-from math import gcd, isfinite, lcm
+from math import gcd, inf, isfinite, lcm
 from numbers import Real
 from operator import add, itemgetter, mul, truediv
 from typing import TYPE_CHECKING
@@ -65,7 +65,7 @@ class Spline:
     def __call__(self, p):
         return eval_spline(self, p)
 
-    def __getattr__(self, name: str):  # coeffs of lagrange_interpolate's exact splines
+    def __getattr__(self, name: str):  # coeffs of an _unchecked spline
         if name != "coeffs" or "_int_coeffs" not in vars(self):
             raise AttributeError(name)
         vars(self)["coeffs"] = tuple(Fraction(x, self._int_coeffs[0]) for x in self._int_coeffs[1])
@@ -108,7 +108,10 @@ class Spline:
         q, _ = scaled_basis_tables(self.basis)
         _, (gather, entries, counts), maps = _nonzero_entries(self.basis)
         ic = self._int_coeffs
-        fc = [x / ic[0] for x in ic[1]] if ic else [float(c) for c in self.coeffs]
+        try:  # x / L of an exact coefficient beyond DBL_MAX overflows
+            fc = [x / ic[0] for x in ic[1]] if ic else [float(c) for c in self.coeffs]
+        except OverflowError:
+            fc = [inf] * 39
         products = map(mul, gather(fc), entries)
         values = [reduce(add, islice(products, n), 0.0) / q for n in counts]
         if not all(map(isfinite, values)):
@@ -277,9 +280,14 @@ def lagrange_interpolate(basis_id: str, frame: PS12Frame, values) -> Spline:
     if not is_exact(values):
         return Spline(frame, basis_id, tuple(sum(x / d * y for x, y in zip(r, values)) for r in n))
     den, v = common_denominator(values)
-    s = object.__new__(Spline)  # of checked values: no __post_init__, coeffs made on first read
-    vars(s).update(frame=frame, basis=basis_id, _int_coeffs=(den * d, sparse_mat_vec(rows, v)))
-    return s
+    return _unchecked(Spline, frame=frame, basis=basis_id,
+                      _int_coeffs=(den * d, sparse_mat_vec(rows, v)))
+
+
+def _unchecked(cls, **fields):
+    """A Spline or GlobalSpline of checked fields, no __post_init__; coeffs made on first read."""
+    vars(obj := object.__new__(cls)).update(fields)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +357,6 @@ def control_mesh(s: Spline) -> ControlMesh:
 # Distance between coefficients and spline values
 # ---------------------------------------------------------------------------
 
-def longest_edge_sq(frame: PS12Frame):
-    return max((p.x - q.x) ** 2 + (p.y - q.y) ** 2 for p, q in combinations(frame.corners, 2))
-
-
 def control_distance_bound_check(s: Spline, hessian_bound) -> dict:
     """Check |c_i - f(domain point i)| <= 2 K h^2 * hessian_bound for all i.
 
@@ -367,7 +371,7 @@ def control_distance_bound_check(s: Spline, hessian_bound) -> dict:
         raise DomainError(f"a Hessian bound is a nonnegative number, not {hessian_bound!r}")
     _, _, cond = collocation_at_domain_points(s.basis)
     spec = catalog(s.basis)
-    h2 = longest_edge_sq(s.frame)
+    h2 = max((p.x - q.x) ** 2 + (p.y - q.y) ** 2 for p, q in combinations(s.frame.corners, 2))
     bound = 2 * cond * h2 * hessian_bound
     gaps = [abs(c - eval_spline(s, from_bary(s.frame, el.domain_point)))
             for el, c in zip(spec.elements, s.coeffs)]

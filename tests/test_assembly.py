@@ -32,12 +32,13 @@ from ps12splines.assembly import (
 from ps12splines.bspline1d import UnivariateBSplineRef
 from ps12splines.dual_functionals import JET_ORDERS, apply, build_lambda, lambda_vector
 from ps12splines.errors import DimensionMismatch, DomainError, NonConformingMesh
-from ps12splines.geometry import (EDGES, Point2, direction_coords, from_bary, make_frame,
-                                  reference_frame, to_bary)
+from ps12splines.geometry import (EDGES, VERTEX_BARY, Point2, direction_coords, face_bary,
+                                  from_bary, locate_face_bary, make_frame, reference_frame, to_bary)
 from ps12splines.linalg import mat_vec
 from ps12splines.marsden_catalog import catalog
-from ps12splines.rational import is_exact
-from ps12splines.simplex_spline import functional_row, knots
+from ps12splines.rational import common_denominator, is_exact
+from ps12splines.serialize import dumps, global_spline_to_dict
+from ps12splines.simplex_spline import _row_terms, functional_row, knots
 from ps12splines.spline_fn import eval_spline, face_forms, lagrange_interpolate, scaled_basis_tables
 
 a1, a2, a3 = (TriPoly.variable(i) for i in range(3))
@@ -1054,6 +1055,73 @@ def test_gaps_bound_the_sampled_jumps(mesh, slot, bump, order, samples):
             # Hermite assembly is C^2 across every edge, and the gaps prove it
             if g is gs:
                 assert all(rep["gaps"][k] == 0 for k in range(min(order, 2) + 1))
+
+
+def _fraction_cross_edge_coefficients(s, la, lb, order):
+    """_cross_edge_coefficients by Fractions: direction_coords of u as Fractions over their
+    lcm (face_bary), float ordinates through Fraction and common_denominator, and the half
+    that holds the midpoint located at every call."""
+    _, halves = assembly._half_edges(la, lb)
+    a, b = s.frame.corners[la - 1], s.frame.corners[lb - 1]
+    delta = tuple(map(F, direction_coords(s.frame, Point2(-(b.y - a.y), b.x - a.x))))
+    out = [[] for _ in range(order + 1)]
+    for fi, p, near in halves:
+        dden, g = face_bary(fi, delta)
+        g0, g1, g2 = (g[i] for i in p)
+        den, ords = (s._exact_ordinates(fi) if s.exact else
+                     common_denominator(list(map(F, s._float_forms.ords[fi - 1]))))
+        for k in range(order + 1):
+            weights = [((i, j, l), w * g0 ** i * g1 ** j * g2 ** l) for w, i, j, l in _row_terms(k)]
+            out[k].append((assembly._cross_derivative(ords, near, weights, k), den * dden ** k))
+    m = next(m for x, m, y in EDGES.values() if {x, y} == {la, lb})
+    return out, [fi for fi, _, _ in halves].index(locate_face_bary(*VERTEX_BARY[m - 1]))
+
+
+@st.composite
+def _oriented_grid(draw):
+    """_rational_grid with each triangle's corners reversed at random, so that clockwise and
+    counterclockwise frames meet, as exact data, float data or float vertices."""
+    tri, jets, edges = draw(_rational_grid())
+    tris = [(a, c, b) if draw(st.booleans()) else (a, b, c) for a, b, c in tri.triangles]
+    verts, kind = tri.vertices, draw(st.sampled_from(["exact", "float data", "float vertices"]))
+    if kind == "float data":
+        jets = {v: tuple(map(float, jet)) for v, jet in jets.items()}
+        edges = {e: tuple(map(float, d)) for e, d in edges.items()}
+    if kind == "float vertices":
+        verts = [tuple(map(float, v)) for v in verts]
+    return triangulation(verts, tris), jets, edges, kind
+
+
+@settings(max_examples=20, deadline=None)
+@given(mesh=_oriented_grid(), order=st.integers(0, 5), samples=st.integers(1, 4))
+def test_join_check_on_both_orientations_matches_the_fraction_route(mesh, order, samples):
+    """On clockwise and counterclockwise frames, exact and float, the integer join check gives
+    the gaps and jumps of the Fraction route (_fraction_cross_edge_coefficients): the same
+    Fractions, the same float bits, to order 5 with the midpoint sampled and at a drawn order.
+    Exact Hermite coefficients stay integers through the check and evaluation, and the
+    result equals the GlobalSpline of its coefficients, with its hash, repr and bytes."""
+    tri, jets, edges, kind = mesh
+    gs = hermite_interpolate(tri, jets, edges)
+
+    def bits(report):
+        return {key: {k: (type(x), x.hex() if type(x) is float else x) for k, x in v.items()}
+                for key, v in report.items() if key in ("gaps", "jumps")}
+    checks = [(e, o, n) for e in tri.interior_edges() for o, n in ((5, 1), (order, samples))]
+    got = [bits(verify_smoothness(gs, *c)) for c in checks]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "_cross_edge_coefficients", _fraction_cross_edge_coefficients)
+        assert got == [bits(verify_smoothness(gs, *c)) for c in checks]
+    centre = (F(1, 3), F(1, 3), F(1, 3))
+    values = [eval_spline(gs.spline(t), from_bary(tri.frame(t), centre))
+              for t in range(len(tri.triangles))]
+    if kind == "exact":
+        assert "coeffs" not in vars(gs)
+        assert not any("coeffs" in vars(gs.spline(t)) for t in range(len(tri.triangles)))
+    again = GlobalSpline(tri, gs.coeffs)
+    assert gs == again and hash(gs) == hash(again) and repr(gs) == repr(again)
+    assert dumps(global_spline_to_dict(gs)) == dumps(global_spline_to_dict(again))
+    assert values == [eval_spline(again.spline(t), from_bary(tri.frame(t), centre))
+                      for t in range(len(tri.triangles))]
 
 
 def _c3_feasible_patch(seed):

@@ -316,6 +316,59 @@ def test_float_outputs_match_pinned_bytes(tmp_path, capsys):
     assert _float_output_digests(tmp_path, capsys) == FLOAT_PINNED_SHA256
 
 
+#: sha256 of ps12 assemble's --out file and of its stderr warning lines on a
+#: seeded perturbed 4 x 4 grid with random data, exact and as floats.
+GRID_PINNED_SHA256 = {
+    "exact out": "c080edf4ad88e1d3b39197ea50a00b5abfb564a5799d8b5ffab7b5589c06d7fb",
+    "exact err": "615c48be917782ae504b05b7636950108c1e2debf676de89047ed5e220618a80",
+    "float out": "d2f768d7d41ec6c13d44a48a614f803db2136a542cdb5ed5f30bc9274277e247",
+    "float err": "9b784f305b01194e6c0ceaf326006bee690e2fadd1172711f5b0ab1973c4a7c0",
+}
+
+
+def _grid_assemble_digests(tmp_path, capsys) -> dict:
+    """32 triangles, 40 interior joins: rational vertices with the inner ones moved by up to
+    1/5, each square split along a random diagonal, and random rational jets and edge data."""
+    import hashlib
+    rng, n = random.Random(40), 4
+    verts = [(F(10 * i + rng.randint(-2, 2) * (0 < i < n and 0 < j < n), 10),
+              F(10 * j + rng.randint(-2, 2) * (0 < i < n and 0 < j < n), 10))
+             for j in range(n + 1) for i in range(n + 1)]
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            a = j * (n + 1) + i
+            b, c, d = a + 1, a + n + 1, a + n + 2
+            tris += [(a, b, d), (a, d, c)] if rng.random() < 0.5 else [(a, b, c), (b, d, c)]
+    edges = sorted({tuple(sorted(e)) for a, b, c in tris for e in ((a, b), (b, c), (a, c))})
+    assert len(edges) == 56
+
+    def rational():
+        return F(rng.randint(-99, 99), rng.randint(1, 30))
+    jets = [[rational() for _ in range(10)] for _ in verts]
+    edge_data = [[rational() for _ in range(3)] for _ in edges]
+    mesh, data, out = (tmp_path / f for f in ("mesh.json", "data.json", "out.json"))
+    digests = {}
+    for layer, num in (("exact", lambda x: f"{x.numerator}/{x.denominator}"), ("float", float)):
+        mesh.write_text(json.dumps({"vertices": [[num(x) for x in v] for v in verts],
+                                    "triangles": [list(t) for t in tris]}))
+        data.write_text(json.dumps({
+            "vertex_jets": {str(v): [num(x) for x in j] for v, j in enumerate(jets)},
+            "edge_data": {f"{a}-{b}": [num(x) for x in d] for (a, b), d in zip(edges, edge_data)}}))
+        capsys.readouterr()
+        assert main(["assemble", "--mesh", str(mesh), "--data", str(data), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: ") == 40
+        digests[f"{layer} out"] = hashlib.sha256(out.read_bytes()).hexdigest()
+        digests[f"{layer} err"] = hashlib.sha256(err.encode()).hexdigest()
+    return digests
+
+
+def test_assemble_on_a_grid_matches_pinned_bytes(tmp_path, capsys):
+    """Every join of a 4 x 4 grid keeps its bytes: the coefficients and the order-3 gaps."""
+    assert _grid_assemble_digests(tmp_path, capsys) == GRID_PINNED_SHA256
+
+
 @pytest.mark.parametrize("index", [2.7, True, "2"])
 def test_assemble_rejects_non_integer_vertex_index(tmp_path, index):
     mesh = tmp_path / "mesh.json"

@@ -221,6 +221,9 @@ def test_bad_length_raises_dimension_mismatch(name):
 #: An exact spline on a clockwise frame (a negative doubled area).
 CLOCKWISE_SPLINE = spline_fn.Spline(geometry.make_frame((0, 0), (0, 3), (3, 0)), "c", (F(1, 7),) * 39)
 
+#: An exact spline whose coefficients no float holds.
+HUGE_SPLINE = spline_fn.Spline(geometry.reference_frame(), "c", (10 ** 400,) * 39)
+
 #: Bad input with a typed error of its own, not a DomainError.
 TYPED_ERRORS = {
     "Triangulation degenerate triangle": (DegenerateTriangle, lambda: assembly.triangulation(
@@ -259,6 +262,12 @@ TYPED_ERRORS = {
         spline_fn.face_forms(FLOAT_SPLINE).value_at_bary((-1e-10, -1e-10, -1e-10))),
     "eval_many roundoff with nothing to snap to": (OutsideDomain, lambda: spline_fn.eval_many(
         FLOAT_SPLINE, [(0.2, 0.3, 0.5), (0.0, 0.0, -1e-10)])),
+    "eval_spline float point, exact coefficients beyond the float range": (DomainError, lambda:
+        spline_fn.eval_spline(HUGE_SPLINE, (0.3, 0.2))),
+    "eval_many exact coefficients beyond the float range": (DomainError, lambda:
+        spline_fn.eval_many(HUGE_SPLINE, [(0.2, 0.3, 0.5)])),
+    "face_forms float frame, exact coefficients beyond the float range": (DomainError, lambda:
+        spline_fn.face_forms(spline_fn.Spline(FLOAT_FRAME, "c", (10 ** 400,) * 39))),
 }
 
 
