@@ -261,9 +261,10 @@ def propagate(coeffs, beta, order: int = 3):
         raise DimensionMismatch("need 39 coefficients")
     sysm = smoothness_system(order, beta)
     zero = Fraction(0) if is_exact(coeffs) else 0.0
-    out = [sum((v * coeffs[src] for src, v in row.items()), start=zero)
+    # left to right, as the float layer adds (sum() compensates floats from Python 3.12)
+    out = [reduce(add, (v * coeffs[src] for src, v in row.items()), zero)
            for _, row in sysm.relations]
-    feasible = order < 3 or sum(v * coeffs[src] for src, v in sysm.constraint) == 0
+    feasible = order < 3 or reduce(add, (v * coeffs[src] for src, v in sysm.constraint), 0) == 0
     return out, feasible
 
 
@@ -273,7 +274,7 @@ def c3_residual(coeffs, beta):
     if len(coeffs) != 39:
         raise DimensionMismatch("need 39 coefficients")
     sysm = smoothness_system(3, beta)
-    return sum(v * coeffs[src] for src, v in sysm.constraint)
+    return reduce(add, (v * coeffs[src] for src, v in sysm.constraint), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +380,15 @@ def _cross_edge_coefficients(s: Spline, la: int, lb: int, order: int) -> tuple:
     Bernstein coefficients nums / den of D_u^k s, u = rot90(v_lb - v_la), on
     the half from its la-ward end (_cross_derivative), k = 0..order; mid,
     the half located at the midpoint.  No Fractions: on an exact frame, u's
-    coordinates are w . (v_k - v_j) for (i, j, k) cyclic, w = v_lb - v_la
-    (negated on a clockwise frame), over |area2| of _int_corners; float
-    ordinates and a float frame's direction_coords go over a power of 2."""
+    coordinates are integers over |area2| of _int_corners (_int_direction);
+    float ordinates and a float frame's direction_coords go over a power of 2."""
     mid, halves = _half_edges(la, lb)
     if (ints := s.frame._int_corners) is None:
         a, b = s.frame.corners[la - 1], s.frame.corners[lb - 1]
         dden, delta = _dyadic(direction_coords(s.frame, Point2(-(b.y - a.y), b.x - a.x)))
     else:
-        _, (c1, c2, c3), a2 = ints
         (ax, ay), (bx, by) = ints[1][la - 1], ints[1][lb - 1]
-        wx, wy, dden = (bx - ax, by - ay, a2) if a2 > 0 else (ax - bx, ay - by, -a2)
-        delta = [wx * (k.x - j.x) + wy * (k.y - j.y) for j, k in ((c2, c3), (c3, c1), (c1, c2))]
+        dden, delta = s.frame._int_direction(ay - by, bx - ax)
     out = [[] for _ in range(order + 1)]
     for fi, p, near in halves:
         _, g = face_bary(fi, delta, dden)

@@ -15,9 +15,11 @@ the next corner and y_c toward the previous one, edge e takes u_e from its
 midpoint toward the opposite corner.  Any independent pair per corner and
 any non-tangent vector per edge would do: weights and dual polynomials are
 fixed by per-face identities alone (the partition of unity and the Marsden
-identity).  The lambda-rows (each functional one integer Bernstein row of
-simplex_spline.functional_row), the search's Marsden right-hand side and
-Hermite assembly read the table; build_lambda is its Cartesian view.
+identity).  The lambda-rows (each functional one integer row of
+simplex_spline.functional_row, at the point and along the directions as
+integers over one denominator), the search's Marsden right-hand side and
+Hermite assembly read the table; build_lambda is its Cartesian view, which
+apply reads at geometry._bary's integers.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DomainError
-from .geometry import EDGES, VERTEX_BARY, Bary3, PS12Frame, Point2, bary_image, to_bary
+from .geometry import EDGES, VERTEX_BARY, Bary3, PS12Frame, Point2, _as_bary, _bary, bary_image
 from .linalg import rank as matrix_rank
 from .simplex_spline import FaceForms, _quintic_ordinates, functional_row, knots
 
@@ -105,15 +107,10 @@ def build_lambda(frame: PS12Frame) -> list:
 
 
 def apply(lam: Functional, f: FaceForms):
-    """Exact value of the functional on a piecewise polynomial.
-
-    Derivatives at boundary points are taken one-sided from inside the
-    macrotriangle, on the face the half-open convention assigns to the point.
-    For inputs smooth enough at the point (all quintics of class C^3 are) the
-    choice of adjacent face is immaterial.  Raises OutsideDomain when the
-    functional's point lies outside the macrotriangle.
-    """
-    return f.value_at_bary(to_bary(f.frame, lam.point), lam.directions)
+    """Exact value of the functional on a piecewise polynomial: FaceForms.value_at_bary at
+    its point's integer barycentrics (geometry._bary), so one-sided on the face the half-open
+    convention assigns to the point, which C^3 quintics do not see; OutsideDomain outside."""
+    return f._value(*_bary(f.frame, lam.point), lam.directions)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +132,8 @@ def _reference_rows() -> tuple:
     """(face, D, Bernstein row) of each functional, in canonical order: its
     value on a quintic is the row's dot product with the quintic's table on
     that face, over D."""
-    return tuple(functional_row(f.point, [bary_direction(n) for n in f.directions])
+    return tuple(functional_row(*_as_bary(f.point),
+                                [_as_bary(bary_direction(n)) for n in f.directions])
                  for f in FUNCTIONALS)
 
 

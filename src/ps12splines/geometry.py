@@ -19,10 +19,9 @@ coordinate orderings); ties on interior edges go to the lower-numbered face
 and the centroid lands in D7.  Any fixed convention satisfying the partition
 property gives the same results for continuous splines; this one is
 documented so that low-degree (discontinuous) splines evaluate reproducibly.
-_bary gives an exact point of an exact frame integer barycentrics over one
-d > 0, located against d and mapped to the face's integers by face_bary, and
-any other point bary_coords' floats, read straight off the pair (the float
-route then multiplies by FLOAT_FACE_MATRICES).
+_bary gives an exact point of an exact frame as integer barycentrics over
+one d > 0, any other point as bary_coords' floats; _direction does the same
+for a vector, by the cross products of PS12Frame._int_direction.
 
 This module holds the one description of the split that every other
 module reads: VERTEX_BARY, FACES, the macro-edge table EDGES and
@@ -122,6 +121,14 @@ class PS12Frame:
         pts = (Point2(n[0], n[1]), Point2(n[2], n[3]), Point2(n[4], n[5]))
         return e, pts, signed_area2(*pts)
 
+    def _int_direction(self, x, y, f=1) -> tuple:
+        """(D, n): directional coordinates n / D, D = f |a2| > 0, of the vector (x, y) / (e f),
+        x, y ints: direction_coords on _int_corners, negated on a clockwise frame."""
+        _, (a, b, c), a2 = self._int_corners
+        s = -1 if a2 < 0 else 1
+        n1, n2 = s * (x * (b.y - c.y) - y * (b.x - c.x)), s * (y * (a.x - c.x) - x * (a.y - c.y))
+        return s * f * a2, (n1, n2, -n1 - n2)
+
     def vertex(self, i: int) -> Point2:
         """Vertex by 1-based index."""
         return self.v[i - 1]
@@ -174,9 +181,8 @@ def bary_coords(corners, p, d=None) -> Bary3:
 
 
 def _bary(frame: PS12Frame, p) -> tuple:
-    """(d, (n1, n2, n3)): an exact point's barycentrics n / d, d > 0, by bary_coords' cross products
-    on an exact frame's integers; (None, bary_coords) otherwise, of the pair as given (a float
-    frame reads no types); DomainError unless p is a pair of numbers."""
+    """(d, n): an exact point's barycentrics n / d, d > 0, _int_direction's cross products on
+    p - v3; else (None, bary_coords of the pair as given); DomainError unless a pair of numbers."""
     ints = frame._int_corners
     try:
         if ints is None or not is_exact(p):
@@ -189,6 +195,11 @@ def _bary(frame: PS12Frame, p) -> tuple:
     x, y, d = s * (e * x - f * c.x), s * (e * y - f * c.y), s * f * a2  # e f (p - c), e^2 f |area2|
     n1, n2 = x * (b.y - c.y) - y * (b.x - c.x), y * (a.x - c.x) - x * (a.y - c.y)
     return d, (n1, n2, d - n1 - n2)
+
+
+def _as_bary(beta) -> tuple:
+    """Given macro-barycentrics in _bary's form: exact as integers over their lcm d."""
+    return common_denominator(beta) if is_exact(beta) else (None, beta)
 
 
 def to_bary(frame: PS12Frame, p: Point2) -> Bary3:
@@ -212,12 +223,24 @@ def from_bary(frame: PS12Frame, b: Bary3) -> Point2:
 
 
 def direction_coords(frame: PS12Frame, u: Point2) -> Bary3:
-    """Directional coordinates (summing to zero) of the vector u with
+    """Directional coordinates (summing to zero) of the vector u, a pair, with
     respect to the frame's macrotriangle, over its cached area2."""
-    (a, b, c), det = frame.corners, frame.area2
-    d1 = (u.x * (b.y - c.y) - u.y * (b.x - c.x)) / det
-    d2 = (u.y * (a.x - c.x) - u.x * (a.y - c.y)) / det
+    (a, b, c), det, (x, y) = frame.corners, frame.area2, u
+    d1 = (x * (b.y - c.y) - y * (b.x - c.x)) / det
+    d2 = (y * (a.x - c.x) - x * (a.y - c.y)) / det
     return (d1, d2, -d1 - d2)
+
+
+def _direction(frame: PS12Frame, u) -> tuple:
+    """direction_coords of the vector u in _bary's form (_int_direction's when u and the frame
+    are exact); DomainError unless a pair of numbers."""
+    try:
+        if (ints := frame._int_corners) is None or not is_exact(u):
+            return None, direction_coords(frame, u)
+        f, (x, y) = common_denominator(u)
+    except (TypeError, ValueError):  # not a pair, or not of numbers
+        raise DomainError(f"a direction is a pair of numbers, not {u!r}") from None
+    return frame._int_direction(ints[0] * x, ints[0] * y, f)
 
 
 def locate_face_bary(b1, b2, b3, d=1) -> Optional[int]:
@@ -246,7 +269,8 @@ def locate_face_bary(b1, b2, b3, d=1) -> Optional[int]:
 
 def locate_face(frame: PS12Frame, p: Point2) -> Optional[int]:
     """Face of the 12-split containing p under the half-open convention."""
-    return locate_face_bary(*to_bary(frame, p))
+    d, beta = _bary(frame, p)
+    return locate_face_bary(*beta, d or 1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from itertools import combinations
 from math import factorial
 
 from .errors import DimensionMismatch, DomainError, UnknownBasis
-from .geometry import (PS12Frame, Point2, S3_ELEMENTS, VERTEX_BARY, from_bary, reference_frame,
-                       s3_apply_multiset, s3_vertex_permutation, to_bary)
+from .geometry import (PS12Frame, Point2, S3_ELEMENTS, VERTEX_BARY, _bary, from_bary,
+                       reference_frame, s3_apply_multiset, s3_vertex_permutation)
 from .simplex_spline import knots
 
 BASIS_IDS = ("a", "b", "c", "d", "e", "f")
@@ -204,17 +204,17 @@ def marsden_eval(spec: BasisSpec, x: Point2, c, frame: PS12Frame = None):
 
     Returns (lhs, rhs) with lhs = (b1 c1 + b2 c2 + b3 c3)^5 for the
     barycentric coordinates b of x, and rhs = sum_i w_i Q_i(x) Psi_i(c),
-    the w_i Q_i read from spline_fn.basis_values.  They agree exactly for
-    exact inputs.  Raises OutsideDomain for x outside the macrotriangle.
+    the w_i Q_i read at geometry._bary's integers (spline_fn.basis_values).
+    They agree exactly for exact inputs; OutsideDomain outside the triangle.
     """
-    from .spline_fn import basis_values     # spline_fn imports this module
+    from .spline_fn import _basis_values     # spline_fn imports this module
     if len(x) != 2 or len(c) != 3:
         raise DimensionMismatch("marsden_eval needs a point (x, y) and c = (c1, c2, c3)")
-    beta = to_bary(frame or reference_frame(), Point2(*x))
-    c1, c2, c3 = c
-    lhs = (beta[0] * c1 + beta[1] * c2 + beta[2] * c3) ** 5
+    d, n = _bary(frame or reference_frame(), x)
+    (c1, c2, c3), (b1, b2, b3) = c, n if d is None else (Fraction(k, d) for k in n)
+    lhs = (b1 * c1 + b2 * c2 + b3 * c3) ** 5
     rhs = 0
-    for el, s in zip(spec.elements, basis_values(spec.id, beta)):
+    for el, s in zip(spec.elements, _basis_values(spec.id, d, n)):
         if s:
             for p in el.dual_points:
                 s = s * (p[0] * c1 + p[1] * c2 + p[2] * c3)

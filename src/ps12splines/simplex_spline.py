@@ -11,17 +11,13 @@ are reproducible), and the |K| = 3 base case an indicator of the half-open
 support scaled by area(T) / area([K]).
 
 The recursion runs once per multiset, face by face on Bernstein forms
-(_face_ordinates), and every value and derivative is read from the
-resulting per-face tables: functional_row locates a point (_locate) and
-builds the Bernstein row whose dot product with a face table is a value or
-a derivative there, for derivative (eval_simplex is its order 0), the dual
-functionals and basis_values; quintic_form writes out the value row's dot
-product.  float_value is the one float route to it: _locate takes float
-barycentrics that are inside and finite as they are (only the others are
-made floats and snapped), locate_face_bary picks the face, and the face's
-three FLOAT_FACE_MATRICES rows give the face barycentrics.
-Expanding a derivative over sub-multisets by the knot-multiset recursion is
-left to the tests, as their oracle.
+(_face_ordinates), and every value and derivative is read off those tables
+on one route: a point in geometry._bary's form (integers over d > 0 when
+exact), its face by _locate, face barycentrics by face_bary, and the row of
+functional_row, whose dot product with a face table is the value or a
+derivative there.  quintic_form writes out the value row's dot product and
+float_value is its float route.  The Fraction route and the knot-multiset
+expansion of derivatives are the tests' oracles.
 
 Everything is exact on the reference frame, taken scaled by 12 so that the
 ten split vertices are integer points (the per-face recursion runs on
@@ -35,16 +31,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, combinations
 from math import comb, factorial, gcd, inf, isfinite, lcm
 from operator import add, mul
 
 from .errors import DimensionMismatch, DomainError, InvalidDirection, OutsideDomain, TooFewKnots
 from .geometry import (EDGES, FACES, FLOAT_FACE_MATRICES, INTERIOR_LINES, PS12Frame, Point2,
-                       direction_coords, face_bary, locate_face_bary, reference_frame,
-                       signed_area2, to_bary)
-from .rational import finite_numbers, is_exact, short_form
+                       _as_bary, _bary, _direction, face_bary, locate_face_bary,
+                       reference_frame, signed_area2)
+from .rational import _dyadic, common_denominator, finite_numbers, is_exact, short_form
 
 KnotMultiset = tuple  # 10 nonnegative ints
 
@@ -58,7 +54,7 @@ def knots(spec) -> KnotMultiset:
     nonnegative int (not a bool).
     """
     if isinstance(spec, str):
-        m = tuple("0123456789".find(ch) for ch in spec)
+        m = tuple(map("0123456789".find, spec))
     else:
         try:
             m = tuple(x if isinstance(x, int) and not isinstance(x, bool) else -1 for x in spec)
@@ -145,42 +141,50 @@ def derivative(frame: PS12Frame, K: KnotMultiset, direction, order: int = 1):
     coefficients a summing to 0 (the vector a1 v1 + a2 v2 + a3 v3), as a
     function of points of the frame.
 
-    Its value at p is the row functional_row locates there, with one
-    derivative along a per order, dotted with Q[K]'s table on that face:
-    one-sided on the face the half-open convention picks, zero outside the
-    closed macrotriangle.  A float point is taken at the binary rationals
-    b2, b3 of its barycentrics, with b1 = 1 - b2 - b3, and the exact value
-    there is returned as float.  Raises TooFewKnots when |K| < 3,
-    InvalidDirection unless a is three exact or finite numbers summing to 0
-    and order an int in 0..degree(K); at p, DomainError unless p is a pair
-    and OutsideDomain at a NaN or infinite coordinate.
+    Its value at p is functional_row's degree-(degree(K) - order) value row
+    there dotted with Q[K]'s table on that face differenced order times along
+    a, once per face: one-sided on the face the half-open convention picks, 0
+    outside the closed macrotriangle.  A float point is taken at the binary
+    rationals b2, b3 of its barycentrics, b1 = 1 - b2 - b3, and the exact
+    value there returned as float.  TooFewKnots when |K| < 3, InvalidDirection
+    unless a is three exact or finite numbers summing to 0 and order an int
+    in 0..degree(K); at p, DomainError unless a pair, OutsideDomain if not finite.
     """
     K = knots(K)
-    if knot_count(K) < 3:
-        raise TooFewKnots(f"|K| = {knot_count(K)} < 3")
+    if (deg := degree(K)) < 0:
+        raise TooFewKnots(f"|K| = {deg + 3} < 3")
     try:
-        delta = tuple(map(Fraction, finite_numbers(direction, "a direction")))
+        dden, delta = common_denominator([x if isinstance(x, (int, Fraction)) else Fraction(x)
+                                          for x in finite_numbers(direction, "a direction")])
     except DomainError as exc:
         raise InvalidDirection(str(exc)) from None
     if len(delta) != 3 or sum(delta):
         raise InvalidDirection(f"a direction is 3 corner coefficients summing to 0, "
                                f"not {direction!r}")
-    if isinstance(order, bool) or not isinstance(order, int) or not 0 <= order <= degree(K):
-        raise InvalidDirection(f"order {order!r} is not an int in 0..{degree(K)}")
+    if isinstance(order, bool) or not isinstance(order, int) or not 0 <= order <= deg:
+        raise InvalidDirection(f"order {order!r} is not an int in 0..{deg}")
+    tables = {}  # face -> Q[K]'s table there differenced order times along delta / dden
 
     def fn(p):
-        beta = to_bary(frame, p)
-        if not (is_exact(beta) or isfinite(sum(beta))):
-            raise OutsideDomain(f"point {tuple(p)} is not finite")
-        _, b2, b3 = map(Fraction, beta)
-        exact_beta = (1 - b2 - b3, b2, b3)
+        d, beta = _bary(frame, p)
+        if not (exact := d is not None):  # a float point, b2 and b3 as binary rationals
+            if not isfinite(beta[0] + beta[1] + beta[2]):
+                raise OutsideDomain(f"point {tuple(p)} is not finite")
+            d, (n2, n3) = _dyadic(beta[1:])
+            beta = (d - n2 - n3, n2, n3)
         val = Fraction(0)
-        if min(exact_beta) >= 0:
-            fi, rden, row = functional_row(exact_beta, (delta,) * order, degree(K))
+        if min(beta) >= 0:
+            fi, rden, row = functional_row(d, beta, (), deg - order)
             den, faces = _face_ordinates(K)
-            if faces[fi - 1]:
-                val = Fraction(sum(map(mul, row, faces[fi - 1])), rden * den)
-        return val if is_exact(beta) else float(val)
+            if c := faces[fi - 1]:
+                if fi not in tables:  # differenced order times: c'[a] = k sum_r g_r c[a + e_r]
+                    _, g = face_bary(fi, delta, dden)
+                    for k in range(deg, deg - order, -1):
+                        c = [k * (g[0] * c[i] + g[1] * c[j] + g[2] * c[l])
+                             for (i, _), (j, _), (l, _) in _degree_step(k)]
+                    tables[fi] = c
+                val = Fraction(sum(map(mul, row, tables[fi])), rden * den * dden ** order)
+        return val if exact else float(val)
 
     return fn
 
@@ -336,10 +340,8 @@ def per_face_bernstein(frame: PS12Frame, K: KnotMultiset) -> tuple:
 # ---------------------------------------------------------------------------
 
 def bernstein_row(g, deg: int = 5) -> list:
-    """Degree-deg Bernstein polynomials at face barycentrics g, in the order
-    of bernstein_exponents(deg): floats for floats, integers for integers
-    (integer g / D gives the row over D^deg).  Powers come by repeated
-    multiplication, as in quintic_form."""
+    """Degree-deg Bernstein polynomials at face barycentrics g in bernstein_exponents(deg)
+    order, integer g / D giving the row over D^deg; powers by repeated products."""
     p0, p1, p2 = (list(accumulate([x] * deg, mul, initial=1)) for x in g)
     return [m * p0[a] * p1[b] * p2[c] for m, a, b, c in _row_terms(deg)]
 
@@ -358,10 +360,9 @@ def snap_bary(beta: tuple) -> tuple:
 
 
 def _locate(beta, d=None) -> tuple:
-    """(face, beta) by locate_face_bary on exact beta / d, d > 0, or on float beta (no d).
-    Float beta inside (b >= 0, finite) is taken as it is; only the others are made floats
-    and snapped first.  OutsideDomain outside (naming exact beta to six digits, as their
-    integers may be too long to write), DimensionMismatch unless beta has three coordinates."""
+    """(face, beta) by locate_face_bary on integers beta / d, d > 0, or on float beta (d None),
+    taken as it is inside (b >= 0, finite), else as floats, snapped; OutsideDomain outside
+    (exact beta named to six digits), DimensionMismatch unless beta has three coordinates."""
     try:
         b1, b2, b3 = beta
     except ValueError:
@@ -382,41 +383,27 @@ def _locate(beta, d=None) -> tuple:
     return fi, beta
 
 
-def functional_row(beta, deltas=(), deg: int = 5) -> tuple:
-    """(face, D, row) with sum(row[s] * ords[s]) / D the value at
-    macro-barycentrics beta, after one derivative along each
-    macro-directional triple in deltas, of any degree-deg form with
-    ordinates ords on that face; functional_row(beta) is the value row.
-
-    Exact values, derivatives and basis_values read it (eval_spline's
-    quintic_form does the value row's operations).  The face follows the half-open
-    convention of locate_face_bary, derivatives are one-sided on it, and
-    OutsideDomain is raised outside the closed macrotriangle, onto which
-    float beta is snapped first (snap_bary).  The located degree-(deg - k)
-    row is carried up one degree per derivative by the adjoint of the
-    Bernstein derivative step, so a functional is one dot product with each
-    face table.  Exact beta and deltas give integers over one denominator
-    D; any float input gives floats over D = 1, exact partial results
-    rounded once, as mixed Fraction and float arithmetic would round them.
-    """
-    exact = is_exact(beta)
-    fi, beta = _locate(beta, 1 if exact else None)
-    d = deg - len(deltas)
-    den, g = face_bary(fi, beta)
-    row = bernstein_row(g, d)
-    den **= d
-    for delta in deltas:
-        d += 1
-        dden, g = face_bary(fi, delta)
-        if exact and isinstance(g[0], float):  # a float direction at an exact point
+def functional_row(d, beta, deltas=(), deg: int = 5) -> tuple:
+    """(face, D, row) with sum(row[s] * ords[s]) / D the value at beta / d, after one
+    derivative along each macro-directional delta / dd of deltas' (dd, delta), of a degree-deg
+    form with ordinates ords on that face; beta and deltas in geometry._bary's form (integers
+    over d > 0, or floats with d None).  The face is _locate's; each derivative, one-sided on
+    it, is carried up a degree by the adjoint of the Bernstein derivative step.  Integers give
+    integers over one D, any float input floats over D = 1 (exact parts rounded once)."""
+    exact = d is not None
+    fi, beta = _locate(beta, d)
+    k = deg - len(deltas)
+    den, g = face_bary(fi, beta, d)
+    row, den = bernstein_row(g, k), den ** k
+    for dden, delta in deltas:
+        k += 1
+        e, g = face_bary(fi, delta, dden)
+        if exact and dden is None:  # a float direction at an exact point
             exact, row, den = False, [r / den for r in row], 1
-        if exact:
-            den *= dden
-            coef = [d * x for x in g]
-        else:
-            coef = [d * x / dden for x in g]
-        up = [0] * ((d + 1) * (d + 2) // 2)
-        for r, step in zip(row, _degree_step(d)):
+        den *= e if exact else 1
+        coef = [k * x if exact else k * x / e for x in g]
+        up = [0] * ((k + 1) * (k + 2) // 2)
+        for r, step in zip(row, _degree_step(k)):
             if r:
                 for c, (i, _) in zip(coef, step):
                     if c:
@@ -443,10 +430,9 @@ def quintic_form(o, x, y, z):
 
 
 def float_value(ords, beta) -> float:
-    """Value at float macro-barycentrics beta of the quintic with face ordinates ords
-    (12 x 21): functional_row(beta)'s face (_locate), the face barycentrics by the face's
-    three FLOAT_FACE_MATRICES rows, then quintic_form, as eval_many does on columns;
-    OutsideDomain outside the triangle."""
+    """Value at float macro-barycentrics beta of the quintic with face ordinates ords (12 x 21):
+    _locate's face, its three FLOAT_FACE_MATRICES rows, then quintic_form, as eval_many does
+    on columns; OutsideDomain outside the triangle."""
     fi, (b1, b2, b3) = _locate(beta)
     (r1, r2, r3), (s1, s2, s3), (t1, t2, t3) = FLOAT_FACE_MATRICES[fi - 1]
     return quintic_form(ords[fi - 1], r1 * b1 + r2 * b2 + r3 * b3,
@@ -463,22 +449,24 @@ class FaceForms:
     ords: tuple  # 12 x tuple of ordinates
 
     def value_at_bary(self, beta, directions=()):
-        """Value at macro-barycentrics beta after one derivative along each
-        Cartesian vector in directions (the plain value when there is none).
+        """Value at macro-barycentrics beta after one derivative, one-sided on the point's face,
+        along each vector (a pair) of directions; OutsideDomain outside, DomainError off pairs."""
+        return self._value(*_as_bary(beta), directions)
 
-        Derivatives are taken on the face the half-open convention assigns
-        to the point, so one-sided there.  Raises OutsideDomain outside the
-        closed macrotriangle.
-        """
-        if not directions and self.deg == 5 and not is_exact(beta):
+    def _value(self, d, beta, directions):
+        """value_at_bary at beta in _bary's form; an exact row meets exact ordinates as integers."""
+        if not directions and self.deg == 5 and d is None:
             return float_value(self.ords, beta)
-        if directions:
-            directions = [direction_coords(self.frame, u) for u in directions]
-        fi, den, row = functional_row(beta, directions, self.deg)
-        ords = self.ords[fi - 1]
-        if den != 1 and not is_exact(ords):
-            # float ordinates at an exact point take the row entries rounded
-            row, den = [r / den for r in row], 1
+        deltas = [_direction(self.frame, u) for u in directions]
+        fi, den, row = functional_row(d, beta, deltas, self.deg)
+        if is_exact(row) and (ints := self._int_ords[fi - 1]):
+            return Fraction(sum(map(mul, ints[1], row)), den * ints[0])
+        if den != 1:  # float ordinates at an exact point take the row entries rounded
+            row = [r / den for r in row]
         # left to right from 0, as eval_many adds (sum() compensates floats from Python 3.12)
-        total = reduce(add, map(mul, ords, row), 0)
-        return total if isinstance(total, float) else Fraction(total, den)
+        return reduce(add, map(mul, self.ords[fi - 1], row), 0)
+
+    @cached_property
+    def _int_ords(self) -> tuple:
+        """Per face, common_denominator of exact ordinates, None for others; made on first read."""
+        return tuple(common_denominator(o) if is_exact(o) else None for o in self.ords)

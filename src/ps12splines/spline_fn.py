@@ -1,26 +1,16 @@
 """Splines as coefficient vectors in one of the six bases.
 
-A spline is f = sum_i c_i S_i with S_i = w_i Q_i the scaled basis functions.
-Every value comes from one cached table per basis, the per-face ordinates
-of the S_i as integers over one denominator: basis_values multiplies it by
-the Bernstein row of simplex_spline.functional_row, a spline contracts a
-face's nonzero entries with its coefficients on the face's first read.
-Values are exact Fractions when coefficients, frame and points are exact
-(rational.is_exact); exact eval_spline stays on integers from the point to
-the value and divides once.  The float layer contracts the float
-coefficients once per spline in plain Python, each of the 166 distinct
-ordinate rows (one per domain point of the split) once, laid out as the
-12 x 21 face ordinates; its bits depend on neither a BLAS build nor the
-Python version.  Both layers of eval_spline and eval_many (numpy is
-imported only when it runs) end in simplex_spline.quintic_form, so a point
-and a batch agree bit for bit.  A float point goes one straight route
-there, geometry._bary's cross products of the pair as given into
-simplex_spline.float_value (warm, about 6 us a point on 2 vCPUs).  The
-exact inverse of the domain-point collocation matrix (unit row sums), as
-integers over one reduced denominator, bounds the condition number in the
-max norm; its nonzero entries give exact Lagrange interpolation as one
-sparse integer mat-vec, whose integers the spline keeps (its coefficient
-Fractions are made on first read).
+A spline is f = sum_i c_i S_i with S_i = w_i Q_i the scaled basis functions,
+read off one cached table per basis: the per-face ordinates of the S_i as
+integers over one denominator.  Exact values (rational.is_exact) stay on
+integers from geometry._bary to one Fraction, through quintic_form
+(eval_spline) or functional_row (basis_values).  The float layer contracts
+each of the 166 distinct ordinate rows once per spline in plain Python, so its
+bits depend on neither a BLAS build nor the Python version; eval_spline and
+eval_many (numpy) both end in quintic_form, so a point and a batch agree bit
+for bit.  The exact inverse of the domain-point collocation matrix, over one
+denominator, bounds the condition number and gives exact Lagrange
+interpolation as one sparse integer mat-vec, whose integers the spline keeps.
 """
 
 from __future__ import annotations
@@ -39,8 +29,8 @@ if TYPE_CHECKING:  # annotations only: eval_many imports numpy when it runs
 
 from .errors import (BoundViolated, DimensionMismatch, DomainError, OutsideDomain,
                      UnsupportedBasis)
-from .geometry import (FLOAT_FACE_MATRICES, PS12Frame, Point2, S3_ELEMENTS, _bary, face_bary,
-                       from_bary, s3_apply_bary)
+from .geometry import (FLOAT_FACE_MATRICES, PS12Frame, Point2, S3_ELEMENTS, _as_bary, _bary,
+                       face_bary, from_bary, s3_apply_bary)
 from .linalg import _integer_solve, identity, inf_norm, sparse_integer_matrix, sparse_mat_vec
 from .marsden_catalog import BASIS_IDS, catalog
 from .rational import common_denominator, finite_numbers, is_exact
@@ -163,16 +153,16 @@ def _nonzero_entries(basis_id: str) -> tuple:
 
 
 def basis_values(basis_id: str, beta) -> tuple:
-    """The 39 values S_i at macro-barycentrics beta: the located Bernstein
-    row times each column of the scaled table of its face, summed left to
-    right from 0, then divided once by Q.
+    """The 39 values S_i at macro-barycentrics beta (Fractions for exact beta): functional_row
+    times each column of the face's scaled table, summed from 0, over Q; OutsideDomain outside."""
+    return _basis_values(basis_id, *_as_bary(beta))
 
-    Fractions for exact beta, floats otherwise.  Raises OutsideDomain for
-    points outside the closed macrotriangle.
-    """
-    fi, den, row = functional_row(beta)
+
+def _basis_values(basis_id: str, d, beta) -> tuple:
+    """basis_values at beta in geometry._bary's form (integers over d, or floats with d None)."""
+    fi, den, row = functional_row(d, beta)
     q, table = scaled_basis_tables(basis_id)
-    div = Fraction if is_exact(beta) else truediv
+    div = truediv if d is None else Fraction
     return tuple(div(reduce(add, map(mul, row, col), 0), den * q) for col in zip(*table[fi - 1]))
 
 
@@ -278,7 +268,9 @@ def lagrange_interpolate(basis_id: str, frame: PS12Frame, values) -> Spline:
         raise DimensionMismatch(f"need 39 values, got {len(values)}")
     _, d, n, rows = _collocation(basis_id)
     if not is_exact(values):
-        return Spline(frame, basis_id, tuple(sum(x / d * y for x, y in zip(r, values)) for r in n))
+        # left to right from 0 (sum() compensates floats from Python 3.12)
+        return Spline(frame, basis_id, tuple(reduce(add, (x / d * y for x, y in zip(r, values)), 0)
+                                             for r in n))
     den, v = common_denominator(values)
     return _unchecked(Spline, frame=frame, basis=basis_id,
                       _int_coeffs=(den * d, sparse_mat_vec(rows, v)))

@@ -32,8 +32,9 @@ from ps12splines.assembly import (
 from ps12splines.bspline1d import UnivariateBSplineRef
 from ps12splines.dual_functionals import JET_ORDERS, apply, build_lambda, lambda_vector
 from ps12splines.errors import DimensionMismatch, DomainError, NonConformingMesh
-from ps12splines.geometry import (EDGES, VERTEX_BARY, Point2, direction_coords, face_bary,
-                                  from_bary, locate_face_bary, make_frame, reference_frame, to_bary)
+from ps12splines.geometry import (EDGES, VERTEX_BARY, Point2, _as_bary, direction_coords,
+                                  face_bary, from_bary, locate_face_bary, make_frame,
+                                  reference_frame, to_bary)
 from ps12splines.linalg import mat_vec
 from ps12splines.marsden_catalog import catalog
 from ps12splines.rational import common_denominator, is_exact
@@ -793,7 +794,8 @@ def _oracle_jumps(gs, edge, order, samples, ords):
 
     def value(t, beta, k):
         s = gs.spline(t)
-        fi, den, row = functional_row(beta, [direction_coords(s.frame, u)] * k)
+        fi, den, row = functional_row(*_as_bary(beta),
+                                      [_as_bary(direction_coords(s.frame, u))] * k)
         if (s.coeffs, fi) not in ords:
             q, table = scaled_basis_tables("c")
             ords[s.coeffs, fi] = [sum((F(x, q) * c for x, c in zip(tj, s.coeffs)), F(0))

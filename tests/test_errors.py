@@ -253,11 +253,15 @@ TYPED_ERRORS = {
     "integral two knots": (TooFewKnots, lambda: simplex_spline.integral(
         geometry.reference_frame(), simplex_spline.knots("2"))),
     "functional_row roundoff with nothing to snap to": (OutsideDomain, lambda:
-        simplex_spline.functional_row((0.0, 0.0, -1e-10))),
+        simplex_spline.functional_row(None, (0.0, 0.0, -1e-10))),
     "basis_values roundoff with nothing to snap to": (OutsideDomain, lambda:
         spline_fn.basis_values("c", (-1e-10, -1e-10, -1e-10))),
     "float_value roundoff with nothing to snap to": (OutsideDomain, lambda:
         simplex_spline.float_value(FLOAT_SPLINE._float_forms.ords, (0.0, -1e-10, 0.0))),
+    "value_at_bary three-coordinate direction": (DomainError, lambda: spline_fn.face_forms(
+        FLOAT_SPLINE).value_at_bary((0.2, 0.3, 0.5), [(1.0, 0.0, 0.0)])),
+    "value_at_bary direction not of numbers": (DomainError, lambda: spline_fn.face_forms(
+        CLOCKWISE_SPLINE).value_at_bary((F(1, 3),) * 3, [(F(1), "0")])),
     "value_at_bary roundoff with nothing to snap to": (OutsideDomain, lambda:
         spline_fn.face_forms(FLOAT_SPLINE).value_at_bary((-1e-10, -1e-10, -1e-10))),
     "eval_many roundoff with nothing to snap to": (OutsideDomain, lambda: spline_fn.eval_many(
@@ -296,7 +300,7 @@ def test_roundoff_with_nothing_to_snap_to_is_outside_without_a_warning(beta):
     forms = spline_fn.face_forms(FLOAT_SPLINE)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in (lambda: simplex_spline.functional_row(beta),
+        for call in (lambda: simplex_spline.functional_row(None, beta),
                      lambda: spline_fn.basis_values("c", beta),
                      lambda: simplex_spline.float_value(forms.ords, beta),
                      lambda: forms.value_at_bary(beta),

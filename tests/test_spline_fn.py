@@ -22,6 +22,7 @@ from ps12splines.geometry import (
     INTERIOR_LINES,
     VERTEX_BARY,
     Point2,
+    _as_bary,
     from_bary,
     locate_face_bary,
     make_frame,
@@ -181,7 +182,7 @@ def test_float_eval_spline_and_eval_many_agree_bitwise_at_random_points(basis, s
 def _composed_value(ords, beta):
     """The float value as functional_row and a left-to-right sum from 0
     composed it before float_value: the oracle of float_value's bits."""
-    fi, den, row = functional_row(beta)
+    fi, den, row = functional_row(*_as_bary(beta))
     assert den == 1
     return reduce(add, map(mul, ords[fi - 1], row), 0)
 
@@ -286,7 +287,7 @@ def test_float_value_raises_outside_domain_with_functional_rows_message(beta):
     s = Spline(make_frame((0.3, -0.1), (2.7, 0.2), (0.1, 3.1)), "d",
                tuple(float(k - 19) for k in range(39)))
     with pytest.raises(OutsideDomain) as want:
-        functional_row(beta)
+        functional_row(*_as_bary(beta))
     for call in (lambda: float_value(s._float_forms.ords, beta),
                  lambda: face_forms(s).value_at_bary(beta)):
         with pytest.raises(OutsideDomain) as got:
@@ -559,7 +560,7 @@ def test_float_basis_values_sum_left_to_right_without_numpy():
         for _ in range(10):
             a, b = sorted((rng.random(), rng.random()))
             beta = (a, b - a, 1 - b)
-            fi, _, row = functional_row(beta)
+            fi, _, row = functional_row(*_as_bary(beta))
             want = []
             for col in zip(*table[fi - 1]):
                 total = 0
@@ -621,7 +622,7 @@ def _check_against_oracle(s, beta):
     assert basis_values(s.basis, beta) == want
     got = eval_spline(s, p)
     assert isinstance(got, F) and got == sum((v * c for v, c in zip(want, s.coeffs)), F(0))
-    fi, den, row = functional_row(beta)
+    fi, den, row = functional_row(*_as_bary(beta))
     assert fi == locate_face_bary(*beta) and all(type(r) is int for r in row)
     assert [F(r, den) for r in row] == _fraction_row(_fraction_face_bary(fi, beta))
 
@@ -735,7 +736,7 @@ def test_exact_eval_spline_is_the_functional_row_times_the_face_forms(basis, see
     assert (s.frame._int_corners[2] < 0) == clockwise
     p = {"Point2": Point2(*xy), "tuple": tuple(xy), "list": list(xy)}[form]
     try:
-        fi, den, row = functional_row(to_bary(s.frame, Point2(*xy)))
+        fi, den, row = functional_row(*_as_bary(to_bary(s.frame, Point2(*xy))))
     except OutsideDomain as exc:
         with pytest.raises(OutsideDomain) as info:
             eval_spline(s, p)
@@ -802,11 +803,31 @@ def _unreduced_inverse(basis):
 def test_float_lagrange_has_the_bits_of_the_unreduced_inverse(basis, values):
     """Float lagrange_interpolate reads each entry x / d of the reduced
     inverse; int true division rounds correctly, so its coefficients have
-    the bits of the same sums over the unreduced pair of _integer_solve."""
+    the bits of the same sums over the unreduced pair of _integer_solve,
+    added left to right from 0 (not by sum(), which compensates floats
+    from Python 3.12)."""
     d, n = _unreduced_inverse(basis)
-    want = [sum(x / d * y for x, y in zip(r, values)) for r in n]
+    want = []
+    for r in n:
+        total = 0
+        for x, y in zip(r, values):
+            total = total + x / d * y
+        want.append(total)
     got = lagrange_interpolate(basis, make_frame((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), values)
     assert [g.hex() for g in got.coeffs] == [w.hex() for w in want]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_value_at_bary_reads_a_tuple_direction_as_its_point2(exact):
+    """A direction, like a point, is any pair: a tuple or a list gives the
+    value of its Point2, exact or float."""
+    num = F if exact else float
+    s = Spline(make_frame((0, 0), (3, 1), (1, 2)), "c", tuple(num(k - 19) / 7 for k in range(39)))
+    forms, beta = face_forms(s), (F(1, 5), F(3, 10), F(1, 2))
+    for u in ((num(1), num(-2) / 3), (num(0), num(1))):
+        want = forms.value_at_bary(beta, [Point2(*u)] * 2)
+        assert forms.value_at_bary(beta, [u, list(u)]) == want
+        assert type(want) is (F if exact else float)
 
 
 def test_eval_linear_in_coefficients(ref):
