@@ -8,11 +8,11 @@ near the edge, from one exact solve read off the coefficients of the
 restriction tables, which hold no a1 (a1 = -(a2 + a3)).  The order-3
 block is overdetermined and leaves one relation among the coefficients of
 a single triangle, so full C^3 across an edge constrains the patch on its
-own.  verify_smoothness checks a join in any basis from
-the coefficients themselves: the split has a vertex at each edge midpoint,
-so a cross derivative there is one polynomial per half-edge, read off the
-half-edge faces' ordinates by one formula (_cross_derivative), the one
-that gives the restriction tables with the direction kept symbolic.
+own.  verify_smoothness checks a join in any basis from the coefficients
+themselves: the split has a vertex at each edge midpoint, so a cross
+derivative there is one polynomial per half-edge, differenced out of the
+half-edge faces' near-edge ordinates in integers; the restriction tables
+take the same derivative with the direction kept symbolic (_cross_derivative).
 
 The module also carries the Hermite nodal basis dual to the 39 canonical
 functionals (the inverse of the basis-c collocation matrix) and global
@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import comb, perm
+from itertools import compress, islice
+from math import comb, isfinite, lcm, perm
 from numbers import Integral
 from operator import add, mul, truediv
 
@@ -44,7 +45,7 @@ from .linalg import _apply_rows, inverse, mat_vec, solve, sparse_integer_matrix,
 from .marsden_catalog import catalog, linear_product
 from .rational import _dyadic, _over_lcm, finite_numbers, is_exact
 from .simplex_spline import _face_ordinates, _row_terms, bernstein_exponents
-from .spline_fn import Spline, _unchecked
+from .spline_fn import Spline, _packed, _unchecked, scaled_basis_tables
 
 #: Number of basis elements with nonzero derivative restrictions of orders
 #: 0..3 on the edge [v1, v2] (in the canonical element order).
@@ -347,8 +348,8 @@ def triangulation(vertices, triangles) -> Triangulation:
 
 @dataclass(frozen=True)
 class GlobalSpline:
-    """One basis-c coefficient vector per triangle; hermite_interpolate's exact ones stay
-    integers in the triangles' splines until coeffs is first read."""
+    """One basis-c coefficient vector per triangle; hermite_interpolate's are read off the
+    triangles' splines it hands over (exact ones stay integers until coeffs is first read)."""
 
     tri: Triangulation
     coeffs: tuple    # per triangle, 39 values
@@ -374,14 +375,25 @@ class GlobalSpline:
         return self._splines[t]
 
 
+@lru_cache(maxsize=None)
+def _near_rows(basis_id: str, la: int, lb: int, order: int, kind) -> tuple:
+    """spline_fn._packed (entries by kind, int or float) of the ordinate rows near[l], l <= order,
+    of the half-edge faces of the edge from corner la to lb (_half_edges), la's half first."""
+    _, table = scaled_basis_tables(basis_id)
+    rows = [table[fi - 1][i] for fi, _, near in _half_edges(la, lb)[1] for ls in near[:order + 1]
+            for i in ls]
+    return _packed([tuple(compress(enumerate(row), row)) for row in rows], kind)
+
+
 def _cross_edge_coefficients(s: Spline, la: int, lb: int, order: int) -> tuple:
-    """(out, mid) on the macro edge from corner la to corner lb (1-based),
-    split at its midpoint, la's half first: out[k][half] = (nums, den), the
-    Bernstein coefficients nums / den of D_u^k s, u = rot90(v_lb - v_la), on
-    the half from its la-ward end (_cross_derivative), k = 0..order; mid,
-    the half located at the midpoint.  No Fractions: on an exact frame, u's
-    coordinates are integers over |area2| of _int_corners (_int_direction);
-    float ordinates and a float frame's direction_coords go over a power of 2."""
+    """(out, mid) on the macro edge from corner la to corner lb (1-based), split at its
+    midpoint, la's half first: out[k][half] = (nums, den), both halves over one den, the
+    Bernstein coefficients of D_u^k s, u = rot90(v_lb - v_la), on the half from its la-ward
+    end, k = 0..order; mid, the half located at the midpoint.  Only the near-edge rows are
+    contracted (_near_rows), float ones then put over one power of 2.  For u's face-
+    directional triple g over dden (_int_direction, or float direction_coords over a power
+    of 2), order k is T[0] after passes j = 1..k of T[l][i] <- (6 - j) (g0 T[l][i] +
+    g1 T[l][i+1] + g2 T[l+1][i]) on the ordinates T[l][i] = c[5-l-i, i, l], in integers."""
     mid, halves = _half_edges(la, lb)
     if (ints := s.frame._int_corners) is None:
         a, b = s.frame.corners[la - 1], s.frame.corners[lb - 1]
@@ -389,33 +401,55 @@ def _cross_edge_coefficients(s: Spline, la: int, lb: int, order: int) -> tuple:
     else:
         (ax, ay), (bx, by) = ints[1][la - 1], ints[1][lb - 1]
         dden, delta = s.frame._int_direction(ay - by, bx - ax)
-    out = [[] for _ in range(order + 1)]
-    for fi, p, near in halves:
+    values = s._contract(_near_rows(s.basis, la, lb, order, int if s.exact else float), s.exact)
+    den, values = (scaled_basis_tables(s.basis)[0] * s._int_coeffs[0], values) if s.exact \
+        else _dyadic(values)
+    values, dens = iter(values), [den * dden ** k for k in range(order + 1)]
+    out = [[] for _ in dens]
+    for fi, p, _ in halves:
         _, g = face_bary(fi, delta, dden)
-        g0, g1, g2 = (g[i] for i in p)
-        den, ords = s._exact_ordinates(fi) if s.exact else _dyadic(s._float_forms.ords[fi - 1])
-        for k in range(order + 1):
-            weights = [((i, j, l), w * g0 ** i * g1 ** j * g2 ** l) for w, i, j, l in _row_terms(k)]
-            out[k].append((_cross_derivative(ords, near, weights, k), den * dden ** k))
+        g = [g[i] for i in p]
+        t = [list(islice(values, 6 - l)) for l in range(order + 1)]
+        for k, d in enumerate(dens):
+            out[k].append((t[0], d))
+            g0, g1, g2 = (5 - k) * g[0], (5 - k) * g[1], (5 - k) * g[2]  # pass k + 1's factor
+            t = [[g0 * x + g1 * y + g2 * z for x, y, z in zip(r, r[1:], r1)]
+                 for r, r1 in zip(t, t[1:])]
     return out, mid
+
+
+@lru_cache(maxsize=64)
+def _sample_rows(n: int, samples: int) -> tuple:
+    """(half, row) per sample i / m, m = samples + 1, but the midpoint: at w / m on the half,
+    row[j] = comb(n, j) (m - w)^(n - j) w^j, the degree-n Bernstein values times m^n."""
+    m = samples + 1
+    return tuple((2 * i > m, [comb(n, j) * (m - w) ** (n - j) * w ** j for j in range(n + 1)])
+                 for i in range(1, m) if 2 * i != m for w in [2 * i % m])
+
+
+def _one_den(halves) -> tuple:
+    """(D, nums per half) of [(nums, den) per half] over the lcm D of the dens: the one den
+    that _cross_edge_coefficients gives both halves, or the lcm of a route's that differ."""
+    (_, d0), (_, d1) = halves
+    D = d0 if d0 == d1 else lcm(d0, d1)
+    return D, [nums if d == D else [x * (D // d) for x in nums] for nums, d in halves]
 
 
 def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
                       tol=None) -> dict:
     """Cross-edge gaps and sampled jumps of the derivatives of orders 0..order.
 
-    On each side the order-k derivative along u = rot90(v_b - v_a) is, on
-    the edge, one polynomial of degree 5 - k per half-edge.  ``gaps[k]``,
-    the largest difference of the two sides' Bernstein coefficients, bounds
-    the order-k jump on the whole edge, and on exact data the join is C^k
-    exactly when gaps[0..k] are 0, in any basis.  ``jumps[k]``, the largest
-    jump at ``samples`` equispaced interior points, proves nothing unless
-    they are unisolvent for the restriction space; at the midpoint each
-    side reads the face locate_face_bary picks, so for k = 4, 5 (a side's
-    restriction jumps there) jumps[k] may exceed gaps[k].  ``max`` is the
-    largest jump; given ``tol`` (1e-10 by default for float data), ``pass``
-    says whether every gap is within it.  Exact data gives Fractions, float
-    data the floats nearest the exact values for its float ordinates.
+    On each side the order-k derivative along u = rot90(v_b - v_a) is, on the edge, one
+    polynomial of degree 5 - k per half-edge (_cross_edge_coefficients).  ``gaps[k]``, the
+    largest difference of the two sides' Bernstein coefficients, bounds the order-k jump on
+    the whole edge, and on exact data the join is C^k exactly when gaps[0..k] are 0, in any
+    basis.  ``jumps[k]``, the largest jump at ``samples`` equispaced interior points, proves
+    nothing unless they are unisolvent for the restriction space; at the midpoint each side
+    reads the face locate_face_bary picks, so for k = 4, 5 (a side's restriction jumps there)
+    jumps[k] may exceed gaps[k].  Each is an integer maximum over the one denominator of the
+    sides' differences, divided once: a Fraction for exact data, else the float nearest the
+    exact value for the float ordinates.  ``max`` is the largest jump; given ``tol`` (1e-10
+    by default for float data), ``pass`` says whether every gap is within it, compared exactly.
     Raises DomainError for samples not an int >= 1, order not an int in 0..5, tol not
     a finite number, NaN or inf; NonConformingMesh unless edge is an interior edge.
     """
@@ -440,23 +474,18 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
     m = samples + 1     # sample i, at i / m along the edge, is at w / m on half h
     gaps, jumps = {}, {}
     for k in range(order + 1):
-        n = 5 - k
+        (ad, an), (bd, bn), scale = _one_den(a[k]), _one_den(b[k]), m ** (5 - k)
         # per half, the coefficients of a - b over ad * bd
-        diffs = [([x * bd - y * ad for x, y in zip(an, bn)], ad * bd)
-                 for (an, ad), (bn, bd) in zip(a[k], b[k])]
-        gaps[k] = max(div(max(map(abs, d)), den) for d, den in diffs)
-        best = [0, 0]
-        for i in (i for i in range(1, m) if 2 * i != m):
-            h, w = (0, 2 * i) if 2 * i < m else (1, 2 * i - m)
-            best[h] = max(best[h], abs(sum(comb(n, j) * (m - w) ** (n - j) * w ** j * x
-                                           for j, x in enumerate(diffs[h][0]))))
-        jumps[k] = max(div(x, den * m ** n) for x, (_, den) in zip(best, diffs))
+        diffs = [[x * bd - y * ad for x, y in zip(p, q)] for p, q in zip(an, bn)]
+        gaps[k] = div(max(max(map(abs, d)) for d in diffs), ad * bd)
+        top = max((abs(sum(map(mul, row, diffs[h]))) for h, row in _sample_rows(5 - k, samples)),
+                  default=0)
         if m % 2 == 0:  # the midpoint ends half 0 and starts half 1
-            (an, ad), (bn, bd) = a[k][a_mid], b[k][b_mid]
-            jumps[k] = max(jumps[k], div(abs(an[a_mid - 1] * bd - bn[b_mid - 1] * ad), ad * bd))
+            top = max(top, abs(an[a_mid][a_mid - 1] * bd - bn[b_mid][b_mid - 1] * ad) * scale)
+        jumps[k] = div(top, ad * bd * scale)
     report = {"jumps": jumps, "max": max(jumps.values()), "gaps": gaps}
     if tol is not None:
-        report["pass"] = all(float(g) <= tol for g in gaps.values())
+        report["pass"] = all(g <= tol for g in gaps.values())
     return report
 
 
@@ -584,7 +613,8 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
     directions.  Exact vertices and data give an exact result: each value
     an integer over a known denominator, a triangle's 39 over their lcm
     through sparse integer rows, integers until coeffs is first read.
-    Missing data raise DimensionMismatch, values not exact or finite DomainError.
+    Missing data raise DimensionMismatch, values not exact or finite, and
+    float coefficients that overflow, DomainError.
     """
     try:
         vertex_jets = {k: tuple(v) for k, v in vertex_jets.items()}
@@ -656,11 +686,12 @@ def hermite_interpolate(tri: Triangulation, vertex_jets, edge_data) -> GlobalSpl
         # left to right over the nonzero terms (sum() compensates from 3.12); float * Fraction
         # is float * float(Fraction), so floats take the float entries, exact values the exact
         values = [x for x, _ in values]
-        coeff_vectors.append(tuple(
-            reduce(add, (values[k] * (f if type(values[k]) is float else n)
-                         for k, n, f in nz if values[k]), 0.0) / w for w, nz in nodal))
-    return (_unchecked(GlobalSpline, tri=tri, basis="c", _splines=dict(enumerate(coeff_vectors)))
-            if exact else GlobalSpline(tri, tuple(coeff_vectors)))
+        coeffs = tuple(reduce(add, (values[k] * (f if type(values[k]) is float else n)
+                                    for k, n, f in nz if values[k]), 0.0) / w for w, nz in nodal)
+        if not all(map(isfinite, coeffs)):  # Spline's one check that can fail here
+            raise DomainError("the coefficients must be finite numbers")
+        coeff_vectors.append(_unchecked(Spline, frame=frame, basis="c", coeffs=coeffs))
+    return _unchecked(GlobalSpline, tri=tri, basis="c", _splines=dict(enumerate(coeff_vectors)))
 
 
 def hexagon_demo() -> GlobalSpline:

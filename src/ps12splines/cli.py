@@ -19,6 +19,7 @@ import sys
 from . import serialize
 from .errors import DomainError, ParseError, PS12Error, UnknownTable
 from .geometry import from_bary, Point2
+from .rational import short_form
 
 
 def _write(path, text: str):
@@ -79,7 +80,6 @@ def _to_float(value, name: str) -> float:
     try:
         return float(value)
     except OverflowError:
-        from .rational import short_form
         raise DomainError(f"{name} of about {short_form(value)} is beyond the float range") from None
 
 
@@ -150,10 +150,10 @@ def cmd_assemble(args) -> int:
     jets, edges = serialize.hermite_data_from_dict(_read_json(args.data))
     gs = hermite_interpolate(tri, jets, edges)
     for edge in gs.tri.interior_edges():
-        gap = float(verify_smoothness(gs, edge, 3)["gaps"][3])
-        if gap > args.tol:
+        if (gap := verify_smoothness(gs, edge, 3)["gaps"][3]) > args.tol:
+            text = repr(float(gap)) if abs(gap) <= sys.float_info.max else short_form(gap)
             print(f"warning: the join across edge {edge} is not full order-3 "
-                  f"(order-3 cross-derivative coefficient gap {gap!r})", file=sys.stderr)
+                  f"(order-3 cross-derivative coefficient gap {text})", file=sys.stderr)
     _write(args.out, serialize.dumps(serialize.global_spline_to_dict(gs)))
     return 0
 

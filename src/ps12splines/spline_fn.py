@@ -79,34 +79,36 @@ class Spline:
     def _exact_ordinates(self, fi: int) -> tuple[int, list]:
         """(D, ords): the exact spline's ordinates on face fi as integers over
         D, the face's nonzero table entries times the coefficients, once."""
-        q, _ = scaled_basis_tables(self.basis)
-        cden, c = self._int_coeffs
         if fi not in self._int_ords:
-            gather, entries, counts = _nonzero_entries(self.basis)[0][fi - 1]
-            products = map(mul, entries, gather(c))
-            self._int_ords[fi] = [sum(islice(products, n)) for n in counts]
-        return q * cden, self._int_ords[fi]
+            self._int_ords[fi] = self._contract(_nonzero_entries(self.basis)[0][fi - 1], True)
+        return scaled_basis_tables(self.basis)[0] * self._int_coeffs[0], self._int_ords[fi]
 
     @cached_property
     def _float_forms(self) -> FaceForms:
         """The 12 x 21 float face ordinates every float value reads, once per
-        spline: each of the 166 distinct rows of _nonzero_entries the
-        left-to-right sum, from 0, of the float coefficients (x / L of exact
-        ones) times its entries, divided by Q, laid out face by face.  The
-        products come before the division, so DomainError is raised when
-        coefficients beyond DBL_MAX / Q (about 1.4e303) overflow an ordinate."""
-        q, _ = scaled_basis_tables(self.basis)
-        _, (gather, entries, counts), maps = _nonzero_entries(self.basis)
+        spline: the 166 distinct rows of _nonzero_entries contracted, laid out face by face."""
+        _, rows, maps = _nonzero_entries(self.basis)
+        values = self._contract(rows, False)
+        return FaceForms(self.frame, 5, tuple(m(values) for m in maps))
+
+    def _contract(self, rows, exact: bool) -> list:
+        """_packed rows times the coefficients: exact, integers over Q L; float, each row's sum,
+        left to right from 0, of the float coefficients (x / L of exact ones) times its entries,
+        over Q, so DomainError when coefficients beyond DBL_MAX / Q (about 1.4e303) overflow."""
+        gather, entries, counts = rows
         ic = self._int_coeffs
+        if exact:
+            products = map(mul, gather(ic[1]), entries)
+            return [sum(islice(products, n)) for n in counts]
         try:  # x / L of an exact coefficient beyond DBL_MAX overflows
             fc = [x / ic[0] for x in ic[1]] if ic else [float(c) for c in self.coeffs]
         except OverflowError:
             fc = [inf] * 39
-        products = map(mul, gather(fc), entries)
+        products, q = map(mul, gather(fc), entries), scaled_basis_tables(self.basis)[0]
         values = [reduce(add, islice(products, n), 0.0) / q for n in counts]
         if not all(map(isfinite, values)):
             raise DomainError("coefficients beyond about 1.4e303 overflow the float ordinates")
-        return FaceForms(self.frame, 5, tuple(m(values) for m in maps))
+        return values
 
 
 @lru_cache(maxsize=None)
@@ -130,25 +132,27 @@ def scaled_basis_tables(basis_id: str) -> tuple:
                     for fi in range(12))
 
 
+def _packed(rows, kind) -> tuple:
+    """(gather, entries, counts) of sparse rows of (column, entry) pairs: a function that picks
+    their coefficients out of 39, their entries by kind, and each row's count."""
+    columns, entries = zip(*chain.from_iterable(rows))
+    return itemgetter(*columns), tuple(map(kind, entries)), tuple(map(len, rows))
+
+
 @lru_cache(maxsize=None)
 def _nonzero_entries(basis_id: str) -> tuple:
     """(faces, rows, maps) of the nonzero entries of scaled_basis_tables.  Faces that share a
     domain point share its row (the bases are C3 across the split lines): 166 distinct rows of
-    the 252.  rows is (gather, entries, counts) over these: a function that picks their
-    coefficients out of 39, their entries as floats (at most 17 bits, so exact) and each row's
-    count; maps[f] picks face f + 1's 21 ordinates from the 166 row values; faces[f] is (gather,
-    entries, counts) in ints over face f + 1's own rows, read by the exact contraction."""
+    the 252.  rows is _packed over these, their entries as floats (at most 17 bits, so exact);
+    maps[f] picks face f + 1's 21 ordinates from the 166 row values; faces[f] is _packed in
+    ints over face f + 1's own rows, read by the exact contraction."""
     _, table = scaled_basis_tables(basis_id)
     index = {}
     maps = [[index.setdefault(tuple(compress(enumerate(row), row)), len(index)) for row in face]
             for face in table]
     rows = list(index)
-
-    def packed(rows, kind):
-        columns, entries = zip(*chain.from_iterable(rows))
-        return itemgetter(*columns), tuple(map(kind, entries)), tuple(map(len, rows))
     floats = {t: float(t) for row in rows for _, t in row}  # one float per distinct entry
-    return (tuple(packed([rows[k] for k in m], int) for m in maps), packed(rows, floats.get),
+    return (tuple(_packed([rows[k] for k in m], int) for m in maps), _packed(rows, floats.get),
             tuple(itemgetter(*m) for m in maps))
 
 
@@ -257,6 +261,13 @@ def collocation_at_domain_points(basis_id: str):
     return m, minv, Fraction(inf_norm(n), abs(d))
 
 
+@lru_cache(maxsize=None)
+def _float_inverse(basis_id: str) -> tuple:
+    """The entries x / d of _collocation's inverse as floats, made on the first float call."""
+    _, d, n, _ = _collocation(basis_id)
+    return tuple(tuple(x / d for x in r) for r in n)
+
+
 def lagrange_interpolate(basis_id: str, frame: PS12Frame, values) -> Spline:
     """The unique spline matching the 39 values at the domain points.
 
@@ -266,11 +277,11 @@ def lagrange_interpolate(basis_id: str, frame: PS12Frame, values) -> Spline:
     values = finite_numbers(values, "the values")
     if len(values) != 39:
         raise DimensionMismatch(f"need 39 values, got {len(values)}")
-    _, d, n, rows = _collocation(basis_id)
     if not is_exact(values):
         # left to right from 0 (sum() compensates floats from Python 3.12)
-        return Spline(frame, basis_id, tuple(reduce(add, (x / d * y for x, y in zip(r, values)), 0)
-                                             for r in n))
+        return Spline(frame, basis_id, tuple(reduce(add, map(mul, r, values), 0)
+                                             for r in _float_inverse(basis_id)))
+    _, d, _, rows = _collocation(basis_id)
     den, v = common_denominator(values)
     return _unchecked(Spline, frame=frame, basis=basis_id,
                       _int_coeffs=(den * d, sparse_mat_vec(rows, v)))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import join_check_oracle
 from conftest import rational_points
 from knot_oracles import bspline_derivative, derivative_expansion, restrict_to_edge
 from tripoly import TriPoly
@@ -1017,6 +1018,27 @@ def test_edge_adjacency_is_built_once(monkeypatch):
     assert len(builds) == 1
 
 
+def test_float_hermite_splines_are_built_once(monkeypatch):
+    """Float Hermite hands the global spline its triangles' splines: no Spline check runs
+    again when they are read, and the result equals the GlobalSpline of its coefficients, with
+    its hash and bytes, and the same splines."""
+    rng = random.Random(58)
+    verts = [(0.0, 0.0), (2.0, 0.1), (0.1, 2.0), (2.0, 2.0), (1.0, 1.5)]
+    tri = triangulation(verts, [(0, 1, 4), (1, 3, 4), (3, 2, 4), (2, 0, 4)])
+    jets = {i: tuple(rng.uniform(-1, 1) for _ in range(10)) for i in range(5)}
+    edges = {e: tuple(rng.uniform(-1, 1) for _ in range(3)) for e in tri.edges()}
+    checks = []
+    post_init = assembly.Spline.__post_init__
+    monkeypatch.setattr(assembly.Spline, "__post_init__", lambda s: checks.append(s) or post_init(s))
+    gs = hermite_interpolate(tri, jets, edges)
+    splines = [gs.spline(t) for t in range(4)]
+    assert checks == [] and all(type(c) is float for cs in gs.coeffs for c in cs)
+    again = GlobalSpline(tri, gs.coeffs)
+    assert gs == again and hash(gs) == hash(again)
+    assert dumps(global_spline_to_dict(gs)) == dumps(global_spline_to_dict(again))
+    assert splines == [again.spline(t) for t in range(4)] and len(checks) == 4
+
+
 def test_mixed_layer_mesh_gives_float_coefficients():
     """One float vertex puts the whole assembly in the float layer, also the
     triangles whose own corners and data are exact."""
@@ -1124,6 +1146,62 @@ def test_join_check_on_both_orientations_matches_the_fraction_route(mesh, order,
     assert dumps(global_spline_to_dict(gs)) == dumps(global_spline_to_dict(again))
     assert values == [eval_spline(again.spline(t), from_bary(tri.frame(t), centre))
                       for t in range(len(tri.triangles))]
+
+
+def _report_bits(report):
+    """Every field of a join-check report, each number as its type and value, floats as hex."""
+    def bits(x):
+        return type(x), x.hex() if type(x) is float else x
+    return {key: {k: bits(x) for k, x in v.items()} if isinstance(v, dict) else bits(v)
+            for key, v in report.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=_oriented_grid(), bumps=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 38),
+                                                       _small_rational.filter(bool), st.booleans()),
+                                             max_size=3),
+       order=st.integers(0, 5), samples=st.integers(1, 25),
+       tol=st.sampled_from([None, 1e-10, F(1, 3), 2]))
+def test_join_check_report_matches_the_weight_sum_oracle(mesh, bumps, order, samples, tol):
+    """Near-edge rows, differencing and one division per value give the report of the weight-sum
+    route (join_check_oracle): gaps, jumps, max and pass, the same Fractions and the same float
+    bits, on clockwise and counterclockwise frames, exact data, float data and float vertices, at
+    every order and at odd and even sample counts (so with and without the midpoint).  The
+    Hermite spline is checked as built, and with some coefficients bumped, by exact or float
+    amounts, so that every gap can be nonzero and one side of a join may be exact, the other
+    float."""
+    tri, jets, edges, kind = mesh
+    gs = hermite_interpolate(tri, jets, edges)
+    coeffs = [list(cs) for cs in gs.coeffs]
+    for t, slot, bump, as_float in bumps:
+        t %= len(coeffs)
+        coeffs[t][slot] += float(bump) if as_float or kind != "exact" else bump
+    for g in (gs, GlobalSpline(tri, tuple(map(tuple, coeffs)))):
+        for e in tri.interior_edges():
+            got = verify_smoothness(g, e, order, samples, tol)
+            assert _report_bits(got) == _report_bits(join_check_oracle.verify_smoothness(
+                g, e, order, samples, tol)), (kind, e)
+
+
+def test_exact_gaps_beyond_the_float_range_are_compared_with_tol_exactly():
+    """Data scaled by 10^400 scale every gap and jump by 10^400 exactly, beyond the float range:
+    pass is False at the float tol 1e-10 and True at the int tol 10^500, with no OverflowError."""
+    rng = random.Random(400)
+    verts = [(i + F(rng.randint(-9, 9), 50), j + F(rng.randint(-9, 9), 50))
+             for j in range(2) for i in range(2)]
+    tri = triangulation(verts, [(0, 1, 3), (0, 3, 2)])
+    jets = {v: tuple(F(rng.randint(-9, 9), 7) for _ in range(10)) for v in range(4)}
+    edges = {e: tuple(F(rng.randint(-9, 9), 5) for _ in range(3)) for e in tri.edges()}
+    big = hermite_interpolate(tri, {v: tuple(10 ** 400 * x for x in j) for v, j in jets.items()},
+                              {e: tuple(10 ** 400 * x for x in d) for e, d in edges.items()})
+    small = hermite_interpolate(tri, jets, edges)
+    e, = tri.interior_edges()
+    rep = verify_smoothness(big, e, 5, 4, tol=1e-10)
+    want = verify_smoothness(small, e, 5, 4)
+    for key in ("gaps", "jumps"):
+        assert rep[key] == {k: 10 ** 400 * x for k, x in want[key].items()}
+    assert rep["gaps"][3] > 10 ** 300 and rep["pass"] is False
+    assert verify_smoothness(big, e, 5, 4, tol=10 ** 500)["pass"] is True
 
 
 def _c3_feasible_patch(seed):

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -210,6 +211,24 @@ def test_assemble_float_mesh(tmp_path):
         "edge_data": {f"{a}-{b}": [rng.uniform(-1, 1) for _ in range(3)] for a, b in edges}}))
     r = run_cli(["assemble", "--mesh", str(mesh), "--data", str(data)])
     assert len(json.loads(r.stdout)["coeffs"]) == 4
+
+
+def test_assemble_warns_on_exact_gaps_beyond_the_float_range(tmp_path):
+    """Exact data scaled by 10^400 give order-3 gaps no float holds: assemble warns with each
+    gap to six digits and exits 0, with no OverflowError traceback."""
+    rng = random.Random(400)
+    verts = [[f"{i * 50 + rng.randint(-9, 9)}/50", f"{j * 50 + rng.randint(-9, 9)}/50"]
+             for j in range(2) for i in range(2)]
+    big = lambda: f"{rng.randint(-9, 9) * 10 ** 400}/{rng.randint(1, 9)}"
+    mesh, data = tmp_path / "mesh.json", tmp_path / "data.json"
+    mesh.write_text(json.dumps({"vertices": verts, "triangles": [[0, 1, 3], [0, 3, 2]]}))
+    data.write_text(json.dumps({"vertex_jets": {str(v): [big() for _ in range(10)] for v in range(4)},
+                                "edge_data": {e: [big() for _ in range(3)]
+                                              for e in ("0-1", "0-2", "0-3", "1-3", "2-3")}}))
+    r = run_cli(["assemble", "--mesh", str(mesh), "--data", str(data)])
+    assert re.fullmatch(r"warning: the join across edge \(0, 3\) is not full order-3 "
+                        r"\(order-3 cross-derivative coefficient gap \d\.\d+E\+40\d\)\n", r.stderr)
+    assert len(json.loads(r.stdout)["coeffs"]) == 2
 
 
 def test_assemble_vertex_index_out_of_range(tmp_path):

@@ -270,6 +270,9 @@ TYPED_ERRORS = {
         spline_fn.eval_spline(HUGE_SPLINE, (0.3, 0.2))),
     "eval_many exact coefficients beyond the float range": (DomainError, lambda:
         spline_fn.eval_many(HUGE_SPLINE, [(0.2, 0.3, 0.5)])),
+    "hermite_interpolate float coefficients beyond the float range": (DomainError, lambda:
+        assembly.hermite_interpolate(MESH, {v: (1.7e308,) * 10 for v in range(4)},
+                                     {e: (1.7e308,) * 3 for e in MESH.edges()})),
     "face_forms float frame, exact coefficients beyond the float range": (DomainError, lambda:
         spline_fn.face_forms(spline_fn.Spline(FLOAT_FRAME, "c", (10 ** 400,) * 39))),
 }

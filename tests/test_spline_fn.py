@@ -817,6 +817,21 @@ def test_float_lagrange_has_the_bits_of_the_unreduced_inverse(basis, values):
     assert [g.hex() for g in got.coeffs] == [w.hex() for w in want]
 
 
+def test_float_lagrange_reads_one_float_inverse_made_on_its_first_call():
+    """The float entries x / d of the inverse are made once per basis, on the first float
+    lagrange_interpolate, not with the exact collocation, and every later call reads them."""
+    spline_fn._float_inverse.cache_clear()
+    spline_fn._collocation("e")
+    assert spline_fn._float_inverse.cache_info().currsize == 0
+    frame, rng = make_frame((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), random.Random(5)
+    first = [lagrange_interpolate("e", frame, [rng.uniform(-1, 1) for _ in range(39)])
+             for _ in range(3)]
+    info = spline_fn._float_inverse.cache_info()
+    assert (info.misses, info.hits) == (1, 2) and all(type(c) is float for c in first[0].coeffs)
+    _, d, n, _ = spline_fn._collocation("e")
+    assert spline_fn._float_inverse("e") == tuple(tuple(x / d for x in r) for r in n)
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_value_at_bary_reads_a_tuple_direction_as_its_point2(exact):
     """A direction, like a point, is any pair: a tuple or a list gives the
