@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import compress, islice
-from math import comb, isfinite, lcm, perm
+from math import comb, inf, isfinite, lcm, perm
 from numbers import Integral
-from operator import add, mul, truediv
+from operator import add, mul
 
 from .errors import DegenerateTriangle, DimensionMismatch, DomainError, NonConformingMesh
 from .bspline1d import bspline_coefficients
@@ -435,6 +435,14 @@ def _one_den(halves) -> tuple:
     return D, [nums if d == D else [x * (D // d) for x in nums] for nums, d in halves]
 
 
+def _nearest_float(x: int, d: int) -> float:
+    """x / d (x >= 0, d > 0) rounded to the nearest float, inf beyond the float range."""
+    try:
+        return x / d
+    except OverflowError:  # int division raises where the rounding gives inf
+        return inf
+
+
 def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
                       tol=None) -> dict:
     """Cross-edge gaps and sampled jumps of the derivatives of orders 0..order.
@@ -448,7 +456,7 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
     reads the face locate_face_bary picks, so for k = 4, 5 (a side's restriction jumps there)
     jumps[k] may exceed gaps[k].  Each is an integer maximum over the one denominator of the
     sides' differences, divided once: a Fraction for exact data, else the float nearest the
-    exact value for the float ordinates.  ``max`` is the largest jump; given ``tol`` (1e-10
+    exact value for the float ordinates (inf beyond the float range).  ``max`` is the largest jump; given ``tol`` (1e-10
     by default for float data), ``pass`` says whether every gap is within it, compared exactly.
     Raises DomainError for samples not an int >= 1, order not an int in 0..5, tol not
     a finite number, NaN or inf; NonConformingMesh unless edge is an interior edge.
@@ -470,7 +478,7 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
     (a, a_mid), (b, b_mid) = (
         _cross_edge_coefficients(s, *(gs.tri.triangles[t].index(v) + 1 for v in edge), order)
         for t, s in zip(adj, splines))
-    div = Fraction if exact else truediv
+    div = Fraction if exact else _nearest_float
     m = samples + 1     # sample i, at i / m along the edge, is at w / m on half h
     gaps, jumps = {}, {}
     for k in range(order + 1):

@@ -151,7 +151,8 @@ def cmd_assemble(args) -> int:
     gs = hermite_interpolate(tri, jets, edges)
     for edge in gs.tri.interior_edges():
         if (gap := verify_smoothness(gs, edge, 3)["gaps"][3]) > args.tol:
-            text = repr(float(gap)) if abs(gap) <= sys.float_info.max else short_form(gap)
+            in_range = type(gap) is float or abs(gap) <= sys.float_info.max
+            text = repr(float(gap)) if in_range else short_form(gap)
             print(f"warning: the join across edge {edge} is not full order-3 "
                   f"(order-3 cross-derivative coefficient gap {text})", file=sys.stderr)
     _write(args.out, serialize.dumps(serialize.global_spline_to_dict(gs)))

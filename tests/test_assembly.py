@@ -1204,6 +1204,24 @@ def test_exact_gaps_beyond_the_float_range_are_compared_with_tol_exactly():
     assert verify_smoothness(big, e, 5, 4, tol=10 ** 500)["pass"] is True
 
 
+def test_float_gaps_beyond_the_float_range_are_inf(monkeypatch):
+    """Float coefficients of +-1.3e303 have finite ordinates, but their order-4 and order-5
+    gaps and jumps are beyond the float range: the report holds inf there, the nearest float,
+    and fails pass, where int division raised OverflowError; the finite values are the
+    weight-sum oracle's."""
+    rng = random.Random(1)
+    tri = triangulation([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.1)], [(0, 1, 3), (0, 3, 2)])
+    gs = GlobalSpline(tri, tuple(tuple(rng.choice([-1.3e303, 1.3e303]) for _ in range(39))
+                                 for _ in range(2)))
+    rep = verify_smoothness(gs, (0, 3), 5, 1, tol=1e-10)
+    assert rep["gaps"][4] == rep["gaps"][5] == rep["max"] == float("inf") and not rep["pass"]
+    with pytest.raises(OverflowError):
+        join_check_oracle.verify_smoothness(gs, (0, 3), 5, 1, tol=1e-10)
+    monkeypatch.setattr(join_check_oracle, "truediv", assembly._nearest_float)
+    assert _report_bits(rep) == _report_bits(join_check_oracle.verify_smoothness(gs, (0, 3), 5, 1,
+                                                                                 tol=1e-10))
+
+
 def _c3_feasible_patch(seed):
     """Random basis-c coefficients on the reference frame made order-3
     compatible toward vt3 (as in criterion 8), and the neighbour's frame."""
