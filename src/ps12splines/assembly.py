@@ -456,8 +456,9 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
     reads the face locate_face_bary picks, so for k = 4, 5 (a side's restriction jumps there)
     jumps[k] may exceed gaps[k].  Each is an integer maximum over the one denominator of the
     sides' differences, divided once: a Fraction for exact data, else the float nearest the
-    exact value for the float ordinates (inf beyond the float range).  ``max`` is the largest jump; given ``tol`` (1e-10
-    by default for float data), ``pass`` says whether every gap is within it, compared exactly.
+    exact value for the float ordinates (inf beyond the float range).  ``max`` is the largest
+    jump; given ``tol`` (1e-10 by default for float data), ``pass`` says whether every gap is
+    within it, compared exactly.
     Raises DomainError for samples not an int >= 1, order not an int in 0..5, tol not
     a finite number, NaN or inf; NonConformingMesh unless edge is an interior edge.
     """
