@@ -12,7 +12,7 @@ own.  verify_smoothness checks a join in any basis from the coefficients
 themselves: the split has a vertex at each edge midpoint, so a cross
 derivative there is one polynomial per half-edge, differenced out of the
 half-edge faces' near-edge ordinates in integers; the restriction tables
-take the same derivative with the direction kept symbolic (_cross_derivative).
+run the same passes (simplex_spline._differences) once per monomial in a.
 
 The module also carries the Hermite nodal basis dual to the 39 canonical
 functionals (the inverse of the basis-c collocation matrix) and global
@@ -42,9 +42,9 @@ from .dual_functionals import (DIRECTIONS, FUNCTIONALS, JET_ORDERS, bary_directi
 from .geometry import (EDGES, FACE_MATRICES, FACES, VERTEX_BARY, PS12Frame, Point2,
                        direction_coords, face_bary, locate_face_bary, make_frame)
 from .linalg import _apply_rows, inverse, mat_vec, solve, sparse_integer_matrix, sparse_mat_vec
-from .marsden_catalog import catalog, linear_product
+from .marsden_catalog import catalog
 from .rational import _dyadic, _over_lcm, finite_numbers, is_exact
-from .simplex_spline import _face_ordinates, _row_terms, bernstein_exponents
+from .simplex_spline import _differences, _face_ordinates, _row_terms, bernstein_exponents
 from .spline_fn import Spline, _packed, _unchecked, scaled_basis_tables
 
 #: Number of basis elements with nonzero derivative restrictions of orders
@@ -74,29 +74,6 @@ def _half_edges(la: int, lb: int) -> tuple:
     return [fi for fi, _, _ in halves].index(locate_face_bary(*VERTEX_BARY[m - 1])), tuple(halves)
 
 
-def _cross_derivative(ords, near, weights, k: int) -> list:
-    """Bernstein coefficients j = 0..5-k, from the edge's first end, of an
-    order-k cross derivative on a half-edge face with quintic ordinates ords
-    (c, read through near): 5! / (5-k)! sum_{|beta|=k} w_beta c[(5-k-j, j, 0)
-    + beta].  D_g^k, g the direction's face-directional triple, has the
-    weights w_beta = (k! / beta!) g^beta."""
-    return [perm(5, k) * sum([w * ords[near[l][j + i]] for (_, i, l), w in weights])
-            for j in range(6 - k)]
-
-
-def _symbolic_weights(mat, k: int) -> dict:
-    """{e: weights}: the weights of _cross_derivative for g = mat . a, split
-    by monomial a^e, with a1 = -(a2 + a3) substituted (a direction's
-    coordinates sum to 0): g_r is the linear form (M_r2 - M_r1) a2 +
-    (M_r3 - M_r1) a3 for M = mat, and (k! / beta!) g^beta its linear_product."""
-    g = [(0, r[1] - r[0], r[2] - r[0]) for r in mat]
-    out = {}
-    for w, *beta in _row_terms(k):
-        for e, c in linear_product(w, [f for f, n in zip(g, beta) for _ in range(n)]).items():
-            out.setdefault(e, []).append((tuple(beta), c))
-    return dict(sorted(out.items(), reverse=True))     # a2^k first
-
-
 @lru_cache(maxsize=1)
 def edge_restriction_tables() -> tuple:
     """D^k restrictions of the basis-c splines to the edge [v1, v2].
@@ -106,26 +83,29 @@ def edge_restriction_tables() -> tuple:
     coordinates of u and P a form of degree k (as in
     marsden_catalog.linear_product), in the normal form that
     a1 = -(a2 + a3) gives (directional coordinates sum to 0): a polynomial
-    in a2 and a3 alone.  Rows i >= N_BLOCKS[k] are empty.  The halves on D1
-    and D2 come from _cross_derivative with u's face-directional triple
-    g = M a kept symbolic (M the face's integer matrix, FACE_MATRICES), in
-    integers over den per monomial, and bspline_coefficients joins them.
+    in a2 and a3 alone.  Rows i >= N_BLOCKS[k] are empty.  On the half-edge
+    faces D1 and D2, u's face-directional triple is a2 h2 + a3 h3 for h2 =
+    M (e2 - e1), h3 = M (e3 - e1) (M the face's FACE_MATRICES rows), so a2^i
+    a3^(k-i) has C(k, i) D_h2^i D_h3^(k-i): the join check's _differences on
+    the near-edge rows, in integers over den, joined by bspline_coefficients.
     """
     _, halves = _half_edges(1, 2)
-    weights = [[_symbolic_weights([FACE_MATRICES[fi - 1][i] for i in p], k) for k in range(4)]
-               for fi, p, _ in halves]
+    dirs = [[[r[c] - r[0] for r in (FACE_MATRICES[fi - 1][i] for i in p)] for c in (1, 2)]
+            for fi, p, _ in halves]
     out = []
     for el in catalog("c").elements:
         den, faces = _face_ordinates(el.multiset)
+        edge_rows = [[[(faces[fi - 1] or (0,) * 21)[x] for x in ls] for ls in near[:4]]
+                     for fi, _, near in halves]
         per_k = []
         for k in range(4):
             row = {}
-            for e in weights[0][k]:
-                pieces = [_cross_derivative(faces[fi - 1] or (0,) * 21, near, ws[k][e], k)
-                          for (fi, _, near), ws in zip(halves, weights)]
+            for i in range(k, -1, -1):    # a2^k first
+                pieces = [[*_differences(t[:k + 1], [h2] * i + [h3] * (k - i), 5)][-1][0]
+                          for t, (h2, h3) in zip(edge_rows, dirs)]
                 for j, x in enumerate(bspline_coefficients(5 - k, pieces), 1):
                     if x:
-                        row.setdefault(j, {})[e] = Fraction(x, den)
+                        row.setdefault(j, {})[0, i, k - i] = Fraction(comb(k, i) * x, den)
             per_k.append({j: row[j] for j in sorted(row)})
         out.append(tuple(per_k))
     return tuple(out)
@@ -390,10 +370,9 @@ def _cross_edge_coefficients(s: Spline, la: int, lb: int, order: int) -> tuple:
     midpoint, la's half first: out[k][half] = (nums, den), both halves over one den, the
     Bernstein coefficients of D_u^k s, u = rot90(v_lb - v_la), on the half from its la-ward
     end, k = 0..order; mid, the half located at the midpoint.  Only the near-edge rows are
-    contracted (_near_rows), float ones then put over one power of 2.  For u's face-
-    directional triple g over dden (_int_direction, or float direction_coords over a power
-    of 2), order k is T[0] after passes j = 1..k of T[l][i] <- (6 - j) (g0 T[l][i] +
-    g1 T[l][i+1] + g2 T[l+1][i]) on the ordinates T[l][i] = c[5-l-i, i, l], in integers."""
+    contracted (_near_rows), float ones then put over one power of 2.  Order k is row 0 of
+    the ordinates c[5-l-i, i, l] after k passes of _differences along u's face-directional
+    triple over dden (_int_direction, or float direction_coords over a power of 2)."""
     mid, halves = _half_edges(la, lb)
     if (ints := s.frame._int_corners) is None:
         a, b = s.frame.corners[la - 1], s.frame.corners[lb - 1]
@@ -408,13 +387,9 @@ def _cross_edge_coefficients(s: Spline, la: int, lb: int, order: int) -> tuple:
     out = [[] for _ in dens]
     for fi, p, _ in halves:
         _, g = face_bary(fi, delta, dden)
-        g = [g[i] for i in p]
         t = [list(islice(values, 6 - l)) for l in range(order + 1)]
-        for k, d in enumerate(dens):
-            out[k].append((t[0], d))
-            g0, g1, g2 = (5 - k) * g[0], (5 - k) * g[1], (5 - k) * g[2]  # pass k + 1's factor
-            t = [[g0 * x + g1 * y + g2 * z for x, y, z in zip(r, r[1:], r1)]
-                 for r, r1 in zip(t, t[1:])]
+        for k, (rows, d) in enumerate(zip(_differences(t, [[g[i] for i in p]] * order, 5), dens)):
+            out[k].append((rows[0], d))
     return out, mid
 
 

@@ -161,9 +161,9 @@ def collocation(frame: PS12Frame, candidates) -> CollocationMatrix:
 # ---------------------------------------------------------------------------
 
 def dim_split_space(r: int, d: int) -> int:
-    """Dimension of the C^r degree-d spline space on the 12-split."""
-    if d < 0 or r < -1 or r > d:
-        raise DomainError(f"need d >= 0 and d >= r >= -1, got r={r}, d={d}")
+    """Dimension of the C^r degree-d spline space on the 12-split, for ints d >= r >= -1, d >= 0."""
+    if not (type(r) is type(d) is int and d >= 0 and -1 <= r <= d):
+        raise DomainError(f"need ints d >= 0 and d >= r >= -1, got r={r!r}, d={d!r}")
     total = Fraction((r + 1) * (r + 2), 2)
     total += Fraction(9 * (d - r) * (d - r + 1), 2)
     total += Fraction(3 * (d - 2 * r - 1) * max(d - 2 * r, 0), 2)

@@ -163,6 +163,13 @@ def make_frame(v1: Point2, v2: Point2, v3: Point2) -> PS12Frame:
     return frame
 
 
+def _frame(frame) -> PS12Frame:
+    """frame, checked where it enters: DomainError unless a PS12Frame (make_frame's)."""
+    if not isinstance(frame, PS12Frame):
+        raise DomainError(f"a frame is a PS12Frame (make_frame), not {frame!r}")
+    return frame
+
+
 @lru_cache(maxsize=1)
 def reference_frame() -> PS12Frame:
     """The exact unit frame [(0,0), (1,0), (0,1)] used for all cached data."""

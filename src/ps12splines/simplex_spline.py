@@ -15,9 +15,11 @@ The recursion runs once per multiset, face by face on Bernstein forms
 on one route: a point in geometry._bary's form (integers over d > 0 when
 exact), its face by _locate, face barycentrics by face_bary, and the row of
 functional_row, whose dot product with a face table is the value or a
-derivative there.  quintic_form writes out the value row's dot product and
-float_value is its float route.  The Fraction route and the knot-multiset
-expansion of derivatives are the tests' oracles.
+derivative there; derivative dots the value row with a table differenced by
+_differences, the one Bernstein differencing pass (assembly's join check and
+restriction tables run it too).  quintic_form writes out the value row's dot
+product and float_value is its float route.  The Fraction route and the
+knot-multiset expansion of derivatives are the tests' oracles.
 
 Everything is exact on the reference frame, taken scaled by 12 so that the
 ten split vertices are integer points (the per-face recursion runs on
@@ -32,13 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 from math import comb, factorial, gcd, inf, isfinite, lcm
 from operator import add, mul
 
 from .errors import DimensionMismatch, DomainError, InvalidDirection, OutsideDomain, TooFewKnots
 from .geometry import (EDGES, FACES, FLOAT_FACE_MATRICES, INTERIOR_LINES, PS12Frame, Point2,
-                       _as_bary, _bary, _direction, face_bary, locate_face_bary,
+                       _as_bary, _bary, _direction, _frame, face_bary, locate_face_bary,
                        reference_frame, signed_area2)
 from .rational import _dyadic, common_denominator, finite_numbers, is_exact, short_form
 
@@ -143,14 +145,16 @@ def derivative(frame: PS12Frame, K: KnotMultiset, direction, order: int = 1):
 
     Its value at p is functional_row's degree-(degree(K) - order) value row
     there dotted with Q[K]'s table on that face differenced order times along
-    a, once per face: one-sided on the face the half-open convention picks, 0
-    outside the closed macrotriangle.  A float point is taken at the binary
-    rationals b2, b3 of its barycentrics, b1 = 1 - b2 - b3, and the exact
-    value there returned as float.  TooFewKnots when |K| < 3, InvalidDirection
-    unless a is three exact or finite numbers summing to 0 and order an int
-    in 0..degree(K); at p, DomainError unless a pair, OutsideDomain if not finite.
+    a (_differences on its rows of fixed first exponent), once per face:
+    one-sided on the face the half-open convention picks, 0 outside the
+    closed macrotriangle.  A float point is taken at the binary rationals b2,
+    b3 of its barycentrics, b1 = 1 - b2 - b3, and the exact value there
+    returned as float.  DomainError unless frame is a PS12Frame, TooFewKnots
+    when |K| < 3, InvalidDirection unless a is three exact or finite numbers
+    summing to 0 and order an int in 0..degree(K); at p, DomainError unless
+    a pair, OutsideDomain if not finite.
     """
-    K = knots(K)
+    frame, K = _frame(frame), knots(K)
     if (deg := degree(K)) < 0:
         raise TooFewKnots(f"|K| = {deg + 3} < 3")
     try:
@@ -177,13 +181,13 @@ def derivative(frame: PS12Frame, K: KnotMultiset, direction, order: int = 1):
             fi, rden, row = functional_row(d, beta, (), deg - order)
             den, faces = _face_ordinates(K)
             if c := faces[fi - 1]:
-                if fi not in tables:  # differenced order times: c'[a] = k sum_r g_r c[a + e_r]
+                if order and fi not in tables:  # rows of fixed first exponent, differenced
                     _, g = face_bary(fi, delta, dden)
-                    for k in range(deg, deg - order, -1):
-                        c = [k * (g[0] * c[i] + g[1] * c[j] + g[2] * c[l])
-                             for (i, _), (j, _), (l, _) in _degree_step(k)]
-                    tables[fi] = c
-                val = Fraction(sum(map(mul, row, tables[fi])), rden * den * dden ** order)
+                    ords = iter(c)
+                    t = [list(islice(ords, deg + 1 - i)) for i in range(deg + 1)]
+                    *_, t = _differences(t, [g[::-1]] * order, deg)
+                    tables[fi] = [x for r in t for x in r]
+                val = Fraction(sum(map(mul, row, tables.get(fi, c))), rden * den * dden ** order)
         return val if exact else float(val)
 
     return fn
@@ -255,6 +259,17 @@ def _degree_step(deg: int) -> tuple:
     index = {e: i for i, e in enumerate(bernstein_exponents(deg))}
     return tuple(tuple((index[a[:r] + (a[r] + 1,) + a[r + 1:]], a[r] + 1) for r in range(3))
                  for a in bernstein_exponents(deg - 1))
+
+
+def _differences(t, gs, deg: int):
+    """Rows t[l][i] = c[deg - l - i, i, l] of a degree-deg Bernstein form (in some corner order),
+    then after each pass j along the face-directional triple gs[j]: t[l][i] <- (deg - j) (g0
+    t[l][i] + g1 t[l][i+1] + g2 t[l+1][i]), the derivative along it, one row fewer."""
+    yield t
+    for j, (g0, g1, g2) in enumerate(gs):
+        g0, g1, g2 = (deg - j) * g0, (deg - j) * g1, (deg - j) * g2
+        t = [[g0 * x + g1 * y + g2 * z for x, y, z in zip(r, r[1:], r1)] for r, r1 in zip(t, t[1:])]
+        yield t
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # annotations only: eval_many imports numpy when it runs
 from .errors import (BoundViolated, DimensionMismatch, DomainError, OutsideDomain,
                      UnsupportedBasis)
 from .geometry import (FLOAT_FACE_MATRICES, PS12Frame, Point2, S3_ELEMENTS, _as_bary, _bary,
-                       face_bary, from_bary, s3_apply_bary)
+                       _frame, face_bary, from_bary, s3_apply_bary)
 from .linalg import _integer_solve, identity, inf_norm, sparse_integer_matrix, sparse_mat_vec
 from .marsden_catalog import BASIS_IDS, catalog
 from .rational import common_denominator, finite_numbers, is_exact
@@ -47,6 +47,7 @@ class Spline:
     coeffs: tuple
 
     def __post_init__(self):
+        _frame(self.frame)
         if self.basis not in BASIS_IDS:
             raise UnsupportedBasis(f"basis {self.basis!r} not in a..f")
         if len(finite_numbers(self.coeffs, "the coefficients")) != 39:
@@ -273,8 +274,9 @@ def lagrange_interpolate(basis_id: str, frame: PS12Frame, values) -> Spline:
 
     Exact values give Fraction coefficients from one sparse integer mat-vec
     with the cached inverse, float values give float coefficients.
+    DomainError unless frame is a PS12Frame.
     """
-    values = finite_numbers(values, "the values")
+    frame, values = _frame(frame), finite_numbers(values, "the values")
     if len(values) != 39:
         raise DimensionMismatch(f"need 39 values, got {len(values)}")
     if not is_exact(values):

@@ -6,7 +6,8 @@ denominator, and takes every gap and sampled jump as one integer maximum
 divided once.  This module keeps the route it replaced:
 - cross_edge_coefficients reads each half-edge face's 21 ordinates (float
   ones over their own power of 2) and sums the order-k weights
-  (k! / beta!) g^beta of _row_terms, per half (assembly._cross_derivative);
+  (k! / beta!) g^beta of _row_terms, per half (cross_derivative), where the
+  library runs k differencing passes (simplex_spline._differences);
 - verify_smoothness divides per half and per sample half, then takes the
   largest of the Fractions or floats, and compares float(gap) with tol.
 Both must give the same Fractions for exact data and the same float bits
@@ -16,15 +17,25 @@ for float data, on gaps, jumps, max and pass.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 from numbers import Integral
 from operator import truediv
 
-from ps12splines.assembly import _cross_derivative, _half_edges
+from ps12splines.assembly import _half_edges
 from ps12splines.errors import DomainError, NonConformingMesh
 from ps12splines.geometry import Point2, direction_coords, face_bary
 from ps12splines.rational import _dyadic, finite_numbers
 from ps12splines.simplex_spline import _row_terms
+
+
+def cross_derivative(ords, near, weights, k: int) -> list:
+    """Bernstein coefficients j = 0..5-k, from the edge's first end, of an
+    order-k cross derivative on a half-edge face with quintic ordinates ords
+    (c, read through near): 5! / (5-k)! sum_{|beta|=k} w_beta c[(5-k-j, j, 0)
+    + beta].  D_g^k, g the direction's face-directional triple, has the
+    weights w_beta = (k! / beta!) g^beta."""
+    return [perm(5, k) * sum([w * ords[near[l][j + i]] for (_, i, l), w in weights])
+            for j in range(6 - k)]
 
 
 def cross_edge_coefficients(s, la: int, lb: int, order: int) -> tuple:
@@ -43,7 +54,7 @@ def cross_edge_coefficients(s, la: int, lb: int, order: int) -> tuple:
         den, ords = s._exact_ordinates(fi) if s.exact else _dyadic(s._float_forms.ords[fi - 1])
         for k in range(order + 1):
             weights = [((i, j, l), w * g0 ** i * g1 ** j * g2 ** l) for w, i, j, l in _row_terms(k)]
-            out[k].append((_cross_derivative(ords, near, weights, k), den * dden ** k))
+            out[k].append((cross_derivative(ords, near, weights, k), den * dden ** k))
     return out, mid
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import join_check_oracle
+from join_check_oracle import cross_derivative
 from conftest import rational_points
 from knot_oracles import bspline_derivative, derivative_expansion, restrict_to_edge
 from tripoly import TriPoly
@@ -1096,7 +1097,7 @@ def _fraction_cross_edge_coefficients(s, la, lb, order):
                      common_denominator(list(map(F, s._float_forms.ords[fi - 1]))))
         for k in range(order + 1):
             weights = [((i, j, l), w * g0 ** i * g1 ** j * g2 ** l) for w, i, j, l in _row_terms(k)]
-            out[k].append((assembly._cross_derivative(ords, near, weights, k), den * dden ** k))
+            out[k].append((cross_derivative(ords, near, weights, k), den * dden ** k))
     m = next(m for x, m, y in EDGES.values() if {x, y} == {la, lb})
     return out, [fi for fi, _, _ in halves].index(locate_face_bary(*VERTEX_BARY[m - 1]))
 

@@ -174,6 +174,9 @@ BAD_CALLS = {
     "Triangulation.frame negative index": lambda: MESH.frame(-1),
     "GlobalSpline.spline index past the triangles": lambda: assembly.GlobalSpline(
         MESH, ((F(0),) * 39,) * 2).spline(5),
+    "dim_split_space str order": lambda: dual_functionals.dim_split_space("1", 5),
+    "dim_split_space float order": lambda: dual_functionals.dim_split_space(1.5, 5),
+    "dim_split_space bool degree": lambda: dual_functionals.dim_split_space(1, True),
 }
 
 
@@ -275,6 +278,11 @@ TYPED_ERRORS = {
                                      {e: (1.7e308,) * 3 for e in MESH.edges()})),
     "face_forms float frame, exact coefficients beyond the float range": (DomainError, lambda:
         spline_fn.face_forms(spline_fn.Spline(FLOAT_FRAME, "c", (10 ** 400,) * 39))),
+    "Spline None frame": (DomainError, lambda: spline_fn.Spline(None, "c", (F(0),) * 39)),
+    "lagrange_interpolate None frame": (DomainError, lambda: spline_fn.lagrange_interpolate(
+        "c", None, [F(0)] * 39)),
+    "derivative None frame": (DomainError, lambda: simplex_spline.derivative(
+        None, K, (1, -1, 0), 1)),
 }
 
 

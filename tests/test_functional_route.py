@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_route as oracle
@@ -18,8 +18,8 @@ from ps12splines.spline_fn import Spline, basis_values, face_forms
 
 _COORD = st.fractions(-4, 4, max_denominator=9)
 _COEF = st.fractions(-3, 3, max_denominator=7)
-#: The multisets of basis c, plus two of lower degree.
-_MULTISETS = tuple(el.multiset for el in catalog("c").elements) + ("111", "2101")
+#: The multisets of basis c, plus two of lower degree and one of degree 8.
+_MULTISETS = tuple(el.multiset for el in catalog("c").elements) + ("111", "2101", "3332")
 
 
 @st.composite
@@ -49,10 +49,13 @@ def _same(got, want):
        float_frame=st.booleans(), beta=_point_bary(), float_point=st.booleans(),
        K=st.sampled_from(_MULTISETS), a=st.tuples(_COEF, _COEF), float_direction=st.booleans(),
        basis=st.sampled_from("abcdef"), seed=st.integers(0, 2 ** 32))
+@example(corners=((F(0), F(0)), (F(1), F(0)), (F(0), F(1))), clockwise=False, float_frame=False,
+         beta=(F(1, 5), F(3, 10), F(1, 2)), float_point=False, K="3332", a=(F(1, 2), F(-1, 3)),
+         float_direction=False, basis="c", seed=0)  # degree 8, nonzero at orders 0-5
 def test_every_reader_matches_the_fraction_route(corners, clockwise, float_frame, beta,
                                                  float_point, K, a, float_direction, basis,
                                                  seed):
-    """eval_simplex, derivative of orders 1-3, basis_values and
+    """eval_simplex, derivative of orders 1-5 (to the degree), basis_values and
     FaceForms.value_at_bary with 0-2 directions, on both orientations of
     an exact frame and of its float copy, at split vertices, edge points
     and random points, exact or float; a direction exact or float, so an
@@ -69,7 +72,7 @@ def test_every_reader_matches_the_fraction_route(corners, clockwise, float_frame
     if float_direction:  # kept when its floats sum to 0 exactly
         direction = tuple(map(float, direction))
     if sum(map(F, direction)) == 0:
-        for order in range(1, min(3, degree(knots(K))) + 1):
+        for order in range(1, min(5, degree(knots(K))) + 1):
             _same(derivative(frame, K, direction, order)(p),
                   oracle.derivative(frame, K, direction, order)(p))
     for got, want in zip(basis_values(basis, beta), oracle.basis_values(basis, beta)):
