@@ -20,6 +20,7 @@ from . import serialize
 from .errors import DomainError, ParseError, PS12Error, UnknownTable
 from .geometry import from_bary, Point2
 from .rational import short_form
+from .simplex_spline import float_value
 
 
 def _write(path, text: str):
@@ -112,34 +113,22 @@ def _float_lattice(n: int) -> list:
     return [(i / n, j / n, (n - i - j) / n) for i in range(n + 1) for j in range(n + 1 - i)]
 
 
-# A cold command reads up to this many float lattice points one by one,
-# 5.5-6 us a point slower than eval_many (warm, 2 vCPUs: 6.4-6.6 against
-# 0.7-0.8 us); more go through eval_many, whose cold numpy import and first
-# batch (about 0.13 s) is then the smaller cost.  Both give the same bits.
-BATCH_POINTS = 20_000
-
-
-def _lattice_values(splines, lattice) -> list:
-    """Per float spline, its values at the lattice barycentrics, with the
-    bits of eval_many there."""
-    if len(splines) * len(lattice) > BATCH_POINTS:
-        from .spline_fn import eval_many
-        return [eval_many(s, lattice).tolist() for s in splines]
-    from .spline_fn import face_forms
-    return [list(map(face_forms(s).value_at_bary, lattice)) for s in splines]
+def _float_rows(s, lattice) -> list:
+    """(x, y, value) of the float spline s at each lattice barycentric, with
+    the bits of float eval_spline and eval_many there."""
+    ords = s._float_forms.ords
+    return [(*from_bary(s.frame, b), float_value(ords, b)) for b in lattice]
 
 
 def cmd_sample(args) -> int:
     from .spline_fn import eval_spline
     s = _to_layer(_load_spline(args.spline), args.layer)
-    exact = args.layer == "exact"
-    lattice = serialize.barycentric_lattice(args.grid) if exact else _float_lattice(args.grid)
-    pts = [from_bary(s.frame, b) for b in lattice]
-    if exact:  # rounded here, where a number beyond the float range is a DomainError
+    if args.layer == "exact":  # rounded here, where a number beyond the float range is a DomainError
+        pts = [from_bary(s.frame, b) for b in serialize.barycentric_lattice(args.grid)]
         rows = [(_to_float(p.x, "point coordinate"), _to_float(p.y, "point coordinate"),
                  _to_float(eval_spline(s, p), "value")) for p in pts]
     else:
-        rows = [(p.x, p.y, v) for p, v in zip(pts, _lattice_values([s], lattice)[0])]
+        rows = _float_rows(s, _float_lattice(args.grid))
     _write(args.out, serialize.grid_csv(rows))
     return 0
 
@@ -178,10 +167,9 @@ def cmd_export_obj(args) -> int:
     else:
         gs = serialize.global_spline_from_dict(_read_json(args.global_spline))
         splines = [_to_layer(gs.spline(t), "float") for t in range(len(gs.tri.triangles))]
-    for s, values in zip(splines, _lattice_values(splines, lattice)):
+    for s in splines:
         base = len(verts)
-        pts = [from_bary(s.frame, b) for b in lattice]
-        verts.extend((p.x, p.y, z) for p, z in zip(pts, values))
+        verts.extend(_float_rows(s, lattice))
         cells.extend(tuple(base + i for i in tri) for tri in faces)
     control = None
     if args.control_mesh and args.spline:

@@ -30,7 +30,8 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DomainError
-from .geometry import EDGES, VERTEX_BARY, Bary3, PS12Frame, Point2, _as_bary, _bary, bary_image
+from .geometry import (EDGES, VERTEX_BARY, Bary3, PS12Frame, Point2, _as_bary, _bary, _frame,
+                       bary_image)
 from .linalg import rank as matrix_rank
 from .simplex_spline import FaceForms, _quintic_ordinates, functional_row, knots
 
@@ -100,7 +101,7 @@ FUNCTIONALS = _table()
 def build_lambda(frame: PS12Frame) -> list:
     """The 39 functionals on a frame, in canonical order: FUNCTIONALS with
     points and directions mapped onto the frame's corners."""
-    corners = frame.corners
+    corners = _frame(frame).corners
     vectors = direction_vectors(corners)
     return [Functional(bary_image(corners, f.point), tuple(vectors[n] for n in f.directions),
                        f.site) for f in FUNCTIONALS]
@@ -150,7 +151,7 @@ def collocation(frame: PS12Frame, candidates) -> CollocationMatrix:
     functionals, with its exact rank (fraction-free elimination).  The
     matrix is the same on every exact frame, the functionals and the
     normalised simplex splines being affine invariant."""
-    if frame._int_corners is None:
+    if _frame(frame)._int_corners is None:
         raise DomainError("the collocation matrix is exact: it needs an exact frame")
     rows = [list(lambda_vector(knots(K))) for K in candidates]
     return CollocationMatrix(tuple(tuple(r) for r in rows), matrix_rank(rows))

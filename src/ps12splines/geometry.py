@@ -211,20 +211,23 @@ def _as_bary(beta) -> tuple:
 
 def to_bary(frame: PS12Frame, p: Point2) -> Bary3:
     """Barycentrics of p (exact: _bary's, as Fractions); DomainError unless a pair of numbers."""
-    d, beta = _bary(frame, p)
+    d, beta = _bary(_frame(frame), p)
     return beta if d is None else tuple([Fraction(n, d) for n in beta])
 
 
 def from_bary(frame: PS12Frame, b: Bary3) -> Point2:
     """The point with barycentrics b; DimensionMismatch unless b is a
-    triple, DomainError unless of numbers."""
+    triple, DomainError unless of numbers and on a PS12Frame."""
     try:
         b1, b2, b3 = b
     except (TypeError, ValueError):  # not a triple
         raise DimensionMismatch(f"barycentric coordinates are a triple, not {b!r}") from None
-    (x1, y1), (x2, y2), (x3, y3) = frame.corners
     try:
+        (x1, y1), (x2, y2), (x3, y3) = frame.corners
         return Point2(b1 * x1 + b2 * x2 + b3 * x3, b1 * y1 + b2 * y2 + b3 * y3)
+    except AttributeError:  # no corners: _frame's error, without its check on every call
+        _frame(frame)
+        raise
     except TypeError:  # not of numbers
         raise DomainError(f"barycentric coordinates are numbers, not {b!r}") from None
 
@@ -276,7 +279,7 @@ def locate_face_bary(b1, b2, b3, d=1) -> Optional[int]:
 
 def locate_face(frame: PS12Frame, p: Point2) -> Optional[int]:
     """Face of the 12-split containing p under the half-open convention."""
-    d, beta = _bary(frame, p)
+    d, beta = _bary(_frame(frame), p)
     return locate_face_bary(*beta, d or 1)
 
 

@@ -23,7 +23,7 @@ from itertools import combinations
 from math import factorial
 
 from .errors import DimensionMismatch, DomainError, UnknownBasis
-from .geometry import (PS12Frame, Point2, S3_ELEMENTS, VERTEX_BARY, _bary, from_bary,
+from .geometry import (PS12Frame, Point2, S3_ELEMENTS, VERTEX_BARY, _bary, _frame, from_bary,
                        reference_frame, s3_apply_multiset, s3_vertex_permutation)
 from .simplex_spline import knots
 
@@ -210,7 +210,7 @@ def marsden_eval(spec: BasisSpec, x: Point2, c, frame: PS12Frame = None):
     from .spline_fn import _basis_values     # spline_fn imports this module
     if len(x) != 2 or len(c) != 3:
         raise DimensionMismatch("marsden_eval needs a point (x, y) and c = (c1, c2, c3)")
-    d, n = _bary(frame or reference_frame(), x)
+    d, n = _bary(reference_frame() if frame is None else _frame(frame), x)
     (c1, c2, c3), (b1, b2, b3) = c, n if d is None else (Fraction(k, d) for k in n)
     lhs = (b1 * c1 + b2 * c2 + b3 * c3) ** 5
     rhs = 0
@@ -245,7 +245,7 @@ def quasi_interpolant_coeffs(spec: BasisSpec, f, frame: PS12Frame = None) -> lis
     returns Fractions at rational points.  The resulting spline
     sum_i L_i(f) S_i reproduces every polynomial of degree at most 5.
     """
-    frame = frame or reference_frame()
+    frame = reference_frame() if frame is None else _frame(frame)
     out = []
     for el in spec.elements:
         total = 0

@@ -199,7 +199,7 @@ def derivative(frame: PS12Frame, K: KnotMultiset, direction, order: int = 1):
 
 def integral(frame: PS12Frame, K: KnotMultiset) -> Fraction:
     """Exact integral of Q[K] over the plane: area(T) / C(|K|-1, 2)."""
-    K = knots(K)
+    frame, K = _frame(frame), knots(K)
     n = knot_count(K)
     if n < 3:
         raise TooFewKnots(f"|K| = {n} < 3")

@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # annotations only: eval_many imports numpy when it runs
     import numpy as np
 
 from .errors import (BoundViolated, DimensionMismatch, DomainError, OutsideDomain,
-                     UnsupportedBasis)
+                     PS12Error, UnsupportedBasis)
 from .geometry import (FLOAT_FACE_MATRICES, PS12Frame, Point2, S3_ELEMENTS, _as_bary, _bary,
                        _frame, face_bary, from_bary, s3_apply_bary)
 from .linalg import _integer_solve, identity, inf_norm, sparse_integer_matrix, sparse_mat_vec
@@ -207,9 +207,13 @@ def eval_many(s: Spline, barys) -> np.ndarray:
     """Float values at an (n, 3) array of macro-barycentrics in one numpy
     batch, each with the bits of float eval_spline there: the snap, face and
     face barycentrics of simplex_spline.float_value on arrays, then the same
-    quintic_form on columns.  Raises OutsideDomain if any point is
-    outside the closed macrotriangle, DimensionMismatch for another shape."""
-    import numpy as np
+    quintic_form on columns.  Raises OutsideDomain if any point is outside the
+    closed macrotriangle, DimensionMismatch for another shape, PS12Error without
+    numpy (not a dependency of the package: its test extra installs numpy)."""
+    try:
+        import numpy as np
+    except ImportError:
+        raise PS12Error("eval_many needs numpy, which is not installed") from None
     b = np.array(barys, dtype=float)
     if b.ndim != 2 or b.shape[1] != 3:
         raise DimensionMismatch(f"need an (n, 3) array of barycentrics, got shape {b.shape}")

@@ -300,8 +300,8 @@ FLOAT_PINNED_SHA256 = {
 
 
 def _float_output_digests(tmp_path, capsys) -> dict:
-    """sha256 of float eval at five points, float sample at grids 32 (point by point) and 200
-    (eval_many, above cli.BATCH_POINTS), and float assemble on the exact pin's two triangles,
+    """sha256 of float eval at five points, float sample at grids 32 and 200 (20 301 points,
+    the bits of eval_many's batch there), and float assemble on the exact pin's two triangles,
     its output and its order-3 warnings, which read the float ordinates."""
     import hashlib
     spline, out = tmp_path / "s.json", tmp_path / "out"
@@ -507,16 +507,17 @@ def test_full_search_stays_free_of_sympy():
 
 
 def test_cold_exact_commands_leave_numpy_unloaded(tmp_path):
-    """No command imports numpy on lattices of up to cli.BATCH_POINTS
-    points, and only search imports basis_search: in a fresh interpreter,
-    table export and exact and float eval and sample leave numpy,
-    basis_search and assembly unloaded; nodal, exact assembly,
-    and export-obj of a spline with its control net and of the assembled
-    global spline leave numpy and basis_search unloaded."""
+    """No command imports numpy, on lattices of any size, and only search
+    imports basis_search: in a fresh interpreter, table export and exact and
+    float eval and sample (at grid 200 too, 20 301 points) leave numpy,
+    basis_search and assembly unloaded; nodal, exact assembly, export-obj of
+    a spline with its control net and of the assembled global spline, and of
+    the hexagon demo at grid 90 (6 x 4 186 points) leave numpy and
+    basis_search unloaded."""
     from ps12splines.assembly import triangulation
     from ps12splines.serialize import triangulation_to_dict
-    spline, mesh, data, glob = (str(tmp_path / n)
-                                for n in ("s.json", "mesh.json", "data.json", "g.json"))
+    spline, mesh, data, glob, hexagon = (str(tmp_path / n) for n in (
+        "s.json", "mesh.json", "data.json", "g.json", "hexagon.json"))
     with open(spline, "w") as fh:
         json.dump({"frame": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]],
                    "basis": "c", "coeffs": [f"{i}/7" for i in range(39)]}, fh)
@@ -532,13 +533,14 @@ def test_cold_exact_commands_leave_numpy_unloaded(tmp_path):
              ["eval", "--spline", spline, "--point", "1/3", "1/5"],
              ["eval", "--spline", spline, "--point", "0.3", "0.2", "--layer", "float"],
              ["sample", "--spline", spline, "--grid", "8"],
+             ["sample", "--spline", spline, "--grid", "200"],
              ["sample", "--spline", spline, "--grid", "2", "--layer", "exact"]]
-    rest = [["nodal"],
-            ["export-obj", "--spline", spline, "--grid", "8", "--control-mesh"]]
+    rest = [["nodal", "--out", hexagon],
+            ["export-obj", "--spline", spline, "--grid", "8", "--control-mesh", "--out", os.devnull],
+            ["export-obj", "--global", hexagon, "--grid", "90", "--out", os.devnull]]
     runs = ([(args + ["--out", os.devnull], ["numpy", "ps12splines.basis_search",
                                               "ps12splines.assembly"]) for args in light] +
-            [(args + ["--out", os.devnull], ["numpy", "ps12splines.basis_search"])
-             for args in rest] +
+            [(args, ["numpy", "ps12splines.basis_search"]) for args in rest] +
             [(["assemble", "--mesh", mesh, "--data", data, "--out", glob],
               ["numpy", "ps12splines.basis_search"]),
              (["export-obj", "--global", glob, "--grid", "8", "--out", os.devnull],
@@ -554,22 +556,15 @@ def test_cold_exact_commands_leave_numpy_unloaded(tmp_path):
     assert r.returncode == 0, r.stderr[-1500:]
 
 
-@pytest.mark.parametrize("batch_points", [None, 0])
-def test_float_sample_and_export_obj_carry_the_bits_of_eval_many(tmp_path, monkeypatch,
-                                                                 batch_points):
+def test_float_sample_and_export_obj_carry_the_bits_of_eval_many(tmp_path):
     """The float layer of sample and export-obj, reading each lattice point
-    on its own (small lattices) or in eval_many batches (above
-    cli.BATCH_POINTS, here 0), has the bits of one eval_many batch on the
-    same lattice: the CSV values and the OBJ vertices of a spline and of a
-    global spline."""
+    on its own, has the bits of one eval_many batch on the same lattice: the
+    CSV values and the OBJ vertices of a spline and of a global spline."""
     import numpy as np
-    from ps12splines import cli
     from ps12splines.assembly import hexagon_demo
     from ps12splines.cli import _float_lattice, _to_layer
     from ps12splines.serialize import barycentric_lattice
     from ps12splines.spline_fn import eval_many
-    if batch_points is not None:
-        monkeypatch.setattr(cli, "BATCH_POINTS", batch_points)
     rng = random.Random(8)
     n = 7
     assert _float_lattice(n) == [tuple(map(float, b)) for b in barycentric_lattice(n)]

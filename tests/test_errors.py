@@ -1,6 +1,7 @@
 """Bad input raises the library's typed errors, not bare ValueError."""
 
 import math
+import sys
 import warnings
 from fractions import Fraction as F
 
@@ -227,6 +228,14 @@ CLOCKWISE_SPLINE = spline_fn.Spline(geometry.make_frame((0, 0), (0, 3), (3, 0)),
 #: An exact spline whose coefficients no float holds.
 HUGE_SPLINE = spline_fn.Spline(geometry.reference_frame(), "c", (10 ** 400,) * 39)
 
+
+def _without_numpy(f, *args):
+    """f(*args) with numpy unimportable, as where it is not installed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, "numpy", None)
+        return f(*args)
+
+
 #: Bad input with a typed error of its own, not a DomainError.
 TYPED_ERRORS = {
     "Triangulation degenerate triangle": (DegenerateTriangle, lambda: assembly.triangulation(
@@ -283,6 +292,18 @@ TYPED_ERRORS = {
         "c", None, [F(0)] * 39)),
     "derivative None frame": (DomainError, lambda: simplex_spline.derivative(
         None, K, (1, -1, 0), 1)),
+    "to_bary None frame": (DomainError, lambda: geometry.to_bary(None, (0.2, 0.3))),
+    "from_bary None frame": (DomainError, lambda: geometry.from_bary(None, (0.2, 0.3, 0.5))),
+    "locate_face int frame": (DomainError, lambda: geometry.locate_face(5, (0.2, 0.3))),
+    "integral None frame": (DomainError, lambda: simplex_spline.integral(None, K)),
+    "build_lambda None frame": (DomainError, lambda: dual_functionals.build_lambda(None)),
+    "collocation None frame": (DomainError, lambda: dual_functionals.collocation(None, [K])),
+    "marsden_eval int frame": (DomainError, lambda: marsden_catalog.marsden_eval(
+        marsden_catalog.catalog("c"), (F(1, 5), F(1, 3)), (1, 2, 3), 5)),
+    "quasi_interpolant_coeffs int frame": (DomainError, lambda:
+        marsden_catalog.quasi_interpolant_coeffs(marsden_catalog.catalog("c"), lambda x, y: x, 5)),
+    "eval_many without numpy": (PS12Error, lambda: _without_numpy(
+        spline_fn.eval_many, FLOAT_SPLINE, [(0.2, 0.3, 0.5)])),
 }
 
 
