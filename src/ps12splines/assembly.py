@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import compress, islice
-from math import comb, inf, isfinite, lcm, perm
+from math import comb, inf, isfinite, perm
 from numbers import Integral
 from operator import add, mul
 
@@ -367,9 +367,9 @@ def _near_rows(basis_id: str, la: int, lb: int, order: int, kind) -> tuple:
 
 def _cross_edge_coefficients(s: Spline, la: int, lb: int, order: int) -> tuple:
     """(out, mid) on the macro edge from corner la to corner lb (1-based), split at its
-    midpoint, la's half first: out[k][half] = (nums, den), both halves over one den, the
-    Bernstein coefficients of D_u^k s, u = rot90(v_lb - v_la), on the half from its la-ward
-    end, k = 0..order; mid, the half located at the midpoint.  Only the near-edge rows are
+    midpoint: out[k] = (den, (nums of la's half, nums of lb's)), the Bernstein coefficients of
+    D_u^k s, u = rot90(v_lb - v_la), on each half from its la-ward end, over the one den of
+    order k, k = 0..order; mid, the half located at the midpoint.  Only the near-edge rows are
     contracted (_near_rows), float ones then put over one power of 2.  Order k is row 0 of
     the ordinates c[5-l-i, i, l] after k passes of _differences along u's face-directional
     triple over dden (_int_direction, or float direction_coords over a power of 2)."""
@@ -383,14 +383,12 @@ def _cross_edge_coefficients(s: Spline, la: int, lb: int, order: int) -> tuple:
     values = s._contract(_near_rows(s.basis, la, lb, order, int if s.exact else float), s.exact)
     den, values = (scaled_basis_tables(s.basis)[0] * s._int_coeffs[0], values) if s.exact \
         else _dyadic(values)
-    values, dens = iter(values), [den * dden ** k for k in range(order + 1)]
-    out = [[] for _ in dens]
+    values, nums = iter(values), []
     for fi, p, _ in halves:
         _, g = face_bary(fi, delta, dden)
         t = [list(islice(values, 6 - l)) for l in range(order + 1)]
-        for k, (rows, d) in enumerate(zip(_differences(t, [[g[i] for i in p]] * order, 5), dens)):
-            out[k].append((rows[0], d))
-    return out, mid
+        nums.append([rows[0] for rows in _differences(t, [[g[i] for i in p]] * order, 5)])
+    return [(den * dden ** k, pair) for k, pair in enumerate(zip(*nums))], mid
 
 
 @lru_cache(maxsize=64)
@@ -400,14 +398,6 @@ def _sample_rows(n: int, samples: int) -> tuple:
     m = samples + 1
     return tuple((2 * i > m, [comb(n, j) * (m - w) ** (n - j) * w ** j for j in range(n + 1)])
                  for i in range(1, m) if 2 * i != m for w in [2 * i % m])
-
-
-def _one_den(halves) -> tuple:
-    """(D, nums per half) of [(nums, den) per half] over the lcm D of the dens: the one den
-    that _cross_edge_coefficients gives both halves, or the lcm of a route's that differ."""
-    (_, d0), (_, d1) = halves
-    D = d0 if d0 == d1 else lcm(d0, d1)
-    return D, [nums if d == D else [x * (D // d) for x in nums] for nums, d in halves]
 
 
 def _nearest_float(x: int, d: int) -> float:
@@ -457,8 +447,8 @@ def verify_smoothness(gs: GlobalSpline, edge, order: int, samples: int = 25,
     div = Fraction if exact else _nearest_float
     m = samples + 1     # sample i, at i / m along the edge, is at w / m on half h
     gaps, jumps = {}, {}
-    for k in range(order + 1):
-        (ad, an), (bd, bn), scale = _one_den(a[k]), _one_den(b[k]), m ** (5 - k)
+    for k, ((ad, an), (bd, bn)) in enumerate(zip(a, b)):
+        scale = m ** (5 - k)
         # per half, the coefficients of a - b over ad * bd
         diffs = [[x * bd - y * ad for x, y in zip(p, q)] for p, q in zip(an, bn)]
         gaps[k] = div(max(max(map(abs, d)) for d in diffs), ad * bd)

@@ -139,7 +139,7 @@ def cmd_assemble(args) -> int:
     jets, edges = serialize.hermite_data_from_dict(_read_json(args.data))
     gs = hermite_interpolate(tri, jets, edges)
     for edge in gs.tri.interior_edges():
-        if (gap := verify_smoothness(gs, edge, 3)["gaps"][3]) > args.tol:
+        if (gap := verify_smoothness(gs, edge, 3, samples=1)["gaps"][3]) > args.tol:
             in_range = type(gap) is float or abs(gap) <= sys.float_info.max
             text = repr(float(gap)) if in_range else short_form(gap)
             print(f"warning: the join across edge {edge} is not full order-3 "
@@ -157,6 +157,8 @@ def cmd_nodal(args) -> int:
 
 def cmd_export_obj(args) -> int:
     from .spline_fn import control_mesh
+    if args.control_mesh and args.global_spline:
+        args.usage_error("--control-mesh needs --spline: a global spline has no one control net")
     n = args.grid
     lattice = _float_lattice(n)
     faces = serialize.lattice_triangles(n)
@@ -172,7 +174,7 @@ def cmd_export_obj(args) -> int:
         verts.extend(_float_rows(s, lattice))
         cells.extend(tuple(base + i for i in tri) for tri in faces)
     control = None
-    if args.control_mesh and args.spline:
+    if args.control_mesh:
         cm = control_mesh(splines[0])
         control = ([(p.x, p.y, float(c)) for p, c in cm.points], cm.edges)
     _write(args.out, serialize.obj_surface(verts, cells, control))
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_positive_int, default=16)
     p.add_argument("--control-mesh", action="store_true")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_export_obj)
+    p.set_defaults(func=cmd_export_obj, usage_error=p.error)
     return ap
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import isfinite
+from math import inf, isfinite
 from operator import add, mul
 from typing import NamedTuple, Optional
 
@@ -277,10 +277,24 @@ def locate_face_bary(b1, b2, b3, d=1) -> Optional[int]:
     return 11 if b3 >= b2 else 12
 
 
+SNAP_TOL = 1e-9  # float barycentrics down to -SNAP_TOL are boundary roundoff
+
+
+def snap_bary(beta: tuple) -> tuple:
+    """Float barycentrics with a negative part of at most SNAP_TOL set to zero and renormalised;
+    others unchanged (outside points, and those whose clamped sum is 0 or not finite)."""
+    if not -SNAP_TOL <= min(beta) < 0:
+        return beta
+    b1, b2, b3 = (max(x, 0.0) for x in beta)
+    s = b1 + b2 + b3
+    return (b1 / s, b2 / s, b3 / s) if 0 < s < inf else beta
+
+
 def locate_face(frame: PS12Frame, p: Point2) -> Optional[int]:
-    """Face of the 12-split containing p under the half-open convention."""
+    """Face of the 12-split containing p under the half-open convention, a float point's
+    barycentrics snapped first (snap_bary), as every evaluator takes them; None outside."""
     d, beta = _bary(_frame(frame), p)
-    return locate_face_bary(*beta, d or 1)
+    return locate_face_bary(*beta, d) if d else locate_face_bary(*snap_bary(beta))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import accumulate, combinations, islice
 from math import comb, factorial, gcd, inf, isfinite, lcm
 from operator import add, mul
@@ -41,7 +41,7 @@ from operator import add, mul
 from .errors import DimensionMismatch, DomainError, InvalidDirection, OutsideDomain, TooFewKnots
 from .geometry import (EDGES, FACES, FLOAT_FACE_MATRICES, INTERIOR_LINES, PS12Frame, Point2,
                        _as_bary, _bary, _direction, _frame, face_bary, locate_face_bary,
-                       reference_frame, signed_area2)
+                       reference_frame, signed_area2, snap_bary)
 from .rational import _dyadic, common_denominator, finite_numbers, is_exact, short_form
 
 KnotMultiset = tuple  # 10 nonnegative ints
@@ -133,9 +133,17 @@ def _vertex_bary(tri: tuple) -> tuple:
 # Evaluation and differentiation
 # ---------------------------------------------------------------------------
 
+def _checked(frame, K) -> tuple:
+    """(frame, K, degree(K)): DomainError unless frame is a PS12Frame, TooFewKnots when |K| < 3."""
+    frame, K = _frame(frame), knots(K)
+    if (deg := degree(K)) < 0:
+        raise TooFewKnots(f"|K| = {deg + 3} < 3")
+    return frame, K, deg
+
+
 def eval_simplex(frame: PS12Frame, K: KnotMultiset, p: Point2):
-    """Value of Q[K] at p: derivative(frame, K, (0, 0, 0), 0)(p)."""
-    return derivative(frame, K, (0, 0, 0), 0)(p)
+    """Value of Q[K] at p: derivative(frame, K, (0, 0, 0), 0)(p), without its direction checks."""
+    return _derivative_at(*_checked(frame, K), 0, 1, (), {}, p)
 
 
 def derivative(frame: PS12Frame, K: KnotMultiset, direction, order: int = 1):
@@ -154,9 +162,7 @@ def derivative(frame: PS12Frame, K: KnotMultiset, direction, order: int = 1):
     summing to 0 and order an int in 0..degree(K); at p, DomainError unless
     a pair, OutsideDomain if not finite.
     """
-    frame, K = _frame(frame), knots(K)
-    if (deg := degree(K)) < 0:
-        raise TooFewKnots(f"|K| = {deg + 3} < 3")
+    frame, K, deg = _checked(frame, K)
     try:
         dden, delta = common_denominator([x if isinstance(x, (int, Fraction)) else Fraction(x)
                                           for x in finite_numbers(direction, "a direction")])
@@ -167,30 +173,30 @@ def derivative(frame: PS12Frame, K: KnotMultiset, direction, order: int = 1):
                                f"not {direction!r}")
     if isinstance(order, bool) or not isinstance(order, int) or not 0 <= order <= deg:
         raise InvalidDirection(f"order {order!r} is not an int in 0..{deg}")
-    tables = {}  # face -> Q[K]'s table there differenced order times along delta / dden
+    return partial(_derivative_at, frame, K, deg, order, dden, delta, {})
 
-    def fn(p):
-        d, beta = _bary(frame, p)
-        if not (exact := d is not None):  # a float point, b2 and b3 as binary rationals
-            if not isfinite(beta[0] + beta[1] + beta[2]):
-                raise OutsideDomain(f"point {tuple(p)} is not finite")
-            d, (n2, n3) = _dyadic(beta[1:])
-            beta = (d - n2 - n3, n2, n3)
-        val = Fraction(0)
-        if min(beta) >= 0:
-            fi, rden, row = functional_row(d, beta, (), deg - order)
-            den, faces = _face_ordinates(K)
-            if c := faces[fi - 1]:
-                if order and fi not in tables:  # rows of fixed first exponent, differenced
-                    _, g = face_bary(fi, delta, dden)
-                    ords = iter(c)
-                    t = [list(islice(ords, deg + 1 - i)) for i in range(deg + 1)]
-                    *_, t = _differences(t, [g[::-1]] * order, deg)
-                    tables[fi] = [x for r in t for x in r]
-                val = Fraction(sum(map(mul, row, tables.get(fi, c))), rden * den * dden ** order)
-        return val if exact else float(val)
 
-    return fn
+def _derivative_at(frame, K, deg, order, dden, delta, tables, p):
+    """derivative's value at p along delta / dden; tables, face -> Q[K]'s table differenced."""
+    d, beta = _bary(frame, p)
+    if not (exact := d is not None):  # a float point, b2 and b3 as binary rationals
+        if not isfinite(beta[0] + beta[1] + beta[2]):
+            raise OutsideDomain(f"point {tuple(p)} is not finite")
+        d, (n2, n3) = _dyadic(beta[1:])
+        beta = (d - n2 - n3, n2, n3)
+    val = Fraction(0)
+    if min(beta) >= 0:
+        fi, rden, row = functional_row(d, beta, (), deg - order)
+        den, faces = _face_ordinates(K)
+        if c := faces[fi - 1]:
+            if order and fi not in tables:  # rows of fixed first exponent, differenced
+                _, g = face_bary(fi, delta, dden)
+                ords = iter(c)
+                t = [list(islice(ords, deg + 1 - i)) for i in range(deg + 1)]
+                *_, t = _differences(t, [g[::-1]] * order, deg)
+                tables[fi] = [x for r in t for x in r]
+            val = Fraction(sum(map(mul, row, tables.get(fi, c))), rden * den * dden ** order)
+    return val if exact else float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +367,6 @@ def bernstein_row(g, deg: int = 5) -> list:
     return [m * p0[a] * p1[b] * p2[c] for m, a, b, c in _row_terms(deg)]
 
 
-SNAP_TOL = 1e-9  # float barycentrics down to -SNAP_TOL are boundary roundoff
-
-
-def snap_bary(beta: tuple) -> tuple:
-    """Float barycentrics with a negative part of at most SNAP_TOL set to zero and renormalised;
-    others unchanged (outside points, and those whose clamped sum is 0 or not finite)."""
-    if not -SNAP_TOL <= min(beta) < 0:
-        return beta
-    b1, b2, b3 = (max(x, 0.0) for x in beta)
-    s = b1 + b2 + b3
-    return (b1 / s, b2 / s, b3 / s) if 0 < s < inf else beta
-
-
 def _locate(beta, d=None) -> tuple:
     """(face, beta) by locate_face_bary on integers beta / d, d > 0, or on float beta (d None),
     taken as it is inside (b >= 0, finite), else as floats, snapped; OutsideDomain outside
@@ -456,12 +449,11 @@ def float_value(ords, beta) -> float:
 
 @dataclass(frozen=True)
 class FaceForms:
-    """A piecewise polynomial on the split: one Bernstein form per face; a
-    quintic's plain value at float barycentrics is float_value, as in eval_spline."""
+    """A quintic piecewise polynomial on the split: one Bernstein form per face; its plain
+    value at float barycentrics is float_value, as in eval_spline."""
 
     frame: PS12Frame
-    deg: int
-    ords: tuple  # 12 x tuple of ordinates
+    ords: tuple  # 12 x tuple of 21 ordinates
 
     def value_at_bary(self, beta, directions=()):
         """Value at macro-barycentrics beta after one derivative, one-sided on the point's face,
@@ -470,10 +462,10 @@ class FaceForms:
 
     def _value(self, d, beta, directions):
         """value_at_bary at beta in _bary's form; an exact row meets exact ordinates as integers."""
-        if not directions and self.deg == 5 and d is None:
+        if not directions and d is None:
             return float_value(self.ords, beta)
         deltas = [_direction(self.frame, u) for u in directions]
-        fi, den, row = functional_row(d, beta, deltas, self.deg)
+        fi, den, row = functional_row(d, beta, deltas)
         if is_exact(row) and (ints := self._int_ords[fi - 1]):
             return Fraction(sum(map(mul, ints[1], row)), den * ints[0])
         if den != 1:  # float ordinates at an exact point take the row entries rounded

@@ -29,13 +29,13 @@ if TYPE_CHECKING:  # annotations only: eval_many imports numpy when it runs
 
 from .errors import (BoundViolated, DimensionMismatch, DomainError, OutsideDomain,
                      PS12Error, UnsupportedBasis)
-from .geometry import (FLOAT_FACE_MATRICES, PS12Frame, Point2, S3_ELEMENTS, _as_bary, _bary,
-                       _frame, face_bary, from_bary, s3_apply_bary)
+from .geometry import (FLOAT_FACE_MATRICES, PS12Frame, Point2, S3_ELEMENTS, SNAP_TOL, _as_bary,
+                       _bary, _frame, face_bary, from_bary, s3_apply_bary)
 from .linalg import _integer_solve, identity, inf_norm, sparse_integer_matrix, sparse_mat_vec
 from .marsden_catalog import BASIS_IDS, catalog
 from .rational import common_denominator, finite_numbers, is_exact
-from .simplex_spline import (SNAP_TOL, FaceForms, _face_ordinates, _locate, float_value,
-                             functional_row, quintic_form)
+from .simplex_spline import (FaceForms, _face_ordinates, _locate, float_value, functional_row,
+                             quintic_form)
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class Spline:
         spline: the 166 distinct rows of _nonzero_entries contracted, laid out face by face."""
         _, rows, maps = _nonzero_entries(self.basis)
         values = self._contract(rows, False)
-        return FaceForms(self.frame, 5, tuple(m(values) for m in maps))
+        return FaceForms(self.frame, tuple(m(values) for m in maps))
 
     def _contract(self, rows, exact: bool) -> list:
         """_packed rows times the coefficients: exact, integers over Q L; float, each row's sum,
@@ -231,13 +231,14 @@ def eval_many(s: Spline, barys) -> np.ndarray:
 
 
 def face_forms(s: Spline) -> FaceForms:
-    """The spline as one quintic Bernstein form per face, the scaled tables
-    contracted with the coefficients: Fractions of the integer ordinates when
-    the coefficients and the frame are exact, else the float ordinates."""
+    """The spline as one quintic Bernstein form per face, the scaled tables contracted with
+    the coefficients: Fractions of the integer ordinates, whose (D, ords) per face go over as
+    FaceForms._int_ords, when the coefficients and the frame are exact, else the float ones."""
     if not s.exact:
         return s._float_forms
-    faces = map(s._exact_ordinates, range(1, 13))
-    return FaceForms(s.frame, 5, tuple(tuple(Fraction(o, d) for o in ords) for d, ords in faces))
+    faces = tuple(map(s._exact_ordinates, range(1, 13)))
+    return _unchecked(FaceForms, frame=s.frame, _int_ords=faces,
+                      ords=tuple(tuple(Fraction(o, d) for o in ords) for d, ords in faces))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,7 @@ def lagrange_interpolate(basis_id: str, frame: PS12Frame, values) -> Spline:
 
 
 def _unchecked(cls, **fields):
-    """A Spline or GlobalSpline of checked fields, no __post_init__; coeffs made on first read."""
+    """A Spline, GlobalSpline or FaceForms of checked fields, no __post_init__; coeffs made lazily."""
     vars(obj := object.__new__(cls)).update(fields)
     return obj
 

@@ -94,10 +94,10 @@ def basis_values(basis_id: str, beta) -> tuple:
 def value_at_bary(forms, beta, directions=()):
     """FaceForms' value at beta after one derivative along each Cartesian
     vector in directions."""
-    if not directions and forms.deg == 5 and not is_exact(beta):
+    if not directions and not is_exact(beta):
         return float_value(forms.ords, beta)
     deltas = [direction_coords(forms.frame, u) for u in directions]
-    fi, den, row = functional_row(beta, deltas, forms.deg)
+    fi, den, row = functional_row(beta, deltas)
     ords = forms.ords[fi - 1]
     if den != 1 and not is_exact(ords):
         row, den = [r / den for r in row], 1

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from functools import cached_property, reduce
+from math import lcm
 from operator import add
 
 import pytest
@@ -1084,8 +1085,9 @@ def test_gaps_bound_the_sampled_jumps(mesh, slot, bump, order, samples):
 
 def _fraction_cross_edge_coefficients(s, la, lb, order):
     """_cross_edge_coefficients by Fractions: direction_coords of u as Fractions over their
-    lcm (face_bary), float ordinates through Fraction and common_denominator, and the half
-    that holds the midpoint located at every call."""
+    lcm (face_bary), float ordinates through Fraction and common_denominator, each order's
+    halves put over the lcm of their dens, and the half that holds the midpoint located at
+    every call."""
     _, halves = assembly._half_edges(la, lb)
     a, b = s.frame.corners[la - 1], s.frame.corners[lb - 1]
     delta = tuple(map(F, direction_coords(s.frame, Point2(-(b.y - a.y), b.x - a.x))))
@@ -1098,6 +1100,9 @@ def _fraction_cross_edge_coefficients(s, la, lb, order):
         for k in range(order + 1):
             weights = [((i, j, l), w * g0 ** i * g1 ** j * g2 ** l) for w, i, j, l in _row_terms(k)]
             out[k].append((cross_derivative(ords, near, weights, k), den * dden ** k))
+    for k, ((n0, d0), (n1, d1)) in enumerate(out):
+        D = lcm(d0, d1)
+        out[k] = D, ([x * (D // d0) for x in n0], [x * (D // d1) for x in n1])
     m = next(m for x, m, y in EDGES.values() if {x, y} == {la, lb})
     return out, [fi for fi, _, _ in halves].index(locate_face_bary(*VERTEX_BARY[m - 1]))
 
@@ -1147,6 +1152,26 @@ def test_join_check_on_both_orientations_matches_the_fraction_route(mesh, order,
     assert dumps(global_spline_to_dict(gs)) == dumps(global_spline_to_dict(again))
     assert values == [eval_spline(again.spline(t), from_bary(tri.frame(t), centre))
                       for t in range(len(tri.triangles))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(mesh=_oriented_grid(), slot=st.integers(0, 38), bump=_small_rational.filter(bool),
+       order=st.integers(0, 5), samples=st.integers(1, 25))
+def test_gaps_are_the_same_for_every_sample_count(mesh, slot, bump, order, samples):
+    """The gaps are read off the coefficients alone: on clockwise and counterclockwise frames,
+    exact and float, with one coefficient of the last triangle bumped, every samples in 1..25
+    gives the Fractions and the float bits of samples=1, which ps12 assemble passes."""
+    tri, jets, edges, kind = mesh
+    gs = hermite_interpolate(tri, jets, edges)
+    coeffs = [list(cs) for cs in gs.coeffs]
+    coeffs[-1][slot] += bump if kind == "exact" else float(bump)
+
+    def gaps(g, n):
+        return [{k: (type(x), x.hex() if type(x) is float else x)
+                 for k, x in verify_smoothness(g, e, order, n)["gaps"].items()}
+                for e in tri.interior_edges()]
+    for g in (gs, GlobalSpline(tri, tuple(map(tuple, coeffs)))):
+        assert gaps(g, samples) == gaps(g, 1)
 
 
 def _report_bits(report):

@@ -161,6 +161,18 @@ def test_export_obj_global_counts(tmp_path):
     assert len(verts) == 6 * (n + 1) * (n + 2) // 2
 
 
+def test_export_obj_control_mesh_needs_a_single_spline(tmp_path):
+    """--control-mesh with --global is a usage error, not a flag dropped without a word: the
+    control net belongs to one spline."""
+    from ps12splines.assembly import hexagon_demo
+    path = tmp_path / "g.json"
+    path.write_text(dumps(global_spline_to_dict(hexagon_demo())))
+    r = run_cli(["export-obj", "--global", str(path), "--grid", "2", "--control-mesh"], expect=2)
+    assert r.stderr.startswith("usage: ps12 export-obj") and not r.stdout
+    assert "ps12 export-obj: error: --control-mesh needs --spline" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_spline_json_round_trip(ref):
     from ps12splines.spline_fn import Spline
     s = Spline(ref, "c", tuple(F(i, 7) for i in range(39)))

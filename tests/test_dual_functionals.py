@@ -90,7 +90,7 @@ def test_cartesian_view_maps_back_to_the_frame_free_table(corners):
         assert [direction_coords(frame, u) for u in lam.directions] == \
             [bary_direction(n) for n in f.directions]
     for K in catalog("c").multisets:
-        forms = FaceForms(frame, 5, per_face_bernstein(frame, K))
+        forms = FaceForms(frame, per_face_bernstein(frame, K))
         assert tuple(apply(lam, forms) for lam in lams) == lambda_vector(K)
 
 

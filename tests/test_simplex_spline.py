@@ -529,7 +529,7 @@ def test_per_face_bernstein_examples(ref):
     # oracle: recursive evaluation at interior points of every face
     rng = random.Random(10)
     for lab in ("220211", "141110"):
-        ff = FaceForms(ref, 5, per_face_bernstein(ref, knots(lab)))
+        ff = FaceForms(ref, per_face_bernstein(ref, knots(lab)))
         for p in rational_points(6, seed=11):
             assert ff.value_at_bary(to_bary(ref, p)) == eval_simplex(ref, knots(lab), p)
 
@@ -555,7 +555,7 @@ def test_per_face_tables_match_pointwise_recursion(k, fi, weights, order, direct
     # Cartesian u on the reference frame has directional coordinates d
     u = Point2(*direction)
     d = (-u.x - u.y, u.x, u.y)
-    ff = FaceForms(ref, 5, per_face_bernstein(ref, K))
+    ff = FaceForms(ref, per_face_bernstein(ref, K))
     assert ff.value_at_bary(to_bary(ref, p), (u,) * order) == derivative(ref, K, d, order)(p)
 
 
@@ -583,7 +583,7 @@ def test_per_face_bernstein_rejects_non_quintic(ref):
 
 
 def test_face_forms_outside_raises(ref):
-    ff = FaceForms(ref, 5, per_face_bernstein(ref, knots("600101")))
+    ff = FaceForms(ref, per_face_bernstein(ref, knots("600101")))
     with pytest.raises(OutsideDomain):
         ff.value_at_bary((F(-1, 10), F(1, 2), F(3, 5)))
 

@@ -162,7 +162,7 @@ def test_float_eval_spline_and_eval_many_agree_bitwise_at_random_points(basis, s
     scalar twin face_forms(s).value_at_bary and eval_many at the drawn
     barycentrics themselves, ties and snapped roundoff included."""
     import numpy as np
-    from ps12splines.simplex_spline import SNAP_TOL
+    from ps12splines.geometry import SNAP_TOL
     from ps12splines.spline_fn import eval_many
     rng = random.Random(seed)
     corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
@@ -250,7 +250,7 @@ def test_float_eval_spline_reads_every_input_kind(frame_at, exact_frame, clockwi
     (OutsideDomain) and non-pairs (DomainError).  to_bary's barycentrics are
     those of the exact point within 1e-9, and a point is outside exactly
     when they are not finite or one is below -SNAP_TOL."""
-    from ps12splines.simplex_spline import SNAP_TOL
+    from ps12splines.geometry import SNAP_TOL
     corners = frame_at[::-1] if clockwise else frame_at
     if exact_frame:
         corners = [(F(x).limit_denominator(97), F(y).limit_denominator(97)) for x, y in corners]
@@ -305,7 +305,7 @@ def test_vectorised_face_cascade_matches_locate_face_bary(barys):
     included (the lattice of 12 puts points on every split line)."""
     import numpy as np
     from ps12splines.serialize import barycentric_lattice
-    from ps12splines.simplex_spline import snap_bary
+    from ps12splines.geometry import snap_bary
     from ps12splines.spline_fn import _locate_faces
     barys = [snap_bary(b) for b in barys] + [tuple(map(float, b)) for b in barycentric_lattice(12)]
     assert _locate_faces(*np.array(barys).T).tolist() == [locate_face_bary(*b) for b in barys]
