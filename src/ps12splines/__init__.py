@@ -27,7 +27,7 @@ _EXPORTS = {
         "smoothness_order",
     ),
     "dual_functionals": (
-        "Functional", "apply", "build_lambda", "collocation", "dim_global", "dim_split_space",
+        "Functional", "apply", "build_lambda", "dim_global", "dim_split_space",
     ),
     "basis_search": (
         "CandidateBasis", "S3Class", "SearchReport", "compute_dual_polys", "compute_weights",
@@ -35,8 +35,7 @@ _EXPORTS = {
         "split_linear_factors",
     ),
     "marsden_catalog": (
-        "BASIS_IDS", "BasisSpec", "bernstein_expansion", "catalog", "marsden_eval",
-        "quasi_interpolant_coeffs",
+        "BASIS_IDS", "BasisSpec", "catalog", "marsden_eval", "quasi_interpolant_coeffs",
     ),
     "spline_fn": (
         "ControlMesh", "Spline", "basis_values", "collocation_at_domain_points",
@@ -44,9 +43,9 @@ _EXPORTS = {
         "lagrange_interpolate",
     ),
     "assembly": (
-        "GlobalSpline", "NodalBasis", "SmoothnessSystem", "Triangulation",
-        "edge_restriction_tables", "hermite_interpolate", "hexagon_demo", "nodal_basis",
-        "propagate", "smoothness_system", "triangulation", "verify_smoothness",
+        "GlobalSpline", "SmoothnessSystem", "Triangulation", "edge_restriction_tables",
+        "hermite_interpolate", "hexagon_demo", "propagate", "smoothness_system",
+        "triangulation", "verify_smoothness",
     ),
 }
 

@@ -249,6 +249,7 @@ def propagate(coeffs, beta, order: int = 3):
     return out, feasible
 
 
+# No caller in src/: tests/test_acceptance.py calls it.
 def c3_residual(coeffs, beta):
     """Value of the single-triangle order-3 compatibility relation."""
     coeffs = finite_numbers(coeffs, "the coefficients")
@@ -264,14 +265,23 @@ def c3_residual(coeffs, beta):
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Vertices and triangles (vertex index triples, 0-based), each triangle's frame made once."""
+    """Vertices (Point2s) and triangles (vertex index triples, 0-based) that meet edge to edge,
+    each triangle's frame made once.  DomainError for a vertex that is not a pair."""
 
     vertices: tuple
     triangles: tuple
     _frames: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, frames = len(self.vertices), []
+        try:
+            object.__setattr__(self, "vertices", tuple(Point2(*v) for v in self.vertices))
+        except TypeError:
+            raise DomainError("a vertex is a pair of numbers") from None
+        try:
+            object.__setattr__(self, "triangles", tuple(map(tuple, self.triangles)))
+        except TypeError:
+            raise NonConformingMesh("the triangles are a sequence of vertex index triples") from None
+        n, frames, runs = len(self.vertices), [], {}
         for t, tri in enumerate(self.triangles):
             if not all(isinstance(i, Integral) and not isinstance(i, bool) and 0 <= i < n
                        for i in tri):  # before set(tri), which would hash a list
@@ -283,10 +293,12 @@ class Triangulation:
                 frames.append(make_frame(*(self.vertices[i] for i in tri)))
             except DegenerateTriangle as exc:
                 raise DegenerateTriangle(f"triangle {t}: {exc}") from None
+            # counterclockwise, two triangles that run an edge the same way overlap along it
+            ccw = tri if frames[-1].area2 > 0 else tri[::-1]
+            for a, b in zip(ccw, ccw[1:] + ccw[:1]):
+                if (s := runs.setdefault((a, b), t)) != t:
+                    raise NonConformingMesh(f"triangles {s} and {t} overlap along edge {a, b}")
         object.__setattr__(self, "_frames", tuple(frames))
-        for edge, tris in self._adjacency.items():
-            if len(tris) > 2:
-                raise NonConformingMesh(f"edge {edge} shared by {len(tris)} triangles")
 
     def edges(self) -> tuple:
         return tuple(sorted(self._adjacency))
@@ -302,10 +314,6 @@ class Triangulation:
                 adj.setdefault(tuple(sorted((a, b))), []).append(t)
         return {e: tuple(ts) for e, ts in adj.items()}
 
-    def edge_adjacency(self) -> dict:
-        """Sorted vertex pair -> tuple of its triangles (a copy of _adjacency)."""
-        return dict(self._adjacency)
-
     def frame(self, t: int) -> PS12Frame:
         """Triangle t's frame; DomainError unless t is a triangle index."""
         if isinstance(t, bool) or not isinstance(t, Integral) or not 0 <= t < len(self._frames):
@@ -313,17 +321,7 @@ class Triangulation:
         return self._frames[t]
 
 
-def triangulation(vertices, triangles) -> Triangulation:
-    """Raises DomainError for a vertex that is not a pair, as make_frame does,
-    and NonConformingMesh unless triangles is a sequence of index triples."""
-    try:
-        points = tuple(Point2(*v) for v in vertices)
-    except TypeError:
-        raise DomainError("a vertex is a pair of numbers") from None
-    try:
-        return Triangulation(points, tuple(tuple(t) for t in triangles))
-    except TypeError:   # not a sequence of sequences of hashable indices
-        raise NonConformingMesh("the triangles are a sequence of vertex index triples") from None
+triangulation = Triangulation  # the call that serialize, hexagon_demo and perfbench make
 
 
 @dataclass(frozen=True)
@@ -493,23 +491,6 @@ def _nodal_float() -> tuple:
     """Per basis-c element: float weight, nodal_q_coefficients() column, as floats."""
     return tuple((float(el.weight), col, tuple(map(float, col)))
                  for el, col in zip(catalog("c").elements, zip(*nodal_q_coefficients())))
-
-
-@dataclass(frozen=True)
-class NodalBasis:
-    """The 39 splines dual to the canonical functionals, over one frame."""
-
-    frame: PS12Frame
-    splines: tuple
-
-
-def nodal_basis(frame: PS12Frame) -> NodalBasis:
-    """Nodal basis functions as basis-c splines on a frame; the coefficients
-    of nodal function i are column i of _nodal_integer()."""
-    d, rows = _nodal_integer()
-    rows = list(map(dict, rows))
-    return NodalBasis(frame, tuple(Spline(frame, "c", tuple(Fraction(r.get(i, 0), d) for r in rows))
-                                   for i in range(len(rows))))
 
 
 # ---------------------------------------------------------------------------

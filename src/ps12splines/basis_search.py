@@ -363,6 +363,7 @@ def _whole_classes(cand) -> tuple:
     return multisets, _orbit_labels(multisets)
 
 
+# The search runs _trie_class_weights itself; perfbench/tracer.py wraps this name and the next.
 def candidate_has_full_rank(cand) -> bool:
     """Whether the candidate's 39 lambda rows are independent, decided on
     its S3 isotypic blocks; input as for ``_whole_classes``."""

@@ -1,4 +1,4 @@
-"""The 39 dual functionals, collocation matrices, and dimension counts.
+"""The 39 dual functionals, their lambda-rows, and dimension counts.
 
 The functional set consists of, for each corner v, the ten derivative jets
 eps_v D_x^i D_y^j with i + j <= 3, and for each macro edge the second cross
@@ -32,8 +32,7 @@ from operator import mul
 from .errors import DomainError
 from .geometry import (EDGES, VERTEX_BARY, Bary3, PS12Frame, Point2, _as_bary, _bary, _frame,
                        bary_image)
-from .linalg import rank as matrix_rank
-from .simplex_spline import FaceForms, _quintic_ordinates, functional_row, knots
+from .simplex_spline import FaceForms, _quintic_ordinates, functional_row
 
 #: Vertex jet orders in canonical sequence.
 JET_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
@@ -98,6 +97,7 @@ def _table() -> tuple:
 FUNCTIONALS = _table()
 
 
+# tests/test_acceptance.py calls this (and apply): the Hermite nodal criterion.
 def build_lambda(frame: PS12Frame) -> list:
     """The 39 functionals on a frame, in canonical order: FUNCTIONALS with
     points and directions mapped onto the frame's corners."""
@@ -138,25 +138,6 @@ def _reference_rows() -> tuple:
                  for f in FUNCTIONALS)
 
 
-@dataclass(frozen=True)
-class CollocationMatrix:
-    """Exact matrix entries[i][j] = lambda_j(Q_i) for a candidate list."""
-
-    entries: tuple
-    rank: int
-
-
-def collocation(frame: PS12Frame, candidates) -> CollocationMatrix:
-    """Collocation matrix of candidate splines against the canonical
-    functionals, with its exact rank (fraction-free elimination).  The
-    matrix is the same on every exact frame, the functionals and the
-    normalised simplex splines being affine invariant."""
-    if _frame(frame)._int_corners is None:
-        raise DomainError("the collocation matrix is exact: it needs an exact frame")
-    rows = [list(lambda_vector(knots(K))) for K in candidates]
-    return CollocationMatrix(tuple(tuple(r) for r in rows), matrix_rank(rows))
-
-
 # ---------------------------------------------------------------------------
 # Dimension formulas
 # ---------------------------------------------------------------------------
@@ -173,6 +154,7 @@ def dim_split_space(r: int, d: int) -> int:
     return int(total)
 
 
+# No caller in src/ yet: kept for a certified check that Hermite assembly spans this space.
 def dim_global(n_vertices: int, n_edges: int) -> int:
     """Dimension of the globally C^2, vertex/macro-C^3 quintic space on the
     12-split refinement of a triangulation: 10|V| + 3|E|."""

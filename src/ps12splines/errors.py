@@ -47,7 +47,8 @@ class DimensionMismatch(PS12Error, ValueError):
 
 
 class NonConformingMesh(PS12Error, ValueError):
-    """Triangulation edges do not match across triangles."""
+    """Triangles that do not meet edge to edge: a bad index triple, or two triangles on
+    one side of a shared edge (so also three triangles on one edge)."""
 
 
 class UnknownTable(PS12Error, KeyError):

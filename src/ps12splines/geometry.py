@@ -129,10 +129,7 @@ class PS12Frame:
         n1, n2 = s * (x * (b.y - c.y) - y * (b.x - c.x)), s * (y * (a.x - c.x) - x * (a.y - c.y))
         return s * f * a2, (n1, n2, -n1 - n2)
 
-    def vertex(self, i: int) -> Point2:
-        """Vertex by 1-based index."""
-        return self.v[i - 1]
-
+    # No caller in src/: tests/test_acceptance.py calls it.
     def face_corners(self, fi: int) -> tuple:
         """Corner points of face fi (1-based)."""
         i, j, k = FACES[fi - 1]
@@ -290,6 +287,7 @@ def snap_bary(beta: tuple) -> tuple:
     return (b1 / s, b2 / s, b3 / s) if 0 < s < inf else beta
 
 
+# No caller in src/: tests/test_acceptance.py calls it.
 def locate_face(frame: PS12Frame, p: Point2) -> Optional[int]:
     """Face of the 12-split containing p under the half-open convention, a float point's
     barycentrics snapped first (snap_bary), as every evaluator takes them; None outside."""

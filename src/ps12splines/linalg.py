@@ -1,14 +1,14 @@
 """Exact dense linear algebra over the rationals.
 
 This is the package's only exact elimination; ``basis_search``,
-``assembly``, ``dual_functionals`` and ``spline_fn`` call it.
+``assembly`` and ``spline_fn`` call it.
 
 Matrices are lists of lists of ``int`` or ``Fraction``.  Every routine scales
 each row to integers by the lcm of its denominators and builds one
 fraction-free (Bareiss 1968) echelon a row at a time (:func:`append_row`,
 which the candidate trie in ``basis_search`` also walks with); all its
-divisions are exact, so no gcd is taken.  :func:`rank` reads the number of
-pivots and :func:`pivot_columns` their columns; :func:`_integer_solve`
+divisions are exact, so no gcd is taken.  :func:`pivot_columns` reads the
+pivots' columns, as many as the rank; :func:`_integer_solve`
 back-substitutes in integers and returns the integer solution with the final
 pivot d (the determinant up to sign), which :func:`solve` divides once per
 entry.  Callers that contract the solution further in integers (the Lagrange
@@ -113,6 +113,7 @@ def _eliminate(rows: list, width: int, strict: bool) -> list:
     return echelon
 
 
+# No caller in src/: perfbench/tracer.py wraps basis_search's import of this name.
 def bareiss(rows: list) -> tuple[int, int]:
     """Fraction-free elimination on an integer matrix.
 
@@ -172,12 +173,6 @@ def solve(A: Matrix, B: Matrix) -> Matrix:
 
 def inverse(A: Matrix) -> Matrix:
     return solve(A, identity(len(A)))
-
-
-def rank(A: Matrix) -> int:
-    if not A:
-        return 0
-    return bareiss(_integer_rows(A)[0])[0]
 
 
 def pivot_columns(A: Matrix) -> tuple:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from .errors import DimensionMismatch, DomainError, UnknownBasis
+from .errors import DimensionMismatch, UnknownBasis
 from .geometry import (PS12Frame, Point2, S3_ELEMENTS, VERTEX_BARY, _bary, _frame, from_bary,
                        reference_frame, s3_apply_multiset, s3_vertex_permutation)
 from .simplex_spline import knots
@@ -138,13 +138,6 @@ class BasisSpec:
     id: str
     elements: tuple
 
-    def index_of(self, K) -> int:
-        K = knots(K)
-        for i, el in enumerate(self.elements):
-            if el.multiset == K:
-                return i
-        raise DomainError(f"multiset {K} not in basis {self.id}")
-
     @property
     def multisets(self) -> tuple:
         return tuple(el.multiset for el in self.elements)
@@ -222,17 +215,6 @@ def marsden_eval(spec: BasisSpec, x: Point2, c, frame: PS12Frame = None):
     return lhs, rhs
 
 
-def bernstein_expansion(spec: BasisSpec, i1: int, i2: int, i3: int) -> tuple:
-    """Coefficients a_i with sum_i a_i Q_i equal to the Bernstein polynomial
-    (5! / (i1! i2! i3!)) b1^i1 b2^i2 b3^i3; DomainError unless the exponents
-    are nonnegative ints summing to 5."""
-    exps = (i1, i2, i3)
-    if not all(isinstance(i, int) and not isinstance(i, bool) and i >= 0 for i in exps) \
-            or sum(exps) != 5:
-        raise DomainError(f"exponents must be nonnegative ints summing to 5: {exps}")
-    return tuple(el.dual_product().get(exps, Fraction(0)) for el in spec.elements)
-
-
 #: Coefficients k^5/5! (-1)^(k-1) of the size-k subset sums in the
 #: quasi-interpolation functional.
 _QI_COEF = tuple(Fraction(k**5 * (-1) ** (k - 1), factorial(5)) for k in range(1, 6))
@@ -258,6 +240,7 @@ def quasi_interpolant_coeffs(spec: BasisSpec, f, frame: PS12Frame = None) -> lis
     return out
 
 
+# No caller in src/ yet: kept for the quasi-interpolant's error bound on a triangulation.
 def quasi_interpolant_bound() -> Fraction:
     """Absolute coefficient sum of each L_i: the operator norm bound 275/3."""
     from math import comb

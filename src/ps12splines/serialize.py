@@ -57,6 +57,7 @@ def dumps(obj) -> str:
 # Splines
 # ---------------------------------------------------------------------------
 
+# No caller in src/: perfbench/tracer.py wraps this name.
 def spline_to_dict(s) -> dict:
     return {
         "frame": [encode_point(p) for p in s.frame.corners],

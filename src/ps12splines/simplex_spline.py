@@ -141,6 +141,7 @@ def _checked(frame, K) -> tuple:
     return frame, K, deg
 
 
+# No caller in src/: tests/test_acceptance.py calls it.
 def eval_simplex(frame: PS12Frame, K: KnotMultiset, p: Point2):
     """Value of Q[K] at p: derivative(frame, K, (0, 0, 0), 0)(p), without its direction checks."""
     return _derivative_at(*_checked(frame, K), 0, 1, (), {}, p)
@@ -345,6 +346,7 @@ def _quintic_ordinates(K) -> tuple:
     return _face_ordinates(K)
 
 
+# No caller in src/: tests/test_acceptance.py and perfbench's search set-up call it.
 def per_face_bernstein(frame: PS12Frame, K: KnotMultiset) -> tuple:
     """Exact quintic Bernstein ordinates of Q[K] on each of the 12 faces.
 

@@ -53,9 +53,6 @@ class Spline:
         if len(finite_numbers(self.coeffs, "the coefficients")) != 39:
             raise DimensionMismatch(f"need 39 coefficients, got {len(self.coeffs)}")
 
-    def __call__(self, p):
-        return eval_spline(self, p)
-
     def __getattr__(self, name: str):  # coeffs of an _unchecked spline
         if name != "coeffs" or "_int_coeffs" not in vars(self):
             raise AttributeError(name)
@@ -230,6 +227,7 @@ def eval_many(s: Spline, barys) -> np.ndarray:
     return quintic_form(np.array(s._float_forms.ords)[face].T, *g.T)
 
 
+# No caller in src/: tests/test_acceptance.py calls it.
 def face_forms(s: Spline) -> FaceForms:
     """The spline as one quintic Bernstein form per face, the scaled tables contracted with
     the coefficients: Fractions of the integer ordinates, whose (D, ords) per face go over as

@@ -25,7 +25,6 @@ from ps12splines.assembly import (
     edge_restriction_tables,
     hermite_interpolate,
     hexagon_demo,
-    nodal_basis,
     nodal_q_coefficients,
     propagate,
     smoothness_system,
@@ -43,7 +42,8 @@ from ps12splines.marsden_catalog import catalog
 from ps12splines.rational import common_denominator, is_exact
 from ps12splines.serialize import dumps, global_spline_to_dict
 from ps12splines.simplex_spline import _row_terms, functional_row, knots
-from ps12splines.spline_fn import eval_spline, face_forms, lagrange_interpolate, scaled_basis_tables
+from ps12splines.spline_fn import (Spline, eval_spline, face_forms, lagrange_interpolate,
+                                   scaled_basis_tables)
 
 a1, a2, a3 = (TriPoly.variable(i) for i in range(3))
 b1, b2, b3 = (TriPoly.variable(i) for i in range(3))
@@ -467,7 +467,7 @@ def test_float_verify_smoothness_passes_against_its_default_tolerance():
         assert verify_smoothness(gs, e, 2, samples=5)["max"] == 0
         assert verify_smoothness(fgs, e, 2, samples=5)["pass"], e
     edge = tri.interior_edges()[0]
-    t = float_tri.edge_adjacency()[edge][0]
+    t = float_tri._adjacency[edge][0]
     float_coeffs[t] = (float_coeffs[t][0] + 1e-6,) + float_coeffs[t][1:]
     report = verify_smoothness(GlobalSpline(float_tri, tuple(float_coeffs)), edge, 2, samples=5)
     assert not report["pass"] and report["max"] > 1e-10
@@ -518,10 +518,9 @@ def test_nodal_duality_and_geometry_independence(ref):
             assert v == (1 if i == j else 0)
     # geometry independence: functionals applied on a different frame
     frame = make_frame(Point2(F(-2), F(1)), Point2(F(3), F(0)), Point2(F(1), F(4)))
-    nb = nodal_basis(frame)
     lams = build_lambda(frame)
     for i in (0, 7, 31):
-        ff = face_forms(nb.splines[i])
+        ff = face_forms(Spline(frame, "c", tuple(n / w for n, w in zip(rows[i], spec.weights))))
         for j in (0, 7, 13, 31, 38):
             assert apply(lams[j], ff) == (1 if i == j else 0)
 
@@ -550,9 +549,25 @@ def test_triangulation_validation():
     for bad in ((0, 1, 1), (0, 1, 2, 2), (0, 1, -1), (0, 1, 3), (0, 1, 2.0)):
         with pytest.raises(NonConformingMesh):
             triangulation(verts, [bad])
-    tri = triangulation([(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))],
-                        [(0, 1, 2), (1, 3, 2)])
+    square = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))]
+    tri = triangulation(square, [(0, 1, 2), (1, 3, 2)])
     assert tri.interior_edges() == ((1, 2),)
+    # either vertex order of either triangle: the shared edge has one triangle on each side
+    for tris in ([(0, 1, 2), (1, 2, 3)], [(0, 2, 1), (1, 3, 2)], [(2, 1, 0), (3, 2, 1)]):
+        assert triangulation(square, tris).interior_edges() == ((1, 2),)
+
+
+def test_triangulation_built_directly_is_normalized():
+    """Triangulation itself turns vertices into Point2s and triangles into tuples, so a
+    directly built one assembles as triangulation's does."""
+    verts, tris = ((0, 0), (1, 0), (0, 1), (1, 1)), [[0, 1, 2], (1, 3, 2)]
+    tri = Triangulation(verts, tris)
+    assert tri == triangulation(verts, tris)
+    assert all(type(v) is Point2 for v in tri.vertices) and tri.triangles == ((0, 1, 2), (1, 3, 2))
+    jets = {v: (F(v),) * 10 for v in range(4)}
+    edges = {e: (F(1), F(2), F(3)) for e in tri.edges()}
+    assert hermite_interpolate(tri, jets, edges) == hermite_interpolate(
+        triangulation(verts, tris), jets, edges)
 
 
 def test_hermite_zero_data_gives_zero():
@@ -791,7 +806,7 @@ def _oracle_jumps(gs, edge, order, samples, ords):
     """The sampled jumps of verify_smoothness; ords caches Fraction face
     ordinates by (coefficients, face)."""
     edge = tuple(sorted(edge))
-    adj = gs.tri.edge_adjacency()[edge]
+    adj = gs.tri._adjacency[edge]
     va, vb = (gs.tri.vertices[i] for i in edge)
     u = Point2(-(vb.y - va.y), vb.x - va.x)
 
@@ -999,8 +1014,8 @@ def test_verify_smoothness_needs_int_order_and_samples(order, samples):
 
 def test_edge_adjacency_is_built_once(monkeypatch):
     """A triangulation builds its edge -> triangles map once, with tuples as
-    values: its own checks, edges, interior_edges, edge_adjacency (a copy)
-    and every verify_smoothness read that one map."""
+    values: its own checks, edges, interior_edges and every verify_smoothness
+    read that one map."""
     builds, build = [], Triangulation._adjacency.func
     counted = cached_property(lambda self: builds.append(self) or build(self))
     counted.__set_name__(Triangulation, "_adjacency")
@@ -1012,11 +1027,9 @@ def test_edge_adjacency_is_built_once(monkeypatch):
                              {e: (F(1), F(2), F(3)) for e in tri.edges()})
     for e in tri.interior_edges():
         verify_smoothness(gs, e, 1, samples=2)
-    adj = tri.edge_adjacency()
+    adj = tri._adjacency
     assert tri.edges() == tuple(sorted(adj)) and len(adj) == 16
     assert all(type(ts) is tuple for ts in adj.values())
-    adj.clear()
-    assert len(tri.edge_adjacency()) == 16
     assert len(builds) == 1
 
 

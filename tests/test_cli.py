@@ -253,6 +253,20 @@ def test_assemble_vertex_index_out_of_range(tmp_path):
     assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
 
+def test_assemble_rejects_a_folded_mesh(tmp_path):
+    """Two triangles on one side of their shared edge overlap: exit 1, no traceback."""
+    mesh, data = tmp_path / "mesh.json", tmp_path / "data.json"
+    mesh.write_text(json.dumps({"vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"],
+                                             ["1/2", "1/2"]],
+                                "triangles": [[0, 1, 2], [0, 1, 3]]}))
+    data.write_text(json.dumps({"vertex_jets": {str(v): ["0/1"] * 10 for v in range(4)},
+                                "edge_data": {e: ["0/1"] * 3
+                                              for e in ("0-1", "0-2", "1-2", "0-3", "1-3")}}))
+    r = run_cli(["assemble", "--mesh", str(mesh), "--data", str(data)], expect=1)
+    assert r.stderr.startswith("error: ") and "overlap along edge (0, 1)" in r.stderr
+    assert not r.stdout
+
+
 def test_search_prefix_stage_deterministic():
     r1 = run_cli(["search", "--stage", "candidates"])
     r2 = run_cli(["search", "--stage", "candidates"])
@@ -464,7 +478,7 @@ def _normal_form_coeffs(gs, t, edge):
     spec = catalog(gs.basis)
     out = [None] * len(spec.elements)
     for el, c in zip(spec.elements, gs.coeffs[t]):
-        out[spec.index_of(s3_apply_multiset(sigma, el.multiset))] = c
+        out[spec.multisets.index(s3_apply_multiset(sigma, el.multiset))] = c
     return tuple(out)
 
 

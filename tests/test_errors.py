@@ -54,6 +54,7 @@ BAD_CALLS = {
     "restrict_to_edge None": lambda: knot_oracles.restrict_to_edge(
         geometry.reference_frame(), K, None),
     "smoothness_order vertices outside 1..10": lambda: simplex_spline.smoothness_order(K, (11, 12)),
+    "smoothness_order float line": lambda: simplex_spline.smoothness_order(K, 5.0),
     "bspline degree": lambda: bspline1d.UnivariateBSplineRef(6, 1),
     "bspline index": lambda: bspline1d.UnivariateBSplineRef(5, 9),
     "expand_window total": lambda: knot_oracles.expand_window(5, 1, 1, 1),
@@ -64,11 +65,6 @@ BAD_CALLS = {
     "bspline str degree": lambda: bspline1d.UnivariateBSplineRef("5", 1),
     "bspline_derivative negative order": lambda: knot_oracles.bspline_derivative(
         bspline1d.UnivariateBSplineRef(5, 3), 0, -1),
-    "bernstein_expansion": lambda: marsden_catalog.bernstein_expansion(
-        marsden_catalog.catalog("c"), 1, 1, 1),
-    "bernstein_expansion float exponents": lambda: marsden_catalog.bernstein_expansion(
-        marsden_catalog.catalog("c"), 2.5, 2.5, 0),
-    "index_of multiset not in the basis": lambda: marsden_catalog.catalog("c").index_of("800000"),
     "barycentric_lattice": lambda: serialize.barycentric_lattice(0),
     "s3_vertex_permutation": lambda: geometry.s3_vertex_permutation((1, 1, 2)),
     "s3_vertex_permutation None": lambda: geometry.s3_vertex_permutation(None),
@@ -106,8 +102,6 @@ BAD_CALLS = {
         spline_fn.control_distance_bound_check(FLOAT_SPLINE, "1"),
     "control_distance_bound_check None bound": lambda:
         spline_fn.control_distance_bound_check(FLOAT_SPLINE, None),
-    "collocation float frame": lambda: dual_functionals.collocation(
-        geometry.make_frame((0.3, -0.1), (2.7, 0.2), (0.1, 3.1)), [K]),
     "smoothness_system order four": lambda: assembly.smoothness_system(4, (F(1, 3),) * 3),
     "smoothness_system order negative": lambda: assembly.smoothness_system(-1, (F(1, 3),) * 3),
     "smoothness_system float order": lambda: assembly.smoothness_system(2.0, (F(1, 3),) * 3),
@@ -252,6 +246,12 @@ TYPED_ERRORS = {
         assembly.GlobalSpline(MESH, ((F(0),) * 39,) * 2), (0, "a"), 2)),
     "triangulation int triangles": (NonConformingMesh, lambda: assembly.triangulation(
         [(0, 0), (1, 0), (0, 1)], 5)),
+    "Triangulation duplicate triangle": (NonConformingMesh, lambda: assembly.triangulation(
+        [(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (0, 1, 2)])),
+    "Triangulation reversed duplicate triangle": (NonConformingMesh, lambda:
+        assembly.triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (0, 2, 1)])),
+    "Triangulation folded pair": (NonConformingMesh, lambda: assembly.triangulation(
+        [(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 2))], [(0, 1, 2), (0, 1, 3)])),
     "GlobalSpline.spline list index": (DomainError, lambda: assembly.GlobalSpline(
         MESH, ((F(0),) * 39,) * 2).spline([0])),
     "Triangulation list vertex index": (NonConformingMesh, lambda: assembly.Triangulation(
@@ -297,7 +297,6 @@ TYPED_ERRORS = {
     "locate_face int frame": (DomainError, lambda: geometry.locate_face(5, (0.2, 0.3))),
     "integral None frame": (DomainError, lambda: simplex_spline.integral(None, K)),
     "build_lambda None frame": (DomainError, lambda: dual_functionals.build_lambda(None)),
-    "collocation None frame": (DomainError, lambda: dual_functionals.collocation(None, [K])),
     "marsden_eval int frame": (DomainError, lambda: marsden_catalog.marsden_eval(
         marsden_catalog.catalog("c"), (F(1, 5), F(1, 3)), (1, 2, 3), 5)),
     "quasi_interpolant_coeffs int frame": (DomainError, lambda:

@@ -34,10 +34,10 @@ from ps12splines.spline_fn import Spline, eval_spline
 
 def test_make_frame_unit_triangle_vertices():
     fr = make_frame(Point2(F(0), F(0)), Point2(F(1), F(0)), Point2(F(0), F(1)))
-    assert fr.vertex(4) == (F(1, 2), F(0))
-    assert fr.vertex(6) == (F(0), F(1, 2))
-    assert fr.vertex(7) == (F(1, 4), F(1, 4))
-    assert fr.vertex(10) == (F(1, 3), F(1, 3))
+    assert fr.v[3] == (F(1, 2), F(0))
+    assert fr.v[5] == (F(0), F(1, 2))
+    assert fr.v[6] == (F(1, 4), F(1, 4))
+    assert fr.v[9] == (F(1, 3), F(1, 3))
     assert fr.area == F(1, 2)
 
 
@@ -145,7 +145,7 @@ def test_make_frame_equilateral_centroid():
     # for the equilateral triangle the centroid is the circumcenter
     a, b, c = Point2(0.0, 0.0), Point2(2.0, 0.0), Point2(1.0, 3.0 ** 0.5)
     fr = make_frame(a, b, c)
-    cx, cy = fr.vertex(10)
+    cx, cy = fr.v[9]
     for p in (a, b, c):
         assert abs((p.x - cx) ** 2 + (p.y - cy) ** 2 - (4 / 3)) < 1e-12
 
@@ -156,9 +156,9 @@ def test_make_frame_collinear_raises():
 
 
 def test_to_bary_examples(ref):
-    assert to_bary(ref, ref.vertex(1)) == (1, 0, 0)
-    assert to_bary(ref, ref.vertex(10)) == (F(1, 3), F(1, 3), F(1, 3))
-    assert to_bary(ref, ref.vertex(7)) == (F(1, 2), F(1, 4), F(1, 4))
+    assert to_bary(ref, ref.v[0]) == (1, 0, 0)
+    assert to_bary(ref, ref.v[9]) == (F(1, 3), F(1, 3), F(1, 3))
+    assert to_bary(ref, ref.v[6]) == (F(1, 2), F(1, 4), F(1, 4))
 
 
 def test_faces_tile_macrotriangle(ref):

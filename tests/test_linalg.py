@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ps12splines.errors import DimensionMismatch, SingularSystem
-from ps12splines.linalg import identity, inverse, pivot_columns, rank, solve
+from ps12splines.linalg import identity, inverse, pivot_columns, solve
 
 
 def gauss_jordan(A, B):
@@ -66,7 +66,7 @@ def mat_mul(A, B):
 def test_solve_and_rank_agree_with_gauss_jordan(system):
     A, B = system
     ref_rank, ref_x = gauss_jordan(A, B)
-    assert rank(A) == ref_rank
+    assert len(pivot_columns(A)) == ref_rank
     if ref_x is None:
         with pytest.raises(SingularSystem):
             solve(A, B)
@@ -81,10 +81,10 @@ def test_solve_and_rank_agree_with_gauss_jordan(system):
 @given(singular_systems())
 def test_singular_input_raises(system):
     A, B = system
-    assert rank(A) < len(A)
     # the pivot columns are independent and keep the rank
     cols = pivot_columns(A)
-    assert len(cols) == rank(A) == gauss_jordan([[a[c] for c in cols] for a in A], B)[0]
+    assert len(cols) < len(A)
+    assert len(cols) == gauss_jordan([[a[c] for c in cols] for a in A], B)[0]
     with pytest.raises(SingularSystem):
         solve(A, B)
     with pytest.raises(SingularSystem):
@@ -106,3 +106,8 @@ def test_solve_rejects_non_square_input():
         solve([[1, 2]], [[1]])
     with pytest.raises(DimensionMismatch):
         solve([[1, 0], [0, 1]], [[1]])
+
+
+def test_empty_input():
+    assert solve([], []) == []
+    assert pivot_columns([]) == ()

@@ -25,7 +25,7 @@ EXPORTS = {
         "smoothness_order",
     ),
     "dual_functionals": (
-        "Functional", "apply", "build_lambda", "collocation", "dim_global", "dim_split_space",
+        "Functional", "apply", "build_lambda", "dim_global", "dim_split_space",
     ),
     "basis_search": (
         "CandidateBasis", "S3Class", "SearchReport", "compute_dual_polys", "compute_weights",
@@ -33,8 +33,7 @@ EXPORTS = {
         "split_linear_factors",
     ),
     "marsden_catalog": (
-        "BASIS_IDS", "BasisSpec", "bernstein_expansion", "catalog", "marsden_eval",
-        "quasi_interpolant_coeffs",
+        "BASIS_IDS", "BasisSpec", "catalog", "marsden_eval", "quasi_interpolant_coeffs",
     ),
     "spline_fn": (
         "ControlMesh", "Spline", "basis_values", "collocation_at_domain_points",
@@ -42,9 +41,9 @@ EXPORTS = {
         "lagrange_interpolate",
     ),
     "assembly": (
-        "GlobalSpline", "NodalBasis", "SmoothnessSystem", "Triangulation",
-        "edge_restriction_tables", "hermite_interpolate", "hexagon_demo", "nodal_basis",
-        "propagate", "smoothness_system", "triangulation", "verify_smoothness",
+        "GlobalSpline", "SmoothnessSystem", "Triangulation", "edge_restriction_tables",
+        "hermite_interpolate", "hexagon_demo", "propagate", "smoothness_system",
+        "triangulation", "verify_smoothness",
     ),
 }
 
@@ -68,6 +67,7 @@ def test_star_import_yields_the_exports_and_unknown_names_raise():
         ps12splines.no_such_name
     with pytest.raises(ImportError):
         exec("from ps12splines import no_such_name", {})
+    assert set(ps12splines.__all__) <= set(dir(ps12splines))
 
 
 def test_importing_the_package_loads_no_module():

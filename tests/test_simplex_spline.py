@@ -44,6 +44,7 @@ from ps12splines.simplex_spline import (
     derivative,
     eval_simplex,
     integral,
+    knot_label,
     knots,
     per_face_bernstein,
     quintic_form,
@@ -341,6 +342,11 @@ def test_derivative_of_every_admissible_spline_on_face_edges_matches_the_expansi
                 assert fn(pf).hex() == want.hex(), (K, order)
 
 
+def test_knot_label_is_compact_only_without_interior_knots():
+    assert knot_label(knots("600101")) == "600101"
+    assert knot_label(knots("2001011100")) == "2001011100"
+
+
 def test_knot_triangle_across_a_face_raises(ref):
     """Knots v1, v3, v8: the side v1-v8 crosses D1, so no Bernstein form on
     D1 is the knot triangle's indicator (2 = area(T) / area([K]) inside, at
@@ -449,7 +455,7 @@ def test_restriction_agrees_with_eval_101_params(ref):
         K = knots(lab)
         r = restrict_to_edge(ref, K, edge)
         i, _, k = {"e3": (1, 4, 2), "e1": (2, 5, 3), "e2": (3, 6, 1)}[edge]
-        a, b = ref.vertex(i), ref.vertex(k)
+        a, b = ref.v[i - 1], ref.v[k - 1]
         for n in range(101):
             t = F(n, 100)
             p = Point2((1 - t) * a.x + t * b.x, (1 - t) * a.y + t * b.y)
